@@ -21,7 +21,6 @@ from .priors import (
     FinitePrior,
     PriorSpec,
     build_prior,
-    density_at,
     holder_test_function,
     sample_brownian_prior,
     sample_truncated_prior,

@@ -30,7 +30,7 @@ from .harness import (
     run_rate_study,
     run_small_ball_study,
 )
-from .posterior import DegeneratePosteriorError, importance_posterior, mcmc_posterior
+from .posterior import DegeneratePosteriorError, sample_posterior
 from .priors import (
     build_prior,
     holder_test_function,
@@ -83,21 +83,15 @@ def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
 @click.option("--pattern", "pattern_file", type=click.Path(exists=True), required=True)
 @click.option("--sampler", type=click.Choice(["importance", "mcmc"]), default="importance", show_default=True)
 @click.option("--budget", type=int, default=2000, show_default=True, help="draws or MCMC steps")
-@click.option("--step-scale", type=float, default=0.5, show_default=True)
 @click.option("--f0", "f0_file", type=click.Path(exists=True), default=None, help="reference boundary for the summary")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def posterior(prior_file, pattern_file, sampler, budget, step_scale, f0_file, seed, out):
+def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
     """Sample the posterior for a stored point pattern."""
     spec = parse_prior_config(Path(prior_file).read_text())
     pattern = _load_pattern(pattern_file)
-    prior = build_prior(spec)
-    rng = _rng(seed)
     try:
-        if sampler == "importance":
-            ens = importance_posterior(prior, pattern, budget, rng)
-        else:
-            ens = mcmc_posterior(prior, pattern, budget, step_scale, rng)
+        ens = sample_posterior(build_prior(spec), pattern, sampler, budget, _rng(seed))
     except DegeneratePosteriorError as exc:
         raise click.ClickException(str(exc))
     f0 = _load_grid_function(f0_file) if f0_file else None
@@ -218,7 +212,6 @@ def rate_study(config_path, seed, out, threads):
         budget=int(kv.get("budget", "4000")),
         error_metric=kv.get("error_metric", "l1"),
         seed=int(kv.get("seed", "0")),
-        step_scale=float(kv.get("step_scale", "0.5")),
         slope_tol=float(kv.get("slope_tol", "0.15")),
         ceiling=float(kv["ceiling"]) if "ceiling" in kv else None,
     )
@@ -237,8 +230,7 @@ def rate_study(config_path, seed, out, threads):
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-def small_ball(config_path, seed, out, threads):
+def small_ball(config_path, seed, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
     kv, spec = _study_kv(config_path, seed)
     beta = float(kv["beta"]) if "beta" in kv else None
@@ -292,7 +284,7 @@ def decay_study(config_path, seed, out, threads):
             seed=int(kv.get("seed", "0")),
             sampler=kv.get("sampler", "mcmc"),
             budget=int(kv.get("budget", "3000")),
-            step_scale=float(kv.get("step_scale", "0.5")),
+            threads=threads,
         )
     except StudyError as exc:
         raise click.ClickException(str(exc))

@@ -13,31 +13,27 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from .grid import GridFunction, PointPattern, simulate_ppp
+from .grid import GridFunction, simulate_ppp
 from .posterior import (
     DegeneratePosteriorError,
-    exact_truncated_posterior,
-    importance_posterior,
     mass_lower_excess,
-    mcmc_posterior,
     posterior_median_metric,
-    _basis_matrix,
+    sample_posterior,
 )
 from .priors import (
     BrownianStartPrior,
     CoefficientDistribution,
     PriorSpec,
     TruncatedWaveletPrior,
-    WaveletSeriesPrior,
     build_prior,
     holder_test_function,
 )
-from .wavelets import haar_analysis
 from .reporting import csv_table, fit_loglog_slope, svg_loglog_plot, write_text
 
 __all__ = [
@@ -119,7 +115,7 @@ class RateStudyConfig:
     budget: int = 4000
     error_metric: str = "l1"
     seed: int = 0
-    step_scale: float = 0.5
+    step_scale: float = 0.5  # read by no sampler; perfbench/studies.py passes it to mcmc_posterior
     slope_tol: float = 0.15
     ceiling: float | None = None  # None: calibrated from the prior
     max_exclusion_frac: float = 0.2
@@ -198,54 +194,50 @@ def calibrate_ceiling(
     return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - exceed_prob))) + 0.05
 
 
-def _rate_cell(args):
-    cfg, n, seed_key = args
+def _study_cell(spec, f0, ceiling, sampler, budget, functional, n, seed_key):
+    """One (n, replicate) cell: simulate, sample the posterior, reduce it; None if degenerate."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    prior = build_prior(cfg.prior)
-    f0 = cfg.f0()
-    ceiling = cfg.ceiling
     pattern = simulate_ppp(f0, n, ceiling, rng)
     try:
-        if cfg.sampler == "importance":
-            ens = importance_posterior(prior, pattern, cfg.budget, rng)
-        elif cfg.sampler == "exact":
-            ens = exact_truncated_posterior(prior, pattern, cfg.budget, rng)
-        else:
-            ens = mcmc_posterior(prior, pattern, cfg.budget, cfg.step_scale, rng)
+        ens = sample_posterior(build_prior(spec), pattern, sampler, budget, rng)
     except DegeneratePosteriorError:
         return None
-    return posterior_median_metric(ens, f0, cfg.error_metric)
+    return functional(ens, f0)
 
 
-def _run_cells(cfg: RateStudyConfig, threads: int):
-    jobs = []
-    for i_n, n in enumerate(cfg.n_grid):
-        for rep in range(cfg.replicates):
-            jobs.append((cfg, n, (cfg.seed, i_n, rep)))
+def _run_cells(cell, n_grid, replicates: int, seed: int, threads: int, max_exclusion_frac: float):
+    """``cell(n, (seed, i_n, rep))`` for every cell, as an (n, replicate) object array.
+
+    Degenerate cells hold None; more than ``max_exclusion_frac`` of them is a
+    StudyError.  ``cell`` must be picklable when ``threads > 1``.
+    """
+    ns = [n for n in n_grid for _ in range(replicates)]
+    keys = [(seed, i_n, rep) for i_n in range(len(n_grid)) for rep in range(replicates)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_rate_cell, jobs, chunksize=4))
+            results = list(pool.map(cell, ns, keys, chunksize=4))
     else:
-        results = [_rate_cell(j) for j in jobs]
-    grid = np.array(results, dtype=object).reshape(len(cfg.n_grid), cfg.replicates)
-    return grid
+        results = list(map(cell, ns, keys))
+    total = len(results)
+    exclusions = sum(v is None for v in results)
+    if exclusions > max_exclusion_frac * total:
+        raise StudyError(
+            f"{exclusions}/{total} cells degenerate (limit {max_exclusion_frac:.0%})",
+            exclusions=exclusions,
+            total=total,
+        )
+    return np.array(results, dtype=object).reshape(len(n_grid), replicates), exclusions
 
 
 def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     """Posterior-error slope study over the intensity grid."""
+    f0 = cfg.f0()
     if cfg.ceiling is None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCE11)))
-        ceiling = calibrate_ceiling(build_prior(cfg.prior), cfg.f0(), rng)
-        cfg = replace(cfg, ceiling=ceiling)
-    grid = _run_cells(cfg, threads)
-    total = grid.size
-    exclusions = int(sum(v is None for v in grid.ravel()))
-    if exclusions > cfg.max_exclusion_frac * total:
-        raise StudyError(
-            f"{exclusions}/{total} cells degenerate (limit {cfg.max_exclusion_frac:.0%})",
-            exclusions=exclusions,
-            total=total,
-        )
+        cfg = replace(cfg, ceiling=calibrate_ceiling(build_prior(cfg.prior), f0, rng))
+    metric = partial(posterior_median_metric, metric=cfg.error_metric)
+    cell = partial(_study_cell, cfg.prior, f0, cfg.ceiling, cfg.sampler, cfg.budget, metric)
+    grid, exclusions = _run_cells(cell, cfg.n_grid, cfg.replicates, cfg.seed, threads, cfg.max_exclusion_frac)
     medians, q25, q75 = [], [], []
     for row in grid:
         vals = np.array([v for v in row if v is not None], dtype=float)
@@ -328,7 +320,6 @@ def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Gen
         for i in range(draws):
             sups[i] = np.abs(prior.sample(rng).values - target).max()
         return sups
-    basis = _basis_matrix(prior)
     done = 0
     batch = max(1, min(draws, 10_000_000 // (1 << spec.grid_level)))
     while done < draws:
@@ -337,7 +328,7 @@ def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Gen
             z = rng.standard_normal((b, prior.latent_dim))
         else:
             z = prior.dist.sample(rng, size=(b, prior.latent_dim))
-        sups[done : done + b] = np.abs(z @ basis - target).max(axis=1)
+        sups[done : done + b] = np.abs(prior.synthesize(z) - target).max(axis=1)
         done += b
     return sups
 
@@ -365,13 +356,12 @@ def _wavelet_small_ball(
     """
     prior = build_prior(spec)
     target = h.refine(spec.grid_level).values
-    basis = _basis_matrix(prior)
     dim = prior.latent_dim
     law = _coefficient_cdf(prior.dist)
 
     def sup_dist(g: np.ndarray) -> np.ndarray:
         z = law.ppf(stats.norm.cdf(g))
-        return np.abs(z @ basis - target).max(axis=1)
+        return np.abs(prior.synthesize(z) - target).max(axis=1)
 
     g = rng.standard_normal((particles, dim))
     s = sup_dist(g)
@@ -436,9 +426,11 @@ def run_small_ball_study(
 ) -> SmallBallReport:
     """Monte Carlo estimate of P(sup|X - h| <= eps) with a log(-log) slope fit.
 
-    Wavelet-series priors use an importance shift towards h, the Brownian
-    prior uses sequential splitting across bins (4 independent runs per
-    epsilon, averaged); both reach probabilities far below 1/draws.
+    Wavelet-series priors use subset simulation with preconditioned
+    Crank-Nicolson moves, the Brownian prior uses sequential splitting across
+    bins; both average 4 independent runs per epsilon and reach probabilities
+    far below 1/draws.  The truncated wavelet prior uses plain Monte Carlo
+    over ``draws`` prior draws.
     """
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
@@ -537,31 +529,18 @@ def run_posterior_decay_study(
     seed: int = 0,
     sampler: str = "mcmc",
     budget: int = 3000,
-    step_scale: float = 0.5,
+    threads: int = 1,
 ) -> DecayStudyReport:
-    """Expected posterior mass of {integral((f0 - f)_+) >= r} across the intensity grid."""
+    """Expected posterior mass of {integral((f0 - f)_+) >= r} across the intensity grid.
+
+    Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
+    """
     n_grid = tuple(float(n) for n in n_grid)
-    prior = build_prior(prior_spec)
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
-    ceiling = calibrate_ceiling(prior, f0, rng0)
-    masses = np.full((len(n_grid), replicates), np.nan)
-    exclusions = 0
-    for i_n, n in enumerate(n_grid):
-        for rep in range(replicates):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, i_n, rep)))
-            pattern = simulate_ppp(f0, n, ceiling, rng)
-            try:
-                if sampler == "importance":
-                    ens = importance_posterior(prior, pattern, budget, rng)
-                else:
-                    ens = mcmc_posterior(prior, pattern, budget, step_scale, rng)
-            except DegeneratePosteriorError:
-                exclusions += 1
-                continue
-            masses[i_n, rep] = mass_lower_excess(ens, f0, r)
-    total = masses.size
-    if exclusions > 0.2 * total:
-        raise StudyError(f"{exclusions}/{total} cells degenerate", exclusions, total)
+    ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
+    cell = partial(_study_cell, prior_spec, f0, ceiling, sampler, budget, partial(mass_lower_excess, r=r))
+    grid, exclusions = _run_cells(cell, n_grid, replicates, seed, threads, 0.2)
+    masses = grid.astype(float)  # degenerate cells become nan
     med = tuple(float(np.nanmedian(row)) for row in masses)
     mean = tuple(float(np.nanmean(row)) for row in masses)
     passed = all(b <= a + 1e-12 for a, b in zip(med, med[1:]))

@@ -1,11 +1,12 @@
-"""Posterior computation: exact log-weights, prior importance sampling and a
-constraint-respecting Metropolis sampler over coefficient vectors.
+"""Posterior computation: exact log-weights, prior importance sampling, exact
+Gibbs kernels for the latent priors and a closed-form exact sampler for the
+gaussian truncated wavelet prior.  Metropolis is used only for finite priors.
 
 The posterior density with respect to the prior is ``e^{n * integral(f)}`` on
 the set of functions lying below every data point, and zero elsewhere.  For a
 piecewise-constant candidate the constraint is equivalent to lying below the
 per-bin minima of the point ordinates, which keeps every check O(grid size).
-Both samplers enforce the constraint exactly; infeasible states are never
+Every sampler enforces the constraint exactly; infeasible states are never
 stored.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "exact_truncated_posterior",
     "importance_posterior",
     "mcmc_posterior",
+    "sample_posterior",
     "posterior_mass",
     "mass_outside_l1_ball",
     "mass_lower_excess",
@@ -289,8 +291,8 @@ def exact_truncated_posterior(
     block values are independent truncated gaussians tilted by the likelihood,
     sampled exactly.  No Monte Carlo error beyond the finite draw count.
     """
-    if prior.dist.kind != "gaussian":
-        raise ValueError("exact sampling needs gaussian coefficients")
+    if not isinstance(prior, TruncatedWaveletPrior) or prior.dist.kind != "gaussian":
+        raise ValueError("exact sampling needs the truncated wavelet prior with gaussian coefficients")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     n = pattern.intensity
@@ -359,31 +361,7 @@ def importance_posterior(
 
 
 # ---------------------------------------------------------------------------
-# Metropolis sampler
-
-
-def _basis_matrix(prior) -> np.ndarray:
-    """Rows: effect of a unit move in each latent coordinate on the grid values."""
-    m = 1 << prior.grid_level
-    if isinstance(prior, BrownianStartPrior):
-        basis = np.zeros((prior.latent_dim, m))
-        basis[0] = 1.0
-        step = 1.0 / math.sqrt(m)
-        for k in range(1, prior.latent_dim):
-            basis[k, k - 1 :] = step
-        return basis
-    basis = np.zeros((prior.latent_dim, m))
-    basis[0] = prior.amplitudes[0]
-    pos = 1
-    for j in range(prior.j_max + 1):
-        amp = 2.0 ** (j / 2.0)
-        block = m >> (j + 1)
-        for k in range(1 << j):
-            start = k * 2 * block
-            basis[pos, start : start + block] = amp * prior.amplitudes[pos]
-            basis[pos, start + block : start + 2 * block] = -amp * prior.amplitudes[pos]
-            pos += 1
-    return basis
+# Markov chain samplers: exact Gibbs kernels, Metropolis for finite priors only
 
 
 def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in):
@@ -393,7 +371,8 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
     (from the feasibility constraint) and, for the scaling coefficient only,
     tilted by the likelihood factor e^{n a0 z0}; both are sampled exactly, so
     there is no step-size tuning and no rejection of stored states.  ``steps``
-    counts single-coordinate updates.
+    counts single-coordinate updates.  Returns the stored states and the count
+    of updates skipped because float drift left an empty interval.
     """
     m = 1 << prior.grid_level
     n = pattern.intensity
@@ -412,7 +391,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
             pos += 1
 
     z = np.asarray(prior.sample_latent(rng), dtype=float)
-    v = prior.to_function(z).values.copy()
+    v = prior.synthesize(z)
     # initialization: lower the scaling coordinate until feasible
     deficit = float(np.max(v - mins))
     if deficit > 0:
@@ -423,6 +402,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
     burn_sweeps = int(burn_in * sweeps)
     thin_sweeps = max(1, thin // dim)
     stored = []
+    skipped = 0
     for t in range(sweeps):
         hi = z[0] + float(np.min(mins - v)) / a0
         z_new = _sample_coefficient_interval(prior.dist, rng, -math.inf, hi, n * a0)
@@ -434,6 +414,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
             hi = z[i] + float(np.min(mins[sl1] - v[sl1])) / a
             lo = z[i] - float(np.min(mins[sl2] - v[sl2])) / a
             if hi < lo:  # guard against accumulated rounding
+                skipped += 1
                 continue
             z_new = _sample_coefficient_interval(prior.dist, rng, lo, hi, 0.0)
             d = (z_new - z[i]) * a
@@ -441,12 +422,12 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
             v[sl2] -= d
             z[i] = z_new
         if (t + 1) % 64 == 0:  # refresh against float drift of incremental updates
-            v = prior.to_function(z).values.copy()
+            v = prior.synthesize(z)
         if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
             stored.append(GridFunction(prior.grid_level, v.copy()))
     if not stored:
         raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
-    return stored
+    return stored, skipped
 
 
 def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
@@ -458,8 +439,7 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
     updates alone relax long-wavelength modes diffusively, so each sweep also
     runs directional Gibbs moves along suffix shifts v -> v + t 1{b >= k},
     whose conditionals are again exact truncated gaussians (only the start
-    term or one increment changes).  ``steps`` counts single-site updates, as
-    in the Metropolis samplers.
+    term or one increment changes).  ``steps`` counts single-site updates.
     """
     m = 1 << prior.grid_level
     mins = bin_minima(pattern, prior.grid_level)
@@ -469,7 +449,7 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
     if finite.any():
         v = np.full(m, min(0.0, float(mins[finite].min())) - 0.1)
     else:
-        v = prior.sample(rng).values.copy()
+        v = prior.synthesize(prior.sample_latent(rng))
 
     evens = np.arange(0, m, 2)
     odds = np.arange(1, m, 2)
@@ -514,13 +494,7 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
             stored.append(GridFunction(prior.grid_level, v.copy()))
     if not stored:
         raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
-    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": sweeps * 2 * m, "acceptance_rate": 1.0}
-    return PosteriorEnsemble(tuple(stored), np.zeros(len(stored)), meta=meta)
-
-
-def _mcmc_wavelet(prior, pattern, steps, rng, thin, burn_in):
-    stored = _gibbs_wavelet(prior, pattern, steps, rng, thin, burn_in)
-    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "acceptance_rate": 1.0}
+    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": sweeps * 2 * m}
     return PosteriorEnsemble(tuple(stored), np.zeros(len(stored)), meta=meta)
 
 
@@ -558,6 +532,7 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin, bur
     samples: list[GridFunction] = []
     log_weights: list[float] = []
     level_log_w = []
+    skipped = 0
     mins = bin_minima(pattern, prior.grid_level)
     for j in range(n_levels):
         level = prior.level_prior(j)
@@ -567,19 +542,16 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin, bur
         else:
             # evidence Z_j by prior importance sampling at this level; a rough
             # estimate at large intensity, where feasible draws become rare
-            lws = []
-            for _ in range(evidence_draws):
-                f = level.sample(rng)
-                if np.all(f.values <= mins):
-                    lws.append(n * f.values.mean())
-            if not lws:
+            values = level.synthesize(level.dist.sample(rng, size=(evidence_draws, level.latent_dim)))
+            lws = n * values[np.all(values <= mins, axis=1)].mean(axis=1)
+            if not lws.size:
                 level_log_w.append(-math.inf)
                 continue
-            lws = np.array(lws)
             peak = lws.max()
             log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(evidence_draws)
         lw_level = math.log(prior.level_probabilities[j]) + log_z
-        stored = _gibbs_wavelet(level, pattern, steps_per_level, rng, thin, burn_in)
+        stored, level_skipped = _gibbs_wavelet(level, pattern, steps_per_level, rng, thin, burn_in)
+        skipped += level_skipped
         level_log_w.append(lw_level)
         per_sample = lw_level - math.log(len(stored))
         samples.extend(stored)
@@ -590,7 +562,7 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin, bur
         "sampler": "mcmc",
         "kind": "gibbs",
         "steps": steps,
-        "acceptance_rate": 1.0,
+        "skipped_updates": skipped,
         "level_log_weights": level_log_w,
     }
     return PosteriorEnsemble(tuple(samples), np.array(log_weights), meta=meta)
@@ -600,7 +572,7 @@ def mcmc_posterior(
     prior,
     pattern: PointPattern,
     steps: int,
-    step_scale: float = 0.5,
+    step_scale: float = 0.5,  # read by no kernel; perfbench/studies.py passes it positionally
     rng: np.random.Generator | None = None,
     thin: int | None = None,
     burn_in: float = 0.2,
@@ -608,12 +580,13 @@ def mcmc_posterior(
 ) -> PosteriorEnsemble:
     """Markov chain Monte Carlo targeting the constrained posterior.
 
-    Latent priors use coordinate-wise Gibbs with exact truncated conditional
-    draws (no step-size tuning; ``step_scale`` is accepted for interface
-    stability but unused by those kernels).  Finite priors use an independence
-    Metropolis proposal from the prior.  The truncated wavelet prior runs one
-    chain per level and combines them by the level evidences (closed form for
-    gaussian coefficients, importance-estimated otherwise).
+    Latent priors use exact Gibbs kernels: every conditional is drawn exactly
+    from a truncated, tilted law, so there is no step size and no rejection.
+    The truncated wavelet prior runs one Gibbs chain per level and combines
+    them by the level evidences (closed form for gaussian coefficients,
+    importance-estimated otherwise).  Only finite priors use Metropolis, with
+    an independence proposal from the prior.  ``step_scale`` is validated but
+    read by no kernel; it stays only for the benchmark replay's positional call.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -629,7 +602,23 @@ def mcmc_posterior(
         return _mcmc_truncated(prior, pattern, steps, rng, thin, burn_in, evidence_draws)
     if isinstance(prior, BrownianStartPrior):
         return _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in)
-    return _mcmc_wavelet(prior, pattern, steps, rng, thin, burn_in)
+    stored, skipped = _gibbs_wavelet(prior, pattern, steps, rng, thin, burn_in)
+    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": skipped}
+    return PosteriorEnsemble(tuple(stored), np.zeros(len(stored)), meta=meta)
+
+
+def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
+    """Posterior ensemble from the named sampler: 'importance', 'mcmc' or 'exact'.
+
+    ``budget`` counts draws, or steps for 'mcmc'.
+    """
+    if sampler == "importance":
+        return importance_posterior(prior, pattern, budget, rng)
+    if sampler == "exact":
+        return exact_truncated_posterior(prior, pattern, budget, rng)
+    if sampler == "mcmc":
+        return mcmc_posterior(prior, pattern, budget, rng=rng)
+    raise ValueError(f"unknown sampler {sampler!r}")
 
 
 # ---------------------------------------------------------------------------

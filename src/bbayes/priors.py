@@ -8,12 +8,12 @@ wavelet series.  A finite-atom prior is provided for exact closed-form checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction
-from .wavelets import WaveletCoefficients, coefficient_count, haar_synthesis
+from .wavelets import coefficient_count, synthesize_flat
 
 __all__ = [
     "CoefficientDistribution",
@@ -23,7 +23,6 @@ __all__ = [
     "TruncatedWaveletPrior",
     "FinitePrior",
     "build_prior",
-    "density_at",
     "sample_brownian_prior",
     "sample_wavelet_prior",
     "sample_truncated_prior",
@@ -164,18 +163,12 @@ class WaveletSeriesPrior:
     def sample_latent(self, rng: np.random.Generator) -> np.ndarray:
         return self.dist.sample(rng, size=self.latent_dim)
 
-    def latent_log_density(self, z: np.ndarray) -> float:
-        return float(np.sum(self.dist.log_density(z)))
-
-    def latent_log_density_1d(self, value: float) -> float:
-        return float(self.dist.log_density(value))
-
-    def to_function(self, z: np.ndarray) -> GridFunction:
-        coeffs = WaveletCoefficients.from_flat(self.amplitudes * z, self.j_max)
-        return haar_synthesis(coeffs, self.grid_level)
+    def synthesize(self, z: np.ndarray) -> np.ndarray:
+        """Grid values ``(..., m)`` of latent vectors ``(..., latent_dim)``."""
+        return synthesize_flat(self.amplitudes * z, self.j_max, self.grid_level)
 
     def sample(self, rng: np.random.Generator) -> GridFunction:
-        return self.to_function(self.sample_latent(rng))
+        return GridFunction(self.grid_level, self.synthesize(self.sample_latent(rng)))
 
 
 class BrownianStartPrior:
@@ -197,19 +190,12 @@ class BrownianStartPrior:
     def sample_latent(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.latent_dim)
 
-    def latent_log_density(self, z: np.ndarray) -> float:
-        return float(-0.5 * np.dot(z, z) - 0.5 * z.size * math.log(2.0 * math.pi))
-
-    def latent_log_density_1d(self, value: float) -> float:
-        return -0.5 * value * value - 0.5 * math.log(2.0 * math.pi)
-
-    def to_function(self, z: np.ndarray) -> GridFunction:
-        m = 1 << self.grid_level
-        values = z[0] + np.cumsum(z[1:]) / math.sqrt(m)
-        return GridFunction(self.grid_level, values)
+    def synthesize(self, z: np.ndarray) -> np.ndarray:
+        """Grid values ``(..., m)`` of latent vectors ``(..., latent_dim)``."""
+        return z[..., :1] + np.cumsum(z[..., 1:], axis=-1) / math.sqrt(1 << self.grid_level)
 
     def sample(self, rng: np.random.Generator) -> GridFunction:
-        return self.to_function(self.sample_latent(rng))
+        return GridFunction(self.grid_level, self.synthesize(self.sample_latent(rng)))
 
 
 class TruncatedWaveletPrior:
@@ -231,8 +217,8 @@ class TruncatedWaveletPrior:
     def sample_with_level(self, rng: np.random.Generator) -> tuple[int, GridFunction]:
         j = int(rng.choice(self.j_cap + 1, p=self.level_probabilities))
         z = self.dist.sample(rng, size=coefficient_count(j))
-        coeffs = WaveletCoefficients.from_flat(z, j)
-        return j, haar_synthesis(coeffs, self.grid_level)
+        # unit amplitudes: the level-j latent vector is the flat coefficient vector
+        return j, GridFunction(self.grid_level, synthesize_flat(z, j, self.grid_level))
 
     def sample(self, rng: np.random.Generator) -> GridFunction:
         return self.sample_with_level(rng)[1]
@@ -270,10 +256,6 @@ def build_prior(spec: PriorSpec):
 
 
 # spec-facing convenience wrappers
-
-
-def density_at(dist: CoefficientDistribution, x: float) -> float:
-    return dist.density(x)
 
 
 def sample_brownian_prior(grid_level: int, rng: np.random.Generator) -> GridFunction:

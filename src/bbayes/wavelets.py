@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import GridFunction
 
-__all__ = ["WaveletCoefficients", "LevelOverflowError", "haar_synthesis", "haar_analysis"]
+__all__ = ["WaveletCoefficients", "LevelOverflowError", "haar_synthesis", "haar_analysis", "synthesize_flat"]
 
 
 class LevelOverflowError(ValueError):
@@ -66,20 +66,26 @@ def coefficient_count(max_level: int) -> int:
     return 1 << (max_level + 1) if max_level >= 0 else 1
 
 
+def synthesize_flat(flat: np.ndarray, max_level: int, grid_level: int) -> np.ndarray:
+    """Grid values ``(..., 2**grid_level)`` of flat coefficient vectors ``(..., coefficient_count(max_level))``.
+
+    Coarse to fine, each level doubles the blocks: a block of value v splits
+    into ``v + 2^{j/2} c`` (left half) and ``v - 2^{j/2} c`` (right half).
+    Leading axes are batch axes.
+    """
+    if max_level >= grid_level:
+        raise LevelOverflowError(f"detail level {max_level} needs more than {1 << grid_level} bins")
+    flat = np.asarray(flat, dtype=float)
+    v = flat[..., :1]
+    for j in range(max_level + 1):
+        c = 2.0 ** (j / 2.0) * flat[..., 1 << j : 2 << j]
+        v = np.stack([v + c, v - c], axis=-1).reshape(*flat.shape[:-1], 2 << j)
+    return np.repeat(v, (1 << grid_level) // v.shape[-1], axis=-1)
+
+
 def haar_synthesis(c: WaveletCoefficients, grid_level: int) -> GridFunction:
     """Exact piecewise-constant synthesis on 2**grid_level bins."""
-    if c.max_level >= grid_level:
-        raise LevelOverflowError(
-            f"detail level {c.max_level} needs more than {1 << grid_level} bins"
-        )
-    m = 1 << grid_level
-    values = np.full(m, c.scaling)
-    for j, coeffs in enumerate(c.detail):
-        amp = 2.0 ** (j / 2.0)
-        block = m >> (j + 1)  # bins per half-support
-        signed = np.stack([coeffs, -coeffs], axis=1).reshape(-1) * amp
-        values += np.repeat(signed, block)
-    return GridFunction(grid_level, values)
+    return GridFunction(grid_level, synthesize_flat(c.flatten(), c.max_level, grid_level))
 
 
 def haar_analysis(f: GridFunction, max_level: int | None = None) -> WaveletCoefficients:

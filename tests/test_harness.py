@@ -144,6 +144,12 @@ def test_rate_study_deterministic_across_threads():
     assert a.medians == b.medians
     assert a.slope == b.slope
     assert a.to_csv() == b.to_csv()
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    decay = [
+        run_posterior_decay_study(_spec(), f0, 0.3, (5.0, 20.0), 4, seed=4, budget=600, threads=t)
+        for t in (1, 2)
+    ]
+    assert decay[0] == decay[1]
 
 
 def test_rate_study_exclusion_limit():

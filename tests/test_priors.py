@@ -12,8 +12,10 @@ from bbayes import (
     FinitePrior,
     GridFunction,
     PriorSpec,
+    WaveletCoefficients,
     build_prior,
     haar_analysis,
+    haar_synthesis,
     holder_test_function,
     sample_brownian_prior,
     sample_truncated_prior,
@@ -153,6 +155,34 @@ def test_brownian_prior_start_and_increments():
     assert first.var() == pytest.approx(1.0 + 1.0 / m, rel=0.05)
     assert incs.var() == pytest.approx(1.0 / m, rel=0.05)
     assert abs(incs.mean()) <= 3.0 * math.sqrt(1.0 / m / incs.size)
+
+
+def test_synthesize_matches_per_draw_synthesis():
+    # the batched latent -> grid map equals the per-draw map bit for bit, for 1-D and 2-D input
+    brownian = build_prior(PriorSpec(variant="brownian_start", grid_level=5))
+    cases = [(brownian, lambda z: z[0] + np.cumsum(z[1:]) / math.sqrt(32))]
+    wavelet = build_prior(
+        PriorSpec(
+            variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution("laplace"), j_max=6, grid_level=8
+        )
+    )
+    truncated = build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=6)
+    )
+    for prior in [wavelet] + [truncated.level_prior(j) for j in range(4)]:
+        cases.append(
+            (
+                prior,
+                lambda z, p=prior: haar_synthesis(
+                    WaveletCoefficients.from_flat(p.amplitudes * z, p.j_max), p.grid_level
+                ).values,
+            )
+        )
+    rng = np.random.default_rng(12)
+    for prior, per_draw in cases:
+        z = rng.standard_normal((7, prior.latent_dim))
+        assert np.array_equal(prior.synthesize(z), np.stack([per_draw(row) for row in z]))
+        assert np.array_equal(prior.synthesize(z[0]), per_draw(z[0]))
 
 
 def test_truncated_prior_level_distribution_and_unit_amplitudes():
