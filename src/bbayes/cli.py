@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 pass, 1 error, 2 tolerance failure.  All subcommands are fully
-deterministic given ``--seed``.
+Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option
+or an unknown study config key).  All subcommands are deterministic given ``--seed``.
 """
 
 from __future__ import annotations
@@ -179,14 +179,16 @@ def _split_dictionary(text: str):
     return [GridFunction.from_csv("\n".join(b)) for b in blocks]
 
 
-def _study_kv(config_path: str, seed: int | None):
+def _study_kv(config_path: str, seed: int | None, keys: str):
     kv = parse_kv(Path(config_path).read_text())
     if seed is not None:
         kv["seed"] = str(seed)
     prior_kv = {k[len("prior."):]: v for k, v in kv.items() if k.startswith("prior.")}
     kv = {k: v for k, v in kv.items() if not k.startswith("prior.")}
-    spec = prior_spec_from_mapping(prior_kv)
-    return kv, spec
+    unknown = sorted(set(kv) - set(keys.split()) - {"seed"})
+    if unknown:
+        raise click.UsageError(f"unknown config keys in {config_path}: {', '.join(unknown)}")
+    return kv, prior_spec_from_mapping(prior_kv)
 
 
 def _floats(text: str):
@@ -200,7 +202,9 @@ def _floats(text: str):
 @click.option("--threads", type=int, default=1, show_default=True)
 def rate_study(config_path, seed, out, threads):
     """Posterior contraction-rate study (exit 2 when the slope misses tolerance)."""
-    kv, spec = _study_kv(config_path, seed)
+    kv, spec = _study_kv(
+        config_path, seed, "f0.beta f0.R f0.kind n_grid replicates sampler budget error_metric slope_tol ceiling"
+    )
     cfg = RateStudyConfig(
         prior=spec,
         f0_beta=float(kv.get("f0.beta", "1.0")),
@@ -232,7 +236,7 @@ def rate_study(config_path, seed, out, threads):
 @click.option("--out", type=click.Path(), required=True)
 def small_ball(config_path, seed, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
-    kv, spec = _study_kv(config_path, seed)
+    kv, spec = _study_kv(config_path, seed, "beta h.kind h.beta h.R eps_grid draws tol")
     beta = float(kv["beta"]) if "beta" in kv else None
     if "h.kind" in kv:
         h = holder_test_function(
@@ -267,7 +271,7 @@ def small_ball(config_path, seed, out):
 @click.option("--threads", type=int, default=1, show_default=True)
 def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
-    kv, spec = _study_kv(config_path, seed)
+    kv, spec = _study_kv(config_path, seed, "f0.beta f0.R f0.kind r n_grid replicates sampler budget")
     f0 = holder_test_function(
         float(kv.get("f0.beta", "1.0")),
         float(kv.get("f0.R", "1.0")),

@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import erf, log_ndtr
 
 from .grid import GridFunction, simulate_ppp
 from .posterior import (
@@ -31,10 +31,12 @@ from .priors import (
     CoefficientDistribution,
     PriorSpec,
     TruncatedWaveletPrior,
+    WaveletSeriesPrior,
     build_prior,
     holder_test_function,
 )
 from .reporting import csv_table, fit_loglog_slope, svg_loglog_plot, write_text
+from .wavelets import synthesize_flat
 
 __all__ = [
     "RateStudyConfig",
@@ -315,11 +317,9 @@ def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Gen
     """Sup-norm distances of plain prior draws to h, batched."""
     prior = build_prior(spec)
     target = h.refine(spec.grid_level).values
-    sups = np.empty(draws)
     if isinstance(prior, TruncatedWaveletPrior):
-        for i in range(draws):
-            sups[i] = np.abs(prior.sample(rng).values - target).max()
-        return sups
+        return np.array([np.abs(prior.sample(rng).values - target).max() for _ in range(draws)])
+    sups = np.empty(draws)
     done = 0
     batch = max(1, min(draws, 10_000_000 // (1 << spec.grid_level)))
     while done < draws:
@@ -333,13 +333,28 @@ def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Gen
     return sups
 
 
-def _coefficient_cdf(dist: CoefficientDistribution):
-    """Frozen scipy distribution matching a CoefficientDistribution."""
+def _latent_from_gaussian(dist: CoefficientDistribution, g: np.ndarray) -> np.ndarray:
+    """Coefficients of law ``dist`` from standard gaussians: ``F^{-1}(Phi(g))`` in closed form, finite for finite g."""
+    s = dist.scale
     if dist.kind == "gaussian":
-        return stats.norm(0.0, dist.scale)
+        return s * g
     if dist.kind == "laplace":
-        return stats.laplace(0.0, dist.scale)
-    return stats.uniform(-dist.scale, 2.0 * dist.scale)
+        # the tail quantile -s log(2 Phi(-|g|)), signed like g
+        return np.copysign(-s * (math.log(2.0) + log_ndtr(-np.abs(g))), g)
+    return s * erf(g / math.sqrt(2.0))
+
+
+def _sup_to_target(prior: WaveletSeriesPrior, target: np.ndarray):
+    """``z -> sup|prior.synthesize(z) - target|`` for latent batches, bit for bit: draws are constant on
+    2**(j_max+1) blocks and rounded subtraction is monotone, so only each block's target range matters."""
+    blocks = target.reshape(1 << (prior.j_max + 1), -1)
+    lo, hi = blocks.min(axis=1), blocks.max(axis=1)
+
+    def sup(z: np.ndarray) -> np.ndarray:
+        v = synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
+        return np.maximum(v - lo, hi - v).max(axis=1)
+
+    return sup
 
 
 def _wavelet_small_ball(
@@ -347,42 +362,35 @@ def _wavelet_small_ball(
 ) -> float:
     """P(sup|X - h| <= eps) for a wavelet-series prior by subset simulation.
 
-    The latent coefficients are represented as elementwise quantile transforms
-    of standard gaussians, so a preconditioned Crank-Nicolson move leaves the
-    prior invariant for every coefficient law and only the sup-distance
-    constraint enters the accept step.  Levels are lowered to the empirical
-    25% quantile until eps is reached; the probability is the product of the
-    per-stage survival fractions.
+    The latent coefficients are closed-form monotone maps of standard gaussians
+    (``s g``, the signed laplace tail quantile via ``log_ndtr``, ``s erf(g/sqrt 2)``),
+    so a preconditioned Crank-Nicolson move leaves the prior invariant for every
+    coefficient law and only the sup-distance constraint, taken block by block
+    against h's range on each of the prior's 2**(j_max+1) blocks, enters the
+    accept step.  Levels are lowered to the empirical 25% quantile until eps is
+    reached; the probability is the product of the per-stage survival fractions.
     """
     prior = build_prior(spec)
-    target = h.refine(spec.grid_level).values
-    dim = prior.latent_dim
-    law = _coefficient_cdf(prior.dist)
-
-    def sup_dist(g: np.ndarray) -> np.ndarray:
-        z = law.ppf(stats.norm.cdf(g))
-        return np.abs(prior.synthesize(z) - target).max(axis=1)
-
-    g = rng.standard_normal((particles, dim))
-    s = sup_dist(g)
+    sup = _sup_to_target(prior, h.refine(spec.grid_level).values)
+    g = rng.standard_normal((particles, prior.latent_dim))
+    s = sup(_latent_from_gaussian(prior.dist, g))
     log_p = 0.0
     rho = 0.8  # pCN autocorrelation, adapted to keep acceptance moderate
     for _ in range(60):
         level = float(np.quantile(s, 0.25))
         if level <= eps:
-            frac = float(np.mean(s <= eps))
-            return math.exp(log_p) * frac if frac > 0.0 else 0.0
-        keep = s <= level
-        log_p += math.log(float(keep.mean()))
-        idx = np.flatnonzero(keep)[rng.integers(0, int(keep.sum()), size=particles)]
+            return math.exp(log_p) * (int(np.count_nonzero(s <= eps)) / particles)
+        keep = np.flatnonzero(s <= level)
+        log_p += math.log(keep.size / particles)
+        idx = keep[rng.integers(0, keep.size, size=particles)]
         g, s = g[idx], s[idx]
         for _ in range(6):
-            cand = rho * g + math.sqrt(1.0 - rho * rho) * rng.standard_normal((particles, dim))
-            s_cand = sup_dist(cand)
+            cand = rho * g + math.sqrt(1.0 - rho * rho) * rng.standard_normal(g.shape)
+            s_cand = sup(_latent_from_gaussian(prior.dist, cand))
             accept = s_cand <= level
             g[accept] = cand[accept]
             s[accept] = s_cand[accept]
-            acc = float(accept.mean())
+            acc = np.count_nonzero(accept) / particles
             if acc < 0.3:
                 rho = math.sqrt(rho)
             elif acc > 0.6:
@@ -405,12 +413,10 @@ def _brownian_small_ball(spec: PriorSpec, h: GridFunction, eps: float, particles
     for k in range(m):
         if k > 0:
             x = x + rng.normal(0.0, sd, size=particles)
-        alive = np.abs(x - target[k]) <= eps
-        frac = float(alive.mean())
-        if frac == 0.0:
+        survivors = x[np.abs(x - target[k]) <= eps]
+        if survivors.size == 0:
             return 0.0
-        log_p += math.log(frac)
-        survivors = x[alive]
+        log_p += math.log(survivors.size / particles)
         x = survivors[rng.integers(0, survivors.size, size=particles)]
     return math.exp(log_p)
 
@@ -435,42 +441,27 @@ def run_small_ball_study(
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
-    probs, ses, kept, excluded = [], [], [], []
+    runs = 4
     if spec.variant == "brownian_start":
-        runs = 4
-        particles = max(1000, draws // runs)
-        for eps in eps_grid:
-            estimates = [_brownian_small_ball(spec, h, eps, particles, rng) for _ in range(runs)]
-            p = float(np.mean(estimates))
-            if p == 0.0:
-                excluded.append(eps)
-                continue
-            probs.append(p)
-            ses.append(float(np.std(estimates) / math.sqrt(runs)))
-            kept.append(eps)
+        estimator, particles = _brownian_small_ball, max(1000, draws // runs)
     elif spec.variant == "wavelet_series":
-        runs = 4
-        particles = max(500, draws // (runs * len(eps_grid)))
-        for eps in eps_grid:
-            estimates = [_wavelet_small_ball(spec, h, eps, particles, rng) for _ in range(runs)]
-            p = float(np.mean(estimates))
-            if p == 0.0:
-                excluded.append(eps)
-                continue
-            probs.append(p)
-            ses.append(float(np.std(estimates) / math.sqrt(runs)))
-            kept.append(eps)
+        estimator, particles = _wavelet_small_ball, max(500, draws // (runs * len(eps_grid)))
     else:
         sups = _prior_sups(spec, h, draws, rng)
-        for eps in eps_grid:
-            hits = int(np.sum(sups <= eps))
-            if hits == 0:
-                excluded.append(eps)
-                continue
-            p = hits / draws
-            probs.append(p)
-            ses.append(math.sqrt(p * (1.0 - p) / draws))
-            kept.append(eps)
+    probs, ses, kept, excluded = [], [], [], []
+    for eps in eps_grid:
+        if spec.variant == "truncated_wavelet":
+            p = int(np.count_nonzero(sups <= eps)) / draws
+            se = math.sqrt(p * (1.0 - p) / draws)
+        else:
+            estimates = [estimator(spec, h, eps, particles, rng) for _ in range(runs)]
+            p, se = float(np.mean(estimates)), float(np.std(estimates) / math.sqrt(runs))
+        if p == 0.0:
+            excluded.append(eps)
+            continue
+        probs.append(p)
+        ses.append(se)
+        kept.append(eps)
     if len(kept) < 2:
         raise StudyError("fewer than two epsilon values with hits; enlarge eps_grid or draws")
     x = [1.0 / e for e in kept]

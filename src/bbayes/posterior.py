@@ -397,6 +397,11 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
     if deficit > 0:
         z[0] -= (deficit + 1e-9) / a0
         v -= deficit + 1e-9
+        if prior.dist.kind == "uniform" and z[0] < -prior.dist.scale:
+            raise DegeneratePosteriorError(
+                f"no feasible start: clearing the bin minima puts the scaling coefficient at {z[0]:.4g}, "
+                f"below the uniform support [-{prior.dist.scale:g}, {prior.dist.scale:g}]"
+            )
 
     sweeps = max(2, steps // dim)
     burn_sweeps = int(burn_in * sweeps)

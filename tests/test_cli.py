@@ -164,6 +164,19 @@ def test_decay_study_cli(runner, tmp_path):
     assert (out / "decay_study.csv").exists()
 
 
+def test_study_config_unknown_keys_rejected(runner, tmp_path):
+    cfg = tmp_path / "dc.cfg"
+    cfg.write_text(
+        "prior.variant = brownian_start\nprior.grid_level = 4\nf0.kind = cusp\n"
+        "r = 40.0\nn_grid = 5,20\nreplicates = 4\nbugdet = 5\nstep_scale = 0.3\nseed = 2\n"
+    )
+    out = tmp_path / "d"
+    res = runner.invoke(main, ["decay-study", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2  # click's usage-error code, before any cell runs
+    assert "unknown config keys" in res.output and "bugdet, step_scale" in res.output
+    assert not out.exists()
+
+
 def test_seed_option_overrides_config(runner, tmp_path):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG.format(tol="0.9"))

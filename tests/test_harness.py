@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bbayes import (
     CoefficientDistribution,
@@ -20,7 +21,9 @@ from bbayes import (
 from bbayes.harness import (
     StudyError,
     _brownian_small_ball,
+    _latent_from_gaussian,
     _prior_sups,
+    _sup_to_target,
     _wavelet_small_ball,
     calibrate_ceiling,
     emit_report,
@@ -167,8 +170,42 @@ def test_rate_study_exclusion_limit():
 # small-ball study
 
 
-def test_wavelet_small_ball_matches_plain_monte_carlo():
-    spec = _spec("wavelet_series", grid_level=5, j=3)
+@pytest.mark.parametrize(
+    "kind, law",
+    [
+        ("gaussian", stats.norm(0.0, 0.7)),
+        ("laplace", stats.laplace(0.0, 0.7)),
+        ("uniform", stats.uniform(-0.7, 1.4)),
+    ],
+)
+def test_latent_from_gaussian_matches_scipy_quantile_transform(kind, law):
+    dist = CoefficientDistribution(kind, scale=0.7)
+    g = np.linspace(-8.0, 8.0, 3201)
+    # ppf(norm.cdf(g)) itself is only ~1e-3 accurate near g = 8, where the cdf
+    # rounds towards 1, so the oracle takes each half in its accurate tail
+    oracle = np.where(g <= 0.0, law.ppf(stats.norm.cdf(g)), law.isf(stats.norm.sf(g)))
+    np.testing.assert_allclose(_latent_from_gaussian(dist, g), oracle, rtol=1e-12, atol=0.0)
+    wide = np.linspace(-38.0, 38.0, 20001)
+    z = _latent_from_gaussian(dist, wide)
+    assert np.all(np.isfinite(z))
+    assert np.all(np.diff(z) >= 0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "laplace"])
+def test_sup_to_target_matches_grid_sup_bit_for_bit(kind):
+    # the target lives on 64 bins, the prior's draws on 8 blocks
+    spec = _spec("wavelet_series", kind, grid_level=6, j=2)
+    prior = build_prior(spec)
+    rng = np.random.default_rng(6)
+    z = prior.dist.sample(rng, size=(2000, prior.latent_dim))
+    for target in (holder_test_function(0.5, 1.0, "cusp", 6).values, rng.normal(size=64)):
+        grid_sup = np.abs(prior.synthesize(z) - target).max(axis=1)
+        assert np.array_equal(_sup_to_target(prior, target)(z), grid_sup)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
+def test_wavelet_small_ball_matches_plain_monte_carlo(kind):
+    spec = _spec("wavelet_series", kind, grid_level=5, j=3)
     h = GridFunction.constant(0.0, 5)
     eps = 0.8
     sups = _prior_sups(spec, h, 200_000, np.random.default_rng(2))

@@ -1,10 +1,14 @@
 """Import hygiene of the package modules, checked with the stdlib ``ast``.
 
 No module may import a name it never uses (``__init__.py`` re-exports are
-exempt), and no module may reach into a sibling for a ``_``-prefixed name.
+exempt), no module may reach into a sibling for a ``_``-prefixed name, and
+``import bbayes`` must not load ``scipy.stats``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bbayes
@@ -41,3 +45,11 @@ def test_no_private_names_from_siblings():
         tree = ast.parse(path.read_text())
         private += [f"{path.name}: {name}" for _, name, sibling in _imports(tree) if sibling and name.startswith("_")]
     assert not private, private
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about 0.7 s of start-up; the package needs only scipy.special
+    code = "import sys, bbayes; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bbayes.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

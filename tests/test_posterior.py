@@ -401,6 +401,17 @@ def test_degenerate_and_invalid_inputs():
         exact_truncated_posterior(build_prior(spec), pattern, 10, np.random.default_rng(24))
 
 
+def test_gibbs_wavelet_uniform_start_outside_support_raises():
+    # a point at y = -5 sits below every draw of this prior (|f| < 3), so
+    # lowering the scaling coefficient to clear it leaves [-1, 1]
+    pattern = PointPattern(5.0, 3.0, [0.3], [-5.0])
+    spec = PriorSpec(
+        variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("uniform"), j_max=2, grid_level=4
+    )
+    with pytest.raises(DegeneratePosteriorError, match="no feasible start"):
+        mcmc_posterior(build_prior(spec), pattern, steps=1000, rng=np.random.default_rng(25))
+
+
 # ---------------------------------------------------------------------------
 # functionals
 
