@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option
-or an unknown study config key).  All subcommands are deterministic given ``--seed``.
+Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option, or a
+study config key that is unknown, or a ``prior.*`` key that is missing or unreadable).
+All subcommands are deterministic given ``--seed``.
 """
 
 from __future__ import annotations
@@ -188,7 +189,10 @@ def _study_kv(config_path: str, seed: int | None, keys: str):
     unknown = sorted(set(kv) - set(keys.split()) - {"seed"})
     if unknown:
         raise click.UsageError(f"unknown config keys in {config_path}: {', '.join(unknown)}")
-    return kv, prior_spec_from_mapping(prior_kv)
+    try:
+        return kv, prior_spec_from_mapping(prior_kv)
+    except ValueError as exc:
+        raise click.UsageError(f"bad prior.* config in {config_path}: {exc}")
 
 
 def _floats(text: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridFunction, PointPattern, constraint_satisfied
-from .posterior import PosteriorEnsemble
+from .posterior import PosteriorEnsemble, bin_minima
 
 __all__ = [
     "mle_lipschitz",
@@ -51,11 +51,7 @@ def mle_piecewise_constant(pattern: PointPattern, bins: int, cap: float) -> Grid
     level = int(bins).bit_length() - 1
     if bins < 1 or (1 << level) != bins:
         raise ValueError("bins must be a power of two")
-    values = np.full(bins, float(cap))
-    if len(pattern):
-        idx = np.minimum(np.floor(pattern.xs * bins).astype(int), bins - 1)
-        np.minimum.at(values, idx, pattern.ys)
-    return GridFunction(level, values)
+    return GridFunction(level, np.minimum(bin_minima(pattern, level), cap))
 
 
 def np_test(g: GridFunction, pattern: PointPattern) -> int:
@@ -69,12 +65,8 @@ def check_posterior_below_mle(ens: PosteriorEnsemble, mle: GridFunction):
     Returns ``(ok, violations)`` where violations lists ``(sample_index,
     bin_index, excess)`` triples at the comparison grid level.
     """
-    violations = []
-    for i, f in enumerate(ens.samples):
-        lvl = max(f.grid_level, mle.grid_level)
-        a = f.refine(lvl).values
-        b = mle.refine(lvl).values
-        bad = np.flatnonzero(a > b)
-        for k in bad:
-            violations.append((i, int(k), float(a[k] - b[k])))
+    lvl = max(ens.grid_level, mle.grid_level)
+    a = np.repeat(ens.values, 1 << (lvl - ens.grid_level), axis=1)
+    b = mle.refine(lvl).values
+    violations = [(int(i), int(k), float(a[i, k] - b[k])) for i, k in np.argwhere(a > b)]
     return (not violations), violations

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+MAX_EXCLUSION_FRAC = 0.2  # a study refuses when a larger share of its cells is degenerate
+
+
 class StudyError(RuntimeError):
     """A study failed structurally (for example too many degenerate cells)."""
 
@@ -120,7 +123,6 @@ class RateStudyConfig:
     step_scale: float = 0.5  # read by no sampler; perfbench/studies.py passes it to mcmc_posterior
     slope_tol: float = 0.15
     ceiling: float | None = None  # None: calibrated from the prior
-    max_exclusion_frac: float = 0.2
 
     def __post_init__(self) -> None:
         n_grid = tuple(float(n) for n in self.n_grid)
@@ -207,10 +209,10 @@ def _study_cell(spec, f0, ceiling, sampler, budget, functional, n, seed_key):
     return functional(ens, f0)
 
 
-def _run_cells(cell, n_grid, replicates: int, seed: int, threads: int, max_exclusion_frac: float):
+def _run_cells(cell, n_grid, replicates: int, seed: int, threads: int):
     """``cell(n, (seed, i_n, rep))`` for every cell, as an (n, replicate) object array.
 
-    Degenerate cells hold None; more than ``max_exclusion_frac`` of them is a
+    Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them is a
     StudyError.  ``cell`` must be picklable when ``threads > 1``.
     """
     ns = [n for n in n_grid for _ in range(replicates)]
@@ -222,9 +224,9 @@ def _run_cells(cell, n_grid, replicates: int, seed: int, threads: int, max_exclu
         results = list(map(cell, ns, keys))
     total = len(results)
     exclusions = sum(v is None for v in results)
-    if exclusions > max_exclusion_frac * total:
+    if exclusions > MAX_EXCLUSION_FRAC * total:
         raise StudyError(
-            f"{exclusions}/{total} cells degenerate (limit {max_exclusion_frac:.0%})",
+            f"{exclusions}/{total} cells degenerate (limit {MAX_EXCLUSION_FRAC:.0%})",
             exclusions=exclusions,
             total=total,
         )
@@ -239,7 +241,7 @@ def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
         cfg = replace(cfg, ceiling=calibrate_ceiling(build_prior(cfg.prior), f0, rng))
     metric = partial(posterior_median_metric, metric=cfg.error_metric)
     cell = partial(_study_cell, cfg.prior, f0, cfg.ceiling, cfg.sampler, cfg.budget, metric)
-    grid, exclusions = _run_cells(cell, cfg.n_grid, cfg.replicates, cfg.seed, threads, cfg.max_exclusion_frac)
+    grid, exclusions = _run_cells(cell, cfg.n_grid, cfg.replicates, cfg.seed, threads)
     medians, q25, q75 = [], [], []
     for row in grid:
         vals = np.array([v for v in row if v is not None], dtype=float)
@@ -530,7 +532,7 @@ def run_posterior_decay_study(
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
     cell = partial(_study_cell, prior_spec, f0, ceiling, sampler, budget, partial(mass_lower_excess, r=r))
-    grid, exclusions = _run_cells(cell, n_grid, replicates, seed, threads, 0.2)
+    grid, exclusions = _run_cells(cell, n_grid, replicates, seed, threads)
     masses = grid.astype(float)  # degenerate cells become nan
     med = tuple(float(np.nanmedian(row)) for row in masses)
     mean = tuple(float(np.nanmean(row)) for row in masses)

@@ -8,6 +8,10 @@ piecewise-constant candidate the constraint is equivalent to lying below the
 per-bin minima of the point ordinates, which keeps every check O(grid size).
 Every sampler enforces the constraint exactly; infeasible states are never
 stored.
+
+An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
+the prior's grid level), ``log_weights`` and ``meta``; every functional is a
+row reduction, and ``samples`` is a ``GridFunction`` view of the rows.
 """
 
 from __future__ import annotations
@@ -18,14 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from .grid import (
-    GridFunction,
-    PointPattern,
-    constraint_satisfied,
-    integral,
-    l1_distance,
-    positive_part_integral,
-)
+from .grid import GridFunction, PointPattern, constraint_satisfied, integral
 from .priors import (
     BrownianStartPrior,
     FinitePrior,
@@ -52,6 +49,9 @@ __all__ = [
     "weighted_median",
 ]
 
+_BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
+_EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
+
 
 class DegeneratePosteriorError(RuntimeError):
     """No feasible state was found; the posterior estimate would be degenerate."""
@@ -59,29 +59,38 @@ class DegeneratePosteriorError(RuntimeError):
 
 @dataclass(frozen=True)
 class PosteriorEnsemble:
-    """Weighted collection of feasible boundary functions approximating the posterior."""
+    """Weighted feasible boundary functions: row i of ``values`` is sample i (not copied if float64)."""
 
-    samples: tuple
+    grid_level: int
+    values: np.ndarray
     log_weights: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValueError("ensemble must hold at least one sample")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or not len(values) or values.shape[1] != 1 << self.grid_level:
+            raise ValueError(f"values must be a nonempty (k, {1 << self.grid_level}) matrix, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         lw = np.array(self.log_weights, dtype=float)
-        if lw.shape != (len(samples),):
-            raise ValueError("samples and log_weights must have equal length")
+        if lw.shape != (len(values),):
+            raise ValueError("values and log_weights must have equal length")
         if np.any(np.isnan(lw)) or np.any(lw == np.inf):
             raise ValueError("log_weights must be finite or -inf")
         if np.all(lw == -np.inf):
             raise ValueError("all log_weights are -inf")
+        values.flags.writeable = False
         lw.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "log_weights", lw)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.values)
+
+    @property
+    def samples(self):
+        """The rows as ``GridFunction``s, built on demand."""
+        return (GridFunction(self.grid_level, row) for row in self.values)
 
     @property
     def normalized_weights(self) -> np.ndarray:
@@ -95,25 +104,22 @@ class PosteriorEnsemble:
         return float(1.0 / np.sum(w**2))
 
     def validate_against(self, pattern: PointPattern) -> bool:
-        return all(constraint_satisfied(f, pattern) for f in self.samples)
+        return bool(np.all(self.values <= bin_minima(pattern, self.grid_level)))
 
     def summary_csv(self, f0: GridFunction | None = None) -> str:
         cols = "integral,weight" if f0 is None else "integral,l1_to_f0,weight"
         lines = [f"# ensemble sampler={self.meta.get('sampler', '?')} size={len(self)}", cols]
-        w = self.normalized_weights
-        for i, f in enumerate(self.samples):
-            if f0 is None:
-                lines.append(f"{integral(f)!r},{float(w[i])!r}")
-            else:
-                lines.append(f"{integral(f)!r},{l1_distance(f, f0)!r},{float(w[i])!r}")
+        l1 = [] if f0 is None else [_errors(self, f0, "l1")]
+        columns = [self.values.mean(axis=1), *l1, self.normalized_weights]
+        lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
         return "\n".join(lines) + "\n"
 
     def to_flat_file(self) -> str:
         """Full ensemble as text, one sample per block."""
         blocks = []
-        for i, f in enumerate(self.samples):
-            blocks.append(f"# sample={i} log_weight={float(self.log_weights[i])!r} grid_level={f.grid_level}")
-            blocks.extend(repr(float(v)) for v in f.values)
+        for i, (lw, row) in enumerate(zip(self.log_weights.tolist(), self.values.tolist())):
+            blocks.append(f"# sample={i} log_weight={lw!r} grid_level={self.grid_level}")
+            blocks.extend(map(repr, row))
         return "\n".join(blocks) + "\n"
 
 
@@ -308,21 +314,21 @@ def exact_truncated_posterior(
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     levels = rng.choice(prior.j_cap + 1, size=draws, p=probs)
-    samples = []
-    for j in levels:
+    values = np.empty((draws, grid_m))
+    for i, j in enumerate(levels):
         m = 1 << (j + 1)
         blocks = mins.reshape(m, -1).min(axis=1)
         sd = s * math.sqrt(m)
         mu = n * s * s
         v = mu + sd * _sample_std_normal_tail(rng, (blocks - mu) / sd)
-        samples.append(GridFunction(prior.grid_level, np.repeat(v, grid_m // m)))
+        values[i] = np.repeat(v, grid_m // m)
     meta = {
         "sampler": "exact",
         "draws": draws,
         "level_log_weights": list(level_log_w),
         "level_probabilities": list(probs),
     }
-    return PosteriorEnsemble(tuple(samples), np.zeros(draws), meta=meta)
+    return PosteriorEnsemble(prior.grid_level, values, np.zeros(draws), meta=meta)
 
 
 def importance_posterior(
@@ -335,27 +341,14 @@ def importance_posterior(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    minima_cache: dict[int, np.ndarray] = {}
-    samples = []
-    log_weights = []
-    for _ in range(draws):
-        f = prior.sample(rng)
-        mins = minima_cache.get(f.grid_level)
-        if mins is None:
-            mins = bin_minima(pattern, f.grid_level)
-            minima_cache[f.grid_level] = mins
-        if np.all(f.values <= mins):
-            samples.append(f)
-            log_weights.append(pattern.intensity * f.values.mean())
-    if not samples:
+    values = np.stack([prior.sample(rng).values for _ in range(draws)])
+    values = values[np.all(values <= bin_minima(pattern, prior.grid_level), axis=1)]
+    if not len(values):
         raise DegeneratePosteriorError(
             "no feasible prior draw; the importance estimate is degenerate, use mcmc_posterior"
         )
-    ens = PosteriorEnsemble(
-        tuple(samples),
-        np.array(log_weights),
-        meta={"sampler": "importance", "draws": draws, "feasibility_rate": len(samples) / draws},
-    )
+    meta = {"sampler": "importance", "draws": draws, "feasibility_rate": len(values) / draws}
+    ens = PosteriorEnsemble(prior.grid_level, values, pattern.intensity * values.mean(axis=1), meta=meta)
     ens.meta["ess"] = ens.ess
     return ens
 
@@ -364,15 +357,15 @@ def importance_posterior(
 # Markov chain samplers: exact Gibbs kernels, Metropolis for finite priors only
 
 
-def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in):
+def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
     """Exact coordinate-wise Gibbs over wavelet coefficients.
 
     Every full conditional is the coefficient prior restricted to an interval
     (from the feasibility constraint) and, for the scaling coefficient only,
     tilted by the likelihood factor e^{n a0 z0}; both are sampled exactly, so
     there is no step-size tuning and no rejection of stored states.  ``steps``
-    counts single-coordinate updates.  Returns the stored states and the count
-    of updates skipped because float drift left an empty interval.
+    counts single-coordinate updates.  Returns the stored grid value rows and the
+    count of updates skipped because float drift left an empty interval.
     """
     m = 1 << prior.grid_level
     n = pattern.intensity
@@ -404,7 +397,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
             )
 
     sweeps = max(2, steps // dim)
-    burn_sweeps = int(burn_in * sweeps)
+    burn_sweeps = int(_BURN_IN * sweeps)
     thin_sweeps = max(1, thin // dim)
     stored = []
     skipped = 0
@@ -429,13 +422,13 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin, burn_in
         if (t + 1) % 64 == 0:  # refresh against float drift of incremental updates
             v = prior.synthesize(z)
         if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
-            stored.append(GridFunction(prior.grid_level, v.copy()))
+            stored.append(v.copy())
     if not stored:
         raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
     return stored, skipped
 
 
-def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
+def _gibbs_brownian(prior, pattern, steps, rng, thin):
     """Red-black Gibbs sweep over bin values for the Brownian-start prior.
 
     The prior is Markov across bins, so the full conditional of one bin given
@@ -488,7 +481,7 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
         sd = 1.0 / np.sqrt(lam)
         v[idx] = mu + sd * _sample_std_normal_tail(rng, (mins[idx] - mu) / sd)
 
-    burn_sweeps = int(burn_in * sweeps)
+    burn_sweeps = int(_BURN_IN * sweeps)
     thin_sweeps = max(1, thin // (2 * m))
     stored = []
     for t in range(sweeps):
@@ -496,20 +489,20 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in):
         half_sweep(odds)
         suffix_sweep()
         if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
-            stored.append(GridFunction(prior.grid_level, v.copy()))
+            stored.append(v.copy())
     if not stored:
         raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
     meta = {"sampler": "mcmc", "kind": "gibbs", "steps": sweeps * 2 * m}
-    return PosteriorEnsemble(tuple(stored), np.zeros(len(stored)), meta=meta)
+    return PosteriorEnsemble(prior.grid_level, np.stack(stored), np.zeros(len(stored)), meta=meta)
 
 
-def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin, burn_in):
+def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin):
     log_lik = np.array([log_posterior_weight(f, pattern) for f in prior.members])
     feasible = np.flatnonzero(log_lik > -math.inf)
     if feasible.size == 0:
         raise DegeneratePosteriorError("no feasible atom in the finite prior support")
     state = int(feasible[0])
-    burn_steps = int(burn_in * steps)
+    burn_steps = int(_BURN_IN * steps)
     accepted = 0
     stored = []
     for t in range(steps):
@@ -519,22 +512,23 @@ def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin, burn_in):
             state = cand
             accepted += 1
         if t >= burn_steps and (t - burn_steps) % thin == thin - 1:
-            stored.append(prior.members[state])
+            stored.append(state)
     if not stored:
         raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
     rate = accepted / steps
     meta = {"sampler": "mcmc", "steps": steps, "acceptance_rate": rate}
     if not 0.05 <= rate <= 0.95:
         meta["warning"] = f"acceptance rate {rate:.3f} outside [0.05, 0.95]"
-    return PosteriorEnsemble(tuple(stored), np.zeros(len(stored)), meta=meta)
+    values = np.stack([f.values for f in prior.members])[stored]
+    return PosteriorEnsemble(prior.grid_level, values, np.zeros(len(stored)), meta=meta)
 
 
-def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin, burn_in, evidence_draws):
+def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin):
     """One constrained chain per level, combined with per-level evidence estimates."""
     n = pattern.intensity
     n_levels = prior.j_cap + 1
     steps_per_level = max(1, steps // n_levels)
-    samples: list[GridFunction] = []
+    rows: list[np.ndarray] = []
     log_weights: list[float] = []
     level_log_w = []
     skipped = 0
@@ -547,21 +541,21 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin, bur
         else:
             # evidence Z_j by prior importance sampling at this level; a rough
             # estimate at large intensity, where feasible draws become rare
-            values = level.synthesize(level.dist.sample(rng, size=(evidence_draws, level.latent_dim)))
+            values = level.synthesize(level.dist.sample(rng, size=(_EVIDENCE_DRAWS, level.latent_dim)))
             lws = n * values[np.all(values <= mins, axis=1)].mean(axis=1)
             if not lws.size:
                 level_log_w.append(-math.inf)
                 continue
             peak = lws.max()
-            log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(evidence_draws)
+            log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(_EVIDENCE_DRAWS)
         lw_level = math.log(prior.level_probabilities[j]) + log_z
-        stored, level_skipped = _gibbs_wavelet(level, pattern, steps_per_level, rng, thin, burn_in)
+        stored, level_skipped = _gibbs_wavelet(level, pattern, steps_per_level, rng, thin)
         skipped += level_skipped
         level_log_w.append(lw_level)
         per_sample = lw_level - math.log(len(stored))
-        samples.extend(stored)
+        rows.extend(stored)
         log_weights.extend([per_sample] * len(stored))
-    if not samples:
+    if not rows:
         raise DegeneratePosteriorError("no level produced feasible states")
     meta = {
         "sampler": "mcmc",
@@ -570,7 +564,7 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin, bur
         "skipped_updates": skipped,
         "level_log_weights": level_log_w,
     }
-    return PosteriorEnsemble(tuple(samples), np.array(log_weights), meta=meta)
+    return PosteriorEnsemble(prior.grid_level, np.stack(rows), np.array(log_weights), meta=meta)
 
 
 def mcmc_posterior(
@@ -579,9 +573,6 @@ def mcmc_posterior(
     steps: int,
     step_scale: float = 0.5,  # read by no kernel; perfbench/studies.py passes it positionally
     rng: np.random.Generator | None = None,
-    thin: int | None = None,
-    burn_in: float = 0.2,
-    evidence_draws: int = 400,
 ) -> PosteriorEnsemble:
     """Markov chain Monte Carlo targeting the constrained posterior.
 
@@ -590,8 +581,9 @@ def mcmc_posterior(
     The truncated wavelet prior runs one Gibbs chain per level and combines
     them by the level evidences (closed form for gaussian coefficients,
     importance-estimated otherwise).  Only finite priors use Metropolis, with
-    an independence proposal from the prior.  ``step_scale`` is validated but
-    read by no kernel; it stays only for the benchmark replay's positional call.
+    an independence proposal from the prior.  A fifth of the sweeps is burn-in.
+    ``step_scale`` is validated but read by no kernel; it stays only for the
+    benchmark replay's positional call.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -599,17 +591,16 @@ def mcmc_posterior(
         raise ValueError("step_scale must be positive")
     if rng is None:
         rng = np.random.default_rng()
-    if thin is None:
-        thin = max(1, steps // 10_000)
+    thin = max(1, steps // 10_000)
     if isinstance(prior, FinitePrior):
-        return _mcmc_finite(prior, pattern, steps, rng, thin, burn_in)
+        return _mcmc_finite(prior, pattern, steps, rng, thin)
     if isinstance(prior, TruncatedWaveletPrior):
-        return _mcmc_truncated(prior, pattern, steps, rng, thin, burn_in, evidence_draws)
+        return _mcmc_truncated(prior, pattern, steps, rng, thin)
     if isinstance(prior, BrownianStartPrior):
-        return _gibbs_brownian(prior, pattern, steps, rng, thin, burn_in)
-    stored, skipped = _gibbs_wavelet(prior, pattern, steps, rng, thin, burn_in)
+        return _gibbs_brownian(prior, pattern, steps, rng, thin)
+    stored, skipped = _gibbs_wavelet(prior, pattern, steps, rng, thin)
     meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": skipped}
-    return PosteriorEnsemble(tuple(stored), np.zeros(len(stored)), meta=meta)
+    return PosteriorEnsemble(prior.grid_level, np.stack(stored), np.zeros(len(stored)), meta=meta)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
@@ -636,27 +627,39 @@ def posterior_mass(ens: PosteriorEnsemble, predicate) -> float:
     return float(w[hits].sum())
 
 
+def _errors(ens: PosteriorEnsemble, f0: GridFunction, metric: str) -> np.ndarray:
+    """Per-sample integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids."""
+    if metric not in ("l1", "lower_part", "upper_part"):
+        raise ValueError(f"unknown error metric {metric!r}")
+    lvl = max(ens.grid_level, f0.grid_level)
+    ref = f0.refine(lvl).values
+    vals, out = ens.values, None
+    if lvl > ens.grid_level:  # refine into a copy and reuse it: at most one (k, 2**lvl) temporary
+        vals = out = np.repeat(vals, 1 << (lvl - ens.grid_level), axis=1)
+    d = np.subtract(ref, vals, out=out) if metric == "lower_part" else np.subtract(vals, ref, out=out)
+    if metric == "l1":
+        np.abs(d, out=d)
+    else:
+        np.maximum(d, 0.0, out=d)
+    return d.mean(axis=1)
+
+
 def mass_outside_l1_ball(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
-    return posterior_mass(ens, lambda f: l1_distance(f, f0) >= r)
+    return float(ens.normalized_weights[_errors(ens, f0, "l1") >= r].sum())
 
 
 def mass_lower_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
     """Posterior mass of functions with integral of (f0 - f)_+ at least r."""
-    return posterior_mass(ens, lambda f: positive_part_integral(f0, f) >= r)
+    return float(ens.normalized_weights[_errors(ens, f0, "lower_part") >= r].sum())
 
 
 def mass_upper_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
     """Posterior mass of functions with integral of (f - f0)_+ at least r."""
-    return posterior_mass(ens, lambda f: positive_part_integral(f, f0) >= r)
+    return float(ens.normalized_weights[_errors(ens, f0, "upper_part") >= r].sum())
 
 
 def posterior_mean(ens: PosteriorEnsemble) -> GridFunction:
-    lvl = max(f.grid_level for f in ens.samples)
-    w = ens.normalized_weights
-    acc = np.zeros(1 << lvl)
-    for wi, f in zip(w, ens.samples):
-        acc += wi * f.refine(lvl).values
-    return GridFunction(lvl, acc)
+    return GridFunction(ens.grid_level, ens.normalized_weights @ ens.values)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -667,15 +670,6 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(cum, 0.5)])
 
 
-_METRICS = {
-    "l1": lambda f, f0: l1_distance(f, f0),
-    "lower_part": lambda f, f0: positive_part_integral(f0, f),
-    "upper_part": lambda f, f0: positive_part_integral(f, f0),
-}
-
-
 def posterior_median_metric(ens: PosteriorEnsemble, f0: GridFunction, metric: str = "l1") -> float:
     """Weighted posterior median of an error metric against a reference function."""
-    fn = _METRICS[metric]
-    vals = np.array([fn(f, f0) for f in ens.samples])
-    return weighted_median(vals, ens.normalized_weights)
+    return weighted_median(_errors(ens, f0, metric), ens.normalized_weights)

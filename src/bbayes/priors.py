@@ -225,12 +225,15 @@ class TruncatedWaveletPrior:
 
 
 class FinitePrior:
-    """Finitely supported prior over a fixed list of grid functions."""
+    """Finitely supported prior over a fixed list of grid functions at one grid level."""
 
     def __init__(self, members, weights=None):
         self.members = list(members)
         if not self.members:
             raise ValueError("members must be nonempty")
+        self.grid_level = self.members[0].grid_level
+        if any(f.grid_level != self.grid_level for f in self.members):
+            raise ValueError("all members must share one grid level")
         if weights is None:
             w = np.full(len(self.members), 1.0 / len(self.members))
         else:
@@ -329,23 +332,27 @@ def parse_prior_config(text: str) -> PriorSpec:
 
 
 def prior_spec_from_mapping(kv: dict[str, str]) -> PriorSpec:
+    """PriorSpec from string values; every ValueError names the missing, unreadable or unknown key."""
     kv = dict(kv)
-    variant = kv.pop("variant")
-    grid_level = int(kv.pop("grid_level", "8"))
+
+    def take(key, convert, default=None):
+        raw = kv.pop(key, None)
+        try:
+            return default if raw is None else convert(raw)
+        except ValueError:
+            raise ValueError(f"prior config key {key!r}: cannot read {raw!r}") from None
+
     dist = None
     if "dist.kind" in kv:
-        dist = CoefficientDistribution(
-            kind=kv.pop("dist.kind"),
-            scale=float(kv.pop("dist.scale", "1.0")),
-            tail_rate=float(kv.pop("dist.tail_rate")) if "dist.tail_rate" in kv else kv.pop("dist.tail_rate", None),
-        )
+        scale, tail_rate = take("dist.scale", float, 1.0), take("dist.tail_rate", float)
+        dist = CoefficientDistribution(kv.pop("dist.kind"), scale, tail_rate)
     spec = PriorSpec(
-        variant=variant,
-        grid_level=grid_level,
-        alpha=float(kv.pop("alpha")) if "alpha" in kv else None,
+        variant=kv.pop("variant", None),
+        grid_level=take("grid_level", int, 8),
+        alpha=take("alpha", float),
         dist=dist,
-        j_max=int(kv.pop("j_max")) if "j_max" in kv else None,
-        j_cap=int(kv.pop("j_cap")) if "j_cap" in kv else None,
+        j_max=take("j_max", int),
+        j_cap=take("j_cap", int),
     )
     if kv:
         raise ValueError(f"unknown prior config keys: {sorted(kv)}")

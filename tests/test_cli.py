@@ -177,6 +177,24 @@ def test_study_config_unknown_keys_rejected(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "prior_lines,key",
+    [
+        ("prior.variant = brownian_start\nprior.gird_level = 5\n", "gird_level"),
+        ("prior.grid_level = 4\n", "variant must be one of"),
+        ("prior.variant = brownian_start\nprior.grid_level = five\n", "'grid_level'"),
+    ],
+)
+def test_study_config_bad_prior_keys_rejected(runner, tmp_path, prior_lines, key):
+    cfg = tmp_path / "dc.cfg"
+    cfg.write_text(prior_lines + "f0.kind = cusp\nr = 40.0\nn_grid = 5,20\nreplicates = 4\nseed = 2\n")
+    out = tmp_path / "d"
+    res = runner.invoke(main, ["decay-study", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2  # a usage error, not a traceback
+    assert key in res.output
+    assert not out.exists()
+
+
 def test_seed_option_overrides_config(runner, tmp_path):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG.format(tol="0.9"))

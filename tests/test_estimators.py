@@ -117,9 +117,9 @@ def test_check_posterior_below_mle():
     mle = GridFunction(2, np.array([1.0, 1.0, 0.5, 0.5]))
     ok_sample = GridFunction(2, np.array([0.9, 0.2, 0.5, 0.4]))
     bad_sample = GridFunction(2, np.array([0.9, 1.2, 0.5, 0.7]))
-    ens = PosteriorEnsemble((ok_sample, bad_sample), np.zeros(2))
+    ens = PosteriorEnsemble(2, [ok_sample.values, bad_sample.values], np.zeros(2))
     ok, violations = check_posterior_below_mle(ens, mle)
     assert not ok
     assert violations == [(1, 1, pytest.approx(0.2)), (1, 3, pytest.approx(0.2))]
-    ok, violations = check_posterior_below_mle(PosteriorEnsemble((ok_sample,), np.zeros(1)), mle)
+    ok, violations = check_posterior_below_mle(PosteriorEnsemble(2, [ok_sample.values], np.zeros(1)), mle)
     assert ok and violations == []

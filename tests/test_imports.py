@@ -1,11 +1,13 @@
 """Import hygiene of the package modules, checked with the stdlib ``ast``.
 
 No module may import a name it never uses (``__init__.py`` re-exports are
-exempt), no module may reach into a sibling for a ``_``-prefixed name, and
-``import bbayes`` must not load ``scipy.stats``.
+exempt), no module may reach into a sibling for a ``_``-prefixed name,
+``import bbayes`` must not load ``scipy.stats``, and every name the benchmark
+under ``perfbench/`` imports from ``bbayes`` must exist.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import bbayes
 
 MODULES = sorted(Path(bbayes.__file__).parent.glob("*.py"))
+BENCH_SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 
 def _imports(tree):
@@ -53,3 +56,16 @@ def test_import_does_not_load_scipy_stats():
     env = {**os.environ, "PYTHONPATH": str(Path(bbayes.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_benchmark_imports_resolve():
+    # perfbench/ sits outside testpaths, so only this check ties its imports to the package
+    checked, missing = 0, []
+    for path in BENCH_SCRIPTS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bbayes":
+                module = importlib.import_module(node.module)
+                checked += len(node.names)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert checked, "no bbayes import found under perfbench/"
+    assert not missing, missing

@@ -28,8 +28,10 @@ from bbayes import (
     mcmc_posterior,
     posterior_mass,
     posterior_mean,
+    positive_part_integral,
     simulate_ppp,
 )
+from bbayes.grid import integral
 from bbayes.posterior import (
     _exp_segment,
     _exp_segment_log_mass,
@@ -95,22 +97,22 @@ def test_bin_minima_is_the_feasibility_frontier():
 def test_ensemble_validation_and_weights():
     f = GridFunction.constant(0.0)
     with pytest.raises(ValueError):
-        PosteriorEnsemble((), np.empty(0))
+        PosteriorEnsemble(0, np.empty((0, 1)), np.empty(0))
     with pytest.raises(ValueError):
-        PosteriorEnsemble((f,), np.array([np.nan]))
+        PosteriorEnsemble(0, [f.values], np.array([np.nan]))
     with pytest.raises(ValueError):
-        PosteriorEnsemble((f, f), np.array([-np.inf, -np.inf]))
-    ens = PosteriorEnsemble((f, f, f), np.log([1.0, 2.0, 1.0]))
+        PosteriorEnsemble(0, [f.values] * 2, np.array([-np.inf, -np.inf]))
+    ens = PosteriorEnsemble(0, [f.values] * 3, np.log([1.0, 2.0, 1.0]))
     assert np.allclose(ens.normalized_weights, [0.25, 0.5, 0.25])
     assert ens.ess == pytest.approx(1.0 / (0.25**2 + 0.5**2 + 0.25**2))
-    uniform = PosteriorEnsemble((f, f, f), np.zeros(3))
+    uniform = PosteriorEnsemble(0, [f.values] * 3, np.zeros(3))
     assert uniform.ess == pytest.approx(3.0)
 
 
 def test_ensemble_validate_against():
     f0, pattern = _pattern()
-    good = PosteriorEnsemble((f0.shift(-0.1),), np.zeros(1))
-    bad = PosteriorEnsemble((f0.shift(5.0),), np.zeros(1))
+    good = PosteriorEnsemble(f0.grid_level, [f0.shift(-0.1).values], np.zeros(1))
+    bad = PosteriorEnsemble(f0.grid_level, [f0.shift(5.0).values], np.zeros(1))
     assert good.validate_against(pattern)
     assert not bad.validate_against(pattern)
 
@@ -420,7 +422,7 @@ def test_posterior_functionals_hand_case():
     flat = GridFunction.constant(0.0, 2)
     high = GridFunction.constant(1.0, 2)
     half = GridFunction(2, np.array([1.0, 1.0, 0.0, 0.0]))
-    ens = PosteriorEnsemble((flat, high, half), np.log([0.5, 0.25, 0.25]))
+    ens = PosteriorEnsemble(2, [flat.values, high.values, half.values], np.log([0.5, 0.25, 0.25]))
     f0 = flat
     assert mass_outside_l1_ball(ens, f0, 0.4) == pytest.approx(0.5)  # high (1.0) + half (0.5)
     assert mass_outside_l1_ball(ens, f0, 0.75) == pytest.approx(0.25)
@@ -433,3 +435,33 @@ def test_posterior_functionals_hand_case():
     assert posterior_median_metric(ens, high, "upper_part") == 0.0
     assert weighted_median(np.array([3.0, 1.0, 2.0]), np.array([0.2, 0.6, 0.2])) == 1.0
     assert weighted_median(np.array([3.0, 1.0, 2.0]), np.array([0.2, 0.3, 0.5])) == 2.0
+
+
+@pytest.mark.parametrize("f0_level", [4, 6])
+@pytest.mark.parametrize("sampler", ["exact", "gibbs"])
+def test_functionals_equal_per_sample_references_bit_for_bit(sampler, f0_level):
+    _, pattern = _pattern(n=40.0, seed=12)
+    spec = PriorSpec(
+        variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=4
+    )
+    prior = build_prior(spec)
+    if sampler == "exact":
+        ens = exact_truncated_posterior(prior, pattern, 300, np.random.default_rng(31))
+    else:  # one Gibbs chain per level, so the log weights differ across rows
+        ens = mcmc_posterior(prior, pattern, 4000, rng=np.random.default_rng(32))
+    f0 = holder_test_function(1.0, 1.0, "hat", f0_level)
+    samples = list(ens.samples)
+    w = ens.normalized_weights
+    refs = {
+        "l1": np.array([l1_distance(f, f0) for f in samples]),
+        "lower_part": np.array([positive_part_integral(f0, f) for f in samples]),
+        "upper_part": np.array([positive_part_integral(f, f0) for f in samples]),
+    }
+    masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
+    for metric, ref in refs.items():
+        assert posterior_median_metric(ens, f0, metric) == weighted_median(ref, w)
+        r = float(np.sort(ref)[len(ref) // 2])  # a radius that rows sit exactly on
+        assert masses[metric](ens, f0, r) == float(w[ref >= r].sum())
+    lines = [f"# ensemble sampler={ens.meta['sampler']} size={len(ens)}", "integral,l1_to_f0,weight"]
+    lines += [f"{integral(f)!r},{l1_distance(f, f0)!r},{float(wi)!r}" for f, wi in zip(samples, w)]
+    assert ens.summary_csv(f0) == "\n".join(lines) + "\n"

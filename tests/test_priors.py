@@ -224,6 +224,8 @@ def test_finite_prior_weights():
         FinitePrior([f, g], weights=[1.0])
     with pytest.raises(ValueError):
         FinitePrior([])
+    with pytest.raises(ValueError, match="one grid level"):
+        FinitePrior([f, GridFunction.constant(1.0, 2)])
 
 
 # ---------------------------------------------------------------------------
