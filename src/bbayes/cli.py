@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option, or a
-study config key that is unknown, or a ``prior.*`` key that is missing or unreadable).
+Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option, a
+study config key that is unknown, or a prior key, in a ``--prior`` file or as
+``prior.*`` in a study config, that is unknown, missing or unreadable).
 All subcommands are deterministic given ``--seed``.
 """
 
@@ -89,7 +90,10 @@ def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
 @click.option("--out", type=click.Path(), required=True)
 def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
     """Sample the posterior for a stored point pattern."""
-    spec = parse_prior_config(Path(prior_file).read_text())
+    try:
+        spec = parse_prior_config(Path(prior_file).read_text())
+    except ValueError as exc:
+        raise click.UsageError(f"bad prior config in {prior_file}: {exc}")
     pattern = _load_pattern(pattern_file)
     try:
         ens = sample_posterior(build_prior(spec), pattern, sampler, budget, _rng(seed))

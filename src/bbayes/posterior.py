@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri_exp
 
 from .grid import GridFunction, PointPattern, constraint_satisfied, integral
 from .priors import (
@@ -189,83 +189,63 @@ def _scalar_std_normal_tail(rng: np.random.Generator, alpha: float) -> float:
             return -x
 
 
-def _trunc_std_normal(rng: np.random.Generator, a: float, b: float) -> float:
-    """Z ~ N(0, 1) conditioned on a <= Z <= b; robust arbitrarily far into a tail."""
-    if b < a:
-        raise ValueError("empty truncation interval")
-    if b <= 0.0:
-        return -_trunc_std_normal(rng, -b, -a)
-    if a <= 0.0:
-        if b - a >= 0.5:
-            while True:
-                z = float(rng.standard_normal())
-                if a <= z <= b:
-                    return z
-        while True:
-            z = float(rng.uniform(a, b))
-            if math.log(rng.uniform()) < -0.5 * z * z:
-                return z
-    # 0 < a <= b: exponential proposal with Robert's rate, truncated to [a, b]
-    lam = 0.5 * (a + math.sqrt(a * a + 4.0))
-    q = -math.expm1(-lam * (b - a)) if math.isfinite(b) else 1.0
-    z_star = min(max(lam, a), b)
-    log_m = -0.5 * z_star * z_star + lam * z_star
-    while True:
-        z = a - math.log1p(-rng.uniform() * q) / lam
-        if math.log(rng.uniform()) < -0.5 * z * z + lam * z - log_m:
-            return z
+def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Z ~ N(0, 1) conditioned on a <= Z <= b by inversion of uniforms q, in log space.
+
+    Each interval is mirrored into the lower half line, where ``log_ndtr`` and
+    ``ndtri_exp`` stay accurate arbitrarily far into the tail.
+    """
+    flip = a + b > 0.0
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    la, lb = log_ndtr(a), log_ndtr(b)
+    z = ndtri_exp(lb + np.log(q + (1.0 - q) * np.exp(la - lb)))
+    return np.where(flip, -z, z)
 
 
-def _exp_segment(rng: np.random.Generator, u: float, w: float, r: float) -> float:
-    """Draw x with density proportional to e^{r x} on [u, w] by inversion."""
+def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
+    """x with density proportional to e^{r x} on [u, w] by inversion of uniforms q."""
     if r == 0.0:
-        return float(rng.uniform(u, w))
-    if r < 0.0:
-        return -_exp_segment(rng, -w, -u, -r)
-    if math.isfinite(u):
-        return w + math.log1p(rng.uniform() * math.expm1(-r * (w - u))) / r
-    return w + math.log(rng.uniform()) / r
+        return u + q * (w - u)
+    return (w if r > 0.0 else u) + np.log1p(q * np.expm1(-abs(r) * (w - u))) / r
 
 
-def _exp_segment_log_mass(u: float, w: float, r: float) -> float:
-    """Log of the integral of e^{r x} over [u, w]."""
-    if u >= w:
-        return -math.inf
+def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
+    """Log of the integral of e^{r x} over [u, w]; -inf where the segment is empty."""
+    d = np.maximum(w - u, 0.0)
     if r == 0.0:
-        return math.log(w - u)
-    if r > 0.0:
-        d = w - u
-        tail = 0.0 if not math.isfinite(d) else math.log(-math.expm1(-r * d))
-        return r * w + tail - math.log(r)
-    d = w - u
-    tail = 0.0 if not math.isfinite(d) else math.log(-math.expm1(r * d))
-    return r * u + tail - math.log(-r)
+        return np.log(d)
+    return np.log(-np.expm1(-abs(r) * d)) + (r * (w if r > 0.0 else u) - math.log(abs(r)))
 
 
-def _sample_coefficient_interval(dist, rng: np.random.Generator, lo: float, hi: float, tilt: float) -> float:
-    """Exact draw from a coefficient prior restricted to [lo, hi] and tilted by e^{tilt * z}."""
-    if dist.kind == "gaussian":
-        s = dist.scale
-        mu = tilt * s * s
-        return mu + s * _trunc_std_normal(rng, (lo - mu) / s, (hi - mu) / s)
-    if dist.kind == "uniform":
-        lo2, hi2 = max(lo, -dist.scale), min(hi, dist.scale)
-        if hi2 < lo2:
-            raise DegeneratePosteriorError("empty support interval for a uniform coefficient")
-        return _exp_segment(rng, lo2, hi2, tilt)
-    # laplace: piecewise exponential on either side of zero
-    s = dist.scale
-    r_neg = tilt + 1.0 / s
-    r_pos = tilt - 1.0 / s
-    if (not math.isfinite(hi) and r_pos >= 0.0) or (not math.isfinite(lo) and r_neg <= 0.0):
-        raise DegeneratePosteriorError("improper tilted laplace conditional (unbounded likelihood)")
-    lm_neg = _exp_segment_log_mass(lo, min(hi, 0.0), r_neg)
-    lm_pos = _exp_segment_log_mass(max(lo, 0.0), hi, r_pos)
-    peak = max(lm_neg, lm_pos)
-    p_neg = math.exp(lm_neg - peak) / (math.exp(lm_neg - peak) + math.exp(lm_pos - peak))
-    if rng.uniform() < p_neg:
-        return _exp_segment(rng, lo, min(hi, 0.0), r_neg)
-    return _exp_segment(rng, max(lo, 0.0), hi, r_pos)
+def _sample_coefficients_interval(dist, rng: np.random.Generator, lo, hi, tilt: float) -> np.ndarray:
+    """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt * z}.
+
+    One uniform per draw (two for laplace: the side of zero, then the point),
+    so a whole vector of independent conditionals costs a fixed number of
+    numpy calls.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if dist.kind == "gaussian":
+            s = dist.scale
+            mu = tilt * s * s
+            x = mu + s * _trunc_std_normal(rng.random(lo.shape), (lo - mu) / s, (hi - mu) / s)
+        elif dist.kind == "uniform":
+            lo, hi = np.maximum(lo, -dist.scale), np.minimum(hi, dist.scale)
+            if np.any(hi < lo):
+                raise DegeneratePosteriorError("empty support interval for a uniform coefficient")
+            x = _exp_segment(rng.random(lo.shape), lo, hi, tilt)
+        else:  # laplace: piecewise exponential on either side of zero
+            r_neg = tilt + 1.0 / dist.scale
+            r_pos = tilt - 1.0 / dist.scale
+            if (r_pos >= 0.0 and np.any(hi == np.inf)) or (r_neg <= 0.0 and np.any(lo == -np.inf)):
+                raise DegeneratePosteriorError("improper tilted laplace conditional (unbounded likelihood)")
+            neg_hi, pos_lo = np.minimum(hi, 0.0), np.maximum(lo, 0.0)
+            log_odds = _exp_segment_log_mass(lo, neg_hi, r_neg) - _exp_segment_log_mass(pos_lo, hi, r_pos)
+            side, q = rng.random((2, *lo.shape))
+            neg = side * (1.0 + np.exp(-log_odds)) < 1.0  # side < P(z < 0)
+            x = np.where(neg, _exp_segment(q, lo, neg_hi, r_neg), _exp_segment(q, pos_lo, hi, r_pos))
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def truncated_level_log_evidence(
@@ -314,14 +294,14 @@ def exact_truncated_posterior(
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     levels = rng.choice(prior.j_cap + 1, size=draws, p=probs)
+    mu = n * s * s
+    # per level j: block standard deviation and standardized block bounds
+    sds = [s * math.sqrt(2 << j) for j in range(prior.j_cap + 1)]
+    alphas = [(mins.reshape(2 << j, -1).min(axis=1) - mu) / sd for j, sd in enumerate(sds)]
     values = np.empty((draws, grid_m))
     for i, j in enumerate(levels):
-        m = 1 << (j + 1)
-        blocks = mins.reshape(m, -1).min(axis=1)
-        sd = s * math.sqrt(m)
-        mu = n * s * s
-        v = mu + sd * _sample_std_normal_tail(rng, (blocks - mu) / sd)
-        values[i] = np.repeat(v, grid_m // m)
+        v = mu + sds[j] * _sample_std_normal_tail(rng, alphas[j])
+        values[i] = np.repeat(v, grid_m >> (j + 1))
     meta = {
         "sampler": "exact",
         "draws": draws,
@@ -358,30 +338,29 @@ def importance_posterior(
 
 
 def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
-    """Exact coordinate-wise Gibbs over wavelet coefficients.
+    """Exact Gibbs over wavelet coefficients, one block draw per level.
 
     Every full conditional is the coefficient prior restricted to an interval
     (from the feasibility constraint) and, for the scaling coefficient only,
     tilted by the likelihood factor e^{n a0 z0}; both are sampled exactly, so
-    there is no step-size tuning and no rejection of stored states.  ``steps``
-    counts single-coordinate updates.  Returns the stored grid value rows and the
-    count of updates skipped because float drift left an empty interval.
+    there is no step-size tuning and no rejection of stored states.  The
+    detail coefficients of one level have disjoint supports and no tilt, so
+    given the other levels they are independent: each sweep draws the scaling
+    coefficient, then every level j in one vector draw of its 2^j
+    coefficients, which is the coordinate scan's kernel.  ``steps`` counts
+    single-coordinate updates.  Returns the stored grid value rows and the
+    count of updates skipped (coefficient left unchanged) because float drift
+    left an empty interval.
     """
-    m = 1 << prior.grid_level
     n = pattern.intensity
     mins = bin_minima(pattern, prior.grid_level)
     dim = prior.latent_dim
-    amps = prior.amplitudes
-    a0 = float(amps[0])
-    # per detail coordinate: support start, half-block length, amplitude
-    rows = []
-    pos = 1
-    for j in range(prior.j_max + 1):
-        blk = m >> (j + 1)
-        base = 2.0 ** (j / 2.0)
-        for k in range(1 << j):
-            rows.append((k * 2 * blk, blk, base * float(amps[pos])))
-            pos += 1
+    a0 = float(prior.amplitudes[0])
+    # per level: coefficient slice and amplitudes, as in synthesize_flat
+    levels = [
+        (j, slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
+        for j in range(prior.j_max + 1)
+    ]
 
     z = np.asarray(prior.sample_latent(rng), dtype=float)
     v = prior.synthesize(z)
@@ -402,23 +381,25 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
     stored = []
     skipped = 0
     for t in range(sweeps):
-        hi = z[0] + float(np.min(mins - v)) / a0
-        z_new = _sample_coefficient_interval(prior.dist, rng, -math.inf, hi, n * a0)
-        v += (z_new - z[0]) * a0
-        z[0] = z_new
-        for i, (start, blk, a) in enumerate(rows, start=1):
-            sl1 = slice(start, start + blk)
-            sl2 = slice(start + blk, start + 2 * blk)
-            hi = z[i] + float(np.min(mins[sl1] - v[sl1])) / a
-            lo = z[i] - float(np.min(mins[sl2] - v[sl2])) / a
-            if hi < lo:  # guard against accumulated rounding
-                skipped += 1
-                continue
-            z_new = _sample_coefficient_interval(prior.dist, rng, lo, hi, 0.0)
-            d = (z_new - z[i]) * a
-            v[sl1] += d
-            v[sl2] -= d
-            z[i] = z_new
+        hi = z[:1] + np.min(mins - v) / a0
+        z0 = _sample_coefficients_interval(prior.dist, rng, [-math.inf], hi, n * a0)[0]
+        v += (z0 - z[0]) * a0
+        z[0] = z0
+        for j, sl, a in levels:
+            # slack on the left (sign +) and right (sign -) half of each support
+            slack = (mins - v).reshape(1 << j, 2, -1).min(axis=2)
+            hi = z[sl] + slack[:, 0] / a
+            lo = z[sl] - slack[:, 1] / a
+            empty = hi < lo  # guard against accumulated rounding
+            if empty.any():
+                skipped += int(empty.sum())
+                lo, hi = np.where(empty, z[sl], lo), np.where(empty, z[sl], hi)
+            z_new = _sample_coefficients_interval(prior.dist, rng, lo, hi, 0.0)
+            d = ((z_new - z[sl]) * a)[:, None]
+            halves = v.reshape(1 << j, 2, -1)
+            halves[:, 0] += d
+            halves[:, 1] -= d
+            z[sl] = z_new
         if (t + 1) % 64 == 0:  # refresh against float drift of incremental updates
             v = prior.synthesize(z)
         if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
@@ -428,6 +409,35 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
     return stored, skipped
 
 
+def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, rng: np.random.Generator) -> None:
+    """One scan k = 0..m-1 of exact Gibbs moves v -> v + t 1{b >= k}, in place, in O(m).
+
+    Move k changes only the start value (k = 0) or one increment of the
+    Brownian prior, so its conditional is a gaussian tilted by
+    e^{n t (m - k) / m} and truncated at the slack of the suffix.  Before move
+    k the suffix is shifted by sum(t[:k]), so that slack is the reverse running
+    minimum of ``mins - v``, taken once, less the running shift; the shifts are
+    applied once, as a cumulative sum, at the end.
+    """
+    m = v.size
+    sigma0_sq = 1.0 + 1.0 / m
+    slack = np.minimum.accumulate((mins - v)[::-1])[::-1].tolist()
+    inc = np.diff(v, prepend=0.0).tolist()
+    ts = []
+    shift = 0.0
+    for k in range(m):
+        if k == 0:
+            mu = n * sigma0_sq - inc[0]
+            sd = math.sqrt(sigma0_sq)
+        else:
+            mu = -inc[k] + n * (m - k) / (m * m)
+            sd = 1.0 / math.sqrt(m)
+        t = mu + sd * _scalar_std_normal_tail(rng, (slack[k] - shift - mu) / sd)
+        ts.append(t)
+        shift += t
+    v += np.cumsum(ts)
+
+
 def _gibbs_brownian(prior, pattern, steps, rng, thin):
     """Red-black Gibbs sweep over bin values for the Brownian-start prior.
 
@@ -435,9 +445,9 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
     its neighbours is a gaussian tilted by e^{(n/m) v} and truncated at the bin
     minimum; those draws are exact, no step-size tuning is involved.  Local
     updates alone relax long-wavelength modes diffusively, so each sweep also
-    runs directional Gibbs moves along suffix shifts v -> v + t 1{b >= k},
-    whose conditionals are again exact truncated gaussians (only the start
-    term or one increment changes).  ``steps`` counts single-site updates.
+    runs one O(m) scan of directional Gibbs moves along suffix shifts
+    v -> v + t 1{b >= k} (``_suffix_sweep``), whose conditionals are again
+    exact truncated gaussians.  ``steps`` counts single-site updates.
     """
     m = 1 << prior.grid_level
     mins = bin_minima(pattern, prior.grid_level)
@@ -451,20 +461,6 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
 
     evens = np.arange(0, m, 2)
     odds = np.arange(1, m, 2)
-    sigma0_sq = 1.0 + 1.0 / m
-    inc_sd = 1.0 / math.sqrt(m)
-
-    def suffix_sweep():
-        for k in range(m):
-            bound = float(np.min(mins[k:] - v[k:]))
-            if k == 0:
-                mu = n * sigma0_sq - v[0]
-                sd = math.sqrt(sigma0_sq)
-            else:
-                mu = -(v[k] - v[k - 1]) + n * (m - k) / (m * m)
-                sd = inc_sd
-            t = mu + sd * _scalar_std_normal_tail(rng, (bound - mu) / sd)
-            v[k:] += t
 
     def half_sweep(idx):
         lam = np.full(idx.size, 2.0 * m)
@@ -487,7 +483,7 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
     for t in range(sweeps):
         half_sweep(evens)
         half_sweep(odds)
-        suffix_sweep()
+        _suffix_sweep(v, mins, n, rng)
         if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
             stored.append(v.copy())
     if not stored:

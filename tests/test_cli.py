@@ -67,6 +67,19 @@ def test_posterior_and_mle_chain(runner, tmp_path):
     assert res.exit_code == 1  # exactly one of --lip/--bins
 
 
+def test_posterior_bad_prior_key_is_usage_error(runner, tmp_path):
+    _run(runner, ["simulate", "--n", "20", "--grid-level", "4", "--seed", "1", "--out", str(tmp_path)])
+    prior = tmp_path / "prior.cfg"
+    prior.write_text("variant = brownian_start\ngird_level = 5\n")
+    out = tmp_path / "post"
+    res = runner.invoke(
+        main, ["posterior", "--prior", str(prior), "--pattern", str(tmp_path / "pattern.csv"), "--out", str(out)]
+    )
+    assert res.exit_code == 2  # a usage error, not a traceback
+    assert "gird_level" in res.output
+    assert not out.exists()
+
+
 def test_posterior_degenerate_exits_one(runner, tmp_path):
     sim = tmp_path / "sim"
     _run(runner, ["simulate", "--n", "400", "--kind", "cusp", "--grid-level", "4",

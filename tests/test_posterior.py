@@ -33,11 +33,11 @@ from bbayes import (
 )
 from bbayes.grid import integral
 from bbayes.posterior import (
-    _exp_segment,
     _exp_segment_log_mass,
-    _sample_coefficient_interval,
+    _sample_coefficients_interval,
     _sample_std_normal_tail,
-    _trunc_std_normal,
+    _scalar_std_normal_tail,
+    _suffix_sweep,
     bin_minima,
     posterior_median_metric,
     truncated_level_log_evidence,
@@ -141,7 +141,8 @@ def test_ensemble_serialization_round_trip_is_byte_stable():
 @pytest.mark.parametrize("a,b", [(-1.5, 0.5), (0.0, 0.7), (2.0, 2.3), (6.0, 8.0), (-9.0, -8.5)])
 def test_trunc_std_normal_matches_truncnorm(a, b):
     rng = np.random.default_rng(4)
-    draws = np.array([_trunc_std_normal(rng, a, b) for _ in range(8000)])
+    lo, hi = np.full(8000, a), np.full(8000, b)
+    draws = _sample_coefficients_interval(CoefficientDistribution("gaussian"), rng, lo, hi, 0.0)
     assert draws.min() >= a and draws.max() <= b
     dist = stats.truncnorm(a, b)
     assert draws.mean() == pytest.approx(dist.mean(), abs=4.0 * dist.std() / math.sqrt(draws.size))
@@ -160,13 +161,18 @@ def test_std_normal_tail_sampler(alpha):
 
 @pytest.mark.parametrize("u,w,r", [(0.0, 1.0, 2.0), (-2.0, 0.5, -3.0), (1.0, 4.0, 0.0), (-np.inf, 0.0, 1.5)])
 def test_exp_segment_sampler_and_mass(u, w, r):
+    # a uniform coefficient tilted by e^{r z} is the exponential segment on
+    # [u, w]; at this half-width [-inf, 0] and [-1000, 0] differ by e^{-1500}
     rng = np.random.default_rng(6)
-    draws = np.array([_exp_segment(rng, u, w, r) for _ in range(8000)])
+    lo, hi = np.full(8000, u), np.full(8000, w)
+    draws = _sample_coefficients_interval(CoefficientDistribution("uniform", scale=1e3), rng, lo, hi, r)
     assert draws.max() <= w and (not math.isfinite(u) or draws.min() >= u)
     lo = w - 40.0 if not math.isfinite(u) else u
     mass, _ = integrate.quad(lambda x: math.exp(r * x), lo, w)
     mean, _ = integrate.quad(lambda x: x * math.exp(r * x), lo, w)
-    assert _exp_segment_log_mass(u, w, r) == pytest.approx(math.log(mass), abs=1e-9)
+    with np.errstate(divide="ignore"):  # the reversed segment is empty: log 0
+        log_mass = _exp_segment_log_mass(np.array([u, w]), np.array([w, u]), r)
+    assert log_mass[0] == pytest.approx(math.log(mass), abs=1e-9) and log_mass[1] == -np.inf
     assert draws.mean() == pytest.approx(mean / mass, abs=4.0 * draws.std() / math.sqrt(draws.size))
 
 
@@ -177,7 +183,7 @@ def test_coefficient_interval_sampler_matches_quadrature(kind, lo, hi, tilt):
     if kind == "uniform" and (lo > dist.scale or hi < -dist.scale):
         pytest.skip("empty overlap for this case")
     rng = np.random.default_rng(7)
-    draws = np.array([_sample_coefficient_interval(dist, rng, lo, hi, tilt) for _ in range(8000)])
+    draws = _sample_coefficients_interval(dist, rng, np.full(8000, lo), np.full(8000, hi), tilt)
     assert draws.min() >= lo - 1e-12 and draws.max() <= hi + 1e-12
     a = max(lo, -dist.scale) if kind == "uniform" else lo
     b = min(hi, dist.scale) if kind == "uniform" else min(hi, 40.0)
@@ -190,10 +196,41 @@ def test_coefficient_interval_sampler_matches_quadrature(kind, lo, hi, tilt):
 def test_coefficient_interval_degenerate_cases():
     rng = np.random.default_rng(8)
     with pytest.raises(DegeneratePosteriorError):
-        _sample_coefficient_interval(CoefficientDistribution("uniform"), rng, 2.0, 3.0, 0.0)
+        # one interval of three misses the uniform support [-1, 1]
+        _sample_coefficients_interval(CoefficientDistribution("uniform"), rng, [0.0, 2.0, -1.0], [0.5, 3.0, 1.0], 0.0)
     with pytest.raises(DegeneratePosteriorError):
         # tilt beats the laplace tail: unnormalizable conditional
-        _sample_coefficient_interval(CoefficientDistribution("laplace"), rng, 0.0, np.inf, 5.0)
+        _sample_coefficients_interval(CoefficientDistribution("laplace"), rng, [0.0, 0.0], [1.0, np.inf], 5.0)
+    # a point interval returns the point, for every law
+    for kind in ("gaussian", "laplace", "uniform"):
+        point = _sample_coefficients_interval(CoefficientDistribution(kind), rng, [0.3, -0.2], [0.3, -0.2], 1.0)
+        assert point.tolist() == [0.3, -0.2]
+
+
+def test_suffix_sweep_matches_quadratic_reference():
+    # the O(m^2) scan: recompute every suffix slack from the shifted state
+    def reference(v, mins, n, rng):
+        m = v.size
+        for k in range(m):
+            bound = float(np.min(mins[k:] - v[k:]))
+            if k == 0:
+                mu, sd = n * (1.0 + 1.0 / m) - v[0], math.sqrt(1.0 + 1.0 / m)
+            else:
+                mu, sd = -(v[k] - v[k - 1]) + n * (m - k) / (m * m), 1.0 / math.sqrt(m)
+            v[k:] += mu + sd * _scalar_std_normal_tail(rng, (bound - mu) / sd)
+
+    _, pattern = _pattern(n=6.0, grid_level=4)
+    mins = bin_minima(pattern, 4)
+    assert np.isinf(mins).any() and np.isfinite(mins).any()
+    start = np.minimum(mins, 0.0) - np.random.default_rng(40).uniform(0.1, 1.0, size=16)
+    fast, slow = start.copy(), start.copy()
+    rng_fast, rng_slow = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(50):
+        _suffix_sweep(fast, mins, 6.0, rng_fast)
+        reference(slow, mins, 6.0, rng_slow)
+        assert np.all(fast <= mins)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+    assert rng_fast.random() == rng_slow.random()  # same number of draws consumed
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +278,17 @@ def test_truncated_level_log_evidence_against_monte_carlo():
 
 
 def _mean_integral_and_se(ens):
-    """Weighted mean of integral(f) with a standard-error estimate.
+    """Weighted mean of integral(f) with a standard-error estimate."""
+    return _weighted_mean_and_se(ens, np.array([integral(f) for f in ens.samples]))
+
+
+def _weighted_mean_and_se(ens, x):
+    """Weighted mean of the per-sample statistic x with a standard-error estimate.
 
     For weighted ensembles the SE comes from the importance-weighted variance;
     for uniformly weighted chains it comes from 20 batch means, which absorbs
     autocorrelation.
     """
-    from bbayes.grid import integral
-
-    x = np.array([integral(f) for f in ens.samples])
     w = ens.normalized_weights
     if np.ptp(w) > 1e-15 * w.max():
         m = float(w @ x)
@@ -296,6 +335,29 @@ def test_exact_truncated_sampler_matches_analytic_moments():
     assert l1_distance(posterior_mean(exact), oracle) <= 0.05
 
 
+def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
+    # the per-draw loop that recomputes the level's blocks for every draw
+    _, pattern = _pattern(n=5.0, seed=3, grid_level=5)
+    prior = build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=5)
+    )
+    ens = exact_truncated_posterior(prior, pattern, 400, np.random.default_rng(26))
+    rng = np.random.default_rng(26)
+    n, s, mins = pattern.intensity, prior.dist.scale, bin_minima(pattern, 5)
+    lw = np.array(ens.meta["level_log_weights"])
+    probs = np.exp(lw - lw.max())
+    probs /= probs.sum()
+    levels = rng.choice(4, size=400, p=probs)
+    assert len(set(levels.tolist())) == 4  # the draws switch between levels
+    ref = []
+    for j in levels:
+        m = 1 << (j + 1)
+        blocks = mins.reshape(m, -1).min(axis=1)
+        sd, mu = s * math.sqrt(m), n * s * s
+        ref.append(np.repeat(mu + sd * _sample_std_normal_tail(rng, (blocks - mu) / sd), 32 // m))
+    assert np.array_equal(ens.values, np.stack(ref))
+
+
 def test_importance_truncated_sampler_matches_analytic_moments():
     f0, pattern = _pattern(n=2.0, grid_level=4)
     spec = PriorSpec(
@@ -326,6 +388,14 @@ def test_gibbs_wavelet_agrees_with_importance(kind):
     m_is, se_is = _mean_integral_and_se(approx)
     m_ch, se_ch = _mean_integral_and_se(chain)
     assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch)
+    # contrasts across one support at each detail level are blind to the
+    # scaling coefficient, so a wrong per-level bound, tilt or update shows
+    # here even when the mean of integral(f) agrees; the pattern has points in
+    # bins 0 and 12, inside every support contrasted
+    for left, right in [(0, 2), (12, 14), (0, 4), (8, 12), (0, 8)]:
+        m_is, se_is = _weighted_mean_and_se(approx, approx.values[:, left] - approx.values[:, right])
+        m_ch, se_ch = _weighted_mean_and_se(chain, chain.values[:, left] - chain.values[:, right])
+        assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch), (left, right)
 
 
 def test_gibbs_brownian_agrees_with_importance():
