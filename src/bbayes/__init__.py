@@ -22,9 +22,6 @@ from .priors import (
     PriorSpec,
     build_prior,
     holder_test_function,
-    sample_brownian_prior,
-    sample_truncated_prior,
-    sample_wavelet_prior,
 )
 from .posterior import (
     DegeneratePosteriorError,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option, a
-study config key that is unknown, or a prior key, in a ``--prior`` file or as
-``prior.*`` in a study config, that is unknown, missing or unreadable).
+study config key that is unknown, a study config value that is unreadable or
+that the study rejects, or a prior key, in a ``--prior`` file or as
+``prior.*`` in a study config, that is unknown, missing or unreadable).  Study
+configs are checked before any work starts, so a usage error writes nothing.
 All subcommands are deterministic given ``--seed``.
 """
 
@@ -26,6 +28,7 @@ from .estimators import mle_lipschitz, mle_piecewise_constant
 from .grid import GridFunction, PointPattern, simulate_ppp
 from .harness import (
     RateStudyConfig,
+    StudyConfigError,
     StudyError,
     emit_report,
     run_posterior_decay_study,
@@ -203,6 +206,27 @@ def _floats(text: str):
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
+def _get(kv: dict, key: str, convert, default=None):
+    """``convert(kv[key])``, or ``default`` when the key is absent; a usage error names an unreadable value."""
+    raw = kv.get(key)
+    if raw is None:
+        return default
+    try:
+        return convert(raw)
+    except ValueError:
+        raise click.UsageError(f"config key {key!r}: cannot read {raw!r}") from None
+
+
+def _run_study(config_path: str, study, *args, **kwargs):
+    """``study(*args, **kwargs)``: a config value it rejects is a usage error, a study it refuses an error."""
+    try:
+        return study(*args, **kwargs)
+    except StudyConfigError as exc:
+        raise click.UsageError(f"bad config in {config_path}: {exc}")
+    except StudyError as exc:
+        raise click.ClickException(str(exc))
+
+
 @main.command("rate-study")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--seed", type=int, default=None, help="override the config seed")
@@ -213,24 +237,22 @@ def rate_study(config_path, seed, out, threads):
     kv, spec = _study_kv(
         config_path, seed, "f0.beta f0.R f0.kind n_grid replicates sampler budget error_metric slope_tol ceiling"
     )
-    cfg = RateStudyConfig(
+    cfg = _run_study(
+        config_path, RateStudyConfig,
         prior=spec,
-        f0_beta=float(kv.get("f0.beta", "1.0")),
-        f0_R=float(kv.get("f0.R", "1.0")),
+        f0_beta=_get(kv, "f0.beta", float, 1.0),
+        f0_R=_get(kv, "f0.R", float, 1.0),
         f0_kind=kv.get("f0.kind", "smooth"),
-        n_grid=_floats(kv.get("n_grid", "200,500,1000,2000,5000")),
-        replicates=int(kv.get("replicates", "20")),
+        n_grid=_get(kv, "n_grid", _floats, (200.0, 500.0, 1000.0, 2000.0, 5000.0)),
+        replicates=_get(kv, "replicates", int, 20),
         sampler=kv.get("sampler", "mcmc"),
-        budget=int(kv.get("budget", "4000")),
+        budget=_get(kv, "budget", int, 4000),
         error_metric=kv.get("error_metric", "l1"),
-        seed=int(kv.get("seed", "0")),
-        slope_tol=float(kv.get("slope_tol", "0.15")),
-        ceiling=float(kv["ceiling"]) if "ceiling" in kv else None,
+        seed=_get(kv, "seed", int, 0),
+        slope_tol=_get(kv, "slope_tol", float, 0.15),
+        ceiling=_get(kv, "ceiling", float),
     )
-    try:
-        report = run_rate_study(cfg, threads=threads)
-    except StudyError as exc:
-        raise click.ClickException(str(exc))
+    report = _run_study(config_path, run_rate_study, cfg, threads=threads)
     code = emit_report(report, out)
     click.echo(
         f"slope={report.slope:.4f} theory={report.theory} margin={report.margin} passed={report.passed}"
@@ -245,28 +267,20 @@ def rate_study(config_path, seed, out, threads):
 def small_ball(config_path, seed, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
     kv, spec = _study_kv(config_path, seed, "beta h.kind h.beta h.R eps_grid draws tol")
-    beta = float(kv["beta"]) if "beta" in kv else None
+    beta = _get(kv, "beta", float)
     if "h.kind" in kv:
-        h = holder_test_function(
-            float(kv.get("h.beta", kv.get("beta", "1.0"))),
-            float(kv.get("h.R", "1.0")),
-            kv["h.kind"],
-            spec.grid_level,
-        )
+        h_beta = _get(kv, "h.beta", float, 1.0 if beta is None else beta)
+        h = holder_test_function(h_beta, _get(kv, "h.R", float, 1.0), kv["h.kind"], spec.grid_level)
     else:
         h = GridFunction.constant(0.0, spec.grid_level)
-    try:
-        report = run_small_ball_study(
-            spec,
-            h,
-            _floats(kv.get("eps_grid", "1.0,0.8,0.6,0.5,0.4,0.3")),
-            int(kv.get("draws", "100000")),
-            _rng(int(kv.get("seed", "0"))),
-            beta=beta,
-            tol=float(kv.get("tol", "0.3")),
-        )
-    except StudyError as exc:
-        raise click.ClickException(str(exc))
+    report = _run_study(
+        config_path, run_small_ball_study, spec, h,
+        _get(kv, "eps_grid", _floats, (1.0, 0.8, 0.6, 0.5, 0.4, 0.3)),
+        _get(kv, "draws", int, 100_000),
+        _rng(_get(kv, "seed", int, 0)),
+        beta=beta,
+        tol=_get(kv, "tol", float, 0.3),
+    )
     code = emit_report(report, out)
     click.echo(f"slope={report.slope:.4f} theory={report.theory} passed={report.passed}")
     sys.exit(code)
@@ -281,25 +295,18 @@ def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
     kv, spec = _study_kv(config_path, seed, "f0.beta f0.R f0.kind r n_grid replicates sampler budget")
     f0 = holder_test_function(
-        float(kv.get("f0.beta", "1.0")),
-        float(kv.get("f0.R", "1.0")),
-        kv.get("f0.kind", "smooth"),
-        spec.grid_level,
+        _get(kv, "f0.beta", float, 1.0), _get(kv, "f0.R", float, 1.0), kv.get("f0.kind", "smooth"), spec.grid_level
     )
-    try:
-        report = run_posterior_decay_study(
-            spec,
-            f0,
-            float(kv.get("r", "0.2")),
-            _floats(kv.get("n_grid", "100,200,500,1000")),
-            int(kv.get("replicates", "20")),
-            seed=int(kv.get("seed", "0")),
-            sampler=kv.get("sampler", "mcmc"),
-            budget=int(kv.get("budget", "3000")),
-            threads=threads,
-        )
-    except StudyError as exc:
-        raise click.ClickException(str(exc))
+    report = _run_study(
+        config_path, run_posterior_decay_study, spec, f0,
+        _get(kv, "r", float, 0.2),
+        _get(kv, "n_grid", _floats, (100.0, 200.0, 500.0, 1000.0)),
+        _get(kv, "replicates", int, 20),
+        seed=_get(kv, "seed", int, 0),
+        sampler=kv.get("sampler", "mcmc"),
+        budget=_get(kv, "budget", int, 3000),
+        threads=threads,
+    )
     code = emit_report(report, out)
     click.echo(f"median masses: {report.median_mass} passed={report.passed}")
     sys.exit(code)

@@ -62,8 +62,8 @@ def np_test(g: GridFunction, pattern: PointPattern) -> int:
 def check_posterior_below_mle(ens: PosteriorEnsemble, mle: GridFunction):
     """True iff every ensemble sample lies below the MLE bin-wise (tolerance 0).
 
-    Returns ``(ok, violations)`` where violations lists ``(sample_index,
-    bin_index, excess)`` triples at the comparison grid level.
+    Returns ``(ok, violations)`` where violations lists ``(row, bin, excess)``
+    triples at the comparison grid level.
     """
     lvl = max(ens.grid_level, mle.grid_level)
     a = np.repeat(ens.values, 1 << (lvl - ens.grid_level), axis=1)

@@ -27,10 +27,8 @@ from .posterior import (
     sample_posterior,
 )
 from .priors import (
-    BrownianStartPrior,
     CoefficientDistribution,
     PriorSpec,
-    TruncatedWaveletPrior,
     WaveletSeriesPrior,
     build_prior,
     holder_test_function,
@@ -44,6 +42,7 @@ __all__ = [
     "SmallBallReport",
     "DecayStudyReport",
     "StudyError",
+    "StudyConfigError",
     "theoretical_rate_exponent",
     "theoretical_small_ball_exponent",
     "calibrate_ceiling",
@@ -64,6 +63,19 @@ class StudyError(RuntimeError):
         super().__init__(message)
         self.exclusions = exclusions
         self.total = total
+
+
+class StudyConfigError(ValueError):
+    """A study config value that the study rejects; raised before any work starts."""
+
+
+def _check_sampler(sampler: str, spec: PriorSpec) -> None:
+    """StudyConfigError unless the named posterior sampler applies to the prior ``spec``."""
+    if sampler not in ("importance", "mcmc", "exact"):
+        raise StudyConfigError(f"sampler must be 'importance', 'mcmc' or 'exact', got {sampler!r}")
+    if sampler == "exact" and (spec.variant != "truncated_wavelet" or spec.dist.kind != "gaussian"):
+        got = spec.variant if spec.dist is None else f"{spec.variant} with {spec.dist.kind} coefficients"
+        raise StudyConfigError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +139,14 @@ class RateStudyConfig:
     def __post_init__(self) -> None:
         n_grid = tuple(float(n) for n in self.n_grid)
         if len(n_grid) < 4:
-            raise ValueError("n_grid needs at least 4 values")
+            raise StudyConfigError(f"n_grid needs at least 4 values, got {n_grid}")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
+            raise StudyConfigError(f"n_grid must be strictly increasing, got {n_grid}")
         if self.replicates < 10:
-            raise ValueError("replicates must be >= 10")
-        if self.sampler not in ("importance", "mcmc", "exact"):
-            raise ValueError("sampler must be 'importance', 'mcmc' or 'exact'")
-        if self.sampler == "exact" and self.prior.variant != "truncated_wavelet":
-            raise ValueError("the exact sampler applies only to the truncated wavelet prior")
+            raise StudyConfigError(f"replicates must be >= 10, got {self.replicates}")
+        _check_sampler(self.sampler, self.prior)
         if self.error_metric not in ("l1", "lower_part", "upper_part"):
-            raise ValueError("unknown error metric")
+            raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
         object.__setattr__(self, "n_grid", n_grid)
 
     def f0(self) -> GridFunction:
@@ -185,17 +194,29 @@ class RateStudyReport:
         )
 
 
-def calibrate_ceiling(
-    prior, f0: GridFunction, rng: np.random.Generator, draws: int = 2000, exceed_prob: float = 1e-3
-) -> float:
+_CEILING_DRAWS = 2000
+_CEILING_EXCEED_PROB = 1e-3
+_BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
+
+
+def _reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndarray:
+    """``reduce`` (a ``(k, m)`` batch to k numbers) of ``draws`` prior draws, in batches of about 2**16 grid values.
+
+    Except for the truncated prior, the batches consume the stream of one ``draws``-row draw.
+    """
+    batch = max(1, _BATCH_VALUES >> prior.grid_level)
+    return np.concatenate([reduce(prior.draw(rng, min(batch, draws - i))) for i in range(0, draws, batch)])
+
+
+def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> float:
     """Ceiling = max(f0) + margin such that prior draws rarely exceed it anywhere.
 
-    The margin is the empirical (1 - exceed_prob) quantile of the prior sup,
-    estimated by Monte Carlo; candidates above the ceiling escape some killing
-    points, which is the documented truncation bias.
+    The margin is the empirical 0.999 quantile of the prior sup over 2000
+    draws; candidates above the ceiling escape some killing points, which is
+    the documented truncation bias.
     """
-    sups = np.array([prior.sample(rng).max() for _ in range(draws)])
-    return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - exceed_prob))) + 0.05
+    sups = _reduce_draws(prior, _CEILING_DRAWS, rng, lambda v: v.max(axis=1))
+    return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - _CEILING_EXCEED_PROB))) + 0.05
 
 
 def _study_cell(spec, f0, ceiling, sampler, budget, functional, n, seed_key):
@@ -316,23 +337,9 @@ class SmallBallReport:
 
 
 def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Sup-norm distances of plain prior draws to h, batched."""
-    prior = build_prior(spec)
+    """Sup-norm distances of plain prior draws to h."""
     target = h.refine(spec.grid_level).values
-    if isinstance(prior, TruncatedWaveletPrior):
-        return np.array([np.abs(prior.sample(rng).values - target).max() for _ in range(draws)])
-    sups = np.empty(draws)
-    done = 0
-    batch = max(1, min(draws, 10_000_000 // (1 << spec.grid_level)))
-    while done < draws:
-        b = min(batch, draws - done)
-        if isinstance(prior, BrownianStartPrior):
-            z = rng.standard_normal((b, prior.latent_dim))
-        else:
-            z = prior.dist.sample(rng, size=(b, prior.latent_dim))
-        sups[done : done + b] = np.abs(prior.synthesize(z) - target).max(axis=1)
-        done += b
-    return sups
+    return _reduce_draws(build_prior(spec), draws, rng, lambda v: np.abs(v - target).max(axis=1))
 
 
 def _latent_from_gaussian(dist: CoefficientDistribution, g: np.ndarray) -> np.ndarray:
@@ -442,7 +449,7 @@ def run_small_ball_study(
     """
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps_grid must be strictly decreasing")
+        raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
     runs = 4
     if spec.variant == "brownian_start":
         estimator, particles = _brownian_small_ball, max(1000, draws // runs)
@@ -528,6 +535,7 @@ def run_posterior_decay_study(
 
     Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
     """
+    _check_sampler(sampler, prior_spec)
     n_grid = tuple(float(n) for n in n_grid)
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)

@@ -321,7 +321,7 @@ def importance_posterior(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    values = np.stack([prior.sample(rng).values for _ in range(draws)])
+    values = prior.draw(rng, draws)
     values = values[np.all(values <= bin_minima(pattern, prior.grid_level), axis=1)]
     if not len(values):
         raise DegeneratePosteriorError(
@@ -362,7 +362,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
         for j in range(prior.j_max + 1)
     ]
 
-    z = np.asarray(prior.sample_latent(rng), dtype=float)
+    z = prior.dist.sample(rng, size=dim)
     v = prior.synthesize(z)
     # initialization: lower the scaling coordinate until feasible
     deficit = float(np.max(v - mins))
@@ -457,7 +457,7 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
     if finite.any():
         v = np.full(m, min(0.0, float(mins[finite].min())) - 0.1)
     else:
-        v = prior.synthesize(prior.sample_latent(rng))
+        v = prior.draw(rng, 1)[0]
 
     evens = np.arange(0, m, 2)
     odds = np.arange(1, m, 2)
@@ -493,18 +493,19 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
 
 
 def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin):
-    log_lik = np.array([log_posterior_weight(f, pattern) for f in prior.members])
-    feasible = np.flatnonzero(log_lik > -math.inf)
-    if feasible.size == 0:
+    feasible = np.all(prior.values <= bin_minima(pattern, prior.grid_level), axis=1)
+    if not feasible.any():
         raise DegeneratePosteriorError("no feasible atom in the finite prior support")
-    state = int(feasible[0])
+    log_lik = np.where(feasible, pattern.intensity * prior.values.mean(axis=1), -math.inf).tolist()
+    state = int(np.argmax(feasible))
+    # independence proposals from the prior (the prior ratio cancels) and their uniforms, drawn up front
+    cands = prior.draw_indices(rng, steps).tolist()
+    log_u = np.log(rng.random(steps)).tolist()
     burn_steps = int(_BURN_IN * steps)
     accepted = 0
     stored = []
-    for t in range(steps):
-        cand = prior.sample_index(rng)
-        # independence proposal from the prior: the prior ratio cancels
-        if math.log(rng.uniform()) < log_lik[cand] - log_lik[state]:
+    for t, (cand, lu) in enumerate(zip(cands, log_u)):
+        if lu < log_lik[cand] - log_lik[state]:
             state = cand
             accepted += 1
         if t >= burn_steps and (t - burn_steps) % thin == thin - 1:
@@ -515,8 +516,7 @@ def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin):
     meta = {"sampler": "mcmc", "steps": steps, "acceptance_rate": rate}
     if not 0.05 <= rate <= 0.95:
         meta["warning"] = f"acceptance rate {rate:.3f} outside [0.05, 0.95]"
-    values = np.stack([f.values for f in prior.members])[stored]
-    return PosteriorEnsemble(prior.grid_level, values, np.zeros(len(stored)), meta=meta)
+    return PosteriorEnsemble(prior.grid_level, prior.values[stored], np.zeros(len(stored)), meta=meta)
 
 
 def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin):
@@ -537,7 +537,7 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin):
         else:
             # evidence Z_j by prior importance sampling at this level; a rough
             # estimate at large intensity, where feasible draws become rare
-            values = level.synthesize(level.dist.sample(rng, size=(_EVIDENCE_DRAWS, level.latent_dim)))
+            values = level.draw(rng, _EVIDENCE_DRAWS)
             lws = n * values[np.all(values <= mins, axis=1)].mean(axis=1)
             if not lws.size:
                 level_log_w.append(-math.inf)
@@ -617,10 +617,12 @@ def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rn
 # posterior functionals
 
 
-def posterior_mass(ens: PosteriorEnsemble, predicate) -> float:
-    w = ens.normalized_weights
-    hits = np.array([bool(predicate(f)) for f in ens.samples])
-    return float(w[hits].sum())
+def posterior_mass(ens: PosteriorEnsemble, hits) -> float:
+    """Posterior mass of the rows of ``ens.values`` where the boolean row mask ``hits`` is true."""
+    hits = np.asarray(hits, dtype=bool)
+    if hits.shape != (len(ens),):
+        raise ValueError(f"hits must be a boolean row mask of shape ({len(ens)},), got shape {hits.shape}")
+    return float(ens.normalized_weights[hits].sum())
 
 
 def _errors(ens: PosteriorEnsemble, f0: GridFunction, metric: str) -> np.ndarray:

@@ -3,6 +3,10 @@
 Three families: Brownian motion with a standard-normal random start, wavelet
 series with level-decaying coefficient amplitudes, and the randomly truncated
 wavelet series.  A finite-atom prior is provided for exact closed-form checks.
+
+Every prior is drawn in batches: ``prior.draw(rng, k)`` returns the grid values
+of k independent draws as a ``(k, 2**grid_level)`` matrix, row i = draw i.  The
+latent priors also expose their latent -> grid map as ``synthesize``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ __all__ = [
     "TruncatedWaveletPrior",
     "FinitePrior",
     "build_prior",
-    "sample_brownian_prior",
-    "sample_wavelet_prior",
-    "sample_truncated_prior",
     "holder_test_function",
     "parse_kv",
     "parse_prior_config",
@@ -160,15 +161,13 @@ class WaveletSeriesPrior:
     def latent_dim(self) -> int:
         return coefficient_count(self.j_max)
 
-    def sample_latent(self, rng: np.random.Generator) -> np.ndarray:
-        return self.dist.sample(rng, size=self.latent_dim)
-
     def synthesize(self, z: np.ndarray) -> np.ndarray:
         """Grid values ``(..., m)`` of latent vectors ``(..., latent_dim)``."""
         return synthesize_flat(self.amplitudes * z, self.j_max, self.grid_level)
 
-    def sample(self, rng: np.random.Generator) -> GridFunction:
-        return GridFunction(self.grid_level, self.synthesize(self.sample_latent(rng)))
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Grid values ``(k, m)`` of k independent prior draws."""
+        return self.synthesize(self.dist.sample(rng, size=(k, self.latent_dim)))
 
 
 class BrownianStartPrior:
@@ -187,15 +186,13 @@ class BrownianStartPrior:
     def latent_dim(self) -> int:
         return (1 << self.grid_level) + 1
 
-    def sample_latent(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.latent_dim)
-
     def synthesize(self, z: np.ndarray) -> np.ndarray:
         """Grid values ``(..., m)`` of latent vectors ``(..., latent_dim)``."""
         return z[..., :1] + np.cumsum(z[..., 1:], axis=-1) / math.sqrt(1 << self.grid_level)
 
-    def sample(self, rng: np.random.Generator) -> GridFunction:
-        return GridFunction(self.grid_level, self.synthesize(self.sample_latent(rng)))
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Grid values ``(k, m)`` of k independent prior draws."""
+        return self.synthesize(rng.standard_normal((k, self.latent_dim)))
 
 
 class TruncatedWaveletPrior:
@@ -214,40 +211,46 @@ class TruncatedWaveletPrior:
         prior.amplitudes = np.ones(coefficient_count(j))
         return prior
 
-    def sample_with_level(self, rng: np.random.Generator) -> tuple[int, GridFunction]:
-        j = int(rng.choice(self.j_cap + 1, p=self.level_probabilities))
-        z = self.dist.sample(rng, size=coefficient_count(j))
-        # unit amplitudes: the level-j latent vector is the flat coefficient vector
-        return j, GridFunction(self.grid_level, synthesize_flat(z, j, self.grid_level))
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Grid values ``(k, m)`` of k independent prior draws.
 
-    def sample(self, rng: np.random.Generator) -> GridFunction:
-        return self.sample_with_level(rng)[1]
+        The k levels are drawn first, then ``coefficient_count(j_cap)`` coefficients per row, zeroed
+        above the row's level: the dropped ones are independent of the kept ones, so the law is exact.
+        """
+        levels = rng.choice(self.j_cap + 1, size=k, p=self.level_probabilities)
+        z = self.dist.sample(rng, size=(k, coefficient_count(self.j_cap)))
+        z[np.arange(z.shape[1]) >= (2 << levels)[:, None]] = 0.0  # level j keeps 2^{j+1} coefficients
+        return synthesize_flat(z, self.j_cap, self.grid_level)
 
 
 class FinitePrior:
     """Finitely supported prior over a fixed list of grid functions at one grid level."""
 
     def __init__(self, members, weights=None):
-        self.members = list(members)
-        if not self.members:
+        members = list(members)
+        if not members:
             raise ValueError("members must be nonempty")
-        self.grid_level = self.members[0].grid_level
-        if any(f.grid_level != self.grid_level for f in self.members):
+        self.grid_level = members[0].grid_level
+        if any(f.grid_level != self.grid_level for f in members):
             raise ValueError("all members must share one grid level")
         if weights is None:
-            w = np.full(len(self.members), 1.0 / len(self.members))
+            w = np.full(len(members), 1.0 / len(members))
         else:
             w = np.array(weights, dtype=float)
-            if w.shape != (len(self.members),) or np.any(w < 0) or w.sum() <= 0:
+            if w.shape != (len(members),) or not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
                 raise ValueError("invalid weights")
             w = w / w.sum()
         self.weights = w
+        self.values = np.stack([f.values for f in members])  # row i = member i
+        self.values.flags.writeable = False
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(len(self.members), p=self.weights))
+    def draw_indices(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Member indices of k independent prior draws."""
+        return rng.choice(len(self.values), size=k, p=self.weights)
 
-    def sample(self, rng: np.random.Generator) -> GridFunction:
-        return self.members[self.sample_index(rng)]
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Grid values ``(k, m)`` of k independent prior draws."""
+        return self.values[self.draw_indices(rng, k)]
 
 
 def build_prior(spec: PriorSpec):
@@ -256,25 +259,6 @@ def build_prior(spec: PriorSpec):
     if spec.variant == "wavelet_series":
         return WaveletSeriesPrior(spec.alpha, spec.dist, spec.j_max, spec.grid_level)
     return TruncatedWaveletPrior(spec.dist, spec.j_cap, spec.grid_level)
-
-
-# spec-facing convenience wrappers
-
-
-def sample_brownian_prior(grid_level: int, rng: np.random.Generator) -> GridFunction:
-    return BrownianStartPrior(grid_level).sample(rng)
-
-
-def sample_wavelet_prior(spec: PriorSpec, rng: np.random.Generator) -> GridFunction:
-    if spec.variant != "wavelet_series":
-        raise ValueError("spec must be a wavelet_series prior")
-    return build_prior(spec).sample(rng)
-
-
-def sample_truncated_prior(spec: PriorSpec, rng: np.random.Generator) -> tuple[int, GridFunction]:
-    if spec.variant != "truncated_wavelet":
-        raise ValueError("spec must be a truncated_wavelet prior")
-    return build_prior(spec).sample_with_level(rng)
 
 
 # ---------------------------------------------------------------------------

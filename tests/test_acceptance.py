@@ -132,7 +132,7 @@ def test_criterion_3_two_atom_posterior():
                     ens = importance_posterior(prior, pattern, 4000, rng)
                 else:
                     ens = mcmc_posterior(prior, pattern, 4000, rng=rng)
-                estimates[rep] = posterior_mass(ens, lambda f: f == members[0])
+                estimates[rep] = posterior_mass(ens, np.all(ens.values == members[0].values, axis=1))
             se = float(estimates.std(ddof=1) / math.sqrt(reps))
             dev = abs(float(estimates.mean()) - target)
             assert dev <= 3.0 * max(se, 1e-4), (n, sampler, estimates.mean(), target, se)

@@ -208,6 +208,29 @@ def test_study_config_bad_prior_keys_rejected(runner, tmp_path, prior_lines, key
     assert not out.exists()
 
 
+_BROWNIAN_4 = "prior.variant = brownian_start\nprior.grid_level = 4\n"
+
+
+@pytest.mark.parametrize(
+    "command,lines,named",
+    [
+        ("rate-study", "n_grid = 5,10,20,40\nreplicates = 5\n", "replicates must be >= 10, got 5"),
+        ("rate-study", "n_grid = 5,10,20,40\nreplicates = five\n", "'replicates': cannot read 'five'"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nsampler = exact\n", "sampler 'exact'"),
+        ("small-ball", "eps_grid = 0.5,1.0\ndraws = 4000\n", "(0.5, 1.0)"),
+    ],
+    ids=["rate-replicates-5", "rate-replicates-five", "decay-exact-brownian", "small-ball-increasing-eps"],
+)
+def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_BROWNIAN_4 + lines + "seed = 2\n")
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2  # a usage error that names the value, not a traceback
+    assert named in res.output
+    assert not out.exists()
+
+
 def test_seed_option_overrides_config(runner, tmp_path):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG.format(tol="0.9"))

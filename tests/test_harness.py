@@ -86,7 +86,7 @@ def test_calibrate_ceiling_clears_truth_and_prior_sups():
     rng = np.random.default_rng(0)
     ceiling = calibrate_ceiling(prior, f0, rng)
     assert ceiling > f0.max()
-    sups = np.array([prior.sample(np.random.default_rng(1)).max() for _ in range(500)])
+    sups = prior.draw(np.random.default_rng(1), 500).max(axis=1)
     assert np.mean(sups > ceiling) <= 0.01
 
 
@@ -121,6 +121,8 @@ def test_rate_study_config_validation():
         _tiny_rate_cfg(sampler="rejection")
     with pytest.raises(ValueError):
         _tiny_rate_cfg(sampler="exact")  # only for the truncated prior
+    with pytest.raises(ValueError, match="laplace"):
+        _tiny_rate_cfg(prior=_spec("truncated_wavelet", "laplace"), sampler="exact")  # and gaussian coefficients
     with pytest.raises(ValueError):
         _tiny_rate_cfg(error_metric="l2")
 

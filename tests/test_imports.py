@@ -1,9 +1,10 @@
 """Import hygiene of the package modules, checked with the stdlib ``ast``.
 
 No module may import a name it never uses (``__init__.py`` re-exports are
-exempt), no module may reach into a sibling for a ``_``-prefixed name,
-``import bbayes`` must not load ``scipy.stats``, and every name the benchmark
-under ``perfbench/`` imports from ``bbayes`` must exist.
+exempt), no module may reach into a sibling for a ``_``-prefixed name, every
+name in a module's ``__all__`` must exist, ``import bbayes`` must not load
+``scipy.stats``, and every name the benchmark under ``perfbench/`` imports from
+``bbayes`` must exist.
 """
 
 import ast
@@ -48,6 +49,16 @@ def test_no_private_names_from_siblings():
         tree = ast.parse(path.read_text())
         private += [f"{path.name}: {name}" for _, name, sibling in _imports(tree) if sibling and name.startswith("_")]
     assert not private, private
+
+
+def test_all_names_exist():
+    # a name left in __all__ after its definition is gone breaks ``from bbayes.<module> import *``
+    missing = []
+    for path in MODULES:
+        name = "bbayes" if path.name == "__init__.py" else f"bbayes.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, missing
 
 
 def test_import_does_not_load_scipy_stats():

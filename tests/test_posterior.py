@@ -263,11 +263,8 @@ def test_truncated_level_log_evidence_against_monte_carlo():
     )
     rng = np.random.default_rng(10)
     for j in (0, 1):
-        level = prior.level_prior(j)
-        vals = np.empty(40_000)
-        for i in range(vals.size):
-            f = level.sample(rng)
-            vals[i] = math.exp(5.0 * f.values.mean()) if np.all(f.values <= mins) else 0.0
+        v = prior.level_prior(j).draw(rng, 40_000)
+        vals = np.where(np.all(v <= mins, axis=1), np.exp(5.0 * v.mean(axis=1)), 0.0)
         se = vals.std() / math.sqrt(vals.size)
         target = math.exp(truncated_level_log_evidence(j, mins, 5.0, 1.0))
         assert abs(vals.mean() - target) <= 4.0 * se
@@ -432,9 +429,11 @@ def test_finite_prior_posterior_matches_enumeration():
     w[~np.isfinite(log_w)] = 0.0
     w /= w.sum()
     ens = mcmc_posterior(prior, pattern, steps=40_000, rng=np.random.default_rng(18))
-    hit = posterior_mass(ens, lambda f: f == members[1])
+    hit = posterior_mass(ens, np.all(ens.values == members[1].values, axis=1))
     assert hit == pytest.approx(w[1], abs=0.02)
-    assert posterior_mass(ens, lambda f: f == members[2]) == 0.0
+    assert posterior_mass(ens, np.all(ens.values == members[2].values, axis=1)) == 0.0
+    with pytest.raises(ValueError, match="row mask"):
+        posterior_mass(ens, lambda f: f == members[1])  # a predicate is not a row mask
 
 
 def test_sampler_determinism():

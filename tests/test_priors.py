@@ -17,10 +17,8 @@ from bbayes import (
     haar_analysis,
     haar_synthesis,
     holder_test_function,
-    sample_brownian_prior,
-    sample_truncated_prior,
-    sample_wavelet_prior,
 )
+from bbayes.harness import _prior_sups
 from bbayes.priors import (
     format_prior_config,
     parse_prior_config,
@@ -134,10 +132,8 @@ def test_wavelet_prior_coefficient_variance():
     rng = np.random.default_rng(1)
     draws = 10_000
     j, k = 2, 1
-    coefs = np.empty(draws)
-    for i in range(draws):
-        f = sample_wavelet_prior(spec, rng)
-        coefs[i] = haar_analysis(f).detail[j][k]
+    rows = build_prior(spec).draw(rng, draws)
+    coefs = np.array([haar_analysis(GridFunction(spec.grid_level, row)).detail[j][k] for row in rows])
     assert coefs.var() == pytest.approx(2.0 ** (-j * (2 * alpha + 1)), rel=0.05)
 
 
@@ -146,12 +142,9 @@ def test_brownian_prior_start_and_increments():
     m = 1 << grid_level
     rng = np.random.default_rng(2)
     draws = 10_000
-    first = np.empty(draws)
-    incs = np.empty((draws, m - 1))
-    for i in range(draws):
-        v = sample_brownian_prior(grid_level, rng).values
-        first[i] = v[0]
-        incs[i] = np.diff(v)
+    v = build_prior(PriorSpec(variant="brownian_start", grid_level=grid_level)).draw(rng, draws)
+    first = v[:, 0]
+    incs = np.diff(v, axis=1)
     assert first.var() == pytest.approx(1.0 + 1.0 / m, rel=0.05)
     assert incs.var() == pytest.approx(1.0 / m, rel=0.05)
     assert abs(incs.mean()) <= 3.0 * math.sqrt(1.0 / m / incs.size)
@@ -185,13 +178,21 @@ def test_synthesize_matches_per_draw_synthesis():
         assert np.array_equal(prior.synthesize(z[0]), per_draw(z[0]))
 
 
+def _haar_details(rows, grid_level):
+    """Per row of grid values: its Haar detail coefficients, level by level."""
+    return [haar_analysis(GridFunction(grid_level, row)).detail for row in rows]
+
+
 def test_truncated_prior_level_distribution_and_unit_amplitudes():
     spec = PriorSpec(
         variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=6
     )
-    rng = np.random.default_rng(3)
+    prior = build_prior(spec)
     draws = 8000
-    levels = np.array([sample_truncated_prior(spec, rng)[0] for _ in range(draws)])
+    # a row's level is its finest nonzero Haar level: the zeroed details are exactly
+    # zero, a drawn one is nonzero almost surely
+    details = _haar_details(prior.draw(np.random.default_rng(3), draws), 6)
+    levels = np.array([max(j for j, d in enumerate(ds) if np.any(d != 0.0)) for ds in details])
     target = 2.0 ** (-np.arange(4.0))
     target /= target.sum()
     for j in range(4):
@@ -199,10 +200,49 @@ def test_truncated_prior_level_distribution_and_unit_amplitudes():
         se = math.sqrt(target[j] * (1 - target[j]) / draws)
         assert abs(p_hat - target[j]) <= 3.5 * se
     # unit amplitudes: the level-j coefficients of a draw have variance ~ 1
-    rng = np.random.default_rng(4)
-    top = [haar_analysis(f).detail[3] for j, f in
-           (sample_truncated_prior(spec, rng) for _ in range(4000)) if j == 3]
+    details = _haar_details(prior.draw(np.random.default_rng(4), 4000), 6)
+    top = [ds[3] for ds in details if np.any(ds[3] != 0.0)]
     assert np.var(np.concatenate(top)) == pytest.approx(1.0, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "prior,per_draw",
+    [
+        (
+            build_prior(PriorSpec(variant="brownian_start", grid_level=5)),
+            lambda p, rng: p.synthesize(rng.standard_normal(p.latent_dim)),
+        )
+    ]
+    + [
+        (
+            build_prior(
+                PriorSpec(
+                    variant="wavelet_series", alpha=1.5, dist=CoefficientDistribution(kind), j_max=4, grid_level=6
+                )
+            ),
+            lambda p, rng: p.synthesize(p.dist.sample(rng, size=p.latent_dim)),
+        )
+        for kind in ("gaussian", "laplace", "uniform")
+    ]
+    + [
+        (
+            FinitePrior([GridFunction.constant(c, 3) for c in (0.0, -1.0, 2.5)], weights=[1.0, 3.0, 2.0]),
+            lambda p, rng: p.values[rng.choice(len(p.values), p=p.weights)],
+        )
+    ],
+    ids=["brownian", "wavelet-gaussian", "wavelet-laplace", "wavelet-uniform", "finite"],
+)
+def test_draw_equals_per_draw_recipe_bit_for_bit(prior, per_draw):
+    # one (k, m) draw consumes the stream of k per-draw calls, row by row
+    k = 50
+    rows = prior.draw(np.random.default_rng(21), k)
+    rng = np.random.default_rng(21)
+    assert rows.shape == (k, 1 << prior.grid_level)
+    assert np.array_equal(rows, np.stack([per_draw(prior, rng) for _ in range(k)]))
+    if isinstance(prior, FinitePrior):
+        rng = np.random.default_rng(21)
+        indices = [rng.choice(len(prior.values), p=prior.weights) for _ in range(k)]
+        assert np.array_equal(prior.draw_indices(np.random.default_rng(21), k), indices)
 
 
 def test_prior_draw_determinism():
@@ -210,9 +250,9 @@ def test_prior_draw_determinism():
         variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("laplace"),
         j_max=4, grid_level=6,
     )
-    a = sample_wavelet_prior(spec, np.random.default_rng(11))
-    b = sample_wavelet_prior(spec, np.random.default_rng(11))
-    assert a == b
+    a = build_prior(spec).draw(np.random.default_rng(11), 3)
+    b = build_prior(spec).draw(np.random.default_rng(11), 3)
+    assert np.array_equal(a, b)
 
 
 def test_finite_prior_weights():
@@ -226,6 +266,10 @@ def test_finite_prior_weights():
         FinitePrior([])
     with pytest.raises(ValueError, match="one grid level"):
         FinitePrior([f, GridFunction.constant(1.0, 2)])
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [-1.0, 2.0]):
+        with pytest.raises(ValueError, match="invalid weights"):
+            FinitePrior([f, g], weights=bad)
+    assert np.array_equal(prior.values, [f.values, g.values])
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +308,8 @@ def test_wavelet_small_ball_exponent_scale():
     dist = CoefficientDistribution("gaussian")
     spec = PriorSpec(variant="wavelet_series", alpha=alpha, dist=dist, j_max=4, grid_level=6)
     h = holder_test_function(beta, 0.5, "cusp", 6)
-    target = h.values
-    prior = build_prior(spec)
     rng = np.random.default_rng(5)
-    draws = 60_000
-    sups = np.empty(draws)
-    for i in range(draws):
-        sups[i] = float(np.abs(prior.sample(rng).values - target).max())
+    sups = _prior_sups(spec, h, 60_000, rng)
     eps_grid = (1.0, 0.8, 0.65)
     p_hat = {e: float(np.mean(sups <= e)) for e in eps_grid}
     assert all(p_hat[e] > 0 for e in eps_grid)
