@@ -217,6 +217,15 @@ def _get(kv: dict, key: str, convert, default=None):
         raise click.UsageError(f"config key {key!r}: cannot read {raw!r}") from None
 
 
+def _test_function(config_path: str, kv: dict, prefix: str, grid_level: int, beta: float = 1.0) -> GridFunction:
+    """The test function of the keys ``<prefix>.beta``, ``.R`` and ``.kind``; a value it rejects is a usage error."""
+    beta, R = _get(kv, f"{prefix}.beta", float, beta), _get(kv, f"{prefix}.R", float, 1.0)
+    try:
+        return holder_test_function(beta, R, kv.get(f"{prefix}.kind", "smooth"), grid_level)
+    except ValueError as exc:
+        raise click.UsageError(f"bad config in {config_path}: {prefix}: {exc}") from None
+
+
 def _run_study(config_path: str, study, *args, **kwargs):
     """``study(*args, **kwargs)``: a config value it rejects is a usage error, a study it refuses an error."""
     try:
@@ -269,8 +278,7 @@ def small_ball(config_path, seed, out):
     kv, spec = _study_kv(config_path, seed, "beta h.kind h.beta h.R eps_grid draws tol")
     beta = _get(kv, "beta", float)
     if "h.kind" in kv:
-        h_beta = _get(kv, "h.beta", float, 1.0 if beta is None else beta)
-        h = holder_test_function(h_beta, _get(kv, "h.R", float, 1.0), kv["h.kind"], spec.grid_level)
+        h = _test_function(config_path, kv, "h", spec.grid_level, 1.0 if beta is None else beta)
     else:
         h = GridFunction.constant(0.0, spec.grid_level)
     report = _run_study(
@@ -294,9 +302,7 @@ def small_ball(config_path, seed, out):
 def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
     kv, spec = _study_kv(config_path, seed, "f0.beta f0.R f0.kind r n_grid replicates sampler budget")
-    f0 = holder_test_function(
-        _get(kv, "f0.beta", float, 1.0), _get(kv, "f0.R", float, 1.0), kv.get("f0.kind", "smooth"), spec.grid_level
-    )
+    f0 = _test_function(config_path, kv, "f0", spec.grid_level)
     report = _run_study(
         config_path, run_posterior_decay_study, spec, f0,
         _get(kv, "r", float, 0.2),

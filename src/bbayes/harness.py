@@ -78,6 +78,19 @@ def _check_sampler(sampler: str, spec: PriorSpec) -> None:
         raise StudyConfigError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
 
 
+def _check_cells(n_grid, replicates: int, min_values: int, min_replicates: int) -> tuple:
+    """``n_grid`` as floats; StudyConfigError unless it has at least ``min_values`` strictly
+    increasing values and there are at least ``min_replicates`` replicates."""
+    n_grid = tuple(float(n) for n in n_grid)
+    if len(n_grid) < min_values:
+        raise StudyConfigError(f"n_grid needs at least {min_values} values, got {n_grid}")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise StudyConfigError(f"n_grid must be strictly increasing, got {n_grid}")
+    if replicates < min_replicates:
+        raise StudyConfigError(f"replicates must be >= {min_replicates}, got {replicates}")
+    return n_grid
+
+
 # ---------------------------------------------------------------------------
 # reference exponents
 
@@ -137,16 +150,14 @@ class RateStudyConfig:
     ceiling: float | None = None  # None: calibrated from the prior
 
     def __post_init__(self) -> None:
-        n_grid = tuple(float(n) for n in self.n_grid)
-        if len(n_grid) < 4:
-            raise StudyConfigError(f"n_grid needs at least 4 values, got {n_grid}")
-        if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-            raise StudyConfigError(f"n_grid must be strictly increasing, got {n_grid}")
-        if self.replicates < 10:
-            raise StudyConfigError(f"replicates must be >= 10, got {self.replicates}")
+        n_grid = _check_cells(self.n_grid, self.replicates, 4, 10)
         _check_sampler(self.sampler, self.prior)
         if self.error_metric not in ("l1", "lower_part", "upper_part"):
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
+        try:
+            self.f0()
+        except ValueError as exc:
+            raise StudyConfigError(f"f0: {exc}") from None
         object.__setattr__(self, "n_grid", n_grid)
 
     def f0(self) -> GridFunction:
@@ -534,9 +545,10 @@ def run_posterior_decay_study(
     """Expected posterior mass of {integral((f0 - f)_+) >= r} across the intensity grid.
 
     Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
+    The medians are compared in grid order, so the grid must increase.
     """
     _check_sampler(sampler, prior_spec)
-    n_grid = tuple(float(n) for n in n_grid)
+    n_grid = _check_cells(n_grid, replicates, 2, 1)
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
     cell = partial(_study_cell, prior_spec, f0, ceiling, sampler, budget, partial(mass_lower_excess, r=r))

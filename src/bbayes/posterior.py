@@ -7,7 +7,9 @@ the set of functions lying below every data point, and zero elsewhere.  For a
 piecewise-constant candidate the constraint is equivalent to lying below the
 per-bin minima of the point ordinates, which keeps every check O(grid size).
 Every sampler enforces the constraint exactly; infeasible states are never
-stored.
+stored.  Under gaussian priors every exact move is a one-sided truncated
+normal, drawn by inversion in log space with one uniform per value: no
+rejection loop, accurate arbitrarily deep in the tail.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
 the prior's grid level), ``log_weights`` and ``meta``; every functional is a
@@ -144,49 +146,20 @@ def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:
     return mins
 
 
-def _sample_std_normal_tail(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
-    """Exact draws of Z ~ N(0, 1) conditioned on Z <= alpha_i, elementwise.
+def _std_normal_tail(q, alpha):
+    """Z ~ N(0, 1) conditioned on Z <= alpha by inversion of uniforms q in [0, 1), in log space.
 
-    Plain rejection when the constraint keeps reasonable mass; for alpha < -1
-    the mirrored exponential rejection sampler of Robert (1995), which stays
-    efficient arbitrarily far into the tail.
+    ``log_ndtr`` and ``ndtri_exp`` stay accurate arbitrarily far into the
+    tail; q = 0 gives alpha (to ``ndtri_exp``'s rounding), never -inf, and
+    alpha = +inf gives a plain N(0, 1) draw.  Scalars or arrays.
     """
+    return np.minimum(ndtri_exp(np.log1p(-q) + log_ndtr(alpha)), alpha)
+
+
+def _sample_std_normal_tail(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
+    """Exact draws of Z ~ N(0, 1) conditioned on Z <= alpha_i, elementwise, one uniform each."""
     alpha = np.asarray(alpha, dtype=float)
-    out = np.empty(alpha.size)
-    flat = alpha.ravel()
-    easy = np.flatnonzero(flat > -1.0)
-    while easy.size:
-        z = rng.standard_normal(easy.size)
-        ok = z <= flat[easy]
-        out[easy[ok]] = z[ok]
-        easy = easy[~ok]
-    hard = np.flatnonzero(flat <= -1.0)
-    a = -flat[hard]
-    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-    pending = np.arange(hard.size)
-    res = np.empty(hard.size)
-    while pending.size:
-        x = a[pending] - np.log(rng.uniform(size=pending.size)) / lam[pending]
-        ok = np.log(rng.uniform(size=pending.size)) < -0.5 * (x - lam[pending]) ** 2
-        res[pending[ok]] = x[ok]
-        pending = pending[~ok]
-    out[hard] = -res
-    return out.reshape(alpha.shape)
-
-
-def _scalar_std_normal_tail(rng: np.random.Generator, alpha: float) -> float:
-    """Scalar version of _sample_std_normal_tail, avoiding array overhead."""
-    if alpha > -1.0:
-        while True:
-            z = float(rng.standard_normal())
-            if z <= alpha:
-                return z
-    a = -alpha
-    lam = 0.5 * (a + math.sqrt(a * a + 4.0))
-    while True:
-        x = a - math.log(rng.uniform()) / lam
-        if math.log(rng.uniform()) < -0.5 * (x - lam) ** 2:
-            return -x
+    return _std_normal_tail(rng.random(alpha.shape), alpha)
 
 
 def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -276,6 +249,7 @@ def exact_truncated_posterior(
     Level weights come from the closed-form evidences; given the level, the
     block values are independent truncated gaussians tilted by the likelihood,
     sampled exactly.  No Monte Carlo error beyond the finite draw count.
+    After the level choice, one call draws one uniform per block value.
     """
     if not isinstance(prior, TruncatedWaveletPrior) or prior.dist.kind != "gaussian":
         raise ValueError("exact sampling needs the truncated wavelet prior with gaussian coefficients")
@@ -298,10 +272,15 @@ def exact_truncated_posterior(
     # per level j: block standard deviation and standardized block bounds
     sds = [s * math.sqrt(2 << j) for j in range(prior.j_cap + 1)]
     alphas = [(mins.reshape(2 << j, -1).min(axis=1) - mu) / sd for j, sd in enumerate(sds)]
+    # the 2^{j+1} block uniforms of every draw, in draw order, then one fill per level
+    blocks = 2 << levels
+    q = rng.random(int(blocks.sum()))
+    first = np.cumsum(blocks) - blocks
     values = np.empty((draws, grid_m))
-    for i, j in enumerate(levels):
-        v = mu + sds[j] * _sample_std_normal_tail(rng, alphas[j])
-        values[i] = np.repeat(v, grid_m >> (j + 1))
+    for j, (sd, alpha) in enumerate(zip(sds, alphas)):
+        rows = np.flatnonzero(levels == j)
+        v = mu + sd * _std_normal_tail(q[first[rows, None] + np.arange(2 << j)], alpha)
+        values[rows] = np.repeat(v, grid_m >> (j + 1), axis=1)
     meta = {
         "sampler": "exact",
         "draws": draws,
@@ -417,25 +396,24 @@ def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, rng: np.random.Gene
     e^{n t (m - k) / m} and truncated at the slack of the suffix.  Before move
     k the suffix is shifted by sum(t[:k]), so that slack is the reverse running
     minimum of ``mins - v``, taken once, less the running shift; the shifts are
-    applied once, as a cumulative sum, at the end.
+    added once at the end.  Move k inverts the k-th of m uniforms drawn before
+    the scan, as ``_std_normal_tail`` does, inlined so that the loop is float
+    arithmetic and two scalar scipy calls per move.
     """
     m = v.size
-    sigma0_sq = 1.0 + 1.0 / m
-    slack = np.minimum.accumulate((mins - v)[::-1])[::-1].tolist()
-    inc = np.diff(v, prepend=0.0).tolist()
-    ts = []
+    var = np.full(m, 1.0 / m)
+    var[0] += 1.0  # the start value's prior variance
+    mu = var * n * (m - np.arange(m)) / m - np.diff(v, prepend=0.0)
+    sd = np.sqrt(var)
+    slack = np.minimum.accumulate((mins - v)[::-1])[::-1] - mu
+    log_q = np.log1p(-rng.random(m))
+    shifts = []
     shift = 0.0
-    for k in range(m):
-        if k == 0:
-            mu = n * sigma0_sq - inc[0]
-            sd = math.sqrt(sigma0_sq)
-        else:
-            mu = -inc[k] + n * (m - k) / (m * m)
-            sd = 1.0 / math.sqrt(m)
-        t = mu + sd * _scalar_std_normal_tail(rng, (slack[k] - shift - mu) / sd)
-        ts.append(t)
-        shift += t
-    v += np.cumsum(ts)
+    for mu_k, sd_k, slack_k, lq in zip(mu.tolist(), sd.tolist(), slack.tolist(), log_q.tolist()):
+        a = (slack_k - shift) / sd_k
+        shift += mu_k + sd_k * min(float(ndtri_exp(lq + log_ndtr(a))), a)
+        shifts.append(shift)
+    v += shifts
 
 
 def _gibbs_brownian(prior, pattern, steps, rng, thin):
@@ -447,7 +425,8 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
     updates alone relax long-wavelength modes diffusively, so each sweep also
     runs one O(m) scan of directional Gibbs moves along suffix shifts
     v -> v + t 1{b >= k} (``_suffix_sweep``), whose conditionals are again
-    exact truncated gaussians.  ``steps`` counts single-site updates.
+    exact truncated gaussians.  Each draw inverts one uniform: 2m per sweep.
+    ``steps`` counts single-site updates.
     """
     m = 1 << prior.grid_level
     mins = bin_minima(pattern, prior.grid_level)

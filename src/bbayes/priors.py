@@ -274,11 +274,11 @@ def holder_test_function(beta: float, R: float, kind: str, grid_level: int) -> G
     smooth: (R/2pi) sin(2 pi x), beta = 1 only.  Sampled at bin midpoints.
     """
     if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0, 1]")
+        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     if not R > 0:
-        raise ValueError("R must be positive")
+        raise ValueError(f"R must be positive, got {R!r}")
     if kind not in _TEST_KINDS:
-        raise ValueError(f"kind must be one of {_TEST_KINDS}")
+        raise ValueError(f"kind must be one of {_TEST_KINDS}, got {kind!r}")
     m = 1 << grid_level
     x = (np.arange(m) + 0.5) / m
     if kind == "cusp":

@@ -209,6 +209,7 @@ def test_study_config_bad_prior_keys_rejected(runner, tmp_path, prior_lines, key
 
 
 _BROWNIAN_4 = "prior.variant = brownian_start\nprior.grid_level = 4\n"
+_SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
 
 
 @pytest.mark.parametrize(
@@ -218,8 +219,25 @@ _BROWNIAN_4 = "prior.variant = brownian_start\nprior.grid_level = 4\n"
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = five\n", "'replicates': cannot read 'five'"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nsampler = exact\n", "sampler 'exact'"),
         ("small-ball", "eps_grid = 0.5,1.0\ndraws = 4000\n", "(0.5, 1.0)"),
+        ("rate-study", "f0.kind = spike\nn_grid = 5,10,20,40\nreplicates = 10\n", _SPIKE),
+        ("decay-study", "f0.kind = spike\nn_grid = 5,20\nreplicates = 4\n", _SPIKE),
+        ("small-ball", "h.kind = spike\neps_grid = 1.0,0.5\ndraws = 4000\n", "h: kind must be one of"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 20,5\nreplicates = 2\n", "strictly increasing, got (20.0, 5.0)"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 20\nreplicates = 2\n", "at least 2 values"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 0\n", "replicates must be >= 1, got 0"),
     ],
-    ids=["rate-replicates-5", "rate-replicates-five", "decay-exact-brownian", "small-ball-increasing-eps"],
+    ids=[
+        "rate-replicates-5",
+        "rate-replicates-five",
+        "decay-exact-brownian",
+        "small-ball-increasing-eps",
+        "rate-f0-spike",
+        "decay-f0-spike",
+        "small-ball-h-spike",
+        "decay-n-grid-decreasing",
+        "decay-n-grid-one-value",
+        "decay-replicates-0",
+    ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):
     cfg = tmp_path / "s.cfg"

@@ -125,6 +125,8 @@ def test_rate_study_config_validation():
         _tiny_rate_cfg(prior=_spec("truncated_wavelet", "laplace"), sampler="exact")  # and gaussian coefficients
     with pytest.raises(ValueError):
         _tiny_rate_cfg(error_metric="l2")
+    with pytest.raises(ValueError, match="f0: kind must be one of"):
+        _tiny_rate_cfg(f0_kind="spike")  # checked before any work, not when the study builds f0
 
 
 def test_rate_study_report_structure_and_decrease():

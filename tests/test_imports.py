@@ -2,9 +2,9 @@
 
 No module may import a name it never uses (``__init__.py`` re-exports are
 exempt), no module may reach into a sibling for a ``_``-prefixed name, every
-name in a module's ``__all__`` must exist, ``import bbayes`` must not load
-``scipy.stats``, and every name the benchmark under ``perfbench/`` imports from
-``bbayes`` must exist.
+name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
+a caller in the package, ``import bbayes`` must not load ``scipy.stats``, and
+every name the benchmark under ``perfbench/`` imports from ``bbayes`` must exist.
 """
 
 import ast
@@ -12,6 +12,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import bbayes
@@ -59,6 +60,33 @@ def test_all_names_exist():
         module = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, missing
+
+
+def _referenced(node):
+    """Names and attribute names read anywhere in the subtree, with multiplicity."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_private_helpers_have_a_src_caller():
+    # a helper only tests call is dead code kept alive by its tests
+    trees = [(path.name, ast.parse(path.read_text())) for path in MODULES]
+    refs = sum((_referenced(tree) for _, tree in trees), Counter())
+    defs = [
+        (name, node)
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    # references inside the helper's own body do not count
+    orphans = [f"{name}: {node.name}" for name, node in defs if refs[node.name] <= _referenced(node)[node.name]]
+    assert defs, "no private helper found"
+    assert not orphans, orphans
 
 
 def test_import_does_not_load_scipy_stats():

@@ -36,7 +36,7 @@ from bbayes.posterior import (
     _exp_segment_log_mass,
     _sample_coefficients_interval,
     _sample_std_normal_tail,
-    _scalar_std_normal_tail,
+    _std_normal_tail,
     _suffix_sweep,
     bin_minima,
     posterior_median_metric,
@@ -159,6 +159,24 @@ def test_std_normal_tail_sampler(alpha):
     assert draws.std() == pytest.approx(dist.std(), rel=0.1)
 
 
+def test_std_normal_tail_inversion_deep_tail_and_endpoints():
+    rng = np.random.default_rng(27)
+    for alpha in (-300.0, -40.0):
+        draws = _sample_std_normal_tail(rng, np.full(8000, alpha))
+        assert np.all(np.isfinite(draws)) and draws.max() <= alpha
+        # deep in the tail |alpha| (alpha - Z) is Exp(1) up to O(alpha^-2)
+        gap = abs(alpha) * (alpha - draws)
+        assert abs(gap.mean() - 1.0) <= 4.0 * gap.std() / math.sqrt(gap.size)
+    draws = _sample_std_normal_tail(rng, np.full(8000, np.inf))  # an empty bin: no truncation
+    assert abs(draws.mean()) <= 4.0 / math.sqrt(draws.size)
+    assert abs(draws.std() - 1.0) <= 4.0 / math.sqrt(2.0 * draws.size)
+    # q = 0 gives alpha, never -inf: never above it, and below it by no more
+    # than the rounding of the log-space round trip (9e-11 at alpha = -300)
+    for alpha in (-300.0, -40.0, -5.0, -1.0, 0.0, 1.2, 5.0):
+        z = float(_std_normal_tail(0.0, alpha))
+        assert alpha - 1e-12 * max(1.0, abs(alpha)) <= z <= alpha, alpha
+
+
 @pytest.mark.parametrize("u,w,r", [(0.0, 1.0, 2.0), (-2.0, 0.5, -3.0), (1.0, 4.0, 0.0), (-np.inf, 0.0, 1.5)])
 def test_exp_segment_sampler_and_mass(u, w, r):
     # a uniform coefficient tilted by e^{r z} is the exponential segment on
@@ -217,7 +235,7 @@ def test_suffix_sweep_matches_quadratic_reference():
                 mu, sd = n * (1.0 + 1.0 / m) - v[0], math.sqrt(1.0 + 1.0 / m)
             else:
                 mu, sd = -(v[k] - v[k - 1]) + n * (m - k) / (m * m), 1.0 / math.sqrt(m)
-            v[k:] += mu + sd * _scalar_std_normal_tail(rng, (bound - mu) / sd)
+            v[k:] += mu + sd * _std_normal_tail(rng.random(), (bound - mu) / sd)
 
     _, pattern = _pattern(n=6.0, grid_level=4)
     mins = bin_minima(pattern, 4)
@@ -404,6 +422,12 @@ def test_gibbs_brownian_agrees_with_importance():
     m_is, se_is = _mean_integral_and_se(approx)
     m_ch, se_ch = _mean_integral_and_se(chain)
     assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch)
+    # contrasts are blind to the start value, so they see the increments that
+    # the suffix scan moves even when the mean of integral(f) agrees
+    for left, right in [(0, 15), (0, 8), (4, 12), (8, 15)]:
+        m_is, se_is = _weighted_mean_and_se(approx, approx.values[:, left] - approx.values[:, right])
+        m_ch, se_ch = _weighted_mean_and_se(chain, chain.values[:, left] - chain.values[:, right])
+        assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch), (left, right)
 
 
 def test_mcmc_truncated_agrees_with_analytic_moments():
