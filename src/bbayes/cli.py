@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 pass, 1 error, 2 tolerance failure or usage error (a bad option, a
-study config key that is unknown, a study config value that is unreadable or
-that the study rejects, or a prior key, in a ``--prior`` file or as
-``prior.*`` in a study config, that is unknown, missing or unreadable).  Study
+Exit codes: 0 pass, 1 error (for instance a ``complexity`` dictionary member
+that no pool function brackets), 2 tolerance failure or usage error (an option
+that is unknown or outside its domain, a study config key that is unknown, a
+study config value that is unreadable or that the study rejects, or a prior
+key, in a ``--prior`` file or as ``prior.*`` in a study config, that is
+unknown, missing, unreadable or not read by its variant).  Options and study
 configs are checked before any work starts, so a usage error writes nothing.
 All subcommands are deterministic given ``--seed``.
 """
@@ -19,6 +21,7 @@ import numpy as np
 
 from .complexity import (
     FunctionDictionary,
+    UncoverableMemberError,
     covering_number_detailed,
     default_bracket_pool,
     one_sided_bracketing_number_detailed,
@@ -64,17 +67,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 @main.command()
-@click.option("--n", type=float, required=True, help="intensity level")
+@click.option("--n", type=click.FloatRange(min=0, min_open=True), required=True, help="intensity level")
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--r", "r_const", type=float, default=1.0, show_default=True, help="Hoelder radius of f0")
 @click.option("--kind", type=click.Choice(["cusp", "hat", "smooth"]), default="smooth", show_default=True)
-@click.option("--grid-level", type=int, default=8, show_default=True)
+@click.option("--grid-level", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--ceiling", type=float, default=None, help="defaults to max(f0) + 1")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output directory")
 def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
     """Simulate a point pattern from a Hoelder test boundary."""
-    f0 = holder_test_function(beta, r_const, kind, grid_level)
+    try:
+        f0 = holder_test_function(beta, r_const, kind, grid_level)
+    except ValueError as exc:  # --beta outside (0, 1], --r not positive, or smooth with beta != 1
+        raise click.UsageError(str(exc))
     if ceiling is None:
         ceiling = f0.max() + 1.0
     pattern = simulate_ppp(f0, n, ceiling, _rng(seed))
@@ -87,9 +93,9 @@ def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
 @click.option("--prior", "prior_file", type=click.Path(exists=True), required=True)
 @click.option("--pattern", "pattern_file", type=click.Path(exists=True), required=True)
 @click.option("--sampler", type=click.Choice(["importance", "mcmc"]), default="importance", show_default=True)
-@click.option("--budget", type=int, default=2000, show_default=True, help="draws or MCMC steps")
+@click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True, help="draws or MCMC steps")
 @click.option("--f0", "f0_file", type=click.Path(exists=True), default=None, help="reference boundary for the summary")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
     """Sample the posterior for a stored point pattern."""
@@ -110,10 +116,11 @@ def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
 
 @main.command()
 @click.option("--pattern", "pattern_file", type=click.Path(exists=True), required=True)
-@click.option("--lip", type=float, default=None, help="Lipschitz constant (cone envelope MLE)")
-@click.option("--bins", type=int, default=None, help="bin count (piecewise-constant MLE)")
+@click.option("--lip", type=click.FloatRange(min=0, min_open=True), default=None,
+              help="Lipschitz constant (cone envelope MLE)")
+@click.option("--bins", type=click.IntRange(min=1), default=None, help="bin count, a power of two (piecewise MLE)")
 @click.option("--cap", type=float, default=None, help="defaults to the pattern ceiling")
-@click.option("--grid-level", type=int, default=8, show_default=True)
+@click.option("--grid-level", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def mle(pattern_file, lip, bins, cap, grid_level, out):
     """Boundary MLE over a capped Lipschitz or piecewise-constant class."""
@@ -122,10 +129,13 @@ def mle(pattern_file, lip, bins, cap, grid_level, out):
         cap = pattern.ceiling
     if (lip is None) == (bins is None):
         raise click.ClickException("give exactly one of --lip or --bins")
-    if lip is not None:
-        fhat = mle_lipschitz(pattern, lip, cap, grid_level)
-    else:
-        fhat = mle_piecewise_constant(pattern, bins, cap)
+    try:
+        if lip is not None:
+            fhat = mle_lipschitz(pattern, lip, cap, grid_level)
+        else:
+            fhat = mle_piecewise_constant(pattern, bins, cap)
+    except ValueError as exc:  # --bins not a power of two, or --cap below the data
+        raise click.UsageError(str(exc))
     write_text(Path(out) / "mle.csv", fhat.to_csv())
     click.echo(f"wrote {out}/mle.csv")
 
@@ -134,9 +144,9 @@ def mle(pattern_file, lip, bins, cap, grid_level, out):
 @click.option("--dict", "dict_file", type=click.Path(exists=True), required=True,
               help="concatenated GridFunction CSVs")
 @click.option("--quantity", type=click.Choice(["covering", "bracketing", "separation"]), required=True)
-@click.option("--eps", type=float, default=None, help="radius for covering")
-@click.option("--delta", type=float, default=None, help="tolerance for bracketing")
-@click.option("--n", type=float, default=None, help="intensity for separation")
+@click.option("--eps", type=click.FloatRange(min=0, min_open=True), default=None, help="radius for covering")
+@click.option("--delta", type=click.FloatRange(min=0), default=None, help="tolerance for bracketing")
+@click.option("--n", type=click.FloatRange(min=0, min_open=True), default=None, help="intensity for separation")
 @click.option("--f0", "f0_file", type=click.Path(exists=True), default=None, help="truth for separation")
 @click.option("--pool", "pool_file", type=click.Path(exists=True), default=None,
               help="bracket pool; defaults to dict plus pairwise minima")
@@ -150,18 +160,21 @@ def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
         if pool_file
         else default_bracket_pool(dict_)
     )
-    if quantity == "covering":
-        if eps is None:
-            raise click.ClickException("--eps required for covering")
-        res = covering_number_detailed(dict_, eps, exact=len(dict_) <= 20)
-    elif quantity == "bracketing":
-        if delta is None:
-            raise click.ClickException("--delta required for bracketing")
-        res = one_sided_bracketing_number_detailed(dict_, delta, pool)
-    else:
-        if n is None or f0_file is None:
-            raise click.ClickException("--n and --f0 required for separation")
-        res = separation_quantity_detailed(dict_, _load_grid_function(f0_file), n, pool)
+    if quantity == "covering" and eps is None:
+        raise click.ClickException("--eps required for covering")
+    if quantity == "bracketing" and delta is None:
+        raise click.ClickException("--delta required for bracketing")
+    if quantity == "separation" and (n is None or f0_file is None):
+        raise click.ClickException("--n and --f0 required for separation")
+    try:
+        if quantity == "covering":
+            res = covering_number_detailed(dict_, eps)
+        elif quantity == "bracketing":
+            res = one_sided_bracketing_number_detailed(dict_, delta, pool)
+        else:
+            res = separation_quantity_detailed(dict_, _load_grid_function(f0_file), n, pool)
+    except UncoverableMemberError as exc:
+        raise click.ClickException(str(exc))
     report = {
         "quantity": quantity,
         "value": res.value,
@@ -238,9 +251,9 @@ def _run_study(config_path: str, study, *args, **kwargs):
 
 @main.command("rate-study")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None, help="override the config seed")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="override the config seed")
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 def rate_study(config_path, seed, out, threads):
     """Posterior contraction-rate study (exit 2 when the slope misses tolerance)."""
     kv, spec = _study_kv(
@@ -271,7 +284,7 @@ def rate_study(config_path, seed, out, threads):
 
 @main.command("small-ball")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), required=True)
 def small_ball(config_path, seed, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
@@ -296,9 +309,9 @@ def small_ball(config_path, seed, out):
 
 @main.command("decay-study")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
     kv, spec = _study_kv(config_path, seed, "f0.beta f0.R f0.kind r n_grid replicates sampler budget")

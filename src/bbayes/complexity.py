@@ -1,9 +1,15 @@
 """Complexity functionals on finite function dictionaries: sup-norm covering
 numbers, one-sided bracketing numbers and the separation quantity.
 
-Exact answers use subset search over bitmask coverage sets and are gated at 20
-pool elements / 20 members; larger inputs fall back to greedy set cover, whose
-value is an upper bound within a factor 1 + ln(size) of the optimum.
+Each functional is one weighted set cover.  It builds a boolean coverage
+matrix, ``covers[c, k]`` true when candidate c covers member k, by testing each
+candidate row against the stacked member values, and hands it to ``_cover``;
+counts are covers with unit weights.  When both dimensions are at most
+``EXACT_LIMIT`` the cover is exact: Dijkstra over bitmask coverage states,
+branching only on the candidates that cover the lowest uncovered member.
+Every cover contains such a candidate, so the search misses no optimum.
+Larger inputs fall back to greedy set cover, whose value is an upper bound
+within a factor 1 + ln(members) of the optimum.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, common_values, positive_part_integral
+from .grid import GridFunction
 
 __all__ = [
     "FunctionDictionary",
     "UncoverableMemberError",
-    "ExactSizeError",
     "CoverResult",
     "covering_number",
     "one_sided_bracketing_number",
@@ -35,10 +40,6 @@ EXACT_LIMIT = 20
 
 class UncoverableMemberError(ValueError):
     """Some dictionary member admits no admissible bracket in the pool."""
-
-
-class ExactSizeError(ValueError):
-    """Exact enumeration requested beyond the supported size."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,10 @@ class FunctionDictionary:
     def grid_level(self) -> int:
         return self.members[0].grid_level
 
+    def matrix(self, level: int) -> np.ndarray:
+        """The members refined to ``level``, stacked as an ``(N, 2**level)`` matrix (row k = member k)."""
+        return np.stack([f.refine(level).values for f in self.members])
+
 
 @dataclass(frozen=True)
 class CoverResult:
@@ -71,48 +76,35 @@ class CoverResult:
     selection: tuple
 
 
-def _exact_min_cover(masks: list[int], full: int) -> list[int]:
-    """Minimal-cardinality cover by breadth-first search over coverage states."""
-    frontier = {0: []}
-    for _size in range(1, len(masks) + 1):
-        nxt: dict[int, list[int]] = {}
-        for state, chosen in frontier.items():
-            for i, mask in enumerate(masks):
-                if chosen and i <= chosen[-1]:
-                    continue
-                new = state | mask
-                if new == full:
-                    return chosen + [i]
-                if new not in nxt:
-                    nxt[new] = chosen + [i]
-        frontier = nxt
-        if not frontier:
-            break
-    raise UncoverableMemberError("pool cannot cover the dictionary")
+def _coverage(candidates: FunctionDictionary, dict_: FunctionDictionary, test) -> np.ndarray:
+    """``(len(candidates), len(dict_))`` matrix whose row c is ``test(c, F)``, F the member matrix.
+
+    Both sides are refined to the finer grid.  One row at a time keeps memory at one member matrix.
+    """
+    lvl = max(candidates.grid_level, dict_.grid_level)
+    members = dict_.matrix(lvl)
+    return np.array([test(c, members) for c in candidates.matrix(lvl)], dtype=bool)
 
 
-def _exact_min_weight_cover(masks: list[int], weights: list[float], full: int) -> list[int]:
-    """Minimal-weight cover by Dijkstra over coverage states."""
-    best: dict[int, float] = {0: 0.0}
-    heap = [(0.0, 0, [])]
-    while heap:
+def _exact_cover(masks: list[int], weights: list[float], full: int) -> list[int]:
+    """Minimum-weight cover by Dijkstra over coverage states (weights nonnegative)."""
+    by_member = [[i for i, mask in enumerate(masks) if mask >> k & 1] for k in range(full.bit_length())]
+    best = {0: 0.0}
+    heap = [(0.0, 0, ())]
+    while True:
         cost, state, chosen = heapq.heappop(heap)
         if state == full:
-            return chosen
-        if cost > best.get(state, math.inf):
+            return sorted(chosen)
+        if cost > best[state]:
             continue
-        for i, mask in enumerate(masks):
-            if chosen and i <= chosen[-1]:
-                continue
-            new = state | mask
-            new_cost = cost + weights[i]
+        for i in by_member[(~state & (state + 1)).bit_length() - 1]:  # the lowest uncovered member
+            new, new_cost = state | masks[i], cost + weights[i]
             if new_cost < best.get(new, math.inf):
                 best[new] = new_cost
-                heapq.heappush(heap, (new_cost, new, chosen + [i]))
-    raise UncoverableMemberError("pool cannot cover the dictionary")
+                heapq.heappush(heap, (new_cost, new, chosen + (i,)))
 
 
-def _greedy_complete(masks: list[int], weights: list[float] | None, full: int, first: int) -> list[int]:
+def _greedy_complete(masks: list[int], weights: list[float], full: int, first: int) -> list[int]:
     """Complete a cover greedily from a forced first pick, then drop redundancies."""
     chosen = [first]
     covered = masks[first]
@@ -123,16 +115,14 @@ def _greedy_complete(masks: list[int], weights: list[float] | None, full: int, f
             gain = bin(mask & ~covered).count("1")
             if gain == 0:
                 continue
-            score = (weights[i] if weights is not None else 1.0) / gain
+            score = weights[i] / gain
             if score < best_score - 1e-15:
                 best_score = score
                 best_i = i
-        if best_i < 0:
-            raise UncoverableMemberError("pool cannot cover the dictionary")
         chosen.append(best_i)
         covered |= masks[best_i]
     # prune: remove redundant picks, most expensive first
-    for i in sorted(chosen, key=lambda k: -(weights[k] if weights is not None else 1.0)):
+    for i in sorted(chosen, key=lambda k: -weights[k]):
         rest = [j for j in chosen if j != i]
         rest_cover = 0
         for j in rest:
@@ -142,7 +132,7 @@ def _greedy_complete(masks: list[int], weights: list[float] | None, full: int, f
     return chosen
 
 
-def _greedy_cover(masks: list[int], weights: list[float] | None, full: int) -> list[int]:
+def _greedy_cover(masks: list[int], weights: list[float], full: int) -> list[int]:
     """Multi-start pruned greedy set cover; ties broken by lowest index.
 
     Each pool element is tried as the forced first pick, the rest of the cover
@@ -150,73 +140,40 @@ def _greedy_cover(masks: list[int], weights: list[float] | None, full: int) -> l
     cheapest completed cover wins.  Still an upper bound on the optimum, but
     exact on most small instances.
     """
-    best: list[int] | None = None
+    best: list[int] = []
     best_weight = math.inf
     for first, mask in enumerate(masks):
         if mask == 0:
             continue
         chosen = _greedy_complete(masks, weights, full, first)
-        total = sum((weights[i] if weights is not None else 1.0) for i in chosen)
+        total = sum(weights[i] for i in chosen)
         if total < best_weight - 1e-15:
             best_weight = total
             best = chosen
-    if best is None:
-        raise UncoverableMemberError("pool cannot cover the dictionary")
     return best
 
 
-def _sup_distance(f: GridFunction, g: GridFunction) -> float:
-    a, b, _ = common_values(f, g)
-    return float(np.abs(a - b).max())
-
-
-def _check_coverage(masks: list[int], n_members: int, what: str) -> None:
-    union = 0
-    for m in masks:
-        union |= m
-    missing = [k for k in range(n_members) if not (union >> k) & 1]
+def _cover(covers: np.ndarray, weights: list[float]) -> CoverResult:
+    """Cheapest set of rows of ``covers`` whose union holds every column; exact when both sides are small."""
+    missing = np.flatnonzero(~covers.any(axis=0)).tolist()
     if missing:
-        raise UncoverableMemberError(f"members {missing} have no admissible {what}")
+        raise UncoverableMemberError(f"members {missing} have no admissible bracket in the pool")
+    masks = [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in covers]
+    exact = max(covers.shape) <= EXACT_LIMIT
+    sel = (_exact_cover if exact else _greedy_cover)(masks, weights, (1 << covers.shape[1]) - 1)
+    return CoverResult(sum(weights[i] for i in sel), exact, tuple(sel))
 
 
-def covering_number_detailed(dict_: FunctionDictionary, eps: float, exact: bool) -> CoverResult:
+def covering_number_detailed(dict_: FunctionDictionary, eps: float) -> CoverResult:
     if not eps > 0:
         raise ValueError("eps must be positive")
-    members = dict_.members
-    n = len(members)
-    masks = []
-    for center in members:
-        mask = 0
-        for k, f in enumerate(members):
-            if _sup_distance(center, f) <= eps:
-                mask |= 1 << k
-        masks.append(mask)
-    full = (1 << n) - 1
-    if exact:
-        if n > EXACT_LIMIT:
-            raise ExactSizeError(f"exact covering limited to {EXACT_LIMIT} members")
-        sel = _exact_min_cover(masks, full)
-    else:
-        sel = _greedy_cover(masks, None, full)
-    return CoverResult(float(len(sel)), exact, tuple(sel))
+    covers = _coverage(dict_, dict_, lambda c, members: np.abs(c - members).max(axis=1) <= eps)
+    return _cover(covers, [1.0] * len(dict_))
 
 
-def covering_number(dict_: FunctionDictionary, eps: float, exact: bool = True) -> int:
+def covering_number(dict_: FunctionDictionary, eps: float) -> int:
     """Minimal number of closed sup-norm eps-balls centered at members covering the dictionary."""
-    return int(covering_number_detailed(dict_, eps, exact).value)
-
-
-def _bracket_masks(dict_: FunctionDictionary, delta: float, pool: FunctionDictionary) -> list[int]:
-    masks = []
-    for ell in pool.members:
-        mask = 0
-        for k, f in enumerate(dict_.members):
-            a, b, _ = common_values(ell, f)
-            if np.all(a <= b) and float((b - a).mean()) <= delta:
-                mask |= 1 << k
-        masks.append(mask)
-    _check_coverage(masks, len(dict_.members), f"lower bracket at tolerance {delta}")
-    return masks
+    return int(covering_number_detailed(dict_, eps).value)
 
 
 def one_sided_bracketing_number_detailed(
@@ -224,11 +181,12 @@ def one_sided_bracketing_number_detailed(
 ) -> CoverResult:
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    masks = _bracket_masks(dict_, delta, bracket_pool)
-    full = (1 << len(dict_.members)) - 1
-    exact = len(bracket_pool) <= EXACT_LIMIT and len(dict_.members) <= EXACT_LIMIT
-    sel = _exact_min_cover(masks, full) if exact else _greedy_cover(masks, None, full)
-    return CoverResult(float(len(sel)), exact, tuple(sel))
+    covers = _coverage(
+        bracket_pool,
+        dict_,
+        lambda ell, members: np.all(ell <= members, axis=1) & ((members - ell).mean(axis=1) <= delta),
+    )
+    return _cover(covers, [1.0] * len(bracket_pool))
 
 
 def one_sided_bracketing_number(
@@ -243,24 +201,10 @@ def separation_quantity_detailed(
 ) -> CoverResult:
     if not n > 0:
         raise ValueError("n must be positive")
-    masks = []
-    for ell in bracket_pool.members:
-        mask = 0
-        for k, f in enumerate(dict_.members):
-            a, b, _ = common_values(ell, f)
-            if np.all(a <= b):
-                mask |= 1 << k
-        masks.append(mask)
-    _check_coverage(masks, len(dict_.members), "lower bracket")
-    weights = [math.exp(-n * positive_part_integral(ell, f0)) for ell in bracket_pool.members]
-    full = (1 << len(dict_.members)) - 1
-    exact = len(bracket_pool) <= EXACT_LIMIT and len(dict_.members) <= EXACT_LIMIT
-    sel = (
-        _exact_min_weight_cover(masks, weights, full)
-        if exact
-        else _greedy_cover(masks, weights, full)
-    )
-    return CoverResult(float(sum(weights[i] for i in sel)), exact, tuple(sel))
+    covers = _coverage(bracket_pool, dict_, lambda ell, members: np.all(ell <= members, axis=1))
+    lvl = max(bracket_pool.grid_level, f0.grid_level)
+    excess = np.maximum(bracket_pool.matrix(lvl) - f0.refine(lvl).values, 0.0).mean(axis=1)
+    return _cover(covers, [math.exp(-n * float(x)) for x in excess])
 
 
 def separation_quantity(

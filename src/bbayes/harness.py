@@ -564,15 +564,14 @@ def run_posterior_decay_study(
 # report emission
 
 
-def emit_report(report, out_dir, stem: str | None = None) -> int:
+def emit_report(report, out_dir) -> int:
     """Write CSV and SVG artifacts; returns the CLI exit code (0 pass, 2 tolerance fail)."""
     out = Path(out_dir)
-    if stem is None:
-        stem = {
-            RateStudyReport: "rate_study",
-            SmallBallReport: "small_ball",
-            DecayStudyReport: "decay_study",
-        }[type(report)]
+    stem = {
+        RateStudyReport: "rate_study",
+        SmallBallReport: "small_ball",
+        DecayStudyReport: "decay_study",
+    }[type(report)]
     write_text(out / f"{stem}.csv", report.to_csv())
     svg = report.to_svg()
     if svg is not None:

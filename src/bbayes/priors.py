@@ -42,22 +42,17 @@ class CoefficientDistribution:
     """Symmetric unimodal coefficient law: gaussian, laplace or uniform.
 
     ``scale`` is the standard deviation (gaussian), the inverse rate (laplace)
-    or the half-width (uniform).  ``tail_rate`` is a rate g with
-    density(x) <= g^{-1} e^{-g|x|}; it is filled in automatically for the
-    gaussian and laplace kinds.
+    or the half-width (uniform).
     """
 
     kind: str
     scale: float = 1.0
-    tail_rate: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-        if self.tail_rate is None and self.kind != "uniform":
-            object.__setattr__(self, "tail_rate", _default_tail_rate(self.kind, self.scale))
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -70,17 +65,6 @@ class CoefficientDistribution:
             out = np.where(np.abs(x) <= s, 1.0 / (2.0 * s), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        s = self.scale
-        if self.kind == "gaussian":
-            out = -0.5 * (x / s) ** 2 - math.log(s * math.sqrt(2.0 * math.pi))
-        elif self.kind == "laplace":
-            out = -np.abs(x) / s - math.log(2.0 * s)
-        else:
-            out = np.where(np.abs(x) <= s, -math.log(2.0 * s), -np.inf)
-        return float(out) if out.ndim == 0 else out
-
     def sample(self, rng: np.random.Generator, size=None):
         s = self.scale
         if self.kind == "gaussian":
@@ -90,28 +74,20 @@ class CoefficientDistribution:
         return rng.uniform(-s, s, size=size)
 
 
-def _default_tail_rate(kind: str, scale: float) -> float:
-    if kind == "laplace":
-        # (2s)^{-1} e^{-|x|/s} <= g^{-1} e^{-g|x|} needs g <= 1/s and g <= 2s
-        return min(1.0 / scale, 2.0 * scale)
-    # gaussian: shrink the rate until the exponential envelope dominates
-    grid = np.linspace(0.0, 20.0 * scale, 2001)
-    pdf = np.exp(-0.5 * (grid / scale) ** 2) / (scale * math.sqrt(2.0 * math.pi))
-    gamma = 1.0 / scale
-    for _ in range(200):
-        envelope = np.exp(-gamma * grid) / gamma
-        if np.all(envelope >= pdf):
-            return gamma
-        gamma *= 0.8
-    raise RuntimeError("could not calibrate a tail rate")
-
-
-_VARIANTS = ("brownian_start", "wavelet_series", "truncated_wavelet")
+# the optional PriorSpec fields each variant reads
+_VARIANTS = {
+    "brownian_start": (),
+    "wavelet_series": ("alpha", "dist", "j_max"),
+    "truncated_wavelet": ("dist", "j_cap"),
+}
 
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Declarative description of one of the three prior families."""
+    """Declarative description of one of the three prior families.
+
+    A field the variant does not read must be left unset (``None``).
+    """
 
     variant: str
     grid_level: int = 8
@@ -122,9 +98,13 @@ class PriorSpec:
 
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(_VARIANTS)}")
         if self.grid_level < 1:
             raise ValueError("grid_level must be >= 1")
+        fields = ("alpha", "dist", "j_max", "j_cap")
+        unread = [f for f in fields if getattr(self, f) is not None and f not in _VARIANTS[self.variant]]
+        if unread:
+            raise ValueError(f"{self.variant} does not read {', '.join(unread)}")
         if self.variant == "wavelet_series":
             if self.alpha is None or not self.alpha > 0:
                 raise ValueError("wavelet_series needs alpha > 0")
@@ -328,8 +308,7 @@ def prior_spec_from_mapping(kv: dict[str, str]) -> PriorSpec:
 
     dist = None
     if "dist.kind" in kv:
-        scale, tail_rate = take("dist.scale", float, 1.0), take("dist.tail_rate", float)
-        dist = CoefficientDistribution(kv.pop("dist.kind"), scale, tail_rate)
+        dist = CoefficientDistribution(kv.pop("dist.kind"), take("dist.scale", float, 1.0))
     spec = PriorSpec(
         variant=kv.pop("variant", None),
         grid_level=take("grid_level", int, 8),
@@ -350,8 +329,6 @@ def format_prior_config(spec: PriorSpec) -> str:
     if spec.dist is not None:
         lines.append(f"dist.kind = {spec.dist.kind}")
         lines.append(f"dist.scale = {spec.dist.scale!r}")
-        if spec.dist.tail_rate is not None:
-            lines.append(f"dist.tail_rate = {spec.dist.tail_rate!r}")
     if spec.j_max is not None:
         lines.append(f"j_max = {spec.j_max}")
     if spec.j_cap is not None:

@@ -227,7 +227,7 @@ def test_criterion_6_complexity_oracles_and_separation_bound():
         n = float(rng.uniform(0.5, 5.0))
         f0 = GridFunction(2, rng.choice([-0.5, 0.0, 0.5], size=4))
         exact = {
-            "covering": covering_number_detailed(d, eps, exact=True).value,
+            "covering": covering_number_detailed(d, eps).value,
             "bracketing": one_sided_bracketing_number_detailed(d, delta, pool).value,
             "separation": separation_quantity_detailed(d, f0, n, pool).value,
         }
@@ -235,7 +235,7 @@ def test_criterion_6_complexity_oracles_and_separation_bound():
         cx.EXACT_LIMIT = 0
         try:
             greedy = {
-                "covering": covering_number_detailed(d, eps, exact=False).value,
+                "covering": covering_number_detailed(d, eps).value,
                 "bracketing": one_sided_bracketing_number_detailed(d, delta, pool).value,
                 "separation": separation_quantity_detailed(d, f0, n, pool).value,
             }

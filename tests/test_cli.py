@@ -111,6 +111,44 @@ def test_complexity_json_matches_library(runner, tmp_path):
     res = runner.invoke(main, ["complexity", "--dict", str(dict_file), "--quantity", "covering",
                                "--out", str(out)])
     assert res.exit_code == 1  # --eps missing
+    pool_file = tmp_path / "pool.csv"
+    pool_file.write_text(GridFunction.constant(1.0, 2).to_csv())  # above the members at 0 and 0.5
+    res = runner.invoke(main, ["complexity", "--dict", str(dict_file), "--quantity", "bracketing", "--delta", "5",
+                               "--pool", str(pool_file), "--out", str(tmp_path / "unc")])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)  # an error line, not a traceback
+    assert res.output == "Error: members [0, 1] have no admissible bracket in the pool\n"
+    assert not (tmp_path / "unc").exists()
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["simulate", "--n", "0"], "--n"),
+        (["simulate", "--n", "5", "--grid-level", "-1"], "--grid-level"),
+        (["simulate", "--n", "5", "--seed", "-1"], "--seed"),
+        (["simulate", "--n", "5", "--beta", "0.5"], "smooth kind requires beta = 1"),
+        (["mle", "--pattern", "{sim}/pattern.csv", "--lip", "-1"], "--lip"),
+        (["mle", "--pattern", "{sim}/pattern.csv", "--bins", "3"], "bins must be a power of two"),
+        (["posterior", "--prior", "{prior}", "--pattern", "{sim}/pattern.csv", "--budget", "0"], "--budget"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "-1"], "--eps"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "bracketing", "--delta", "-1"], "--delta"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "separation", "--n", "0", "--f0", "{sim}/f0.csv"],
+         "--n"),
+        (["rate-study", "--config", "{prior}", "--threads", "0"], "--threads"),
+    ],
+    ids=["simulate-n-0", "grid-level-negative", "seed-negative", "smooth-beta", "mle-lip-negative", "mle-bins-3",
+         "posterior-budget-0", "eps-negative", "delta-negative", "separation-n-0", "threads-0"],
+)
+def test_bad_option_values_are_usage_errors(runner, tmp_path, args, named):
+    sim = tmp_path / "sim"
+    _run(runner, ["simulate", "--n", "20", "--grid-level", "2", "--seed", "1", "--out", str(sim)])
+    prior = tmp_path / "prior.cfg"
+    prior.write_text("variant = brownian_start\ngrid_level = 2\n")
+    out = tmp_path / "o"
+    res = runner.invoke(main, [a.format(sim=sim, prior=prior) for a in args] + ["--out", str(out)])
+    assert res.exit_code == 2  # a usage error that names the option, not a traceback
+    assert named in res.output
+    assert not out.exists()
 
 
 RATE_CFG = """
@@ -196,6 +234,8 @@ def test_study_config_unknown_keys_rejected(runner, tmp_path):
         ("prior.variant = brownian_start\nprior.gird_level = 5\n", "gird_level"),
         ("prior.grid_level = 4\n", "variant must be one of"),
         ("prior.variant = brownian_start\nprior.grid_level = five\n", "'grid_level'"),
+        ("prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
+         "prior.dist.tail_rate = 1.0\n", "dist.tail_rate"),
     ],
 )
 def test_study_config_bad_prior_keys_rejected(runner, tmp_path, prior_lines, key):
@@ -225,6 +265,8 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("decay-study", "f0.kind = cusp\nn_grid = 20,5\nreplicates = 2\n", "strictly increasing, got (20.0, 5.0)"),
         ("decay-study", "f0.kind = cusp\nn_grid = 20\nreplicates = 2\n", "at least 2 values"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 0\n", "replicates must be >= 1, got 0"),
+        ("decay-study", "prior.alpha = 2\nf0.kind = cusp\nn_grid = 5,20\nreplicates = 4\n",
+         "brownian_start does not read alpha"),
     ],
     ids=[
         "rate-replicates-5",
@@ -237,6 +279,7 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "decay-n-grid-decreasing",
         "decay-n-grid-one-value",
         "decay-replicates-0",
+        "decay-brownian-alpha",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):

@@ -18,7 +18,6 @@ from bbayes import (
     separation_quantity,
 )
 from bbayes.complexity import (
-    ExactSizeError,
     UncoverableMemberError,
     covering_number_detailed,
     one_sided_bracketing_number_detailed,
@@ -116,7 +115,7 @@ def test_exact_covering_matches_brute_force():
     for _ in range(25):
         d = _random_dict(rng, int(rng.integers(2, 8)))
         eps = float(rng.uniform(0.2, 1.5))
-        res = covering_number_detailed(d, eps, exact=True)
+        res = covering_number_detailed(d, eps)
         assert res.exact
         assert int(res.value) == _brute_covering(d, eps)
         # the reported selection really is a cover of the stated size
@@ -162,10 +161,10 @@ def test_greedy_upper_bounds_exact(monkeypatch):
         eps = float(rng.uniform(0.3, 1.2))
         n = 2.0
         f0 = _const(0.0)
-        exact_cov = covering_number(d, eps, exact=True)
+        exact_cov = covering_number(d, eps)
         exact_sep = separation_quantity(d, f0, n, pool)
         monkeypatch.setattr(cx, "EXACT_LIMIT", 0)
-        greedy_cov = covering_number_detailed(d, eps, exact=False)
+        greedy_cov = covering_number_detailed(d, eps)
         greedy_sep = separation_quantity_detailed(d, f0, n, pool)
         monkeypatch.setattr(cx, "EXACT_LIMIT", 20)
         assert not greedy_cov.exact and not greedy_sep.exact
@@ -207,10 +206,25 @@ def test_uncoverable_member():
 
 def test_exact_size_gate():
     members = tuple(_const(float(c)) for c in range(21))
-    d = FunctionDictionary(members)
-    with pytest.raises(ExactSizeError):
-        covering_number(d, 0.5, exact=True)
-    assert covering_number(d, 0.5, exact=False) >= 1
+    res = covering_number_detailed(FunctionDictionary(members), 0.5)
+    assert not res.exact
+    assert res.value == 21.0  # unit-spaced constants: every ball holds one member
+
+
+def test_exact_cover_at_the_size_gate(monkeypatch):
+    # 20 members is the largest exact size; a subset search over them is exponential
+    rng = np.random.default_rng(20)
+    d = FunctionDictionary(tuple(GridFunction(2, v) for v in rng.uniform(-1.0, 1.0, size=(20, 4))))
+    eps = 0.4
+    res = covering_number_detailed(d, eps)
+    assert res.exact
+    centers = [d.members[i] for i in res.selection]
+    assert len(centers) == int(res.value)
+    assert all(any(_sup(c, f) <= eps for c in centers) for f in d.members)
+    monkeypatch.setattr(cx, "EXACT_LIMIT", 0)
+    greedy = covering_number_detailed(d, eps)
+    assert not greedy.exact
+    assert res.value <= greedy.value
 
 
 def test_default_bracket_pool_contents():

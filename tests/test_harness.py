@@ -298,5 +298,5 @@ def test_emit_report_writes_artifacts_and_exit_codes(tmp_path):
     assert (tmp_path / "rate_study.csv").read_text() == report.to_csv()
     assert (tmp_path / "rate_study.svg").read_text() == report.to_svg()
     forced_fail = run_rate_study(_tiny_rate_cfg(slope_tol=1e-9))
-    assert emit_report(forced_fail, tmp_path, stem="forced") == 2
-    assert (tmp_path / "forced.csv").exists()
+    assert emit_report(forced_fail, tmp_path / "forced") == 2
+    assert (tmp_path / "forced" / "rate_study.csv").read_text() == forced_fail.to_csv()

@@ -3,8 +3,9 @@
 No module may import a name it never uses (``__init__.py`` re-exports are
 exempt), no module may reach into a sibling for a ``_``-prefixed name, every
 name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
-a caller in the package, ``import bbayes`` must not load ``scipy.stats``, and
-every name the benchmark under ``perfbench/`` imports from ``bbayes`` must exist.
+a caller in the package, every function parameter must be read,
+``import bbayes`` must not load ``scipy.stats``, and every name the benchmark
+under ``perfbench/`` imports from ``bbayes`` must exist.
 """
 
 import ast
@@ -87,6 +88,23 @@ def test_private_helpers_have_a_src_caller():
     orphans = [f"{name}: {node.name}" for name, node in defs if refs[node.name] <= _referenced(node)[node.name]]
     assert defs, "no private helper found"
     assert not orphans, orphans
+
+
+def test_every_parameter_is_read():
+    # a parameter that is accepted and then ignored misleads every caller that sets it
+    ignored = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = (n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            ignored += [f"{path.name}: {name}({p.arg})" for p in params if p.arg not in read | {"self", "cls"}]
+    assert not ignored, ignored
 
 
 def test_import_does_not_load_scipy_stats():
