@@ -2,11 +2,13 @@
 
 Exit codes: 0 pass, 1 error (for instance a ``complexity`` dictionary member
 that no pool function brackets), 2 tolerance failure or usage error (an option
-that is unknown or outside its domain, a study config key that is unknown, a
+that is unknown or outside its domain, a ``--pattern``, ``--f0``, ``--dict`` or
+``--pool`` file that does not parse, a study config key that is unknown, a
 study config value that is unreadable or that the study rejects, or a prior
 key, in a ``--prior`` file or as ``prior.*`` in a study config, that is
-unknown, missing, unreadable or not read by its variant).  Options and study
-configs are checked before any work starts, so a usage error writes nothing.
+unknown, missing, unreadable or not read by its variant).  Options, input
+files and study configs are checked before any work starts, so a usage error
+writes nothing.
 All subcommands are deterministic given ``--seed``.
 """
 
@@ -54,12 +56,12 @@ def main() -> None:
     """Support-boundary point process toolkit."""
 
 
-def _load_grid_function(path: str) -> GridFunction:
-    return GridFunction.from_csv(Path(path).read_text())
-
-
-def _load_pattern(path: str) -> PointPattern:
-    return PointPattern.from_csv(Path(path).read_text())
+def _load(path: str, parse):
+    """``parse`` of the text of the file at ``path``; a file it rejects is a usage error that names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise click.UsageError(f"bad input file {path}: {exc}") from None
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -103,12 +105,12 @@ def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
         spec = parse_prior_config(Path(prior_file).read_text())
     except ValueError as exc:
         raise click.UsageError(f"bad prior config in {prior_file}: {exc}")
-    pattern = _load_pattern(pattern_file)
+    pattern = _load(pattern_file, PointPattern.from_csv)
+    f0 = _load(f0_file, GridFunction.from_csv) if f0_file else None
     try:
         ens = sample_posterior(build_prior(spec), pattern, sampler, budget, _rng(seed))
     except DegeneratePosteriorError as exc:
         raise click.ClickException(str(exc))
-    f0 = _load_grid_function(f0_file) if f0_file else None
     write_text(Path(out) / "ensemble_summary.csv", ens.summary_csv(f0))
     write_text(Path(out) / "ensemble.flat", ens.to_flat_file())
     click.echo(f"stored {len(ens)} samples (meta: {ens.meta})")
@@ -124,7 +126,7 @@ def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
 @click.option("--out", type=click.Path(), required=True)
 def mle(pattern_file, lip, bins, cap, grid_level, out):
     """Boundary MLE over a capped Lipschitz or piecewise-constant class."""
-    pattern = _load_pattern(pattern_file)
+    pattern = _load(pattern_file, PointPattern.from_csv)
     if cap is None:
         cap = pattern.ceiling
     if (lip is None) == (bins is None):
@@ -153,13 +155,9 @@ def mle(pattern_file, lip, bins, cap, grid_level, out):
 @click.option("--out", type=click.Path(), required=True)
 def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
     """Covering/bracketing/separation functionals of a function dictionary."""
-    members = _split_dictionary(Path(dict_file).read_text())
-    dict_ = FunctionDictionary(tuple(members))
-    pool = (
-        FunctionDictionary(tuple(_split_dictionary(Path(pool_file).read_text())))
-        if pool_file
-        else default_bracket_pool(dict_)
-    )
+    dict_ = _load(dict_file, _dictionary)
+    pool = _load(pool_file, _dictionary) if pool_file else default_bracket_pool(dict_)
+    f0 = _load(f0_file, GridFunction.from_csv) if f0_file else None
     if quantity == "covering" and eps is None:
         raise click.ClickException("--eps required for covering")
     if quantity == "bracketing" and delta is None:
@@ -172,7 +170,7 @@ def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
         elif quantity == "bracketing":
             res = one_sided_bracketing_number_detailed(dict_, delta, pool)
         else:
-            res = separation_quantity_detailed(dict_, _load_grid_function(f0_file), n, pool)
+            res = separation_quantity_detailed(dict_, f0, n, pool)
     except UncoverableMemberError as exc:
         raise click.ClickException(str(exc))
     report = {
@@ -185,8 +183,8 @@ def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
     click.echo(json.dumps(report, sort_keys=True))
 
 
-def _split_dictionary(text: str):
-    """Split a file of concatenated GridFunction CSVs on their header lines."""
+def _dictionary(text: str) -> FunctionDictionary:
+    """The dictionary of a file of concatenated GridFunction CSVs, split on their header lines."""
     blocks = []
     current: list[str] = []
     for line in text.splitlines():
@@ -197,7 +195,7 @@ def _split_dictionary(text: str):
             current.append(line)
     if current:
         blocks.append(current)
-    return [GridFunction.from_csv("\n".join(b)) for b in blocks]
+    return FunctionDictionary(tuple(GridFunction.from_csv("\n".join(b)) for b in blocks))
 
 
 def _study_kv(config_path: str, seed: int | None, keys: str):

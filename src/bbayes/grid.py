@@ -171,13 +171,19 @@ class PointPattern:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("#"):
             raise ValueError("missing '# intensity=<n> ceiling=<y_max>' header")
-        header = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
-        n = float(header["intensity"])
-        ceiling = float(header["ceiling"])
-        rows = [ln for ln in lines[1:] if ln != "x,y"]
-        xs = np.array([float(r.split(",")[0]) for r in rows])
-        ys = np.array([float(r.split(",")[1]) for r in rows])
-        return cls(n, ceiling, xs, ys)
+        header = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
+        missing = [key for key in ("intensity", "ceiling") if key not in header]
+        if missing:
+            raise ValueError(f"header {lines[0]!r} lacks {' and '.join(missing)}")
+        xs, ys = [], []
+        for row in (ln for ln in lines[1:] if ln != "x,y"):
+            try:
+                x, y = map(float, row.split(","))
+            except ValueError:
+                raise ValueError(f"row {row!r} is not 'x,y'") from None
+            xs.append(x)
+            ys.append(y)
+        return cls(float(header["intensity"]), float(header["ceiling"]), xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,10 @@ class StudyConfigError(ValueError):
     """A study config value that the study rejects; raised before any work starts."""
 
 
-def _check_sampler(sampler: str, spec: PriorSpec) -> None:
-    """StudyConfigError unless the named posterior sampler applies to the prior ``spec``."""
+def _check_sampler(sampler: str, budget: int, spec: PriorSpec) -> None:
+    """StudyConfigError unless the named posterior sampler applies to the prior ``spec`` and ``budget >= 1``."""
+    if budget < 1:
+        raise StudyConfigError(f"budget must be >= 1, got {budget}")
     if sampler not in ("importance", "mcmc", "exact"):
         raise StudyConfigError(f"sampler must be 'importance', 'mcmc' or 'exact', got {sampler!r}")
     if sampler == "exact" and (spec.variant != "truncated_wavelet" or spec.dist.kind != "gaussian"):
@@ -151,13 +153,15 @@ class RateStudyConfig:
 
     def __post_init__(self) -> None:
         n_grid = _check_cells(self.n_grid, self.replicates, 4, 10)
-        _check_sampler(self.sampler, self.prior)
+        _check_sampler(self.sampler, self.budget, self.prior)
         if self.error_metric not in ("l1", "lower_part", "upper_part"):
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
         try:
-            self.f0()
+            top = self.f0().max()
         except ValueError as exc:
             raise StudyConfigError(f"f0: {exc}") from None
+        if self.ceiling is not None and not self.ceiling > top:  # else no point is ever drawn near the top of f0
+            raise StudyConfigError(f"ceiling must exceed max(f0) = {top!r}, got {self.ceiling!r}")
         object.__setattr__(self, "n_grid", n_grid)
 
     def f0(self) -> GridFunction:
@@ -458,6 +462,8 @@ def run_small_ball_study(
     far below 1/draws.  The truncated wavelet prior uses plain Monte Carlo
     over ``draws`` prior draws.
     """
+    if draws < 1:
+        raise StudyConfigError(f"draws must be >= 1, got {draws}")
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
@@ -547,7 +553,7 @@ def run_posterior_decay_study(
     Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
     The medians are compared in grid order, so the grid must increase.
     """
-    _check_sampler(sampler, prior_spec)
+    _check_sampler(sampler, budget, prior_spec)
     n_grid = _check_cells(n_grid, replicates, 2, 1)
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)

@@ -5,11 +5,17 @@ gaussian truncated wavelet prior.  Metropolis is used only for finite priors.
 The posterior density with respect to the prior is ``e^{n * integral(f)}`` on
 the set of functions lying below every data point, and zero elsewhere.  For a
 piecewise-constant candidate the constraint is equivalent to lying below the
-per-bin minima of the point ordinates, which keeps every check O(grid size).
-Every sampler enforces the constraint exactly; infeasible states are never
-stored.  Under gaussian priors every exact move is a one-sided truncated
-normal, drawn by inversion in log space with one uniform per value: no
-rejection loop, accurate arbitrarily deep in the tail.
+per-bin minima of the point ordinates, so each sampler reduces the pattern to
+them once and its kernels read nothing else.  Every sampler enforces the
+constraint exactly; infeasible states are never stored.  Under gaussian
+priors every exact move is a one-sided truncated normal, drawn by inversion
+in log space with one uniform per value: no rejection loop, accurate
+arbitrarily deep in the tail.
+
+Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
+burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
+apart, set from the total budget.  The Gibbs kernels are generators of
+states, which ``_run_chain`` runs for the scheduled sweeps and stores.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
 the prior's grid level), ``log_weights`` and ``meta``; every functional is a
@@ -156,12 +162,6 @@ def _std_normal_tail(q, alpha):
     return np.minimum(ndtri_exp(np.log1p(-q) + log_ndtr(alpha)), alpha)
 
 
-def _sample_std_normal_tail(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
-    """Exact draws of Z ~ N(0, 1) conditioned on Z <= alpha_i, elementwise, one uniform each."""
-    alpha = np.asarray(alpha, dtype=float)
-    return _std_normal_tail(rng.random(alpha.shape), alpha)
-
-
 def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Z ~ N(0, 1) conditioned on a <= Z <= b by inversion of uniforms q, in log space.
 
@@ -300,24 +300,46 @@ def importance_posterior(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    values = prior.draw(rng, draws)
-    values = values[np.all(values <= bin_minima(pattern, prior.grid_level), axis=1)]
+    values, log_lik = _feasible_draws(prior, bin_minima(pattern, prior.grid_level), pattern.intensity, draws, rng)
     if not len(values):
         raise DegeneratePosteriorError(
             "no feasible prior draw; the importance estimate is degenerate, use mcmc_posterior"
         )
     meta = {"sampler": "importance", "draws": draws, "feasibility_rate": len(values) / draws}
-    ens = PosteriorEnsemble(prior.grid_level, values, pattern.intensity * values.mean(axis=1), meta=meta)
+    ens = PosteriorEnsemble(prior.grid_level, values, log_lik, meta=meta)
     ens.meta["ess"] = ens.ess
     return ens
+
+
+def _feasible_draws(prior, mins, n, draws, rng):
+    """The feasible rows of ``draws`` prior draws, and their log-likelihoods ``n * integral``."""
+    values = prior.draw(rng, draws)
+    values = values[np.all(values <= mins, axis=1)]
+    return values, n * values.mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Markov chain samplers: exact Gibbs kernels, Metropolis for finite priors only
 
 
-def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
-    """Exact Gibbs over wavelet coefficients, one block draw per level.
+def _kept(steps: int, cost: int, thin: int) -> range:
+    """The stored sweeps of a chain of ``steps`` site updates at ``cost`` updates per sweep.
+
+    ``stop`` is the sweep count, at least 2; the first fifth of the sweeps is
+    burn-in, then every ``max(1, thin // cost)``-th sweep is stored, so at
+    least one is.  ``thin`` counts site updates.
+    """
+    sweeps, t = max(2, steps // cost), max(1, thin // cost)
+    return range(int(_BURN_IN * sweeps) + t - 1, sweeps, t)
+
+
+def _run_chain(states, keep: range) -> np.ndarray:
+    """Copies of the kept states among the first ``keep.stop`` of the iterator ``states``, as rows."""
+    return np.stack([v.copy() for t, v in zip(range(keep.stop), states) if t in keep])
+
+
+def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rng, meta):
+    """Exact Gibbs over wavelet coefficients, one block draw per level; yields the grid values after each sweep.
 
     Every full conditional is the coefficient prior restricted to an interval
     (from the feasibility constraint) and, for the scaling coefficient only,
@@ -326,14 +348,11 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
     detail coefficients of one level have disjoint supports and no tilt, so
     given the other levels they are independent: each sweep draws the scaling
     coefficient, then every level j in one vector draw of its 2^j
-    coefficients, which is the coordinate scan's kernel.  ``steps`` counts
-    single-coordinate updates.  Returns the stored grid value rows and the
-    count of updates skipped (coefficient left unchanged) because float drift
-    left an empty interval.
+    coefficients, which is the coordinate scan's kernel.  A sweep costs
+    ``latent_dim`` site updates.  Updates skipped (coefficient left unchanged)
+    because float drift left an empty interval are added to
+    ``meta["skipped_updates"]``.
     """
-    n = pattern.intensity
-    mins = bin_minima(pattern, prior.grid_level)
-    dim = prior.latent_dim
     a0 = float(prior.amplitudes[0])
     # per level: coefficient slice and amplitudes, as in synthesize_flat
     levels = [
@@ -341,7 +360,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
         for j in range(prior.j_max + 1)
     ]
 
-    z = prior.dist.sample(rng, size=dim)
+    z = prior.dist.sample(rng, size=prior.latent_dim)
     v = prior.synthesize(z)
     # initialization: lower the scaling coordinate until feasible
     deficit = float(np.max(v - mins))
@@ -354,12 +373,8 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
                 f"below the uniform support [-{prior.dist.scale:g}, {prior.dist.scale:g}]"
             )
 
-    sweeps = max(2, steps // dim)
-    burn_sweeps = int(_BURN_IN * sweeps)
-    thin_sweeps = max(1, thin // dim)
-    stored = []
-    skipped = 0
-    for t in range(sweeps):
+    sweep = 0
+    while True:
         hi = z[:1] + np.min(mins - v) / a0
         z0 = _sample_coefficients_interval(prior.dist, rng, [-math.inf], hi, n * a0)[0]
         v += (z0 - z[0]) * a0
@@ -371,7 +386,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
             lo = z[sl] - slack[:, 1] / a
             empty = hi < lo  # guard against accumulated rounding
             if empty.any():
-                skipped += int(empty.sum())
+                meta["skipped_updates"] += int(empty.sum())
                 lo, hi = np.where(empty, z[sl], lo), np.where(empty, z[sl], hi)
             z_new = _sample_coefficients_interval(prior.dist, rng, lo, hi, 0.0)
             d = ((z_new - z[sl]) * a)[:, None]
@@ -379,13 +394,10 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, pattern, steps, rng, thin):
             halves[:, 0] += d
             halves[:, 1] -= d
             z[sl] = z_new
-        if (t + 1) % 64 == 0:  # refresh against float drift of incremental updates
+        sweep += 1
+        if sweep % 64 == 0:  # refresh against float drift of incremental updates
             v = prior.synthesize(z)
-        if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
-            stored.append(v.copy())
-    if not stored:
-        raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
-    return stored, skipped
+        yield v
 
 
 def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, rng: np.random.Generator) -> None:
@@ -416,8 +428,8 @@ def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, rng: np.random.Gene
     v += shifts
 
 
-def _gibbs_brownian(prior, pattern, steps, rng, thin):
-    """Red-black Gibbs sweep over bin values for the Brownian-start prior.
+def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rng):
+    """Red-black Gibbs sweeps over bin values for the Brownian-start prior; yields the bin values after each sweep.
 
     The prior is Markov across bins, so the full conditional of one bin given
     its neighbours is a gaussian tilted by e^{(n/m) v} and truncated at the bin
@@ -425,21 +437,13 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
     updates alone relax long-wavelength modes diffusively, so each sweep also
     runs one O(m) scan of directional Gibbs moves along suffix shifts
     v -> v + t 1{b >= k} (``_suffix_sweep``), whose conditionals are again
-    exact truncated gaussians.  Each draw inverts one uniform: 2m per sweep.
-    ``steps`` counts single-site updates.
+    exact truncated gaussians.  Each draw inverts one uniform: a sweep costs
+    2m site updates.
     """
     m = 1 << prior.grid_level
-    mins = bin_minima(pattern, prior.grid_level)
-    n = pattern.intensity
-    sweeps = max(2, steps // (2 * m))
     finite = np.isfinite(mins)
-    if finite.any():
-        v = np.full(m, min(0.0, float(mins[finite].min())) - 0.1)
-    else:
-        v = prior.draw(rng, 1)[0]
-
-    evens = np.arange(0, m, 2)
-    odds = np.arange(1, m, 2)
+    v = np.full(m, min(0.0, float(mins[finite].min())) - 0.1) if finite.any() else prior.draw(rng, 1)[0]
+    evens, odds = np.arange(0, m, 2), np.arange(1, m, 2)
 
     def half_sweep(idx):
         lam = np.full(idx.size, 2.0 * m)
@@ -454,43 +458,33 @@ def _gibbs_brownian(prior, pattern, steps, rng, thin):
             lin[-1] = m * v[m - 2] + n / m
         mu = lin / lam
         sd = 1.0 / np.sqrt(lam)
-        v[idx] = mu + sd * _sample_std_normal_tail(rng, (mins[idx] - mu) / sd)
+        v[idx] = mu + sd * _std_normal_tail(rng.random(idx.size), (mins[idx] - mu) / sd)
 
-    burn_sweeps = int(_BURN_IN * sweeps)
-    thin_sweeps = max(1, thin // (2 * m))
-    stored = []
-    for t in range(sweeps):
+    while True:
         half_sweep(evens)
         half_sweep(odds)
         _suffix_sweep(v, mins, n, rng)
-        if t >= burn_sweeps and (t - burn_sweeps) % thin_sweeps == thin_sweeps - 1:
-            stored.append(v.copy())
-    if not stored:
-        raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
-    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": sweeps * 2 * m}
-    return PosteriorEnsemble(prior.grid_level, np.stack(stored), np.zeros(len(stored)), meta=meta)
+        yield v
 
 
-def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin):
-    feasible = np.all(prior.values <= bin_minima(pattern, prior.grid_level), axis=1)
+def _mcmc_finite(prior: FinitePrior, mins, n, rng, steps, thin):
+    """Independence Metropolis over the atoms, one step per sweep of the ``_kept`` schedule."""
+    feasible = np.all(prior.values <= mins, axis=1)
     if not feasible.any():
         raise DegeneratePosteriorError("no feasible atom in the finite prior support")
-    log_lik = np.where(feasible, pattern.intensity * prior.values.mean(axis=1), -math.inf).tolist()
+    log_lik = np.where(feasible, n * prior.values.mean(axis=1), -math.inf).tolist()
     state = int(np.argmax(feasible))
     # independence proposals from the prior (the prior ratio cancels) and their uniforms, drawn up front
     cands = prior.draw_indices(rng, steps).tolist()
     log_u = np.log(rng.random(steps)).tolist()
-    burn_steps = int(_BURN_IN * steps)
-    accepted = 0
-    stored = []
+    keep = _kept(steps, 1, thin)
+    accepted, stored = 0, []
     for t, (cand, lu) in enumerate(zip(cands, log_u)):
         if lu < log_lik[cand] - log_lik[state]:
             state = cand
             accepted += 1
-        if t >= burn_steps and (t - burn_steps) % thin == thin - 1:
+        if t in keep:
             stored.append(state)
-    if not stored:
-        raise DegeneratePosteriorError("no post-burn-in state stored; increase steps")
     rate = accepted / steps
     meta = {"sampler": "mcmc", "steps": steps, "acceptance_rate": rate}
     if not 0.05 <= rate <= 0.95:
@@ -498,17 +492,12 @@ def _mcmc_finite(prior: FinitePrior, pattern, steps, rng, thin):
     return PosteriorEnsemble(prior.grid_level, prior.values[stored], np.zeros(len(stored)), meta=meta)
 
 
-def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin):
-    """One constrained chain per level, combined with per-level evidence estimates."""
-    n = pattern.intensity
-    n_levels = prior.j_cap + 1
-    steps_per_level = max(1, steps // n_levels)
-    rows: list[np.ndarray] = []
-    log_weights: list[float] = []
-    level_log_w = []
-    skipped = 0
-    mins = bin_minima(pattern, prior.grid_level)
-    for j in range(n_levels):
+def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, rng, steps, thin):
+    """One wavelet Gibbs chain per level on a ``steps // (j_cap + 1)`` budget, weighted by the level evidences."""
+    steps_per_level = max(1, steps // (prior.j_cap + 1))
+    rows, log_weights = [], []
+    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": 0, "level_log_weights": []}
+    for j in range(prior.j_cap + 1):
         level = prior.level_prior(j)
         if prior.dist.kind == "gaussian":
             # the evidence is available in closed form
@@ -516,30 +505,20 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, pattern, steps, rng, thin):
         else:
             # evidence Z_j by prior importance sampling at this level; a rough
             # estimate at large intensity, where feasible draws become rare
-            values = level.draw(rng, _EVIDENCE_DRAWS)
-            lws = n * values[np.all(values <= mins, axis=1)].mean(axis=1)
+            lws = _feasible_draws(level, mins, n, _EVIDENCE_DRAWS, rng)[1]
             if not lws.size:
-                level_log_w.append(-math.inf)
+                meta["level_log_weights"].append(-math.inf)
                 continue
             peak = lws.max()
             log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(_EVIDENCE_DRAWS)
         lw_level = math.log(prior.level_probabilities[j]) + log_z
-        stored, level_skipped = _gibbs_wavelet(level, pattern, steps_per_level, rng, thin)
-        skipped += level_skipped
-        level_log_w.append(lw_level)
-        per_sample = lw_level - math.log(len(stored))
-        rows.extend(stored)
-        log_weights.extend([per_sample] * len(stored))
+        values = _run_chain(_gibbs_wavelet(level, mins, n, rng, meta), _kept(steps_per_level, level.latent_dim, thin))
+        meta["level_log_weights"].append(lw_level)
+        rows.append(values)
+        log_weights.append(np.full(len(values), lw_level - math.log(len(values))))
     if not rows:
         raise DegeneratePosteriorError("no level produced feasible states")
-    meta = {
-        "sampler": "mcmc",
-        "kind": "gibbs",
-        "steps": steps,
-        "skipped_updates": skipped,
-        "level_log_weights": level_log_w,
-    }
-    return PosteriorEnsemble(prior.grid_level, np.stack(rows), np.array(log_weights), meta=meta)
+    return PosteriorEnsemble(prior.grid_level, np.concatenate(rows), np.concatenate(log_weights), meta=meta)
 
 
 def mcmc_posterior(
@@ -551,12 +530,16 @@ def mcmc_posterior(
 ) -> PosteriorEnsemble:
     """Markov chain Monte Carlo targeting the constrained posterior.
 
+    The pattern is reduced once to its bin minima, which every kernel reads.
     Latent priors use exact Gibbs kernels: every conditional is drawn exactly
     from a truncated, tilted law, so there is no step size and no rejection.
     The truncated wavelet prior runs one Gibbs chain per level and combines
     them by the level evidences (closed form for gaussian coefficients,
     importance-estimated otherwise).  Only finite priors use Metropolis, with
-    an independence proposal from the prior.  A fifth of the sweeps is burn-in.
+    an independence proposal from the prior.  Every chain runs the one
+    schedule: ``steps`` site updates make at least 2 sweeps, a fifth of them
+    is burn-in, and stored sweeps are ``max(1, steps // 10_000)`` site updates
+    apart, from the total budget also for the per-level chains.
     ``step_scale`` is validated but read by no kernel; it stays only for the
     benchmark replay's positional call.
     """
@@ -566,16 +549,20 @@ def mcmc_posterior(
         raise ValueError("step_scale must be positive")
     if rng is None:
         rng = np.random.default_rng()
+    mins, n = bin_minima(pattern, prior.grid_level), pattern.intensity
     thin = max(1, steps // 10_000)
     if isinstance(prior, FinitePrior):
-        return _mcmc_finite(prior, pattern, steps, rng, thin)
+        return _mcmc_finite(prior, mins, n, rng, steps, thin)
     if isinstance(prior, TruncatedWaveletPrior):
-        return _mcmc_truncated(prior, pattern, steps, rng, thin)
+        return _mcmc_truncated(prior, mins, n, rng, steps, thin)
     if isinstance(prior, BrownianStartPrior):
-        return _gibbs_brownian(prior, pattern, steps, rng, thin)
-    stored, skipped = _gibbs_wavelet(prior, pattern, steps, rng, thin)
-    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": skipped}
-    return PosteriorEnsemble(prior.grid_level, np.stack(stored), np.zeros(len(stored)), meta=meta)
+        keep = _kept(steps, 2 << prior.grid_level, thin)
+        values = _run_chain(_gibbs_brownian(prior, mins, n, rng), keep)
+        meta = {"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)}
+    else:
+        meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": 0}
+        values = _run_chain(_gibbs_wavelet(prior, mins, n, rng, meta), _kept(steps, prior.latent_dim, thin))
+    return PosteriorEnsemble(prior.grid_level, values, np.zeros(len(values)), meta=meta)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):

@@ -151,6 +151,41 @@ def test_bad_option_values_are_usage_errors(runner, tmp_path, args, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args,bad,named",
+    [
+        (["complexity", "--dict", "{short}", "--quantity", "covering", "--eps", "1"], "{short}", "expected 4 values"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "bracketing", "--delta", "1", "--pool", "{short}"],
+         "{short}", "expected 4 values"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "separation", "--n", "1", "--f0", "{short}"],
+         "{short}", "expected 4 values"),
+        (["mle", "--pattern", "{sim}/f0.csv", "--bins", "2"], "{sim}/f0.csv", "lacks intensity and ceiling"),
+        (["posterior", "--prior", "{prior}", "--pattern", "{sim}/f0.csv"], "{sim}/f0.csv",
+         "lacks intensity and ceiling"),
+        (["posterior", "--prior", "{prior}", "--pattern", "{sim}/pattern.csv", "--f0", "{sim}/pattern.csv"],
+         "{sim}/pattern.csv", "missing '# grid_level=<L>' header"),
+        (["mle", "--pattern", "{nocomma}", "--bins", "2"], "{nocomma}", "row '0.5' is not 'x,y'"),
+    ],
+    ids=["dict-short", "pool-short", "f0-short", "mle-grid-function", "posterior-grid-function",
+         "posterior-f0-pattern", "pattern-row-without-comma"],
+)
+def test_malformed_input_files_are_usage_errors(runner, tmp_path, args, bad, named):
+    sim = tmp_path / "sim"
+    _run(runner, ["simulate", "--n", "20", "--grid-level", "2", "--seed", "1", "--out", str(sim)])
+    prior = tmp_path / "prior.cfg"
+    prior.write_text("variant = brownian_start\ngrid_level = 2\n")
+    short = tmp_path / "short.csv"
+    short.write_text("# grid_level=2\n0.0\n1.0\n")  # two values where the level needs four
+    nocomma = tmp_path / "nocomma.csv"
+    nocomma.write_text("# intensity=20.0 ceiling=2.0\nx,y\n0.5\n")
+    paths = dict(sim=sim, prior=prior, short=short, nocomma=nocomma)
+    out = tmp_path / "o"
+    res = runner.invoke(main, [a.format(**paths) for a in args] + ["--out", str(out)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert f"bad input file {bad.format(**paths)}: " in res.output and named in res.output
+    assert not out.exists()
+
+
 RATE_CFG = """
 prior.variant = brownian_start
 prior.grid_level = 4
@@ -267,6 +302,12 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 0\n", "replicates must be >= 1, got 0"),
         ("decay-study", "prior.alpha = 2\nf0.kind = cusp\nn_grid = 5,20\nreplicates = 4\n",
          "brownian_start does not read alpha"),
+        ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nbudget = 0\n", "budget must be >= 1, got 0"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nbudget = 0\n", "budget must be >= 1, got 0"),
+        ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
+         "eps_grid = 2.0,1.0\ndraws = 0\n", "draws must be >= 1, got 0"),
+        ("rate-study", "f0.kind = cusp\nn_grid = 5,10,20,40\nreplicates = 10\nceiling = 0.1\n",
+         "ceiling must exceed max(f0) = 0.46875, got 0.1"),
     ],
     ids=[
         "rate-replicates-5",
@@ -280,6 +321,10 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "decay-n-grid-one-value",
         "decay-replicates-0",
         "decay-brownian-alpha",
+        "rate-budget-0",
+        "decay-budget-0",
+        "small-ball-truncated-draws-0",
+        "rate-ceiling-below-f0",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):

@@ -3,9 +3,10 @@
 No module may import a name it never uses (``__init__.py`` re-exports are
 exempt), no module may reach into a sibling for a ``_``-prefixed name, every
 name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
-a caller in the package, every function parameter must be read,
-``import bbayes`` must not load ``scipy.stats``, and every name the benchmark
-under ``perfbench/`` imports from ``bbayes`` must exist.
+a caller in the package, every function parameter must be read, no private
+posterior kernel may take the point pattern, ``import bbayes`` must not load
+``scipy.stats``, and every name the benchmark under ``perfbench/`` imports
+from ``bbayes`` must exist.
 """
 
 import ast
@@ -105,6 +106,15 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             ignored += [f"{path.name}: {name}({p.arg})" for p in params if p.arg not in read | {"self", "cls"}]
     assert not ignored, ignored
+
+
+def test_posterior_kernels_read_minima():
+    # the public samplers reduce the pattern to its bin minima once; a kernel that takes it reduces it again
+    tree = ast.parse((Path(bbayes.__file__).parent / "posterior.py").read_text())
+    kernels = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    takes = [node.name for node in kernels if "pattern" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
+    assert kernels, "no private function found in posterior.py"
+    assert not takes, takes
 
 
 def test_import_does_not_load_scipy_stats():

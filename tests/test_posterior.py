@@ -35,7 +35,6 @@ from bbayes.grid import integral
 from bbayes.posterior import (
     _exp_segment_log_mass,
     _sample_coefficients_interval,
-    _sample_std_normal_tail,
     _std_normal_tail,
     _suffix_sweep,
     bin_minima,
@@ -152,7 +151,7 @@ def test_trunc_std_normal_matches_truncnorm(a, b):
 @pytest.mark.parametrize("alpha", [1.2, -0.3, -4.0, -12.0])
 def test_std_normal_tail_sampler(alpha):
     rng = np.random.default_rng(5)
-    draws = _sample_std_normal_tail(rng, np.full(8000, alpha))
+    draws = _std_normal_tail(rng.random(8000), np.full(8000, alpha))
     assert draws.max() <= alpha
     dist = stats.truncnorm(-np.inf, alpha)
     assert draws.mean() == pytest.approx(dist.mean(), abs=4.0 * dist.std() / math.sqrt(draws.size))
@@ -162,12 +161,12 @@ def test_std_normal_tail_sampler(alpha):
 def test_std_normal_tail_inversion_deep_tail_and_endpoints():
     rng = np.random.default_rng(27)
     for alpha in (-300.0, -40.0):
-        draws = _sample_std_normal_tail(rng, np.full(8000, alpha))
+        draws = _std_normal_tail(rng.random(8000), np.full(8000, alpha))
         assert np.all(np.isfinite(draws)) and draws.max() <= alpha
         # deep in the tail |alpha| (alpha - Z) is Exp(1) up to O(alpha^-2)
         gap = abs(alpha) * (alpha - draws)
         assert abs(gap.mean() - 1.0) <= 4.0 * gap.std() / math.sqrt(gap.size)
-    draws = _sample_std_normal_tail(rng, np.full(8000, np.inf))  # an empty bin: no truncation
+    draws = _std_normal_tail(rng.random(8000), np.full(8000, np.inf))  # an empty bin: no truncation
     assert abs(draws.mean()) <= 4.0 / math.sqrt(draws.size)
     assert abs(draws.std() - 1.0) <= 4.0 / math.sqrt(2.0 * draws.size)
     # q = 0 gives alpha, never -inf: never above it, and below it by no more
@@ -369,7 +368,7 @@ def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
         m = 1 << (j + 1)
         blocks = mins.reshape(m, -1).min(axis=1)
         sd, mu = s * math.sqrt(m), n * s * s
-        ref.append(np.repeat(mu + sd * _sample_std_normal_tail(rng, (blocks - mu) / sd), 32 // m))
+        ref.append(np.repeat(mu + sd * _std_normal_tail(rng.random(m), (blocks - mu) / sd), 32 // m))
     assert np.array_equal(ens.values, np.stack(ref))
 
 
@@ -458,6 +457,33 @@ def test_finite_prior_posterior_matches_enumeration():
     assert posterior_mass(ens, np.all(ens.values == members[2].values, axis=1)) == 0.0
     with pytest.raises(ValueError, match="row mask"):
         posterior_mass(ens, lambda f: f == members[1])  # a predicate is not a row mask
+
+
+def test_mcmc_stores_the_scheduled_states():
+    # a fifth of the sweeps is burn-in and stored sweeps are max(1, budget // 10_000) site updates apart,
+    # from the total budget also for the truncated prior's per-level chains
+    f0, pattern = _pattern(n=2.0, grid_level=4)
+    gaussian = CoefficientDistribution("gaussian")
+    priors = {
+        "brownian": build_prior(PriorSpec(variant="brownian_start", grid_level=4)),
+        "wavelet": build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=gaussian, j_max=2, grid_level=4)),
+        "truncated": build_prior(PriorSpec(variant="truncated_wavelet", dist=gaussian, j_cap=2, grid_level=4)),
+        "finite": FinitePrior([f0.shift(-0.5), f0.shift(-0.2), f0.shift(3.0)]),
+    }
+    expected = {  # rows stored at budgets 1, 5,000 and 100,000
+        "brownian": (2, 125, 2_500),
+        "wavelet": (2, 500, 10_000),
+        "truncated": (6, 1_167, 9_332),
+        "finite": (1, 4_000, 8_000),
+    }
+    for name, prior in priors.items():
+        for budget, rows in zip((1, 5_000, 100_000), expected[name]):
+            ens = mcmc_posterior(prior, pattern, steps=budget, rng=np.random.default_rng(budget))
+            assert len(ens) == rows, (name, budget)
+            assert ens.validate_against(pattern)
+            # a Brownian sweep costs 2m = 32 site updates, and at least 2 sweeps run
+            steps = {1: 64, 5_000: 4_992}.get(budget, budget) if name == "brownian" else budget
+            assert ens.meta["steps"] == steps, (name, budget)
 
 
 def test_sampler_determinism():
