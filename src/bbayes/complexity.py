@@ -112,7 +112,7 @@ def _greedy_complete(masks: list[int], weights: list[float], full: int, first: i
         best_i = -1
         best_score = math.inf
         for i, mask in enumerate(masks):
-            gain = bin(mask & ~covered).count("1")
+            gain = (mask & ~covered).bit_count()
             if gain == 0:
                 continue
             score = weights[i] / gain

@@ -24,6 +24,7 @@ from .posterior import (
     DegeneratePosteriorError,
     mass_lower_excess,
     posterior_median_metric,
+    reduce_draws,
     sample_posterior,
 )
 from .priors import (
@@ -211,16 +212,6 @@ class RateStudyReport:
 
 _CEILING_DRAWS = 2000
 _CEILING_EXCEED_PROB = 1e-3
-_BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
-
-
-def _reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndarray:
-    """``reduce`` (a ``(k, m)`` batch to k numbers) of ``draws`` prior draws, in batches of about 2**16 grid values.
-
-    Except for the truncated prior, the batches consume the stream of one ``draws``-row draw.
-    """
-    batch = max(1, _BATCH_VALUES >> prior.grid_level)
-    return np.concatenate([reduce(prior.draw(rng, min(batch, draws - i))) for i in range(0, draws, batch)])
 
 
 def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> float:
@@ -230,7 +221,7 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
     draws; candidates above the ceiling escape some killing points, which is
     the documented truncation bias.
     """
-    sups = _reduce_draws(prior, _CEILING_DRAWS, rng, lambda v: v.max(axis=1))
+    sups = reduce_draws(prior, _CEILING_DRAWS, rng, lambda v: v.max(axis=1))
     return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - _CEILING_EXCEED_PROB))) + 0.05
 
 
@@ -354,7 +345,7 @@ class SmallBallReport:
 def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Generator) -> np.ndarray:
     """Sup-norm distances of plain prior draws to h."""
     target = h.refine(spec.grid_level).values
-    return _reduce_draws(build_prior(spec), draws, rng, lambda v: np.abs(v - target).max(axis=1))
+    return reduce_draws(build_prior(spec), draws, rng, lambda v: np.abs(v - target).max(axis=1))
 
 
 def _latent_from_gaussian(dist: CoefficientDistribution, g: np.ndarray) -> np.ndarray:
@@ -382,28 +373,35 @@ def _sup_to_target(prior: WaveletSeriesPrior, target: np.ndarray):
 
 
 def _wavelet_small_ball(
-    spec: PriorSpec, h: GridFunction, eps: float, particles: int, rng: np.random.Generator
-) -> float:
-    """P(sup|X - h| <= eps) for a wavelet-series prior by subset simulation.
+    spec: PriorSpec, h: GridFunction, eps_grid: tuple, particles: int, rng: np.random.Generator
+) -> np.ndarray:
+    """P(sup|X - h| <= eps), wavelet-series prior, for every eps of the decreasing ``eps_grid`` from one descent.
 
-    The latent coefficients are closed-form monotone maps of standard gaussians
+    Subset simulation.  The latent coefficients are closed-form monotone maps of standard gaussians
     (``s g``, the signed laplace tail quantile via ``log_ndtr``, ``s erf(g/sqrt 2)``),
     so a preconditioned Crank-Nicolson move leaves the prior invariant for every
     coefficient law and only the sup-distance constraint, taken block by block
     against h's range on each of the prior's 2**(j_max+1) blocks, enters the
-    accept step.  Levels are lowered to the empirical 25% quantile until eps is
-    reached; the probability is the product of the per-stage survival fractions.
+    accept step.  Levels are lowered to the empirical 25% quantile; each eps is
+    read at the first level at or below it, as the product of the per-stage
+    survival fractions, or is 0 if 60 stages do not reach it.  Up to that stage
+    the descent is the one of eps alone, so each estimate keeps its law, but
+    one descent's estimates are correlated across eps.
     """
     prior = build_prior(spec)
     sup = _sup_to_target(prior, h.refine(spec.grid_level).values)
     g = rng.standard_normal((particles, prior.latent_dim))
     s = sup(_latent_from_gaussian(prior.dist, g))
+    out, done = np.zeros(len(eps_grid)), 0  # eps_grid[:done] are read
     log_p = 0.0
     rho = 0.8  # pCN autocorrelation, adapted to keep acceptance moderate
     for _ in range(60):
         level = float(np.quantile(s, 0.25))
-        if level <= eps:
-            return math.exp(log_p) * (int(np.count_nonzero(s <= eps)) / particles)
+        while done < len(eps_grid) and level <= eps_grid[done]:
+            out[done] = math.exp(log_p) * (int(np.count_nonzero(s <= eps_grid[done])) / particles)
+            done += 1
+        if done == len(eps_grid):
+            break
         keep = np.flatnonzero(s <= level)
         log_p += math.log(keep.size / particles)
         idx = keep[rng.integers(0, keep.size, size=particles)]
@@ -419,7 +417,7 @@ def _wavelet_small_ball(
                 rho = math.sqrt(rho)
             elif acc > 0.6:
                 rho = max(0.5, rho * rho)
-    return 0.0
+    return out
 
 
 def _brownian_small_ball(spec: PriorSpec, h: GridFunction, eps: float, particles: int, rng: np.random.Generator):
@@ -457,10 +455,11 @@ def run_small_ball_study(
     """Monte Carlo estimate of P(sup|X - h| <= eps) with a log(-log) slope fit.
 
     Wavelet-series priors use subset simulation with preconditioned
-    Crank-Nicolson moves, the Brownian prior uses sequential splitting across
-    bins; both average 4 independent runs per epsilon and reach probabilities
-    far below 1/draws.  The truncated wavelet prior uses plain Monte Carlo
-    over ``draws`` prior draws.
+    Crank-Nicolson moves, one descent per run serving the whole grid; the
+    Brownian prior uses sequential splitting across bins, one run per epsilon.
+    Both average 4 independent runs per epsilon, whose spread gives the
+    standard error, and reach probabilities far below 1/draws.  The truncated
+    wavelet prior uses plain Monte Carlo over ``draws`` prior draws.
     """
     if draws < 1:
         raise StudyConfigError(f"draws must be >= 1, got {draws}")
@@ -468,39 +467,31 @@ def run_small_ball_study(
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
     runs = 4
-    if spec.variant == "brownian_start":
-        estimator, particles = _brownian_small_ball, max(1000, draws // runs)
-    elif spec.variant == "wavelet_series":
-        estimator, particles = _wavelet_small_ball, max(500, draws // (runs * len(eps_grid)))
-    else:
+    if spec.variant == "truncated_wavelet":
         sups = _prior_sups(spec, h, draws, rng)
-    probs, ses, kept, excluded = [], [], [], []
-    for eps in eps_grid:
-        if spec.variant == "truncated_wavelet":
-            p = int(np.count_nonzero(sups <= eps)) / draws
-            se = math.sqrt(p * (1.0 - p) / draws)
+        p = np.array([np.count_nonzero(sups <= e) for e in eps_grid]) / draws
+        se = np.sqrt(p * (1.0 - p) / draws)
+    else:  # est: (n_eps, runs) estimates
+        if spec.variant == "brownian_start":
+            particles = max(1000, draws // runs)
+            est = np.array([[_brownian_small_ball(spec, h, e, particles, rng) for _ in range(runs)] for e in eps_grid])
         else:
-            estimates = [estimator(spec, h, eps, particles, rng) for _ in range(runs)]
-            p, se = float(np.mean(estimates)), float(np.std(estimates) / math.sqrt(runs))
-        if p == 0.0:
-            excluded.append(eps)
-            continue
-        probs.append(p)
-        ses.append(se)
-        kept.append(eps)
+            particles = max(500, draws // (runs * len(eps_grid)))
+            est = np.array([_wavelet_small_ball(spec, h, eps_grid, particles, rng) for _ in range(runs)]).T
+        p, se = est.mean(axis=1), est.std(axis=1) / math.sqrt(runs)
+    hit, eps = p > 0.0, np.array(eps_grid)
+    kept, probs, ses, excluded = (tuple(a.tolist()) for a in (eps[hit], p[hit], se[hit], eps[~hit]))
     if len(kept) < 2:
         raise StudyError("fewer than two epsilon values with hits; enlarge eps_grid or draws")
     x = [1.0 / e for e in kept]
-    y = [-math.log(p) for p in probs]
+    y = [-math.log(q) for q in probs]
     slope, intercept = fit_loglog_slope(x, y)
     theory = None if beta is None else theoretical_small_ball_exponent(spec, beta)
     passed = theory is None or abs(slope - theory) <= tol
     meta = {"draws": draws}
     if out_of_hypothesis(spec):
         meta["flag"] = "configuration outside the known contraction regime (alpha <= 1)"
-    return SmallBallReport(
-        tuple(kept), tuple(probs), tuple(ses), tuple(excluded), slope, intercept, theory, tol, passed, meta
-    )
+    return SmallBallReport(kept, probs, ses, excluded, slope, intercept, theory, tol, passed, meta)
 
 
 # ---------------------------------------------------------------------------

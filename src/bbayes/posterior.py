@@ -43,6 +43,7 @@ __all__ = [
     "DegeneratePosteriorError",
     "log_posterior_weight",
     "bin_minima",
+    "reduce_draws",
     "truncated_level_log_evidence",
     "exact_truncated_posterior",
     "importance_posterior",
@@ -59,6 +60,7 @@ __all__ = [
 
 _BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
 _EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
+_BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -311,10 +313,19 @@ def importance_posterior(
     return ens
 
 
+def reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndarray:
+    """``reduce`` applied to ``draws`` prior draws in ``(k, m)`` batches of about 2**16 grid values, concatenated.
+
+    The batches bound the peak memory; except for the truncated prior, they consume the stream of one
+    ``draws``-row draw.
+    """
+    batch = max(1, _BATCH_VALUES >> prior.grid_level)
+    return np.concatenate([reduce(prior.draw(rng, min(batch, draws - i))) for i in range(0, draws, batch)])
+
+
 def _feasible_draws(prior, mins, n, draws, rng):
-    """The feasible rows of ``draws`` prior draws, and their log-likelihoods ``n * integral``."""
-    values = prior.draw(rng, draws)
-    values = values[np.all(values <= mins, axis=1)]
+    """The feasible rows of ``draws`` prior draws, filtered in batches, and their log-likelihoods ``n * integral``."""
+    values = reduce_draws(prior, draws, rng, lambda v: v[np.all(v <= mins, axis=1)])
     return values, n * values.mean(axis=1)
 
 

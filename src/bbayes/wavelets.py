@@ -70,17 +70,20 @@ def synthesize_flat(flat: np.ndarray, max_level: int, grid_level: int) -> np.nda
     """Grid values ``(..., 2**grid_level)`` of flat coefficient vectors ``(..., coefficient_count(max_level))``.
 
     Coarse to fine, each level doubles the blocks: a block of value v splits
-    into ``v + 2^{j/2} c`` (left half) and ``v - 2^{j/2} c`` (right half).
-    Leading axes are batch axes.
+    into ``v + 2^{j/2} c`` (left half, the even slot) and ``v - 2^{j/2} c``
+    (right half, the odd slot), written in place.  Leading axes are batch axes.
     """
     if max_level >= grid_level:
         raise LevelOverflowError(f"detail level {max_level} needs more than {1 << grid_level} bins")
     flat = np.asarray(flat, dtype=float)
-    v = flat[..., :1]
+    v = flat[..., :1].copy()  # the result never aliases the input, even with no level and one bin
     for j in range(max_level + 1):
         c = 2.0 ** (j / 2.0) * flat[..., 1 << j : 2 << j]
-        v = np.stack([v + c, v - c], axis=-1).reshape(*flat.shape[:-1], 2 << j)
-    return np.repeat(v, (1 << grid_level) // v.shape[-1], axis=-1)
+        v, w = np.empty(flat.shape[:-1] + (2 << j,)), v
+        np.add(w, c, out=v[..., 0::2])
+        np.subtract(w, c, out=v[..., 1::2])
+    factor = (1 << grid_level) // v.shape[-1]
+    return v if factor == 1 else np.repeat(v, factor, axis=-1)
 
 
 def haar_synthesis(c: WaveletCoefficients, grid_level: int) -> GridFunction:

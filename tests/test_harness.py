@@ -214,17 +214,32 @@ def test_sup_to_target_matches_grid_sup_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
 def test_wavelet_small_ball_matches_plain_monte_carlo(kind):
+    # one descent per run serves the whole grid; every eps must agree with plain Monte Carlo
     spec = _spec("wavelet_series", kind, grid_level=5, j=3)
     h = GridFunction.constant(0.0, 5)
-    eps = 0.8
+    eps_grid = (1.2, 0.8, 0.6)
     sups = _prior_sups(spec, h, 200_000, np.random.default_rng(2))
-    p_mc = float(np.mean(sups <= eps))
-    se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
     rng = np.random.default_rng(3)
-    runs = [_wavelet_small_ball(spec, h, eps, 2000, rng) for _ in range(6)]
-    p_ss = float(np.mean(runs))
-    se_ss = float(np.std(runs) / math.sqrt(len(runs)))
-    assert abs(p_ss - p_mc) <= 4.0 * math.hypot(se_mc, se_ss)
+    runs = np.array([_wavelet_small_ball(spec, h, eps_grid, 2000, rng) for _ in range(6)])
+    for eps, col in zip(eps_grid, runs.T):
+        p_mc = float(np.mean(sups <= eps))
+        se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
+        p_ss = float(np.mean(col))
+        se_ss = float(np.std(col) / math.sqrt(len(col)))
+        assert abs(p_ss - p_mc) <= 4.0 * math.hypot(se_mc, se_ss), (eps, p_ss, p_mc)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
+def test_wavelet_small_ball_descent_prefix_identity(kind):
+    # the estimate of eps_i is the one a descent stopped at eps_i would give, bit for bit
+    spec = _spec("wavelet_series", kind, grid_level=5, j=3)
+    h = GridFunction.constant(0.0, 5)
+    eps_grid = (1.2, 0.9, 0.7, 0.5)
+    full = _wavelet_small_ball(spec, h, eps_grid, 500, np.random.default_rng(11))
+    assert full.shape == (len(eps_grid),) and np.all(full > 0.0)
+    for i in range(len(eps_grid)):
+        prefix = _wavelet_small_ball(spec, h, eps_grid[: i + 1], 500, np.random.default_rng(11))
+        assert prefix[i] == full[i], (i, prefix[i], full[i])
 
 
 def test_brownian_small_ball_matches_plain_monte_carlo():
@@ -263,6 +278,10 @@ def test_small_ball_exclusion_and_degenerate_grid():
     assert len(report.probabilities) == 2
     with pytest.raises(StudyError):
         run_small_ball_study(spec, h, (1e-9, 1e-10), 2000, rng)
+    # a wavelet descent that cannot reach the last eps in 60 stages excludes only that eps
+    report = run_small_ball_study(_spec("wavelet_series", grid_level=5, j=3), h, (1.2, 0.8, 1e-9), 6000, rng)
+    assert report.excluded_eps == (1e-9,)
+    assert report.eps_grid == (1.2, 0.8) and all(p > 0.0 for p in report.probabilities)
     with pytest.raises(ValueError):
         run_small_ball_study(spec, h, (0.5, 0.5), 2000, rng)
 

@@ -3,6 +3,7 @@ sampling primitives against scipy oracles, evidence identities, and agreement
 between independent samplers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,6 +496,21 @@ def test_sampler_determinism():
     c = importance_posterior(prior, pattern, 2000, np.random.default_rng(20))
     d = importance_posterior(prior, pattern, 2000, np.random.default_rng(20))
     assert np.array_equal(c.log_weights, d.log_weights)
+
+
+def test_importance_draws_are_filtered_in_bounded_batches():
+    # the prior is drawn and filtered in batches of about 2**16 grid values, so the
+    # peak holds the kept rows twice (pieces, then their concatenation) plus one batch
+    f0, pattern = _pattern(n=2.0, grid_level=8)
+    prior = build_prior(PriorSpec(variant="brownian_start", grid_level=8))
+    tracemalloc.start()
+    try:
+        ens = importance_posterior(prior, pattern, 40_000, np.random.default_rng(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(ens.values) < 40_000
+    assert peak < 2 * ens.values.nbytes + 4 * 2**20, (peak, ens.values.nbytes)
 
 
 # ---------------------------------------------------------------------------

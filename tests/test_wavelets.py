@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bbayes import GridFunction, WaveletCoefficients, haar_analysis, haar_synthesis
-from bbayes.wavelets import LevelOverflowError, coefficient_count
+from bbayes.wavelets import LevelOverflowError, coefficient_count, synthesize_flat
 
 
 def _random_coeffs(rng, max_level):
@@ -69,3 +69,25 @@ def test_haar_sign_convention():
     c = WaveletCoefficients(0.0, (np.array([1.0]),))
     f = haar_synthesis(c, 1)
     assert np.array_equal(f.values, [1.0, -1.0])
+
+
+def _synthesize_by_repeat(flat, max_level, grid_level):
+    # per level: the coarse values repeated and the detail repeated with alternating signs
+    m = 1 << grid_level
+    v = np.repeat(flat[..., :1], m, axis=-1)
+    for j in range(max_level + 1):
+        c = 2.0 ** (j / 2.0) * flat[..., 1 << j : 2 << j]
+        signs = np.tile(np.repeat([1.0, -1.0], m >> (j + 1)), 1 << j)
+        v = v + np.repeat(c, m >> j, axis=-1) * signs
+    return v
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_synthesize_flat_equals_per_level_repeat(shape):
+    rng = np.random.default_rng(4)
+    for max_level in range(8):
+        for grid_level in (max_level + 1, max_level + 3):  # repeat factor 1, then 4
+            flat = rng.standard_normal(shape + (coefficient_count(max_level),))
+            got = synthesize_flat(flat, max_level, grid_level)
+            assert got.shape == shape + (1 << grid_level,)
+            assert got.tobytes() == _synthesize_by_repeat(flat, max_level, grid_level).tobytes()
