@@ -2,10 +2,11 @@
 and posterior-mass decay, with deterministic CSV/SVG reports.
 
 Theoretical reference exponents are slope targets only; all unspecified
-multiplicative constants are absorbed by the log-log fit intercept.  Seeds for
-(n, replicate) cells derive from the master seed through
-``numpy.random.SeedSequence([seed, n_index, replicate])``, so results do not
-depend on execution order or thread count.
+multiplicative constants are absorbed by the log-log fit intercept.  Each
+(n, replicate) cell runs on its own generator, seeded from the master seed by
+``numpy.random.SeedSequence([seed, n_index, replicate])``.  The cells of one n
+run together, their Gibbs chains as one block (``mcmc_block``), and bit for bit
+as each cell alone, so neither the thread count nor the block changes a result.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from scipy.special import erf, log_ndtr
 from .grid import GridFunction, simulate_ppp
 from .posterior import (
     DegeneratePosteriorError,
+    PosteriorEnsemble,
+    bin_minima,
     mass_lower_excess,
+    mcmc_block,
     posterior_median_metric,
     reduce_draws,
     sample_posterior,
@@ -225,39 +229,51 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
     return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - _CEILING_EXCEED_PROB))) + 0.05
 
 
-def _study_cell(spec, f0, ceiling, sampler, budget, functional, n, seed_key):
-    """One (n, replicate) cell: simulate, sample the posterior, reduce it; None if degenerate."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+def _study_row(spec, f0, ceiling, sampler, budget, functional, replicates, seed, i_n, n):
+    """``functional(ensemble, f0)`` of the cells (n, 0), ..., (n, replicates - 1), or None for a degenerate cell.
+
+    Each cell simulates and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  For
+    'mcmc' the patterns are reduced at once to bin minima and run as one ``mcmc_block``, else cell by cell.
+    """
+    prior = build_prior(spec)
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for rep in range(replicates)]
+    if sampler != "mcmc":
+        return list(map(partial(_study_cell, prior, f0, ceiling, n, sampler, budget, functional), rngs))
+    mins = np.stack([bin_minima(simulate_ppp(f0, n, ceiling, rng), spec.grid_level) for rng in rngs])
+    ensembles = mcmc_block(prior, mins, n, budget, rngs)
+    return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else None for ens in ensembles]
+
+
+def _study_cell(prior, f0, ceiling, n, sampler, budget, functional, rng):
+    """One cell alone: simulate, sample the posterior, reduce it; None if degenerate."""
     pattern = simulate_ppp(f0, n, ceiling, rng)
     try:
-        ens = sample_posterior(build_prior(spec), pattern, sampler, budget, rng)
+        ens = sample_posterior(prior, pattern, sampler, budget, rng)
     except DegeneratePosteriorError:
         return None
     return functional(ens, f0)
 
 
-def _run_cells(cell, n_grid, replicates: int, seed: int, threads: int):
-    """``cell(n, (seed, i_n, rep))`` for every cell, as an (n, replicate) object array.
+def _run_cells(row, n_grid, threads: int):
+    """``row(i_n, n)``, the replicates of intensity n, for every n of the grid, as an (n, replicate) object array.
 
-    Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them is a
-    StudyError.  ``cell`` must be picklable when ``threads > 1``.
+    The cells of one n run as one block of chains, each on its own ``SeedSequence`` generator, so neither
+    ``threads`` nor the block changes a result.  With ``threads > 1`` each row is one process task, and ``row``
+    must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them is a StudyError.
     """
-    ns = [n for n in n_grid for _ in range(replicates)]
-    keys = [(seed, i_n, rep) for i_n in range(len(n_grid)) for rep in range(replicates)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cell, ns, keys, chunksize=4))
+            grid = np.array(list(pool.map(row, range(len(n_grid)), n_grid)), dtype=object)
     else:
-        results = list(map(cell, ns, keys))
-    total = len(results)
-    exclusions = sum(v is None for v in results)
-    if exclusions > MAX_EXCLUSION_FRAC * total:
+        grid = np.array(list(map(row, range(len(n_grid)), n_grid)), dtype=object)
+    exclusions = sum(v is None for v in grid.flat)
+    if exclusions > MAX_EXCLUSION_FRAC * grid.size:
         raise StudyError(
-            f"{exclusions}/{total} cells degenerate (limit {MAX_EXCLUSION_FRAC:.0%})",
+            f"{exclusions}/{grid.size} cells degenerate (limit {MAX_EXCLUSION_FRAC:.0%})",
             exclusions=exclusions,
-            total=total,
+            total=grid.size,
         )
-    return np.array(results, dtype=object).reshape(len(n_grid), replicates), exclusions
+    return grid, exclusions
 
 
 def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
@@ -267,8 +283,8 @@ def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCE11)))
         cfg = replace(cfg, ceiling=calibrate_ceiling(build_prior(cfg.prior), f0, rng))
     metric = partial(posterior_median_metric, metric=cfg.error_metric)
-    cell = partial(_study_cell, cfg.prior, f0, cfg.ceiling, cfg.sampler, cfg.budget, metric)
-    grid, exclusions = _run_cells(cell, cfg.n_grid, cfg.replicates, cfg.seed, threads)
+    cells = partial(_study_row, cfg.prior, f0, cfg.ceiling, cfg.sampler, cfg.budget, metric, cfg.replicates, cfg.seed)
+    grid, exclusions = _run_cells(cells, cfg.n_grid, threads)
     medians, q25, q75 = [], [], []
     for row in grid:
         vals = np.array([v for v in row if v is not None], dtype=float)
@@ -548,8 +564,9 @@ def run_posterior_decay_study(
     n_grid = _check_cells(n_grid, replicates, 2, 1)
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
-    cell = partial(_study_cell, prior_spec, f0, ceiling, sampler, budget, partial(mass_lower_excess, r=r))
-    grid, exclusions = _run_cells(cell, n_grid, replicates, seed, threads)
+    mass = partial(mass_lower_excess, r=r)
+    cells = partial(_study_row, prior_spec, f0, ceiling, sampler, budget, mass, replicates, seed)
+    grid, exclusions = _run_cells(cells, n_grid, threads)
     masses = grid.astype(float)  # degenerate cells become nan
     med = tuple(float(np.nanmedian(row)) for row in masses)
     mean = tuple(float(np.nanmean(row)) for row in masses)

@@ -15,7 +15,10 @@ arbitrarily deep in the tail.
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
-states, which ``_run_chain`` runs for the scheduled sweeps and stores.
+states, which ``_run_chain`` runs for the scheduled sweeps and stores.  Every
+kernel state carries a leading chain axis: ``mcmc_block`` runs the chains of
+many cells at one intensity as one block, each on its own generator and
+bit-identical to its own chain, and ``mcmc_posterior`` is the block of one.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
 the prior's grid level), ``log_weights`` and ``meta``; every functional is a
@@ -47,6 +50,7 @@ __all__ = [
     "truncated_level_log_evidence",
     "exact_truncated_posterior",
     "importance_posterior",
+    "mcmc_block",
     "mcmc_posterior",
     "sample_posterior",
     "posterior_mass",
@@ -61,6 +65,7 @@ __all__ = [
 _BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
 _EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
 _BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
+_DEAD_CHAIN = "no feasible start in the uniform support, or an empty or improper Gibbs conditional"
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -192,34 +197,32 @@ def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
     return np.log(-np.expm1(-abs(r) * d)) + (r * (w if r > 0.0 else u) - math.log(abs(r)))
 
 
-def _sample_coefficients_interval(dist, rng: np.random.Generator, lo, hi, tilt: float) -> np.ndarray:
-    """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt * z}.
+def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt: float) -> np.ndarray:
+    """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt * z}; NaN where
+    that law is empty (a uniform interval off the support) or improper (a tilt beating the laplace tail).
 
-    One uniform per draw (two for laplace: the side of zero, then the point),
-    so a whole vector of independent conditionals costs a fixed number of
-    numpy calls.
+    Each draw inverts one uniform of ``q``; laplace draws invert two, the last axis of ``q`` holding every
+    draw's side of zero, then every point.  So a whole vector of conditionals costs a fixed number of numpy calls.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if dist.kind == "gaussian":
             s = dist.scale
             mu = tilt * s * s
-            x = mu + s * _trunc_std_normal(rng.random(lo.shape), (lo - mu) / s, (hi - mu) / s)
+            x = mu + s * _trunc_std_normal(q, (lo - mu) / s, (hi - mu) / s)
         elif dist.kind == "uniform":
             lo, hi = np.maximum(lo, -dist.scale), np.minimum(hi, dist.scale)
-            if np.any(hi < lo):
-                raise DegeneratePosteriorError("empty support interval for a uniform coefficient")
-            x = _exp_segment(rng.random(lo.shape), lo, hi, tilt)
+            x = np.where(hi < lo, np.nan, _exp_segment(q, lo, hi, tilt))
         else:  # laplace: piecewise exponential on either side of zero
             r_neg = tilt + 1.0 / dist.scale
             r_pos = tilt - 1.0 / dist.scale
-            if (r_pos >= 0.0 and np.any(hi == np.inf)) or (r_neg <= 0.0 and np.any(lo == -np.inf)):
-                raise DegeneratePosteriorError("improper tilted laplace conditional (unbounded likelihood)")
             neg_hi, pos_lo = np.minimum(hi, 0.0), np.maximum(lo, 0.0)
             log_odds = _exp_segment_log_mass(lo, neg_hi, r_neg) - _exp_segment_log_mass(pos_lo, hi, r_pos)
-            side, q = rng.random((2, *lo.shape))
+            side, q = q[..., : q.shape[-1] // 2], q[..., q.shape[-1] // 2 :]
             neg = side * (1.0 + np.exp(-log_odds)) < 1.0  # side < P(z < 0)
             x = np.where(neg, _exp_segment(q, lo, neg_hi, r_neg), _exp_segment(q, pos_lo, hi, r_pos))
+            if r_pos >= 0.0 or r_neg <= 0.0:  # the tilt beats a tail: improper where that side is unbounded
+                x = np.where((r_pos >= 0.0) & (hi == np.inf) | (r_neg <= 0.0) & (lo == -np.inf), np.nan, x)
     return np.minimum(np.maximum(x, lo), hi)
 
 
@@ -316,11 +319,18 @@ def importance_posterior(
 def reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndarray:
     """``reduce`` applied to ``draws`` prior draws in ``(k, m)`` batches of about 2**16 grid values, concatenated.
 
-    The batches bound the peak memory; except for the truncated prior, they consume the stream of one
-    ``draws``-row draw.
+    The batches bound the peak memory, and the output grows in place by each reduced batch, so the kept rows
+    are held once; except for the truncated prior, the batches consume the stream of one ``draws``-row draw.
     """
     batch = max(1, _BATCH_VALUES >> prior.grid_level)
-    return np.concatenate([reduce(prior.draw(rng, min(batch, draws - i))) for i in range(0, draws, batch)])
+    out = None
+    for i in range(0, draws, batch):
+        part = reduce(prior.draw(rng, min(batch, draws - i)))
+        out = np.empty((0, *part.shape[1:]), part.dtype) if out is None else out
+        k = len(out)
+        out.resize((k + len(part), *part.shape[1:]), refcheck=False)  # a realloc
+        out[k:] = part
+    return out
 
 
 def _feasible_draws(prior, mins, n, draws, rng):
@@ -344,13 +354,20 @@ def _kept(steps: int, cost: int, thin: int) -> range:
     return range(int(_BURN_IN * sweeps) + t - 1, sweeps, t)
 
 
-def _run_chain(states, keep: range) -> np.ndarray:
-    """Copies of the kept states among the first ``keep.stop`` of the iterator ``states``, as rows."""
-    return np.stack([v.copy() for t, v in zip(range(keep.stop), states) if t in keep])
+def _run_chain(states, keep: range):
+    """The kept states among the first ``keep.stop`` of the iterator ``states`` of ``(c, m)`` chain states,
+    copied into one ``(c, kept, m)`` array, and the chains whose last state holds a NaN, the mark of a
+    degenerate draw."""
+    for t, v in zip(range(keep.stop), states):
+        if t == keep.start:
+            out = np.empty((len(v), len(keep), v.shape[1]))
+        if t in keep:
+            out[:, keep.index(t)] = v
+    return out, np.isnan(v).any(axis=1)
 
 
-def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rng, meta):
-    """Exact Gibbs over wavelet coefficients, one block draw per level; yields the grid values after each sweep.
+def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
+    """Exact Gibbs over wavelet coefficients, one block draw per level; yields the chains' ``(c, m)`` grid values.
 
     Every full conditional is the coefficient prior restricted to an interval
     (from the feasibility constraint) and, for the scaling coefficient only,
@@ -360,87 +377,95 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rng, meta):
     given the other levels they are independent: each sweep draws the scaling
     coefficient, then every level j in one vector draw of its 2^j
     coefficients, which is the coordinate scan's kernel.  A sweep costs
-    ``latent_dim`` site updates.  Updates skipped (coefficient left unchanged)
-    because float drift left an empty interval are added to
-    ``meta["skipped_updates"]``.
+    ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in
+    one array per sweep.  Updates skipped (coefficient left unchanged) because
+    float drift left an empty interval are added to ``skipped[i]``.  A chain
+    with no feasible start or an empty or improper conditional turns NaN.
     """
+    c = len(rngs)
     a0 = float(prior.amplitudes[0])
+    w = 2 if prior.dist.kind == "laplace" else 1  # uniforms per coefficient draw
     # per level: coefficient slice and amplitudes, as in synthesize_flat
     levels = [
         (j, slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
         for j in range(prior.j_max + 1)
     ]
 
-    z = prior.dist.sample(rng, size=prior.latent_dim)
+    z = np.stack([prior.dist.sample(rng, size=prior.latent_dim) for rng in rngs])
     v = prior.synthesize(z)
     # initialization: lower the scaling coordinate until feasible
-    deficit = float(np.max(v - mins))
-    if deficit > 0:
-        z[0] -= (deficit + 1e-9) / a0
-        v -= deficit + 1e-9
-        if prior.dist.kind == "uniform" and z[0] < -prior.dist.scale:
-            raise DegeneratePosteriorError(
-                f"no feasible start: clearing the bin minima puts the scaling coefficient at {z[0]:.4g}, "
-                f"below the uniform support [-{prior.dist.scale:g}, {prior.dist.scale:g}]"
-            )
+    deficit = np.max(v - mins, axis=1)
+    shift = np.where(deficit > 0, deficit + 1e-9, 0.0)
+    z[:, 0] -= shift / a0
+    v -= shift[:, None]
+    if prior.dist.kind == "uniform":
+        z[z[:, 0] < -prior.dist.scale] = np.nan  # clearing the bin minima left the support: no feasible start
 
-    sweep = 0
+    sweep, u = 0, np.empty((c, w * prior.latent_dim))
     while True:
-        hi = z[:1] + np.min(mins - v) / a0
-        z0 = _sample_coefficients_interval(prior.dist, rng, [-math.inf], hi, n * a0)[0]
-        v += (z0 - z[0]) * a0
-        z[0] = z0
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        hi = z[:, :1] + np.min(mins - v, axis=1, keepdims=True) / a0
+        z0 = _sample_coefficients_interval(prior.dist, u[:, :w], -math.inf, hi, n * a0)
+        v += (z0 - z[:, :1]) * a0
+        z[:, :1] = z0
         for j, sl, a in levels:
             # slack on the left (sign +) and right (sign -) half of each support
-            slack = (mins - v).reshape(1 << j, 2, -1).min(axis=2)
-            hi = z[sl] + slack[:, 0] / a
-            lo = z[sl] - slack[:, 1] / a
+            slack = (mins - v).reshape(c, 1 << j, 2, -1).min(axis=3)
+            hi = z[:, sl] + slack[:, :, 0] / a
+            lo = z[:, sl] - slack[:, :, 1] / a
             empty = hi < lo  # guard against accumulated rounding
             if empty.any():
-                meta["skipped_updates"] += int(empty.sum())
-                lo, hi = np.where(empty, z[sl], lo), np.where(empty, z[sl], hi)
-            z_new = _sample_coefficients_interval(prior.dist, rng, lo, hi, 0.0)
-            d = ((z_new - z[sl]) * a)[:, None]
-            halves = v.reshape(1 << j, 2, -1)
-            halves[:, 0] += d
-            halves[:, 1] -= d
-            z[sl] = z_new
+                skipped[:] += empty.sum(axis=1)
+                lo, hi = np.where(empty, z[:, sl], lo), np.where(empty, z[:, sl], hi)
+            z_new = _sample_coefficients_interval(prior.dist, u[:, w * sl.start : w * sl.stop], lo, hi, 0.0)
+            d = ((z_new - z[:, sl]) * a)[:, :, None]
+            halves = v.reshape(c, 1 << j, 2, -1)
+            halves[:, :, 0] += d
+            halves[:, :, 1] -= d
+            z[:, sl] = z_new
         sweep += 1
         if sweep % 64 == 0:  # refresh against float drift of incremental updates
             v = prior.synthesize(z)
         yield v
 
 
-def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, rng: np.random.Generator) -> None:
-    """One scan k = 0..m-1 of exact Gibbs moves v -> v + t 1{b >= k}, in place, in O(m).
+def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, q: np.ndarray) -> None:
+    """One scan k = 0..m-1 of exact Gibbs moves v -> v + t 1{b >= k} on each chain (row) of v, in place, in O(m).
 
     Move k changes only the start value (k = 0) or one increment of the
     Brownian prior, so its conditional is a gaussian tilted by
     e^{n t (m - k) / m} and truncated at the slack of the suffix.  Before move
     k the suffix is shifted by sum(t[:k]), so that slack is the reverse running
     minimum of ``mins - v``, taken once, less the running shift; the shifts are
-    added once at the end.  Move k inverts the k-th of m uniforms drawn before
-    the scan, as ``_std_normal_tail`` does, inlined so that the loop is float
-    arithmetic and two scalar scipy calls per move.
+    added once at the end.  Move k inverts the uniform ``q[:, k]``, as
+    ``_std_normal_tail`` does, inlined: for one chain the loop is float
+    arithmetic and two scalar scipy calls per move, for several it steps them
+    all at once.
     """
-    m = v.size
+    m = v.shape[1]
     var = np.full(m, 1.0 / m)
     var[0] += 1.0  # the start value's prior variance
     mu = var * n * (m - np.arange(m)) / m - np.diff(v, prepend=0.0)
     sd = np.sqrt(var)
-    slack = np.minimum.accumulate((mins - v)[::-1])[::-1] - mu
-    log_q = np.log1p(-rng.random(m))
-    shifts = []
-    shift = 0.0
-    for mu_k, sd_k, slack_k, lq in zip(mu.tolist(), sd.tolist(), slack.tolist(), log_q.tolist()):
-        a = (slack_k - shift) / sd_k
-        shift += mu_k + sd_k * min(float(ndtri_exp(lq + log_ndtr(a))), a)
-        shifts.append(shift)
+    slack = np.minimum.accumulate((mins - v)[:, ::-1], axis=1)[:, ::-1] - mu
+    log_q = np.log1p(-q)
+    if len(v) == 1:
+        shifts, shift = [], 0.0
+        for mu_k, sd_k, slack_k, lq in zip(mu[0].tolist(), sd.tolist(), slack[0].tolist(), log_q[0].tolist()):
+            a = (slack_k - shift) / sd_k
+            shift += mu_k + sd_k * min(float(ndtri_exp(lq + log_ndtr(a))), a)
+            shifts.append(shift)
+    else:
+        shifts, shift = np.empty_like(v), np.zeros(len(v))
+        for k, (mu_k, sd_k, slack_k, lq) in enumerate(zip(mu.T, sd.tolist(), slack.T, log_q.T)):
+            a = (slack_k - shift) / sd_k
+            shift = shifts[:, k] = shift + (mu_k + sd_k * np.minimum(ndtri_exp(lq + log_ndtr(a)), a))
     v += shifts
 
 
-def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rng):
-    """Red-black Gibbs sweeps over bin values for the Brownian-start prior; yields the bin values after each sweep.
+def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
+    """Red-black Gibbs sweeps for the Brownian-start prior; yields the chains' ``(c, m)`` bin values after each sweep.
 
     The prior is Markov across bins, so the full conditional of one bin given
     its neighbours is a gaussian tilted by e^{(n/m) v} and truncated at the bin
@@ -449,32 +474,31 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rng):
     runs one O(m) scan of directional Gibbs moves along suffix shifts
     v -> v + t 1{b >= k} (``_suffix_sweep``), whose conditionals are again
     exact truncated gaussians.  Each draw inverts one uniform: a sweep costs
-    2m site updates.
+    2m site updates, drawn by chain i from ``rngs[i]`` in one array per sweep.
     """
-    m = 1 << prior.grid_level
+    c, m = mins.shape
+    padded = np.zeros((c, m + 2))  # the bins, between two zero neighbours that end bins do not have
+    v = padded[:, 1:-1]
     finite = np.isfinite(mins)
-    v = np.full(m, min(0.0, float(mins[finite].min())) - 0.1) if finite.any() else prior.draw(rng, 1)[0]
+    v[:] = np.min(mins, axis=1, initial=0.0, where=finite, keepdims=True) - 0.1
+    for i in np.flatnonzero(~finite.any(axis=1)):  # no point at all: start from a prior draw
+        v[i] = prior.draw(rngs[i], 1)[0]
     evens, odds = np.arange(0, m, 2), np.arange(1, m, 2)
+    lam = np.full(m, 2.0 * m)  # precision of each bin given its neighbours
+    lam[0], lam[-1] = 1.0 / (1.0 + 1.0 / m) + m, float(m)
+    sd = 1.0 / np.sqrt(lam)
 
-    def half_sweep(idx):
-        lam = np.full(idx.size, 2.0 * m)
-        lin = np.zeros(idx.size)
-        interior = (idx > 0) & (idx < m - 1)
-        lin[interior] = m * (v[idx[interior] - 1] + v[idx[interior] + 1]) + n / m
-        if idx[0] == 0:
-            lam[0] = 1.0 / (1.0 + 1.0 / m) + m
-            lin[0] = m * v[1] + n / m
-        if idx[-1] == m - 1:
-            lam[-1] = float(m)
-            lin[-1] = m * v[m - 2] + n / m
-        mu = lin / lam
-        sd = 1.0 / np.sqrt(lam)
-        v[idx] = mu + sd * _std_normal_tail(rng.random(idx.size), (mins[idx] - mu) / sd)
+    def half_sweep(idx, q):
+        mu = (m * (padded[:, idx] + padded[:, idx + 2]) + n / m) / lam[idx]
+        v[:, idx] = mu + sd[idx] * _std_normal_tail(q, (mins[:, idx] - mu) / sd[idx])
 
+    u = np.empty((c, 2 * m))
     while True:
-        half_sweep(evens)
-        half_sweep(odds)
-        _suffix_sweep(v, mins, n, rng)
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        half_sweep(evens, u[:, : evens.size])
+        half_sweep(odds, u[:, evens.size : m])
+        _suffix_sweep(v, mins, n, u[:, m:])
         yield v
 
 
@@ -506,7 +530,7 @@ def _mcmc_finite(prior: FinitePrior, mins, n, rng, steps, thin):
 def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, rng, steps, thin):
     """One wavelet Gibbs chain per level on a ``steps // (j_cap + 1)`` budget, weighted by the level evidences."""
     steps_per_level = max(1, steps // (prior.j_cap + 1))
-    rows, log_weights = [], []
+    rows, log_weights, skipped = [], [], np.zeros(1, dtype=int)
     meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": 0, "level_log_weights": []}
     for j in range(prior.j_cap + 1):
         level = prior.level_prior(j)
@@ -523,13 +547,47 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, rng, steps, thin):
             peak = lws.max()
             log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(_EVIDENCE_DRAWS)
         lw_level = math.log(prior.level_probabilities[j]) + log_z
-        values = _run_chain(_gibbs_wavelet(level, mins, n, rng, meta), _kept(steps_per_level, level.latent_dim, thin))
+        keep = _kept(steps_per_level, level.latent_dim, thin)
+        (values,), (dead,) = _run_chain(_gibbs_wavelet(level, mins[None], n, [rng], skipped), keep)
+        if dead:
+            raise DegeneratePosteriorError(_DEAD_CHAIN)
         meta["level_log_weights"].append(lw_level)
         rows.append(values)
         log_weights.append(np.full(len(values), lw_level - math.log(len(values))))
     if not rows:
         raise DegeneratePosteriorError("no level produced feasible states")
+    meta["skipped_updates"] = int(skipped[0])
     return PosteriorEnsemble(prior.grid_level, np.concatenate(rows), np.concatenate(log_weights), meta=meta)
+
+
+def mcmc_block(prior, mins: np.ndarray, n: float, steps: int, rngs) -> list:
+    """``mcmc_posterior`` of the cells whose bin minima are the rows of ``mins``, all at intensity ``n``.
+
+    Brownian and wavelet-series chains run as one block on a leading chain axis, finite and truncated priors
+    cell by cell.  Cell i draws only from ``rngs[i]``, so it is bit-identical to its own ``mcmc_posterior``;
+    a degenerate cell's entry is its DegeneratePosteriorError.
+    """
+    thin = max(1, steps // 10_000)
+    if isinstance(prior, (FinitePrior, TruncatedWaveletPrior)):
+        run, out = _mcmc_finite if isinstance(prior, FinitePrior) else _mcmc_truncated, []
+        for row, rng in zip(mins, rngs):
+            try:
+                out.append(run(prior, row, n, rng, steps, thin))
+            except DegeneratePosteriorError as exc:
+                out.append(exc)
+        return out
+    if isinstance(prior, BrownianStartPrior):
+        keep = _kept(steps, 2 << prior.grid_level, thin)
+        values, dead = _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)}] * len(rngs)
+    else:
+        skipped = np.zeros(len(rngs), dtype=int)
+        values, dead = _run_chain(_gibbs_wavelet(prior, mins, n, rngs, skipped), _kept(steps, prior.latent_dim, thin))
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": k} for k in skipped.tolist()]
+    return [
+        DegeneratePosteriorError(_DEAD_CHAIN) if d else PosteriorEnsemble(prior.grid_level, v, np.zeros(len(v)), dict(meta))
+        for v, d, meta in zip(values, dead, metas)
+    ]
 
 
 def mcmc_posterior(
@@ -539,7 +597,7 @@ def mcmc_posterior(
     step_scale: float = 0.5,  # read by no kernel; perfbench/studies.py passes it positionally
     rng: np.random.Generator | None = None,
 ) -> PosteriorEnsemble:
-    """Markov chain Monte Carlo targeting the constrained posterior.
+    """Markov chain Monte Carlo targeting the constrained posterior: ``mcmc_block`` of one cell.
 
     The pattern is reduced once to its bin minima, which every kernel reads.
     Latent priors use exact Gibbs kernels: every conditional is drawn exactly
@@ -560,20 +618,10 @@ def mcmc_posterior(
         raise ValueError("step_scale must be positive")
     if rng is None:
         rng = np.random.default_rng()
-    mins, n = bin_minima(pattern, prior.grid_level), pattern.intensity
-    thin = max(1, steps // 10_000)
-    if isinstance(prior, FinitePrior):
-        return _mcmc_finite(prior, mins, n, rng, steps, thin)
-    if isinstance(prior, TruncatedWaveletPrior):
-        return _mcmc_truncated(prior, mins, n, rng, steps, thin)
-    if isinstance(prior, BrownianStartPrior):
-        keep = _kept(steps, 2 << prior.grid_level, thin)
-        values = _run_chain(_gibbs_brownian(prior, mins, n, rng), keep)
-        meta = {"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)}
-    else:
-        meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": 0}
-        values = _run_chain(_gibbs_wavelet(prior, mins, n, rng, meta), _kept(steps, prior.latent_dim, thin))
-    return PosteriorEnsemble(prior.grid_level, values, np.zeros(len(values)), meta=meta)
+    ens = mcmc_block(prior, bin_minima(pattern, prior.grid_level)[None], pattern.intensity, steps, [rng])[0]
+    if isinstance(ens, DegeneratePosteriorError):
+        raise ens
+    return ens
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
