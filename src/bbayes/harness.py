@@ -1,5 +1,5 @@
-"""Monte Carlo studies: posterior contraction rates, small-ball probabilities
-and posterior-mass decay, with deterministic CSV/SVG reports.
+"""Studies of posterior contraction rates, small-ball probabilities and
+posterior-mass decay, with deterministic CSV/SVG reports.
 
 Theoretical reference exponents are slope targets only; all unspecified
 multiplicative constants are absorbed by the log-log fit intercept.  Each
@@ -7,6 +7,8 @@ multiplicative constants are absorbed by the log-log fit intercept.  Each
 ``numpy.random.SeedSequence([seed, n_index, replicate])``.  The cells of one n
 run together, their Gibbs chains as one block (``mcmc_block``), and bit for bit
 as each cell alone, so neither the thread count nor the block changes a result.
+Brownian-start small-ball probabilities come from a transfer operator over
+the bins and draw no random numbers; the wavelet priors' are Monte Carlo.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, log_ndtr
+from scipy.special import erf, log_ndtr, ndtr
 
 from .grid import GridFunction, simulate_ppp
 from .posterior import (
@@ -436,27 +438,41 @@ def _wavelet_small_ball(
     return out
 
 
-def _brownian_small_ball(spec: PriorSpec, h: GridFunction, eps: float, particles: int, rng: np.random.Generator):
-    """P(sup |X - h| <= eps) for the Brownian-start prior by sequential splitting.
+def _brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
+    """log P(sup|X - target| <= eps), Brownian-start prior, by a transfer operator; -inf if the mass is lost.
 
-    The prior is Markov across bins, so surviving particles are resampled at
-    every bin and the probability is the product of per-bin survival
-    fractions; this reaches probabilities far below 1/particles.
+    Each bin's window [target_k - eps, target_k + eps] is cut into ``cells`` cells of width d, edge to edge.
+    Bin 0 holds the N(0, 1 + 1/m) cell masses; each next bin convolves them, taken at the cell centres, with the
+    cell-integrated N(0, 1/m) increment cut at 8 sd, a band set by target_k - target_{k-1}.  Error: smooth O(d^2).
     """
-    m = 1 << spec.grid_level
-    target = h.refine(spec.grid_level).values
-    sd = 1.0 / math.sqrt(m)
-    x = rng.normal(0.0, math.sqrt(1.0 + 1.0 / m), size=particles)
-    log_p = 0.0
+    m, t = target.size, target.tolist()
+    sd, d = 1.0 / math.sqrt(m), 2.0 * eps / cells
+    w = np.diff(ndtr((t[0] - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
+    log_p, shift = 0.0, None
     for k in range(m):
-        if k > 0:
-            x = x + rng.normal(0.0, sd, size=particles)
-        survivors = x[np.abs(x - target[k]) <= eps]
-        if survivors.size == 0:
-            return 0.0
-        log_p += math.log(survivors.size / particles)
-        x = survivors[rng.integers(0, survivors.size, size=particles)]
-    return math.exp(log_p)
+        if k:
+            if t[k] - t[k - 1] != shift:  # cell offsets lo..hi: the 8 sd cut, widened to hold 0
+                shift = t[k] - t[k - 1]
+                lo = max(1 - cells, min(0, math.ceil((-8.0 * sd - shift) / d)))
+                hi = min(cells - 1, max(0, math.floor((8.0 * sd - shift) / d)))
+                kernel = np.diff(ndtr((shift + (np.arange(lo, hi + 2) - 0.5) * d) / sd))
+            w = np.convolve(w, kernel)[-lo : cells - lo]
+        s = float(w.sum())
+        if s <= 0.0:
+            return -math.inf
+        log_p += math.log(s)
+        w /= s
+    return log_p
+
+
+def _brownian_small_ball(target: np.ndarray, eps: float) -> tuple[float, float]:
+    """(P, std_error): Richardson over about 2 and 4 cells per increment sd, and its residual P |log P - log P_fine|."""
+    cells = math.ceil(4.0 * eps * math.sqrt(target.size))
+    coarse, fine = (_brownian_log_p(target, eps, c) for c in (cells, 2 * cells))
+    if min(coarse, fine) == -math.inf:
+        return 0.0, 0.0
+    log_p = (4.0 * fine - coarse) / 3.0
+    return math.exp(log_p), math.exp(log_p) * abs(log_p - fine)
 
 
 def run_small_ball_study(
@@ -468,43 +484,40 @@ def run_small_ball_study(
     beta: float | None = None,
     tol: float = 0.3,
 ) -> SmallBallReport:
-    """Monte Carlo estimate of P(sup|X - h| <= eps) with a log(-log) slope fit.
+    """P(sup|X - h| <= eps) for each eps of the strictly decreasing ``eps_grid``, with a log(-log) slope fit.
 
-    Wavelet-series priors use subset simulation with preconditioned
-    Crank-Nicolson moves, one descent per run serving the whole grid; the
-    Brownian prior uses sequential splitting across bins, one run per epsilon.
-    Both average 4 independent runs per epsilon, whose spread gives the
-    standard error, and reach probabilities far below 1/draws.  The truncated
-    wavelet prior uses plain Monte Carlo over ``draws`` prior draws.
+    The Brownian prior is Markov across bins: P is a transfer operator over them (``_brownian_log_p``), without
+    ``draws`` or ``rng``, and its ``std_error`` is the quadrature residual of the Richardson extrapolation.
+    Wavelet-series priors average 4 subset-simulation runs with preconditioned Crank-Nicolson moves, one
+    descent per run for the whole grid, whose spread gives the standard error; the truncated prior uses plain
+    Monte Carlo over ``draws`` prior draws.  An eps whose estimate is 0 (no hits, or an underflow) is excluded.
     """
     if draws < 1:
         raise StudyConfigError(f"draws must be >= 1, got {draws}")
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
-    runs = 4
     if spec.variant == "truncated_wavelet":
         sups = _prior_sups(spec, h, draws, rng)
         p = np.array([np.count_nonzero(sups <= e) for e in eps_grid]) / draws
         se = np.sqrt(p * (1.0 - p) / draws)
+    elif spec.variant == "brownian_start":
+        p, se = np.array([_brownian_small_ball(h.refine(spec.grid_level).values, e) for e in eps_grid]).T
     else:  # est: (n_eps, runs) estimates
-        if spec.variant == "brownian_start":
-            particles = max(1000, draws // runs)
-            est = np.array([[_brownian_small_ball(spec, h, e, particles, rng) for _ in range(runs)] for e in eps_grid])
-        else:
-            particles = max(500, draws // (runs * len(eps_grid)))
-            est = np.array([_wavelet_small_ball(spec, h, eps_grid, particles, rng) for _ in range(runs)]).T
+        runs = 4
+        particles = max(500, draws // (runs * len(eps_grid)))
+        est = np.array([_wavelet_small_ball(spec, h, eps_grid, particles, rng) for _ in range(runs)]).T
         p, se = est.mean(axis=1), est.std(axis=1) / math.sqrt(runs)
     hit, eps = p > 0.0, np.array(eps_grid)
     kept, probs, ses, excluded = (tuple(a.tolist()) for a in (eps[hit], p[hit], se[hit], eps[~hit]))
     if len(kept) < 2:
-        raise StudyError("fewer than two epsilon values with hits; enlarge eps_grid or draws")
+        raise StudyError("fewer than two epsilon values with a positive estimate; enlarge eps_grid or draws")
     x = [1.0 / e for e in kept]
     y = [-math.log(q) for q in probs]
     slope, intercept = fit_loglog_slope(x, y)
     theory = None if beta is None else theoretical_small_ball_exponent(spec, beta)
     passed = theory is None or abs(slope - theory) <= tol
-    meta = {"draws": draws}
+    meta = {"method": "transfer", "cells_per_sd": (2, 4)} if spec.variant == "brownian_start" else {"draws": draws}
     if out_of_hypothesis(spec):
         meta["flag"] = "configuration outside the known contraction regime (alpha <= 1)"
     return SmallBallReport(kept, probs, ses, excluded, slope, intercept, theory, tol, passed, meta)

@@ -293,10 +293,10 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = 5\n", "replicates must be >= 10, got 5"),
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = five\n", "'replicates': cannot read 'five'"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nsampler = exact\n", "sampler 'exact'"),
-        ("small-ball", "eps_grid = 0.5,1.0\ndraws = 4000\n", "(0.5, 1.0)"),
+        ("small-ball", "eps_grid = 0.5,1.0\n", "(0.5, 1.0)"),
         ("rate-study", "f0.kind = spike\nn_grid = 5,10,20,40\nreplicates = 10\n", _SPIKE),
         ("decay-study", "f0.kind = spike\nn_grid = 5,20\nreplicates = 4\n", _SPIKE),
-        ("small-ball", "h.kind = spike\neps_grid = 1.0,0.5\ndraws = 4000\n", "h: kind must be one of"),
+        ("small-ball", "h.kind = spike\neps_grid = 1.0,0.5\n", "h: kind must be one of"),
         ("decay-study", "f0.kind = cusp\nn_grid = 20,5\nreplicates = 2\n", "strictly increasing, got (20.0, 5.0)"),
         ("decay-study", "f0.kind = cusp\nn_grid = 20\nreplicates = 2\n", "at least 2 values"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 0\n", "replicates must be >= 1, got 0"),
@@ -306,6 +306,7 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nbudget = 0\n", "budget must be >= 1, got 0"),
         ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
          "eps_grid = 2.0,1.0\ndraws = 0\n", "draws must be >= 1, got 0"),
+        ("small-ball", "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
         ("rate-study", "f0.kind = cusp\nn_grid = 5,10,20,40\nreplicates = 10\nceiling = 0.1\n",
          "ceiling must exceed max(f0) = 0.46875, got 0.1"),
     ],
@@ -324,6 +325,7 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "rate-budget-0",
         "decay-budget-0",
         "small-ball-truncated-draws-0",
+        "small-ball-brownian-draws",
         "rate-ceiling-below-f0",
     ],
 )

@@ -20,6 +20,7 @@ from bbayes import (
 )
 from bbayes.harness import (
     StudyError,
+    _brownian_log_p,
     _brownian_small_ball,
     _latent_from_gaussian,
     _prior_sups,
@@ -245,18 +246,79 @@ def test_wavelet_small_ball_descent_prefix_identity(kind):
         assert prefix[i] == full[i], (i, prefix[i], full[i])
 
 
+def _brownian_box_neg_log_p(values, eps):
+    # the Brownian-start grid values are gaussian, so P is a box probability of N(0, 1 + min(i, j)/m)
+    m = values.size
+    cov = 1.0 + np.minimum.outer(np.arange(1, m + 1), np.arange(1, m + 1)) / m
+    gauss = stats.multivariate_normal(np.zeros(m), cov, abseps=1e-300, releps=1e-3, maxpts=20_000, seed=0)
+    return -math.log(gauss.cdf(values + eps, lower_limit=values - eps))
+
+
+@pytest.mark.parametrize(
+    "grid_level,shape,eps_grid",
+    [
+        (2, "constant", (1.0, 0.5, 0.3)),
+        (3, "constant", (1.0, 0.5, 0.3)),
+        (2, "wavy", (1.0, 0.5, 0.3)),
+        (3, "wavy", (1.0, 0.5, 0.3)),
+        (2, "jumps", (2.5, 2.0)),  # jumps of 9 increment sd, beyond the kernel's 8 sd cut, up and down
+    ],
+    ids=["constant-2", "constant-3", "wavy-2", "wavy-3", "jumps-2"],
+)
+def test_brownian_small_ball_matches_gaussian_box_probability(grid_level, shape, eps_grid):
+    m = 1 << grid_level
+    values = {
+        "constant": np.zeros(m),
+        "wavy": 0.6 * np.sin(1.7 * np.arange(m)),
+        "jumps": 4.5 * (np.arange(m) % 2),
+    }[shape]
+    report = run_small_ball_study(
+        _spec("brownian_start", grid_level=grid_level), GridFunction(grid_level, values), eps_grid, 1,
+        np.random.default_rng(0),
+    )
+    assert report.eps_grid == eps_grid
+    for eps, p in zip(eps_grid, report.probabilities):
+        exact = _brownian_box_neg_log_p(values, eps)
+        assert -math.log(p) == pytest.approx(exact, rel=5e-3), (eps, -math.log(p), exact)
+
+
 def test_brownian_small_ball_matches_plain_monte_carlo():
     spec = _spec("brownian_start", grid_level=5)
-    h = GridFunction.constant(0.0, 5)
-    eps = 1.0
+    h = holder_test_function(0.5, 1.0, "cusp", 5)
     sups = _prior_sups(spec, h, 200_000, np.random.default_rng(4))
-    p_mc = float(np.mean(sups <= eps))
-    se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
-    rng = np.random.default_rng(5)
-    runs = [_brownian_small_ball(spec, h, eps, 4000, rng) for _ in range(6)]
-    p_sm = float(np.mean(runs))
-    se_sm = float(np.std(runs) / math.sqrt(len(runs)))
-    assert abs(p_sm - p_mc) <= 4.0 * math.hypot(se_mc, se_sm)
+    report = run_small_ball_study(spec, h, (1.0, 0.8), 1, np.random.default_rng(5))
+    for eps, p, se in zip(report.eps_grid, report.probabilities, report.std_errors):
+        p_mc = float(np.mean(sups <= eps))
+        se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
+        assert abs(p - p_mc) <= 4.0 * math.hypot(se_mc, se), (eps, p, p_mc)
+
+
+def test_brownian_transfer_operator_converges_as_the_square_of_the_cell_width():
+    target, eps = np.zeros(1 << 12), 0.25
+    cells = math.ceil(2.0 * eps * 2 * 64)  # 2 cells per increment sd, as _brownian_small_ball takes
+    neg_log_p = [-_brownian_log_p(target, eps, c) for c in (cells, 2 * cells, 4 * cells)]
+    # from 4 to 8 cells per sd -log P moves by under 1%, and each halving of d moves it 4 times less: O(d^2)
+    assert abs(neg_log_p[2] - neg_log_p[1]) < 0.01 * neg_log_p[1]
+    assert 3.5 < (neg_log_p[0] - neg_log_p[1]) / (neg_log_p[1] - neg_log_p[2]) < 4.5, neg_log_p
+    # so the estimate, the Richardson value over the first two widths, moves by under 1% at the next two
+    p, se = _brownian_small_ball(target, eps)
+    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0, rel=1e-12)
+    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0, rel=1e-2)
+    assert se == pytest.approx(p * abs(math.log(p) + neg_log_p[1]), rel=1e-12)
+
+
+def test_brownian_small_ball_report_is_deterministic_and_excludes_underflow():
+    spec, h = _spec("brownian_start", grid_level=12), GridFunction.constant(0.0, 12)
+    reports = [
+        run_small_ball_study(spec, h, (1.0, 0.5, 1e-3), 1, np.random.default_rng(seed), beta=1.0) for seed in (1, 2)
+    ]
+    assert reports[0] == reports[1]  # no random numbers: any generator gives the same report
+    report = reports[0]
+    assert report.excluded_eps == (1e-3,)  # -log P is about 12,000: P underflows to 0
+    assert report.eps_grid == (1.0, 0.5) and all(se > 0.0 for se in report.std_errors)
+    assert report.meta == {"method": "transfer", "cells_per_sd": (2, 4)}
+    with pytest.raises(StudyError):
+        run_small_ball_study(spec, h, (1.0, 1e-3), 1, np.random.default_rng(1))
 
 
 def test_small_ball_probabilities_decrease_with_eps():
