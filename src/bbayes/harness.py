@@ -7,8 +7,9 @@ multiplicative constants are absorbed by the log-log fit intercept.  Each
 ``numpy.random.SeedSequence([seed, n_index, replicate])``.  The cells of one n
 run together, their Gibbs chains as one block (``mcmc_block``), and bit for bit
 as each cell alone, so neither the thread count nor the block changes a result.
-Brownian-start small-ball probabilities come from a transfer operator over
-the bins and draw no random numbers; the wavelet priors' are Monte Carlo.
+Brownian-start and wavelet-series small-ball probabilities are quadratures, a
+transfer operator over the bins and an upward pass over the Haar tree, and draw
+no random numbers; the truncated prior's are Monte Carlo.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, log_ndtr, ndtr
+from scipy.special import ndtr
 
 from .grid import GridFunction, simulate_ppp
 from .posterior import (
@@ -36,12 +37,10 @@ from .posterior import (
 from .priors import (
     CoefficientDistribution,
     PriorSpec,
-    WaveletSeriesPrior,
     build_prior,
     holder_test_function,
 )
 from .reporting import csv_table, fit_loglog_slope, svg_loglog_plot, write_text
-from .wavelets import synthesize_flat
 
 __all__ = [
     "RateStudyConfig",
@@ -366,76 +365,52 @@ def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Gen
     return reduce_draws(build_prior(spec), draws, rng, lambda v: np.abs(v - target).max(axis=1))
 
 
-def _latent_from_gaussian(dist: CoefficientDistribution, g: np.ndarray) -> np.ndarray:
-    """Coefficients of law ``dist`` from standard gaussians: ``F^{-1}(Phi(g))`` in closed form, finite for finite g."""
-    s = dist.scale
-    if dist.kind == "gaussian":
-        return s * g
-    if dist.kind == "laplace":
-        # the tail quantile -s log(2 Phi(-|g|)), signed like g
-        return np.copysign(-s * (math.log(2.0) + log_ndtr(-np.abs(g))), g)
-    return s * erf(g / math.sqrt(2.0))
+def _mass(dist: CoefficientDistribution, lo, hi) -> np.ndarray:
+    """P(lo < z <= hi) for z of law ``dist``, 0 where lo >= hi; an interval right of 0 is read in the left tail."""
+    return np.maximum(np.where(lo > 0.0, dist.cdf(-lo) - dist.cdf(-hi), dist.cdf(hi) - dist.cdf(lo)), 0.0)
 
 
-def _sup_to_target(prior: WaveletSeriesPrior, target: np.ndarray):
-    """``z -> sup|prior.synthesize(z) - target|`` for latent batches, bit for bit: draws are constant on
-    2**(j_max+1) blocks and rounded subtraction is monotone, so only each block's target range matters."""
-    blocks = target.reshape(1 << (prior.j_max + 1), -1)
-    lo, hi = blocks.min(axis=1), blocks.max(axis=1)
+def _haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
+    """log P(sup|X - target| <= eps), wavelet-series prior, by an upward pass over the Haar tree; -inf if P = 0.
 
-    def sup(z: np.ndarray) -> np.ndarray:
-        v = synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
-        return np.maximum(v - lo, hi - v).max(axis=1)
-
-    return sup
-
-
-def _wavelet_small_ball(
-    spec: PriorSpec, h: GridFunction, eps_grid: tuple, particles: int, rng: np.random.Generator
-) -> np.ndarray:
-    """P(sup|X - h| <= eps), wavelet-series prior, for every eps of the decreasing ``eps_grid`` from one descent.
-
-    Subset simulation.  The latent coefficients are closed-form monotone maps of standard gaussians
-    (``s g``, the signed laplace tail quantile via ``log_ndtr``, ``s erf(g/sqrt 2)``),
-    so a preconditioned Crank-Nicolson move leaves the prior invariant for every
-    coefficient law and only the sup-distance constraint, taken block by block
-    against h's range on each of the prior's 2**(j_max+1) blocks, enters the
-    accept step.  Levels are lowered to the empirical 25% quantile; each eps is
-    read at the first level at or below it, as the product of the per-stage
-    survival fractions, or is 0 if 60 stages do not reach it.  Up to that stage
-    the descent is the one of eps alone, so each estimate keeps its law, but
-    one descent's estimates are correlated across eps.
+    The ball is one window [max_b target - eps, min_b target + eps] per block b of the prior's 2**(j_max+1).
+    Node (j, k) with partial sum s has children s +- A_j z, A_j = 2^{j/2} amplitudes[2^j]; its message M(s) is the
+    probability that its blocks stay in their windows.  At j_max both children are blocks, and M is the law's
+    mass on the z both windows allow.  Above, on the lattice s_i = i d, d = 2 eps / cells, M(s_i) is
+    sum_t w_t M_L(s_{i+t}) M_R(s_{i-t}), w_t the law's mass on the cell of z = t d / A_j, over every t with w_t > 0.
+    The root integrates M_0 against the cell masses of the scaling coefficient.  Messages are (nodes, S)
+    arrays, one level at a time, each row renormalised by its max, whose log is added to log P.
     """
-    prior = build_prior(spec)
-    sup = _sup_to_target(prior, h.refine(spec.grid_level).values)
-    g = rng.standard_normal((particles, prior.latent_dim))
-    s = sup(_latent_from_gaussian(prior.dist, g))
-    out, done = np.zeros(len(eps_grid)), 0  # eps_grid[:done] are read
-    log_p = 0.0
-    rho = 0.8  # pCN autocorrelation, adapted to keep acceptance moderate
-    for _ in range(60):
-        level = float(np.quantile(s, 0.25))
-        while done < len(eps_grid) and level <= eps_grid[done]:
-            out[done] = math.exp(log_p) * (int(np.count_nonzero(s <= eps_grid[done])) / particles)
-            done += 1
-        if done == len(eps_grid):
+    dist, amps, top_level = prior.dist, prior.amplitudes, prior.j_max
+    blocks = target.reshape(2 << top_level, -1)
+    lo, hi = blocks.max(axis=1) - eps, blocks.min(axis=1) + eps
+    if np.any(lo >= hi):
+        return -math.inf
+    d = 2.0 * eps / cells
+    s = d * np.arange(math.floor(lo.min() / d), math.ceil(hi.max() / d) + 1)
+    n = s.size
+    a = 2.0 ** (top_level / 2.0) * amps[1 << top_level]
+    z_lo = np.maximum(lo[0::2, None] - s, s - hi[1::2, None]) / a
+    z_hi = np.minimum(hi[0::2, None] - s, s - lo[1::2, None]) / a
+    msg, log_p = _mass(dist, z_lo, z_hi), 0.0
+    for j in range(top_level, -1, -1):  # msg holds level j, one row per node
+        peak = msg.max(axis=1, keepdims=True)
+        if not peak.all():
+            return -math.inf
+        log_p += float(np.log(peak).sum())
+        msg /= peak
+        if j == 0:
             break
-        keep = np.flatnonzero(s <= level)
-        log_p += math.log(keep.size / particles)
-        idx = keep[rng.integers(0, keep.size, size=particles)]
-        g, s = g[idx], s[idx]
-        for _ in range(6):
-            cand = rho * g + math.sqrt(1.0 - rho * rho) * rng.standard_normal(g.shape)
-            s_cand = sup(_latent_from_gaussian(prior.dist, cand))
-            accept = s_cand <= level
-            g[accept] = cand[accept]
-            s[accept] = s_cand[accept]
-            acc = np.count_nonzero(accept) / particles
-            if acc < 0.3:
-                rho = math.sqrt(rho)
-            elif acc > 0.6:
-                rho = max(0.5, rho * rho)
-    return out
+        left, right = msg[0::2], msg[1::2]
+        step = d / (2.0 ** ((j - 1) / 2.0) * amps[1 << (j - 1)])  # one lattice cell in z
+        offsets = np.arange((n + 1) // 2)  # all the lattice holds
+        w = _mass(dist, (offsets - 0.5) * step, (offsets + 0.5) * step)
+        msg = w[0] * left * right
+        for t in range(1, np.flatnonzero(w)[-1] + 1):  # up to where the law's mass underflows or ends
+            inner = left[:, 2 * t :] * right[:, : n - 2 * t] + left[:, : n - 2 * t] * right[:, 2 * t :]
+            msg[:, t : n - t] += w[t] * inner
+    root = float(_mass(dist, (s - 0.5 * d) / amps[0], (s + 0.5 * d) / amps[0]) @ msg[0])
+    return log_p + math.log(root) if root > 0.0 else -math.inf
 
 
 def _brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
@@ -465,14 +440,17 @@ def _brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
     return log_p
 
 
-def _brownian_small_ball(target: np.ndarray, eps: float) -> tuple[float, float]:
-    """(P, std_error): Richardson over about 2 and 4 cells per increment sd, and its residual P |log P - log P_fine|."""
-    cells = math.ceil(4.0 * eps * math.sqrt(target.size))
-    coarse, fine = (_brownian_log_p(target, eps, c) for c in (cells, 2 * cells))
-    if min(coarse, fine) == -math.inf:
+def _richardson(log_p, cells: int) -> tuple[float, float]:
+    """(P, std_error) of an O(d^2) quadrature ``log_p(c)`` run at ``cells``, 2 ``cells`` and 4 ``cells`` cells.
+
+    With R(a, b) = (4 log_p(b) - log_p(a)) / 3, P = exp R(2 cells, 4 cells) and std_error is
+    P |R(2 cells, 4 cells) - R(cells, 2 cells)|; (0, 0) if a run loses the mass.
+    """
+    coarse, mid, fine = (log_p(c) for c in (cells, 2 * cells, 4 * cells))
+    if min(coarse, mid, fine) == -math.inf:
         return 0.0, 0.0
-    log_p = (4.0 * fine - coarse) / 3.0
-    return math.exp(log_p), math.exp(log_p) * abs(log_p - fine)
+    r = (4.0 * fine - mid) / 3.0
+    return math.exp(r), math.exp(r) * abs(r - (4.0 * mid - coarse) / 3.0)
 
 
 def run_small_ball_study(
@@ -486,28 +464,34 @@ def run_small_ball_study(
 ) -> SmallBallReport:
     """P(sup|X - h| <= eps) for each eps of the strictly decreasing ``eps_grid``, with a log(-log) slope fit.
 
-    The Brownian prior is Markov across bins: P is a transfer operator over them (``_brownian_log_p``), without
-    ``draws`` or ``rng``, and its ``std_error`` is the quadrature residual of the Richardson extrapolation.
-    Wavelet-series priors average 4 subset-simulation runs with preconditioned Crank-Nicolson moves, one
-    descent per run for the whole grid, whose spread gives the standard error; the truncated prior uses plain
-    Monte Carlo over ``draws`` prior draws.  An eps whose estimate is 0 (no hits, or an underflow) is excluded.
+    The Brownian and wavelet-series priors are Markov models, across bins and down the Haar tree: P is a
+    quadrature, a transfer operator over the bins (``_brownian_log_p``, one cell per increment sd and up) or an
+    upward pass over the tree (``_haar_log_p``, 32 cells per window and up), without ``draws`` or ``rng``.
+    Each is run at three cell widths, and ``std_error`` is the change of its Richardson value (``_richardson``).
+    The truncated prior uses plain Monte Carlo over ``draws`` prior draws.  An eps whose estimate is 0 (no
+    hits, an empty window or an underflow) is excluded.
     """
     if draws < 1:
         raise StudyConfigError(f"draws must be >= 1, got {draws}")
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
+    target = h.refine(spec.grid_level).values
     if spec.variant == "truncated_wavelet":
         sups = _prior_sups(spec, h, draws, rng)
         p = np.array([np.count_nonzero(sups <= e) for e in eps_grid]) / draws
         se = np.sqrt(p * (1.0 - p) / draws)
+        meta = {"draws": draws}
     elif spec.variant == "brownian_start":
-        p, se = np.array([_brownian_small_ball(h.refine(spec.grid_level).values, e) for e in eps_grid]).T
-    else:  # est: (n_eps, runs) estimates
-        runs = 4
-        particles = max(500, draws // (runs * len(eps_grid)))
-        est = np.array([_wavelet_small_ball(spec, h, eps_grid, particles, rng) for _ in range(runs)]).T
-        p, se = est.mean(axis=1), est.std(axis=1) / math.sqrt(runs)
+        root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m
+        runs = [_richardson(partial(_brownian_log_p, target, e), math.ceil(2.0 * e * root_m)) for e in eps_grid]
+        meta = {"method": "transfer", "cells_per_sd": (1, 2, 4)}
+    else:
+        prior = build_prior(spec)
+        runs = [_richardson(partial(_haar_log_p, prior, target, e), 32) for e in eps_grid]
+        meta = {"method": "haar-tree", "cells_per_window": (32, 64, 128)}
+    if spec.variant != "truncated_wavelet":
+        p, se = np.array(runs).reshape(-1, 2).T
     hit, eps = p > 0.0, np.array(eps_grid)
     kept, probs, ses, excluded = (tuple(a.tolist()) for a in (eps[hit], p[hit], se[hit], eps[~hit]))
     if len(kept) < 2:
@@ -517,7 +501,6 @@ def run_small_ball_study(
     slope, intercept = fit_loglog_slope(x, y)
     theory = None if beta is None else theoretical_small_ball_exponent(spec, beta)
     passed = theory is None or abs(slope - theory) <= tol
-    meta = {"method": "transfer", "cells_per_sd": (2, 4)} if spec.variant == "brownian_start" else {"draws": draws}
     if out_of_hypothesis(spec):
         meta["flag"] = "configuration outside the known contraction regime (alpha <= 1)"
     return SmallBallReport(kept, probs, ses, excluded, slope, intercept, theory, tol, passed, meta)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .grid import GridFunction
 from .wavelets import coefficient_count, synthesize_flat
@@ -63,6 +64,17 @@ class CoefficientDistribution:
             out = np.exp(-np.abs(x) / s) / (2.0 * s)
         else:
             out = np.where(np.abs(x) <= s, 1.0 / (2.0 * s), 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float) / self.scale
+        if self.kind == "gaussian":
+            out = ndtr(x)
+        elif self.kind == "laplace":
+            tail = 0.5 * np.exp(-np.abs(x))
+            out = np.where(x < 0.0, tail, 1.0 - tail)
+        else:
+            out = np.clip(0.5 * (x + 1.0), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):

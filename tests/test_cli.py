@@ -307,6 +307,8 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
          "eps_grid = 2.0,1.0\ndraws = 0\n", "draws must be >= 1, got 0"),
         ("small-ball", "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
+        ("small-ball", "prior.variant = wavelet_series\nprior.alpha = 1.0\nprior.j_max = 2\nprior.dist.kind = gaussian\n"
+         "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
         ("rate-study", "f0.kind = cusp\nn_grid = 5,10,20,40\nreplicates = 10\nceiling = 0.1\n",
          "ceiling must exceed max(f0) = 0.46875, got 0.1"),
     ],
@@ -326,6 +328,7 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "decay-budget-0",
         "small-ball-truncated-draws-0",
         "small-ball-brownian-draws",
+        "small-ball-wavelet-draws",
         "rate-ceiling-below-f0",
     ],
 )

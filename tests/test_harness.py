@@ -2,6 +2,7 @@
 rare-event estimators against plain Monte Carlo, and report emission."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,11 +22,9 @@ from bbayes import (
 from bbayes.harness import (
     StudyError,
     _brownian_log_p,
-    _brownian_small_ball,
-    _latent_from_gaussian,
+    _haar_log_p,
     _prior_sups,
-    _sup_to_target,
-    _wavelet_small_ball,
+    _richardson,
     calibrate_ceiling,
     emit_report,
     theoretical_rate_exponent,
@@ -183,67 +182,71 @@ def test_rate_study_exclusion_limit():
 # small-ball study
 
 
-@pytest.mark.parametrize(
-    "kind, law",
-    [
-        ("gaussian", stats.norm(0.0, 0.7)),
-        ("laplace", stats.laplace(0.0, 0.7)),
-        ("uniform", stats.uniform(-0.7, 1.4)),
-    ],
-)
-def test_latent_from_gaussian_matches_scipy_quantile_transform(kind, law):
-    dist = CoefficientDistribution(kind, scale=0.7)
-    g = np.linspace(-8.0, 8.0, 3201)
-    # ppf(norm.cdf(g)) itself is only ~1e-3 accurate near g = 8, where the cdf
-    # rounds towards 1, so the oracle takes each half in its accurate tail
-    oracle = np.where(g <= 0.0, law.ppf(stats.norm.cdf(g)), law.isf(stats.norm.sf(g)))
-    np.testing.assert_allclose(_latent_from_gaussian(dist, g), oracle, rtol=1e-12, atol=0.0)
-    wide = np.linspace(-38.0, 38.0, 20001)
-    z = _latent_from_gaussian(dist, wide)
-    assert np.all(np.isfinite(z))
-    assert np.all(np.diff(z) >= 0.0)
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "laplace"])
-def test_sup_to_target_matches_grid_sup_bit_for_bit(kind):
-    # the target lives on 64 bins, the prior's draws on 8 blocks
-    spec = _spec("wavelet_series", kind, grid_level=6, j=2)
-    prior = build_prior(spec)
-    rng = np.random.default_rng(6)
-    z = prior.dist.sample(rng, size=(2000, prior.latent_dim))
-    for target in (holder_test_function(0.5, 1.0, "cusp", 6).values, rng.normal(size=64)):
-        grid_sup = np.abs(prior.synthesize(z) - target).max(axis=1)
-        assert np.array_equal(_sup_to_target(prior, target)(z), grid_sup)
-
-
 @pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
 def test_wavelet_small_ball_matches_plain_monte_carlo(kind):
-    # one descent per run serves the whole grid; every eps must agree with plain Monte Carlo
     spec = _spec("wavelet_series", kind, grid_level=5, j=3)
-    h = GridFunction.constant(0.0, 5)
-    eps_grid = (1.2, 0.8, 0.6)
-    sups = _prior_sups(spec, h, 200_000, np.random.default_rng(2))
-    rng = np.random.default_rng(3)
-    runs = np.array([_wavelet_small_ball(spec, h, eps_grid, 2000, rng) for _ in range(6)])
-    for eps, col in zip(eps_grid, runs.T):
-        p_mc = float(np.mean(sups <= eps))
-        se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
-        p_ss = float(np.mean(col))
-        se_ss = float(np.std(col) / math.sqrt(len(col)))
-        assert abs(p_ss - p_mc) <= 4.0 * math.hypot(se_mc, se_ss), (eps, p_ss, p_mc)
+    for h in (GridFunction.constant(0.0, 5), holder_test_function(0.5, 1.0, "cusp", 5)):
+        sups = _prior_sups(spec, h, 200_000, np.random.default_rng(2))
+        report = run_small_ball_study(spec, h, (1.2, 0.8, 0.6), 1, np.random.default_rng(3))
+        assert report.eps_grid == (1.2, 0.8, 0.6)
+        for eps, p, se in zip(report.eps_grid, report.probabilities, report.std_errors):
+            p_mc = float(np.mean(sups <= eps))
+            se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
+            assert abs(p - p_mc) <= 4.0 * math.hypot(se_mc, se), (eps, p, p_mc)
+
+
+def _wavelet_box_neg_log_p(spec, values, eps):
+    # gaussian coefficients make the prior's block values gaussian, so P is a box probability
+    prior = build_prior(spec)
+    basis = prior.synthesize(np.eye(prior.latent_dim))[:, :: 1 << (spec.grid_level - spec.j_max - 1)]
+    cov = spec.dist.scale**2 * basis.T @ basis
+    blocks = values.reshape(basis.shape[1], -1)
+    gauss = stats.multivariate_normal(np.zeros(basis.shape[1]), cov, abseps=1e-300, releps=1e-3, maxpts=20_000, seed=0)
+    return -math.log(gauss.cdf(blocks.min(axis=1) + eps, lower_limit=blocks.max(axis=1) - eps))
+
+
+@pytest.mark.parametrize(
+    "grid_level,j_max,shape,eps_grid",
+    [
+        (2, 1, "constant", (1.0, 0.5, 0.3)),
+        (2, 1, "wavy", (1.0, 0.5, 0.3)),
+        (3, 2, "constant", (1.0, 0.5, 0.3)),
+        (3, 2, "wavy", (1.0, 0.5, 0.3)),
+        (3, 1, "wavy", (1.0, 0.7, 0.5)),  # two bins per block: each window narrows by h's range in its block
+        (2, 1, "far", (1.0, 0.5, 0.3)),  # the level-0 coefficient must reach about 11 sd: P is about e^-60
+    ],
+    ids=["constant-2-1", "wavy-2-1", "constant-3-2", "wavy-3-2", "wavy-3-1", "far-2-1"],
+)
+def test_haar_tree_matches_gaussian_box_probability(grid_level, j_max, shape, eps_grid):
+    spec = PriorSpec(
+        variant="wavelet_series", alpha=0.7, dist=CoefficientDistribution("gaussian", 0.8), j_max=j_max,
+        grid_level=grid_level,
+    )
+    m = 1 << grid_level
+    values = {
+        "constant": np.zeros(m),
+        "wavy": 0.6 * np.sin(1.7 * np.arange(m)),
+        "far": np.where(np.arange(m) < m // 2, 9.0, -9.0),
+    }[shape]
+    report = run_small_ball_study(spec, GridFunction(grid_level, values), eps_grid, 1, np.random.default_rng(0))
+    assert report.eps_grid == eps_grid
+    for eps, p in zip(eps_grid, report.probabilities):
+        exact = _wavelet_box_neg_log_p(spec, values, eps)
+        assert -math.log(p) == pytest.approx(exact, rel=5e-3), (eps, -math.log(p), exact)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
-def test_wavelet_small_ball_descent_prefix_identity(kind):
-    # the estimate of eps_i is the one a descent stopped at eps_i would give, bit for bit
-    spec = _spec("wavelet_series", kind, grid_level=5, j=3)
-    h = GridFunction.constant(0.0, 5)
-    eps_grid = (1.2, 0.9, 0.7, 0.5)
-    full = _wavelet_small_ball(spec, h, eps_grid, 500, np.random.default_rng(11))
-    assert full.shape == (len(eps_grid),) and np.all(full > 0.0)
-    for i in range(len(eps_grid)):
-        prefix = _wavelet_small_ball(spec, h, eps_grid[: i + 1], 500, np.random.default_rng(11))
-        assert prefix[i] == full[i], (i, prefix[i], full[i])
+def test_haar_tree_converges_in_the_cell_width(kind):
+    spec = _spec("wavelet_series", kind, grid_level=6, j=3)
+    target, eps = holder_test_function(0.5, 1.0, "cusp", 6).values, 0.6
+    log_p = partial(_haar_log_p, build_prior(spec), target, eps)
+    neg_log_p = [-log_p(c) for c in (64, 128, 256)]
+    assert abs(neg_log_p[1] - neg_log_p[0]) < 0.01 * neg_log_p[0]
+    assert abs(neg_log_p[2] - neg_log_p[1]) < 0.01 * neg_log_p[1]
+    # the estimate, the Richardson value over 64 and 128 cells, moves by at most std_error at the next two widths
+    p, se = _richardson(log_p, 32)
+    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0, rel=1e-12)
+    assert 0.0 < abs(p - math.exp(-(4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0)) <= se
 
 
 def _brownian_box_neg_log_p(values, eps):
@@ -294,17 +297,20 @@ def test_brownian_small_ball_matches_plain_monte_carlo():
 
 
 def test_brownian_transfer_operator_converges_as_the_square_of_the_cell_width():
-    target, eps = np.zeros(1 << 12), 0.25
-    cells = math.ceil(2.0 * eps * 2 * 64)  # 2 cells per increment sd, as _brownian_small_ball takes
-    neg_log_p = [-_brownian_log_p(target, eps, c) for c in (cells, 2 * cells, 4 * cells)]
+    spec, h = _spec("brownian_start", grid_level=12), GridFunction.constant(0.0, 12)
+    target, eps = h.values, 0.25
+    cells = math.ceil(2.0 * eps * 64)  # 1 cell per increment sd, as run_small_ball_study starts
+    neg_log_p = [-_brownian_log_p(target, eps, c) for c in (cells, 2 * cells, 4 * cells, 8 * cells)]
     # from 4 to 8 cells per sd -log P moves by under 1%, and each halving of d moves it 4 times less: O(d^2)
-    assert abs(neg_log_p[2] - neg_log_p[1]) < 0.01 * neg_log_p[1]
-    assert 3.5 < (neg_log_p[0] - neg_log_p[1]) / (neg_log_p[1] - neg_log_p[2]) < 4.5, neg_log_p
-    # so the estimate, the Richardson value over the first two widths, moves by under 1% at the next two
-    p, se = _brownian_small_ball(target, eps)
-    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0, rel=1e-12)
-    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0, rel=1e-2)
-    assert se == pytest.approx(p * abs(math.log(p) + neg_log_p[1]), rel=1e-12)
+    assert abs(neg_log_p[3] - neg_log_p[2]) < 0.01 * neg_log_p[2]
+    assert 3.5 < (neg_log_p[1] - neg_log_p[2]) / (neg_log_p[2] - neg_log_p[3]) < 4.5, neg_log_p
+    # so the estimate, the Richardson value over 2 and 4 cells per sd, moves by under 1% at the next two widths
+    report = run_small_ball_study(spec, h, (0.3, eps), 1, np.random.default_rng(0))
+    p, se = report.probabilities[1], report.std_errors[1]
+    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0, rel=1e-12)
+    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[3] - neg_log_p[2]) / 3.0, rel=1e-2)
+    # std_error is the change of the Richardson value from 1 and 2 cells per sd
+    assert se == pytest.approx(p * abs(math.log(p) + (4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0), rel=1e-12)
 
 
 def test_brownian_small_ball_report_is_deterministic_and_excludes_underflow():
@@ -316,7 +322,7 @@ def test_brownian_small_ball_report_is_deterministic_and_excludes_underflow():
     report = reports[0]
     assert report.excluded_eps == (1e-3,)  # -log P is about 12,000: P underflows to 0
     assert report.eps_grid == (1.0, 0.5) and all(se > 0.0 for se in report.std_errors)
-    assert report.meta == {"method": "transfer", "cells_per_sd": (2, 4)}
+    assert report.meta == {"method": "transfer", "cells_per_sd": (1, 2, 4)}
     with pytest.raises(StudyError):
         run_small_ball_study(spec, h, (1.0, 1e-3), 1, np.random.default_rng(1))
 
@@ -343,10 +349,15 @@ def test_small_ball_exclusion_and_degenerate_grid():
     assert len(report.probabilities) == 2
     with pytest.raises(StudyError):
         run_small_ball_study(spec, h, (1e-9, 1e-10), 2000, rng)
-    # a wavelet descent that cannot reach the last eps in 60 stages excludes only that eps
-    report = run_small_ball_study(_spec("wavelet_series", grid_level=5, j=3), h, (1.2, 0.8, 1e-9), 6000, rng)
-    assert report.excluded_eps == (1e-9,)
-    assert report.eps_grid == (1.2, 0.8) and all(p > 0.0 for p in report.probabilities)
+    # a wavelet window is empty where h's range inside one prior block exceeds 2 eps: P = 0, and only that eps goes
+    wavelet = _spec("wavelet_series", grid_level=5, j=3)  # 16 blocks of 2 bins
+    for jumps in (np.arange(32) == 0, np.arange(32) % 2):  # in block 0, or in every block
+        report = run_small_ball_study(wavelet, GridFunction(5, jumps.astype(float)), (1.2, 0.8, 0.4), 1, rng)
+        assert report.excluded_eps == (0.4,)
+        assert report.eps_grid == (1.2, 0.8) and all(p > 0.0 for p in report.probabilities)
+    # a tiny eps keeps its tiny true probability instead
+    report = run_small_ball_study(wavelet, h.refine(5), (1.2, 0.8, 1e-9), 1, rng)
+    assert report.excluded_eps == () and 0.0 < report.probabilities[-1] < 1e-100
     with pytest.raises(ValueError):
         run_small_ball_study(spec, h, (0.5, 0.5), 2000, rng)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from bbayes import (
     CoefficientDistribution,
@@ -47,6 +47,14 @@ def test_coefficient_density_normalized(kind):
     dist = CoefficientDistribution(kind, scale=0.7)
     total, _ = integrate.quad(dist.density, -30, 30, points=[-dist.scale, 0.0, dist.scale], limit=200)
     assert total == pytest.approx(1.0, abs=1e-8)
+    # the cdf is the integral of the density, and keeps its relative precision deep in the left tail
+    for x in (-2.0, -0.5, 0.0, 0.3, 1.1):
+        kinks = [k for k in (-dist.scale, 0.0, dist.scale) if k < x]
+        part, _ = integrate.quad(dist.density, -30, x, points=kinks or None, limit=200)
+        assert dist.cdf(x) == pytest.approx(part, abs=1e-10)
+    tail = {"gaussian": stats.norm.cdf(-6.0, scale=0.7), "laplace": stats.laplace.cdf(-6.0, scale=0.7), "uniform": 0.0}
+    assert dist.cdf(-6.0) == pytest.approx(tail[kind], rel=1e-12, abs=0.0)
+    assert np.array_equal(dist.cdf(np.array([-6.0, 1.1])), [dist.cdf(-6.0), dist.cdf(1.1)])
 
 
 def test_coefficient_law_validation():
