@@ -4,12 +4,13 @@ Exit codes: 0 pass, 1 error (for instance a ``complexity`` dictionary member
 that no pool function brackets), 2 tolerance failure or usage error (an option
 that is unknown or outside its domain, a ``--pattern``, ``--f0``, ``--dict`` or
 ``--pool`` file that does not parse, a study config key that is unknown or
-unread (``draws`` of a Brownian or wavelet-series small-ball study), a study
-config value that is unreadable or that the study rejects, or a prior key, in a
-``--prior`` file or as ``prior.*`` in a study config, that is unknown, missing,
-unreadable or not read by its variant).  Options, input files and study
-configs are checked before any work starts, so a usage error writes nothing.
-All subcommands are deterministic given ``--seed``.
+unread (``draws``, or ``seed`` and ``--seed``, of a Brownian or wavelet-series
+small-ball study), a study config value that is unreadable or that the study
+rejects, or a prior key, in a ``--prior`` file or as ``prior.*`` in a study
+config, that is unknown, missing, unreadable or not read by its variant).
+Options, input files and study configs are checked before any work starts, so
+a usage error writes nothing.  All subcommands are deterministic given
+``--seed``.
 """
 
 from __future__ import annotations
@@ -287,8 +288,10 @@ def rate_study(config_path, seed, out, threads):
 def small_ball(config_path, seed, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
     kv, spec = _study_kv(config_path, seed, "beta h.kind h.beta h.R eps_grid draws tol")
-    if spec.variant != "truncated_wavelet" and "draws" in kv:
-        raise click.UsageError(f"config key 'draws' in {config_path}: a {spec.variant} small-ball study reads no draws")
+    for key in ("draws", "seed") if spec.variant != "truncated_wavelet" else ():
+        if key in kv:
+            where = "--seed" if key == "seed" and seed is not None else f"config key {key!r} in {config_path}"
+            raise click.UsageError(f"{where}: a {spec.variant} small-ball study reads no {key}")
     beta = _get(kv, "beta", float)
     if "h.kind" in kv:
         h = _test_function(config_path, kv, "h", spec.grid_level, 1.0 if beta is None else beta)

@@ -5,8 +5,9 @@ Theoretical reference exponents are slope targets only; all unspecified
 multiplicative constants are absorbed by the log-log fit intercept.  Each
 (n, replicate) cell runs on its own generator, seeded from the master seed by
 ``numpy.random.SeedSequence([seed, n_index, replicate])``.  The cells of one n
-run together, their Gibbs chains as one block (``mcmc_block``), and bit for bit
-as each cell alone, so neither the thread count nor the block changes a result.
+simulate their patterns, reduce them to bin minima and go to the posterior
+layer's one dispatch (``sample_cells``) as one block, which samples each bit
+for bit as alone, so neither the thread count nor the block changes a result.
 Brownian-start and wavelet-series small-ball probabilities are quadratures, a
 transfer operator over the bins and an upward pass over the Haar tree, and draw
 no random numbers; the truncated prior's are Monte Carlo.
@@ -25,14 +26,13 @@ from scipy.special import ndtr
 
 from .grid import GridFunction, simulate_ppp
 from .posterior import (
-    DegeneratePosteriorError,
     PosteriorEnsemble,
     bin_minima,
+    check_sampler,
     mass_lower_excess,
-    mcmc_block,
     posterior_median_metric,
     reduce_draws,
-    sample_posterior,
+    sample_cells,
 )
 from .priors import (
     CoefficientDistribution,
@@ -76,14 +76,11 @@ class StudyConfigError(ValueError):
 
 
 def _check_sampler(sampler: str, budget: int, spec: PriorSpec) -> None:
-    """StudyConfigError unless the named posterior sampler applies to the prior ``spec`` and ``budget >= 1``."""
-    if budget < 1:
-        raise StudyConfigError(f"budget must be >= 1, got {budget}")
-    if sampler not in ("importance", "mcmc", "exact"):
-        raise StudyConfigError(f"sampler must be 'importance', 'mcmc' or 'exact', got {sampler!r}")
-    if sampler == "exact" and (spec.variant != "truncated_wavelet" or spec.dist.kind != "gaussian"):
-        got = spec.variant if spec.dist is None else f"{spec.variant} with {spec.dist.kind} coefficients"
-        raise StudyConfigError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
+    """``check_sampler`` on the prior of ``spec``, its ValueError raised as StudyConfigError."""
+    try:
+        check_sampler(build_prior(spec), sampler, budget)
+    except ValueError as exc:
+        raise StudyConfigError(str(exc)) from None
 
 
 def _check_cells(n_grid, replicates: int, min_values: int, min_replicates: int) -> tuple:
@@ -233,32 +230,20 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
 def _study_row(spec, f0, ceiling, sampler, budget, functional, replicates, seed, i_n, n):
     """``functional(ensemble, f0)`` of the cells (n, 0), ..., (n, replicates - 1), or None for a degenerate cell.
 
-    Each cell simulates and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  For
-    'mcmc' the patterns are reduced at once to bin minima and run as one ``mcmc_block``, else cell by cell.
+    Each cell simulates and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  The
+    patterns, reduced at once to bin minima, go to ``sample_cells`` as one block; each ensemble is reduced as it
+    is yielded, so a sampler that runs cell by cell holds one ensemble at a time.
     """
-    prior = build_prior(spec)
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for rep in range(replicates)]
-    if sampler != "mcmc":
-        return list(map(partial(_study_cell, prior, f0, ceiling, n, sampler, budget, functional), rngs))
     mins = np.stack([bin_minima(simulate_ppp(f0, n, ceiling, rng), spec.grid_level) for rng in rngs])
-    ensembles = mcmc_block(prior, mins, n, budget, rngs)
+    ensembles = sample_cells(build_prior(spec), mins, n, sampler, budget, rngs)
     return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else None for ens in ensembles]
-
-
-def _study_cell(prior, f0, ceiling, n, sampler, budget, functional, rng):
-    """One cell alone: simulate, sample the posterior, reduce it; None if degenerate."""
-    pattern = simulate_ppp(f0, n, ceiling, rng)
-    try:
-        ens = sample_posterior(prior, pattern, sampler, budget, rng)
-    except DegeneratePosteriorError:
-        return None
-    return functional(ens, f0)
 
 
 def _run_cells(row, n_grid, threads: int):
     """``row(i_n, n)``, the replicates of intensity n, for every n of the grid, as an (n, replicate) object array.
 
-    The cells of one n run as one block of chains, each on its own ``SeedSequence`` generator, so neither
+    The cells of one n run as one block, each on its own ``SeedSequence`` generator, so neither
     ``threads`` nor the block changes a result.  With ``threads > 1`` each row is one process task, and ``row``
     must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them is a StudyError.
     """

@@ -15,10 +15,12 @@ arbitrarily deep in the tail.
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
-states, which ``_run_chain`` runs for the scheduled sweeps and stores.  Every
-kernel state carries a leading chain axis: ``mcmc_block`` runs the chains of
-many cells at one intensity as one block, each on its own generator and
-bit-identical to its own chain, and ``mcmc_posterior`` is the block of one.
+states, which ``_run_chain`` runs for the scheduled sweeps and stores.
+``sample_cells``, the one dispatch on the sampler name and prior type, runs
+the cells of one intensity as a block, Brownian and wavelet-series Gibbs
+chains on a leading chain axis and every other sampler cell by cell, each cell
+bit for bit as alone; ``sample_posterior`` and the named samplers are its
+block of one cell.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
 the prior's grid level), ``log_weights`` and ``meta``; every functional is a
@@ -50,8 +52,9 @@ __all__ = [
     "truncated_level_log_evidence",
     "exact_truncated_posterior",
     "importance_posterior",
-    "mcmc_block",
     "mcmc_posterior",
+    "check_sampler",
+    "sample_cells",
     "sample_posterior",
     "posterior_mass",
     "mass_outside_l1_ball",
@@ -246,9 +249,7 @@ def truncated_level_log_evidence(
     return float(np.sum(n * n * s2 / (2.0 * m) + log_ndtr((blocks - n * s2) / (scale * math.sqrt(m)))))
 
 
-def exact_truncated_posterior(
-    prior: TruncatedWaveletPrior, pattern: PointPattern, draws: int, rng: np.random.Generator
-) -> PosteriorEnsemble:
+def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     """Exact posterior draws for the truncated wavelet prior with gaussian coefficients.
 
     Level weights come from the closed-form evidences; given the level, the
@@ -256,13 +257,7 @@ def exact_truncated_posterior(
     sampled exactly.  No Monte Carlo error beyond the finite draw count.
     After the level choice, one call draws one uniform per block value.
     """
-    if not isinstance(prior, TruncatedWaveletPrior) or prior.dist.kind != "gaussian":
-        raise ValueError("exact sampling needs the truncated wavelet prior with gaussian coefficients")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    n = pattern.intensity
     s = prior.dist.scale
-    mins = bin_minima(pattern, prior.grid_level)
     grid_m = 1 << prior.grid_level
     level_log_w = np.array(
         [
@@ -295,17 +290,13 @@ def exact_truncated_posterior(
     return PosteriorEnsemble(prior.grid_level, values, np.zeros(draws), meta=meta)
 
 
-def importance_posterior(
-    prior, pattern: PointPattern, draws: int, rng: np.random.Generator
-) -> PosteriorEnsemble:
+def _importance(prior, mins, n, draws, rng):
     """Self-normalized importance sampling with the prior as proposal.
 
     Infeasible draws carry weight zero and are dropped from storage but counted
     in the reported feasibility rate.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    values, log_lik = _feasible_draws(prior, bin_minima(pattern, prior.grid_level), pattern.intensity, draws, rng)
+    values, log_lik = _feasible_draws(prior, mins, n, draws, rng)
     if not len(values):
         raise DegeneratePosteriorError(
             "no feasible prior draw; the importance estimate is degenerate, use mcmc_posterior"
@@ -343,14 +334,14 @@ def _feasible_draws(prior, mins, n, draws, rng):
 # Markov chain samplers: exact Gibbs kernels, Metropolis for finite priors only
 
 
-def _kept(steps: int, cost: int, thin: int) -> range:
+def _kept(steps: int, cost: int, budget: int) -> range:
     """The stored sweeps of a chain of ``steps`` site updates at ``cost`` updates per sweep.
 
     ``stop`` is the sweep count, at least 2; the first fifth of the sweeps is
-    burn-in, then every ``max(1, thin // cost)``-th sweep is stored, so at
-    least one is.  ``thin`` counts site updates.
+    burn-in, then every ``max(1, budget // (10_000 cost))``-th sweep, about
+    ``budget // 10_000`` site updates apart, is stored, so at least one is.
     """
-    sweeps, t = max(2, steps // cost), max(1, thin // cost)
+    sweeps, t = max(2, steps // cost), max(1, budget // (10_000 * cost))
     return range(int(_BURN_IN * sweeps) + t - 1, sweeps, t)
 
 
@@ -439,9 +430,8 @@ def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, q: np.ndarray) -> N
     k the suffix is shifted by sum(t[:k]), so that slack is the reverse running
     minimum of ``mins - v``, taken once, less the running shift; the shifts are
     added once at the end.  Move k inverts the uniform ``q[:, k]``, as
-    ``_std_normal_tail`` does, inlined: for one chain the loop is float
-    arithmetic and two scalar scipy calls per move, for several it steps them
-    all at once.
+    ``_std_normal_tail`` does, inlined, and steps every chain at once: m
+    vector steps, whatever the chain count, one chain included.
     """
     m = v.shape[1]
     var = np.full(m, 1.0 / m)
@@ -450,17 +440,10 @@ def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, q: np.ndarray) -> N
     sd = np.sqrt(var)
     slack = np.minimum.accumulate((mins - v)[:, ::-1], axis=1)[:, ::-1] - mu
     log_q = np.log1p(-q)
-    if len(v) == 1:
-        shifts, shift = [], 0.0
-        for mu_k, sd_k, slack_k, lq in zip(mu[0].tolist(), sd.tolist(), slack[0].tolist(), log_q[0].tolist()):
-            a = (slack_k - shift) / sd_k
-            shift += mu_k + sd_k * min(float(ndtri_exp(lq + log_ndtr(a))), a)
-            shifts.append(shift)
-    else:
-        shifts, shift = np.empty_like(v), np.zeros(len(v))
-        for k, (mu_k, sd_k, slack_k, lq) in enumerate(zip(mu.T, sd.tolist(), slack.T, log_q.T)):
-            a = (slack_k - shift) / sd_k
-            shift = shifts[:, k] = shift + (mu_k + sd_k * np.minimum(ndtri_exp(lq + log_ndtr(a)), a))
+    shifts, shift = np.empty_like(v), np.zeros(len(v))
+    for k, (mu_k, sd_k, slack_k, lq) in enumerate(zip(mu.T, sd.tolist(), slack.T, log_q.T)):
+        a = (slack_k - shift) / sd_k
+        shift = shifts[:, k] = shift + (mu_k + sd_k * np.minimum(ndtri_exp(lq + log_ndtr(a)), a))
     v += shifts
 
 
@@ -502,7 +485,7 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
         yield v
 
 
-def _mcmc_finite(prior: FinitePrior, mins, n, rng, steps, thin):
+def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng):
     """Independence Metropolis over the atoms, one step per sweep of the ``_kept`` schedule."""
     feasible = np.all(prior.values <= mins, axis=1)
     if not feasible.any():
@@ -512,7 +495,7 @@ def _mcmc_finite(prior: FinitePrior, mins, n, rng, steps, thin):
     # independence proposals from the prior (the prior ratio cancels) and their uniforms, drawn up front
     cands = prior.draw_indices(rng, steps).tolist()
     log_u = np.log(rng.random(steps)).tolist()
-    keep = _kept(steps, 1, thin)
+    keep = _kept(steps, 1, steps)
     accepted, stored = 0, []
     for t, (cand, lu) in enumerate(zip(cands, log_u)):
         if lu < log_lik[cand] - log_lik[state]:
@@ -527,7 +510,7 @@ def _mcmc_finite(prior: FinitePrior, mins, n, rng, steps, thin):
     return PosteriorEnsemble(prior.grid_level, prior.values[stored], np.zeros(len(stored)), meta=meta)
 
 
-def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, rng, steps, thin):
+def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, steps, rng):
     """One wavelet Gibbs chain per level on a ``steps // (j_cap + 1)`` budget, weighted by the level evidences."""
     steps_per_level = max(1, steps // (prior.j_cap + 1))
     rows, log_weights, skipped = [], [], np.zeros(1, dtype=int)
@@ -547,7 +530,7 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, rng, steps, thin):
             peak = lws.max()
             log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(_EVIDENCE_DRAWS)
         lw_level = math.log(prior.level_probabilities[j]) + log_z
-        keep = _kept(steps_per_level, level.latent_dim, thin)
+        keep = _kept(steps_per_level, level.latent_dim, steps)
         (values,), (dead,) = _run_chain(_gibbs_wavelet(level, mins[None], n, [rng], skipped), keep)
         if dead:
             raise DegeneratePosteriorError(_DEAD_CHAIN)
@@ -560,34 +543,75 @@ def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, rng, steps, thin):
     return PosteriorEnsemble(prior.grid_level, np.concatenate(rows), np.concatenate(log_weights), meta=meta)
 
 
-def mcmc_block(prior, mins: np.ndarray, n: float, steps: int, rngs) -> list:
-    """``mcmc_posterior`` of the cells whose bin minima are the rows of ``mins``, all at intensity ``n``.
+_VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which messages name
+    BrownianStartPrior: "brownian_start",
+    WaveletSeriesPrior: "wavelet_series",
+    TruncatedWaveletPrior: "truncated_wavelet",
+}
 
-    Brownian and wavelet-series chains run as one block on a leading chain axis, finite and truncated priors
-    cell by cell.  Cell i draws only from ``rngs[i]``, so it is bit-identical to its own ``mcmc_posterior``;
-    a degenerate cell's entry is its DegeneratePosteriorError.
+
+def check_sampler(prior, sampler: str, budget: int) -> None:
+    """ValueError unless ``budget >= 1`` and the named sampler, 'importance', 'mcmc' or 'exact', applies to
+    ``prior``; 'exact' needs the truncated wavelet prior with gaussian coefficients."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if sampler not in ("importance", "mcmc", "exact"):
+        raise ValueError(f"sampler must be 'importance', 'mcmc' or 'exact', got {sampler!r}")
+    if sampler == "exact" and not (isinstance(prior, TruncatedWaveletPrior) and prior.dist.kind == "gaussian"):
+        dist = getattr(prior, "dist", None)
+        got = _VARIANT_NAMES.get(type(prior), "a finite prior") + (f" with {dist.kind} coefficients" if dist else "")
+        raise ValueError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
+
+
+def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, rngs):
+    """Yields, row by row, the ``PosteriorEnsemble`` (or DegeneratePosteriorError) of each cell whose bin minima
+    are a row of ``mins``, all at intensity ``n``, after ``check_sampler``; ``budget`` counts draws or site updates.
+
+    Brownian and wavelet-series 'mcmc' chains run as one block; every other sampler runs cell by cell, yielding
+    each ensemble before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
-    thin = max(1, steps // 10_000)
-    if isinstance(prior, (FinitePrior, TruncatedWaveletPrior)):
-        run, out = _mcmc_finite if isinstance(prior, FinitePrior) else _mcmc_truncated, []
-        for row, rng in zip(mins, rngs):
-            try:
-                out.append(run(prior, row, n, rng, steps, thin))
-            except DegeneratePosteriorError as exc:
-                out.append(exc)
-        return out
-    if isinstance(prior, BrownianStartPrior):
-        keep = _kept(steps, 2 << prior.grid_level, thin)
+    check_sampler(prior, sampler, budget)
+    if sampler == "mcmc" and isinstance(prior, BrownianStartPrior):
+        keep = _kept(budget, 2 << prior.grid_level, budget)
         values, dead = _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)}] * len(rngs)
-    else:
+    elif sampler == "mcmc" and isinstance(prior, WaveletSeriesPrior):
         skipped = np.zeros(len(rngs), dtype=int)
-        values, dead = _run_chain(_gibbs_wavelet(prior, mins, n, rngs, skipped), _kept(steps, prior.latent_dim, thin))
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": k} for k in skipped.tolist()]
-    return [
-        DegeneratePosteriorError(_DEAD_CHAIN) if d else PosteriorEnsemble(prior.grid_level, v, np.zeros(len(v)), dict(meta))
-        for v, d, meta in zip(values, dead, metas)
-    ]
+        values, dead = _run_chain(_gibbs_wavelet(prior, mins, n, rngs, skipped), _kept(budget, prior.latent_dim, budget))
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": budget, "skipped_updates": k} for k in skipped.tolist()]
+    else:
+        mcmc = _mcmc_finite if isinstance(prior, FinitePrior) else _mcmc_truncated
+        kernel = {"importance": _importance, "exact": _exact, "mcmc": mcmc}[sampler]
+        for row, rng in zip(mins, rngs):
+            try:
+                yield kernel(prior, row, n, budget, rng)
+            except DegeneratePosteriorError as exc:
+                yield exc
+        return
+    for v, d, meta in zip(values, dead, metas):
+        yield (DegeneratePosteriorError(_DEAD_CHAIN) if d
+               else PosteriorEnsemble(prior.grid_level, v, np.zeros(len(v)), dict(meta)))
+
+
+def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
+    """The ensemble of the named sampler, 'importance', 'mcmc' or 'exact', on one cell: ``sample_cells`` of one
+    row, raising a degenerate cell's DegeneratePosteriorError.  ``budget`` counts draws, or steps for 'mcmc'."""
+    (ens,) = sample_cells(prior, bin_minima(pattern, prior.grid_level)[None], pattern.intensity, sampler, budget, [rng])
+    if isinstance(ens, DegeneratePosteriorError):
+        raise ens
+    return ens
+
+
+def importance_posterior(prior, pattern: PointPattern, draws: int, rng: np.random.Generator) -> PosteriorEnsemble:
+    """Self-normalized importance sampling with the prior as proposal (``_importance``), one cell."""
+    return sample_posterior(prior, pattern, "importance", draws, rng)
+
+
+def exact_truncated_posterior(
+    prior: TruncatedWaveletPrior, pattern: PointPattern, draws: int, rng: np.random.Generator
+) -> PosteriorEnsemble:
+    """Exact posterior draws for the truncated wavelet prior with gaussian coefficients (``_exact``), one cell."""
+    return sample_posterior(prior, pattern, "exact", draws, rng)
 
 
 def mcmc_posterior(
@@ -597,9 +621,8 @@ def mcmc_posterior(
     step_scale: float = 0.5,  # read by no kernel; perfbench/studies.py passes it positionally
     rng: np.random.Generator | None = None,
 ) -> PosteriorEnsemble:
-    """Markov chain Monte Carlo targeting the constrained posterior: ``mcmc_block`` of one cell.
+    """Markov chain Monte Carlo targeting the constrained posterior: ``sample_posterior`` of 'mcmc'.
 
-    The pattern is reduced once to its bin minima, which every kernel reads.
     Latent priors use exact Gibbs kernels: every conditional is drawn exactly
     from a truncated, tilted law, so there is no step size and no rejection.
     The truncated wavelet prior runs one Gibbs chain per level and combines
@@ -612,30 +635,9 @@ def mcmc_posterior(
     ``step_scale`` is validated but read by no kernel; it stays only for the
     benchmark replay's positional call.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if not step_scale > 0:
         raise ValueError("step_scale must be positive")
-    if rng is None:
-        rng = np.random.default_rng()
-    ens = mcmc_block(prior, bin_minima(pattern, prior.grid_level)[None], pattern.intensity, steps, [rng])[0]
-    if isinstance(ens, DegeneratePosteriorError):
-        raise ens
-    return ens
-
-
-def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
-    """Posterior ensemble from the named sampler: 'importance', 'mcmc' or 'exact'.
-
-    ``budget`` counts draws, or steps for 'mcmc'.
-    """
-    if sampler == "importance":
-        return importance_posterior(prior, pattern, budget, rng)
-    if sampler == "exact":
-        return exact_truncated_posterior(prior, pattern, budget, rng)
-    if sampler == "mcmc":
-        return mcmc_posterior(prior, pattern, budget, rng=rng)
-    raise ValueError(f"unknown sampler {sampler!r}")
+    return sample_posterior(prior, pattern, "mcmc", steps, np.random.default_rng() if rng is None else rng)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,7 @@ def test_study_config_bad_prior_keys_rejected(runner, tmp_path, prior_lines, key
 
 
 _BROWNIAN_4 = "prior.variant = brownian_start\nprior.grid_level = 4\n"
+_WAVELET = "prior.variant = wavelet_series\nprior.alpha = 1.0\nprior.j_max = 2\nprior.dist.kind = gaussian\n"
 _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
 
 
@@ -307,8 +308,9 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
          "eps_grid = 2.0,1.0\ndraws = 0\n", "draws must be >= 1, got 0"),
         ("small-ball", "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
-        ("small-ball", "prior.variant = wavelet_series\nprior.alpha = 1.0\nprior.j_max = 2\nprior.dist.kind = gaussian\n"
-         "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
+        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
+        ("small-ball", "eps_grid = 1.0,0.5\nseed = 2\n", "config key 'seed'"),
+        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\nseed = 2\n", "config key 'seed'"),
         ("rate-study", "f0.kind = cusp\nn_grid = 5,10,20,40\nreplicates = 10\nceiling = 0.1\n",
          "ceiling must exceed max(f0) = 0.46875, got 0.1"),
     ],
@@ -329,16 +331,32 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "small-ball-truncated-draws-0",
         "small-ball-brownian-draws",
         "small-ball-wavelet-draws",
+        "small-ball-brownian-seed",
+        "small-ball-wavelet-seed",
         "rate-ceiling-below-f0",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):
     cfg = tmp_path / "s.cfg"
-    cfg.write_text(_BROWNIAN_4 + lines + "seed = 2\n")
+    # a Brownian or wavelet-series small-ball study reads no seed, so only its own cases set one
+    unseeded = command == "small-ball" and "truncated_wavelet" not in lines
+    cfg.write_text(_BROWNIAN_4 + lines + ("" if unseeded else "seed = 2\n"))
     out = tmp_path / "o"
     res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 2  # a usage error that names the value, not a traceback
     assert named in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prior_lines,variant", [("", "brownian_start"), (_WAVELET, "wavelet_series")])
+def test_small_ball_seed_option_is_usage_error(runner, tmp_path, prior_lines, variant):
+    # these small-ball studies are quadratures that draw no random numbers, so a --seed would be ignored
+    cfg = tmp_path / "sb.cfg"
+    cfg.write_text(_BROWNIAN_4 + prior_lines + "eps_grid = 1.0,0.5\n")
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["small-ball", "--config", str(cfg), "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"--seed: a {variant} small-ball study reads no seed" in res.output
     assert not out.exists()
 
 

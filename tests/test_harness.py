@@ -151,9 +151,16 @@ def test_rate_study_report_structure_and_decrease():
 
 
 def test_rate_study_deterministic_across_threads():
-    # each n row runs as one block of chains; both Gibbs kernels must give the same report at any thread count
-    laplace = _spec("wavelet_series", "laplace", alpha=2.0)
-    for cfg in (_tiny_rate_cfg(), _tiny_rate_cfg(prior=laplace, f0_R=2.0, budget=400)):
+    # each n row runs as one block through the one sampler dispatch; both Gibbs kernels, and the exact and
+    # importance samplers that run cell by cell, must give the same report at any thread count
+    laplace, truncated = _spec("wavelet_series", "laplace", alpha=2.0), _spec("truncated_wavelet", j=3)
+    configs = (
+        _tiny_rate_cfg(),
+        _tiny_rate_cfg(prior=laplace, f0_R=2.0, budget=400),
+        _tiny_rate_cfg(prior=truncated, sampler="exact", budget=300),
+        _tiny_rate_cfg(prior=truncated, sampler="importance", budget=2000),
+    )
+    for cfg in configs:
         a = run_rate_study(cfg, threads=1)
         b = run_rate_study(cfg, threads=2)
         assert a.medians == b.medians

@@ -4,9 +4,9 @@ No module may import a name it never uses (``__init__.py`` re-exports are
 exempt), no module may reach into a sibling for a ``_``-prefixed name, every
 name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
 a caller in the package, every function parameter must be read, no private
-posterior kernel may take the point pattern, ``import bbayes`` must not load
-``scipy.stats``, and every name the benchmark under ``perfbench/`` imports
-from ``bbayes`` must exist.
+posterior kernel may take the point pattern, only ``posterior.py`` may compare
+a sampler name, ``import bbayes`` must not load ``scipy.stats``, and every name
+the benchmark under ``perfbench/`` imports from ``bbayes`` must exist.
 """
 
 import ast
@@ -115,6 +115,23 @@ def test_posterior_kernels_read_minima():
     takes = [node.name for node in kernels if "pattern" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
     assert kernels, "no private function found in posterior.py"
     assert not takes, takes
+
+
+def test_sampler_names_are_compared_only_in_posterior():
+    # posterior.sample_cells is the one dispatch on the sampler name; a comparison elsewhere is a second copy of it
+    names = {"importance", "exact", "mcmc"}
+    found, elsewhere = 0, []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            compared = names & {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+            if path.name == "posterior.py":
+                found += bool(compared)
+            elif compared:
+                elsewhere.append(f"{path.name}:{node.lineno}: {', '.join(sorted(compared))}")
+    assert found, "no sampler-name comparison found in posterior.py"
+    assert not elsewhere, elsewhere
 
 
 def test_import_does_not_load_scipy_stats():

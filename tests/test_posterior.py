@@ -39,8 +39,9 @@ from bbayes.posterior import (
     _std_normal_tail,
     _suffix_sweep,
     bin_minima,
-    mcmc_block,
     posterior_median_metric,
+    sample_cells,
+    sample_posterior,
     truncated_level_log_evidence,
     weighted_median,
 )
@@ -496,46 +497,65 @@ def test_mcmc_stores_the_scheduled_states():
             assert ens.meta["steps"] == steps, (name, budget)
 
 
-def test_mcmc_block_equals_per_cell_chains():
-    # the cells of one n, each on its own generator, run as one block of chains; every cell must equal its
-    # own mcmc_posterior bit for bit, and a degenerate cell is reported by its error without moving the others
+def test_sample_cells_equals_each_cell_alone():
+    # the cells of one n, each on its own generator, go to the one dispatch as one block; for every sampler and
+    # prior, each cell must equal its own sample_posterior bit for bit, and a degenerate cell comes back as its
+    # error without moving the others
     n = 8.0
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     patterns = [simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)) for seed in range(4)]
-    wavelet = lambda kind: PriorSpec(
-        variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4
+    wavelet = lambda kind: build_prior(
+        PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4)
     )
-    specs = {
-        "brownian": PriorSpec(variant="brownian_start", grid_level=4),
+    truncated = lambda kind: build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution(kind), j_cap=2, grid_level=4)
+    )
+    priors = {
+        "brownian": build_prior(PriorSpec(variant="brownian_start", grid_level=4)),
         "gaussian": wavelet("gaussian"),
         "laplace": wavelet("laplace"),
         "uniform": wavelet("uniform"),
-        "truncated": PriorSpec(
-            variant="truncated_wavelet", dist=CoefficientDistribution("laplace"), j_cap=2, grid_level=4
-        ),
+        "truncated": truncated("laplace"),
+        "truncated gaussian": truncated("gaussian"),
+        "finite": FinitePrior([f0.shift(-0.5), f0.shift(-0.2), f0.shift(3.0)]),
     }
-    degenerate = {
-        "laplace": PointPattern(n, 2.0),  # every bin empty: the tilted scaling conditional is improper
-        "uniform": PointPattern(n, 3.0, [0.3], [-5.0]),  # no feasible start inside the uniform support
+    below_all = PointPattern(n, 3.0, [0.3], [-5.0])  # below every finite atom and outside the uniform support
+    runs = {  # (sampler, prior): (budget, the degenerate cell or None)
+        ("importance", "brownian"): (2000, None),
+        ("importance", "gaussian"): (2000, None),
+        ("importance", "truncated"): (2000, None),
+        ("importance", "finite"): (200, below_all),  # no feasible prior draw
+        ("exact", "truncated gaussian"): (300, None),
+        ("mcmc", "brownian"): (3000, None),
+        ("mcmc", "gaussian"): (3000, None),
+        ("mcmc", "laplace"): (3000, PointPattern(n, 2.0)),  # every bin empty: the scaling conditional is improper
+        ("mcmc", "uniform"): (3000, below_all),  # no feasible start inside the uniform support
+        ("mcmc", "truncated"): (3000, None),
+        ("mcmc", "finite"): (3000, below_all),  # no feasible atom
     }
-    for name, spec in specs.items():
-        prior = build_prior(spec)
-        cells = patterns[:1] + [degenerate[name]] + patterns[1:] if name in degenerate else patterns
+    for (sampler, name), (budget, degenerate) in runs.items():
+        prior, where = priors[name], (sampler, name)
+        cells = patterns if degenerate is None else patterns[:1] + [degenerate] + patterns[1:]
         rngs = [np.random.default_rng(20 + i) for i in range(len(cells))]
-        block = mcmc_block(prior, np.stack([bin_minima(p, 4) for p in cells]), n, 3000, rngs)
-        assert len(block) == len(cells)
+        block = list(sample_cells(prior, np.stack([bin_minima(p, 4) for p in cells]), n, sampler, budget, rngs))
+        assert len(block) == len(cells), where
         for i, (pattern, ens) in enumerate(zip(cells, block)):
             rng = np.random.default_rng(20 + i)
-            if pattern is degenerate.get(name):
-                assert isinstance(ens, DegeneratePosteriorError), name
+            if pattern is degenerate:
+                assert isinstance(ens, DegeneratePosteriorError), where
                 with pytest.raises(DegeneratePosteriorError):
-                    mcmc_posterior(prior, pattern, 3000, rng=rng)
-                continue
-            single = mcmc_posterior(prior, pattern, 3000, rng=rng)
-            assert ens.values.tobytes() == single.values.tobytes(), (name, i)
-            assert ens.log_weights.tobytes() == single.log_weights.tobytes(), (name, i)
-            assert ens.meta == single.meta, (name, i)
-            assert rngs[i].random() == rng.random(), (name, i)  # the same draws consumed
+                    sample_posterior(prior, pattern, sampler, budget, rng)
+            else:
+                single = sample_posterior(prior, pattern, sampler, budget, rng)
+                assert ens.values.tobytes() == single.values.tobytes(), (where, i)
+                assert ens.log_weights.tobytes() == single.log_weights.tobytes(), (where, i)
+                assert ens.meta == single.meta, (where, i)
+            assert rngs[i].random() == rng.random(), (where, i)  # the same draws consumed
+    # a sampler that runs cell by cell draws a cell only when it is asked for it
+    rngs = [np.random.default_rng(20 + i) for i in range(2)]
+    mins = np.stack([bin_minima(p, 4) for p in patterns[:2]])
+    next(sample_cells(priors["truncated gaussian"], mins, n, "exact", 300, rngs))
+    assert rngs[1].random() == np.random.default_rng(21).random()
 
 
 def test_sampler_determinism():
