@@ -256,7 +256,7 @@ def _run_study(config_path: str, study, *args, **kwargs):
 def rate_study(config_path, seed, out, threads):
     """Posterior contraction-rate study (exit 2 when the slope misses tolerance)."""
     kv, spec = _study_kv(
-        config_path, seed, "f0.beta f0.R f0.kind n_grid replicates sampler budget error_metric slope_tol ceiling"
+        config_path, seed, "f0.beta f0.R f0.kind n_grid replicates sampler budget error_metric slope_tol"
     )
     cfg = _run_study(
         config_path, RateStudyConfig,
@@ -271,7 +271,6 @@ def rate_study(config_path, seed, out, threads):
         error_metric=kv.get("error_metric", "l1"),
         seed=_get(kv, "seed", int, 0),
         slope_tol=_get(kv, "slope_tol", float, 0.15),
-        ceiling=_get(kv, "ceiling", float),
     )
     report = _run_study(config_path, run_rate_study, cfg, threads=threads)
     code = emit_report(report, out)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, PointPattern, constraint_satisfied
-from .posterior import PosteriorEnsemble, bin_minima
+from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied
+from .posterior import PosteriorEnsemble
 
 __all__ = [
     "mle_lipschitz",

@@ -3,8 +3,8 @@
 A boundary function is stored piecewise-constant on ``2**grid_level`` equal
 bins of [0, 1].  All integrals, distances and feasibility checks below are
 exact for this representation.  The observed data are Poisson point patterns
-with intensity ``n * 1(f(x) <= y)``, simulated on the finite window
-``{f(x) <= y <= ceiling}``.
+with intensity ``n * 1(f(x) <= y)``, simulated bin by bin (so grouped by bin) on
+the finite window ``{f(x) <= y <= ceiling}``; feasibility reads ``bin_minima``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "hellinger_distance_sq",
     "kl_divergence",
     "simulate_ppp",
+    "bin_minima",
     "constraint_satisfied",
     "log_likelihood_ratio",
     "h_statistic",
@@ -234,33 +235,37 @@ def kl_divergence(f0: GridFunction, f: GridFunction, n: float) -> float:
 def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator) -> PointPattern:
     """Simulate the point process with intensity n*1(f(x) <= y), truncated at the ceiling.
 
-    The point count is Poisson(n * integral of (ceiling - f)_+); given the count,
-    points are i.i.d. uniform on the region between f and the ceiling.
+    By Poisson splitting, bin k holds Poisson(n * gap_k / m) points, gap_k =
+    (ceiling - f_k)_+, independently of the other bins, uniform on its
+    rectangle between f_k and the ceiling.  The points come out grouped by bin;
+    nothing reads their order.
     """
     if not n > 0:
         raise ValueError("n must be positive")
-    gaps = np.maximum(ceiling - f.values, 0.0)
-    area = gaps.mean()
-    if area == 0.0:
-        # ceiling touches f everywhere: the window is empty
-        return PointPattern(n, ceiling)
-    count = int(rng.poisson(n * area))
-    if count == 0:
-        return PointPattern(n, ceiling)
     m = f.num_bins
-    probs = gaps / gaps.sum()
-    bins = rng.choice(m, size=count, p=probs)
-    xs = (bins + rng.uniform(size=count)) / m
-    lower = f.values[bins]
-    ys = lower + rng.uniform(size=count) * (ceiling - lower)
+    gaps = np.maximum(ceiling - f.values, 0.0)
+    bins = np.repeat(np.arange(m), rng.poisson(n * gaps / m))
+    xs = (bins + rng.uniform(size=bins.size)) / m
+    ys = f.values[bins] + rng.uniform(size=bins.size) * gaps[bins]
     return PointPattern(n, ceiling, xs, ys)
 
 
+def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:
+    """Per-bin minimum point ordinate (+inf on empty bins).
+
+    A piecewise-constant function at this grid level is feasible iff its
+    values lie below these minima bin-wise.
+    """
+    m = 1 << grid_level
+    mins = np.full(m, np.inf)
+    idx = np.minimum(np.floor(pattern.xs * m).astype(int), m - 1)
+    np.minimum.at(mins, idx, pattern.ys)
+    return mins
+
+
 def constraint_satisfied(f: GridFunction, pattern: PointPattern) -> bool:
-    """True iff every point lies on or above f (piecewise-constant evaluation)."""
-    if len(pattern) == 0:
-        return True
-    return bool(np.all(f(pattern.xs) <= pattern.ys))
+    """True iff every point lies on or above f, that is f lies below the bin minima at its level."""
+    return bool(np.all(f.values <= bin_minima(pattern, f.grid_level)))
 
 
 def log_likelihood_ratio(f: GridFunction, g: GridFunction, pattern: PointPattern, n: float) -> float:

@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .grid import GridFunction, simulate_ppp
+from .grid import GridFunction, bin_minima, simulate_ppp
 from .posterior import (
     PosteriorEnsemble,
-    bin_minima,
     check_sampler,
     mass_lower_excess,
     posterior_median_metric,
@@ -152,7 +151,6 @@ class RateStudyConfig:
     seed: int = 0
     step_scale: float = 0.5  # read by no sampler; perfbench/studies.py passes it to mcmc_posterior
     slope_tol: float = 0.15
-    ceiling: float | None = None  # None: calibrated from the prior
 
     def __post_init__(self) -> None:
         n_grid = _check_cells(self.n_grid, self.replicates, 4, 10)
@@ -160,11 +158,9 @@ class RateStudyConfig:
         if self.error_metric not in ("l1", "lower_part", "upper_part"):
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
         try:
-            top = self.f0().max()
+            self.f0()
         except ValueError as exc:
             raise StudyConfigError(f"f0: {exc}") from None
-        if self.ceiling is not None and not self.ceiling > top:  # else no point is ever drawn near the top of f0
-            raise StudyConfigError(f"ceiling must exceed max(f0) = {top!r}, got {self.ceiling!r}")
         object.__setattr__(self, "n_grid", n_grid)
 
     def f0(self) -> GridFunction:
@@ -265,11 +261,10 @@ def _run_cells(row, n_grid, threads: int):
 def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     """Posterior-error slope study over the intensity grid."""
     f0 = cfg.f0()
-    if cfg.ceiling is None:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCE11)))
-        cfg = replace(cfg, ceiling=calibrate_ceiling(build_prior(cfg.prior), f0, rng))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCE11)))
+    ceiling = calibrate_ceiling(build_prior(cfg.prior), f0, rng)
     metric = partial(posterior_median_metric, metric=cfg.error_metric)
-    cells = partial(_study_row, cfg.prior, f0, cfg.ceiling, cfg.sampler, cfg.budget, metric, cfg.replicates, cfg.seed)
+    cells = partial(_study_row, cfg.prior, f0, ceiling, cfg.sampler, cfg.budget, metric, cfg.replicates, cfg.seed)
     grid, exclusions = _run_cells(cells, cfg.n_grid, threads)
     medians, q25, q75 = [], [], []
     for row in grid:
@@ -281,7 +276,7 @@ def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     theory = theoretical_rate_exponent(cfg.prior, cfg.f0_beta)
     margin = None if theory is None else abs(slope - theory)
     passed = margin is not None and margin <= cfg.slope_tol
-    meta = {"ceiling": cfg.ceiling, "sampler": cfg.sampler, "budget": cfg.budget, "seed": cfg.seed}
+    meta = {"ceiling": ceiling, "sampler": cfg.sampler, "budget": cfg.budget, "seed": cfg.seed}
     if out_of_hypothesis(cfg.prior):
         meta["flag"] = "configuration outside the known contraction regime (alpha <= 1)"
     return RateStudyReport(

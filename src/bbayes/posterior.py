@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .grid import GridFunction, PointPattern, constraint_satisfied, integral
+from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
 from .priors import (
     BrownianStartPrior,
     FinitePrior,
@@ -47,7 +47,6 @@ __all__ = [
     "PosteriorEnsemble",
     "DegeneratePosteriorError",
     "log_posterior_weight",
-    "bin_minima",
     "reduce_draws",
     "truncated_level_log_evidence",
     "exact_truncated_posterior",
@@ -68,7 +67,7 @@ __all__ = [
 _BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
 _EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
 _BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
-_DEAD_CHAIN = "no feasible start in the uniform support, or an empty or improper Gibbs conditional"
+_DEAD_CHAIN = "no feasible start in the uniform support, an improper laplace posterior or an empty conditional"
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -148,20 +147,6 @@ def log_posterior_weight(f: GridFunction, pattern: PointPattern) -> float:
     return pattern.intensity * integral(f)
 
 
-def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:
-    """Per-bin minimum point ordinate (+inf on empty bins).
-
-    A piecewise-constant function at this grid level is feasible iff its
-    values lie below these minima bin-wise.
-    """
-    m = 1 << grid_level
-    mins = np.full(m, np.inf)
-    if len(pattern):
-        idx = np.minimum(np.floor(pattern.xs * m).astype(int), m - 1)
-        np.minimum.at(mins, idx, pattern.ys)
-    return mins
-
-
 def _std_normal_tail(q, alpha):
     """Z ~ N(0, 1) conditioned on Z <= alpha by inversion of uniforms q in [0, 1), in log space.
 
@@ -202,7 +187,7 @@ def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
 
 def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt: float) -> np.ndarray:
     """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt * z}; NaN where
-    that law is empty (a uniform interval off the support) or improper (a tilt beating the laplace tail).
+    that law is empty (a uniform interval off the support).  A laplace law must be proper: see _improper_laplace.
 
     Each draw inverts one uniform of ``q``; laplace draws invert two, the last axis of ``q`` holding every
     draw's side of zero, then every point.  So a whole vector of conditionals costs a fixed number of numpy calls.
@@ -224,8 +209,6 @@ def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt: float) -> n
             side, q = q[..., : q.shape[-1] // 2], q[..., q.shape[-1] // 2 :]
             neg = side * (1.0 + np.exp(-log_odds)) < 1.0  # side < P(z < 0)
             x = np.where(neg, _exp_segment(q, lo, neg_hi, r_neg), _exp_segment(q, pos_lo, hi, r_pos))
-            if r_pos >= 0.0 or r_neg <= 0.0:  # the tilt beats a tail: improper where that side is unbounded
-                x = np.where((r_pos >= 0.0) & (hi == np.inf) | (r_neg <= 0.0) & (lo == -np.inf), np.nan, x)
     return np.minimum(np.maximum(x, lo), hi)
 
 
@@ -357,6 +340,20 @@ def _run_chain(states, keep: range):
     return out, np.isnan(v).any(axis=1)
 
 
+def _improper_laplace(prior: WaveletSeriesPrior, mins: np.ndarray, n: float) -> np.ndarray:
+    """Which rows of bin minima ``mins`` give the laplace wavelet prior an improper posterior at intensity n:
+    those where raising z0 by 1 stays feasible at a detail cost sum |d_i| / s = a0 * kappa <= n a0 - 1/s.
+    kappa, the cost per unit partial sum, is 0 on a finest block with no point and inf on one with a point;
+    a node's is the cheaper of passing the sum on or zeroing one child."""
+    s, a0 = prior.dist.scale, float(prior.amplitudes[0])
+    kappa = np.where(np.isfinite(mins.reshape(len(mins), 2 << prior.j_max, -1).min(axis=2)), np.inf, 0.0)
+    for j in reversed(range(prior.j_max + 1)):
+        left, right = kappa[:, 0::2], kappa[:, 1::2]
+        a = 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j]
+        kappa = np.minimum(left + right, 1.0 / (a * s) + 2.0 * np.minimum(left, right))
+    return n * a0 >= 1.0 / s + a0 * kappa[:, 0]
+
+
 def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
     """Exact Gibbs over wavelet coefficients, one block draw per level; yields the chains' ``(c, m)`` grid values.
 
@@ -371,7 +368,8 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
     ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in
     one array per sweep.  Updates skipped (coefficient left unchanged) because
     float drift left an empty interval are added to ``skipped[i]``.  A chain
-    with no feasible start or an empty or improper conditional turns NaN.
+    with no feasible start, an improper (laplace) posterior or an empty
+    conditional turns NaN.
     """
     c = len(rngs)
     a0 = float(prior.amplitudes[0])
@@ -391,6 +389,8 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
     v -= shift[:, None]
     if prior.dist.kind == "uniform":
         z[z[:, 0] < -prior.dist.scale] = np.nan  # clearing the bin minima left the support: no feasible start
+    if prior.dist.kind == "laplace":
+        z[_improper_laplace(prior, mins, n)] = np.nan
 
     sweep, u = 0, np.empty((c, w * prior.latent_dim))
     while True:

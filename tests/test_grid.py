@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bbayes import (
     DominationError,
@@ -112,18 +113,32 @@ def test_simulate_ppp_points_above_boundary_exactly():
 
 
 def test_simulate_ppp_count_matches_poisson_moments():
-    # count ~ Poisson(n * integral (ceiling - f)_+): mean and variance within 3 SE
+    # bin k's count ~ Poisson(n * (ceiling - f_k)_+ / m), independently of the other bins, so the total is
+    # Poisson(n * integral (ceiling - f)_+): means, variances and a covariance within 3 SE
     f = GridFunction(2, np.array([0.0, 0.5, 0.25, 0.75]))
     n, ceiling = 40.0, 1.5
-    lam = n * float(np.mean(ceiling - f.values))
+    lams = n * (ceiling - f.values) / f.num_bins
     rng = np.random.default_rng(2)
     reps = 4000
-    counts = np.array([len(simulate_ppp(f, n, ceiling, rng)) for _ in range(reps)])
-    se_mean = math.sqrt(lam / reps)
-    assert abs(counts.mean() - lam) <= 3.0 * se_mean
-    # var of the sample variance of a Poisson is approx (2 lam^2 + lam) / reps
-    se_var = math.sqrt((2.0 * lam * lam + lam) / reps)
-    assert abs(counts.var(ddof=1) - lam) <= 3.0 * se_var
+    counts = np.array([np.bincount((simulate_ppp(f, n, ceiling, rng).xs * 4).astype(int), minlength=4)
+                       for _ in range(reps)])
+    for c, lam in zip([*counts.T, counts.sum(axis=1)], [*lams, lams.sum()]):
+        assert abs(c.mean() - lam) <= 3.0 * math.sqrt(lam / reps)
+        # var of the sample variance of a Poisson is approx (2 lam^2 + lam) / reps
+        assert abs(c.var(ddof=1) - lam) <= 3.0 * math.sqrt((2.0 * lam * lam + lam) / reps)
+    # the sample covariance of two independent counts has variance lam_0 lam_1 / reps
+    assert abs(np.cov(counts[:, 0], counts[:, 1])[0, 1]) <= 3.0 * math.sqrt(lams[0] * lams[1] / reps)
+
+
+def test_simulate_ppp_points_are_uniform_in_their_bin():
+    # given its bin k, a point has x uniform on [k/m, (k+1)/m) and y uniform on [f_k, ceiling]
+    f = GridFunction(3, np.array([0.0, 0.5, 0.25, 0.75, 1.0, 0.1, 0.6, 0.3]))
+    ceiling = 1.5
+    pattern = simulate_ppp(f, 500.0, ceiling, np.random.default_rng(9))
+    bins = np.minimum((pattern.xs * 8).astype(int), 7)
+    assert stats.kstest(pattern.xs * 8 - bins, "uniform").pvalue > 0.01
+    lower = f.values[bins]
+    assert stats.kstest((pattern.ys - lower) / (ceiling - lower), "uniform").pvalue > 0.01
 
 
 def test_simulate_ppp_empty_window_and_determinism():

@@ -35,6 +35,7 @@ from bbayes import (
 from bbayes.grid import integral
 from bbayes.posterior import (
     _exp_segment_log_mass,
+    _improper_laplace,
     _sample_coefficients_interval,
     _std_normal_tail,
     _suffix_sweep,
@@ -220,10 +221,6 @@ def test_coefficient_interval_degenerate_cases():
         CoefficientDistribution("uniform"), rng.random(3), [0.0, 2.0, -1.0], [0.5, 3.0, 1.0], 0.0
     )
     assert np.isnan(draws).tolist() == [False, True, False]
-    # tilt beats the laplace tail on the unbounded interval: unnormalizable conditional
-    laplace = CoefficientDistribution("laplace")
-    draws = _sample_coefficients_interval(laplace, rng.random(4), [0.0, 0.0], [1.0, np.inf], 5.0)
-    assert np.isnan(draws).tolist() == [False, True]
     # a point interval returns the point, for every law
     for kind in ("gaussian", "laplace", "uniform"):
         q = rng.random(4 if kind == "laplace" else 2)
@@ -533,6 +530,10 @@ def test_sample_cells_equals_each_cell_alone():
         ("mcmc", "truncated"): (3000, None),
         ("mcmc", "finite"): (3000, below_all),  # no feasible atom
     }
+    # unit laplace amplitudes: raising one empty eighth of [0, 1] by h costs 0.68 h of coefficient mass against
+    # a tilt of n h / 8, so at n = 8 a pattern with an empty eighth has an improper truncated-laplace posterior
+    improper = [not np.isfinite(bin_minima(p, 3)).all() for p in patterns]
+    assert any(improper) and not all(improper)
     for (sampler, name), (budget, degenerate) in runs.items():
         prior, where = priors[name], (sampler, name)
         cells = patterns if degenerate is None else patterns[:1] + [degenerate] + patterns[1:]
@@ -541,8 +542,9 @@ def test_sample_cells_equals_each_cell_alone():
         assert len(block) == len(cells), where
         for i, (pattern, ens) in enumerate(zip(cells, block)):
             rng = np.random.default_rng(20 + i)
-            if pattern is degenerate:
-                assert isinstance(ens, DegeneratePosteriorError), where
+            expect = pattern is degenerate or (where == ("mcmc", "truncated") and improper[i])
+            assert isinstance(ens, DegeneratePosteriorError) == expect, (where, i)
+            if expect:
                 with pytest.raises(DegeneratePosteriorError):
                     sample_posterior(prior, pattern, sampler, budget, rng)
             else:
@@ -618,6 +620,28 @@ def test_gibbs_wavelet_uniform_start_outside_support_raises():
     )
     with pytest.raises(DegeneratePosteriorError, match="no feasible start"):
         mcmc_posterior(build_prior(spec), pattern, steps=1000, rng=np.random.default_rng(25))
+
+
+@pytest.mark.parametrize(
+    "variant,n,improper",
+    [("wavelet_series", 2.0, True), ("wavelet_series", 2.5, True), ("wavelet_series", 1.5, False),
+     ("truncated_wavelet", 2.0, True)],
+)
+def test_improper_laplace_posterior_raises(variant, n, improper):
+    # every point lies in [0, 1/2), so z0 = t, z1 = -t keeps the left half in place and raises the empty right
+    # half: its density e^{n t - 2t} under unit laplace coefficients is flat at n = 2, so the posterior is
+    # improper iff n >= 2, although every bin holding a point bounds the finest details
+    pattern = PointPattern(n, 2.0, [0.4374, 0.4158, 0.0147, 0.0272], [0.3, 0.35, 0.2, 0.25])
+    levels = {"alpha": 1.0, "j_max": 2} if variant == "wavelet_series" else {"j_cap": 2}
+    prior = build_prior(PriorSpec(variant=variant, dist=CoefficientDistribution("laplace"), grid_level=4, **levels))
+    # the propriety test itself flags the cell: level 0 of the truncated prior is where its chain dies
+    series = prior if variant == "wavelet_series" else prior.level_prior(0)
+    assert _improper_laplace(series, bin_minima(pattern, 4)[None], n).tolist() == [improper]
+    if improper:
+        with pytest.raises(DegeneratePosteriorError):
+            mcmc_posterior(prior, pattern, steps=3000, rng=np.random.default_rng(26))
+    else:
+        assert mcmc_posterior(prior, pattern, steps=3000, rng=np.random.default_rng(26)).validate_against(pattern)
 
 
 # ---------------------------------------------------------------------------
