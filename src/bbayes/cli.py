@@ -2,12 +2,13 @@
 
 Exit codes: 0 pass, 1 error (for instance a ``complexity`` dictionary member
 that no pool function brackets), 2 tolerance failure or usage error (an option
-that is unknown or outside its domain, a ``--pattern``, ``--f0``, ``--dict`` or
-``--pool`` file that does not parse, a study config key that is unknown or
-unread (``draws``, or ``seed`` and ``--seed``, of a Brownian or wavelet-series
-small-ball study), a study config value that is unreadable or that the study
-rejects, or a prior key, in a ``--prior`` file or as ``prior.*`` in a study
-config, that is unknown, missing, unreadable or not read by its variant).
+that is unknown, outside its domain or not read by the command as invoked, a
+``--pattern``, ``--f0``, ``--dict``, ``--pool`` or ``--config`` file that does
+not parse, a study config value that is unreadable or that the study rejects,
+or a prior key, in a ``--prior`` file or as ``prior.*`` in a study config, that
+is unknown, missing, unreadable or not read by its variant).  A study command
+pops each config key where it reads it (``_get``), and any key left over is a
+usage error that names it, as is a ``--seed`` for a study that reads no seed.
 Options, input files and study configs are checked before any work starts, so
 a usage error writes nothing.  All subcommands are deterministic given
 ``--seed``.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -123,7 +125,7 @@ def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
               help="Lipschitz constant (cone envelope MLE)")
 @click.option("--bins", type=click.IntRange(min=1), default=None, help="bin count, a power of two (piecewise MLE)")
 @click.option("--cap", type=float, default=None, help="defaults to the pattern ceiling")
-@click.option("--grid-level", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--grid-level", type=click.IntRange(min=0), default=None, help="grid of the --lip MLE; defaults to 8")
 @click.option("--out", type=click.Path(), required=True)
 def mle(pattern_file, lip, bins, cap, grid_level, out):
     """Boundary MLE over a capped Lipschitz or piecewise-constant class."""
@@ -132,15 +134,21 @@ def mle(pattern_file, lip, bins, cap, grid_level, out):
         cap = pattern.ceiling
     if (lip is None) == (bins is None):
         raise click.ClickException("give exactly one of --lip or --bins")
+    if bins is not None and grid_level is not None:
+        raise click.UsageError("--grid-level: only --lip reads it; --bins sets the grid")
     try:
         if lip is not None:
-            fhat = mle_lipschitz(pattern, lip, cap, grid_level)
+            fhat = mle_lipschitz(pattern, lip, cap, 8 if grid_level is None else grid_level)
         else:
             fhat = mle_piecewise_constant(pattern, bins, cap)
     except ValueError as exc:  # --bins not a power of two, or --cap below the data
         raise click.UsageError(str(exc))
     write_text(Path(out) / "mle.csv", fhat.to_csv())
     click.echo(f"wrote {out}/mle.csv")
+
+
+# the options that each --quantity reads; all but --pool, which defaults to the dict plus pairwise minima, are required
+_QUANTITY_READS = {"covering": ("--eps",), "bracketing": ("--delta", "--pool"), "separation": ("--n", "--f0", "--pool")}
 
 
 @main.command()
@@ -156,15 +164,17 @@ def mle(pattern_file, lip, bins, cap, grid_level, out):
 @click.option("--out", type=click.Path(), required=True)
 def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
     """Covering/bracketing/separation functionals of a function dictionary."""
+    given = {"--eps": eps, "--delta": delta, "--n": n, "--f0": f0_file, "--pool": pool_file}
+    unread = [opt for opt, value in given.items() if value is not None and opt not in _QUANTITY_READS[quantity]]
+    if unread:
+        raise click.UsageError(f"--quantity {quantity} does not read {', '.join(unread)}")
+    required = [opt for opt in _QUANTITY_READS[quantity] if opt != "--pool"]
+    if any(given[opt] is None for opt in required):
+        raise click.ClickException(f"{' and '.join(required)} required for {quantity}")
     dict_ = _load(dict_file, _dictionary)
-    pool = _load(pool_file, _dictionary) if pool_file else default_bracket_pool(dict_)
     f0 = _load(f0_file, GridFunction.from_csv) if f0_file else None
-    if quantity == "covering" and eps is None:
-        raise click.ClickException("--eps required for covering")
-    if quantity == "bracketing" and delta is None:
-        raise click.ClickException("--delta required for bracketing")
-    if quantity == "separation" and (n is None or f0_file is None):
-        raise click.ClickException("--n and --f0 required for separation")
+    if quantity != "covering":
+        pool = _load(pool_file, _dictionary) if pool_file else default_bracket_pool(dict_)
     try:
         if quantity == "covering":
             res = covering_number_detailed(dict_, eps)
@@ -199,15 +209,12 @@ def _dictionary(text: str) -> FunctionDictionary:
     return FunctionDictionary(tuple(GridFunction.from_csv("\n".join(b)) for b in blocks))
 
 
-def _study_kv(config_path: str, seed: int | None, keys: str):
-    kv = parse_kv(Path(config_path).read_text())
+def _study_kv(config_path: str, seed: int | None):
+    """The keys of a study config, ``--seed`` setting ``seed``, and its ``prior.*`` keys as a PriorSpec."""
+    kv = _load(config_path, parse_kv)
     if seed is not None:
         kv["seed"] = str(seed)
-    prior_kv = {k[len("prior."):]: v for k, v in kv.items() if k.startswith("prior.")}
-    kv = {k: v for k, v in kv.items() if not k.startswith("prior.")}
-    unknown = sorted(set(kv) - set(keys.split()) - {"seed"})
-    if unknown:
-        raise click.UsageError(f"unknown config keys in {config_path}: {', '.join(unknown)}")
+    prior_kv = {k[len("prior."):]: kv.pop(k) for k in list(kv) if k.startswith("prior.")}
     try:
         return kv, prior_spec_from_mapping(prior_kv)
     except ValueError as exc:
@@ -219,8 +226,8 @@ def _floats(text: str):
 
 
 def _get(kv: dict, key: str, convert, default=None):
-    """``convert(kv[key])``, or ``default`` when the key is absent; a usage error names an unreadable value."""
-    raw = kv.get(key)
+    """``convert(kv.pop(key))``, or ``default`` when the key is absent; a usage error names an unreadable value."""
+    raw = kv.pop(key, None)
     if raw is None:
         return default
     try:
@@ -233,15 +240,20 @@ def _test_function(config_path: str, kv: dict, prefix: str, grid_level: int, bet
     """The test function of the keys ``<prefix>.beta``, ``.R`` and ``.kind``; a value it rejects is a usage error."""
     beta, R = _get(kv, f"{prefix}.beta", float, beta), _get(kv, f"{prefix}.R", float, 1.0)
     try:
-        return holder_test_function(beta, R, kv.get(f"{prefix}.kind", "smooth"), grid_level)
+        return holder_test_function(beta, R, _get(kv, f"{prefix}.kind", str, "smooth"), grid_level)
     except ValueError as exc:
         raise click.UsageError(f"bad config in {config_path}: {prefix}: {exc}") from None
 
 
-def _run_study(config_path: str, study, *args, **kwargs):
-    """``study(*args, **kwargs)``: a config value it rejects is a usage error, a study it refuses an error."""
+def _run_study(config_path: str, kv: dict, seed: int | None, study):
+    """``study()``, whose arguments have popped from ``kv`` every key they read: a key left in ``kv`` or a value
+    the study rejects is a usage error, a study it refuses an error."""
+    if seed is not None and "seed" in kv:
+        raise click.UsageError("--seed: the study reads no seed")
+    if kv:
+        raise click.UsageError(f"config keys that the study does not read, in {config_path}: {', '.join(sorted(kv))}")
     try:
-        return study(*args, **kwargs)
+        return study()
     except StudyConfigError as exc:
         raise click.UsageError(f"bad config in {config_path}: {exc}")
     except StudyError as exc:
@@ -255,24 +267,21 @@ def _run_study(config_path: str, study, *args, **kwargs):
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 def rate_study(config_path, seed, out, threads):
     """Posterior contraction-rate study (exit 2 when the slope misses tolerance)."""
-    kv, spec = _study_kv(
-        config_path, seed, "f0.beta f0.R f0.kind n_grid replicates sampler budget error_metric slope_tol"
-    )
-    cfg = _run_study(
-        config_path, RateStudyConfig,
-        prior=spec,
+    kv, spec = _study_kv(config_path, seed)
+    cfg = partial(
+        RateStudyConfig, prior=spec,
         f0_beta=_get(kv, "f0.beta", float, 1.0),
         f0_R=_get(kv, "f0.R", float, 1.0),
-        f0_kind=kv.get("f0.kind", "smooth"),
+        f0_kind=_get(kv, "f0.kind", str, "smooth"),
         n_grid=_get(kv, "n_grid", _floats, (200.0, 500.0, 1000.0, 2000.0, 5000.0)),
         replicates=_get(kv, "replicates", int, 20),
-        sampler=kv.get("sampler", "mcmc"),
+        sampler=_get(kv, "sampler", str, "mcmc"),
         budget=_get(kv, "budget", int, 4000),
-        error_metric=kv.get("error_metric", "l1"),
+        error_metric=_get(kv, "error_metric", str, "l1"),
         seed=_get(kv, "seed", int, 0),
         slope_tol=_get(kv, "slope_tol", float, 0.15),
     )
-    report = _run_study(config_path, run_rate_study, cfg, threads=threads)
+    report = _run_study(config_path, kv, seed, lambda: run_rate_study(cfg(), threads=threads))
     code = emit_report(report, out)
     click.echo(
         f"slope={report.slope:.4f} theory={report.theory} margin={report.margin} passed={report.passed}"
@@ -286,24 +295,22 @@ def rate_study(config_path, seed, out, threads):
 @click.option("--out", type=click.Path(), required=True)
 def small_ball(config_path, seed, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
-    kv, spec = _study_kv(config_path, seed, "beta h.kind h.beta h.R eps_grid draws tol")
-    for key in ("draws", "seed") if spec.variant != "truncated_wavelet" else ():
-        if key in kv:
-            where = "--seed" if key == "seed" and seed is not None else f"config key {key!r} in {config_path}"
-            raise click.UsageError(f"{where}: a {spec.variant} small-ball study reads no {key}")
+    kv, spec = _study_kv(config_path, seed)
     beta = _get(kv, "beta", float)
+    h = GridFunction.constant(0.0, spec.grid_level)
     if "h.kind" in kv:
         h = _test_function(config_path, kv, "h", spec.grid_level, 1.0 if beta is None else beta)
-    else:
-        h = GridFunction.constant(0.0, spec.grid_level)
-    report = _run_study(
-        config_path, run_small_ball_study, spec, h,
+    draws, rng_seed = 100_000, 0
+    if spec.variant == "truncated_wavelet":  # plain Monte Carlo; the other priors' small balls draw nothing
+        draws, rng_seed = _get(kv, "draws", int, draws), _get(kv, "seed", int, rng_seed)
+    report = _run_study(config_path, kv, seed, partial(
+        run_small_ball_study, spec, h,
         _get(kv, "eps_grid", _floats, (1.0, 0.8, 0.6, 0.5, 0.4, 0.3)),
-        _get(kv, "draws", int, 100_000),
-        _rng(_get(kv, "seed", int, 0)),
+        draws,
+        _rng(rng_seed),
         beta=beta,
         tol=_get(kv, "tol", float, 0.3),
-    )
+    ))
     code = emit_report(report, out)
     click.echo(f"slope={report.slope:.4f} theory={report.theory} passed={report.passed}")
     sys.exit(code)
@@ -316,18 +323,18 @@ def small_ball(config_path, seed, out):
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
-    kv, spec = _study_kv(config_path, seed, "f0.beta f0.R f0.kind r n_grid replicates sampler budget")
-    f0 = _test_function(config_path, kv, "f0", spec.grid_level)
-    report = _run_study(
-        config_path, run_posterior_decay_study, spec, f0,
+    kv, spec = _study_kv(config_path, seed)
+    report = _run_study(config_path, kv, seed, partial(
+        run_posterior_decay_study, spec,
+        _test_function(config_path, kv, "f0", spec.grid_level),
         _get(kv, "r", float, 0.2),
         _get(kv, "n_grid", _floats, (100.0, 200.0, 500.0, 1000.0)),
         _get(kv, "replicates", int, 20),
         seed=_get(kv, "seed", int, 0),
-        sampler=kv.get("sampler", "mcmc"),
+        sampler=_get(kv, "sampler", str, "mcmc"),
         budget=_get(kv, "budget", int, 3000),
         threads=threads,
-    )
+    ))
     code = emit_report(report, out)
     click.echo(f"median masses: {report.median_mass} passed={report.passed}")
     sys.exit(code)

@@ -277,8 +277,14 @@ def _importance(prior, mins, n, draws, rng):
     """Self-normalized importance sampling with the prior as proposal.
 
     Infeasible draws carry weight zero and are dropped from storage but counted
-    in the reported feasibility rate.
+    in the reported feasibility rate.  A laplace prior whose posterior is
+    improper at any level (``_improper_laplace``) raises, as its Gibbs chains do.
     """
+    if getattr(prior, "dist", None) is not None and prior.dist.kind == "laplace":
+        truncated = isinstance(prior, TruncatedWaveletPrior)
+        levels = [prior.level_prior(j) for j in range(prior.j_cap + 1)] if truncated else [prior]
+        if any(_improper_laplace(level, mins[None], n)[0] for level in levels):
+            raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
     values, log_lik = _feasible_draws(prior, mins, n, draws, rng)
     if not len(values):
         raise DegeneratePosteriorError(

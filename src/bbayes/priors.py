@@ -32,7 +32,6 @@ __all__ = [
     "parse_kv",
     "parse_prior_config",
     "prior_spec_from_mapping",
-    "format_prior_config",
 ]
 
 _KINDS = ("gaussian", "laplace", "uniform")
@@ -333,16 +332,3 @@ def prior_spec_from_mapping(kv: dict[str, str]) -> PriorSpec:
         raise ValueError(f"unknown prior config keys: {sorted(kv)}")
     return spec
 
-
-def format_prior_config(spec: PriorSpec) -> str:
-    lines = [f"variant = {spec.variant}", f"grid_level = {spec.grid_level}"]
-    if spec.alpha is not None:
-        lines.append(f"alpha = {spec.alpha!r}")
-    if spec.dist is not None:
-        lines.append(f"dist.kind = {spec.dist.kind}")
-        lines.append(f"dist.scale = {spec.dist.scale!r}")
-    if spec.j_max is not None:
-        lines.append(f"j_max = {spec.j_max}")
-    if spec.j_cap is not None:
-        lines.append(f"j_cap = {spec.j_cap}")
-    return "\n".join(lines) + "\n"

@@ -135,9 +135,19 @@ def test_complexity_json_matches_library(runner, tmp_path):
         (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "separation", "--n", "0", "--f0", "{sim}/f0.csv"],
          "--n"),
         (["rate-study", "--config", "{prior}", "--threads", "0"], "--threads"),
+        # an option that the command would not read
+        (["mle", "--pattern", "{sim}/pattern.csv", "--bins", "2", "--grid-level", "3"], "--grid-level"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "bracketing", "--delta", "1", "--eps", "1"], "--eps"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "1", "--delta", "1"], "--delta"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "bracketing", "--delta", "1", "--n", "2"], "--n"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "1", "--f0", "{sim}/f0.csv"],
+         "--f0"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "1", "--pool", "{sim}/f0.csv"],
+         "--pool"),
     ],
     ids=["simulate-n-0", "grid-level-negative", "seed-negative", "smooth-beta", "mle-lip-negative", "mle-bins-3",
-         "posterior-budget-0", "eps-negative", "delta-negative", "separation-n-0", "threads-0"],
+         "posterior-budget-0", "eps-negative", "delta-negative", "separation-n-0", "threads-0",
+         "mle-bins-grid-level", "bracketing-eps", "covering-delta", "bracketing-n", "covering-f0", "covering-pool"],
 )
 def test_bad_option_values_are_usage_errors(runner, tmp_path, args, named):
     sim = tmp_path / "sim"
@@ -259,7 +269,7 @@ def test_study_config_unknown_keys_rejected(runner, tmp_path):
     out = tmp_path / "d"
     res = runner.invoke(main, ["decay-study", "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 2  # click's usage-error code, before any cell runs
-    assert "unknown config keys" in res.output and "bugdet, step_scale" in res.output
+    assert f"config keys that the study does not read, in {cfg}: bugdet, step_scale" in res.output
     assert not out.exists()
 
 
@@ -307,12 +317,17 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nbudget = 0\n", "budget must be >= 1, got 0"),
         ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
          "eps_grid = 2.0,1.0\ndraws = 0\n", "draws must be >= 1, got 0"),
-        ("small-ball", "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
-        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\ndraws = 4000\n", "config key 'draws'"),
-        ("small-ball", "eps_grid = 1.0,0.5\nseed = 2\n", "config key 'seed'"),
-        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\nseed = 2\n", "config key 'seed'"),
+        ("small-ball", "eps_grid = 1.0,0.5\ndraws = 4000\n", "s.cfg: draws"),
+        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\ndraws = 4000\n", "s.cfg: draws"),
+        ("small-ball", "eps_grid = 1.0,0.5\nseed = 2\n", "s.cfg: seed"),
+        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\nseed = 2\n", "s.cfg: seed"),
         ("rate-study", "f0.kind = cusp\nn_grid = 5,10,20,40\nreplicates = 10\nceiling = 0.1\n",
          "s.cfg: ceiling"),  # an unknown config key: the ceiling is always calibrated
+        ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nbugdet = 800\n", "s.cfg: bugdet"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nf0.knd = hat\n", "s.cfg: f0.knd"),
+        ("small-ball", "eps_grid = 1.0,0.5\nepsgrid = 1.0\n", "s.cfg: epsgrid"),
+        ("small-ball", "eps_grid = 1.0,0.5\nh.beta = 0.5\nh.R = 3.0\n", "s.cfg: h.R, h.beta"),  # no h.kind: h = 0
+        ("small-ball", "eps_grid = 1.0,0.5\nno equals sign\n", "malformed config line: 'no equals sign'"),
     ],
     ids=[
         "rate-replicates-5",
@@ -334,6 +349,11 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "small-ball-brownian-seed",
         "small-ball-wavelet-seed",
         "rate-ceiling-below-f0",
+        "rate-misspelt-key",
+        "decay-misspelt-key",
+        "small-ball-misspelt-key",
+        "small-ball-h-beta-without-kind",
+        "small-ball-malformed-line",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):
@@ -356,7 +376,7 @@ def test_small_ball_seed_option_is_usage_error(runner, tmp_path, prior_lines, va
     out = tmp_path / "o"
     res = runner.invoke(main, ["small-ball", "--config", str(cfg), "--seed", "3", "--out", str(out)])
     assert res.exit_code == 2
-    assert f"--seed: a {variant} small-ball study reads no seed" in res.output
+    assert "--seed: the study reads no seed" in res.output, variant
     assert not out.exists()
 
 

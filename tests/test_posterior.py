@@ -531,7 +531,8 @@ def test_sample_cells_equals_each_cell_alone():
         ("mcmc", "finite"): (3000, below_all),  # no feasible atom
     }
     # unit laplace amplitudes: raising one empty eighth of [0, 1] by h costs 0.68 h of coefficient mass against
-    # a tilt of n h / 8, so at n = 8 a pattern with an empty eighth has an improper truncated-laplace posterior
+    # a tilt of n h / 8, so at n = 8 a pattern with an empty eighth has an improper truncated-laplace posterior,
+    # which importance sampling and mcmc both refuse
     improper = [not np.isfinite(bin_minima(p, 3)).all() for p in patterns]
     assert any(improper) and not all(improper)
     for (sampler, name), (budget, degenerate) in runs.items():
@@ -542,7 +543,7 @@ def test_sample_cells_equals_each_cell_alone():
         assert len(block) == len(cells), where
         for i, (pattern, ens) in enumerate(zip(cells, block)):
             rng = np.random.default_rng(20 + i)
-            expect = pattern is degenerate or (where == ("mcmc", "truncated") and improper[i])
+            expect = pattern is degenerate or (name == "truncated" and improper[i])
             assert isinstance(ens, DegeneratePosteriorError) == expect, (where, i)
             if expect:
                 with pytest.raises(DegeneratePosteriorError):
@@ -637,11 +638,12 @@ def test_improper_laplace_posterior_raises(variant, n, improper):
     # the propriety test itself flags the cell: level 0 of the truncated prior is where its chain dies
     series = prior if variant == "wavelet_series" else prior.level_prior(0)
     assert _improper_laplace(series, bin_minima(pattern, 4)[None], n).tolist() == [improper]
-    if improper:
-        with pytest.raises(DegeneratePosteriorError):
-            mcmc_posterior(prior, pattern, steps=3000, rng=np.random.default_rng(26))
-    else:
-        assert mcmc_posterior(prior, pattern, steps=3000, rng=np.random.default_rng(26)).validate_against(pattern)
+    for sampler in ("mcmc", "importance"):
+        if improper:
+            with pytest.raises(DegeneratePosteriorError, match="improper laplace posterior"):
+                sample_posterior(prior, pattern, sampler, 3000, np.random.default_rng(26))
+        else:
+            assert sample_posterior(prior, pattern, sampler, 3000, np.random.default_rng(26)).validate_against(pattern)
 
 
 # ---------------------------------------------------------------------------
