@@ -8,10 +8,9 @@ not parse, a study config value that is unreadable or that the study rejects,
 or a prior key, in a ``--prior`` file or as ``prior.*`` in a study config, that
 is unknown, missing, unreadable or not read by its variant).  A study command
 pops each config key where it reads it (``_get``), and any key left over is a
-usage error that names it, as is a ``--seed`` for a study that reads no seed.
-Options, input files and study configs are checked before any work starts, so
-a usage error writes nothing.  All subcommands are deterministic given
-``--seed``.
+usage error that names it.  Options, input files and study configs are checked
+before any work starts, so a usage error writes nothing.  Every subcommand is
+deterministic given ``--seed``; ``small-ball``, a quadrature, has no seed.
 """
 
 from __future__ import annotations
@@ -88,7 +87,10 @@ def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
         raise click.UsageError(str(exc))
     if ceiling is None:
         ceiling = f0.max() + 1.0
-    pattern = simulate_ppp(f0, n, ceiling, _rng(seed))
+    try:
+        pattern = simulate_ppp(f0, n, ceiling, _rng(seed))
+    except ValueError as exc:  # --ceiling below max(f0)
+        raise click.UsageError(f"--ceiling: {exc}")
     write_text(Path(out) / "pattern.csv", pattern.to_csv())
     write_text(Path(out) / "f0.csv", f0.to_csv())
     click.echo(f"wrote {len(pattern)} points to {out}/pattern.csv")
@@ -245,11 +247,9 @@ def _test_function(config_path: str, kv: dict, prefix: str, grid_level: int, bet
         raise click.UsageError(f"bad config in {config_path}: {prefix}: {exc}") from None
 
 
-def _run_study(config_path: str, kv: dict, seed: int | None, study):
+def _run_study(config_path: str, kv: dict, study):
     """``study()``, whose arguments have popped from ``kv`` every key they read: a key left in ``kv`` or a value
     the study rejects is a usage error, a study it refuses an error."""
-    if seed is not None and "seed" in kv:
-        raise click.UsageError("--seed: the study reads no seed")
     if kv:
         raise click.UsageError(f"config keys that the study does not read, in {config_path}: {', '.join(sorted(kv))}")
     try:
@@ -281,7 +281,7 @@ def rate_study(config_path, seed, out, threads):
         seed=_get(kv, "seed", int, 0),
         slope_tol=_get(kv, "slope_tol", float, 0.15),
     )
-    report = _run_study(config_path, kv, seed, lambda: run_rate_study(cfg(), threads=threads))
+    report = _run_study(config_path, kv, lambda: run_rate_study(cfg(), threads=threads))
     code = emit_report(report, out)
     click.echo(
         f"slope={report.slope:.4f} theory={report.theory} margin={report.margin} passed={report.passed}"
@@ -291,23 +291,17 @@ def rate_study(config_path, seed, out, threads):
 
 @main.command("small-ball")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), required=True)
-def small_ball(config_path, seed, out):
+def small_ball(config_path, out):
     """Small-ball probability study (exit 2 when the exponent misses tolerance)."""
-    kv, spec = _study_kv(config_path, seed)
+    kv, spec = _study_kv(config_path, None)
     beta = _get(kv, "beta", float)
     h = GridFunction.constant(0.0, spec.grid_level)
     if "h.kind" in kv:
         h = _test_function(config_path, kv, "h", spec.grid_level, 1.0 if beta is None else beta)
-    draws, rng_seed = 100_000, 0
-    if spec.variant == "truncated_wavelet":  # plain Monte Carlo; the other priors' small balls draw nothing
-        draws, rng_seed = _get(kv, "draws", int, draws), _get(kv, "seed", int, rng_seed)
-    report = _run_study(config_path, kv, seed, partial(
+    report = _run_study(config_path, kv, partial(
         run_small_ball_study, spec, h,
         _get(kv, "eps_grid", _floats, (1.0, 0.8, 0.6, 0.5, 0.4, 0.3)),
-        draws,
-        _rng(rng_seed),
         beta=beta,
         tol=_get(kv, "tol", float, 0.3),
     ))
@@ -324,7 +318,7 @@ def small_ball(config_path, seed, out):
 def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
     kv, spec = _study_kv(config_path, seed)
-    report = _run_study(config_path, kv, seed, partial(
+    report = _run_study(config_path, kv, partial(
         run_posterior_decay_study, spec,
         _test_function(config_path, kv, "f0", spec.grid_level),
         _get(kv, "r", float, 0.2),

@@ -236,14 +236,17 @@ def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Gener
     """Simulate the point process with intensity n*1(f(x) <= y), truncated at the ceiling.
 
     By Poisson splitting, bin k holds Poisson(n * gap_k / m) points, gap_k =
-    (ceiling - f_k)_+, independently of the other bins, uniform on its
-    rectangle between f_k and the ceiling.  The points come out grouped by bin;
-    nothing reads their order.
+    ceiling - f_k, independently of the other bins, uniform on its rectangle
+    between f_k and the ceiling.  The points come out grouped by bin; nothing
+    reads their order.  A ceiling below max f would empty the bins above it, a
+    law other than the model's, so it is a ValueError.
     """
     if not n > 0:
         raise ValueError("n must be positive")
+    if ceiling < f.max():
+        raise ValueError(f"ceiling {ceiling!r} is below max f = {f.max()!r}")
     m = f.num_bins
-    gaps = np.maximum(ceiling - f.values, 0.0)
+    gaps = ceiling - f.values
     bins = np.repeat(np.arange(m), rng.poisson(n * gaps / m))
     xs = (bins + rng.uniform(size=bins.size)) / m
     ys = f.values[bins] + rng.uniform(size=bins.size) * gaps[bins]

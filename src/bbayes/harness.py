@@ -8,14 +8,16 @@ multiplicative constants are absorbed by the log-log fit intercept.  Each
 simulate their patterns, reduce them to bin minima and go to the posterior
 layer's one dispatch (``sample_cells``) as one block, which samples each bit
 for bit as alone, so neither the thread count nor the block changes a result.
-Brownian-start and wavelet-series small-ball probabilities are quadratures, a
-transfer operator over the bins and an upward pass over the Haar tree, and draw
-no random numbers; the truncated prior's are Monte Carlo.
+Small-ball probabilities are quadratures that draw no random numbers: a
+transfer operator over the bins for the Brownian-start prior, and an upward
+pass over the Haar tree for the wavelet priors, the truncated prior as the
+mixture of its level priors.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -339,12 +341,6 @@ class SmallBallReport:
         )
 
 
-def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Sup-norm distances of plain prior draws to h."""
-    target = h.refine(spec.grid_level).values
-    return reduce_draws(build_prior(spec), draws, rng, lambda v: np.abs(v - target).max(axis=1))
-
-
 def _mass(dist: CoefficientDistribution, lo, hi) -> np.ndarray:
     """P(lo < z <= hi) for z of law ``dist``, 0 where lo >= hi; an interval right of 0 is read in the left tail."""
     return np.maximum(np.where(lo > 0.0, dist.cdf(-lo) - dist.cdf(-hi), dist.cdf(hi) - dist.cdf(lo)), 0.0)
@@ -433,49 +429,53 @@ def _richardson(log_p, cells: int) -> tuple[float, float]:
     return math.exp(r), math.exp(r) * abs(r - (4.0 * mid - coarse) / 3.0)
 
 
+def _mixture_log_p(levels, target: np.ndarray, eps: float, cells: int) -> float:
+    """log sum_j w_j P_j over the weighted wavelet-series priors ``levels``, each P_j by ``_haar_log_p``."""
+    return float(np.logaddexp.reduce([math.log(w) + _haar_log_p(prior, target, eps, cells) for w, prior in levels]))
+
+
 def run_small_ball_study(
     spec: PriorSpec,
     h: GridFunction,
     eps_grid,
-    draws: int,
-    rng: np.random.Generator,
+    draws: int | None = None,
+    rng: np.random.Generator | None = None,
     beta: float | None = None,
     tol: float = 0.3,
 ) -> SmallBallReport:
     """P(sup|X - h| <= eps) for each eps of the strictly decreasing ``eps_grid``, with a log(-log) slope fit.
 
-    The Brownian and wavelet-series priors are Markov models, across bins and down the Haar tree: P is a
-    quadrature, a transfer operator over the bins (``_brownian_log_p``, one cell per increment sd and up) or an
-    upward pass over the tree (``_haar_log_p``, 32 cells per window and up), without ``draws`` or ``rng``.
-    Each is run at three cell widths, and ``std_error`` is the change of its Richardson value (``_richardson``).
-    The truncated prior uses plain Monte Carlo over ``draws`` prior draws.  An eps whose estimate is 0 (no
-    hits, an empty window or an underflow) is excluded.
+    Every prior is a Markov model, across bins or down the Haar tree, so P is a quadrature that draws no random
+    numbers: a transfer operator over the bins for the Brownian prior (``_brownian_log_p``, one cell per increment
+    sd and up), and an upward pass over the tree for the wavelet priors (``_haar_log_p``, 32 cells per window and
+    up).  The truncated prior is the mixture of its level priors, P = sum_j pi_j P_j.  Each quadrature is run at
+    three cell widths, and ``std_error`` is the change of its Richardson value (``_richardson``).  An eps whose
+    estimate is 0 (an empty window or an underflow) or at least 1 (a ball that holds every draw) is excluded.
+    ``draws`` and ``rng`` are read by no estimator; passing either is deprecated.
     """
-    if draws < 1:
-        raise StudyConfigError(f"draws must be >= 1, got {draws}")
+    if draws is not None or rng is not None:
+        warnings.warn("run_small_ball_study ignores draws and rng: every small ball is a quadrature",
+                      DeprecationWarning, stacklevel=2)
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
     target = h.refine(spec.grid_level).values
-    if spec.variant == "truncated_wavelet":
-        sups = _prior_sups(spec, h, draws, rng)
-        p = np.array([np.count_nonzero(sups <= e) for e in eps_grid]) / draws
-        se = np.sqrt(p * (1.0 - p) / draws)
-        meta = {"draws": draws}
-    elif spec.variant == "brownian_start":
+    if spec.variant == "brownian_start":
         root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m
         runs = [_richardson(partial(_brownian_log_p, target, e), math.ceil(2.0 * e * root_m)) for e in eps_grid]
         meta = {"method": "transfer", "cells_per_sd": (1, 2, 4)}
     else:
         prior = build_prior(spec)
-        runs = [_richardson(partial(_haar_log_p, prior, target, e), 32) for e in eps_grid]
+        levels = [(1.0, prior)]
+        if spec.variant == "truncated_wavelet":
+            levels = [(w, prior.level_prior(j)) for j, w in enumerate(prior.level_probabilities)]
+        runs = [_richardson(partial(_mixture_log_p, levels, target, e), 32) for e in eps_grid]
         meta = {"method": "haar-tree", "cells_per_window": (32, 64, 128)}
-    if spec.variant != "truncated_wavelet":
-        p, se = np.array(runs).reshape(-1, 2).T
-    hit, eps = p > 0.0, np.array(eps_grid)
+    p, se = np.array(runs).reshape(-1, 2).T
+    hit, eps = (p > 0.0) & (p < 1.0), np.array(eps_grid)
     kept, probs, ses, excluded = (tuple(a.tolist()) for a in (eps[hit], p[hit], se[hit], eps[~hit]))
     if len(kept) < 2:
-        raise StudyError("fewer than two epsilon values with a positive estimate; enlarge eps_grid or draws")
+        raise StudyError(f"fewer than two epsilon values with an estimate strictly inside (0, 1): {excluded} excluded")
     x = [1.0 / e for e in kept]
     y = [-math.log(q) for q in probs]
     slope, intercept = fit_loglog_slope(x, y)

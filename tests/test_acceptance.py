@@ -383,8 +383,6 @@ def test_criterion_8_small_ball_exponents():
         spec,
         GridFunction.constant(0.0, 8),
         (0.7, 0.6, 0.5, 0.42, 0.36, 0.3),
-        16_000,
-        np.random.default_rng(np.random.SeedSequence(5)),
         beta=1.0,
         tol=0.3,
     )
@@ -406,8 +404,6 @@ def test_criterion_8_small_ball_exponents():
             spec_k,
             target,
             (1.7, 1.5, 1.3, 1.15, 1.0),
-            30_000,
-            np.random.default_rng(np.random.SeedSequence(7)),
         ).slope
     assert slopes["laplace"] < slopes["gaussian"], slopes
 
@@ -416,8 +412,6 @@ def test_criterion_8_small_ball_exponents():
         PriorSpec(variant="brownian_start", grid_level=12),
         GridFunction.constant(0.0, 12),
         (1.0, 0.7, 0.5, 0.35, 0.25),
-        16_000,
-        np.random.default_rng(np.random.SeedSequence(42)),
         beta=1.0,
         tol=0.3,
     )
@@ -450,8 +444,6 @@ prior.grid_level = 4
 prior.j_cap = 2
 prior.dist.kind = gaussian
 eps_grid = 2.0,1.5,1.0
-draws = 4000
-seed = 4
 """
 
 DECAY_CFG = """

@@ -127,6 +127,8 @@ def test_complexity_json_matches_library(runner, tmp_path):
         (["simulate", "--n", "5", "--grid-level", "-1"], "--grid-level"),
         (["simulate", "--n", "5", "--seed", "-1"], "--seed"),
         (["simulate", "--n", "5", "--beta", "0.5"], "smooth kind requires beta = 1"),
+        (["simulate", "--n", "200", "--kind", "cusp", "--grid-level", "4", "--ceiling", "0.2"],
+         "--ceiling: ceiling 0.2 is below max f = 0.46875"),
         (["mle", "--pattern", "{sim}/pattern.csv", "--lip", "-1"], "--lip"),
         (["mle", "--pattern", "{sim}/pattern.csv", "--bins", "3"], "bins must be a power of two"),
         (["posterior", "--prior", "{prior}", "--pattern", "{sim}/pattern.csv", "--budget", "0"], "--budget"),
@@ -145,7 +147,8 @@ def test_complexity_json_matches_library(runner, tmp_path):
         (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "1", "--pool", "{sim}/f0.csv"],
          "--pool"),
     ],
-    ids=["simulate-n-0", "grid-level-negative", "seed-negative", "smooth-beta", "mle-lip-negative", "mle-bins-3",
+    ids=["simulate-n-0", "grid-level-negative", "seed-negative", "smooth-beta", "ceiling-below-f0",
+         "mle-lip-negative", "mle-bins-3",
          "posterior-budget-0", "eps-negative", "delta-negative", "separation-n-0", "threads-0",
          "mle-bins-grid-level", "bracketing-eps", "covering-delta", "bracketing-n", "covering-f0", "covering-pool"],
 )
@@ -239,13 +242,27 @@ def test_small_ball_cli(runner, tmp_path):
     cfg = tmp_path / "sb.cfg"
     cfg.write_text(
         "prior.variant = truncated_wavelet\nprior.grid_level = 4\nprior.j_cap = 2\n"
-        "prior.dist.kind = gaussian\neps_grid = 2.0,1.5,1.0\ndraws = 4000\nseed = 3\n"
+        "prior.dist.kind = gaussian\neps_grid = 2.0,1.5,1.0\n"
     )
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     for out in (out1, out2):
         res = runner.invoke(main, ["small-ball", "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 0  # no beta given: slope reported without a gate
     assert (out1 / "small_ball.csv").read_bytes() == (out2 / "small_ball.csv").read_bytes()
+
+
+def test_small_ball_cli_refuses_a_grid_without_two_informative_eps(runner, tmp_path):
+    # a uniform series with alpha = 1 stays within 3 of 0, so every ball holds every draw: P = 1 says nothing
+    cfg = tmp_path / "sb.cfg"
+    cfg.write_text(
+        "prior.variant = wavelet_series\nprior.grid_level = 5\nprior.alpha = 1.0\nprior.j_max = 3\n"
+        "prior.dist.kind = uniform\neps_grid = 8,6,4\n"
+    )
+    out = tmp_path / "s"
+    res = runner.invoke(main, ["small-ball", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 1  # a study it refuses, not a traceback
+    assert res.output.startswith("Error: fewer than two epsilon values") and res.output.count("\n") == 1
+    assert not out.exists()
 
 
 def test_decay_study_cli(runner, tmp_path):
@@ -316,7 +333,9 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nbudget = 0\n", "budget must be >= 1, got 0"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nbudget = 0\n", "budget must be >= 1, got 0"),
         ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
-         "eps_grid = 2.0,1.0\ndraws = 0\n", "draws must be >= 1, got 0"),
+         "eps_grid = 2.0,1.0\ndraws = 0\n", "s.cfg: draws"),
+        ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
+         "eps_grid = 2.0,1.0\nseed = 2\n", "s.cfg: seed"),
         ("small-ball", "eps_grid = 1.0,0.5\ndraws = 4000\n", "s.cfg: draws"),
         ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\ndraws = 4000\n", "s.cfg: draws"),
         ("small-ball", "eps_grid = 1.0,0.5\nseed = 2\n", "s.cfg: seed"),
@@ -344,6 +363,7 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "rate-budget-0",
         "decay-budget-0",
         "small-ball-truncated-draws-0",
+        "small-ball-truncated-seed",
         "small-ball-brownian-draws",
         "small-ball-wavelet-draws",
         "small-ball-brownian-seed",
@@ -358,8 +378,8 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):
     cfg = tmp_path / "s.cfg"
-    # a Brownian or wavelet-series small-ball study reads no seed, so only its own cases set one
-    unseeded = command == "small-ball" and "truncated_wavelet" not in lines
+    # a small-ball study reads no seed, so only its own cases set one
+    unseeded = command == "small-ball"
     cfg.write_text(_BROWNIAN_4 + lines + ("" if unseeded else "seed = 2\n"))
     out = tmp_path / "o"
     res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
@@ -368,15 +388,21 @@ def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("prior_lines,variant", [("", "brownian_start"), (_WAVELET, "wavelet_series")])
+_TRUNCATED = "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
+
+
+@pytest.mark.parametrize(
+    "prior_lines,variant",
+    [("", "brownian_start"), (_WAVELET, "wavelet_series"), (_TRUNCATED, "truncated_wavelet")],
+)
 def test_small_ball_seed_option_is_usage_error(runner, tmp_path, prior_lines, variant):
-    # these small-ball studies are quadratures that draw no random numbers, so a --seed would be ignored
+    # every small-ball study is a quadrature that draws no random numbers, so small-ball has no --seed
     cfg = tmp_path / "sb.cfg"
     cfg.write_text(_BROWNIAN_4 + prior_lines + "eps_grid = 1.0,0.5\n")
     out = tmp_path / "o"
     res = runner.invoke(main, ["small-ball", "--config", str(cfg), "--seed", "3", "--out", str(out)])
     assert res.exit_code == 2
-    assert "--seed: the study reads no seed" in res.output, variant
+    assert "No such option" in res.output and "--seed" in res.output, variant  # click versions word it differently
     assert not out.exists()
 
 

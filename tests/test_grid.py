@@ -145,6 +145,8 @@ def test_simulate_ppp_empty_window_and_determinism():
     f = GridFunction(1, np.array([1.0, 1.0]))
     rng = np.random.default_rng(3)
     assert len(simulate_ppp(f, 10.0, 1.0, rng)) == 0  # ceiling touches f
+    with pytest.raises(ValueError, match="ceiling 0.5 is below max f = 1.0"):
+        simulate_ppp(f, 10.0, 0.5, rng)  # it would empty the bins where f is above it
     a = simulate_ppp(f, 50.0, 2.0, np.random.default_rng(7))
     b = simulate_ppp(f, 50.0, 2.0, np.random.default_rng(7))
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)

@@ -23,13 +23,13 @@ from bbayes.harness import (
     StudyError,
     _brownian_log_p,
     _haar_log_p,
-    _prior_sups,
     _richardson,
     calibrate_ceiling,
     emit_report,
     theoretical_rate_exponent,
     theoretical_small_ball_exponent,
 )
+from bbayes.posterior import reduce_draws
 from bbayes.reporting import fit_loglog_slope
 
 
@@ -186,13 +186,60 @@ def test_rate_study_exclusion_limit():
 # small-ball study
 
 
+def _prior_sups(spec: PriorSpec, h: GridFunction, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Sup-norm distances of plain prior draws to h: the Monte Carlo reference of the small-ball quadratures."""
+    target = h.refine(spec.grid_level).values
+    return reduce_draws(build_prior(spec), draws, rng, lambda v: np.abs(v - target).max(axis=1))
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
 def test_wavelet_small_ball_matches_plain_monte_carlo(kind):
     spec = _spec("wavelet_series", kind, grid_level=5, j=3)
     for h in (GridFunction.constant(0.0, 5), holder_test_function(0.5, 1.0, "cusp", 5)):
         sups = _prior_sups(spec, h, 200_000, np.random.default_rng(2))
-        report = run_small_ball_study(spec, h, (1.2, 0.8, 0.6), 1, np.random.default_rng(3))
+        report = run_small_ball_study(spec, h, (1.2, 0.8, 0.6))
         assert report.eps_grid == (1.2, 0.8, 0.6)
+        for eps, p, se in zip(report.eps_grid, report.probabilities, report.std_errors):
+            p_mc = float(np.mean(sups <= eps))
+            se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
+            assert abs(p - p_mc) <= 4.0 * math.hypot(se_mc, se), (eps, p, p_mc)
+
+
+_TRUNCATED_H = {
+    "zero": lambda g: GridFunction.constant(0.0, g),
+    "hat": lambda g: holder_test_function(1.0, 1.0, "hat", g),
+    "cusp": lambda g: holder_test_function(0.5, 1.0, "cusp", g),
+}
+
+
+@pytest.mark.parametrize("grid_level,j_cap", [(4, 2), (8, 5)])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("shape", list(_TRUNCATED_H))
+def test_truncated_small_ball_matches_gaussian_closed_form(grid_level, j_cap, scale, shape):
+    # given J = j the 2^{j+1} block values are i.i.d. N(0, s^2 2^{j+1}), as truncated_level_log_evidence uses,
+    # so P = sum_j pi_j prod_b [Phi(hi_b / sd_j) - Phi(lo_b / sd_j)] over the windows [lo_b, hi_b] of h's blocks
+    spec = PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian", scale), j_cap=j_cap,
+                     grid_level=grid_level)
+    h = _TRUNCATED_H[shape](grid_level)
+    eps_grid = (2.0, 1.0, 0.5, 0.25, 0.1)
+    report = run_small_ball_study(spec, h, eps_grid)
+    assert report.eps_grid == eps_grid
+    for eps, p, se in zip(eps_grid, report.probabilities, report.std_errors):
+        exact = 0.0
+        for j, w in enumerate(build_prior(spec).level_probabilities):
+            blocks, sd = h.values.reshape(2 << j, -1), scale * math.sqrt(2 << j)
+            lo, hi = (blocks.max(axis=1) - eps) / sd, (blocks.min(axis=1) + eps) / sd
+            exact += w * np.prod(np.maximum(stats.norm.cdf(hi) - stats.norm.cdf(lo), 0.0))  # 0 for an empty window
+        assert abs(p - exact) <= max(2.0 * se, 1e-3 * p), (eps, p, se, exact)
+
+
+@pytest.mark.parametrize("kind", ["laplace", "uniform"])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_truncated_small_ball_matches_plain_monte_carlo(kind, scale):
+    spec = PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution(kind, scale), j_cap=2, grid_level=4)
+    for h in (GridFunction.constant(0.0, 4), holder_test_function(1.0, 1.0, "hat", 4)):
+        sups = _prior_sups(spec, h, 200_000, np.random.default_rng(8))
+        report = run_small_ball_study(spec, h, (2.0, 1.5, 1.0, 0.5))
         for eps, p, se in zip(report.eps_grid, report.probabilities, report.std_errors):
             p_mc = float(np.mean(sups <= eps))
             se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
@@ -232,7 +279,7 @@ def test_haar_tree_matches_gaussian_box_probability(grid_level, j_max, shape, ep
         "wavy": 0.6 * np.sin(1.7 * np.arange(m)),
         "far": np.where(np.arange(m) < m // 2, 9.0, -9.0),
     }[shape]
-    report = run_small_ball_study(spec, GridFunction(grid_level, values), eps_grid, 1, np.random.default_rng(0))
+    report = run_small_ball_study(spec, GridFunction(grid_level, values), eps_grid)
     assert report.eps_grid == eps_grid
     for eps, p in zip(eps_grid, report.probabilities):
         exact = _wavelet_box_neg_log_p(spec, values, eps)
@@ -279,10 +326,8 @@ def test_brownian_small_ball_matches_gaussian_box_probability(grid_level, shape,
         "wavy": 0.6 * np.sin(1.7 * np.arange(m)),
         "jumps": 4.5 * (np.arange(m) % 2),
     }[shape]
-    report = run_small_ball_study(
-        _spec("brownian_start", grid_level=grid_level), GridFunction(grid_level, values), eps_grid, 1,
-        np.random.default_rng(0),
-    )
+    spec = _spec("brownian_start", grid_level=grid_level)
+    report = run_small_ball_study(spec, GridFunction(grid_level, values), eps_grid)
     assert report.eps_grid == eps_grid
     for eps, p in zip(eps_grid, report.probabilities):
         exact = _brownian_box_neg_log_p(values, eps)
@@ -293,7 +338,7 @@ def test_brownian_small_ball_matches_plain_monte_carlo():
     spec = _spec("brownian_start", grid_level=5)
     h = holder_test_function(0.5, 1.0, "cusp", 5)
     sups = _prior_sups(spec, h, 200_000, np.random.default_rng(4))
-    report = run_small_ball_study(spec, h, (1.0, 0.8), 1, np.random.default_rng(5))
+    report = run_small_ball_study(spec, h, (1.0, 0.8))
     for eps, p, se in zip(report.eps_grid, report.probabilities, report.std_errors):
         p_mc = float(np.mean(sups <= eps))
         se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
@@ -309,7 +354,7 @@ def test_brownian_transfer_operator_converges_as_the_square_of_the_cell_width():
     assert abs(neg_log_p[3] - neg_log_p[2]) < 0.01 * neg_log_p[2]
     assert 3.5 < (neg_log_p[1] - neg_log_p[2]) / (neg_log_p[2] - neg_log_p[3]) < 4.5, neg_log_p
     # so the estimate, the Richardson value over 2 and 4 cells per sd, moves by under 1% at the next two widths
-    report = run_small_ball_study(spec, h, (0.3, eps), 1, np.random.default_rng(0))
+    report = run_small_ball_study(spec, h, (0.3, eps))
     p, se = report.probabilities[1], report.std_errors[1]
     assert -math.log(p) == pytest.approx((4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0, rel=1e-12)
     assert -math.log(p) == pytest.approx((4.0 * neg_log_p[3] - neg_log_p[2]) / 3.0, rel=1e-2)
@@ -319,24 +364,21 @@ def test_brownian_transfer_operator_converges_as_the_square_of_the_cell_width():
 
 def test_brownian_small_ball_report_is_deterministic_and_excludes_underflow():
     spec, h = _spec("brownian_start", grid_level=12), GridFunction.constant(0.0, 12)
-    reports = [
-        run_small_ball_study(spec, h, (1.0, 0.5, 1e-3), 1, np.random.default_rng(seed), beta=1.0) for seed in (1, 2)
-    ]
-    assert reports[0] == reports[1]  # no random numbers: any generator gives the same report
-    report = reports[0]
+    report = run_small_ball_study(spec, h, (1.0, 0.5, 1e-3), beta=1.0)
+    # no random numbers: a generator, which is deprecated, changes nothing
+    with pytest.warns(DeprecationWarning, match="ignores draws and rng"):
+        assert run_small_ball_study(spec, h, (1.0, 0.5, 1e-3), 1, np.random.default_rng(1), beta=1.0) == report
     assert report.excluded_eps == (1e-3,)  # -log P is about 12,000: P underflows to 0
     assert report.eps_grid == (1.0, 0.5) and all(se > 0.0 for se in report.std_errors)
     assert report.meta == {"method": "transfer", "cells_per_sd": (1, 2, 4)}
     with pytest.raises(StudyError):
-        run_small_ball_study(spec, h, (1.0, 1e-3), 1, np.random.default_rng(1))
+        run_small_ball_study(spec, h, (1.0, 1e-3))
 
 
 def test_small_ball_probabilities_decrease_with_eps():
     spec = _spec("wavelet_series", grid_level=5, j=3)
     h = GridFunction.constant(0.0, 5)
-    report = run_small_ball_study(
-        spec, h, (1.2, 0.9, 0.7), 24_000, np.random.default_rng(6), beta=1.0
-    )
+    report = run_small_ball_study(spec, h, (1.2, 0.9, 0.7), beta=1.0)
     assert len(report.probabilities) == 3
     assert all(a > b for a, b in zip(report.probabilities, report.probabilities[1:]))
     assert report.slope > 0
@@ -345,25 +387,30 @@ def test_small_ball_probabilities_decrease_with_eps():
 
 
 def test_small_ball_exclusion_and_degenerate_grid():
-    spec = _spec("truncated_wavelet", grid_level=4)
     h = GridFunction.constant(0.0, 4)
-    rng = np.random.default_rng(7)
-    report = run_small_ball_study(spec, h, (2.0, 1.5, 1e-9), 4000, rng)
-    assert report.excluded_eps == (1e-9,)
-    assert len(report.probabilities) == 2
-    with pytest.raises(StudyError):
-        run_small_ball_study(spec, h, (1e-9, 1e-10), 2000, rng)
     # a wavelet window is empty where h's range inside one prior block exceeds 2 eps: P = 0, and only that eps goes
     wavelet = _spec("wavelet_series", grid_level=5, j=3)  # 16 blocks of 2 bins
     for jumps in (np.arange(32) == 0, np.arange(32) % 2):  # in block 0, or in every block
-        report = run_small_ball_study(wavelet, GridFunction(5, jumps.astype(float)), (1.2, 0.8, 0.4), 1, rng)
+        report = run_small_ball_study(wavelet, GridFunction(5, jumps.astype(float)), (1.2, 0.8, 0.4))
         assert report.excluded_eps == (0.4,)
         assert report.eps_grid == (1.2, 0.8) and all(p > 0.0 for p in report.probabilities)
     # a tiny eps keeps its tiny true probability instead
-    report = run_small_ball_study(wavelet, h.refine(5), (1.2, 0.8, 1e-9), 1, rng)
+    report = run_small_ball_study(wavelet, h.refine(5), (1.2, 0.8, 1e-9))
     assert report.excluded_eps == () and 0.0 < report.probabilities[-1] < 1e-100
     with pytest.raises(ValueError):
-        run_small_ball_study(spec, h, (0.5, 0.5), 2000, rng)
+        run_small_ball_study(_spec("truncated_wavelet", grid_level=4), h, (0.5, 0.5))
+
+
+def test_small_ball_excludes_an_eps_whose_ball_holds_every_draw():
+    # a uniform series with alpha = 1 stays within 1 + sum_j 2^-j < 3 of 0, so P = 1 at eps = 8, 6 and 4
+    spec = _spec("wavelet_series", "uniform", grid_level=5, j=3)
+    h = GridFunction.constant(0.0, 5)
+    report = run_small_ball_study(spec, h, (8.0, 6.0, 4.0, 1.0, 0.5))
+    assert report.excluded_eps == (8.0, 6.0, 4.0)
+    assert report.eps_grid == (1.0, 0.5) and all(0.0 < p < 1.0 for p in report.probabilities)
+    assert math.isfinite(report.slope)
+    with pytest.raises(StudyError, match=r"strictly inside \(0, 1\)"):
+        run_small_ball_study(spec, h, (8.0, 6.0, 4.0))
 
 
 # ---------------------------------------------------------------------------

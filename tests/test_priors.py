@@ -18,11 +18,11 @@ from bbayes import (
     haar_synthesis,
     holder_test_function,
 )
-from bbayes.harness import _prior_sups
 from bbayes.priors import (
     parse_prior_config,
     wavelet_amplitudes,
 )
+from test_harness import _prior_sups
 
 
 # ---------------------------------------------------------------------------
