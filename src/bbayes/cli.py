@@ -4,9 +4,10 @@ Exit codes: 0 pass, 1 error (for instance a ``complexity`` dictionary member
 that no pool function brackets), 2 tolerance failure or usage error (an option
 that is unknown, outside its domain or not read by the command as invoked, a
 ``--pattern``, ``--f0``, ``--dict``, ``--pool`` or ``--config`` file that does
-not parse, a study config value that is unreadable or that the study rejects,
-or a prior key, in a ``--prior`` file or as ``prior.*`` in a study config, that
-is unknown, missing, unreadable or not read by its variant).  A study command
+not parse, a ``posterior --sampler`` that the prior does not admit, a study
+config value that is unreadable or that the study rejects, or a prior key, in
+a ``--prior`` file or as ``prior.*`` in a study config, that is unknown,
+missing, unreadable or not read by its variant).  A study command
 pops each config key where it reads it (``_get``), and any key left over is a
 usage error that names it.  Options, input files and study configs are checked
 before any work starts, so a usage error writes nothing.  Every subcommand is
@@ -42,7 +43,7 @@ from .harness import (
     run_rate_study,
     run_small_ball_study,
 )
-from .posterior import DegeneratePosteriorError, sample_posterior
+from .posterior import DegeneratePosteriorError, check_sampler, sample_posterior
 from .priors import (
     build_prior,
     holder_test_function,
@@ -99,7 +100,7 @@ def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
 @main.command()
 @click.option("--prior", "prior_file", type=click.Path(exists=True), required=True)
 @click.option("--pattern", "pattern_file", type=click.Path(exists=True), required=True)
-@click.option("--sampler", type=click.Choice(["importance", "mcmc"]), default="importance", show_default=True)
+@click.option("--sampler", type=click.Choice(["importance", "mcmc", "exact"]), default="importance", show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True, help="draws or MCMC steps")
 @click.option("--f0", "f0_file", type=click.Path(exists=True), default=None, help="reference boundary for the summary")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -112,8 +113,13 @@ def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
         raise click.UsageError(f"bad prior config in {prior_file}: {exc}")
     pattern = _load(pattern_file, PointPattern.from_csv)
     f0 = _load(f0_file, GridFunction.from_csv) if f0_file else None
+    prior = build_prior(spec)
     try:
-        ens = sample_posterior(build_prior(spec), pattern, sampler, budget, _rng(seed))
+        check_sampler(prior, sampler, budget)
+    except ValueError as exc:  # 'exact' on a prior other than the gaussian truncated wavelet series
+        raise click.UsageError(f"--sampler: {exc}")
+    try:
+        ens = sample_posterior(prior, pattern, sampler, budget, _rng(seed))
     except DegeneratePosteriorError as exc:
         raise click.ClickException(str(exc))
     write_text(Path(out) / "ensemble_summary.csv", ens.summary_csv(f0))

@@ -85,11 +85,13 @@ def _check_sampler(sampler: str, budget: int, spec: PriorSpec) -> None:
 
 
 def _check_cells(n_grid, replicates: int, min_values: int, min_replicates: int) -> tuple:
-    """``n_grid`` as floats; StudyConfigError unless it has at least ``min_values`` strictly
+    """``n_grid`` as floats; StudyConfigError unless it has at least ``min_values`` positive, strictly
     increasing values and there are at least ``min_replicates`` replicates."""
     n_grid = tuple(float(n) for n in n_grid)
     if len(n_grid) < min_values:
         raise StudyConfigError(f"n_grid needs at least {min_values} values, got {n_grid}")
+    if not all(n > 0 for n in n_grid):
+        raise StudyConfigError(f"n_grid values must be positive, got {n_grid}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise StudyConfigError(f"n_grid must be strictly increasing, got {n_grid}")
     if replicates < min_replicates:
@@ -243,7 +245,8 @@ def _run_cells(row, n_grid, threads: int):
 
     The cells of one n run as one block, each on its own ``SeedSequence`` generator, so neither
     ``threads`` nor the block changes a result.  With ``threads > 1`` each row is one process task, and ``row``
-    must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them is a StudyError.
+    must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them, or every cell of
+    one n, is a StudyError.
     """
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -251,6 +254,9 @@ def _run_cells(row, n_grid, threads: int):
     else:
         grid = np.array(list(map(row, range(len(n_grid)), n_grid)), dtype=object)
     exclusions = sum(v is None for v in grid.flat)
+    empty = [n for n, cells in zip(n_grid, grid) if all(v is None for v in cells)]
+    if empty:
+        raise StudyError(f"every cell degenerate at n = {empty}", exclusions=exclusions, total=grid.size)
     if exclusions > MAX_EXCLUSION_FRAC * grid.size:
         raise StudyError(
             f"{exclusions}/{grid.size} cells degenerate (limit {MAX_EXCLUSION_FRAC:.0%})",
@@ -459,16 +465,15 @@ def run_small_ball_study(
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
+    if not all(e > 0 for e in eps_grid):
+        raise StudyConfigError(f"eps_grid values must be positive, got {eps_grid}")
     target = h.refine(spec.grid_level).values
     if spec.variant == "brownian_start":
         root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m
         runs = [_richardson(partial(_brownian_log_p, target, e), math.ceil(2.0 * e * root_m)) for e in eps_grid]
         meta = {"method": "transfer", "cells_per_sd": (1, 2, 4)}
     else:
-        prior = build_prior(spec)
-        levels = [(1.0, prior)]
-        if spec.variant == "truncated_wavelet":
-            levels = [(w, prior.level_prior(j)) for j, w in enumerate(prior.level_probabilities)]
+        levels = build_prior(spec).levels()
         runs = [_richardson(partial(_mixture_log_p, levels, target, e), 32) for e in eps_grid]
         meta = {"method": "haar-tree", "cells_per_window": (32, 64, 128)}
     p, se = np.array(runs).reshape(-1, 2).T

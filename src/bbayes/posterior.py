@@ -17,10 +17,10 @@ burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
 states, which ``_run_chain`` runs for the scheduled sweeps and stores.
 ``sample_cells``, the one dispatch on the sampler name and prior type, runs
-the cells of one intensity as a block, Brownian and wavelet-series Gibbs
-chains on a leading chain axis and every other sampler cell by cell, each cell
-bit for bit as alone; ``sample_posterior`` and the named samplers are its
-block of one cell.
+the Gibbs chains of one intensity's cells as blocks on a leading chain axis,
+one Brownian block or one per level in a wavelet prior's ``levels()``, and
+every other sampler cell by cell, each cell bit for bit as alone;
+``sample_posterior`` and the named samplers are its block of one cell.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
 the prior's grid level), ``log_weights`` and ``meta``; every functional is a
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
+from scipy.special import log_ndtr, logsumexp, ndtri_exp
 
 from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
 from .priors import (
@@ -232,22 +232,33 @@ def truncated_level_log_evidence(
     return float(np.sum(n * n * s2 / (2.0 * m) + log_ndtr((blocks - n * s2) / (scale * math.sqrt(m)))))
 
 
+def _level_log_weights(levels: list, mins: np.ndarray, n: float, rngs) -> np.ndarray:
+    """The ``(cells, levels)`` posterior log weights log pi_j + log Z_j of a truncated prior's ``levels()`` at each
+    row of bin minima ``mins``.  The evidence Z_j is closed-form for gaussian coefficients, else the mean
+    likelihood of ``_EVIDENCE_DRAWS`` prior draws of level j on the cell's generator: -inf if none is feasible
+    (an empty ``logsumexp``, which raises before scipy 1.15), and rough at large intensity, where feasible draws
+    become rare."""
+    dist = levels[0][1].dist
+    if dist.kind == "gaussian":
+        log_z = [[truncated_level_log_evidence(j, row, n, dist.scale) for j in range(len(levels))] for row in mins]
+    else:
+        lls = [[_feasible_draws(level, row, n, _EVIDENCE_DRAWS, rng)[1] for _, level in levels]
+               for row, rng in zip(mins, rngs)]
+        log_z = [[logsumexp(ll) - math.log(_EVIDENCE_DRAWS) if ll.size else -math.inf for ll in row] for row in lls]
+    return np.array(log_z) + [math.log(p) for p, _ in levels]
+
+
 def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     """Exact posterior draws for the truncated wavelet prior with gaussian coefficients.
 
-    Level weights come from the closed-form evidences; given the level, the
-    block values are independent truncated gaussians tilted by the likelihood,
-    sampled exactly.  No Monte Carlo error beyond the finite draw count.
-    After the level choice, one call draws one uniform per block value.
+    Level weights come from the closed-form evidences (``_level_log_weights``);
+    given the level, the block values are independent truncated gaussians tilted
+    by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
+    draw count.  After the level choice, one call draws one uniform per block value.
     """
     s = prior.dist.scale
     grid_m = 1 << prior.grid_level
-    level_log_w = np.array(
-        [
-            math.log(prior.level_probabilities[j]) + truncated_level_log_evidence(j, mins, n, s)
-            for j in range(prior.j_cap + 1)
-        ]
-    )
+    level_log_w = _level_log_weights(prior.levels(), mins[None], n, [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     levels = rng.choice(prior.j_cap + 1, size=draws, p=probs)
@@ -281,9 +292,7 @@ def _importance(prior, mins, n, draws, rng):
     improper at any level (``_improper_laplace``) raises, as its Gibbs chains do.
     """
     if getattr(prior, "dist", None) is not None and prior.dist.kind == "laplace":
-        truncated = isinstance(prior, TruncatedWaveletPrior)
-        levels = [prior.level_prior(j) for j in range(prior.j_cap + 1)] if truncated else [prior]
-        if any(_improper_laplace(level, mins[None], n)[0] for level in levels):
+        if any(_improper_laplace(level, mins[None], n)[0] for _, level in prior.levels()):
             raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
     values, log_lik = _feasible_draws(prior, mins, n, draws, rng)
     if not len(values):
@@ -516,39 +525,6 @@ def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng):
     return PosteriorEnsemble(prior.grid_level, prior.values[stored], np.zeros(len(stored)), meta=meta)
 
 
-def _mcmc_truncated(prior: TruncatedWaveletPrior, mins, n, steps, rng):
-    """One wavelet Gibbs chain per level on a ``steps // (j_cap + 1)`` budget, weighted by the level evidences."""
-    steps_per_level = max(1, steps // (prior.j_cap + 1))
-    rows, log_weights, skipped = [], [], np.zeros(1, dtype=int)
-    meta = {"sampler": "mcmc", "kind": "gibbs", "steps": steps, "skipped_updates": 0, "level_log_weights": []}
-    for j in range(prior.j_cap + 1):
-        level = prior.level_prior(j)
-        if prior.dist.kind == "gaussian":
-            # the evidence is available in closed form
-            log_z = truncated_level_log_evidence(j, mins, n, prior.dist.scale)
-        else:
-            # evidence Z_j by prior importance sampling at this level; a rough
-            # estimate at large intensity, where feasible draws become rare
-            lws = _feasible_draws(level, mins, n, _EVIDENCE_DRAWS, rng)[1]
-            if not lws.size:
-                meta["level_log_weights"].append(-math.inf)
-                continue
-            peak = lws.max()
-            log_z = peak + math.log(np.exp(lws - peak).sum()) - math.log(_EVIDENCE_DRAWS)
-        lw_level = math.log(prior.level_probabilities[j]) + log_z
-        keep = _kept(steps_per_level, level.latent_dim, steps)
-        (values,), (dead,) = _run_chain(_gibbs_wavelet(level, mins[None], n, [rng], skipped), keep)
-        if dead:
-            raise DegeneratePosteriorError(_DEAD_CHAIN)
-        meta["level_log_weights"].append(lw_level)
-        rows.append(values)
-        log_weights.append(np.full(len(values), lw_level - math.log(len(values))))
-    if not rows:
-        raise DegeneratePosteriorError("no level produced feasible states")
-    meta["skipped_updates"] = int(skipped[0])
-    return PosteriorEnsemble(prior.grid_level, np.concatenate(rows), np.concatenate(log_weights), meta=meta)
-
-
 _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which messages name
     BrownianStartPrior: "brownian_start",
     WaveletSeriesPrior: "wavelet_series",
@@ -573,30 +549,49 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
     """Yields, row by row, the ``PosteriorEnsemble`` (or DegeneratePosteriorError) of each cell whose bin minima
     are a row of ``mins``, all at intensity ``n``, after ``check_sampler``; ``budget`` counts draws or site updates.
 
-    Brownian and wavelet-series 'mcmc' chains run as one block; every other sampler runs cell by cell, yielding
-    each ensemble before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
+    'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
+    ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0 and whose
+    chains are alive.  Every other sampler runs cell by cell, yielding each ensemble before it draws the next.
+    Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
-    if sampler == "mcmc" and isinstance(prior, BrownianStartPrior):
-        keep = _kept(budget, 2 << prior.grid_level, budget)
-        values, dead = _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)}] * len(rngs)
-    elif sampler == "mcmc" and isinstance(prior, WaveletSeriesPrior):
-        skipped = np.zeros(len(rngs), dtype=int)
-        values, dead = _run_chain(_gibbs_wavelet(prior, mins, n, rngs, skipped), _kept(budget, prior.latent_dim, budget))
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": budget, "skipped_updates": k} for k in skipped.tolist()]
-    else:
-        mcmc = _mcmc_finite if isinstance(prior, FinitePrior) else _mcmc_truncated
-        kernel = {"importance": _importance, "exact": _exact, "mcmc": mcmc}[sampler]
+    if sampler != "mcmc" or isinstance(prior, FinitePrior):
+        kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
         for row, rng in zip(mins, rngs):
             try:
                 yield kernel(prior, row, n, budget, rng)
             except DegeneratePosteriorError as exc:
                 yield exc
         return
-    for v, d, meta in zip(values, dead, metas):
-        yield (DegeneratePosteriorError(_DEAD_CHAIN) if d
-               else PosteriorEnsemble(prior.grid_level, v, np.zeros(len(v)), dict(meta)))
+    if isinstance(prior, BrownianStartPrior):
+        keep = _kept(budget, 2 << prior.grid_level, budget)
+        values, dead = _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)
+        rows = [[(v, 0.0)] for v in values]
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)} for _ in rngs]
+    else:
+        levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
+        log_w = _level_log_weights(levels, mins, n, rngs) if truncated else np.zeros((len(rngs), 1))
+        rows, skipped, dead = [[] for _ in rngs], np.zeros(len(rngs), dtype=int), np.zeros(len(rngs), dtype=bool)
+        for (_, level), lw in zip(levels, log_w.T):
+            cells = np.flatnonzero((lw > -math.inf) & ~dead)
+            if cells.size:
+                keep = _kept(max(1, budget // len(levels)), level.latent_dim, budget)
+                block_skipped = np.zeros(cells.size, dtype=int)
+                chains = _gibbs_wavelet(level, mins[cells], n, [rngs[i] for i in cells], block_skipped)
+                values, dead[cells] = _run_chain(chains, keep)
+                skipped[cells] += block_skipped
+                for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
+                    rows[i].append((v, lw[i] - math.log(len(v)) if truncated else 0.0))
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": budget, "skipped_updates": k} for k in skipped.tolist()]
+        if truncated:
+            for meta, lw in zip(metas, log_w):
+                meta["level_log_weights"] = lw.tolist()
+    for cell, d, meta in zip(rows, dead, metas):
+        if d or not cell:
+            yield DegeneratePosteriorError(_DEAD_CHAIN if d else "no level produced feasible states")
+        else:
+            log_weights = np.concatenate([np.full(len(v), w) for v, w in cell])
+            yield PosteriorEnsemble(prior.grid_level, np.concatenate([v for v, _ in cell]), log_weights, meta)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
@@ -631,13 +626,10 @@ def mcmc_posterior(
 
     Latent priors use exact Gibbs kernels: every conditional is drawn exactly
     from a truncated, tilted law, so there is no step size and no rejection.
-    The truncated wavelet prior runs one Gibbs chain per level and combines
-    them by the level evidences (closed form for gaussian coefficients,
-    importance-estimated otherwise).  Only finite priors use Metropolis, with
-    an independence proposal from the prior.  Every chain runs the one
-    schedule: ``steps`` site updates make at least 2 sweeps, a fifth of them
-    is burn-in, and stored sweeps are ``max(1, steps // 10_000)`` site updates
-    apart, from the total budget also for the per-level chains.
+    A truncated wavelet prior runs the one wavelet kernel at each of its levels,
+    whose rows it weights by the level's share ``_level_log_weights``.  Only
+    finite priors use Metropolis, with an independence proposal from the prior.
+    Every chain runs the one ``_kept`` schedule, from the total ``steps``.
     ``step_scale`` is validated but read by no kernel; it stays only for the
     benchmark replay's positional call.
     """

@@ -160,6 +160,10 @@ class WaveletSeriesPrior:
         """Grid values ``(k, m)`` of k independent prior draws."""
         return self.synthesize(self.dist.sample(rng, size=(k, self.latent_dim)))
 
+    def levels(self) -> list:
+        """The prior as a weighted mixture of wavelet series: itself, of weight 1."""
+        return [(1.0, self)]
+
 
 class BrownianStartPrior:
     """Brownian motion plus an independent standard-normal starting value.
@@ -201,6 +205,10 @@ class TruncatedWaveletPrior:
         prior = WaveletSeriesPrior(0.0, self.dist, j, self.grid_level)
         prior.amplitudes = np.ones(coefficient_count(j))
         return prior
+
+    def levels(self) -> list:
+        """The prior as a weighted mixture of wavelet series: ``(P(J = j), level_prior(j))`` for j = 0..j_cap."""
+        return [(p, self.level_prior(j)) for j, p in enumerate(self.level_probabilities.tolist())]
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Grid values ``(k, m)`` of k independent prior draws.

@@ -80,6 +80,23 @@ def test_posterior_bad_prior_key_is_usage_error(runner, tmp_path):
     assert not out.exists()
 
 
+def test_posterior_exact_sampler(runner, tmp_path):
+    # 'exact' is a posterior --sampler choice; on a prior that it does not apply to it is a usage error
+    _run(runner, ["simulate", "--n", "30", "--kind", "cusp", "--grid-level", "4", "--seed", "1",
+                  "--out", str(tmp_path)])
+    args = ["posterior", "--pattern", str(tmp_path / "pattern.csv"), "--sampler", "exact", "--budget", "300"]
+    truncated, brownian = tmp_path / "truncated.cfg", tmp_path / "brownian.cfg"
+    truncated.write_text("variant = truncated_wavelet\ngrid_level = 4\nj_cap = 2\ndist.kind = gaussian\n")
+    brownian.write_text("variant = brownian_start\ngrid_level = 4\n")
+    res = _run(runner, args + ["--prior", str(truncated), "--out", str(tmp_path / "t")])
+    assert res.exit_code == 0
+    assert "'sampler': 'exact'" in res.output and (tmp_path / "t" / "ensemble.flat").exists()
+    res = runner.invoke(main, args + ["--prior", str(brownian), "--out", str(tmp_path / "b")])
+    assert res.exit_code == 2
+    assert "needs truncated_wavelet with gaussian coefficients" in res.output
+    assert not (tmp_path / "b").exists()
+
+
 def test_posterior_degenerate_exits_one(runner, tmp_path):
     sim = tmp_path / "sim"
     _run(runner, ["simulate", "--n", "400", "--kind", "cusp", "--grid-level", "4",
@@ -347,6 +364,10 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("small-ball", "eps_grid = 1.0,0.5\nepsgrid = 1.0\n", "s.cfg: epsgrid"),
         ("small-ball", "eps_grid = 1.0,0.5\nh.beta = 0.5\nh.R = 3.0\n", "s.cfg: h.R, h.beta"),  # no h.kind: h = 0
         ("small-ball", "eps_grid = 1.0,0.5\nno equals sign\n", "malformed config line: 'no equals sign'"),
+        ("rate-study", "n_grid = 0,200,500,1000\nreplicates = 10\n", "n_grid values must be positive"),
+        ("decay-study", "f0.kind = cusp\nn_grid = -5,20\nreplicates = 4\n", "n_grid values must be positive"),
+        ("small-ball", "eps_grid = 1,0.5,0\n", "eps_grid values must be positive, got (1.0, 0.5, 0.0)"),
+        ("small-ball", _WAVELET + "eps_grid = 1,0.5,-0.5\n", "eps_grid values must be positive"),
     ],
     ids=[
         "rate-replicates-5",
@@ -374,6 +395,10 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "small-ball-misspelt-key",
         "small-ball-h-beta-without-kind",
         "small-ball-malformed-line",
+        "rate-n-grid-zero",
+        "decay-n-grid-negative",
+        "small-ball-brownian-eps-zero",
+        "small-ball-wavelet-eps-negative",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):

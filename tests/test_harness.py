@@ -19,6 +19,7 @@ from bbayes import (
     run_rate_study,
     run_small_ball_study,
 )
+from bbayes import harness
 from bbayes.harness import (
     StudyError,
     _brownian_log_p,
@@ -29,7 +30,7 @@ from bbayes.harness import (
     theoretical_rate_exponent,
     theoretical_small_ball_exponent,
 )
-from bbayes.posterior import reduce_draws
+from bbayes.posterior import DegeneratePosteriorError, reduce_draws
 from bbayes.reporting import fit_loglog_slope
 
 
@@ -180,6 +181,25 @@ def test_rate_study_exclusion_limit():
     with pytest.raises(StudyError) as err:
         run_rate_study(cfg)
     assert err.value.exclusions > 0.2 * err.value.total
+
+
+def test_an_intensity_whose_every_cell_is_degenerate_refuses_the_study(monkeypatch):
+    # one whole row of 5 is 20% of the cells, within the exclusion budget, but leaves that n without a value:
+    # the study must refuse and name it, not fail in np.quantile (rate) or report a nan median (decay)
+    real = harness.sample_cells
+
+    def degenerate_at_20(prior, mins, n, *args):
+        return [DegeneratePosteriorError("stub") for _ in mins] if n == 20.0 else real(prior, mins, n, *args)
+
+    monkeypatch.setattr(harness, "sample_cells", degenerate_at_20)
+    n_grid = (5.0, 10.0, 20.0, 40.0, 80.0)
+    with pytest.raises(StudyError, match=r"every cell degenerate at n = \[20.0\]") as err:
+        run_rate_study(_tiny_rate_cfg(n_grid=n_grid, budget=200))
+    assert (err.value.exclusions, err.value.total) == (10, 50)
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    with pytest.raises(StudyError, match=r"every cell degenerate at n = \[20.0\]") as err:
+        run_posterior_decay_study(_spec("brownian_start"), f0, 0.25, n_grid, replicates=1, seed=2, budget=200)
+    assert (err.value.exclusions, err.value.total) == (1, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,12 @@ from bbayes import (
     positive_part_integral,
     simulate_ppp,
 )
+import bbayes.posterior as posterior_module
 from bbayes.grid import integral
 from bbayes.posterior import (
     _exp_segment_log_mass,
     _improper_laplace,
+    _kept,
     _sample_coefficients_interval,
     _std_normal_tail,
     _suffix_sweep,
@@ -504,8 +506,8 @@ def test_sample_cells_equals_each_cell_alone():
     wavelet = lambda kind: build_prior(
         PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4)
     )
-    truncated = lambda kind: build_prior(
-        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution(kind), j_cap=2, grid_level=4)
+    truncated = lambda kind, scale=1.0: build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution(kind, scale), j_cap=2, grid_level=4)
     )
     priors = {
         "brownian": build_prior(PriorSpec(variant="brownian_start", grid_level=4)),
@@ -514,6 +516,8 @@ def test_sample_cells_equals_each_cell_alone():
         "uniform": wavelet("uniform"),
         "truncated": truncated("laplace"),
         "truncated gaussian": truncated("gaussian"),
+        # scale 0.25: on these patterns the start of every chain, lowered below the data, stays in the support
+        "truncated uniform": truncated("uniform", 0.25),
         "finite": FinitePrior([f0.shift(-0.5), f0.shift(-0.2), f0.shift(3.0)]),
     }
     below_all = PointPattern(n, 3.0, [0.3], [-5.0])  # below every finite atom and outside the uniform support
@@ -528,6 +532,8 @@ def test_sample_cells_equals_each_cell_alone():
         ("mcmc", "laplace"): (3000, PointPattern(n, 2.0)),  # every bin empty: the scaling conditional is improper
         ("mcmc", "uniform"): (3000, below_all),  # no feasible start inside the uniform support
         ("mcmc", "truncated"): (3000, None),
+        ("mcmc", "truncated gaussian"): (3000, None),
+        ("mcmc", "truncated uniform"): (3000, below_all),  # no level with a feasible evidence draw
         ("mcmc", "finite"): (3000, below_all),  # no feasible atom
     }
     # unit laplace amplitudes: raising one empty eighth of [0, 1] by h costs 0.68 h of coefficient mass against
@@ -559,6 +565,35 @@ def test_sample_cells_equals_each_cell_alone():
     mins = np.stack([bin_minima(p, 4) for p in patterns[:2]])
     next(sample_cells(priors["truncated gaussian"], mins, n, "exact", 300, rngs))
     assert rngs[1].random() == np.random.default_rng(21).random()
+
+
+def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_draw(monkeypatch):
+    # one block of three cells, unit laplace coefficients, one point each, at n = 0.5 (a proper posterior): at
+    # y = 1 every level is feasible; y = -7 is out of reach of all 400 evidence draws of level 0 on this seed, so
+    # level 0 weighs -inf there, adds no rows and runs no chain; y = -40 is out of reach of every level
+    spec = PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("laplace"), j_cap=2, grid_level=4)
+    prior = build_prior(spec)
+    patterns = [PointPattern(0.5, 3.0, [0.3], [y]) for y in (1.0, -7.0, -40.0)]
+    blocks, gibbs = [], posterior_module._gibbs_wavelet  # (level, chain count) of each block of chains run
+
+    def spy(level, mins, *args):
+        blocks.append((level.j_max, len(mins)))
+        return gibbs(level, mins, *args)
+
+    monkeypatch.setattr(posterior_module, "_gibbs_wavelet", spy)
+    rngs = [np.random.default_rng(seed) for seed in (0, 1, 2)]
+    every, skip, none = sample_cells(prior, np.stack([bin_minima(p, 4) for p in patterns]), 0.5, "mcmc", 3000, rngs)
+    assert blocks == [(0, 1), (1, 2), (2, 2)]
+    assert np.isfinite(every.meta["level_log_weights"]).all()
+    lw = skip.meta["level_log_weights"]
+    assert lw[0] == -math.inf and np.isfinite(lw[1:]).all()
+    kept = [len(_kept(3000 // 3, 2 << j, 3000)) for j in range(3)]  # the rows of one chain at each level
+    assert len(every) == sum(kept) and len(skip) == kept[1] + kept[2]
+    level_weights = [lw[j] - math.log(kept[j]) for j in (1, 2)]
+    assert skip.log_weights.tolist() == np.repeat(level_weights, kept[1:]).tolist()
+    assert skip.validate_against(patterns[1])
+    assert isinstance(none, DegeneratePosteriorError)
+    assert "no level produced feasible states" in str(none)
 
 
 def test_sampler_determinism():
