@@ -2,9 +2,9 @@
 
 Exit codes: 0 pass, 1 error (for instance a ``complexity`` dictionary member
 that no pool function brackets), 2 tolerance failure or usage error (an option
-that is unknown, outside its domain or not read by the command as invoked, a
-``--pattern``, ``--f0``, ``--dict``, ``--pool`` or ``--config`` file that does
-not parse, a ``posterior --sampler`` that the prior does not admit, a study
+that is unknown, not finite, outside its domain or not read by the command as
+invoked, a ``--pattern``, ``--f0``, ``--dict``, ``--pool`` or ``--config`` file
+that does not parse, a ``posterior --sampler`` that the prior does not admit, a study
 config value that is unreadable or that the study rejects, or a prior key, in
 a ``--prior`` file or as ``prior.*`` in a study config, that is unknown,
 missing, unreadable or not read by its variant).  A study command
@@ -17,6 +17,7 @@ deterministic given ``--seed``; ``small-ball``, a quadrature, has no seed.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -71,13 +72,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def _finite(ctx, param, value):
+    """The callback of every float option: nan and inf, which no command reads and a ``FloatRange`` lets through,
+    are usage errors that name the option."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number", ctx=ctx, param=param)
+    return value
+
+
 @main.command()
-@click.option("--n", type=click.FloatRange(min=0, min_open=True), required=True, help="intensity level")
-@click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--r", "r_const", type=float, default=1.0, show_default=True, help="Hoelder radius of f0")
+@click.option("--n", type=click.FloatRange(min=0, min_open=True), required=True, callback=_finite,
+              help="intensity level")
+@click.option("--beta", type=float, default=1.0, show_default=True, callback=_finite)
+@click.option("--r", "r_const", type=float, default=1.0, show_default=True, callback=_finite,
+              help="Hoelder radius of f0")
 @click.option("--kind", type=click.Choice(["cusp", "hat", "smooth"]), default="smooth", show_default=True)
 @click.option("--grid-level", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--ceiling", type=float, default=None, help="defaults to max(f0) + 1")
+@click.option("--ceiling", type=float, default=None, callback=_finite, help="defaults to max(f0) + 1")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output directory")
 def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
@@ -129,10 +140,10 @@ def posterior(prior_file, pattern_file, sampler, budget, f0_file, seed, out):
 
 @main.command()
 @click.option("--pattern", "pattern_file", type=click.Path(exists=True), required=True)
-@click.option("--lip", type=click.FloatRange(min=0, min_open=True), default=None,
+@click.option("--lip", type=click.FloatRange(min=0, min_open=True), default=None, callback=_finite,
               help="Lipschitz constant (cone envelope MLE)")
 @click.option("--bins", type=click.IntRange(min=1), default=None, help="bin count, a power of two (piecewise MLE)")
-@click.option("--cap", type=float, default=None, help="defaults to the pattern ceiling")
+@click.option("--cap", type=float, default=None, callback=_finite, help="defaults to the pattern ceiling")
 @click.option("--grid-level", type=click.IntRange(min=0), default=None, help="grid of the --lip MLE; defaults to 8")
 @click.option("--out", type=click.Path(), required=True)
 def mle(pattern_file, lip, bins, cap, grid_level, out):
@@ -163,9 +174,11 @@ _QUANTITY_READS = {"covering": ("--eps",), "bracketing": ("--delta", "--pool"), 
 @click.option("--dict", "dict_file", type=click.Path(exists=True), required=True,
               help="concatenated GridFunction CSVs")
 @click.option("--quantity", type=click.Choice(["covering", "bracketing", "separation"]), required=True)
-@click.option("--eps", type=click.FloatRange(min=0, min_open=True), default=None, help="radius for covering")
-@click.option("--delta", type=click.FloatRange(min=0), default=None, help="tolerance for bracketing")
-@click.option("--n", type=click.FloatRange(min=0, min_open=True), default=None, help="intensity for separation")
+@click.option("--eps", type=click.FloatRange(min=0, min_open=True), default=None, callback=_finite,
+              help="radius for covering")
+@click.option("--delta", type=click.FloatRange(min=0), default=None, callback=_finite, help="tolerance for bracketing")
+@click.option("--n", type=click.FloatRange(min=0, min_open=True), default=None, callback=_finite,
+              help="intensity for separation")
 @click.option("--f0", "f0_file", type=click.Path(exists=True), default=None, help="truth for separation")
 @click.option("--pool", "pool_file", type=click.Path(exists=True), default=None,
               help="bracket pool; defaults to dict plus pairwise minima")

@@ -41,7 +41,8 @@ class GridFunction:
     """Piecewise-constant function on the dyadic grid of [0, 1].
 
     ``values[k]`` is the value on the bin ``[k/m, (k+1)/m)`` with
-    ``m = 2**grid_level``; ``x = 1`` maps to the last bin.
+    ``m = 2**grid_level``; ``x = 1`` maps to the last bin, and x outside
+    [0, 1] is a ValueError.
     """
 
     grid_level: int
@@ -70,6 +71,8 @@ class GridFunction:
     def __call__(self, x):
         """Evaluate at x in [0, 1] (vectorized, left-closed bins)."""
         x = np.asarray(x, dtype=float)
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # a NaN fails both comparisons
+            raise ValueError("x must lie in [0, 1]")
         m = self.num_bins
         idx = np.minimum(np.floor(x * m).astype(int), m - 1)
         out = self.values[idx]
@@ -140,16 +143,19 @@ class PointPattern:
     ys: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        if not self.intensity > 0:
-            raise ValueError("intensity must be positive")
+        # every check is a negated comparison, which a NaN fails
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError("intensity must be positive and finite")
+        if not -math.inf < self.ceiling < math.inf:
+            raise ValueError("ceiling must be finite")
         xs = np.array(self.xs, dtype=float)
         ys = np.array(self.ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
-        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+        if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
             raise ValueError("x coordinates must lie in [0, 1]")
-        if ys.size and ys.max() > self.ceiling:
-            raise ValueError("y coordinates must not exceed the ceiling")
+        if ys.size and not (ys.min() > -math.inf and ys.max() <= self.ceiling):
+            raise ValueError("y coordinates must be finite and not exceed the ceiling")
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)

@@ -85,13 +85,13 @@ def _check_sampler(sampler: str, budget: int, spec: PriorSpec) -> None:
 
 
 def _check_cells(n_grid, replicates: int, min_values: int, min_replicates: int) -> tuple:
-    """``n_grid`` as floats; StudyConfigError unless it has at least ``min_values`` positive, strictly
+    """``n_grid`` as floats; StudyConfigError unless it has at least ``min_values`` positive, finite, strictly
     increasing values and there are at least ``min_replicates`` replicates."""
     n_grid = tuple(float(n) for n in n_grid)
     if len(n_grid) < min_values:
         raise StudyConfigError(f"n_grid needs at least {min_values} values, got {n_grid}")
-    if not all(n > 0 for n in n_grid):
-        raise StudyConfigError(f"n_grid values must be positive, got {n_grid}")
+    if not all(0.0 < n < math.inf for n in n_grid):
+        raise StudyConfigError(f"n_grid values must be positive and finite, got {n_grid}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise StudyConfigError(f"n_grid must be strictly increasing, got {n_grid}")
     if replicates < min_replicates:
@@ -161,6 +161,8 @@ class RateStudyConfig:
         _check_sampler(self.sampler, self.budget, self.prior)
         if self.error_metric not in ("l1", "lower_part", "upper_part"):
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
+        if not 0.0 <= self.slope_tol < math.inf:
+            raise StudyConfigError(f"slope_tol must be nonnegative and finite, got {self.slope_tol!r}")
         try:
             self.f0()
         except ValueError as exc:
@@ -467,6 +469,10 @@ def run_small_ball_study(
         raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
     if not all(e > 0 for e in eps_grid):
         raise StudyConfigError(f"eps_grid values must be positive, got {eps_grid}")
+    if not all(math.isfinite(e) for e in eps_grid):
+        raise StudyConfigError(f"eps_grid values must be finite, got {eps_grid}")
+    if not 0.0 <= tol < math.inf:
+        raise StudyConfigError(f"tol must be nonnegative and finite, got {tol!r}")
     target = h.refine(spec.grid_level).values
     if spec.variant == "brownian_start":
         root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m
@@ -543,6 +549,8 @@ def run_posterior_decay_study(
     """
     _check_sampler(sampler, budget, prior_spec)
     n_grid = _check_cells(n_grid, replicates, 2, 1)
+    if not 0.0 < r < math.inf:
+        raise StudyConfigError(f"r must be positive and finite, got {r!r}")
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
     mass = partial(mass_lower_excess, r=r)

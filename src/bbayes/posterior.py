@@ -1,6 +1,6 @@
 """Posterior computation: exact log-weights, prior importance sampling, exact
-Gibbs kernels for the latent priors and a closed-form exact sampler for the
-gaussian truncated wavelet prior.  Metropolis is used only for finite priors.
+Gibbs kernels for the latent priors, and closed-form exact samplers for the
+finite prior and the gaussian truncated wavelet prior.
 
 The posterior density with respect to the prior is ``e^{n * integral(f)}`` on
 the set of functions lying below every data point, and zero elsewhere.  For a
@@ -67,7 +67,6 @@ __all__ = [
 _BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
 _EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
 _BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
-_DEAD_CHAIN = "no feasible start in the uniform support, an improper laplace posterior or an empty conditional"
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -289,11 +288,10 @@ def _importance(prior, mins, n, draws, rng):
 
     Infeasible draws carry weight zero and are dropped from storage but counted
     in the reported feasibility rate.  A laplace prior whose posterior is
-    improper at any level (``_improper_laplace``) raises, as its Gibbs chains do.
+    improper at any level (``_improper_laplace``) raises, as ``sample_cells`` does.
     """
-    if getattr(prior, "dist", None) is not None and prior.dist.kind == "laplace":
-        if any(_improper_laplace(level, mins[None], n)[0] for _, level in prior.levels()):
-            raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
+    if _improper_laplace(prior, mins[None], n)[0]:
+        raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
     values, log_lik = _feasible_draws(prior, mins, n, draws, rng)
     if not len(values):
         raise DegeneratePosteriorError(
@@ -329,7 +327,7 @@ def _feasible_draws(prior, mins, n, draws, rng):
 
 
 # ---------------------------------------------------------------------------
-# Markov chain samplers: exact Gibbs kernels, Metropolis for finite priors only
+# Markov chain samplers: exact Gibbs kernels, and the finite prior's exact draws
 
 
 def _kept(steps: int, cost: int, budget: int) -> range:
@@ -343,34 +341,80 @@ def _kept(steps: int, cost: int, budget: int) -> range:
     return range(int(_BURN_IN * sweeps) + t - 1, sweeps, t)
 
 
-def _run_chain(states, keep: range):
+def _run_chain(states, keep: range) -> np.ndarray:
     """The kept states among the first ``keep.stop`` of the iterator ``states`` of ``(c, m)`` chain states,
-    copied into one ``(c, kept, m)`` array, and the chains whose last state holds a NaN, the mark of a
-    degenerate draw."""
+    copied into one ``(c, kept, m)`` array."""
     for t, v in zip(range(keep.stop), states):
         if t == keep.start:
             out = np.empty((len(v), len(keep), v.shape[1]))
         if t in keep:
             out[:, keep.index(t)] = v
-    return out, np.isnan(v).any(axis=1)
+    return out
 
 
-def _improper_laplace(prior: WaveletSeriesPrior, mins: np.ndarray, n: float) -> np.ndarray:
-    """Which rows of bin minima ``mins`` give the laplace wavelet prior an improper posterior at intensity n:
-    those where raising z0 by 1 stays feasible at a detail cost sum |d_i| / s = a0 * kappa <= n a0 - 1/s.
-    kappa, the cost per unit partial sum, is 0 on a finest block with no point and inf on one with a point;
-    a node's is the cheaper of passing the sum on or zeroing one child."""
+def _improper_laplace(prior, mins: np.ndarray, n: float) -> np.ndarray:
+    """Which rows of bin minima ``mins`` give a laplace wavelet prior (none for any other) an improper posterior
+    at intensity n: those where, at some level of ``levels()``, raising z0 by 1 stays feasible at a detail cost
+    sum |d_i| / s = a0 * kappa <= n a0 - 1/s.  kappa, the cost per unit partial sum, is 0 on a finest block with no
+    point and inf on one with a point; a node's is the cheaper of passing the sum on or zeroing one child."""
+    improper = np.zeros(len(mins), dtype=bool)
+    if getattr(prior, "dist", None) is None or prior.dist.kind != "laplace":
+        return improper
+    for _, level in prior.levels():
+        s, a0 = level.dist.scale, float(level.amplitudes[0])
+        kappa = np.where(np.isfinite(mins.reshape(len(mins), 2 << level.j_max, -1).min(axis=2)), np.inf, 0.0)
+        for j in reversed(range(level.j_max + 1)):
+            left, right = kappa[:, 0::2], kappa[:, 1::2]
+            a = 2.0 ** (j / 2.0) * level.amplitudes[1 << j : 2 << j]
+            kappa = np.minimum(left + right, 1.0 / (a * s) + 2.0 * np.minimum(left, right))
+        improper |= n * a0 >= 1.0 / s + a0 * kappa[:, 0]
+    return improper
+
+
+def _highest_feasible(prior: WaveletSeriesPrior, mins: np.ndarray):
+    """The highest feasible state of a uniform wavelet prior at each row of bin minima ``mins``, as latent rows,
+    and whether any state is feasible there.
+
+    U, the highest feasible partial sum of a Haar node, is the block minimum on a finest block; a level-j node
+    whose detail moves its children by at most A = 2^{j/2} a_j s takes (U_L + U_R) / 2 if |U_L - U_R| <= 2A,
+    else min(U_L, U_R) + A.  A state is feasible iff U_root >= -s a0; then z0 = min(U_root, s a0) / a0, and top
+    down each detail is the one nearest 0 that keeps both children at or below their U.
+    """
     s, a0 = prior.dist.scale, float(prior.amplitudes[0])
-    kappa = np.where(np.isfinite(mins.reshape(len(mins), 2 << prior.j_max, -1).min(axis=2)), np.inf, 0.0)
-    for j in reversed(range(prior.j_max + 1)):
-        left, right = kappa[:, 0::2], kappa[:, 1::2]
-        a = 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j]
-        kappa = np.minimum(left + right, 1.0 / (a * s) + 2.0 * np.minimum(left, right))
-    return n * a0 >= 1.0 / s + a0 * kappa[:, 0]
+    steps = [s * 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j] for j in range(prior.j_max + 1)]
+    u = [mins.reshape(len(mins), 2 << prior.j_max, -1).min(axis=2)]  # U of each level's nodes, finest first
+    with np.errstate(invalid="ignore"):  # two empty blocks: inf - inf, where min(U_L, U_R) + A is inf as well
+        for a in reversed(steps):
+            left, right = u[-1][:, 0::2], u[-1][:, 1::2]
+            u.append(np.where(np.abs(left - right) <= 2.0 * a, (left + right) / 2.0, np.minimum(left, right) + a))
+    z, c = np.empty((len(mins), prior.latent_dim)), np.minimum(u[-1], s * a0)  # c: the partial sums of a level
+    z[:, 0] = c[:, 0] / a0
+    for j, (a, children) in enumerate(zip(steps, reversed(u[:-1]))):
+        d = np.clip(0.0, c - children[:, 1::2], children[:, 0::2] - c)
+        z[:, 1 << j : 2 << j] = np.clip(d / a, -1.0, 1.0) * s
+        c = np.stack([c + d, c - d], axis=2).reshape(len(mins), -1)
+    return z, u[-1][:, 0] >= -s * a0
 
 
-def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
-    """Exact Gibbs over wavelet coefficients, one block draw per level; yields the chains' ``(c, m)`` grid values.
+def _wavelet_start(prior: WaveletSeriesPrior, mins, rngs):
+    """Feasible chain starts ``(z, v)``, latent and grid rows: a prior draw per chain on its generator, with z0
+    lowered until the draw is feasible, or the highest feasible state where that leaves the uniform support."""
+    a0 = float(prior.amplitudes[0])
+    z = np.stack([prior.dist.sample(rng, size=prior.latent_dim) for rng in rngs])
+    v = prior.synthesize(z)
+    deficit = np.max(v - mins, axis=1)
+    shift = np.where(deficit > 0, deficit + 1e-9, 0.0)
+    z[:, 0] -= shift / a0
+    v -= shift[:, None]
+    out = z[:, 0] < -prior.dist.scale
+    if prior.dist.kind == "uniform" and out.any():
+        z[out] = _highest_feasible(prior, mins[out])[0]
+        v[out] = prior.synthesize(z[out])
+    return z, v
+
+
+def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
+    """Exact Gibbs over wavelet coefficients from the feasible ``start`` ``(z, v)``; yields chains' ``(c, m)`` values.
 
     Every full conditional is the coefficient prior restricted to an interval
     (from the feasibility constraint) and, for the scaling coefficient only,
@@ -382,10 +426,9 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
     coefficients, which is the coordinate scan's kernel.  A sweep costs
     ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in
     one array per sweep.  Updates skipped (coefficient left unchanged) because
-    float drift left an empty interval are added to ``skipped[i]``.  A chain
-    with no feasible start, an improper (laplace) posterior or an empty
-    conditional turns NaN.
+    float drift left an empty interval are added to ``skipped[i]``.
     """
+    z, v = start
     c = len(rngs)
     a0 = float(prior.amplitudes[0])
     w = 2 if prior.dist.kind == "laplace" else 1  # uniforms per coefficient draw
@@ -394,19 +437,6 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, skipped):
         (j, slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
         for j in range(prior.j_max + 1)
     ]
-
-    z = np.stack([prior.dist.sample(rng, size=prior.latent_dim) for rng in rngs])
-    v = prior.synthesize(z)
-    # initialization: lower the scaling coordinate until feasible
-    deficit = np.max(v - mins, axis=1)
-    shift = np.where(deficit > 0, deficit + 1e-9, 0.0)
-    z[:, 0] -= shift / a0
-    v -= shift[:, None]
-    if prior.dist.kind == "uniform":
-        z[z[:, 0] < -prior.dist.scale] = np.nan  # clearing the bin minima left the support: no feasible start
-    if prior.dist.kind == "laplace":
-        z[_improper_laplace(prior, mins, n)] = np.nan
-
     sweep, u = 0, np.empty((c, w * prior.latent_dim))
     while True:
         for rng, row in zip(rngs, u):
@@ -501,28 +531,17 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
 
 
 def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng):
-    """Independence Metropolis over the atoms, one step per sweep of the ``_kept`` schedule."""
-    feasible = np.all(prior.values <= mins, axis=1)
+    """I.i.d. draws of the finite prior's exact posterior, weights pi_i e^{n integral f_i} on the feasible atoms,
+    in one ``rng.choice``: as many as a chain of ``steps`` one-atom steps on the ``_kept`` schedule stores."""
+    feasible = np.all(prior.values <= mins, axis=1) & (prior.weights > 0)
     if not feasible.any():
         raise DegeneratePosteriorError("no feasible atom in the finite prior support")
-    log_lik = np.where(feasible, n * prior.values.mean(axis=1), -math.inf).tolist()
-    state = int(np.argmax(feasible))
-    # independence proposals from the prior (the prior ratio cancels) and their uniforms, drawn up front
-    cands = prior.draw_indices(rng, steps).tolist()
-    log_u = np.log(rng.random(steps)).tolist()
-    keep = _kept(steps, 1, steps)
-    accepted, stored = 0, []
-    for t, (cand, lu) in enumerate(zip(cands, log_u)):
-        if lu < log_lik[cand] - log_lik[state]:
-            state = cand
-            accepted += 1
-        if t in keep:
-            stored.append(state)
-    rate = accepted / steps
-    meta = {"sampler": "mcmc", "steps": steps, "acceptance_rate": rate}
-    if not 0.05 <= rate <= 0.95:
-        meta["warning"] = f"acceptance rate {rate:.3f} outside [0.05, 0.95]"
-    return PosteriorEnsemble(prior.grid_level, prior.values[stored], np.zeros(len(stored)), meta=meta)
+    log_w = np.where(feasible, n * prior.values.mean(axis=1), -math.inf)
+    w = prior.weights * np.exp(log_w - log_w.max())
+    draws = min(steps, len(_kept(steps, 1, steps)))  # a chain runs at least 2 sweeps, but one step is one sweep
+    atoms = rng.choice(len(w), size=draws, p=w / w.sum())
+    meta = {"sampler": "mcmc", "kind": "exact", "steps": steps}
+    return PosteriorEnsemble(prior.grid_level, prior.values[atoms], np.zeros(draws), meta=meta)
 
 
 _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which messages name
@@ -550,9 +569,11 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
     are a row of ``mins``, all at intensity ``n``, after ``check_sampler``; ``budget`` counts draws or site updates.
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
-    ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0 and whose
-    chains are alive.  Every other sampler runs cell by cell, yielding each ensemble before it draws the next.
-    Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
+    ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0.  A wavelet
+    cell is refused before any chain runs, by an error that names its cause: an improper laplace posterior
+    (``_improper_laplace``), no feasible state in the uniform support (``_highest_feasible``) or no level weight
+    > 0.  Every other sampler runs cell by cell, yielding each ensemble before it draws the next.  Cell i draws
+    only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
     if sampler != "mcmc" or isinstance(prior, FinitePrior):
@@ -565,20 +586,25 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
         return
     if isinstance(prior, BrownianStartPrior):
         keep = _kept(budget, 2 << prior.grid_level, budget)
-        values, dead = _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)
-        rows = [[(v, 0.0)] for v in values]
+        rows = [[(v, 0.0)] for v in _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)]
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)} for _ in rngs]
+        causes = [None] * len(rngs)
     else:
         levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
+        if prior.dist.kind == "uniform":  # the last level holds every other level's states
+            refused, reason = ~_highest_feasible(levels[-1][1], mins)[1], "no feasible start in the uniform support"
+        else:
+            refused, reason = _improper_laplace(prior, mins, n), "an improper laplace posterior, which no chain samples"
+        causes = [reason if r else None for r in refused]
         log_w = _level_log_weights(levels, mins, n, rngs) if truncated else np.zeros((len(rngs), 1))
-        rows, skipped, dead = [[] for _ in rngs], np.zeros(len(rngs), dtype=int), np.zeros(len(rngs), dtype=bool)
+        rows, skipped = [[] for _ in rngs], np.zeros(len(rngs), dtype=int)
         for (_, level), lw in zip(levels, log_w.T):
-            cells = np.flatnonzero((lw > -math.inf) & ~dead)
+            cells = np.flatnonzero((lw > -math.inf) & ~refused)
             if cells.size:
                 keep = _kept(max(1, budget // len(levels)), level.latent_dim, budget)
-                block_skipped = np.zeros(cells.size, dtype=int)
-                chains = _gibbs_wavelet(level, mins[cells], n, [rngs[i] for i in cells], block_skipped)
-                values, dead[cells] = _run_chain(chains, keep)
+                block_skipped, block_rngs = np.zeros(cells.size, dtype=int), [rngs[i] for i in cells]
+                start = _wavelet_start(level, mins[cells], block_rngs)
+                values = _run_chain(_gibbs_wavelet(level, mins[cells], n, block_rngs, start, block_skipped), keep)
                 skipped[cells] += block_skipped
                 for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
                     rows[i].append((v, lw[i] - math.log(len(v)) if truncated else 0.0))
@@ -586,9 +612,9 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
         if truncated:
             for meta, lw in zip(metas, log_w):
                 meta["level_log_weights"] = lw.tolist()
-    for cell, d, meta in zip(rows, dead, metas):
-        if d or not cell:
-            yield DegeneratePosteriorError(_DEAD_CHAIN if d else "no level produced feasible states")
+    for cell, cause, meta in zip(rows, causes, metas):
+        if cause or not cell:
+            yield DegeneratePosteriorError(cause or "no level produced feasible states")
         else:
             log_weights = np.concatenate([np.full(len(v), w) for v, w in cell])
             yield PosteriorEnsemble(prior.grid_level, np.concatenate([v for v, _ in cell]), log_weights, meta)
@@ -627,9 +653,9 @@ def mcmc_posterior(
     Latent priors use exact Gibbs kernels: every conditional is drawn exactly
     from a truncated, tilted law, so there is no step size and no rejection.
     A truncated wavelet prior runs the one wavelet kernel at each of its levels,
-    whose rows it weights by the level's share ``_level_log_weights``.  Only
-    finite priors use Metropolis, with an independence proposal from the prior.
-    Every chain runs the one ``_kept`` schedule, from the total ``steps``.
+    whose rows it weights by the level's share ``_level_log_weights``.  Every
+    chain runs the one ``_kept`` schedule, from the total ``steps``; a finite
+    prior is drawn exactly, as many rows as that schedule stores.
     ``step_scale`` is validated but read by no kernel; it stays only for the
     benchmark replay's positional call.
     """

@@ -163,11 +163,24 @@ def test_complexity_json_matches_library(runner, tmp_path):
          "--f0"),
         (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "1", "--pool", "{sim}/f0.csv"],
          "--pool"),
+        # a non-finite value, which a float range lets through
+        (["simulate", "--n", "nan"], "--n"),
+        (["simulate", "--n", "inf"], "--n"),
+        (["simulate", "--n", "5", "--r", "inf"], "--r"),
+        (["simulate", "--n", "5", "--ceiling", "nan"], "--ceiling"),
+        (["mle", "--pattern", "{sim}/pattern.csv", "--lip", "inf"], "--lip"),
+        (["mle", "--pattern", "{sim}/pattern.csv", "--bins", "2", "--cap", "nan"], "--cap"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "covering", "--eps", "nan"], "--eps"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "bracketing", "--delta", "nan"], "--delta"),
+        (["complexity", "--dict", "{sim}/f0.csv", "--quantity", "separation", "--n", "nan", "--f0", "{sim}/f0.csv"],
+         "--n"),
     ],
     ids=["simulate-n-0", "grid-level-negative", "seed-negative", "smooth-beta", "ceiling-below-f0",
          "mle-lip-negative", "mle-bins-3",
          "posterior-budget-0", "eps-negative", "delta-negative", "separation-n-0", "threads-0",
-         "mle-bins-grid-level", "bracketing-eps", "covering-delta", "bracketing-n", "covering-f0", "covering-pool"],
+         "mle-bins-grid-level", "bracketing-eps", "covering-delta", "bracketing-n", "covering-f0", "covering-pool",
+         "simulate-n-nan", "simulate-n-inf", "simulate-r-inf", "simulate-ceiling-nan", "mle-lip-inf", "mle-cap-nan",
+         "eps-nan", "delta-nan", "separation-n-nan"],
 )
 def test_bad_option_values_are_usage_errors(runner, tmp_path, args, named):
     sim = tmp_path / "sim"
@@ -195,9 +208,10 @@ def test_bad_option_values_are_usage_errors(runner, tmp_path, args, named):
         (["posterior", "--prior", "{prior}", "--pattern", "{sim}/pattern.csv", "--f0", "{sim}/pattern.csv"],
          "{sim}/pattern.csv", "missing '# grid_level=<L>' header"),
         (["mle", "--pattern", "{nocomma}", "--bins", "2"], "{nocomma}", "row '0.5' is not 'x,y'"),
+        (["posterior", "--prior", "{prior}", "--pattern", "{nan_x}"], "{nan_x}", "x coordinates must lie in [0, 1]"),
     ],
     ids=["dict-short", "pool-short", "f0-short", "mle-grid-function", "posterior-grid-function",
-         "posterior-f0-pattern", "pattern-row-without-comma"],
+         "posterior-f0-pattern", "pattern-row-without-comma", "pattern-nan-x"],
 )
 def test_malformed_input_files_are_usage_errors(runner, tmp_path, args, bad, named):
     sim = tmp_path / "sim"
@@ -208,7 +222,9 @@ def test_malformed_input_files_are_usage_errors(runner, tmp_path, args, bad, nam
     short.write_text("# grid_level=2\n0.0\n1.0\n")  # two values where the level needs four
     nocomma = tmp_path / "nocomma.csv"
     nocomma.write_text("# intensity=20.0 ceiling=2.0\nx,y\n0.5\n")
-    paths = dict(sim=sim, prior=prior, short=short, nocomma=nocomma)
+    nan_x = tmp_path / "nan_x.csv"
+    nan_x.write_text("# intensity=20.0 ceiling=2.0\nx,y\nnan,0.5\n")
+    paths = dict(sim=sim, prior=prior, short=short, nocomma=nocomma, nan_x=nan_x)
     out = tmp_path / "o"
     res = runner.invoke(main, [a.format(**paths) for a in args] + ["--out", str(out)])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)  # a usage error, not a traceback
@@ -368,6 +384,12 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("decay-study", "f0.kind = cusp\nn_grid = -5,20\nreplicates = 4\n", "n_grid values must be positive"),
         ("small-ball", "eps_grid = 1,0.5,0\n", "eps_grid values must be positive, got (1.0, 0.5, 0.0)"),
         ("small-ball", _WAVELET + "eps_grid = 1,0.5,-0.5\n", "eps_grid values must be positive"),
+        ("rate-study", "n_grid = 5,10,20,inf\nreplicates = 10\n", "n_grid values must be positive and finite"),
+        ("small-ball", "eps_grid = inf,1.0\n", "eps_grid values must be finite, got (inf, 1.0)"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nr = nan\n", "r must be positive and finite"),
+        ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nr = 0\n", "r must be positive and finite"),
+        ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nslope_tol = nan\n", "slope_tol must be nonnegative and"),
+        ("small-ball", "eps_grid = 1.0,0.5\ntol = nan\n", "tol must be nonnegative and finite, got nan"),
     ],
     ids=[
         "rate-replicates-5",
@@ -399,6 +421,12 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "decay-n-grid-negative",
         "small-ball-brownian-eps-zero",
         "small-ball-wavelet-eps-negative",
+        "rate-n-grid-inf",
+        "small-ball-eps-inf",
+        "decay-r-nan",
+        "decay-r-zero",
+        "rate-slope-tol-nan",
+        "small-ball-tol-nan",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):

@@ -46,6 +46,15 @@ def test_grid_function_evaluation_and_refine():
         g.refine(2)  # cannot coarsen
 
 
+def test_grid_function_evaluation_outside_the_unit_interval_raises():
+    # a negative x would index the bins from the end, f(-0.6) the bin of 0.4
+    f = GridFunction(2, [1.0, 2.0, 3.0, 4.0])
+    for x in (-0.1, -0.6, 1.5, math.nan, [0.5, -0.1]):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            f(x)
+    assert f([0.0, 1.0]).tolist() == [1.0, 4.0]
+
+
 def test_pointwise_lattice_ops_and_equality():
     f = GridFunction(1, np.array([0.0, 2.0]))
     g = GridFunction(2, np.array([1.0, -1.0, 1.0, 3.0]))
@@ -76,6 +85,12 @@ def test_pattern_validation_and_round_trip():
         PointPattern(1.0, 1.0, np.array([2.0]), np.array([0.5]))  # x outside [0,1]
     with pytest.raises(ValueError):
         PointPattern(1.0, 1.0, np.array([0.5]), np.array([2.0]))  # above ceiling
+    # a non-finite number is rejected wherever it enters: a NaN x would index no bin, and a NaN y or ceiling
+    # would make every comparison with it false
+    for args in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1.0, [math.nan], [0.5]),
+                 (1.0, 1.0, [0.5], [math.nan]), (1.0, 1.0, [0.5], [-math.inf])]:
+        with pytest.raises(ValueError):
+            PointPattern(*args)
     p = PointPattern(5.0, 2.0, np.array([0.1, 0.9]), np.array([0.5, 1.5]))
     q = PointPattern.from_csv(p.to_csv())
     assert q.intensity == p.intensity and q.ceiling == p.ceiling

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import logsumexp
 
 from bbayes import (
     CoefficientDistribution,
@@ -36,6 +37,7 @@ import bbayes.posterior as posterior_module
 from bbayes.grid import integral
 from bbayes.posterior import (
     _exp_segment_log_mass,
+    _highest_feasible,
     _improper_laplace,
     _kept,
     _sample_coefficients_interval,
@@ -469,6 +471,19 @@ def test_finite_prior_posterior_matches_enumeration():
         posterior_mass(ens, lambda f: f == members[1])  # a predicate is not a row mask
 
 
+def test_finite_prior_mcmc_draws_the_exact_posterior_under_unequal_weights():
+    # mcmc on a finite prior draws its posterior pi_i e^{n integral f_i} i.i.d., so an atom's row frequency is
+    # binomial around its exact probability, and there is no acceptance rate to report
+    f0, pattern = _pattern(n=2.0)
+    members = [f0.shift(-0.5), f0.shift(-0.2)]
+    log_w = np.log([1.0, 3.0]) + [log_posterior_weight(f, pattern) for f in members]
+    p = math.exp(log_w[1] - logsumexp(log_w))
+    ens = mcmc_posterior(FinitePrior(members, [1.0, 3.0]), pattern, steps=40_000, rng=np.random.default_rng(27))
+    assert "acceptance_rate" not in ens.meta and "warning" not in ens.meta
+    freq = np.all(ens.values == members[1].values, axis=1).mean()
+    assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(ens)), (freq, p)
+
+
 def test_mcmc_stores_the_scheduled_states():
     # a fifth of the sweeps is burn-in and stored sweeps are max(1, budget // 10_000) site updates apart,
     # from the total budget also for the truncated prior's per-level chains
@@ -516,8 +531,10 @@ def test_sample_cells_equals_each_cell_alone():
         "uniform": wavelet("uniform"),
         "truncated": truncated("laplace"),
         "truncated gaussian": truncated("gaussian"),
-        # scale 0.25: on these patterns the start of every chain, lowered below the data, stays in the support
+        # scale 0.25: on these patterns the start of every chain, lowered below the data, stays in the support;
+        # at scale 1 it leaves the support on two of them, which start at the highest feasible state instead
         "truncated uniform": truncated("uniform", 0.25),
+        "truncated uniform 1": truncated("uniform"),
         "finite": FinitePrior([f0.shift(-0.5), f0.shift(-0.2), f0.shift(3.0)]),
     }
     below_all = PointPattern(n, 3.0, [0.3], [-5.0])  # below every finite atom and outside the uniform support
@@ -533,7 +550,8 @@ def test_sample_cells_equals_each_cell_alone():
         ("mcmc", "uniform"): (3000, below_all),  # no feasible start inside the uniform support
         ("mcmc", "truncated"): (3000, None),
         ("mcmc", "truncated gaussian"): (3000, None),
-        ("mcmc", "truncated uniform"): (3000, below_all),  # no level with a feasible evidence draw
+        ("mcmc", "truncated uniform"): (3000, below_all),  # no feasible state in the uniform support
+        ("mcmc", "truncated uniform 1"): (3000, below_all),
         ("mcmc", "finite"): (3000, below_all),  # no feasible atom
     }
     # unit laplace amplitudes: raising one empty eighth of [0, 1] by h costs 0.68 h of coefficient mass against
@@ -594,6 +612,56 @@ def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_dra
     assert skip.validate_against(patterns[1])
     assert isinstance(none, DegeneratePosteriorError)
     assert "no level produced feasible states" in str(none)
+
+
+@pytest.mark.parametrize("kind", ["laplace", "uniform"])
+def test_a_refused_cell_names_its_cause_and_runs_no_chain(monkeypatch, kind):
+    # one seeded block: two healthy cells around one that no chain can sample, an improper laplace posterior (no
+    # point at all) or no feasible state in the uniform support (a point below every state of the prior); the
+    # refusal is read off the bin minima, so no chain runs for that cell, and the others are as alone
+    n = 8.0
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4)
+    prior = build_prior(spec)
+    refused = PointPattern(n, 2.0) if kind == "laplace" else PointPattern(n, 3.0, [0.3], [-5.0])
+    healthy = [simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)) for seed in (0, 1)]
+    cells = [healthy[0], refused, healthy[1]]
+    chains, gibbs = [], posterior_module._gibbs_wavelet  # the chain count of each block run
+
+    def spy(level, mins, *args):
+        chains.append(len(mins))
+        return gibbs(level, mins, *args)
+
+    monkeypatch.setattr(posterior_module, "_gibbs_wavelet", spy)
+    rngs = [np.random.default_rng(30 + i) for i in range(3)]
+    block = list(sample_cells(prior, np.stack([bin_minima(p, 4) for p in cells]), n, "mcmc", 3000, rngs))
+    assert chains == [2]
+    cause, other = {"laplace": ("an improper laplace posterior", "uniform"),
+                    "uniform": ("no feasible start in the uniform support", "laplace")}[kind]
+    assert isinstance(block[1], DegeneratePosteriorError)
+    assert cause in str(block[1]) and other not in str(block[1])
+    for i in (0, 2):
+        single = sample_posterior(prior, cells[i], "mcmc", 3000, np.random.default_rng(30 + i))
+        assert block[i].values.tobytes() == single.values.tobytes() and block[i].meta == single.meta, i
+
+
+def test_highest_feasible_uniform_state():
+    # the Haar-tree pass gives a feasible state inside the uniform support whose mean a0 z0 no feasible prior
+    # draw exceeds, and flags the pattern that no state fits
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    uniform = CoefficientDistribution("uniform")
+    prior = build_prior(PriorSpec(variant="wavelet_series", alpha=0.5, dist=uniform, j_max=2, grid_level=4))
+    patterns = [simulate_ppp(f0, 30.0, 2.0, np.random.default_rng(seed)) for seed in range(4)]
+    patterns += [PointPattern(30.0, 2.0), PointPattern(30.0, 3.0, [0.3], [-5.0])]
+    mins = np.stack([bin_minima(p, 4) for p in patterns])
+    z, feasible = _highest_feasible(prior, mins)
+    assert feasible.tolist() == [True] * 5 + [False]
+    v = prior.synthesize(z[:5])
+    assert np.all(np.abs(z[:5]) <= 1.0) and np.all(v <= mins[:5] + 1e-12)
+    draws = prior.draw(np.random.default_rng(28), 100_000)
+    for row, top in zip(mins[:5], v.mean(axis=1)):
+        fits = np.all(draws <= row, axis=1)
+        assert fits.any() and draws[fits].mean(axis=1).max() <= top + 1e-12
 
 
 def test_sampler_determinism():
@@ -670,9 +738,8 @@ def test_improper_laplace_posterior_raises(variant, n, improper):
     pattern = PointPattern(n, 2.0, [0.4374, 0.4158, 0.0147, 0.0272], [0.3, 0.35, 0.2, 0.25])
     levels = {"alpha": 1.0, "j_max": 2} if variant == "wavelet_series" else {"j_cap": 2}
     prior = build_prior(PriorSpec(variant=variant, dist=CoefficientDistribution("laplace"), grid_level=4, **levels))
-    # the propriety test itself flags the cell: level 0 of the truncated prior is where its chain dies
-    series = prior if variant == "wavelet_series" else prior.level_prior(0)
-    assert _improper_laplace(series, bin_minima(pattern, 4)[None], n).tolist() == [improper]
+    # the propriety test itself flags the cell, at some level of the truncated prior
+    assert _improper_laplace(prior, bin_minima(pattern, 4)[None], n).tolist() == [improper]
     for sampler in ("mcmc", "importance"):
         if improper:
             with pytest.raises(DegeneratePosteriorError, match="improper laplace posterior"):
