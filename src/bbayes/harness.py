@@ -4,10 +4,10 @@ posterior-mass decay, with deterministic CSV/SVG reports.
 Theoretical reference exponents are slope targets only; all unspecified
 multiplicative constants are absorbed by the log-log fit intercept.  Each
 (n, replicate) cell runs on its own generator, seeded from the master seed by
-``numpy.random.SeedSequence([seed, n_index, replicate])``.  The cells of one n
-simulate their patterns, reduce them to bin minima and go to the posterior
-layer's one dispatch (``sample_cells``) as one block, which samples each bit
-for bit as alone, so neither the thread count nor the block changes a result.
+``numpy.random.SeedSequence([seed, n_index, replicate])``.  All cells of a
+study, reduced to bin minima, go to the posterior layer's one dispatch
+(``sample_cells``) as one block at their own n's (a block per process with
+``threads > 1``), each bit for bit as alone, so neither changes a result.
 Small-ball probabilities are quadratures that draw no random numbers: a
 transfer operator over the bins for the Brownian-start prior, and an upward
 pass over the Haar tree for the wavelet priors, the truncated prior as the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -229,39 +230,45 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
     return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - _CEILING_EXCEED_PROB))) + 0.05
 
 
-def _study_row(spec, f0, ceiling, sampler, budget, functional, replicates, seed, i_n, n):
-    """``functional(ensemble, f0)`` of the cells (n, 0), ..., (n, replicates - 1), or None for a degenerate cell.
+def _study_cells(spec, f0, ceiling, sampler, budget, functional, seed, cells):
+    """``functional(ensemble, f0)`` of each ``(i_n, n, rep)`` cell of ``cells``, or the cause (a str) of its refusal.
 
     Each cell simulates and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  The
-    patterns, reduced at once to bin minima, go to ``sample_cells`` as one block; each ensemble is reduced as it
-    is yielded, so a sampler that runs cell by cell holds one ensemble at a time.
+    patterns, reduced at once to bin minima, go to ``sample_cells`` as one block, each cell at its own n; each
+    ensemble is reduced as it is yielded, so a sampler that runs cell by cell holds one ensemble at a time.
     """
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for rep in range(replicates)]
-    mins = np.stack([bin_minima(simulate_ppp(f0, n, ceiling, rng), spec.grid_level) for rng in rngs])
-    ensembles = sample_cells(build_prior(spec), mins, n, sampler, budget, rngs)
-    return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else None for ens in ensembles]
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for i_n, _, rep in cells]
+    ns = [n for _, n, _ in cells]
+    mins = np.stack([bin_minima(simulate_ppp(f0, n, ceiling, rng), spec.grid_level) for n, rng in zip(ns, rngs)])
+    ensembles = sample_cells(build_prior(spec), mins, ns, sampler, budget, rngs)
+    return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else str(ens) for ens in ensembles]
 
 
-def _run_cells(row, n_grid, threads: int):
-    """``row(i_n, n)``, the replicates of intensity n, for every n of the grid, as an (n, replicate) object array.
+def _run_cells(block, n_grid, replicates: int, threads: int):
+    """``block(cells)`` over the (i_n, n, rep) cells of every n of the grid, as an (n, replicate) object array.
 
-    The cells of one n run as one block, each on its own ``SeedSequence`` generator, so neither
-    ``threads`` nor the block changes a result.  With ``threads > 1`` each row is one process task, and ``row``
-    must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them, or every cell of
-    one n, is a StudyError.
+    Each cell runs on its own ``SeedSequence`` generator, so neither ``threads`` nor the block changes a result.
+    With ``threads > 1`` the cell list is cut into ``threads`` contiguous blocks, one process task each, and
+    ``block`` must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them, or every
+    cell of one n, is a StudyError that names each cause with its count.
     """
+    cells = [(i_n, n, rep) for i_n, n in enumerate(n_grid) for rep in range(replicates)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            grid = np.array(list(pool.map(row, range(len(n_grid)), n_grid)), dtype=object)
+        blocks = [cells[len(cells) * i // threads : len(cells) * (i + 1) // threads] for i in range(threads)]
+        with ProcessPoolExecutor(max_workers=threads) as pool:  # more threads than cells leave blocks empty
+            values = [v for part in pool.map(block, filter(None, blocks)) for v in part]
     else:
-        grid = np.array(list(map(row, range(len(n_grid)), n_grid)), dtype=object)
-    exclusions = sum(v is None for v in grid.flat)
-    empty = [n for n, cells in zip(n_grid, grid) if all(v is None for v in cells)]
+        values = block(cells)
+    causes = Counter(v for v in values if isinstance(v, str))
+    why = ", ".join(f"{count} x {cause!r}" for cause, count in causes.items())
+    grid = np.array([None if isinstance(v, str) else v for v in values], dtype=object).reshape(len(n_grid), -1)
+    exclusions = causes.total()
+    empty = [n for n, row in zip(n_grid, grid) if all(v is None for v in row)]
     if empty:
-        raise StudyError(f"every cell degenerate at n = {empty}", exclusions=exclusions, total=grid.size)
+        raise StudyError(f"every cell degenerate at n = {empty}: {why}", exclusions=exclusions, total=grid.size)
     if exclusions > MAX_EXCLUSION_FRAC * grid.size:
         raise StudyError(
-            f"{exclusions}/{grid.size} cells degenerate (limit {MAX_EXCLUSION_FRAC:.0%})",
+            f"{exclusions}/{grid.size} cells degenerate (limit {MAX_EXCLUSION_FRAC:.0%}): {why}",
             exclusions=exclusions,
             total=grid.size,
         )
@@ -274,8 +281,8 @@ def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(cfg.prior), f0, rng)
     metric = partial(posterior_median_metric, metric=cfg.error_metric)
-    cells = partial(_study_row, cfg.prior, f0, ceiling, cfg.sampler, cfg.budget, metric, cfg.replicates, cfg.seed)
-    grid, exclusions = _run_cells(cells, cfg.n_grid, threads)
+    block = partial(_study_cells, cfg.prior, f0, ceiling, cfg.sampler, cfg.budget, metric, cfg.seed)
+    grid, exclusions = _run_cells(block, cfg.n_grid, cfg.replicates, threads)
     medians, q25, q75 = [], [], []
     for row in grid:
         vals = np.array([v for v in row if v is not None], dtype=float)
@@ -554,8 +561,8 @@ def run_posterior_decay_study(
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
     ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
     mass = partial(mass_lower_excess, r=r)
-    cells = partial(_study_row, prior_spec, f0, ceiling, sampler, budget, mass, replicates, seed)
-    grid, exclusions = _run_cells(cells, n_grid, threads)
+    block = partial(_study_cells, prior_spec, f0, ceiling, sampler, budget, mass, seed)
+    grid, exclusions = _run_cells(block, n_grid, replicates, threads)
     masses = grid.astype(float)  # degenerate cells become nan
     med = tuple(float(np.nanmedian(row)) for row in masses)
     mean = tuple(float(np.nanmean(row)) for row in masses)

@@ -17,7 +17,7 @@ burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
 states, which ``_run_chain`` runs for the scheduled sweeps and stores.
 ``sample_cells``, the one dispatch on the sampler name and prior type, runs
-the Gibbs chains of one intensity's cells as blocks on a leading chain axis,
+the Gibbs chains of cells at any intensities as blocks on a leading chain axis,
 one Brownian block or one per level in a wavelet prior's ``levels()``, and
 every other sampler cell by cell, each cell bit for bit as alone;
 ``sample_posterior`` and the named samplers are its block of one cell.
@@ -169,23 +169,23 @@ def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.where(flip, -z, z)
 
 
-def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
-    """x with density proportional to e^{r x} on [u, w] by inversion of uniforms q."""
-    if r == 0.0:
-        return u + q * (w - u)
-    return (w if r > 0.0 else u) + np.log1p(q * np.expm1(-abs(r) * (w - u))) / r
+def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
+    """x with density proportional to e^{r x} on [u, w] by inversion of uniforms q; r is a scalar or an array."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # each branch is computed on every row
+        x = np.where(r > 0.0, w, u) + np.log1p(q * np.expm1(-np.abs(r) * (w - u))) / r
+        return np.where(r == 0.0, u + q * (w - u), x)
 
 
-def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
-    """Log of the integral of e^{r x} over [u, w]; -inf where the segment is empty."""
+def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
+    """Log of the integral of e^{r x} over [u, w], r a scalar or an array; -inf where the segment is empty."""
     d = np.maximum(w - u, 0.0)
-    if r == 0.0:
-        return np.log(d)
-    return np.log(-np.expm1(-abs(r) * d)) + (r * (w if r > 0.0 else u) - math.log(abs(r)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # each branch is computed on every row
+        tilted = np.log(-np.expm1(-np.abs(r) * d)) + (r * np.where(r > 0.0, w, u) - np.log(np.abs(r)))
+        return np.where(r == 0.0, np.log(d), tilted)
 
 
-def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt: float) -> np.ndarray:
-    """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt * z}; NaN where
+def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt) -> np.ndarray:
+    """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt_i * z}; NaN where
     that law is empty (a uniform interval off the support).  A laplace law must be proper: see _improper_laplace.
 
     Each draw inverts one uniform of ``q``; laplace draws invert two, the last axis of ``q`` holding every
@@ -231,18 +231,19 @@ def truncated_level_log_evidence(
     return float(np.sum(n * n * s2 / (2.0 * m) + log_ndtr((blocks - n * s2) / (scale * math.sqrt(m)))))
 
 
-def _level_log_weights(levels: list, mins: np.ndarray, n: float, rngs) -> np.ndarray:
+def _level_log_weights(levels: list, mins: np.ndarray, ns, rngs) -> np.ndarray:
     """The ``(cells, levels)`` posterior log weights log pi_j + log Z_j of a truncated prior's ``levels()`` at each
-    row of bin minima ``mins``.  The evidence Z_j is closed-form for gaussian coefficients, else the mean
-    likelihood of ``_EVIDENCE_DRAWS`` prior draws of level j on the cell's generator: -inf if none is feasible
-    (an empty ``logsumexp``, which raises before scipy 1.15), and rough at large intensity, where feasible draws
-    become rare."""
+    row of bin minima ``mins`` at its intensity in ``ns``.  The evidence Z_j is closed-form for gaussian
+    coefficients, else the mean likelihood of ``_EVIDENCE_DRAWS`` prior draws of level j on the cell's generator:
+    -inf if none is feasible (an empty ``logsumexp``, which raises before scipy 1.15), and rough at large
+    intensity, where feasible draws become rare."""
     dist = levels[0][1].dist
     if dist.kind == "gaussian":
-        log_z = [[truncated_level_log_evidence(j, row, n, dist.scale) for j in range(len(levels))] for row in mins]
+        log_z = [[truncated_level_log_evidence(j, row, n, dist.scale) for j, _ in enumerate(levels)]
+                 for row, n in zip(mins, ns)]
     else:
         lls = [[_feasible_draws(level, row, n, _EVIDENCE_DRAWS, rng)[1] for _, level in levels]
-               for row, rng in zip(mins, rngs)]
+               for row, n, rng in zip(mins, ns, rngs)]
         log_z = [[logsumexp(ll) - math.log(_EVIDENCE_DRAWS) if ll.size else -math.inf for ll in row] for row in lls]
     return np.array(log_z) + [math.log(p) for p, _ in levels]
 
@@ -257,7 +258,7 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     """
     s = prior.dist.scale
     grid_m = 1 << prior.grid_level
-    level_log_w = _level_log_weights(prior.levels(), mins[None], n, [rng])[0]
+    level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     levels = rng.choice(prior.j_cap + 1, size=draws, p=probs)
@@ -352,11 +353,12 @@ def _run_chain(states, keep: range) -> np.ndarray:
     return out
 
 
-def _improper_laplace(prior, mins: np.ndarray, n: float) -> np.ndarray:
+def _improper_laplace(prior, mins: np.ndarray, n) -> np.ndarray:
     """Which rows of bin minima ``mins`` give a laplace wavelet prior (none for any other) an improper posterior
-    at intensity n: those where, at some level of ``levels()``, raising z0 by 1 stays feasible at a detail cost
-    sum |d_i| / s = a0 * kappa <= n a0 - 1/s.  kappa, the cost per unit partial sum, is 0 on a finest block with no
-    point and inf on one with a point; a node's is the cheaper of passing the sum on or zeroing one child."""
+    at intensity n, a scalar or one per row: those where, at some level of ``levels()``, raising z0 by 1 stays
+    feasible at a detail cost sum |d_i| / s = a0 * kappa <= n a0 - 1/s.  kappa, the cost per unit partial sum, is 0
+    on a finest block with no point and inf on one with a point; a node's is the cheaper of passing the sum on or
+    zeroing one child."""
     improper = np.zeros(len(mins), dtype=bool)
     if getattr(prior, "dist", None) is None or prior.dist.kind != "laplace":
         return improper
@@ -418,10 +420,11 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
 
     Every full conditional is the coefficient prior restricted to an interval
     (from the feasibility constraint) and, for the scaling coefficient only,
-    tilted by the likelihood factor e^{n a0 z0}; both are sampled exactly, so
-    there is no step-size tuning and no rejection of stored states.  The
-    detail coefficients of one level have disjoint supports and no tilt, so
-    given the other levels they are independent: each sweep draws the scaling
+    tilted by the likelihood factor e^{n_i a0 z0}, n_i the intensity of chain i
+    in the ``(c, 1)`` column n; both are sampled exactly, so there is no
+    step-size tuning and no rejection of stored states.  The detail
+    coefficients of one level have disjoint supports and no tilt, so given the
+    other levels they are independent: each sweep draws the scaling
     coefficient, then every level j in one vector draw of its 2^j
     coefficients, which is the coordinate scan's kernel.  A sweep costs
     ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in
@@ -466,13 +469,14 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
         yield v
 
 
-def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n: float, q: np.ndarray) -> None:
+def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n, q: np.ndarray) -> None:
     """One scan k = 0..m-1 of exact Gibbs moves v -> v + t 1{b >= k} on each chain (row) of v, in place, in O(m).
 
     Move k changes only the start value (k = 0) or one increment of the
     Brownian prior, so its conditional is a gaussian tilted by
-    e^{n t (m - k) / m} and truncated at the slack of the suffix.  Before move
-    k the suffix is shifted by sum(t[:k]), so that slack is the reverse running
+    e^{n t (m - k) / m}, n a scalar or a ``(c, 1)`` column of the chains'
+    intensities, and truncated at the slack of the suffix.  Before move k the
+    suffix is shifted by sum(t[:k]), so that slack is the reverse running
     minimum of ``mins - v``, taken once, less the running shift; the shifts are
     added once at the end.  Move k inverts the uniform ``q[:, k]``, as
     ``_std_normal_tail`` does, inlined, and steps every chain at once: m
@@ -496,13 +500,14 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
     """Red-black Gibbs sweeps for the Brownian-start prior; yields the chains' ``(c, m)`` bin values after each sweep.
 
     The prior is Markov across bins, so the full conditional of one bin given
-    its neighbours is a gaussian tilted by e^{(n/m) v} and truncated at the bin
-    minimum; those draws are exact, no step-size tuning is involved.  Local
-    updates alone relax long-wavelength modes diffusively, so each sweep also
-    runs one O(m) scan of directional Gibbs moves along suffix shifts
-    v -> v + t 1{b >= k} (``_suffix_sweep``), whose conditionals are again
-    exact truncated gaussians.  Each draw inverts one uniform: a sweep costs
-    2m site updates, drawn by chain i from ``rngs[i]`` in one array per sweep.
+    its neighbours is a gaussian tilted by e^{(n_i/m) v}, n_i the intensity of
+    chain i in the ``(c, 1)`` column n, and truncated at the bin minimum; those
+    draws are exact, no step-size tuning is involved.  Local updates alone
+    relax long-wavelength modes diffusively, so each sweep also runs one O(m)
+    scan of directional Gibbs moves along suffix shifts v -> v + t 1{b >= k}
+    (``_suffix_sweep``), whose conditionals are again exact truncated
+    gaussians.  Each draw inverts one uniform: a sweep costs 2m site updates,
+    drawn by chain i from ``rngs[i]`` in one array per sweep.
     """
     c, m = mins.shape
     padded = np.zeros((c, m + 2))  # the bins, between two zero neighbours that end bins do not have
@@ -564,9 +569,10 @@ def check_sampler(prior, sampler: str, budget: int) -> None:
         raise ValueError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
 
 
-def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, rngs):
+def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
     """Yields, row by row, the ``PosteriorEnsemble`` (or DegeneratePosteriorError) of each cell whose bin minima
-    are a row of ``mins``, all at intensity ``n``, after ``check_sampler``; ``budget`` counts draws or site updates.
+    are a row of ``mins``, at intensity ``n``, one for all rows or one per row (a whole study may be one block),
+    after ``check_sampler``; ``budget`` counts draws or site updates.
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0.  A wavelet
@@ -576,17 +582,18 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
     only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
+    n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
     if sampler != "mcmc" or isinstance(prior, FinitePrior):
         kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
-        for row, rng in zip(mins, rngs):
+        for row, n_i, rng in zip(mins, n.tolist(), rngs):
             try:
-                yield kernel(prior, row, n, budget, rng)
+                yield kernel(prior, row, n_i, budget, rng)
             except DegeneratePosteriorError as exc:
                 yield exc
         return
     if isinstance(prior, BrownianStartPrior):
         keep = _kept(budget, 2 << prior.grid_level, budget)
-        rows = [[(v, 0.0)] for v in _run_chain(_gibbs_brownian(prior, mins, n, rngs), keep)]
+        rows = [[(v, 0.0)] for v in _run_chain(_gibbs_brownian(prior, mins, n[:, None], rngs), keep)]
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)} for _ in rngs]
         causes = [None] * len(rngs)
     else:
@@ -596,7 +603,7 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
         else:
             refused, reason = _improper_laplace(prior, mins, n), "an improper laplace posterior, which no chain samples"
         causes = [reason if r else None for r in refused]
-        log_w = _level_log_weights(levels, mins, n, rngs) if truncated else np.zeros((len(rngs), 1))
+        log_w = _level_log_weights(levels, mins, n.tolist(), rngs) if truncated else np.zeros((len(rngs), 1))
         rows, skipped = [[] for _ in rngs], np.zeros(len(rngs), dtype=int)
         for (_, level), lw in zip(levels, log_w.T):
             cells = np.flatnonzero((lw > -math.inf) & ~refused)
@@ -604,7 +611,8 @@ def sample_cells(prior, mins: np.ndarray, n: float, sampler: str, budget: int, r
                 keep = _kept(max(1, budget // len(levels)), level.latent_dim, budget)
                 block_skipped, block_rngs = np.zeros(cells.size, dtype=int), [rngs[i] for i in cells]
                 start = _wavelet_start(level, mins[cells], block_rngs)
-                values = _run_chain(_gibbs_wavelet(level, mins[cells], n, block_rngs, start, block_skipped), keep)
+                chains = _gibbs_wavelet(level, mins[cells], n[cells, None], block_rngs, start, block_skipped)
+                values = _run_chain(chains, keep)
                 skipped[cells] += block_skipped
                 for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
                     rows[i].append((v, lw[i] - math.log(len(v)) if truncated else 0.0))

@@ -158,18 +158,19 @@ def test_rate_study_deterministic_across_threads():
         _tiny_rate_cfg(prior=truncated, sampler="exact", budget=300),
         _tiny_rate_cfg(prior=truncated, sampler="importance", budget=2000),
     )
+    # the 40 cells of a rate study and the decay study's 8 split evenly in 2 blocks, not in 3
     for cfg in configs:
-        a = run_rate_study(cfg, threads=1)
-        b = run_rate_study(cfg, threads=2)
-        assert a.medians == b.medians
-        assert a.slope == b.slope
-        assert a.to_csv() == b.to_csv()
+        a, *others = (run_rate_study(cfg, threads=t) for t in (1, 2, 3))
+        for b in others:
+            assert a.medians == b.medians
+            assert a.slope == b.slope
+            assert a.to_csv() == b.to_csv()
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     decay = [
         run_posterior_decay_study(_spec(), f0, 0.3, (5.0, 20.0), 4, seed=4, budget=600, threads=t)
-        for t in (1, 2)
+        for t in (1, 2, 3)
     ]
-    assert decay[0] == decay[1]
+    assert decay[0] == decay[1] == decay[2]
 
 
 def test_rate_study_exclusion_limit():
@@ -181,6 +182,25 @@ def test_rate_study_exclusion_limit():
     with pytest.raises(StudyError) as err:
         run_rate_study(cfg)
     assert err.value.exclusions > 0.2 * err.value.total
+    assert f"{err.value.exclusions} x 'no feasible prior draw;" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "level,n_grid,message,counts",
+    [
+        (12.0, (1.0, 2.0, 3.0, 4.0), r"7/20 cells degenerate \(limit 20%\)", (7, 20)),
+        (15.5, (0.5, 8.0), r"every cell degenerate at n = \[8.0\]", (5, 10)),
+    ],
+)
+def test_a_refused_study_names_the_cause_of_its_excluded_cells(level, n_grid, message, counts):
+    # a real refusal, no stub: the truncated prior's unit laplace amplitudes give a cell an improper posterior
+    # once its pattern leaves enough eighths of [0, 1] empty (one suffices at n >= 5.4), and an f0 close to the
+    # calibrated ceiling leaves eighths empty; the StudyError names the cause and how many cells it excluded
+    spec = _spec("truncated_wavelet", "laplace", j=2)
+    with pytest.raises(StudyError, match=message) as err:
+        run_posterior_decay_study(spec, GridFunction.constant(level, 4), 0.3, n_grid, 5, seed=3, budget=300)
+    assert (err.value.exclusions, err.value.total) == counts
+    assert f"{counts[0]} x 'an improper laplace posterior, which no chain samples'" in str(err.value)
 
 
 def test_an_intensity_whose_every_cell_is_degenerate_refuses_the_study(monkeypatch):
@@ -188,14 +208,18 @@ def test_an_intensity_whose_every_cell_is_degenerate_refuses_the_study(monkeypat
     # the study must refuse and name it, not fail in np.quantile (rate) or report a nan median (decay)
     real = harness.sample_cells
 
-    def degenerate_at_20(prior, mins, n, *args):
-        return [DegeneratePosteriorError("stub") for _ in mins] if n == 20.0 else real(prior, mins, n, *args)
+    def degenerate_at_20(prior, mins, n, sampler, budget, rngs):
+        # the study's cells come as one block, one n per row: the rows at n = 20 are degenerate, the others real
+        ok = np.asarray(n) != 20.0
+        cells = iter(real(prior, mins[ok], np.asarray(n)[ok], sampler, budget, [r for r, k in zip(rngs, ok) if k]))
+        return [next(cells) if k else DegeneratePosteriorError("stub") for k in ok]
 
     monkeypatch.setattr(harness, "sample_cells", degenerate_at_20)
     n_grid = (5.0, 10.0, 20.0, 40.0, 80.0)
     with pytest.raises(StudyError, match=r"every cell degenerate at n = \[20.0\]") as err:
         run_rate_study(_tiny_rate_cfg(n_grid=n_grid, budget=200))
     assert (err.value.exclusions, err.value.total) == (10, 50)
+    assert "10 x 'stub'" in str(err.value)
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     with pytest.raises(StudyError, match=r"every cell degenerate at n = \[20.0\]") as err:
         run_posterior_decay_study(_spec("brownian_start"), f0, 0.25, n_grid, replicates=1, seed=2, budget=200)

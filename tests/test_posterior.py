@@ -585,6 +585,50 @@ def test_sample_cells_equals_each_cell_alone():
     assert rngs[1].random() == np.random.default_rng(21).random()
 
 
+def test_a_mixed_intensity_block_equals_each_cell_alone():
+    # a study sends all its cells as one block, each row at its own n: every cell must equal its own
+    # sample_posterior at that n bit for bit, refused or not, and leave its generator in the same state
+    ns = (4.0, 8.0, 16.0, 32.0, 32.0)
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    patterns = [simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)) for seed, n in enumerate(ns[:4])]
+    # the last eighth of [0, 1] empty: an improper truncated-laplace posterior at n = 32, a proper one at n = 4
+    patterns.append(PointPattern(32.0, 2.0, [(k + 0.5) / 8.0 for k in range(7)], [0.0] * 7))
+    mins = np.stack([bin_minima(p, 4) for p in patterns])
+    wavelet = lambda kind: build_prior(
+        PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4)
+    )
+    truncated = lambda kind: build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution(kind), j_cap=2, grid_level=4)
+    )
+    runs = [  # (sampler, prior, budget)
+        ("mcmc", build_prior(PriorSpec(variant="brownian_start", grid_level=4)), 3000),
+        ("mcmc", wavelet("gaussian"), 3000),
+        ("mcmc", wavelet("laplace"), 3000),
+        ("mcmc", wavelet("uniform"), 3000),
+        ("mcmc", truncated("gaussian"), 3000),
+        ("mcmc", truncated("laplace"), 3000),
+        ("exact", truncated("gaussian"), 300),
+        ("importance", wavelet("gaussian"), 2000),
+        ("importance", truncated("laplace"), 2000),
+    ]
+    for sampler, prior, budget in runs:
+        rngs = [np.random.default_rng(40 + i) for i in range(len(ns))]
+        block = list(sample_cells(prior, mins, ns, sampler, budget, rngs))
+        assert any(isinstance(ens, PosteriorEnsemble) for ens in block), (sampler, prior)
+        for i, (pattern, ens) in enumerate(zip(patterns, block)):
+            where, rng = (sampler, prior, ns[i]), np.random.default_rng(40 + i)
+            if isinstance(ens, DegeneratePosteriorError):
+                with pytest.raises(DegeneratePosteriorError) as err:
+                    sample_posterior(prior, pattern, sampler, budget, rng)
+                assert str(err.value) == str(ens), where
+            else:
+                single = sample_posterior(prior, pattern, sampler, budget, rng)
+                assert ens.values.tobytes() == single.values.tobytes(), where
+                assert ens.log_weights.tobytes() == single.log_weights.tobytes(), where
+                assert ens.meta == single.meta, where
+            assert rngs[i].bit_generator.state == rng.bit_generator.state, where
+
+
 def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_draw(monkeypatch):
     # one block of three cells, unit laplace coefficients, one point each, at n = 0.5 (a proper posterior): at
     # y = 1 every level is feasible; y = -7 is out of reach of all 400 evidence draws of level 0 on this seed, so
