@@ -25,9 +25,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .grid import GridFunction, bin_minima, simulate_ppp
+from .passes import brownian_log_p, mixture_log_p, richardson
 from .posterior import (
     PosteriorEnsemble,
     check_sampler,
@@ -36,12 +36,7 @@ from .posterior import (
     reduce_draws,
     sample_cells,
 )
-from .priors import (
-    CoefficientDistribution,
-    PriorSpec,
-    build_prior,
-    holder_test_function,
-)
+from .priors import PriorSpec, build_prior, holder_test_function
 from .reporting import csv_table, fit_loglog_slope, svg_loglog_plot, write_text
 
 __all__ = [
@@ -85,19 +80,16 @@ def _check_sampler(sampler: str, budget: int, spec: PriorSpec) -> None:
         raise StudyConfigError(str(exc)) from None
 
 
-def _check_cells(n_grid, replicates: int, min_values: int, min_replicates: int) -> tuple:
-    """``n_grid`` as floats; StudyConfigError unless it has at least ``min_values`` positive, finite, strictly
-    increasing values and there are at least ``min_replicates`` replicates."""
-    n_grid = tuple(float(n) for n in n_grid)
-    if len(n_grid) < min_values:
-        raise StudyConfigError(f"n_grid needs at least {min_values} values, got {n_grid}")
-    if not all(0.0 < n < math.inf for n in n_grid):
-        raise StudyConfigError(f"n_grid values must be positive and finite, got {n_grid}")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise StudyConfigError(f"n_grid must be strictly increasing, got {n_grid}")
-    if replicates < min_replicates:
-        raise StudyConfigError(f"replicates must be >= {min_replicates}, got {replicates}")
-    return n_grid
+def _check_grid(name: str, values, min_values: int, decreasing: bool) -> tuple:
+    """``values`` as floats; StudyConfigError unless ``min_values`` or more, positive, finite and strictly monotone."""
+    values = tuple(float(v) for v in values)
+    if len(values) < min_values:
+        raise StudyConfigError(f"{name} needs at least {min_values} values, got {values}")
+    if not all(0.0 < v < math.inf for v in values):
+        raise StudyConfigError(f"{name} values must be positive and finite, got {values}")
+    if any(b >= a if decreasing else b <= a for a, b in zip(values, values[1:])):
+        raise StudyConfigError(f"{name} must be strictly {'de' if decreasing else 'in'}creasing, got {values}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +150,9 @@ class RateStudyConfig:
     slope_tol: float = 0.15
 
     def __post_init__(self) -> None:
-        n_grid = _check_cells(self.n_grid, self.replicates, 4, 10)
+        n_grid = _check_grid("n_grid", self.n_grid, 4, False)
+        if self.replicates < 10:
+            raise StudyConfigError(f"replicates must be >= 10, got {self.replicates}")
         _check_sampler(self.sampler, self.budget, self.prior)
         if self.error_metric not in ("l1", "lower_part", "upper_part"):
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
@@ -356,99 +350,6 @@ class SmallBallReport:
         )
 
 
-def _mass(dist: CoefficientDistribution, lo, hi) -> np.ndarray:
-    """P(lo < z <= hi) for z of law ``dist``, 0 where lo >= hi; an interval right of 0 is read in the left tail."""
-    return np.maximum(np.where(lo > 0.0, dist.cdf(-lo) - dist.cdf(-hi), dist.cdf(hi) - dist.cdf(lo)), 0.0)
-
-
-def _haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
-    """log P(sup|X - target| <= eps), wavelet-series prior, by an upward pass over the Haar tree; -inf if P = 0.
-
-    The ball is one window [max_b target - eps, min_b target + eps] per block b of the prior's 2**(j_max+1).
-    Node (j, k) with partial sum s has children s +- A_j z, A_j = 2^{j/2} amplitudes[2^j]; its message M(s) is the
-    probability that its blocks stay in their windows.  At j_max both children are blocks, and M is the law's
-    mass on the z both windows allow.  Above, on the lattice s_i = i d, d = 2 eps / cells, M(s_i) is
-    sum_t w_t M_L(s_{i+t}) M_R(s_{i-t}), w_t the law's mass on the cell of z = t d / A_j, over every t with w_t > 0.
-    The root integrates M_0 against the cell masses of the scaling coefficient.  Messages are (nodes, S)
-    arrays, one level at a time, each row renormalised by its max, whose log is added to log P.
-    """
-    dist, amps, top_level = prior.dist, prior.amplitudes, prior.j_max
-    blocks = target.reshape(2 << top_level, -1)
-    lo, hi = blocks.max(axis=1) - eps, blocks.min(axis=1) + eps
-    if np.any(lo >= hi):
-        return -math.inf
-    d = 2.0 * eps / cells
-    s = d * np.arange(math.floor(lo.min() / d), math.ceil(hi.max() / d) + 1)
-    n = s.size
-    a = 2.0 ** (top_level / 2.0) * amps[1 << top_level]
-    z_lo = np.maximum(lo[0::2, None] - s, s - hi[1::2, None]) / a
-    z_hi = np.minimum(hi[0::2, None] - s, s - lo[1::2, None]) / a
-    msg, log_p = _mass(dist, z_lo, z_hi), 0.0
-    for j in range(top_level, -1, -1):  # msg holds level j, one row per node
-        peak = msg.max(axis=1, keepdims=True)
-        if not peak.all():
-            return -math.inf
-        log_p += float(np.log(peak).sum())
-        msg /= peak
-        if j == 0:
-            break
-        left, right = msg[0::2], msg[1::2]
-        step = d / (2.0 ** ((j - 1) / 2.0) * amps[1 << (j - 1)])  # one lattice cell in z
-        offsets = np.arange((n + 1) // 2)  # all the lattice holds
-        w = _mass(dist, (offsets - 0.5) * step, (offsets + 0.5) * step)
-        msg = w[0] * left * right
-        for t in range(1, np.flatnonzero(w)[-1] + 1):  # up to where the law's mass underflows or ends
-            inner = left[:, 2 * t :] * right[:, : n - 2 * t] + left[:, : n - 2 * t] * right[:, 2 * t :]
-            msg[:, t : n - t] += w[t] * inner
-    root = float(_mass(dist, (s - 0.5 * d) / amps[0], (s + 0.5 * d) / amps[0]) @ msg[0])
-    return log_p + math.log(root) if root > 0.0 else -math.inf
-
-
-def _brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
-    """log P(sup|X - target| <= eps), Brownian-start prior, by a transfer operator; -inf if the mass is lost.
-
-    Each bin's window [target_k - eps, target_k + eps] is cut into ``cells`` cells of width d, edge to edge.
-    Bin 0 holds the N(0, 1 + 1/m) cell masses; each next bin convolves them, taken at the cell centres, with the
-    cell-integrated N(0, 1/m) increment cut at 8 sd, a band set by target_k - target_{k-1}.  Error: smooth O(d^2).
-    """
-    m, t = target.size, target.tolist()
-    sd, d = 1.0 / math.sqrt(m), 2.0 * eps / cells
-    w = np.diff(ndtr((t[0] - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
-    log_p, shift = 0.0, None
-    for k in range(m):
-        if k:
-            if t[k] - t[k - 1] != shift:  # cell offsets lo..hi: the 8 sd cut, widened to hold 0
-                shift = t[k] - t[k - 1]
-                lo = max(1 - cells, min(0, math.ceil((-8.0 * sd - shift) / d)))
-                hi = min(cells - 1, max(0, math.floor((8.0 * sd - shift) / d)))
-                kernel = np.diff(ndtr((shift + (np.arange(lo, hi + 2) - 0.5) * d) / sd))
-            w = np.convolve(w, kernel)[-lo : cells - lo]
-        s = float(w.sum())
-        if s <= 0.0:
-            return -math.inf
-        log_p += math.log(s)
-        w /= s
-    return log_p
-
-
-def _richardson(log_p, cells: int) -> tuple[float, float]:
-    """(P, std_error) of an O(d^2) quadrature ``log_p(c)`` run at ``cells``, 2 ``cells`` and 4 ``cells`` cells.
-
-    With R(a, b) = (4 log_p(b) - log_p(a)) / 3, P = exp R(2 cells, 4 cells) and std_error is
-    P |R(2 cells, 4 cells) - R(cells, 2 cells)|; (0, 0) if a run loses the mass.
-    """
-    coarse, mid, fine = (log_p(c) for c in (cells, 2 * cells, 4 * cells))
-    if min(coarse, mid, fine) == -math.inf:
-        return 0.0, 0.0
-    r = (4.0 * fine - mid) / 3.0
-    return math.exp(r), math.exp(r) * abs(r - (4.0 * mid - coarse) / 3.0)
-
-
-def _mixture_log_p(levels, target: np.ndarray, eps: float, cells: int) -> float:
-    """log sum_j w_j P_j over the weighted wavelet-series priors ``levels``, each P_j by ``_haar_log_p``."""
-    return float(np.logaddexp.reduce([math.log(w) + _haar_log_p(prior, target, eps, cells) for w, prior in levels]))
-
-
 def run_small_ball_study(
     spec: PriorSpec,
     h: GridFunction,
@@ -458,36 +359,31 @@ def run_small_ball_study(
     beta: float | None = None,
     tol: float = 0.3,
 ) -> SmallBallReport:
-    """P(sup|X - h| <= eps) for each eps of the strictly decreasing ``eps_grid``, with a log(-log) slope fit.
+    """P(sup|X - h| <= eps) for each eps of ``eps_grid`` (two or more, positive, finite, strictly decreasing), with
+    a log(-log) slope fit.
 
-    Every prior is a Markov model, across bins or down the Haar tree, so P is a quadrature that draws no random
-    numbers: a transfer operator over the bins for the Brownian prior (``_brownian_log_p``, one cell per increment
-    sd and up), and an upward pass over the tree for the wavelet priors (``_haar_log_p``, 32 cells per window and
-    up).  The truncated prior is the mixture of its level priors, P = sum_j pi_j P_j.  Each quadrature is run at
-    three cell widths, and ``std_error`` is the change of its Richardson value (``_richardson``).  An eps whose
+    Every prior is a Markov model, across bins or down the Haar tree, so P is a quadrature of ``passes`` that draws
+    no random numbers: ``brownian_log_p`` over the bins for the Brownian prior (one cell per increment sd and up),
+    ``haar_log_p`` up the tree for the wavelet priors (32 cells per window and up), and ``mixture_log_p`` over the
+    truncated prior's level priors, P = sum_j pi_j P_j.  Each runs at three cell widths, and ``std_error`` is the
+    change of its Richardson value (``passes.richardson``).  An eps whose
     estimate is 0 (an empty window or an underflow) or at least 1 (a ball that holds every draw) is excluded.
     ``draws`` and ``rng`` are read by no estimator; passing either is deprecated.
     """
     if draws is not None or rng is not None:
         warnings.warn("run_small_ball_study ignores draws and rng: every small ball is a quadrature",
                       DeprecationWarning, stacklevel=2)
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
-        raise StudyConfigError(f"eps_grid must be strictly decreasing, got {eps_grid}")
-    if not all(e > 0 for e in eps_grid):
-        raise StudyConfigError(f"eps_grid values must be positive, got {eps_grid}")
-    if not all(math.isfinite(e) for e in eps_grid):
-        raise StudyConfigError(f"eps_grid values must be finite, got {eps_grid}")
+    eps_grid = _check_grid("eps_grid", eps_grid, 2, True)
     if not 0.0 <= tol < math.inf:
         raise StudyConfigError(f"tol must be nonnegative and finite, got {tol!r}")
     target = h.refine(spec.grid_level).values
     if spec.variant == "brownian_start":
         root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m
-        runs = [_richardson(partial(_brownian_log_p, target, e), math.ceil(2.0 * e * root_m)) for e in eps_grid]
+        runs = [richardson(partial(brownian_log_p, target, e), math.ceil(2.0 * e * root_m)) for e in eps_grid]
         meta = {"method": "transfer", "cells_per_sd": (1, 2, 4)}
     else:
         levels = build_prior(spec).levels()
-        runs = [_richardson(partial(_mixture_log_p, levels, target, e), 32) for e in eps_grid]
+        runs = [richardson(partial(mixture_log_p, levels, target, e), 32) for e in eps_grid]
         meta = {"method": "haar-tree", "cells_per_window": (32, 64, 128)}
     p, se = np.array(runs).reshape(-1, 2).T
     hit, eps = (p > 0.0) & (p < 1.0), np.array(eps_grid)
@@ -555,7 +451,9 @@ def run_posterior_decay_study(
     The medians are compared in grid order, so the grid must increase.
     """
     _check_sampler(sampler, budget, prior_spec)
-    n_grid = _check_cells(n_grid, replicates, 2, 1)
+    n_grid = _check_grid("n_grid", n_grid, 2, False)
+    if replicates < 1:
+        raise StudyConfigError(f"replicates must be >= 1, got {replicates}")
     if not 0.0 < r < math.inf:
         raise StudyConfigError(f"r must be positive and finite, got {r!r}")
     rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))

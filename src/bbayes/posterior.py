@@ -36,6 +36,7 @@ import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri_exp
 
 from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
+from .passes import highest_feasible, improper_laplace
 from .priors import (
     BrownianStartPrior,
     FinitePrior,
@@ -186,7 +187,7 @@ def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
 
 def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt) -> np.ndarray:
     """Exact draws from a coefficient prior restricted to [lo_i, hi_i] and tilted by e^{tilt_i * z}; NaN where
-    that law is empty (a uniform interval off the support).  A laplace law must be proper: see _improper_laplace.
+    that law is empty (a uniform interval off the support).  A laplace law must be proper (``improper_laplace``).
 
     Each draw inverts one uniform of ``q``; laplace draws invert two, the last axis of ``q`` holding every
     draw's side of zero, then every point.  So a whole vector of conditionals costs a fixed number of numpy calls.
@@ -289,9 +290,9 @@ def _importance(prior, mins, n, draws, rng):
 
     Infeasible draws carry weight zero and are dropped from storage but counted
     in the reported feasibility rate.  A laplace prior whose posterior is
-    improper at any level (``_improper_laplace``) raises, as ``sample_cells`` does.
+    improper at any level (``passes.improper_laplace``) raises, as ``sample_cells`` does.
     """
-    if _improper_laplace(prior, mins[None], n)[0]:
+    if improper_laplace(prior, mins[None], n)[0]:
         raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
     values, log_lik = _feasible_draws(prior, mins, n, draws, rng)
     if not len(values):
@@ -353,51 +354,6 @@ def _run_chain(states, keep: range) -> np.ndarray:
     return out
 
 
-def _improper_laplace(prior, mins: np.ndarray, n) -> np.ndarray:
-    """Which rows of bin minima ``mins`` give a laplace wavelet prior (none for any other) an improper posterior
-    at intensity n, a scalar or one per row: those where, at some level of ``levels()``, raising z0 by 1 stays
-    feasible at a detail cost sum |d_i| / s = a0 * kappa <= n a0 - 1/s.  kappa, the cost per unit partial sum, is 0
-    on a finest block with no point and inf on one with a point; a node's is the cheaper of passing the sum on or
-    zeroing one child."""
-    improper = np.zeros(len(mins), dtype=bool)
-    if getattr(prior, "dist", None) is None or prior.dist.kind != "laplace":
-        return improper
-    for _, level in prior.levels():
-        s, a0 = level.dist.scale, float(level.amplitudes[0])
-        kappa = np.where(np.isfinite(mins.reshape(len(mins), 2 << level.j_max, -1).min(axis=2)), np.inf, 0.0)
-        for j in reversed(range(level.j_max + 1)):
-            left, right = kappa[:, 0::2], kappa[:, 1::2]
-            a = 2.0 ** (j / 2.0) * level.amplitudes[1 << j : 2 << j]
-            kappa = np.minimum(left + right, 1.0 / (a * s) + 2.0 * np.minimum(left, right))
-        improper |= n * a0 >= 1.0 / s + a0 * kappa[:, 0]
-    return improper
-
-
-def _highest_feasible(prior: WaveletSeriesPrior, mins: np.ndarray):
-    """The highest feasible state of a uniform wavelet prior at each row of bin minima ``mins``, as latent rows,
-    and whether any state is feasible there.
-
-    U, the highest feasible partial sum of a Haar node, is the block minimum on a finest block; a level-j node
-    whose detail moves its children by at most A = 2^{j/2} a_j s takes (U_L + U_R) / 2 if |U_L - U_R| <= 2A,
-    else min(U_L, U_R) + A.  A state is feasible iff U_root >= -s a0; then z0 = min(U_root, s a0) / a0, and top
-    down each detail is the one nearest 0 that keeps both children at or below their U.
-    """
-    s, a0 = prior.dist.scale, float(prior.amplitudes[0])
-    steps = [s * 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j] for j in range(prior.j_max + 1)]
-    u = [mins.reshape(len(mins), 2 << prior.j_max, -1).min(axis=2)]  # U of each level's nodes, finest first
-    with np.errstate(invalid="ignore"):  # two empty blocks: inf - inf, where min(U_L, U_R) + A is inf as well
-        for a in reversed(steps):
-            left, right = u[-1][:, 0::2], u[-1][:, 1::2]
-            u.append(np.where(np.abs(left - right) <= 2.0 * a, (left + right) / 2.0, np.minimum(left, right) + a))
-    z, c = np.empty((len(mins), prior.latent_dim)), np.minimum(u[-1], s * a0)  # c: the partial sums of a level
-    z[:, 0] = c[:, 0] / a0
-    for j, (a, children) in enumerate(zip(steps, reversed(u[:-1]))):
-        d = np.clip(0.0, c - children[:, 1::2], children[:, 0::2] - c)
-        z[:, 1 << j : 2 << j] = np.clip(d / a, -1.0, 1.0) * s
-        c = np.stack([c + d, c - d], axis=2).reshape(len(mins), -1)
-    return z, u[-1][:, 0] >= -s * a0
-
-
 def _wavelet_start(prior: WaveletSeriesPrior, mins, rngs):
     """Feasible chain starts ``(z, v)``, latent and grid rows: a prior draw per chain on its generator, with z0
     lowered until the draw is feasible, or the highest feasible state where that leaves the uniform support."""
@@ -410,7 +366,7 @@ def _wavelet_start(prior: WaveletSeriesPrior, mins, rngs):
     v -= shift[:, None]
     out = z[:, 0] < -prior.dist.scale
     if prior.dist.kind == "uniform" and out.any():
-        z[out] = _highest_feasible(prior, mins[out])[0]
+        z[out] = highest_feasible(prior, mins[out])[0]
         v[out] = prior.synthesize(z[out])
     return z, v
 
@@ -576,10 +532,10 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0.  A wavelet
-    cell is refused before any chain runs, by an error that names its cause: an improper laplace posterior
-    (``_improper_laplace``), no feasible state in the uniform support (``_highest_feasible``) or no level weight
-    > 0.  Every other sampler runs cell by cell, yielding each ensemble before it draws the next.  Cell i draws
-    only from ``rngs[i]``, as in its own ``sample_posterior``.
+    cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
+    an improper laplace posterior (``passes.improper_laplace``), no feasible state in the uniform support
+    (``passes.highest_feasible``) or no level weight > 0.  Every other sampler runs cell by cell, yielding each
+    ensemble before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
     n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
@@ -599,9 +555,9 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
     else:
         levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
         if prior.dist.kind == "uniform":  # the last level holds every other level's states
-            refused, reason = ~_highest_feasible(levels[-1][1], mins)[1], "no feasible start in the uniform support"
+            refused, reason = ~highest_feasible(levels[-1][1], mins)[1], "no feasible start in the uniform support"
         else:
-            refused, reason = _improper_laplace(prior, mins, n), "an improper laplace posterior, which no chain samples"
+            refused, reason = improper_laplace(prior, mins, n), "an improper laplace posterior, which no chain samples"
         causes = [reason if r else None for r in refused]
         log_w = _level_log_weights(levels, mins, n.tolist(), rngs) if truncated else np.zeros((len(rngs), 1))
         rows, skipped = [[] for _ in rngs], np.zeros(len(rngs), dtype=int)

@@ -382,10 +382,12 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("small-ball", "eps_grid = 1.0,0.5\nno equals sign\n", "malformed config line: 'no equals sign'"),
         ("rate-study", "n_grid = 0,200,500,1000\nreplicates = 10\n", "n_grid values must be positive"),
         ("decay-study", "f0.kind = cusp\nn_grid = -5,20\nreplicates = 4\n", "n_grid values must be positive"),
-        ("small-ball", "eps_grid = 1,0.5,0\n", "eps_grid values must be positive, got (1.0, 0.5, 0.0)"),
+        ("small-ball", "eps_grid = 1,0.5,0\n", "eps_grid values must be positive and finite, got (1.0, 0.5, 0.0)"),
         ("small-ball", _WAVELET + "eps_grid = 1,0.5,-0.5\n", "eps_grid values must be positive"),
         ("rate-study", "n_grid = 5,10,20,inf\nreplicates = 10\n", "n_grid values must be positive and finite"),
-        ("small-ball", "eps_grid = inf,1.0\n", "eps_grid values must be finite, got (inf, 1.0)"),
+        ("small-ball", "eps_grid = inf,1.0\n", "eps_grid values must be positive and finite, got (inf, 1.0)"),
+        ("small-ball", "eps_grid = 1.0,nan\n", "eps_grid values must be positive and finite, got (1.0, nan)"),
+        ("small-ball", "eps_grid = 1.0\n", "eps_grid needs at least 2 values, got (1.0,)"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nr = nan\n", "r must be positive and finite"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nr = 0\n", "r must be positive and finite"),
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nslope_tol = nan\n", "slope_tol must be nonnegative and"),
@@ -423,6 +425,8 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "small-ball-wavelet-eps-negative",
         "rate-n-grid-inf",
         "small-ball-eps-inf",
+        "small-ball-eps-nan",
+        "small-ball-eps-one-value",
         "decay-r-nan",
         "decay-r-zero",
         "rate-slope-tol-nan",

@@ -2,7 +2,6 @@
 rare-event estimators against plain Monte Carlo, and report emission."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,9 +21,6 @@ from bbayes import (
 from bbayes import harness
 from bbayes.harness import (
     StudyError,
-    _brownian_log_p,
-    _haar_log_p,
-    _richardson,
     calibrate_ceiling,
     emit_report,
     theoretical_rate_exponent,
@@ -330,20 +326,6 @@ def test_haar_tree_matches_gaussian_box_probability(grid_level, j_max, shape, ep
         assert -math.log(p) == pytest.approx(exact, rel=5e-3), (eps, -math.log(p), exact)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "laplace", "uniform"])
-def test_haar_tree_converges_in_the_cell_width(kind):
-    spec = _spec("wavelet_series", kind, grid_level=6, j=3)
-    target, eps = holder_test_function(0.5, 1.0, "cusp", 6).values, 0.6
-    log_p = partial(_haar_log_p, build_prior(spec), target, eps)
-    neg_log_p = [-log_p(c) for c in (64, 128, 256)]
-    assert abs(neg_log_p[1] - neg_log_p[0]) < 0.01 * neg_log_p[0]
-    assert abs(neg_log_p[2] - neg_log_p[1]) < 0.01 * neg_log_p[1]
-    # the estimate, the Richardson value over 64 and 128 cells, moves by at most std_error at the next two widths
-    p, se = _richardson(log_p, 32)
-    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0, rel=1e-12)
-    assert 0.0 < abs(p - math.exp(-(4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0)) <= se
-
-
 def _brownian_box_neg_log_p(values, eps):
     # the Brownian-start grid values are gaussian, so P is a box probability of N(0, 1 + min(i, j)/m)
     m = values.size
@@ -387,23 +369,6 @@ def test_brownian_small_ball_matches_plain_monte_carlo():
         p_mc = float(np.mean(sups <= eps))
         se_mc = math.sqrt(p_mc * (1 - p_mc) / sups.size)
         assert abs(p - p_mc) <= 4.0 * math.hypot(se_mc, se), (eps, p, p_mc)
-
-
-def test_brownian_transfer_operator_converges_as_the_square_of_the_cell_width():
-    spec, h = _spec("brownian_start", grid_level=12), GridFunction.constant(0.0, 12)
-    target, eps = h.values, 0.25
-    cells = math.ceil(2.0 * eps * 64)  # 1 cell per increment sd, as run_small_ball_study starts
-    neg_log_p = [-_brownian_log_p(target, eps, c) for c in (cells, 2 * cells, 4 * cells, 8 * cells)]
-    # from 4 to 8 cells per sd -log P moves by under 1%, and each halving of d moves it 4 times less: O(d^2)
-    assert abs(neg_log_p[3] - neg_log_p[2]) < 0.01 * neg_log_p[2]
-    assert 3.5 < (neg_log_p[1] - neg_log_p[2]) / (neg_log_p[2] - neg_log_p[3]) < 4.5, neg_log_p
-    # so the estimate, the Richardson value over 2 and 4 cells per sd, moves by under 1% at the next two widths
-    report = run_small_ball_study(spec, h, (0.3, eps))
-    p, se = report.probabilities[1], report.std_errors[1]
-    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[2] - neg_log_p[1]) / 3.0, rel=1e-12)
-    assert -math.log(p) == pytest.approx((4.0 * neg_log_p[3] - neg_log_p[2]) / 3.0, rel=1e-2)
-    # std_error is the change of the Richardson value from 1 and 2 cells per sd
-    assert se == pytest.approx(p * abs(math.log(p) + (4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0), rel=1e-12)
 
 
 def test_brownian_small_ball_report_is_deterministic_and_excludes_underflow():

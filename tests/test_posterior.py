@@ -35,10 +35,9 @@ from bbayes import (
 )
 import bbayes.posterior as posterior_module
 from bbayes.grid import integral
+from bbayes.passes import improper_laplace
 from bbayes.posterior import (
     _exp_segment_log_mass,
-    _highest_feasible,
-    _improper_laplace,
     _kept,
     _sample_coefficients_interval,
     _std_normal_tail,
@@ -689,25 +688,6 @@ def test_a_refused_cell_names_its_cause_and_runs_no_chain(monkeypatch, kind):
         assert block[i].values.tobytes() == single.values.tobytes() and block[i].meta == single.meta, i
 
 
-def test_highest_feasible_uniform_state():
-    # the Haar-tree pass gives a feasible state inside the uniform support whose mean a0 z0 no feasible prior
-    # draw exceeds, and flags the pattern that no state fits
-    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
-    uniform = CoefficientDistribution("uniform")
-    prior = build_prior(PriorSpec(variant="wavelet_series", alpha=0.5, dist=uniform, j_max=2, grid_level=4))
-    patterns = [simulate_ppp(f0, 30.0, 2.0, np.random.default_rng(seed)) for seed in range(4)]
-    patterns += [PointPattern(30.0, 2.0), PointPattern(30.0, 3.0, [0.3], [-5.0])]
-    mins = np.stack([bin_minima(p, 4) for p in patterns])
-    z, feasible = _highest_feasible(prior, mins)
-    assert feasible.tolist() == [True] * 5 + [False]
-    v = prior.synthesize(z[:5])
-    assert np.all(np.abs(z[:5]) <= 1.0) and np.all(v <= mins[:5] + 1e-12)
-    draws = prior.draw(np.random.default_rng(28), 100_000)
-    for row, top in zip(mins[:5], v.mean(axis=1)):
-        fits = np.all(draws <= row, axis=1)
-        assert fits.any() and draws[fits].mean(axis=1).max() <= top + 1e-12
-
-
 def test_sampler_determinism():
     f0, pattern = _pattern(n=6.0, grid_level=4)
     prior = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
@@ -783,7 +763,7 @@ def test_improper_laplace_posterior_raises(variant, n, improper):
     levels = {"alpha": 1.0, "j_max": 2} if variant == "wavelet_series" else {"j_cap": 2}
     prior = build_prior(PriorSpec(variant=variant, dist=CoefficientDistribution("laplace"), grid_level=4, **levels))
     # the propriety test itself flags the cell, at some level of the truncated prior
-    assert _improper_laplace(prior, bin_minima(pattern, 4)[None], n).tolist() == [improper]
+    assert improper_laplace(prior, bin_minima(pattern, 4)[None], n).tolist() == [improper]
     for sampler in ("mcmc", "importance"):
         if improper:
             with pytest.raises(DegeneratePosteriorError, match="improper laplace posterior"):
