@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 __all__ = ["haar_fold", "block_minima", "haar_log_p", "brownian_log_p", "richardson", "mixture_log_p",
@@ -30,14 +31,14 @@ def _level_step(prior, j: int) -> np.ndarray:
     return 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j]
 
 
-def block_minima(prior, values: np.ndarray) -> np.ndarray:
-    """The minimum of each of the 2**(j_max+1) finest blocks of ``prior``, over the last axis of ``values``."""
-    return values.reshape(*values.shape[:-1], 2 << prior.j_max, -1).min(axis=-1)
+def block_minima(values: np.ndarray, j_max: int) -> np.ndarray:
+    """The minimum of each of the 2**(j_max+1) finest blocks of a series to level ``j_max``, over the last axis."""
+    return values.reshape(*values.shape[:-1], 2 << j_max, -1).min(axis=-1)
 
 
 def _mass(dist, lo, hi) -> np.ndarray:
     """P(lo < z <= hi) for z of law ``dist``, 0 where lo >= hi; an interval right of 0 is read in the left tail."""
-    return np.maximum(np.where(lo > 0.0, dist.cdf(-lo) - dist.cdf(-hi), dist.cdf(hi) - dist.cdf(lo)), 0.0)
+    return np.maximum(dist.cdf(np.where(lo > 0.0, -lo, hi)) - dist.cdf(np.where(lo > 0.0, -hi, lo)), 0.0)
 
 
 def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
@@ -47,15 +48,18 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
     has message M(s), the probability that its blocks stay in their windows.  At j_max both children are blocks,
     and M is the law's mass on the z both windows allow.  Above, on the lattice s_i = i d, d = 2 eps / cells,
     M(s_i) is sum_t w_t M_L(s_{i+t}) M_R(s_{i-t}), w_t the law's mass on the cell of z = t d / A_j, over every t
-    with w_t > 0; the root integrates M_0 against the cell masses of the scaling coefficient.  Messages are
-    (S, nodes) arrays, one level at a time, each node's renormalised by its max, whose log is added to log P.
+    with w_t > 0; the root integrates M_0 against the cell masses of the scaling coefficient.  M is 0 off a node's
+    index range [a, b] (at j_max, i d strictly between the means of its children's window ends; above, a = ceil((a_L
+    + a_R) / 2), b = floor((b_L + b_R) / 2)), and a node sums only the terms that pair its children's ranges.  A
+    level's messages are an (S, nodes) array, row r of a node at s_{a+r}, each renormalised by its max, whose log
+    is added to log P.
     """
-    lo, hi = -block_minima(prior, -target) - eps, block_minima(prior, target) + eps
+    lo, hi = -block_minima(-target, prior.j_max) - eps, block_minima(target, prior.j_max) + eps
     if np.any(lo >= hi):
         return -math.inf
     dist, d = prior.dist, 2.0 * eps / cells
-    s = d * np.arange(math.floor(lo.min() / d), math.ceil(hi.max() / d) + 1)
-    n, log_p = s.size, 0.0
+    spans = np.stack([np.floor((lo[0::2] + lo[1::2]) / 2.0 / d), np.ceil((hi[0::2] + hi[1::2]) / 2.0 / d)])
+    spans, ceil, log_p = spans.astype(np.int64), np.array([[1], [0]]), 0.0  # [a, b] of each node, from j_max up
 
     def normalised(msg):
         nonlocal log_p
@@ -64,21 +68,54 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
         return msg / peak
 
     def node(left, right, a):
-        left, right = np.ascontiguousarray(left), np.ascontiguousarray(right)
-        step, offsets = d / a[0], np.arange((n + 1) // 2)  # one lattice cell in z; all the lattice holds
-        w = _mass(dist, (offsets - 0.5) * step, (offsets + 0.5) * step)
-        msg = w[0] * left * right
-        for t in range(1, np.flatnonzero(w)[-1] + 1):  # up to where the law's mass underflows or ends
-            msg[t : n - t] += w[t] * (left[2 * t :] * right[: n - 2 * t] + left[: n - 2 * t] * right[2 * t :])
+        nonlocal spans
+        child, spans = spans, (spans[:, 0::2] + spans[:, 1::2] + ceil) // 2  # a = ceil((a_L + a_R) / 2), b = floor
+        size = max(1, int((spans[1] - spans[0]).max()) + 1)  # S, the rows of the level
+        ends = child.reshape(2, -1, 2) - spans[0][:, None]  # [a or b, node, left or right child], less the node's a
+        (lows, _), (highs, b_max) = ends.min(axis=1).tolist(), ends.max(axis=1).tolist()
+        (a_lo, a_hi), (b_lo, b_hi) = sorted(lows), sorted(b_max)
+        t = np.arange(-1, max(0, (b_hi - a_lo) // 2) + 1)  # -1, then every t that pairs the two ranges
+        edges = dist.cdf((-0.5 - t) * (d / a[0]))  # the cell edges of z = t d / A_j, t > 0 read in the left tail
+        w = np.maximum(edges[:-1] - edges[1:], 0.0)  # w_t, as _mass gives it
+        reach, w = int(np.flatnonzero(w)[-1]), w.tolist()  # up to where the law's mass underflows or ends
+        left, right = (_framed(msg, -reach - (low if low == high else first), size + 2 * reach)
+                       for msg, first, low, high in zip((left, right), ends[0].T, lows, highs))
+        # row u pairs a child at u - t with one at u + t if max(a_lo + t, a_hi - t) <= u <= min(b_lo + t, b_hi - t)
+        t = t[2 : reach + 2]
+        us = np.maximum(np.maximum(a_lo + t, a_hi - t), 0).tolist()
+        vs = (np.minimum(np.minimum(b_lo + t, b_hi - t), size - 1) + 1).tolist()
+        msg = w[0] * left[reach : reach + size] * right[reach : reach + size]
+        for t, u, v in zip(t.tolist(), us, vs):
+            if u < v:
+                i, j = reach - t + u, reach + t + u  # the first rows of the children at u - t and at u + t
+                pairs = left[j : j + v - u] * right[i : i + v - u]
+                pairs += left[i : i + v - u] * right[j : j + v - u]
+                pairs *= w[t]
+                msg[u:v] += pairs
         return normalised(msg)
 
     a = _level_step(prior, prior.j_max)
-    z_lo = np.maximum(lo[0::2] - s[:, None], s[:, None] - hi[1::2]) / a
-    z_hi = np.minimum(hi[0::2] - s[:, None], s[:, None] - lo[1::2]) / a
+    s = d * (spans[0] + np.arange(max(1, int((spans[1] - spans[0]).max()) + 1))[:, None])
+    z_lo = np.maximum(lo[0::2] - s, s - hi[1::2]) / a
+    z_hi = np.minimum(hi[0::2] - s, s - lo[1::2]) / a
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero peak: log P = -inf, and nan messages above it
         msg = haar_fold(prior, normalised(_mass(dist, z_lo, z_hi)), node, prior.j_max - 1)[-1]
+    s = d * (spans[0] + np.arange(len(msg)))
     root = float(_mass(dist, (s - 0.5 * d) / prior.amplitudes[0], (s + 0.5 * d) / prior.amplitudes[0]) @ msg[:, 0])
-    return log_p + math.log(root) if root > 0.0 else -math.inf
+    return log_p + math.log(root) if root > 0.0 and log_p > -math.inf else -math.inf
+
+
+def _framed(msg: np.ndarray, first, size: int) -> np.ndarray:
+    """``size`` rows of each node of ``msg``, an (S, nodes) array, from its row ``first`` (an int for every node, or
+    one per node), as a new array; 0 off the S rows."""
+    if np.ndim(first) == 0:  # one shift for every node: a slice
+        out = np.zeros((size, msg.shape[1]))
+        out[max(0, -first) : max(0, len(msg) - first)] = msg[max(0, first) : max(0, first + size)]
+        return out
+    below = max(0, -int(first.min()))
+    padded = np.zeros((below + max(len(msg), int(first.max()) + size), msg.shape[1]))
+    padded[below : below + len(msg)] = msg
+    return padded.ravel().take((first + below + np.arange(size)[:, None]) * msg.shape[1] + np.arange(msg.shape[1]))
 
 
 def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
@@ -87,25 +124,53 @@ def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
     Each bin's window [target_k - eps, target_k + eps] is cut into ``cells`` cells of width d, edge to edge.
     Bin 0 holds the N(0, 1 + 1/m) cell masses; each next bin convolves them, taken at the cell centres, with the
     cell-integrated N(0, 1/m) increment cut at 8 sd, a band set by target_k - target_{k-1}.  Error: smooth O(d^2).
+    A run of r >= ``cells`` equal increments, at up to 256 cells, applies its banded transfer matrix as its r-th
+    power by repeated squaring, whose reordered sums move log P by rounding only (about 1e-13 relative).
     """
-    m, t = target.size, target.tolist()
+    m = target.size
     sd, d = 1.0 / math.sqrt(m), 2.0 * eps / cells
-    w = np.diff(ndtr((t[0] - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
-    log_p, shift = 0.0, None
-    for k in range(m):
-        if k:
-            if t[k] - t[k - 1] != shift:  # cell offsets lo..hi: the 8 sd cut, widened to hold 0
-                shift = t[k] - t[k - 1]
-                lo = max(1 - cells, min(0, math.ceil((-8.0 * sd - shift) / d)))
-                hi = min(cells - 1, max(0, math.floor((8.0 * sd - shift) / d)))
-                kernel = np.diff(ndtr((shift + (np.arange(lo, hi + 2) - 0.5) * d) / sd))
+    w = np.diff(ndtr((float(target[0]) - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
+    inc = np.diff(target)
+    starts = np.flatnonzero(np.diff(inc, prepend=np.nan))  # the first increment of each run of equal ones
+    runs = zip([None] + inc[starts].tolist(), [1] + np.diff(starts, append=m - 1).tolist())
+    log_p, lo, kernel = 0.0, 0, np.ones(1)  # bin 0 has no increment: the identity
+    for shift, r in runs:
+        if shift is not None:  # cell offsets lo..hi: the 8 sd cut, widened to hold 0
+            lo = max(1 - cells, min(0, math.ceil((-8.0 * sd - shift) / d)))
+            hi = min(cells - 1, max(0, math.floor((8.0 * sd - shift) / d)))
+            kernel = np.diff(ndtr((shift + (np.arange(lo, hi + 2) - 0.5) * d) / sd))
+            if r >= cells and cells <= 256:  # a matrix of at most 0.5 MB
+                band = np.pad(kernel, (cells - 1 + lo, cells - 1 - hi))  # band[cells - 1 + u]: the mass of offset u
+                w, log_p = _matrix_power(w, np.ascontiguousarray(sliding_window_view(band, cells)[::-1]), r, log_p)
+                continue  # if the mass is lost, log_p is -inf and w is 0, so the next bin returns
+        for _ in range(r):
             w = np.convolve(w, kernel)[-lo : cells - lo]
-        s = float(w.sum())
-        if s <= 0.0:
-            return -math.inf
-        log_p += math.log(s)
-        w /= s
+            s = float(w.sum())
+            if s <= 0.0:
+                return -math.inf
+            log_p += math.log(s)
+            w /= s
     return log_p
+
+
+def _matrix_power(w: np.ndarray, matrix: np.ndarray, r: int, log_p: float) -> tuple[np.ndarray, float]:
+    """(v, log_p + log c) with w matrix^r = c v, v summing to 1, by repeated squaring; (0, -inf) if the mass is
+    lost.  Each square is rescaled by its max, whose log is carried, and w takes one product per set bit of r."""
+    log_scale = 0.0  # matrix^(2^b) = exp(log_scale) matrix
+    while True:
+        if r & 1:
+            w = w @ matrix
+            s = float(w.sum())
+            if s <= 0.0:
+                return w, -math.inf
+            log_p, w = log_p + log_scale + math.log(s), w / s
+        r >>= 1
+        if not r:
+            return w, log_p
+        matrix = matrix @ matrix
+        peak = float(matrix.max())
+        if peak > 0.0:  # else a zero matrix, which loses the mass at the next product
+            log_scale, matrix = 2.0 * log_scale + math.log(peak), matrix / peak
 
 
 def richardson(log_p, cells: int) -> tuple[float, float]:
@@ -137,7 +202,7 @@ def improper_laplace(prior, mins: np.ndarray, n) -> np.ndarray:
         return improper
     for _, level in prior.levels():
         s, a0 = level.dist.scale, float(level.amplitudes[0])
-        leaves = np.where(np.isfinite(block_minima(level, mins)), np.inf, 0.0)
+        leaves = np.where(np.isfinite(block_minima(mins, level.j_max)), np.inf, 0.0)
         kappa = haar_fold(level, leaves, lambda l, r, a: np.minimum(l + r, 1.0 / (a * s) + 2.0 * np.minimum(l, r)))
         improper |= n * a0 >= 1.0 / s + a0 * kappa[-1][:, 0]
     return improper
@@ -154,7 +219,7 @@ def highest_feasible(prior, mins: np.ndarray):
     """
     s, a0 = prior.dist.scale, float(prior.amplitudes[0])
     with np.errstate(invalid="ignore"):  # two empty blocks: inf - inf, where min(U_L, U_R) + s A_j is inf as well
-        u = haar_fold(prior, block_minima(prior, mins), lambda l, r, a: np.where(
+        u = haar_fold(prior, block_minima(mins, prior.j_max), lambda l, r, a: np.where(
             np.abs(l - r) <= 2.0 * s * a, (l + r) / 2.0, np.minimum(l, r) + s * a))[::-1]  # U per level, root first
     z, c = np.empty((len(mins), prior.latent_dim)), np.minimum(u[0], s * a0)  # c: the partial sums of a level
     z[:, 0] = c[:, 0] / a0

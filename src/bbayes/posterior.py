@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri_exp
 
 from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
-from .passes import highest_feasible, improper_laplace
+from .passes import block_minima, highest_feasible, improper_laplace
 from .priors import (
     BrownianStartPrior,
     FinitePrior,
@@ -172,6 +172,8 @@ def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
     """x with density proportional to e^{r x} on [u, w] by inversion of uniforms q; r is a scalar or an array."""
+    if np.ndim(r) == 0:  # one rate, one branch: the caller's errstate covers it
+        return u + q * (w - u) if r == 0.0 else (w if r > 0.0 else u) + np.log1p(q * np.expm1(-abs(r) * (w - u))) / r
     with np.errstate(divide="ignore", invalid="ignore"):  # each branch is computed on every row
         x = np.where(r > 0.0, w, u) + np.log1p(q * np.expm1(-np.abs(r) * (w - u))) / r
         return np.where(r == 0.0, u + q * (w - u), x)
@@ -180,6 +182,8 @@ def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
 def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
     """Log of the integral of e^{r x} over [u, w], r a scalar or an array; -inf where the segment is empty."""
     d = np.maximum(w - u, 0.0)
+    if np.ndim(r) == 0:  # one rate, one branch: the caller's errstate covers it
+        return np.log(d) if r == 0.0 else np.log(-np.expm1(-abs(r) * d)) + (r * (w if r > 0.0 else u) - np.log(abs(r)))
     with np.errstate(divide="ignore", invalid="ignore"):  # each branch is computed on every row
         tilted = np.log(-np.expm1(-np.abs(r) * d)) + (r * np.where(r > 0.0, w, u) - np.log(np.abs(r)))
         return np.where(r == 0.0, np.log(d), tilted)
@@ -226,7 +230,7 @@ def truncated_level_log_evidence(
     m = 1 << (level + 1)
     if mins.size % m:
         raise ValueError("grid size must be divisible by the block count")
-    blocks = mins.reshape(m, -1).min(axis=1)
+    blocks = block_minima(mins, level)
     s2 = scale * scale
     n = intensity
     return float(np.sum(n * n * s2 / (2.0 * m) + log_ndtr((blocks - n * s2) / (scale * math.sqrt(m)))))
@@ -266,7 +270,7 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     mu = n * s * s
     # per level j: block standard deviation and standardized block bounds
     sds = [s * math.sqrt(2 << j) for j in range(prior.j_cap + 1)]
-    alphas = [(mins.reshape(2 << j, -1).min(axis=1) - mu) / sd for j, sd in enumerate(sds)]
+    alphas = [(block_minima(mins, j) - mu) / sd for j, sd in enumerate(sds)]
     # the 2^{j+1} block uniforms of every draw, in draw order, then one fill per level
     blocks = 2 << levels
     q = rng.random(int(blocks.sum()))

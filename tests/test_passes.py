@@ -1,18 +1,22 @@
 """The exact passes over a prior's bins and Haar tree: the Haar-tree walk against synthesis, the small-ball
-quadratures' convergence in the cell width, and the highest feasible state of a uniform prior."""
+quadratures against the per-bin walk and pinned values and in the cell width, and the highest feasible state of a
+uniform prior."""
 
 import math
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from bbayes import (
     CoefficientDistribution,
     GridFunction,
     PointPattern,
     PriorSpec,
+    WaveletCoefficients,
     build_prior,
+    haar_synthesis,
     holder_test_function,
     run_small_ball_study,
     simulate_ppp,
@@ -71,6 +75,83 @@ def test_brownian_transfer_operator_converges_as_the_square_of_the_cell_width():
     assert -math.log(p) == pytest.approx((4.0 * neg_log_p[3] - neg_log_p[2]) / 3.0, rel=1e-2)
     # std_error is the change of the Richardson value from 1 and 2 cells per sd
     assert se == pytest.approx(p * abs(math.log(p) + (4.0 * neg_log_p[1] - neg_log_p[0]) / 3.0), rel=1e-12)
+
+
+def _per_bin_log_p(target, eps, cells):
+    # brownian_log_p as one convolution per bin, the walk that its runs of equal increments square
+    m, t = target.size, target.tolist()
+    sd, d = 1.0 / math.sqrt(m), 2.0 * eps / cells
+    w = np.diff(ndtr((t[0] - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
+    log_p, shift = 0.0, None
+    for k in range(m):
+        if k:
+            if t[k] - t[k - 1] != shift:
+                shift = t[k] - t[k - 1]
+                lo = max(1 - cells, min(0, math.ceil((-8.0 * sd - shift) / d)))
+                hi = min(cells - 1, max(0, math.floor((8.0 * sd - shift) / d)))
+                kernel = np.diff(ndtr((shift + (np.arange(lo, hi + 2) - 0.5) * d) / sd))
+            w = np.convolve(w, kernel)[-lo : cells - lo]
+        s = float(w.sum())
+        if s <= 0.0:
+            return -math.inf
+        log_p += math.log(s)
+        w /= s
+    return log_p
+
+
+def _refined(values):
+    return GridFunction(int(math.log2(len(values))), np.array(values)).refine(12).values
+
+
+@pytest.mark.parametrize("target,eps,cells", [
+    *((np.zeros(4096), e, c) for e, c in [(1.0, 128), (1.0, 256), (1.0, 512), (0.25, 32), (0.25, 64), (0.25, 128)]),
+    (holder_test_function(1.0, 1.0, "hat", 12).values, 0.5, 64),  # 3 runs: up, one bin of 0, down
+    (holder_test_function(1.0, 1.0, "cusp", 12).values, 0.5, 256),
+    (_refined(np.random.default_rng(3).uniform(-0.2, 0.2, 16)), 0.5, 64),  # 16 runs of 255 bins at 0, 15 jumps
+    (_refined(np.random.default_rng(3).uniform(-0.2, 0.2, 16)), 0.5, 256),  # the same runs, too short to square
+    (holder_test_function(1.0, 1.0, "smooth", 12).values, 0.5, 64),  # no two increments equal
+    (10.0 * np.arange(4096), 0.25, 64),  # each window far above the last: a run that loses the mass
+    (_refined([0.0, 5.0]), 0.25, 64),  # one jump that loses it
+], ids=["zero-1-128", "zero-1-256", "zero-1-512", "zero-.25-32", "zero-.25-64", "zero-.25-128", "hat", "cusp",
+        "grid4-64", "grid4-256", "smooth", "ramp", "jump"])
+def test_brownian_runs_match_the_per_bin_walk(target, eps, cells):
+    # a run of equal increments is the power of one transfer matrix, squared up: the same log P to rounding
+    expected, log_p = _per_bin_log_p(target, eps, cells), brownian_log_p(target, eps, cells)
+    if np.all(np.diff(target, 2) != 0.0) or expected == -math.inf:
+        assert log_p == expected  # no run to square, or no mass: the same bits
+    else:
+        assert log_p == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _weierstrass(j_max, grid_level):
+    # the decentred small-ball target of the benchmark: detail 1.4 * 2^-j at every node of level j
+    return haar_synthesis(WaveletCoefficients(0.0, tuple(np.full(1 << j, 1.4 * 2.0**-j) for j in range(j_max + 1))),
+                          grid_level).values
+
+
+_PINNED = {  # haar_log_p with one lattice over the whole range of h at every node
+    ("gaussian", "weierstrass"): [-12.500524473913611, -12.522632487882221, -12.528166962646328,
+                                  -32.30101771795741, -32.363656287481255, -32.37940700011713],
+    ("laplace", "weierstrass"): [-12.13190652520656, -12.14250137717342, -12.143944585408187,
+                                 -27.89909183542231, -27.91327023883217, -27.917417428167223],
+    ("gaussian", "cusp"): [-14.770620495141756, -7.3012528283140625],
+    ("laplace", "cusp"): [-15.462941036229878, -8.011631365445409],
+    ("uniform", "cusp"): [-10.988776276475322, -4.830513805045698],
+}
+
+
+@pytest.mark.parametrize("kind,target", list(_PINNED))
+def test_haar_log_p_keeps_its_values(kind, target):
+    # each node sums only over its own lattice range, where the message can be nonzero: the same log P to rounding
+    if target == "weierstrass":
+        spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=4, grid_level=8)
+        h, runs = _weierstrass(4, 8), [(e, c) for e in (1.7, 1.0) for c in (32, 64, 128)]
+    else:
+        spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=3, grid_level=6)
+        h, runs = holder_test_function(0.5, 1.0, "cusp", 6).values, [(0.3, 64), (0.6, 64)]
+    prior = build_prior(spec)
+    log_p = [haar_log_p(prior, h, eps, cells) for eps, cells in runs]
+    assert log_p == pytest.approx(_PINNED[kind, target], rel=1e-12, abs=0.0)
 
 
 def test_highest_feasible_uniform_state():
