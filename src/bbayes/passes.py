@@ -1,8 +1,9 @@
 """Exact passes over a prior's Markov structure, which draw no random numbers: the small-ball quadratures, and the
-Haar-tree passes that refuse or start a wavelet chain.  ``brownian_log_p`` walks the Brownian prior's bins; each
-pass up a wavelet series' Haar tree is one ``haar_fold``.  The tree's leaves are the 2**(j_max+1) finest blocks;
-the even and odd columns of level j+1's ``(rows, 2**(j+1))`` array are the children of level j's nodes, where a
-detail z moves the partial sum s to s + A_j z (left) and s - A_j z (right), A_j = 2^{j/2} a_j; the root's is a_0 z_0.
+Haar-tree passes that refuse, start or bound a wavelet chain.  ``brownian_log_p`` walks the Brownian prior's bins;
+a pass up a wavelet series' Haar tree that reads its steps A_j is one ``haar_fold``.  The tree's leaves are the
+2**(j_max+1) finest blocks; the even and odd columns of level j+1's ``(rows, 2**(j+1))`` array are the children of
+level j's nodes, where a detail z moves the partial sum s to s + A_j z (left) and s - A_j z (right),
+A_j = 2^{j/2} a_j; the root's is a_0 z_0.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
-__all__ = ["haar_fold", "block_minima", "haar_log_p", "brownian_log_p", "richardson", "mixture_log_p",
+__all__ = ["haar_fold", "block_minima", "dyadic_minima", "haar_log_p", "brownian_log_p", "richardson", "mixture_log_p",
            "improper_laplace", "highest_feasible"]
 
 
@@ -34,6 +35,14 @@ def _level_step(prior, j: int) -> np.ndarray:
 def block_minima(values: np.ndarray, j_max: int) -> np.ndarray:
     """The minimum of each of the 2**(j_max+1) finest blocks of a series to level ``j_max``, over the last axis."""
     return values.reshape(*values.shape[:-1], 2 << j_max, -1).min(axis=-1)
+
+
+def dyadic_minima(leaves: np.ndarray) -> list:
+    """The minima of ``leaves`` over every dyadic interval of the last axis, one array per level, finest first."""
+    levels = [leaves]
+    while levels[-1].shape[-1] > 1:
+        levels.append(np.minimum(levels[-1][..., 0::2], levels[-1][..., 1::2]))
+    return levels
 
 
 def _mass(dist, lo, hi) -> np.ndarray:

@@ -36,13 +36,14 @@ import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri_exp
 
 from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
-from .passes import block_minima, highest_feasible, improper_laplace
+from .passes import block_minima, dyadic_minima, highest_feasible, improper_laplace
 from .priors import (
     BrownianStartPrior,
     FinitePrior,
     TruncatedWaveletPrior,
     WaveletSeriesPrior,
 )
+from .wavelets import synthesize_flat
 
 __all__ = [
     "PosteriorEnsemble",
@@ -228,9 +229,7 @@ def truncated_level_log_evidence(
     truncated-gaussian integrals.
     """
     m = 1 << (level + 1)
-    if mins.size % m:
-        raise ValueError("grid size must be divisible by the block count")
-    blocks = block_minima(mins, level)
+    blocks = block_minima(mins, level)  # a ValueError unless the m blocks divide the grid
     s2 = scale * scale
     n = intensity
     return float(np.sum(n * n * s2 / (2.0 * m) + log_ndtr((blocks - n * s2) / (scale * math.sqrt(m)))))
@@ -348,8 +347,8 @@ def _kept(steps: int, cost: int, budget: int) -> range:
 
 
 def _run_chain(states, keep: range) -> np.ndarray:
-    """The kept states among the first ``keep.stop`` of the iterator ``states`` of ``(c, m)`` chain states,
-    copied into one ``(c, kept, m)`` array."""
+    """The kept states among the first ``keep.stop`` of the iterator ``states`` of ``(c, w)`` chain states, at any
+    width w (bins or blocks), copied into one ``(c, kept, w)`` array."""
     for t, v in zip(range(keep.stop), states):
         if t == keep.start:
             out = np.empty((len(v), len(keep), v.shape[1]))
@@ -359,73 +358,62 @@ def _run_chain(states, keep: range) -> np.ndarray:
 
 
 def _wavelet_start(prior: WaveletSeriesPrior, mins, rngs):
-    """Feasible chain starts ``(z, v)``, latent and grid rows: a prior draw per chain on its generator, with z0
-    lowered until the draw is feasible, or the highest feasible state where that leaves the uniform support."""
-    a0 = float(prior.amplitudes[0])
+    """Feasible starts ``(z, v)``, latent rows and block values below the block minima ``mins``: each chain's prior draw
+    on its generator, z0 lowered until feasible, or the highest feasible state if that leaves the uniform support."""
     z = np.stack([prior.dist.sample(rng, size=prior.latent_dim) for rng in rngs])
-    v = prior.synthesize(z)
-    deficit = np.max(v - mins, axis=1)
-    shift = np.where(deficit > 0, deficit + 1e-9, 0.0)
-    z[:, 0] -= shift / a0
-    v -= shift[:, None]
+    deficit = np.max(synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1) - mins, axis=1)
+    z[:, 0] -= np.where(deficit > 0, deficit + 1e-9, 0.0) / prior.amplitudes[0]
     out = z[:, 0] < -prior.dist.scale
     if prior.dist.kind == "uniform" and out.any():
         z[out] = highest_feasible(prior, mins[out])[0]
-        v[out] = prior.synthesize(z[out])
-    return z, v
+    return z, synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
 
 
 def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
-    """Exact Gibbs over wavelet coefficients from the feasible ``start`` ``(z, v)``; yields chains' ``(c, m)`` values.
+    """Exact Gibbs over wavelet coefficients from the feasible ``start`` ``(z, v)``, below the ``(c, 2**(j_max+1))``
+    block minima ``mins``; yields the chains' ``(c, 2**(j_max+1))`` values on the finest blocks after each sweep.
 
-    Every full conditional is the coefficient prior restricted to an interval
-    (from the feasibility constraint) and, for the scaling coefficient only,
-    tilted by the likelihood factor e^{n_i a0 z0}, n_i the intensity of chain i
-    in the ``(c, 1)`` column n; both are sampled exactly, so there is no
-    step-size tuning and no rejection of stored states.  The detail
-    coefficients of one level have disjoint supports and no tilt, so given the
-    other levels they are independent: each sweep draws the scaling
-    coefficient, then every level j in one vector draw of its 2^j
-    coefficients, which is the coordinate scan's kernel.  A sweep costs
-    ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in
-    one array per sweep.  Updates skipped (coefficient left unchanged) because
-    float drift left an empty interval are added to ``skipped[i]``.
+    Every full conditional is the coefficient prior restricted to an interval (from the feasibility constraint) and,
+    for the scaling coefficient only, tilted by the likelihood factor e^{n_i a0 z0}, n_i the intensity of chain i in
+    the ``(c, 1)`` column n; both are sampled exactly, so there is no step-size tuning and no rejection of stored
+    states.  The detail coefficients of one level have disjoint supports and no tilt, so given the other levels they
+    are independent: each sweep draws the scaling coefficient, then every level j in one vector draw of its 2^j
+    coefficients, which is the coordinate scan's kernel.  A level-j interval is bounded by the slack ``mins - v`` on
+    the two halves of each support.  A sweep folds that slack up the Haar tree once (``passes.dyadic_minima``); a
+    move shifts each finer node by a constant, so the summed moves ``dv`` are carried down as one shift per node,
+    level j's slack is its fold less ``dv``, and ``v`` takes ``dv`` once, at the end of the sweep.  A sweep costs
+    ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in one array per sweep.  Updates skipped
+    (coefficient left unchanged) because float drift left an empty interval are added to ``skipped[i]``.
     """
     z, v = start
-    c = len(rngs)
-    a0 = float(prior.amplitudes[0])
+    c, a0 = len(rngs), float(prior.amplitudes[0])
     w = 2 if prior.dist.kind == "laplace" else 1  # uniforms per coefficient draw
-    # per level: coefficient slice and amplitudes, as in synthesize_flat
-    levels = [
-        (j, slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
-        for j in range(prior.j_max + 1)
-    ]
+    levels = [(slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
+              for j in range(prior.j_max + 1)]  # per level: coefficient slice and amplitudes, as in synthesize_flat
     sweep, u = 0, np.empty((c, w * prior.latent_dim))
     while True:
         for rng, row in zip(rngs, u):
             rng.random(out=row)
-        hi = z[:, :1] + np.min(mins - v, axis=1, keepdims=True) / a0
-        z0 = _sample_coefficients_interval(prior.dist, u[:, :w], -math.inf, hi, n * a0)
-        v += (z0 - z[:, :1]) * a0
+        root, *folds = dyadic_minima(mins - v)[::-1]  # the slack of the root, then of level j's children
+        z0 = _sample_coefficients_interval(prior.dist, u[:, :w], -math.inf, z[:, :1] + root / a0, n * a0)
+        dv = (z0 - z[:, :1]) * a0  # the sweep's shift so far, one per node of the level to draw
         z[:, :1] = z0
-        for j, sl, a in levels:
+        for (sl, a), fold in zip(levels, folds):
             # slack on the left (sign +) and right (sign -) half of each support
-            slack = (mins - v).reshape(c, 1 << j, 2, -1).min(axis=3)
-            hi = z[:, sl] + slack[:, :, 0] / a
-            lo = z[:, sl] - slack[:, :, 1] / a
+            slack = fold.reshape(c, -1, 2) - dv[:, :, None]
+            hi, lo = z[:, sl] + slack[:, :, 0] / a, z[:, sl] - slack[:, :, 1] / a
             empty = hi < lo  # guard against accumulated rounding
             if empty.any():
                 skipped[:] += empty.sum(axis=1)
                 lo, hi = np.where(empty, z[:, sl], lo), np.where(empty, z[:, sl], hi)
             z_new = _sample_coefficients_interval(prior.dist, u[:, w * sl.start : w * sl.stop], lo, hi, 0.0)
-            d = ((z_new - z[:, sl]) * a)[:, :, None]
-            halves = v.reshape(c, 1 << j, 2, -1)
-            halves[:, :, 0] += d
-            halves[:, :, 1] -= d
+            d = (z_new - z[:, sl]) * a
+            dv = np.stack([dv + d, dv - d], axis=2).reshape(c, -1)
             z[:, sl] = z_new
+        v += dv
         sweep += 1
         if sweep % 64 == 0:  # refresh against float drift of incremental updates
-            v = prior.synthesize(z)
+            v = synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
         yield v
 
 
@@ -535,7 +523,8 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
     after ``check_sampler``; ``budget`` counts draws or site updates.
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
-    ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0.  A wavelet
+    ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
+    block stores its states on the level's finest blocks, repeated to the grid as each cell's ensemble is built.  A
     cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
     an improper laplace posterior (``passes.improper_laplace``), no feasible state in the uniform support
     (``passes.highest_feasible``) or no level weight > 0.  Every other sampler runs cell by cell, yielding each
@@ -570,8 +559,9 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
             if cells.size:
                 keep = _kept(max(1, budget // len(levels)), level.latent_dim, budget)
                 block_skipped, block_rngs = np.zeros(cells.size, dtype=int), [rngs[i] for i in cells]
-                start = _wavelet_start(level, mins[cells], block_rngs)
-                chains = _gibbs_wavelet(level, mins[cells], n[cells, None], block_rngs, start, block_skipped)
+                block_mins = block_minima(mins[cells], level.j_max)
+                start = _wavelet_start(level, block_mins, block_rngs)
+                chains = _gibbs_wavelet(level, block_mins, n[cells, None], block_rngs, start, block_skipped)
                 values = _run_chain(chains, keep)
                 skipped[cells] += block_skipped
                 for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
@@ -585,7 +575,8 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
             yield DegeneratePosteriorError(cause or "no level produced feasible states")
         else:
             log_weights = np.concatenate([np.full(len(v), w) for v, w in cell])
-            yield PosteriorEnsemble(prior.grid_level, np.concatenate([v for v, _ in cell]), log_weights, meta)
+            values = np.concatenate([np.repeat(v, (1 << prior.grid_level) // v.shape[1], axis=1) for v, _ in cell])
+            yield PosteriorEnsemble(prior.grid_level, values, log_weights, meta)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):

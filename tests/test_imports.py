@@ -5,8 +5,10 @@ exempt), no module may reach into a sibling for a ``_``-prefixed name, every
 name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
 a caller in the package, every function parameter must be read, no private
 posterior kernel may take the point pattern, only ``posterior.py`` may compare
-a sampler name, ``import bbayes`` must not load ``scipy.stats``, and every name
-the benchmark under ``perfbench/`` imports from ``bbayes`` must exist.
+a sampler name, only ``passes.py`` and ``wavelets.py`` may slice a Haar tree's
+even and odd children, ``import bbayes`` must not load ``scipy.stats``, and
+every name the benchmark under ``perfbench/`` imports from ``bbayes`` must
+exist.
 """
 
 import ast
@@ -132,6 +134,14 @@ def test_sampler_names_are_compared_only_in_posterior():
                 elsewhere.append(f"{path.name}:{node.lineno}: {', '.join(sorted(compared))}")
     assert found, "no sampler-name comparison found in posterior.py"
     assert not elsewhere, elsewhere
+
+
+def test_haar_tree_slicing_lives_in_passes_and_wavelets():
+    # a walk over the Haar tree's even and odd children is a pass of passes.py or a map of wavelets.py; a sampler
+    # with slicing of its own keeps a second tree layout beside theirs
+    found = {path.name for path in MODULES if "0::2" in path.read_text() or "1::2" in path.read_text()}
+    assert {"passes.py", "wavelets.py"} <= found, found
+    assert found <= {"passes.py", "wavelets.py"}, found
 
 
 def test_import_does_not_load_scipy_stats():

@@ -35,7 +35,7 @@ from bbayes import (
 )
 import bbayes.posterior as posterior_module
 from bbayes.grid import integral
-from bbayes.passes import improper_laplace
+from bbayes.passes import block_minima, improper_laplace
 from bbayes.posterior import (
     _exp_segment_log_mass,
     _kept,
@@ -423,6 +423,75 @@ def test_gibbs_wavelet_agrees_with_importance(kind):
         assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch), (left, right)
 
 
+def _per_bin_gibbs_wavelet(prior, mins, n, rngs, start, skipped):
+    """Reference: the wavelet Gibbs sweep on every bin of the grid, each level's slack re-read from ``mins - v``."""
+    z, v = start
+    c, a0, w = len(rngs), float(prior.amplitudes[0]), 2 if prior.dist.kind == "laplace" else 1
+    levels = [(j, slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
+              for j in range(prior.j_max + 1)]
+    sweep, u = 0, np.empty((c, w * prior.latent_dim))
+    while True:
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        hi = z[:, :1] + np.min(mins - v, axis=1, keepdims=True) / a0
+        z0 = _sample_coefficients_interval(prior.dist, u[:, :w], -math.inf, hi, n * a0)
+        v += (z0 - z[:, :1]) * a0
+        z[:, :1] = z0
+        for j, sl, a in levels:
+            slack = (mins - v).reshape(c, 1 << j, 2, -1).min(axis=3)
+            hi, lo = z[:, sl] + slack[:, :, 0] / a, z[:, sl] - slack[:, :, 1] / a
+            empty = hi < lo
+            skipped[:] += empty.sum(axis=1)
+            lo, hi = np.where(empty, z[:, sl], lo), np.where(empty, z[:, sl], hi)
+            z_new = _sample_coefficients_interval(prior.dist, u[:, w * sl.start : w * sl.stop], lo, hi, 0.0)
+            halves = v.reshape(c, 1 << j, 2, -1)
+            halves[:, :, 0] += ((z_new - z[:, sl]) * a)[:, :, None]
+            halves[:, :, 1] -= ((z_new - z[:, sl]) * a)[:, :, None]
+            z[:, sl] = z_new
+        sweep += 1
+        if sweep % 64 == 0:
+            v = prior.synthesize(z)
+        yield v
+
+
+@pytest.mark.parametrize(
+    "kind,j_max,grid_level",
+    [(kind, j_max, level) for kind in ("gaussian", "laplace", "uniform") for j_max, level in ((2, 5), (3, 4))]
+    + [("truncated", 1, 4)],
+)
+def test_block_kernel_tracks_the_per_bin_level_loop(kind, j_max, grid_level):
+    # the kernel on the finest blocks, with one slack fold per sweep and each level's moves carried down as a
+    # shift, against the per-bin loop from one start and one set of generators: 130 sweeps cross two refreshes,
+    # both draw the same uniforms in the same order, and the states differ only by rounding
+    if kind == "truncated":
+        spec = PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("laplace"), j_cap=3,
+                         grid_level=grid_level)
+        prior = build_prior(spec).level_prior(j_max)
+    else:
+        spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=j_max,
+                         grid_level=grid_level)
+        prior = build_prior(spec)
+    f0, ns = holder_test_function(1.0, 1.0, "cusp", grid_level), np.array([[0.5], [20.0], [60.0]])
+    mins = np.stack([bin_minima(simulate_ppp(f0, n, 2.0, np.random.default_rng(50 + i)), grid_level)
+                     for i, n in enumerate(ns[:, 0])])
+    assert not improper_laplace(prior, mins, ns[:, 0]).any()
+    block_mins, width = block_minima(mins, j_max), 1 << (grid_level - j_max - 1)  # width: bins per block
+    rngs = [np.random.default_rng(60 + i) for i in range(len(mins))]
+    z, v = posterior_module._wavelet_start(prior, block_mins, rngs)
+    ref_rngs = [np.random.default_rng() for _ in rngs]
+    for ref, rng in zip(ref_rngs, rngs):
+        ref.bit_generator.state = rng.bit_generator.state
+    skipped, ref_skipped = np.zeros(len(mins), dtype=int), np.zeros(len(mins), dtype=int)
+    blocks = posterior_module._gibbs_wavelet(prior, block_mins, ns, rngs, (z.copy(), v.copy()), skipped)
+    bins = _per_bin_gibbs_wavelet(prior, mins, ns, ref_rngs, (z.copy(), np.repeat(v, width, axis=1)), ref_skipped)
+    for sweep, state, ref in zip(range(130), blocks, bins):
+        assert state.shape == (len(mins), 2 << j_max)
+        assert np.all(state <= block_mins), sweep
+        assert np.max(np.abs(np.repeat(state, width, axis=1) - ref)) <= 1e-10, sweep
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    assert skipped.tolist() == ref_skipped.tolist()
+
+
 def test_gibbs_brownian_agrees_with_importance():
     f0, pattern = _pattern(n=2.0, grid_level=4)
     prior = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
@@ -483,10 +552,19 @@ def test_finite_prior_mcmc_draws_the_exact_posterior_under_unequal_weights():
     assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(ens)), (freq, p)
 
 
-def test_mcmc_stores_the_scheduled_states():
+def test_mcmc_stores_the_scheduled_states(monkeypatch):
     # a fifth of the sweeps is burn-in and stored sweeps are max(1, budget // 10_000) site updates apart,
-    # from the total budget also for the truncated prior's per-level chains
+    # from the total budget also for the truncated prior's per-level chains; a Brownian block stores its states
+    # on the 16 bins, a wavelet block on its level's 2**(j_max+1) finest blocks, never on the bins
     f0, pattern = _pattern(n=2.0, grid_level=4)
+    stored, run_chain = [], posterior_module._run_chain  # the (chains, kept, width) shape of each block stored
+
+    def spy(states, keep):
+        values = run_chain(states, keep)
+        stored.append(values.shape)
+        return values
+
+    monkeypatch.setattr(posterior_module, "_run_chain", spy)
     gaussian = CoefficientDistribution("gaussian")
     priors = {
         "brownian": build_prior(PriorSpec(variant="brownian_start", grid_level=4)),
@@ -500,10 +578,14 @@ def test_mcmc_stores_the_scheduled_states():
         "truncated": (6, 1_167, 9_332),
         "finite": (1, 4_000, 8_000),
     }
+    widths = {"brownian": [16], "wavelet": [8], "truncated": [2, 4, 8], "finite": []}
     for name, prior in priors.items():
         for budget, rows in zip((1, 5_000, 100_000), expected[name]):
+            stored.clear()
             ens = mcmc_posterior(prior, pattern, steps=budget, rng=np.random.default_rng(budget))
             assert len(ens) == rows, (name, budget)
+            assert [width for _, _, width in stored] == widths[name], (name, budget)
+            assert sum(kept for _, kept, _ in stored) == (rows if stored else 0), (name, budget)
             assert ens.validate_against(pattern)
             # a Brownian sweep costs 2m = 32 site updates, and at least 2 sweeps run
             steps = {1: 64, 5_000: 4_992}.get(budget, budget) if name == "brownian" else budget
