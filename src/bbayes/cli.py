@@ -44,7 +44,7 @@ from .harness import (
     run_rate_study,
     run_small_ball_study,
 )
-from .posterior import DegeneratePosteriorError, check_sampler, sample_posterior
+from .posterior import SAMPLERS, DegeneratePosteriorError, check_sampler, sample_posterior
 from .priors import (
     build_prior,
     holder_test_function,
@@ -111,7 +111,7 @@ def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):
 @main.command()
 @click.option("--prior", "prior_file", type=click.Path(exists=True), required=True)
 @click.option("--pattern", "pattern_file", type=click.Path(exists=True), required=True)
-@click.option("--sampler", type=click.Choice(["importance", "mcmc", "exact"]), default="importance", show_default=True)
+@click.option("--sampler", type=click.Choice(SAMPLERS), default="importance", show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True, help="draws or MCMC steps")
 @click.option("--f0", "f0_file", type=click.Path(exists=True), default=None, help="reference boundary for the summary")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -266,17 +266,21 @@ def _test_function(config_path: str, kv: dict, prefix: str, grid_level: int, bet
         raise click.UsageError(f"bad config in {config_path}: {prefix}: {exc}") from None
 
 
-def _run_study(config_path: str, kv: dict, study):
+def _run_study(config_path: str, kv: dict, study, out: str, summary) -> None:
     """``study()``, whose arguments have popped from ``kv`` every key they read: a key left in ``kv`` or a value
-    the study rejects is a usage error, a study it refuses an error."""
+    the study rejects is a usage error, a study it refuses an error.  Writes the report to ``out``, echoes
+    ``summary(report)`` and exits with ``emit_report``'s code."""
     if kv:
         raise click.UsageError(f"config keys that the study does not read, in {config_path}: {', '.join(sorted(kv))}")
     try:
-        return study()
+        report = study()
     except StudyConfigError as exc:
         raise click.UsageError(f"bad config in {config_path}: {exc}")
     except StudyError as exc:
         raise click.ClickException(str(exc))
+    code = emit_report(report, out)
+    click.echo(summary(report))
+    sys.exit(code)
 
 
 @main.command("rate-study")
@@ -300,12 +304,8 @@ def rate_study(config_path, seed, out, threads):
         seed=_get(kv, "seed", int, 0),
         slope_tol=_get(kv, "slope_tol", float, 0.15),
     )
-    report = _run_study(config_path, kv, lambda: run_rate_study(cfg(), threads=threads))
-    code = emit_report(report, out)
-    click.echo(
-        f"slope={report.slope:.4f} theory={report.theory} margin={report.margin} passed={report.passed}"
-    )
-    sys.exit(code)
+    _run_study(config_path, kv, lambda: run_rate_study(cfg(), threads=threads), out, lambda report: (
+        f"slope={report.slope:.4f} theory={report.theory} margin={report.margin} passed={report.passed}"))
 
 
 @main.command("small-ball")
@@ -318,15 +318,12 @@ def small_ball(config_path, out):
     h = GridFunction.constant(0.0, spec.grid_level)
     if "h.kind" in kv:
         h = _test_function(config_path, kv, "h", spec.grid_level, 1.0 if beta is None else beta)
-    report = _run_study(config_path, kv, partial(
+    _run_study(config_path, kv, partial(
         run_small_ball_study, spec, h,
         _get(kv, "eps_grid", _floats, (1.0, 0.8, 0.6, 0.5, 0.4, 0.3)),
         beta=beta,
         tol=_get(kv, "tol", float, 0.3),
-    ))
-    code = emit_report(report, out)
-    click.echo(f"slope={report.slope:.4f} theory={report.theory} passed={report.passed}")
-    sys.exit(code)
+    ), out, lambda report: f"slope={report.slope:.4f} theory={report.theory} passed={report.passed}")
 
 
 @main.command("decay-study")
@@ -337,7 +334,7 @@ def small_ball(config_path, out):
 def decay_study(config_path, seed, out, threads):
     """Posterior-mass decay study for the one-sided excess (exit 2 on non-monotone medians)."""
     kv, spec = _study_kv(config_path, seed)
-    report = _run_study(config_path, kv, partial(
+    _run_study(config_path, kv, partial(
         run_posterior_decay_study, spec,
         _test_function(config_path, kv, "f0", spec.grid_level),
         _get(kv, "r", float, 0.2),
@@ -347,10 +344,7 @@ def decay_study(config_path, seed, out, threads):
         sampler=_get(kv, "sampler", str, "mcmc"),
         budget=_get(kv, "budget", int, 3000),
         threads=threads,
-    ))
-    code = emit_report(report, out)
-    click.echo(f"median masses: {report.median_mass} passed={report.passed}")
-    sys.exit(code)
+    ), out, lambda report: f"median masses: {report.median_mass} passed={report.passed}")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ mixture of its level priors.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,7 @@ import numpy as np
 from .grid import GridFunction, bin_minima, simulate_ppp
 from .passes import brownian_log_p, mixture_log_p, richardson
 from .posterior import (
+    ERROR_METRICS,
     PosteriorEnsemble,
     check_sampler,
     mass_lower_excess,
@@ -72,8 +74,13 @@ class StudyConfigError(ValueError):
     """A study config value that the study rejects; raised before any work starts."""
 
 
-def _check_sampler(sampler: str, budget: int, spec: PriorSpec) -> None:
-    """``check_sampler`` on the prior of ``spec``, its ValueError raised as StudyConfigError."""
+def _check_cells(replicates: int, least: int, sampler: str, budget: int, spec: PriorSpec) -> None:
+    """StudyConfigError unless ``replicates`` is an integer >= ``least``, or if ``check_sampler`` on the prior of
+    ``spec`` raises a ValueError."""
+    if not isinstance(replicates, numbers.Integral):
+        raise StudyConfigError(f"replicates must be an integer, got {replicates!r}")
+    if replicates < least:
+        raise StudyConfigError(f"replicates must be >= {least}, got {replicates}")
     try:
         check_sampler(build_prior(spec), sampler, budget)
     except ValueError as exc:
@@ -151,10 +158,8 @@ class RateStudyConfig:
 
     def __post_init__(self) -> None:
         n_grid = _check_grid("n_grid", self.n_grid, 4, False)
-        if self.replicates < 10:
-            raise StudyConfigError(f"replicates must be >= 10, got {self.replicates}")
-        _check_sampler(self.sampler, self.budget, self.prior)
-        if self.error_metric not in ("l1", "lower_part", "upper_part"):
+        _check_cells(self.replicates, 10, self.sampler, self.budget, self.prior)
+        if self.error_metric not in ERROR_METRICS:
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
         if not 0.0 <= self.slope_tol < math.inf:
             raise StudyConfigError(f"slope_tol must be nonnegative and finite, got {self.slope_tol!r}")
@@ -238,14 +243,16 @@ def _study_cells(spec, f0, ceiling, sampler, budget, functional, seed, cells):
     return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else str(ens) for ens in ensembles]
 
 
-def _run_cells(block, n_grid, replicates: int, threads: int):
-    """``block(cells)`` over the (i_n, n, rep) cells of every n of the grid, as an (n, replicate) object array.
+def _run_cells(spec, f0, sampler, budget, functional, seed, n_grid, replicates: int, threads: int):
+    """(grid, ceiling): ``functional(ensemble, f0)`` of every (i_n, n, rep) cell, as an (n, replicate) float array
+    with NaN at an excluded cell, and the ceiling that ``calibrate_ceiling`` sets on the study's own generator.
 
     Each cell runs on its own ``SeedSequence`` generator, so neither ``threads`` nor the block changes a result.
-    With ``threads > 1`` the cell list is cut into ``threads`` contiguous blocks, one process task each, and
-    ``block`` must be picklable.  Degenerate cells hold None; more than ``MAX_EXCLUSION_FRAC`` of them, or every
-    cell of one n, is a StudyError that names each cause with its count.
+    With ``threads > 1`` the cell list is cut into ``threads`` contiguous blocks, one process task each.  More than
+    ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names each cause and count.
     """
+    ceiling = calibrate_ceiling(build_prior(spec), f0, np.random.default_rng(np.random.SeedSequence((seed, 0xCE11))))
+    block = partial(_study_cells, spec, f0, ceiling, sampler, budget, functional, seed)
     cells = [(i_n, n, rep) for i_n, n in enumerate(n_grid) for rep in range(replicates)]
     if threads > 1:
         blocks = [cells[len(cells) * i // threads : len(cells) * (i + 1) // threads] for i in range(threads)]
@@ -255,9 +262,9 @@ def _run_cells(block, n_grid, replicates: int, threads: int):
         values = block(cells)
     causes = Counter(v for v in values if isinstance(v, str))
     why = ", ".join(f"{count} x {cause!r}" for cause, count in causes.items())
-    grid = np.array([None if isinstance(v, str) else v for v in values], dtype=object).reshape(len(n_grid), -1)
+    grid = np.array([math.nan if isinstance(v, str) else v for v in values]).reshape(len(n_grid), -1)
     exclusions = causes.total()
-    empty = [n for n, row in zip(n_grid, grid) if all(v is None for v in row)]
+    empty = [n for n, row in zip(n_grid, grid) if np.isnan(row).all()]
     if empty:
         raise StudyError(f"every cell degenerate at n = {empty}: {why}", exclusions=exclusions, total=grid.size)
     if exclusions > MAX_EXCLUSION_FRAC * grid.size:
@@ -266,23 +273,17 @@ def _run_cells(block, n_grid, replicates: int, threads: int):
             exclusions=exclusions,
             total=grid.size,
         )
-    return grid, exclusions
+    return grid, ceiling
 
 
 def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     """Posterior-error slope study over the intensity grid."""
-    f0 = cfg.f0()
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCE11)))
-    ceiling = calibrate_ceiling(build_prior(cfg.prior), f0, rng)
     metric = partial(posterior_median_metric, metric=cfg.error_metric)
-    block = partial(_study_cells, cfg.prior, f0, ceiling, cfg.sampler, cfg.budget, metric, cfg.seed)
-    grid, exclusions = _run_cells(block, cfg.n_grid, cfg.replicates, threads)
-    medians, q25, q75 = [], [], []
-    for row in grid:
-        vals = np.array([v for v in row if v is not None], dtype=float)
-        medians.append(float(np.median(vals)))
-        q25.append(float(np.quantile(vals, 0.25)))
-        q75.append(float(np.quantile(vals, 0.75)))
+    grid, ceiling = _run_cells(cfg.prior, cfg.f0(), cfg.sampler, cfg.budget, metric, cfg.seed, cfg.n_grid,
+                               cfg.replicates, threads)
+    rows = [row[~np.isnan(row)] for row in grid]
+    medians = [float(np.median(vals)) for vals in rows]
+    q25, q75 = ([float(np.quantile(vals, q)) for vals in rows] for q in (0.25, 0.75))
     slope, intercept = fit_loglog_slope(cfg.n_grid, medians)
     theory = theoretical_rate_exponent(cfg.prior, cfg.f0_beta)
     margin = None if theory is None else abs(slope - theory)
@@ -301,7 +302,7 @@ def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
         margin,
         cfg.slope_tol,
         passed,
-        exclusions,
+        int(np.isnan(grid).sum()),
         meta,
     )
 
@@ -450,22 +451,16 @@ def run_posterior_decay_study(
     Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
     The medians are compared in grid order, so the grid must increase.
     """
-    _check_sampler(sampler, budget, prior_spec)
+    _check_cells(replicates, 1, sampler, budget, prior_spec)
     n_grid = _check_grid("n_grid", n_grid, 2, False)
-    if replicates < 1:
-        raise StudyConfigError(f"replicates must be >= 1, got {replicates}")
     if not 0.0 < r < math.inf:
         raise StudyConfigError(f"r must be positive and finite, got {r!r}")
-    rng0 = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))
-    ceiling = calibrate_ceiling(build_prior(prior_spec), f0, rng0)
     mass = partial(mass_lower_excess, r=r)
-    block = partial(_study_cells, prior_spec, f0, ceiling, sampler, budget, mass, seed)
-    grid, exclusions = _run_cells(block, n_grid, replicates, threads)
-    masses = grid.astype(float)  # degenerate cells become nan
-    med = tuple(float(np.nanmedian(row)) for row in masses)
-    mean = tuple(float(np.nanmean(row)) for row in masses)
+    grid, ceiling = _run_cells(prior_spec, f0, sampler, budget, mass, seed, n_grid, replicates, threads)
+    med = tuple(float(np.nanmedian(row)) for row in grid)
+    mean = tuple(float(np.nanmean(row)) for row in grid)
     passed = all(b <= a + 1e-12 for a, b in zip(med, med[1:]))
-    return DecayStudyReport(n_grid, med, mean, passed, exclusions, {"r": r, "ceiling": ceiling})
+    return DecayStudyReport(n_grid, med, mean, passed, int(np.isnan(grid).sum()), {"r": r, "ceiling": ceiling})
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ row reduction, and ``samples`` is a ``GridFunction`` view of the rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,8 @@ __all__ = [
 _BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
 _EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
 _BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
+SAMPLERS = ("importance", "mcmc", "exact")  # the names of ``sample_cells``' samplers
+ERROR_METRICS = ("l1", "lower_part", "upper_part")  # the error metrics of ``posterior_median_metric``
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -505,12 +508,14 @@ _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which me
 
 
 def check_sampler(prior, sampler: str, budget: int) -> None:
-    """ValueError unless ``budget >= 1`` and the named sampler, 'importance', 'mcmc' or 'exact', applies to
+    """ValueError unless ``budget`` is an integer >= 1 and the named sampler, one of ``SAMPLERS``, applies to
     ``prior``; 'exact' needs the truncated wavelet prior with gaussian coefficients."""
+    if not isinstance(budget, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if sampler not in ("importance", "mcmc", "exact"):
-        raise ValueError(f"sampler must be 'importance', 'mcmc' or 'exact', got {sampler!r}")
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if sampler == "exact" and not (isinstance(prior, TruncatedWaveletPrior) and prior.dist.kind == "gaussian"):
         dist = getattr(prior, "dist", None)
         got = _VARIANT_NAMES.get(type(prior), "a finite prior") + (f" with {dist.kind} coefficients" if dist else "")
@@ -637,7 +642,7 @@ def posterior_mass(ens: PosteriorEnsemble, hits) -> float:
 
 def _errors(ens: PosteriorEnsemble, f0: GridFunction, metric: str) -> np.ndarray:
     """Per-sample integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids."""
-    if metric not in ("l1", "lower_part", "upper_part"):
+    if metric not in ERROR_METRICS:
         raise ValueError(f"unknown error metric {metric!r}")
     lvl = max(ens.grid_level, f0.grid_level)
     ref = f0.refine(lvl).values

@@ -20,6 +20,7 @@ from bbayes import (
 )
 from bbayes import harness
 from bbayes.harness import (
+    StudyConfigError,
     StudyError,
     calibrate_ceiling,
     emit_report,
@@ -126,6 +127,26 @@ def test_rate_study_config_validation():
         _tiny_rate_cfg(f0_kind="spike")  # checked before any work, not when the study builds f0
     with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
         _tiny_rate_cfg(budget=0)  # rejected before the ceiling is calibrated
+    with pytest.raises(ValueError, match="budget must be an integer, got 800.5"):
+        _tiny_rate_cfg(budget=800.5)  # not a TypeError once the ceiling is calibrated
+    with pytest.raises(ValueError, match="replicates must be an integer, got 10.5"):
+        _tiny_rate_cfg(replicates=10.5)
+
+
+def test_decay_study_config_validation(monkeypatch):
+    # each bad value is refused before any work: the ceiling is never calibrated
+    monkeypatch.setattr(harness, "calibrate_ceiling", None)
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    for kw, message in [
+        ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+        ({"replicates": 0}, "replicates must be >= 1, got 0"),
+        ({"budget": 600.5}, "budget must be an integer, got 600.5"),
+        ({"sampler": "rejection"}, "sampler must be one of"),
+        ({"r": 0.0}, "r must be positive and finite"),
+    ]:
+        args = {"prior_spec": _spec(), "f0": f0, "r": 0.3, "n_grid": (5.0, 20.0), "replicates": 4, "budget": 600} | kw
+        with pytest.raises(StudyConfigError, match=message):
+            run_posterior_decay_study(**args)
 
 
 def test_rate_study_report_structure_and_decrease():

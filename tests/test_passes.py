@@ -129,7 +129,8 @@ def _weierstrass(j_max, grid_level):
                           grid_level).values
 
 
-_PINNED = {  # haar_log_p with one lattice over the whole range of h at every node
+_PINNED = {  # haar_log_p with one lattice over the whole range of h at every node; zero and hat with per-offset row
+    # bounds on each node's own range
     ("gaussian", "weierstrass"): [-12.500524473913611, -12.522632487882221, -12.528166962646328,
                                   -32.30101771795741, -32.363656287481255, -32.37940700011713],
     ("laplace", "weierstrass"): [-12.13190652520656, -12.14250137717342, -12.143944585408187,
@@ -137,19 +138,30 @@ _PINNED = {  # haar_log_p with one lattice over the whole range of h at every no
     ("gaussian", "cusp"): [-14.770620495141756, -7.3012528283140625],
     ("laplace", "cusp"): [-15.462941036229878, -8.011631365445409],
     ("uniform", "cusp"): [-10.988776276475322, -4.830513805045698],
+    ("gaussian", "zero"): [-6.5315034350800385, -6.449865202224102, -6.429182438904066,
+                           -17.37010178689124, -17.290710976969223, -17.269384518965836],
+    ("gaussian", "hat"): [-148.11906433656364, -148.11834146713605, -148.11522657811634,
+                          -237.7965152158084, -237.82104522042272, -237.82513594861717],
 }
 
 
 @pytest.mark.parametrize("kind,target", list(_PINNED))
 def test_haar_log_p_keeps_its_values(kind, target):
-    # each node sums only over its own lattice range, where the message can be nonzero: the same log P to rounding
+    # each node holds its message on its own lattice range, 0 in its zero-padded frame off it: the same log P to
+    # rounding; the zero target shifts every node of a level alike (_framed's slice), the others mostly by node
+    dist = CoefficientDistribution(kind)
     if target == "weierstrass":
-        spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=4, grid_level=8)
+        prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=4, grid_level=8))
         h, runs = _weierstrass(4, 8), [(e, c) for e in (1.7, 1.0) for c in (32, 64, 128)]
+    elif target == "zero":  # the benchmark's gauss_centred part
+        prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=6, grid_level=8))
+        h, runs = np.zeros(256), [(e, c) for e in (0.7, 0.3) for c in (32, 64, 128)]
+    elif target == "hat":  # one level of a truncated prior: unit amplitudes to level 5
+        prior = build_prior(PriorSpec(variant="truncated_wavelet", dist=dist, j_cap=5, grid_level=8)).level_prior(5)
+        h, runs = holder_test_function(1.0, 1.0, "hat", 8).values, [(e, c) for e in (1.0, 0.25) for c in (32, 64, 128)]
     else:
-        spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=3, grid_level=6)
+        prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=3, grid_level=6))
         h, runs = holder_test_function(0.5, 1.0, "cusp", 6).values, [(0.3, 64), (0.6, 64)]
-    prior = build_prior(spec)
     log_p = [haar_log_p(prior, h, eps, cells) for eps, cells in runs]
     assert log_p == pytest.approx(_PINNED[kind, target], rel=1e-12, abs=0.0)
 

@@ -812,6 +812,8 @@ def test_degenerate_and_invalid_inputs():
         importance_posterior(good, pattern, 0, np.random.default_rng(23))
     with pytest.raises(ValueError):
         mcmc_posterior(good, pattern, steps=0)
+    with pytest.raises(ValueError, match="budget must be an integer, got 100.5"):
+        mcmc_posterior(good, pattern, steps=100.5)
     with pytest.raises(ValueError):
         mcmc_posterior(good, pattern, steps=10, step_scale=0.0)
     spec = PriorSpec(
