@@ -13,6 +13,7 @@ from .grid import (
     l1_distance,
     log_likelihood_ratio,
     positive_part_integral,
+    simulate_minima,
     simulate_ppp,
 )
 from .wavelets import WaveletCoefficients, haar_analysis, haar_synthesis

@@ -3,8 +3,8 @@
 A boundary function is stored piecewise-constant on ``2**grid_level`` equal
 bins of [0, 1].  All integrals, distances and feasibility checks below are
 exact for this representation.  The observed data are Poisson point patterns
-with intensity ``n * 1(f(x) <= y)``, simulated bin by bin (so grouped by bin) on
-the finite window ``{f(x) <= y <= ceiling}``; feasibility reads ``bin_minima``.
+with intensity ``n * 1(f(x) <= y)`` on the window ``{f(x) <= y <= ceiling}``,
+drawn as points (``simulate_ppp``) or as ``bin_minima`` (``simulate_minima``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "hellinger_distance_sq",
     "kl_divergence",
     "simulate_ppp",
+    "simulate_minima",
     "bin_minima",
     "constraint_satisfied",
     "log_likelihood_ratio",
@@ -238,6 +239,18 @@ def kl_divergence(f0: GridFunction, f: GridFunction, n: float) -> float:
 # observation model
 
 
+def _draw(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator):
+    """(gaps, counts, x-uniforms, y-uniforms), drawn in that order: the one draw record of both simulators."""
+    if not n > 0:
+        raise ValueError("n must be positive")
+    if ceiling < f.max():
+        raise ValueError(f"ceiling {ceiling!r} is below max f = {f.max()!r}")
+    gaps = ceiling - f.values
+    counts = rng.poisson(n * gaps / f.num_bins)
+    ux = rng.uniform(size=counts.sum())
+    return gaps, counts, ux, rng.uniform(size=ux.size)
+
+
 def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator) -> PointPattern:
     """Simulate the point process with intensity n*1(f(x) <= y), truncated at the ceiling.
 
@@ -247,16 +260,25 @@ def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Gener
     reads their order.  A ceiling below max f would empty the bins above it, a
     law other than the model's, so it is a ValueError.
     """
-    if not n > 0:
-        raise ValueError("n must be positive")
-    if ceiling < f.max():
-        raise ValueError(f"ceiling {ceiling!r} is below max f = {f.max()!r}")
-    m = f.num_bins
-    gaps = ceiling - f.values
-    bins = np.repeat(np.arange(m), rng.poisson(n * gaps / m))
-    xs = (bins + rng.uniform(size=bins.size)) / m
-    ys = f.values[bins] + rng.uniform(size=bins.size) * gaps[bins]
+    gaps, counts, ux, uy = _draw(f, n, ceiling, rng)
+    bins = np.repeat(np.arange(f.num_bins), counts)
+    # b + u rounds up to b + 1 if 1 - u <= half an ulp of b, <= b * 2**-53: u <= 1 - m * 2**-53 keeps x in bin b
+    xs = (bins + np.minimum(ux, 1.0 - f.num_bins * 2.0**-53)) / f.num_bins
+    ys = f.values[bins] + uy * gaps[bins]
     return PointPattern(n, ceiling, xs, ys)
+
+
+def simulate_minima(f: GridFunction, n: float, ceiling: float, grid_level: int, rng: np.random.Generator) -> np.ndarray:
+    """``bin_minima(simulate_ppp(f, n, ceiling, rng), grid_level)`` bit for bit from the same draws, with no points:
+    bin k's minimum is f_k + (its least y-uniform) * gap_k, as f_k + u * gap_k rounds monotonically in u.  A grid
+    finer than f's reads the x positions, so it simulates the pattern."""
+    if grid_level > f.grid_level:
+        return bin_minima(simulate_ppp(f, n, ceiling, rng), grid_level)
+    gaps, counts, _, uy = _draw(f, n, ceiling, rng)
+    hit = counts > 0
+    mins = np.full(f.num_bins, np.inf)
+    mins[hit] = f.values[hit] + np.minimum.reduceat(uy, (np.cumsum(counts) - counts)[hit]) * gaps[hit]
+    return mins.reshape(1 << grid_level, -1).min(axis=1)
 
 
 def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:

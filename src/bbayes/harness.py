@@ -4,8 +4,8 @@ posterior-mass decay, with deterministic CSV/SVG reports.
 Theoretical reference exponents are slope targets only; all unspecified
 multiplicative constants are absorbed by the log-log fit intercept.  Each
 (n, replicate) cell runs on its own generator, seeded from the master seed by
-``numpy.random.SeedSequence([seed, n_index, replicate])``.  All cells of a
-study, reduced to bin minima, go to the posterior layer's one dispatch
+``numpy.random.SeedSequence([seed, n_index, replicate])``.  Every cell's bin
+minima (``grid.simulate_minima``) go to the posterior layer's one dispatch
 (``sample_cells``) as one block at their own n's (a block per process with
 ``threads > 1``), each bit for bit as alone, so neither changes a result.
 Small-ball probabilities are quadratures that draw no random numbers: a
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction, bin_minima, simulate_ppp
+from .grid import GridFunction, simulate_minima
 from .passes import brownian_log_p, mixture_log_p, richardson
 from .posterior import (
     ERROR_METRICS,
@@ -74,9 +74,11 @@ class StudyConfigError(ValueError):
     """A study config value that the study rejects; raised before any work starts."""
 
 
-def _check_cells(replicates: int, least: int, sampler: str, budget: int, spec: PriorSpec) -> None:
-    """StudyConfigError unless ``replicates`` is an integer >= ``least``, or if ``check_sampler`` on the prior of
-    ``spec`` raises a ValueError."""
+def _check_cells(replicates: int, least: int, sampler: str, budget: int, spec: PriorSpec, seed: int) -> None:
+    """StudyConfigError unless ``replicates`` is an integer >= ``least`` and ``seed`` an integer >= 0, or if
+    ``check_sampler`` on the prior of ``spec`` raises a ValueError."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise StudyConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if not isinstance(replicates, numbers.Integral):
         raise StudyConfigError(f"replicates must be an integer, got {replicates!r}")
     if replicates < least:
@@ -158,7 +160,7 @@ class RateStudyConfig:
 
     def __post_init__(self) -> None:
         n_grid = _check_grid("n_grid", self.n_grid, 4, False)
-        _check_cells(self.replicates, 10, self.sampler, self.budget, self.prior)
+        _check_cells(self.replicates, 10, self.sampler, self.budget, self.prior, self.seed)
         if self.error_metric not in ERROR_METRICS:
             raise StudyConfigError(f"unknown error metric {self.error_metric!r}")
         if not 0.0 <= self.slope_tol < math.inf:
@@ -232,13 +234,13 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
 def _study_cells(spec, f0, ceiling, sampler, budget, functional, seed, cells):
     """``functional(ensemble, f0)`` of each ``(i_n, n, rep)`` cell of ``cells``, or the cause (a str) of its refusal.
 
-    Each cell simulates and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  The
-    patterns, reduced at once to bin minima, go to ``sample_cells`` as one block, each cell at its own n; each
-    ensemble is reduced as it is yielded, so a sampler that runs cell by cell holds one ensemble at a time.
+    Each cell draws its bin minima with no points (``simulate_minima``) and samples on its own generator,
+    ``default_rng(SeedSequence((seed, i_n, rep)))``.  The minima go to ``sample_cells`` as one block, each cell at
+    its own n; each ensemble is reduced as it is yielded, so a sampler that runs cell by cell holds one at a time.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for i_n, _, rep in cells]
     ns = [n for _, n, _ in cells]
-    mins = np.stack([bin_minima(simulate_ppp(f0, n, ceiling, rng), spec.grid_level) for n, rng in zip(ns, rngs)])
+    mins = np.stack([simulate_minima(f0, n, ceiling, spec.grid_level, rng) for n, rng in zip(ns, rngs)])
     ensembles = sample_cells(build_prior(spec), mins, ns, sampler, budget, rngs)
     return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else str(ens) for ens in ensembles]
 
@@ -451,7 +453,7 @@ def run_posterior_decay_study(
     Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
     The medians are compared in grid order, so the grid must increase.
     """
-    _check_cells(replicates, 1, sampler, budget, prior_spec)
+    _check_cells(replicates, 1, sampler, budget, prior_spec, seed)
     n_grid = _check_grid("n_grid", n_grid, 2, False)
     if not 0.0 < r < math.inf:
         raise StudyConfigError(f"r must be positive and finite, got {r!r}")

@@ -463,6 +463,21 @@ def test_small_ball_seed_option_is_usage_error(runner, tmp_path, prior_lines, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,lines",
+    [("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\n"), ("decay-study", "f0.kind = cusp\nn_grid = 5,20\n")],
+)
+def test_negative_config_seed_is_usage_error(runner, tmp_path, command, lines):
+    # --seed is an IntRange(min=0); a seed config key is checked by the study, before any work
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_BROWNIAN_4 + lines + "seed = -1\n")
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2  # a usage error that names the value, not a traceback from SeedSequence
+    assert "seed must be a nonnegative integer, got -1" in res.output
+    assert not out.exists()
+
+
 def test_seed_option_overrides_config(runner, tmp_path):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG.format(tol="0.9"))

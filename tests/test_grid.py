@@ -14,13 +14,16 @@ from bbayes import (
     h_statistic,
     hellinger_affinity,
     hellinger_distance_sq,
+    holder_test_function,
     integral,
     kl_divergence,
     l1_distance,
     log_likelihood_ratio,
     positive_part_integral,
+    simulate_minima,
     simulate_ppp,
 )
+from bbayes.grid import bin_minima
 
 
 def test_grid_function_validation():
@@ -165,6 +168,56 @@ def test_simulate_ppp_empty_window_and_determinism():
     a = simulate_ppp(f, 50.0, 2.0, np.random.default_rng(7))
     b = simulate_ppp(f, 50.0, 2.0, np.random.default_rng(7))
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+
+
+@pytest.mark.parametrize("level", [4, 8])
+@pytest.mark.parametrize("kind", ["hat", "smooth", "cusp"])
+def test_simulate_minima_is_bin_minima_of_simulate_ppp(kind, level):
+    # the same draws, reduced with no points: equal minima and equal generator states after, at n with empty
+    # bins and with dense ones, on grids coarser than f, at f's level and finer (which simulates the pattern)
+    f = holder_test_function(1.0, 1.0, kind, level)
+    ceiling = f.max() + 0.5
+    for n in (0.5, 30.0, 5000.0):
+        for grid_level in (level - 2, level, level + 1):
+            for seed in range(5):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = bin_minima(simulate_ppp(f, n, ceiling, a), grid_level)
+                assert np.array_equal(simulate_minima(f, n, ceiling, grid_level, b), expected)
+                assert a.bit_generator.state == b.bit_generator.state
+    flat = GridFunction.constant(0.5, 3)  # a ceiling at max f leaves an empty window and no points
+    a, b = np.random.default_rng(0), np.random.default_rng(0)
+    mins = simulate_minima(flat, 30.0, 0.5, 2, b)
+    assert np.array_equal(mins, bin_minima(simulate_ppp(flat, 30.0, 0.5, a), 2)) and np.all(np.isinf(mins))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+class _StubRng:
+    """Returns the given bin counts, then the given x- and y-uniforms, in the simulators' draw order."""
+
+    def __init__(self, counts, ux, uy):
+        self.draws = [np.array(counts), np.array(ux), np.array(uy)]
+
+    def poisson(self, lam):
+        assert len(self.draws) == 3
+        return self.draws.pop(0)
+
+    def uniform(self, size):
+        out = self.draws.pop(0)
+        assert out.size == size
+        return out
+
+
+def test_simulate_ppp_keeps_each_point_in_the_bin_it_was_drawn_in():
+    # b + u rounds to b + 1 for u = 1 - 2**-53 (b >= 1): the point would land in bin b + 1, below f there
+    f = GridFunction(3, np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    u = 1.0 - 2.0**-53
+    draws = ([0, 2, 0, 1, 0, 0, 0, 0], [u, 0.5, u], [0.0, 0.5, 0.0])
+    pattern = simulate_ppp(f, 1.0, 2.0, _StubRng(*draws))
+    assert np.floor(pattern.xs * 8).tolist() == [1, 1, 3]
+    assert np.all(pattern.ys >= f(pattern.xs)) and constraint_satisfied(f, pattern)
+    for grid_level in (1, 3):
+        expected = bin_minima(simulate_ppp(f, 1.0, 2.0, _StubRng(*draws)), grid_level)
+        assert np.array_equal(simulate_minima(f, 1.0, 2.0, grid_level, _StubRng(*draws)), expected)
 
 
 def test_void_probability_identity_single_config():

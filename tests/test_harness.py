@@ -131,6 +131,9 @@ def test_rate_study_config_validation():
         _tiny_rate_cfg(budget=800.5)  # not a TypeError once the ceiling is calibrated
     with pytest.raises(ValueError, match="replicates must be an integer, got 10.5"):
         _tiny_rate_cfg(replicates=10.5)
+    for seed in (1.5, -1):  # not a TypeError or ValueError from SeedSequence once the ceiling is calibrated
+        with pytest.raises(StudyConfigError, match=f"seed must be a nonnegative integer, got {seed}"):
+            _tiny_rate_cfg(seed=seed)
 
 
 def test_decay_study_config_validation(monkeypatch):
@@ -143,6 +146,8 @@ def test_decay_study_config_validation(monkeypatch):
         ({"budget": 600.5}, "budget must be an integer, got 600.5"),
         ({"sampler": "rejection"}, "sampler must be one of"),
         ({"r": 0.0}, "r must be positive and finite"),
+        ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+        ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
     ]:
         args = {"prior_spec": _spec(), "f0": f0, "r": 0.3, "n_grid": (5.0, 20.0), "replicates": 4, "budget": 600} | kw
         with pytest.raises(StudyConfigError, match=message):
@@ -466,6 +471,23 @@ def test_decay_study_mass_decreases_with_n():
     )
     assert report.median_mass[1] <= report.median_mass[0]
     assert report.to_csv().startswith("# decay study:")
+
+
+@pytest.mark.parametrize(
+    "f0_level,median,mean",
+    [
+        (2, (0.5333333333333333, 0.13333333333333333), (0.43333333333333335, 0.11666666666666667)),
+        (6, (0.4333333333333333, 0.36666666666666664), (0.44999999999999996, 0.36666666666666664)),
+    ],
+)
+def test_decay_study_keeps_its_values_for_an_f0_off_the_prior_grid(f0_level, median, mean):
+    # an f0 coarser than the prior's grid 4 makes the cells simulate their patterns, as the bin minima then read
+    # the x positions; a finer one folds its own bins' minima to the grid.  Values pinned before the cells drew
+    # their minima with no point arrays.
+    f0 = holder_test_function(1.0, 1.0, "cusp", f0_level)
+    report = run_posterior_decay_study(_spec(), f0, r=0.1, n_grid=(5.0, 40.0), replicates=4, seed=3, budget=600)
+    assert (report.median_mass, report.mean_mass, report.exclusions) == (median, mean, 0)
+    assert report.meta == {"r": 0.1, "ceiling": 4.450495339631054}
 
 
 # ---------------------------------------------------------------------------
