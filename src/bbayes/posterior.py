@@ -22,9 +22,10 @@ one Brownian block or one per level in a wavelet prior's ``levels()``, and
 every other sampler cell by cell, each cell bit for bit as alone;
 ``sample_posterior`` and the named samplers are its block of one cell.
 
-An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i, at
-the prior's grid level), ``log_weights`` and ``meta``; every functional is a
-row reduction, and ``samples`` is a ``GridFunction`` view of the rows.
+An ensemble is ``blocks`` (k x w, read-only, row i = sample i on the w equal
+blocks its sampler drew), ``log_weights`` and ``meta``; the error functionals
+read ``blocks``, and the grid view ``values`` (k x 2**grid_level) is built on
+first read.  ``samples`` is a ``GridFunction`` view of its rows.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri_exp
@@ -80,33 +82,43 @@ class DegeneratePosteriorError(RuntimeError):
 
 @dataclass(frozen=True)
 class PosteriorEnsemble:
-    """Weighted feasible boundary functions: row i of ``values`` is sample i (not copied if float64)."""
+    """Weighted feasible boundary functions: row i of ``blocks`` is sample i on w equal blocks (not copied if
+    float64), w a power of two that divides 2**grid_level; ``values`` holds the rows on the grid's bins."""
 
     grid_level: int
-    values: np.ndarray
+    blocks: np.ndarray
     log_weights: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or not len(values) or values.shape[1] != 1 << self.grid_level:
-            raise ValueError(f"values must be a nonempty (k, {1 << self.grid_level}) matrix, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
+        blocks = np.asarray(self.blocks, dtype=float)
+        if blocks.ndim != 2 or not len(blocks):
+            raise ValueError(f"blocks must be a nonempty (k, w) matrix, got shape {blocks.shape}")
+        if (w := blocks.shape[1]) & (w - 1) or not 0 < w <= 1 << self.grid_level:
+            raise ValueError(f"row width {w} is not a power of two <= 2**grid_level, grid_level {self.grid_level}")
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("blocks must be finite")
         lw = np.array(self.log_weights, dtype=float)
-        if lw.shape != (len(values),):
-            raise ValueError("values and log_weights must have equal length")
+        if lw.shape != (len(blocks),):
+            raise ValueError("blocks and log_weights must have equal length")
         if np.any(np.isnan(lw)) or np.any(lw == np.inf):
             raise ValueError("log_weights must be finite or -inf")
         if np.all(lw == -np.inf):
             raise ValueError("all log_weights are -inf")
-        values.flags.writeable = False
+        blocks.flags.writeable = False
         lw.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "log_weights", lw)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.blocks)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The read-only ``(k, 2**grid_level)`` rows on the grid's bins: ``blocks`` repeated, on first read."""
+        values = np.repeat(self.blocks, (1 << self.grid_level) // self.blocks.shape[1], axis=1)
+        values.flags.writeable = False
+        return values
 
     @property
     def samples(self):
@@ -125,7 +137,7 @@ class PosteriorEnsemble:
         return float(1.0 / np.sum(w**2))
 
     def validate_against(self, pattern: PointPattern) -> bool:
-        return bool(np.all(self.values <= bin_minima(pattern, self.grid_level)))
+        return bool(np.all(self.blocks <= bin_minima(pattern, self.blocks.shape[1].bit_length() - 1)))
 
     def summary_csv(self, f0: GridFunction | None = None) -> str:
         cols = "integral,weight" if f0 is None else "integral,l1_to_f0,weight"
@@ -262,9 +274,10 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     given the level, the block values are independent truncated gaussians tilted
     by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
     draw count.  After the level choice, one call draws one uniform per block value.
+    The ensemble stores every draw on the 2^{j_cap+1} blocks of the finest level.
     """
     s = prior.dist.scale
-    grid_m = 1 << prior.grid_level
+    width = 2 << prior.j_cap
     level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
@@ -277,16 +290,16 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     blocks = 2 << levels
     q = rng.random(int(blocks.sum()))
     first = np.cumsum(blocks) - blocks
-    values = np.empty((draws, grid_m))
+    values = np.empty((draws, width))
     for j, (sd, alpha) in enumerate(zip(sds, alphas)):
         rows = np.flatnonzero(levels == j)
         v = mu + sd * _std_normal_tail(q[first[rows, None] + np.arange(2 << j)], alpha)
-        values[rows] = np.repeat(v, grid_m >> (j + 1), axis=1)
+        values[rows] = np.repeat(v, width >> (j + 1), axis=1)
     meta = {
         "sampler": "exact",
         "draws": draws,
-        "level_log_weights": list(level_log_w),
-        "level_probabilities": list(probs),
+        "level_log_weights": level_log_w.tolist(),
+        "level_probabilities": probs.tolist(),
     }
     return PosteriorEnsemble(prior.grid_level, values, np.zeros(draws), meta=meta)
 
@@ -529,8 +542,8 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
-    block stores its states on the level's finest blocks, repeated to the grid as each cell's ensemble is built.  A
-    cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
+    block stores its states on the level's finest blocks, which a cell's ensemble keeps at its widest level's width.
+    A cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
     an improper laplace posterior (``passes.improper_laplace``), no feasible state in the uniform support
     (``passes.highest_feasible``) or no level weight > 0.  Every other sampler runs cell by cell, yielding each
     ensemble before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
@@ -580,8 +593,9 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
             yield DegeneratePosteriorError(cause or "no level produced feasible states")
         else:
             log_weights = np.concatenate([np.full(len(v), w) for v, w in cell])
-            values = np.concatenate([np.repeat(v, (1 << prior.grid_level) // v.shape[1], axis=1) for v, _ in cell])
-            yield PosteriorEnsemble(prior.grid_level, values, log_weights, meta)
+            width = max(v.shape[1] for v, _ in cell)
+            blocks = np.concatenate([np.repeat(v, width // v.shape[1], axis=1) for v, _ in cell])
+            yield PosteriorEnsemble(prior.grid_level, blocks, log_weights, meta)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
@@ -633,7 +647,7 @@ def mcmc_posterior(
 
 
 def posterior_mass(ens: PosteriorEnsemble, hits) -> float:
-    """Posterior mass of the rows of ``ens.values`` where the boolean row mask ``hits`` is true."""
+    """Posterior mass of the rows of ``ens`` where the boolean row mask ``hits`` is true."""
     hits = np.asarray(hits, dtype=bool)
     if hits.shape != (len(ens),):
         raise ValueError(f"hits must be a boolean row mask of shape ({len(ens)},), got shape {hits.shape}")
@@ -641,14 +655,14 @@ def posterior_mass(ens: PosteriorEnsemble, hits) -> float:
 
 
 def _errors(ens: PosteriorEnsemble, f0: GridFunction, metric: str) -> np.ndarray:
-    """Per-sample integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids."""
+    """Per-sample integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids, from ``ens.blocks``."""
     if metric not in ERROR_METRICS:
         raise ValueError(f"unknown error metric {metric!r}")
     lvl = max(ens.grid_level, f0.grid_level)
     ref = f0.refine(lvl).values
-    vals, out = ens.values, None
-    if lvl > ens.grid_level:  # refine into a copy and reuse it: at most one (k, 2**lvl) temporary
-        vals = out = np.repeat(vals, 1 << (lvl - ens.grid_level), axis=1)
+    vals, out = ens.blocks, None
+    if vals.shape[1] < 1 << lvl:  # refine into a copy and reuse it: at most one (k, 2**lvl) temporary
+        vals = out = np.repeat(vals, (1 << lvl) // vals.shape[1], axis=1)
     d = np.subtract(ref, vals, out=out) if metric == "lower_part" else np.subtract(vals, ref, out=out)
     if metric == "l1":
         np.abs(d, out=d)

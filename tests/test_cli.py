@@ -1,14 +1,23 @@
 """End-to-end command-line checks: the simulate/posterior/mle chain, study
 subcommands from flat config files, byte-identical reruns and exit codes."""
 
+import ast
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bbayes import GridFunction, PointPattern, covering_number, FunctionDictionary
+from bbayes import (
+    FunctionDictionary,
+    GridFunction,
+    PointPattern,
+    build_prior,
+    covering_number,
+    exact_truncated_posterior,
+)
 from bbayes.cli import main
+from bbayes.priors import parse_prior_config
 
 
 @pytest.fixture
@@ -91,6 +100,15 @@ def test_posterior_exact_sampler(runner, tmp_path):
     res = _run(runner, args + ["--prior", str(truncated), "--out", str(tmp_path / "t")])
     assert res.exit_code == 0
     assert "'sampler': 'exact'" in res.output and (tmp_path / "t" / "ensemble.flat").exists()
+    # the level weights are echoed as plain floats under any numpy, never as np.float64(...) reprs
+    assert "np.float64" not in res.output
+    meta = ast.literal_eval(res.output.split("(meta: ", 1)[1].rstrip().removesuffix(")"))
+    ens = exact_truncated_posterior(build_prior(parse_prior_config(truncated.read_text())),
+                                    PointPattern.from_csv((tmp_path / "pattern.csv").read_text()), 300,
+                                    np.random.default_rng(0))
+    assert ens.meta == meta and len(meta["level_probabilities"]) == 3
+    floats = [x for key in ("level_log_weights", "level_probabilities") for x in ens.meta[key]]
+    assert all(type(x) is float for x in floats)
     res = runner.invoke(main, args + ["--prior", str(brownian), "--out", str(tmp_path / "b")])
     assert res.exit_code == 2
     assert "needs truncated_wavelet with gaussian coefficients" in res.output

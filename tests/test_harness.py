@@ -1,6 +1,7 @@
 """Study harness: reference exponents, slope fitting, deterministic studies,
 rare-event estimators against plain Monte Carlo, and report emission."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from bbayes.harness import (
     theoretical_rate_exponent,
     theoretical_small_ball_exponent,
 )
-from bbayes.posterior import DegeneratePosteriorError, reduce_draws
+from bbayes.posterior import DegeneratePosteriorError, PosteriorEnsemble, reduce_draws
 from bbayes.reporting import fit_loglog_slope
 
 
@@ -193,6 +194,22 @@ def test_rate_study_deterministic_across_threads():
         for t in (1, 2, 3)
     ]
     assert decay[0] == decay[1] == decay[2]
+
+
+def test_rate_studies_never_build_an_ensemble_grid_view(monkeypatch):
+    # every cell reduces its draws to one L1 error read from the rows at the sampler's width; the reports are
+    # pinned by the sha256 of their csv, as the grid-width ensembles gave them
+    def grid_view(ens):
+        raise AssertionError("the study read PosteriorEnsemble.values")
+
+    monkeypatch.setattr(PosteriorEnsemble, "values", property(grid_view))
+    for cfg, digest in [
+        (_tiny_rate_cfg(prior=_spec("truncated_wavelet", j=3), sampler="exact", budget=300),
+         "86cf8a2ad5e3b6371d29c6aa6250be1eca5e1ed1e2427ce22faa0827428af90b"),
+        (_tiny_rate_cfg(prior=_spec("wavelet_series", "laplace", alpha=2.0), f0_R=2.0, budget=400),
+         "f8f528e3675ad654e53e559bce9413122ba7ce210eca5bbe2ae338053baa8ab4"),
+    ]:
+        assert hashlib.sha256(run_rate_study(cfg).to_csv().encode()).hexdigest() == digest
 
 
 def test_rate_study_exclusion_limit():

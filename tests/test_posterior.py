@@ -2,6 +2,7 @@
 sampling primitives against scipy oracles, evidence identities, and agreement
 between independent samplers."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -121,6 +122,18 @@ def test_ensemble_validate_against():
     bad = PosteriorEnsemble(f0.grid_level, [f0.shift(5.0).values], np.zeros(1))
     assert good.validate_against(pattern)
     assert not bad.validate_against(pattern)
+
+
+def test_ensemble_row_width_is_validated_and_the_grid_view_repeats_the_rows():
+    for width in (0, 3, 6, 32):  # zero, not a power of two, wider than the 16 bins of grid level 4
+        with pytest.raises(ValueError, match=rf"row width {width} .*grid_level 4"):
+            PosteriorEnsemble(4, np.zeros((2, width)), np.zeros(2))
+    rows = np.array([[0.5, -1.0, 2.0, 0.25], [1.0, 1.5, -0.5, 3.0]])
+    ens = PosteriorEnsemble(4, rows, np.zeros(2))
+    assert ens.blocks.shape == (2, 4) and len(ens) == 2
+    assert np.array_equal(ens.values, np.repeat(rows, 4, axis=1))
+    assert ens.values is ens.values and not ens.values.flags.writeable  # built once, read-only
+    assert [f.grid_level for f in ens.samples] == [4, 4]
 
 
 def test_ensemble_serialization_round_trip_is_byte_stable():
@@ -381,6 +394,60 @@ def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
         sd, mu = s * math.sqrt(m), n * s * s
         ref.append(np.repeat(mu + sd * _std_normal_tail(rng.random(m), (blocks - mu) / sd), 32 // m))
     assert np.array_equal(ens.values, np.stack(ref))
+
+
+# per sampler cell: the sha256 of ``ens.values.tobytes()`` as the grid-width ensembles stored it, and the row width
+# the ensemble now keeps (2**(j_cap+1), the widest level's, 2**(j_max+1) and the grid's 2**4)
+_PINNED_CELLS = {
+    "exact": ("truncated_wavelet", "gaussian", "exact", 200, 8,
+              "fe2d38cbf76f82ecf8cccd5c79d3ff96608804ab2ae3b9c280694b2d2c3bd210"),
+    "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000, 8,
+                           "9897c04d764a00d19d791cbb03f34c17b5dcf62ba81896dee197c68aee655904"),
+    "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000, 8,
+                          "4a3156634227487e500efac094b7fbba0fedce1e4f1d8acdd2cdf3dc1e46ee41"),
+    "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000, 8,
+                       "069a21aebecc54432bedc671067b636f6781957b725515ce853cc50b8b36dd9f"),
+    "brownian": ("brownian_start", None, "mcmc", 2000, 16,
+                 "49f8ff1a9475dacb81f836144b4e6b1582087d5a4b48d4beb0f31e40d2dda181"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CELLS))
+def test_ensembles_keep_the_sampler_width_and_the_pinned_grid_values(name):
+    variant, kind, sampler, budget, width, digest = _PINNED_CELLS[name]
+    levels = {"truncated_wavelet": {"j_cap": 2}, "wavelet_series": {"alpha": 1.0, "j_max": 2}}.get(variant, {})
+    dist = {"dist": CoefficientDistribution(kind)} if kind else {}
+    prior = build_prior(PriorSpec(variant=variant, grid_level=4, **levels, **dist))
+    _, pattern = _pattern(n=20.0, seed=5)
+    ens = sample_posterior(prior, pattern, sampler, budget, np.random.default_rng(41))
+    assert ens.blocks.shape[1] == width
+    assert "values" not in vars(ens)  # sampling builds no grid view
+    assert hashlib.sha256(ens.values.tobytes()).hexdigest() == digest
+    assert ens.validate_against(pattern)
+
+
+@pytest.mark.parametrize("metric", ["l1", "lower_part", "upper_part"])
+def test_errors_on_narrow_rows_equal_the_grid_width_rows_bit_for_bit(metric):
+    # rows on 4 blocks of a level-4 grid, against f0 coarser than the blocks, between them and the grid, on the
+    # grid and finer than it; the grid-width twin holds the same rows repeated to the 16 bins
+    rng = np.random.default_rng(43)
+    rows = rng.normal(size=(300, 4)) * np.array([1.0, 1e-3, 10.0, 0.1])
+    narrow = PosteriorEnsemble(4, rows, rng.normal(size=300))
+    wide = PosteriorEnsemble(4, np.repeat(rows, 4, axis=1), narrow.log_weights)
+    masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
+    for f0_level in (1, 3, 4, 6):
+        f0 = GridFunction(f0_level, rng.normal(size=1 << f0_level))
+        errors = posterior_module._errors(narrow, f0, metric)
+        assert errors.tobytes() == posterior_module._errors(wide, f0, metric).tobytes(), f0_level
+        assert posterior_median_metric(narrow, f0, metric) == posterior_median_metric(wide, f0, metric)
+        r = float(np.median(errors))
+        assert masses[metric](narrow, f0, r) == masses[metric](wide, f0, r)
+    assert "values" not in vars(narrow)  # no functional of the errors built the grid view
+    _, pattern = _pattern(n=40.0)
+    low = np.minimum(rows, block_minima(bin_minima(pattern, 4), 1))  # feasible rows, then one row above its block
+    verdicts = [[PosteriorEnsemble(4, np.repeat(c, r, axis=1), np.zeros(len(c))).validate_against(pattern)
+                 for r in (1, 4)] for c in (low, np.vstack([low, low[:1] + 10.0]))]
+    assert verdicts == [[True, True], [False, False]]
 
 
 def test_importance_truncated_sampler_matches_analytic_moments():
