@@ -127,7 +127,9 @@ def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
     Bin 0 holds the N(0, 1 + 1/m) cell masses; each next bin convolves them, taken at the cell centres, with the
     cell-integrated N(0, 1/m) increment cut at 8 sd, a band set by target_k - target_{k-1}.  Error: smooth O(d^2).
     A run of r >= ``cells`` equal increments, at up to 256 cells, applies its banded transfer matrix as its r-th
-    power by repeated squaring, whose reordered sums move log P by rounding only (about 1e-13 relative).
+    power by repeated squaring, whose reordered sums move log P by rounding only (about 1e-13 relative).  A run of
+    zero increments at an even cell count, up to 512, has a centrosymmetric matrix: its even and odd halves are
+    squared apart, as two stacked half-size matrices (Cantoni & Butler 1976), and the even half holds the mass.
     """
     m = target.size
     sd, d = 1.0 / math.sqrt(m), 2.0 * eps / cells
@@ -141,9 +143,18 @@ def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
             lo = max(1 - cells, min(0, math.ceil((-8.0 * sd - shift) / d)))
             hi = min(cells - 1, max(0, math.floor((8.0 * sd - shift) / d)))
             kernel = np.diff(ndtr((shift + (np.arange(lo, hi + 2) - 0.5) * d) / sd))
-            if r >= cells and cells <= 256:  # a matrix of at most 0.5 MB
+            fold = shift == 0.0 and cells % 2 == 0  # a symmetric Toeplitz matrix: even and odd halves apart
+            if r >= cells and cells <= (512 if fold else 256):  # no matrix above 256 x 256, 0.5 MB
                 band = np.pad(kernel, (cells - 1 + lo, cells - 1 - hi))  # band[cells - 1 + u]: the mass of offset u
-                w, log_p = _matrix_power(w, np.ascontiguousarray(sliding_window_view(band, cells)[::-1]), r, log_p)
+                matrix = sliding_window_view(band, cells)[::-1]  # matrix[i, j]: the mass of offset j - i
+                if fold:  # matrix [[A, B], [JBJ, JAJ]], w = [t, b]: t + bJ runs under A + BJ, t - bJ under A - BJ
+                    h = cells // 2
+                    a, bj, t, bj_w = matrix[:h, :h], matrix[:h, : h - 1 : -1], w[:h], w[: h - 1 : -1]
+                    x, log_p = _matrix_power(np.stack([t + bj_w, t - bj_w]), np.stack([a + bj, a - bj]), r, log_p)
+                    w = np.concatenate([x[0] + x[1], (x[0] - x[1])[::-1]]) / 2.0
+                else:
+                    w, log_p = _matrix_power(w[None], np.ascontiguousarray(matrix)[None], r, log_p)
+                    w = w[0]
                 continue  # if the mass is lost, log_p is -inf and w is 0, so the next bin returns
         for _ in range(r):
             w = np.convolve(w, kernel)[-lo : cells - lo]
@@ -156,13 +167,14 @@ def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
 
 
 def _matrix_power(w: np.ndarray, matrix: np.ndarray, r: int, log_p: float) -> tuple[np.ndarray, float]:
-    """(v, log_p + log c) with w matrix^r = c v, v summing to 1, by repeated squaring; (0, -inf) if the mass is
-    lost.  Each square is rescaled by its max, whose log is carried, and w takes one product per set bit of r."""
+    """(v, log_p + log c) with w[k] matrix[k]^r = c v[k] for each stacked row k, v[0] summing to 1, by repeated
+    squaring; (0, -inf) if row 0's mass is lost.  All stacked matrices share one scale: each square is rescaled by
+    its max, whose log is carried, and w takes one product per set bit of r."""
     log_scale = 0.0  # matrix^(2^b) = exp(log_scale) matrix
     while True:
         if r & 1:
-            w = w @ matrix
-            s = float(w.sum())
+            w = np.matmul(w[:, None], matrix)[:, 0]
+            s = float(w[0].sum())
             if s <= 0.0:
                 return w, -math.inf
             log_p, w = log_p + log_scale + math.log(s), w / s

@@ -199,6 +199,7 @@ class TruncatedWaveletPrior:
         self.grid_level = grid_level
         probs = 2.0 ** (-np.arange(j_cap + 1, dtype=float))
         self.level_probabilities = probs / probs.sum()
+        self._levels = [(p, self.level_prior(j)) for j, p in enumerate(self.level_probabilities.tolist())]
 
     def level_prior(self, j: int) -> "WaveletSeriesPrior":
         """The conditional prior given J = j: unit amplitudes up to level j."""
@@ -207,8 +208,9 @@ class TruncatedWaveletPrior:
         return prior
 
     def levels(self) -> list:
-        """The prior as a weighted mixture of wavelet series: ``(P(J = j), level_prior(j))`` for j = 0..j_cap."""
-        return [(p, self.level_prior(j)) for j, p in enumerate(self.level_probabilities.tolist())]
+        """The prior as a weighted mixture of wavelet series: ``(P(J = j), level_prior(j))`` for j = 0..j_cap, as a
+        new list of the pairs built with the prior."""
+        return list(self._levels)
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Grid values ``(k, m)`` of k independent prior draws.

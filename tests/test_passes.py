@@ -112,15 +112,39 @@ def _refined(values):
     (holder_test_function(1.0, 1.0, "smooth", 12).values, 0.5, 64),  # no two increments equal
     (10.0 * np.arange(4096), 0.25, 64),  # each window far above the last: a run that loses the mass
     (_refined([0.0, 5.0]), 0.25, 64),  # one jump that loses it
+    (_refined([0.0, 0.3, -0.2, 0.1]), 1.0, 512),  # runs of 1023 bins at 0 between off-centre jumps: odd parts carry
+    (np.full(4096, 0.4), 1.0, 512),  # an off-centre first window: w_0 has an odd part
+    (np.zeros(4096), 0.7, 360),  # folded above the 256 cells of an unfolded square
+    (np.zeros(4096), 0.7, 361),  # an odd cell count walks
 ], ids=["zero-1-128", "zero-1-256", "zero-1-512", "zero-.25-32", "zero-.25-64", "zero-.25-128", "hat", "cusp",
-        "grid4-64", "grid4-256", "smooth", "ramp", "jump"])
+        "grid4-64", "grid4-256", "smooth", "ramp", "jump", "grid2-512", "const-.4-512", "zero-.7-360", "zero-.7-361"])
 def test_brownian_runs_match_the_per_bin_walk(target, eps, cells):
-    # a run of equal increments is the power of one transfer matrix, squared up: the same log P to rounding
+    # a run of equal increments is the power of one transfer matrix, squared up (a run of zero increments at an even
+    # cell count as its even and odd halves): the same log P to rounding
     expected, log_p = _per_bin_log_p(target, eps, cells), brownian_log_p(target, eps, cells)
     if np.all(np.diff(target, 2) != 0.0) or expected == -math.inf:
         assert log_p == expected  # no run to square, or no mass: the same bits
     else:
         assert log_p == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+_BROWNIAN_PINNED = {  # brownian_log_p on criterion 8's centred ball at grid 12, each eps at ceil(2 eps 64) cells (1 per
+    # increment sd), twice and 4 times as many; pinned before any fold, when 512 cells at eps 1 and 360 at 0.7 walked
+    # every bin and the rest squared the whole matrix
+    1.0: [-1.8245438722449805, -1.7531991453219717, -1.735323349727585],
+    0.7: [-3.467127550315197, -3.326287570144915, -3.290962275042294],
+    0.5: [-6.253808853259754, -5.984674363202152, -5.917073195925282],
+    0.35: [-11.727100112015123, -11.211093899311997, -11.081224988659091],
+    0.25: [-21.43353822819493, -20.485902222680934, -20.24674923171436],
+}
+
+
+@pytest.mark.parametrize("eps", list(_BROWNIAN_PINNED))
+def test_brownian_log_p_keeps_its_values(eps):
+    # the squared and the folded runs move the quadrature of criterion 8's Brownian part by rounding only
+    cells = math.ceil(2.0 * eps * 64)
+    log_p = [brownian_log_p(np.zeros(4096), eps, c) for c in (cells, 2 * cells, 4 * cells)]
+    assert log_p == pytest.approx(_BROWNIAN_PINNED[eps], rel=1e-12, abs=0.0)
 
 
 def _weierstrass(j_max, grid_level):

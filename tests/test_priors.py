@@ -203,6 +203,12 @@ def test_truncated_prior_level_distribution_and_unit_amplitudes():
     details = _haar_details(prior.draw(np.random.default_rng(4), 4000), 6)
     top = [ds[3] for ds in details if np.any(ds[3] != 0.0)]
     assert np.var(np.concatenate(top)) == pytest.approx(1.0, rel=0.1)
+    # levels() is a new list of the (P(J = j), level prior) pairs built once with the prior
+    levels = prior.levels()
+    assert levels is not prior.levels() and all(a is b for (_, a), (_, b) in zip(levels, prior.levels()))
+    assert [p for p, _ in levels] == pytest.approx(target.tolist(), rel=1e-15)
+    assert [(level.j_max, level.amplitudes.tolist()) for _, level in levels] == [
+        (j, [1.0] * (2 << j)) for j in range(4)]
 
 
 @pytest.mark.parametrize(
