@@ -205,12 +205,7 @@ def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
             res = separation_quantity_detailed(dict_, f0, n, pool)
     except UncoverableMemberError as exc:
         raise click.ClickException(str(exc))
-    report = {
-        "quantity": quantity,
-        "value": res.value,
-        "method": "exact" if res.exact else "greedy",
-        "exact_flag": res.exact,
-    }
+    report = {"quantity": quantity, "value": res.value}
     write_text(Path(out) / "complexity.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     click.echo(json.dumps(report, sort_keys=True))
 

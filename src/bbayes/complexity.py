@@ -3,18 +3,22 @@ numbers, one-sided bracketing numbers and the separation quantity.
 
 Each functional is one weighted set cover.  It builds a boolean coverage
 matrix, ``covers[c, k]`` true when candidate c covers member k, by testing each
-candidate row against the stacked member values, and hands it to ``_cover``;
-counts are covers with unit weights.  When both dimensions are at most
-``EXACT_LIMIT`` the cover is exact: Dijkstra over bitmask coverage states,
-branching only on the candidates that cover the lowest uncovered member.
-Every cover contains such a candidate, so the search misses no optimum.
-Larger inputs fall back to greedy set cover, whose value is an upper bound
-within a factor 1 + ln(members) of the optimum.
+candidate row against the stacked member values, and ``_cover`` solves it as
+one binary integer program with ``scipy.optimize.milp`` (HiGHS) at relative
+gap 0: minimise ``weights @ x`` over x in {0, 1} subject to ``covers.T @ x >= 1``.
+Every value is an optimum, whatever the size.  Counts are covers with unit
+weights, so they come out as exact integers.
+
+The separation weights exp(-n * excess) span many orders of magnitude.  They
+are divided by a lower bound on the optimum: the largest, over members, of the
+cheapest weight among the rows that cover the member.  Every cover costs
+between that bound and the member count times it, so the solver's tolerances
+act on an O(1) objective.  Dividing by the largest weight instead leaves the
+objective tiny at large n, where the solver can stop short of the optimum.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -34,9 +38,6 @@ __all__ = [
     "separation_quantity_detailed",
     "default_bracket_pool",
 ]
-
-EXACT_LIMIT = 20
-
 
 class UncoverableMemberError(ValueError):
     """Some dictionary member admits no admissible bracket in the pool."""
@@ -72,7 +73,6 @@ class FunctionDictionary:
 @dataclass(frozen=True)
 class CoverResult:
     value: float
-    exact: bool
     selection: tuple
 
 
@@ -86,89 +86,36 @@ def _coverage(candidates: FunctionDictionary, dict_: FunctionDictionary, test) -
     return np.array([test(c, members) for c in candidates.matrix(lvl)], dtype=bool)
 
 
-def _exact_cover(masks: list[int], weights: list[float], full: int) -> list[int]:
-    """Minimum-weight cover by Dijkstra over coverage states (weights nonnegative)."""
-    by_member = [[i for i, mask in enumerate(masks) if mask >> k & 1] for k in range(full.bit_length())]
-    best = {0: 0.0}
-    heap = [(0.0, 0, ())]
-    while True:
-        cost, state, chosen = heapq.heappop(heap)
-        if state == full:
-            return sorted(chosen)
-        if cost > best[state]:
-            continue
-        for i in by_member[(~state & (state + 1)).bit_length() - 1]:  # the lowest uncovered member
-            new, new_cost = state | masks[i], cost + weights[i]
-            if new_cost < best.get(new, math.inf):
-                best[new] = new_cost
-                heapq.heappush(heap, (new_cost, new, chosen + (i,)))
+def _cover(covers: np.ndarray, weights: np.ndarray) -> CoverResult:
+    """Cheapest set of rows of ``covers`` whose union holds every column, by one exact MILP."""
+    # function-local: scipy.optimize would add about 0.2 s and 20 MB to ``import bbayes``, which few runs need
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-
-def _greedy_complete(masks: list[int], weights: list[float], full: int, first: int) -> list[int]:
-    """Complete a cover greedily from a forced first pick, then drop redundancies."""
-    chosen = [first]
-    covered = masks[first]
-    while covered != full:
-        best_i = -1
-        best_score = math.inf
-        for i, mask in enumerate(masks):
-            gain = (mask & ~covered).bit_count()
-            if gain == 0:
-                continue
-            score = weights[i] / gain
-            if score < best_score - 1e-15:
-                best_score = score
-                best_i = i
-        chosen.append(best_i)
-        covered |= masks[best_i]
-    # prune: remove redundant picks, most expensive first
-    for i in sorted(chosen, key=lambda k: -weights[k]):
-        rest = [j for j in chosen if j != i]
-        rest_cover = 0
-        for j in rest:
-            rest_cover |= masks[j]
-        if rest_cover == full:
-            chosen = rest
-    return chosen
-
-
-def _greedy_cover(masks: list[int], weights: list[float], full: int) -> list[int]:
-    """Multi-start pruned greedy set cover; ties broken by lowest index.
-
-    Each pool element is tried as the forced first pick, the rest of the cover
-    is filled by weight-per-gain greedy and pruned of redundant picks; the
-    cheapest completed cover wins.  Still an upper bound on the optimum, but
-    exact on most small instances.
-    """
-    best: list[int] = []
-    best_weight = math.inf
-    for first, mask in enumerate(masks):
-        if mask == 0:
-            continue
-        chosen = _greedy_complete(masks, weights, full, first)
-        total = sum(weights[i] for i in chosen)
-        if total < best_weight - 1e-15:
-            best_weight = total
-            best = chosen
-    return best
-
-
-def _cover(covers: np.ndarray, weights: list[float]) -> CoverResult:
-    """Cheapest set of rows of ``covers`` whose union holds every column; exact when both sides are small."""
     missing = np.flatnonzero(~covers.any(axis=0)).tolist()
     if missing:
         raise UncoverableMemberError(f"members {missing} have no admissible bracket in the pool")
-    masks = [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in covers]
-    exact = max(covers.shape) <= EXACT_LIMIT
-    sel = (_exact_cover if exact else _greedy_cover)(masks, weights, (1 << covers.shape[1]) - 1)
-    return CoverResult(sum(weights[i] for i in sel), exact, tuple(sel))
+    # a lower bound on the optimum (see the module docstring); 0 only if every covering weight underflowed
+    scale = np.where(covers, weights[:, None], np.inf).min(axis=0).max() or 1.0
+    res = milp(
+        weights / scale,
+        integrality=np.ones(len(weights)),
+        bounds=Bounds(0, 1),
+        constraints=LinearConstraint(covers.T.astype(float), lb=1),
+        options={"mip_rel_gap": 0},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"set cover MILP not solved: {res.message}")
+    sel = np.flatnonzero(res.x > 0.5)
+    if not covers[sel].any(axis=0).all():
+        raise RuntimeError("set cover MILP returned a selection that misses a member")
+    return CoverResult(float(weights[sel].sum()), tuple(sel.tolist()))
 
 
 def covering_number_detailed(dict_: FunctionDictionary, eps: float) -> CoverResult:
     if not eps > 0:
         raise ValueError("eps must be positive")
     covers = _coverage(dict_, dict_, lambda c, members: np.abs(c - members).max(axis=1) <= eps)
-    return _cover(covers, [1.0] * len(dict_))
+    return _cover(covers, np.ones(len(dict_)))
 
 
 def covering_number(dict_: FunctionDictionary, eps: float) -> int:
@@ -179,14 +126,14 @@ def covering_number(dict_: FunctionDictionary, eps: float) -> int:
 def one_sided_bracketing_number_detailed(
     dict_: FunctionDictionary, delta: float, bracket_pool: FunctionDictionary
 ) -> CoverResult:
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     covers = _coverage(
         bracket_pool,
         dict_,
         lambda ell, members: np.all(ell <= members, axis=1) & ((members - ell).mean(axis=1) <= delta),
     )
-    return _cover(covers, [1.0] * len(bracket_pool))
+    return _cover(covers, np.ones(len(bracket_pool)))
 
 
 def one_sided_bracketing_number(
@@ -199,12 +146,12 @@ def one_sided_bracketing_number(
 def separation_quantity_detailed(
     dict_: FunctionDictionary, f0: GridFunction, n: float, bracket_pool: FunctionDictionary
 ) -> CoverResult:
-    if not n > 0:
-        raise ValueError("n must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError("n must be positive and finite")
     covers = _coverage(bracket_pool, dict_, lambda ell, members: np.all(ell <= members, axis=1))
     lvl = max(bracket_pool.grid_level, f0.grid_level)
     excess = np.maximum(bracket_pool.matrix(lvl) - f0.refine(lvl).values, 0.0).mean(axis=1)
-    return _cover(covers, [math.exp(-n * float(x)) for x in excess])
+    return _cover(covers, np.exp(-n * excess))
 
 
 def separation_quantity(

@@ -137,7 +137,7 @@ def test_complexity_json_matches_library(runner, tmp_path):
     assert res.exit_code == 0
     report = json.loads((out / "complexity.json").read_text())
     assert report["value"] == covering_number(FunctionDictionary(members), 0.6)
-    assert report["method"] == "exact"
+    assert report == {"quantity": "covering", "value": 2.0}
     f0_file = tmp_path / "f0.csv"
     f0_file.write_text(GridFunction.constant(0.0, 2).to_csv())
     res = _run(runner, ["complexity", "--dict", str(dict_file), "--quantity", "separation",

@@ -1,13 +1,15 @@
 """Covering, one-sided bracketing and separation functionals, checked against
-hand cases and brute-force subset enumeration."""
+hand cases, brute-force subset enumeration and the Dijkstra oracle of
+``cover_oracle``."""
 
 import itertools
 import math
+import time
 
+import cover_oracle
 import numpy as np
 import pytest
 
-import bbayes.complexity as cx
 from bbayes import (
     FunctionDictionary,
     GridFunction,
@@ -107,7 +109,7 @@ def test_separation_quantity_hand_case():
 
 
 # ---------------------------------------------------------------------------
-# exact solvers against brute force, greedy as an upper bound
+# the solver against brute force and the oracle
 
 
 def test_exact_covering_matches_brute_force():
@@ -116,7 +118,6 @@ def test_exact_covering_matches_brute_force():
         d = _random_dict(rng, int(rng.integers(2, 8)))
         eps = float(rng.uniform(0.2, 1.5))
         res = covering_number_detailed(d, eps)
-        assert res.exact
         assert int(res.value) == _brute_covering(d, eps)
         # the reported selection really is a cover of the stated size
         centers = [d.members[i] for i in res.selection]
@@ -136,7 +137,7 @@ def test_exact_bracketing_matches_brute_force():
                 one_sided_bracketing_number(d, delta, pool)
         else:
             res = one_sided_bracketing_number_detailed(d, delta, pool)
-            assert res.exact and int(res.value) == expected
+            assert int(res.value) == expected
 
 
 def test_exact_separation_matches_brute_force():
@@ -147,31 +148,56 @@ def test_exact_separation_matches_brute_force():
         f0 = GridFunction(2, rng.choice([-0.5, 0.0, 0.5], size=4))
         n = float(rng.uniform(0.5, 4.0))
         res = separation_quantity_detailed(d, f0, n, pool)
-        assert res.exact
         assert res.value == pytest.approx(_brute_separation(d, f0, n, pool))
 
 
-def test_greedy_upper_bounds_exact(monkeypatch):
-    rng = np.random.default_rng(3)
-    equal = 0
-    trials = 20
-    for _ in range(trials):
-        d = _random_dict(rng, int(rng.integers(3, 9)))
+def test_unit_spaced_constants_need_a_ball_each():
+    members = tuple(_const(float(c)) for c in range(21))
+    res = covering_number_detailed(FunctionDictionary(members), 0.5)
+    assert res.value == 21.0 and res.selection == tuple(range(21))
+
+
+def test_twenty_member_covering_matches_the_oracle():
+    rng = np.random.default_rng(20)
+    d = FunctionDictionary(tuple(GridFunction(2, v) for v in rng.uniform(-1.0, 1.0, size=(20, 4))))
+    eps = 0.4
+    res = covering_number_detailed(d, eps)
+    assert res.value == cover_oracle.covering(d, eps)
+    centers = [d.members[i] for i in res.selection]
+    assert len(centers) == int(res.value)
+    assert all(any(_sup(c, f) <= eps for c in centers) for f in d.members)
+
+
+def test_sixty_members_are_covered_optimally_and_fast():
+    # too large for the oracle: 60 members, a 1,803-row pool
+    d = FunctionDictionary(
+        tuple(GridFunction(3, v) for v in np.random.default_rng(0).uniform(-1, 1, (60, 8)).round(1))
+    )
+    pool = default_bracket_pool(d)
+    start = time.perf_counter()
+    res = one_sided_bracketing_number_detailed(d, 0.3, pool)
+    assert time.perf_counter() - start < 1.0
+    assert res.value == 29.0 and len(res.selection) == 29
+    brackets = [pool.members[i] for i in res.selection]
+    assert all(any(_admissible(ell, f, 0.3) for ell in brackets) for f in d.members)
+    f0 = GridFunction.constant(0.0, 3)
+    sep = separation_quantity_detailed(d, f0, 3.0, pool)
+    brackets = [pool.members[i] for i in sep.selection]
+    assert all(any(bool(np.all(ell.values <= f.values)) for ell in brackets) for f in d.members)
+    assert sep.value == pytest.approx(sum(math.exp(-3.0 * positive_part_integral(ell, f0)) for ell in brackets))
+    assert sep.value <= 7.8228
+
+
+def test_separation_at_large_n_matches_the_oracle():
+    # weights exp(-n * excess) span many orders of magnitude at n = 25..100; a solve scaled by the largest weight
+    # stops above the optimum on about a third of these instances
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        d = _random_dict(rng, int(rng.integers(2, 9)))
         pool = default_bracket_pool(d)
-        eps = float(rng.uniform(0.3, 1.2))
-        n = 2.0
-        f0 = _const(0.0)
-        exact_cov = covering_number(d, eps)
-        exact_sep = separation_quantity(d, f0, n, pool)
-        monkeypatch.setattr(cx, "EXACT_LIMIT", 0)
-        greedy_cov = covering_number_detailed(d, eps)
-        greedy_sep = separation_quantity_detailed(d, f0, n, pool)
-        monkeypatch.setattr(cx, "EXACT_LIMIT", 20)
-        assert not greedy_cov.exact and not greedy_sep.exact
-        assert greedy_cov.value >= exact_cov
-        assert greedy_sep.value >= exact_sep - 1e-12
-        equal += int(greedy_cov.value == exact_cov)
-    assert equal >= trials // 2  # greedy is usually optimal at these sizes
+        f0 = GridFunction(2, rng.choice([-0.5, 0.0, 0.5], size=4))
+        n = float(rng.uniform(25.0, 100.0))
+        assert separation_quantity(d, f0, n, pool) == pytest.approx(cover_oracle.separation(d, f0, n, pool))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +217,13 @@ def test_argument_validation():
         covering_number(d, 0.0)
     with pytest.raises(ValueError):
         one_sided_bracketing_number(d, -0.1, d)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        one_sided_bracketing_number(d, math.nan, d)
     with pytest.raises(ValueError):
         separation_quantity(d, _const(0.0), 0.0, d)
+    for n in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be positive and finite"):
+            separation_quantity(d, _const(0.0), n, d)
 
 
 def test_uncoverable_member():
@@ -202,29 +233,6 @@ def test_uncoverable_member():
         one_sided_bracketing_number(d, 5.0, pool)
     with pytest.raises(UncoverableMemberError):
         separation_quantity(d, _const(0.0), 1.0, pool)
-
-
-def test_exact_size_gate():
-    members = tuple(_const(float(c)) for c in range(21))
-    res = covering_number_detailed(FunctionDictionary(members), 0.5)
-    assert not res.exact
-    assert res.value == 21.0  # unit-spaced constants: every ball holds one member
-
-
-def test_exact_cover_at_the_size_gate(monkeypatch):
-    # 20 members is the largest exact size; a subset search over them is exponential
-    rng = np.random.default_rng(20)
-    d = FunctionDictionary(tuple(GridFunction(2, v) for v in rng.uniform(-1.0, 1.0, size=(20, 4))))
-    eps = 0.4
-    res = covering_number_detailed(d, eps)
-    assert res.exact
-    centers = [d.members[i] for i in res.selection]
-    assert len(centers) == int(res.value)
-    assert all(any(_sup(c, f) <= eps for c in centers) for f in d.members)
-    monkeypatch.setattr(cx, "EXACT_LIMIT", 0)
-    greedy = covering_number_detailed(d, eps)
-    assert not greedy.exact
-    assert res.value <= greedy.value
 
 
 def test_default_bracket_pool_contents():

@@ -6,7 +6,8 @@ name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
 a caller in the package, every function parameter must be read, no private
 posterior kernel may take the point pattern, only ``posterior.py`` may compare
 a sampler name, only ``passes.py`` and ``wavelets.py`` may slice a Haar tree's
-even and odd children, ``import bbayes`` must not load ``scipy.stats``, and
+even and odd children, ``import bbayes`` must not load ``scipy.stats`` or
+``scipy.optimize``, and
 every name the benchmark under ``perfbench/`` imports from ``bbayes`` must
 exist.
 """
@@ -144,12 +145,22 @@ def test_haar_tree_slicing_lives_in_passes_and_wavelets():
     assert found <= {"passes.py", "wavelets.py"}, found
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about 0.7 s of start-up; the package needs only scipy.special
-    code = "import sys, bbayes; print('scipy.stats' in sys.modules)"
+def _loaded_by_import(module):
+    # a fresh interpreter, so that no other test's import can load the module first
+    code = f"import sys, bbayes; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(bbayes.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about 0.7 s of start-up; the package needs only scipy.special
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize, which only the complexity functionals' set-cover solve reads, costs about 0.2 s and 20 MB
+    assert not _loaded_by_import("scipy.optimize")
 
 
 def test_benchmark_imports_resolve():
