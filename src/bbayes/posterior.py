@@ -274,27 +274,29 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     given the level, the block values are independent truncated gaussians tilted
     by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
     draw count.  After the level choice, one call draws one uniform per block value.
-    The ensemble stores every draw on the 2^{j_cap+1} blocks of the finest level.
+    The ensemble stores every draw on the 2^{J+1} blocks of the finest level J drawn:
+    the draws themselves when every draw sits on J, else each level's draws repeated over its blocks.
     """
     s = prior.dist.scale
-    width = 2 << prior.j_cap
     level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     levels = rng.choice(prior.j_cap + 1, size=draws, p=probs)
     mu = n * s * s
-    # per level j: block standard deviation and standardized block bounds
-    sds = [s * math.sqrt(2 << j) for j in range(prior.j_cap + 1)]
-    alphas = [(block_minima(mins, j) - mu) / sd for j, sd in enumerate(sds)]
-    # the 2^{j+1} block uniforms of every draw, in draw order, then one fill per level
+    # the 2^{j+1} block uniforms of every draw, in draw order, then one fill per level drawn
     blocks = 2 << levels
     q = rng.random(int(blocks.sum()))
-    first = np.cumsum(blocks) - blocks
-    values = np.empty((draws, width))
-    for j, (sd, alpha) in enumerate(zip(sds, alphas)):
-        rows = np.flatnonzero(levels == j)
-        v = mu + sd * _std_normal_tail(q[first[rows, None] + np.arange(2 << j)], alpha)
-        values[rows] = np.repeat(v, width >> (j + 1), axis=1)
+    width = 2 << levels.max()
+    if blocks.min() == width:  # every draw on one level: its uniforms, in draw order, are the rows
+        sd = s * math.sqrt(width)
+        values = mu + sd * _std_normal_tail(q.reshape(draws, width), (block_minima(mins, int(levels[0])) - mu) / sd)
+    else:
+        first = np.cumsum(blocks) - blocks
+        values = np.empty((draws, width))
+        for j in np.unique(levels).tolist():
+            sd, rows = s * math.sqrt(2 << j), levels == j
+            v = mu + sd * _std_normal_tail(q[first[rows, None] + np.arange(2 << j)], (block_minima(mins, j) - mu) / sd)
+            values.reshape(draws, 2 << j, -1)[rows] = v[..., None]
     meta = {
         "sampler": "exact",
         "draws": draws,

@@ -68,16 +68,14 @@ def _brute_bracketing(dict_, delta, pool):
 
 
 def _brute_separation(dict_, f0, n, pool):
-    best = math.inf
-    idx = range(len(pool.members))
-    for size in range(1, len(pool.members) + 1):
-        for sel in itertools.combinations(idx, size):
-            ells = [pool.members[i] for i in sel]
-            if all(
-                any(bool(np.all(ell.values <= f.values)) for ell in ells) for f in dict_.members
-            ):
-                best = min(best, sum(math.exp(-n * positive_part_integral(ell, f0)) for ell in ells))
-    return best
+    # every nonempty subset of the pool, one bitmask row each, against the (pool, member) coverage matrix
+    f = np.stack([g.values for g in dict_.members])
+    ell = np.stack([g.values for g in pool.members])
+    covers = np.all(ell[:, None, :] <= f[None, :, :], axis=2)
+    weights = np.exp(-n * np.maximum(ell - f0.values, 0.0).mean(axis=1))
+    subsets = np.arange(1, 1 << len(ell))[:, None] >> np.arange(len(ell)) & 1
+    covered = np.all(subsets @ covers > 0, axis=1)
+    return float((subsets[covered] @ weights).min()) if covered.any() else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -170,20 +170,42 @@ def test_simulate_ppp_empty_window_and_determinism():
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
 
+def _buffered_pcg64(seed):
+    rng = np.random.default_rng(seed)
+    rng.integers(2**32, dtype=np.uint32)  # PCG64 keeps the other 32 bits of its 64-bit draw
+    return rng
+
+
+# every numpy bit generator, and a PCG64 that holds a buffered 32-bit half
+_GENERATORS = [np.random.default_rng, _buffered_pcg64] + [
+    lambda seed, bit_generator=bit_generator: np.random.Generator(bit_generator(seed))
+    for bit_generator in (np.random.MT19937, np.random.SFC64, np.random.Philox, np.random.PCG64DXSM)
+]
+
+
+def _same_state(a, b):
+    """Generator states equal key by key (MT19937 and Philox states hold arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("level", [4, 8])
 @pytest.mark.parametrize("kind", ["hat", "smooth", "cusp"])
 def test_simulate_minima_is_bin_minima_of_simulate_ppp(kind, level):
     # the same draws, reduced with no points: equal minima and equal generator states after, at n with empty
-    # bins and with dense ones, on grids coarser than f, at f's level and finer (which simulates the pattern)
+    # bins and with dense ones, on grids coarser than f, at f's level and finer (which simulates the pattern),
+    # on every bit generator
     f = holder_test_function(1.0, 1.0, kind, level)
     ceiling = f.max() + 0.5
-    for n in (0.5, 30.0, 5000.0):
-        for grid_level in (level - 2, level, level + 1):
-            for seed in range(5):
-                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-                expected = bin_minima(simulate_ppp(f, n, ceiling, a), grid_level)
-                assert np.array_equal(simulate_minima(f, n, ceiling, grid_level, b), expected)
-                assert a.bit_generator.state == b.bit_generator.state
+    for make in _GENERATORS:
+        for n in (0.5, 30.0, 5000.0):
+            for grid_level in (level - 2, level, level + 1):
+                for seed in range(5):
+                    a, b = make(seed), make(seed)
+                    expected = bin_minima(simulate_ppp(f, n, ceiling, a), grid_level)
+                    assert np.array_equal(simulate_minima(f, n, ceiling, grid_level, b), expected)
+                    assert _same_state(a.bit_generator.state, b.bit_generator.state)
     flat = GridFunction.constant(0.5, 3)  # a ceiling at max f leaves an empty window and no points
     a, b = np.random.default_rng(0), np.random.default_rng(0)
     mins = simulate_minima(flat, 30.0, 0.5, 2, b)
@@ -201,9 +223,13 @@ class _StubRng:
         assert len(self.draws) == 3
         return self.draws.pop(0)
 
-    def uniform(self, size):
-        out = self.draws.pop(0)
-        assert out.size == size
+    def random(self, size=None, out=None):
+        draw = self.draws.pop(0)
+        if out is None:
+            assert draw.size == size
+            return draw
+        assert out.shape == draw.shape
+        out[...] = draw
         return out
 
 

@@ -373,33 +373,55 @@ def test_exact_truncated_sampler_matches_analytic_moments():
     assert l1_distance(posterior_mean(exact), oracle) <= 0.05
 
 
-def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
-    # the per-draw loop that recomputes the level's blocks for every draw
-    _, pattern = _pattern(n=5.0, seed=3, grid_level=5)
+def _exact_reference(pattern, seed):
+    # the exact sampler's 400 draws at j_cap 3 on grid 5, its levels and the per-draw loop that recomputes the
+    # level's blocks for every draw, on the grid's 32 bins
     prior = build_prior(
         PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=5)
     )
-    ens = exact_truncated_posterior(prior, pattern, 400, np.random.default_rng(26))
-    rng = np.random.default_rng(26)
+    ens = exact_truncated_posterior(prior, pattern, 400, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
     n, s, mins = pattern.intensity, prior.dist.scale, bin_minima(pattern, 5)
     lw = np.array(ens.meta["level_log_weights"])
     probs = np.exp(lw - lw.max())
     probs /= probs.sum()
     levels = rng.choice(4, size=400, p=probs)
-    assert len(set(levels.tolist())) == 4  # the draws switch between levels
     ref = []
     for j in levels:
         m = 1 << (j + 1)
         blocks = mins.reshape(m, -1).min(axis=1)
         sd, mu = s * math.sqrt(m), n * s * s
         ref.append(np.repeat(mu + sd * _std_normal_tail(rng.random(m), (blocks - mu) / sd), 32 // m))
-    assert np.array_equal(ens.values, np.stack(ref))
+    return ens, levels, np.stack(ref)
+
+
+def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
+    _, pattern = _pattern(n=5.0, seed=3, grid_level=5)
+    ens, levels, ref = _exact_reference(pattern, 26)
+    assert len(set(levels.tolist())) == 4  # the draws switch between levels
+    assert np.array_equal(ens.values, ref)
+
+
+@pytest.mark.parametrize(
+    "f0, n, seed, drawn",
+    [
+        (GridFunction.constant(0.0, 5), 1000.0, 0, {0}),  # every draw on level 0
+        (holder_test_function(1.0, 1.0, "cusp", 5), 50.0, 1, {0, 1}),  # mixed, below the cap
+        (holder_test_function(1.0, 1.0, "cusp", 5), 5.0, 3, {0, 1, 2, 3}),  # mixed, up to the cap
+    ],
+    ids=["one level", "mixed below the cap", "mixed up to the cap"],
+)
+def test_exact_sampler_stores_the_blocks_of_the_finest_level_drawn(f0, n, seed, drawn):
+    ens, levels, ref = _exact_reference(simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)), 26)
+    assert set(levels.tolist()) == drawn
+    assert ens.blocks.shape == (400, 2 << max(drawn))
+    assert np.array_equal(ens.values, ref)
 
 
 # per sampler cell: the sha256 of ``ens.values.tobytes()`` as the grid-width ensembles stored it, and the row width
-# the ensemble now keeps (2**(j_cap+1), the widest level's, 2**(j_max+1) and the grid's 2**4)
+# the ensemble now keeps (2**(J+1) at the finest level J drawn, the widest level's, 2**(j_max+1) and the grid's 2**4)
 _PINNED_CELLS = {
-    "exact": ("truncated_wavelet", "gaussian", "exact", 200, 8,
+    "exact": ("truncated_wavelet", "gaussian", "exact", 200, 4,
               "fe2d38cbf76f82ecf8cccd5c79d3ff96608804ab2ae3b9c280694b2d2c3bd210"),
     "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000, 8,
                            "9897c04d764a00d19d791cbb03f34c17b5dcf62ba81896dee197c68aee655904"),
