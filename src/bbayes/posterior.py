@@ -287,7 +287,7 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     blocks = 2 << levels
     q = rng.random(int(blocks.sum()))
     width = 2 << levels.max()
-    if blocks.min() == width:  # every draw on one level: its uniforms, in draw order, are the rows
+    if blocks.min() == width:  # one level drawn (2 cells in 3 of a rate study): the uniforms are the rows, no gather
         sd = s * math.sqrt(width)
         values = mu + sd * _std_normal_tail(q.reshape(draws, width), (block_minima(mins, int(levels[0])) - mu) / sd)
     else:
