@@ -4,7 +4,8 @@ A boundary function is stored piecewise-constant on ``2**grid_level`` equal
 bins of [0, 1].  All integrals, distances and feasibility checks below are
 exact for this representation.  The observed data are Poisson point patterns
 with intensity ``n * 1(f(x) <= y)`` on the window ``{f(x) <= y <= ceiling}``,
-drawn as points (``simulate_ppp``) or as ``bin_minima`` (``simulate_minima``).
+drawn as points (``simulate_ppp``) or as ``bin_minima`` (``simulate_minima``),
+each bin's lowest point first, so the minima cost O(m) at any n.
 """
 
 from __future__ import annotations
@@ -239,49 +240,51 @@ def kl_divergence(f0: GridFunction, f: GridFunction, n: float) -> float:
 # observation model
 
 
-def _draw(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator):
-    """(gaps, counts, x-uniforms), drawn in that order: the one draw record of both simulators, which draw one
-    y-uniform per point next.  ``rng.random`` gives the bits of ``uniform`` on [0, 1), faster."""
-    if not n > 0:
-        raise ValueError("n must be positive")
+def _lowest(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator):
+    """(lowest, seed), drawn in that order: each bin's lowest point, +inf on a bin with none below the ceiling, and
+    the seed of the child generator that draws the points above them; the one draw record of both simulators.  On
+    bin k's strip the first arrival is f_k + Exp(n / m), and a Poisson process continues above it (Devroye 1986,
+    *Non-Uniform Random Variate Generation*, ch. VI)."""
+    if not 0.0 < n < math.inf:  # a NaN fails both comparisons
+        raise ValueError(f"n must be positive and finite, got {n!r}")
+    if not -math.inf < ceiling < math.inf:
+        raise ValueError(f"ceiling must be finite, got {ceiling!r}")
     if ceiling < f.max():
         raise ValueError(f"ceiling {ceiling!r} is below max f = {f.max()!r}")
-    gaps = ceiling - f.values
-    counts = rng.poisson(n * gaps / f.num_bins)
-    return gaps, counts, rng.random(counts.sum())
+    lowest = f.values + rng.exponential(f.num_bins / n, f.num_bins)
+    lowest[lowest > ceiling] = math.inf
+    return lowest, rng.integers(2**63)
 
 
 def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator) -> PointPattern:
     """Simulate the point process with intensity n*1(f(x) <= y), truncated at the ceiling.
 
-    By Poisson splitting, bin k holds Poisson(n * gap_k / m) points, gap_k =
-    ceiling - f_k, independently of the other bins, uniform on its rectangle
-    between f_k and the ceiling.  The points come out grouped by bin; nothing
-    reads their order.  A ceiling below max f would empty the bins above it, a
-    law other than the model's, so it is a ValueError.
+    Bin k's lowest point comes first (``_lowest``); a child generator then draws the points above each one, by
+    Poisson splitting Poisson(n * (ceiling - lowest_k) / m) of them independently of the other bins, uniform on the
+    rectangle between lowest_k and the ceiling.  Every x is uniform in its bin.  The lowest points come out first,
+    then the rest grouped by bin; nothing reads their order.  A ceiling below max f would empty the bins above it, a
+    law other than the model's, so it is a ValueError, as is a non-finite n or ceiling.
     """
-    gaps, counts, ux = _draw(f, n, ceiling, rng)
-    uy = rng.random(ux.size)
-    bins = np.repeat(np.arange(f.num_bins), counts)
+    lowest, seed = _lowest(f, n, ceiling, rng)
+    child = np.random.default_rng(seed)
+    hit = np.flatnonzero(np.isfinite(lowest))
+    above = np.repeat(hit, child.poisson(n * (ceiling - lowest[hit]) / f.num_bins))
+    bins = np.concatenate([hit, above])
+    ux = child.random(bins.size)
+    ys = np.concatenate([lowest[hit], lowest[above] + child.random(above.size) * (ceiling - lowest[above])])
     # b + u rounds up to b + 1 if 1 - u <= half an ulp of b, <= b * 2**-53: u <= 1 - m * 2**-53 keeps x in bin b
     xs = (bins + np.minimum(ux, 1.0 - f.num_bins * 2.0**-53)) / f.num_bins
-    ys = f.values[bins] + uy * gaps[bins]
     return PointPattern(n, ceiling, xs, ys)
 
 
 def simulate_minima(f: GridFunction, n: float, ceiling: float, grid_level: int, rng: np.random.Generator) -> np.ndarray:
     """``bin_minima(simulate_ppp(f, n, ceiling, rng), grid_level)`` bit for bit from the same draws, with no points:
-    bin k's minimum is f_k + (its least y-uniform) * gap_k, as f_k + u * gap_k rounds monotonically in u.  The
-    y-uniforms are drawn over the x-uniforms, which it never reads.  A grid finer than f's reads the x positions,
-    so it simulates the pattern."""
+    it reads the lowest points alone, m exponentials and one integer, so a call costs O(m) at any n.  A grid finer
+    than f's reads the x positions, so it simulates the pattern."""
     if grid_level > f.grid_level:
         return bin_minima(simulate_ppp(f, n, ceiling, rng), grid_level)
-    gaps, counts, uy = _draw(f, n, ceiling, rng)
-    rng.random(out=uy)
-    hit = counts > 0
-    mins = np.full(f.num_bins, np.inf)
-    mins[hit] = f.values[hit] + np.minimum.reduceat(uy, (np.cumsum(counts) - counts)[hit]) * gaps[hit]
-    return mins.reshape(1 << grid_level, -1).min(axis=1)
+    lowest, _ = _lowest(f, n, ceiling, rng)
+    return lowest.reshape(1 << grid_level, -1).min(axis=1)
 
 
 def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:

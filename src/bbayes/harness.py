@@ -234,9 +234,10 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
 def _study_cells(spec, f0, ceiling, sampler, budget, functional, seed, cells):
     """``functional(ensemble, f0)`` of each ``(i_n, n, rep)`` cell of ``cells``, or the cause (a str) of its refusal.
 
-    Each cell draws its bin minima with no points (``simulate_minima``) and samples on its own generator,
-    ``default_rng(SeedSequence((seed, i_n, rep)))``.  The minima go to ``sample_cells`` as one block, each cell at
-    its own n; each ensemble is reduced as it is yielded, so a sampler that runs cell by cell holds one at a time.
+    Each cell draws its bin minima with no points, m exponentials and one integer at any n (``simulate_minima``),
+    and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  The minima go to
+    ``sample_cells`` as one block, each cell at its own n; each ensemble is reduced as it is yielded, so a sampler
+    that runs cell by cell holds one at a time.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for i_n, _, rep in cells]
     ns = [n for _, n, _ in cells]

@@ -213,37 +213,107 @@ def test_simulate_minima_is_bin_minima_of_simulate_ppp(kind, level):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-class _StubRng:
-    """Returns the given bin counts, then the given x- and y-uniforms, in the simulators' draw order."""
+class _StubRng(np.random.Generator):
+    """Returns the given exponentials, then itself as the child generator (``default_rng`` passes a Generator
+    through), then the given counts of the bins with a lowest point and the given x- and y-uniforms, in the
+    simulators' draw order."""
 
-    def __init__(self, counts, ux, uy):
-        self.draws = [np.array(counts), np.array(ux), np.array(uy)]
+    def __init__(self, exponentials, counts, ux, uy):
+        super().__init__(np.random.PCG64(0))
+        self.draws = [np.array(exponentials, dtype=float), self, np.array(counts), np.array(ux), np.array(uy)]
+
+    def exponential(self, scale, size):
+        draw = self.draws.pop(0)
+        assert len(self.draws) == 4 and draw.size == size
+        return draw
+
+    def integers(self, high):
+        assert len(self.draws) == 4
+        return self.draws.pop(0)
 
     def poisson(self, lam):
         assert len(self.draws) == 3
         return self.draws.pop(0)
 
-    def random(self, size=None, out=None):
+    def random(self, size):
         draw = self.draws.pop(0)
-        if out is None:
-            assert draw.size == size
-            return draw
-        assert out.shape == draw.shape
-        out[...] = draw
-        return out
+        assert draw.size == size
+        return draw
 
 
 def test_simulate_ppp_keeps_each_point_in_the_bin_it_was_drawn_in():
     # b + u rounds to b + 1 for u = 1 - 2**-53 (b >= 1): the point would land in bin b + 1, below f there
     f = GridFunction(3, np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
     u = 1.0 - 2.0**-53
-    draws = ([0, 2, 0, 1, 0, 0, 0, 0], [u, 0.5, u], [0.0, 0.5, 0.0])
+    # lowest points at y = 0 in bins 1 and 3 (the others above the ceiling 2), one more point in bin 1
+    draws = ([3.0, 0.0, 3.0, 0.0, 3.0, 3.0, 3.0, 3.0], [1, 0], [u, u, 0.5], [0.5])
     pattern = simulate_ppp(f, 1.0, 2.0, _StubRng(*draws))
-    assert np.floor(pattern.xs * 8).tolist() == [1, 1, 3]
+    assert np.floor(pattern.xs * 8).tolist() == [1, 3, 1] and pattern.ys.tolist() == [0.0, 0.0, 1.0]
     assert np.all(pattern.ys >= f(pattern.xs)) and constraint_satisfied(f, pattern)
     for grid_level in (1, 3):
         expected = bin_minima(simulate_ppp(f, 1.0, 2.0, _StubRng(*draws)), grid_level)
         assert np.array_equal(simulate_minima(f, 1.0, 2.0, grid_level, _StubRng(*draws)), expected)
+
+
+@pytest.mark.parametrize("n, ceiling, bad", [(math.inf, 2.0, "n"), (math.nan, 2.0, "n"), (10.0, math.inf, "ceiling"),
+                                             (10.0, math.nan, "ceiling"), (10.0, -math.inf, "ceiling")])
+def test_simulators_name_a_non_finite_n_or_ceiling(n, ceiling, bad):
+    f = GridFunction(2, np.array([0.0, 0.5, 0.25, 0.75]))
+    message = f"{bad} must be (positive and )?finite, got {(n if bad == 'n' else ceiling)!r}"
+    with pytest.raises(ValueError, match=message):
+        simulate_ppp(f, n, ceiling, np.random.default_rng(0))
+    for grid_level in (1, 2, 3):  # coarser than f, f's level, and finer (which simulates the pattern)
+        with pytest.raises(ValueError, match=message):
+            simulate_minima(f, n, ceiling, grid_level, np.random.default_rng(0))
+
+
+class _RecordingRng:
+    """A real generator that records the name and output size of each call made on it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.size(out)))
+            return out
+
+        return record
+
+
+def test_simulate_minima_draws_m_exponentials_and_one_integer_at_any_n():
+    # the minima read the lowest points alone: no Poisson count and no uniform, so a cell costs O(m) even at an n
+    # whose pattern would hold about 1e15 points
+    f = holder_test_function(1.0, 1.0, "cusp", 8)
+    for n in (0.5, 5000.0, 1e15):
+        for grid_level in (4, 8):
+            rng = _RecordingRng(0)
+            mins = simulate_minima(f, n, f.max() + 0.5, grid_level, rng)
+            assert rng.calls == [("exponential", 256), ("integers", 1)]
+    # the last call, at n = 1e15 on f's grid: every bin's lowest point is finite, within about m / n of f_k
+    assert np.all((f.values <= mins) & (mins <= f.values + 1e-9))
+
+
+def test_lowest_point_is_a_truncated_exponential_above_f():
+    # on bin k, (lowest - f_k) * n / m is Exp(1) truncated at T_k = (ceiling - f_k) * n / m, and the bin holds no
+    # point below the ceiling with probability e^{-T_k}
+    f = GridFunction(3, np.array([0.0, 0.5, 0.25, 0.75, 1.0, 0.1, 0.6, 0.3]))
+    n, ceiling, m, reps = 20.0, 1.5, 8, 4000
+    rng = np.random.default_rng(11)
+    mins = np.array([simulate_minima(f, n, ceiling, 3, rng) for _ in range(reps)])
+    t = (mins - f.values) * n / m
+    cap = (ceiling - f.values) * n / m
+    empty = np.isinf(mins)
+    for k in range(m):
+        p = math.exp(-cap[k])
+        assert abs(empty[:, k].mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / reps), k
+    # the truncated CDF (1 - e^{-t}) / (1 - e^{-T_k}) maps each finite lowest point to a uniform
+    u = -np.expm1(-t[~empty]) / -np.expm1(-np.broadcast_to(cap, t.shape)[~empty])
+    assert stats.kstest(u, "uniform").pvalue > 0.01
 
 
 def test_void_probability_identity_single_config():

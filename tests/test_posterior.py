@@ -418,19 +418,19 @@ def test_exact_sampler_stores_the_blocks_of_the_finest_level_drawn(f0, n, seed, 
     assert np.array_equal(ens.values, ref)
 
 
-# per sampler cell: the sha256 of ``ens.values.tobytes()`` as the grid-width ensembles stored it, and the row width
-# the ensemble now keeps (2**(J+1) at the finest level J drawn, the widest level's, 2**(j_max+1) and the grid's 2**4)
+# per sampler cell: the sha256 of ``ens.values.tobytes()`` on the pattern drawn lowest point first, and the row
+# width the ensemble keeps (2**(J+1) at the finest level J drawn, the widest level's, 2**(j_max+1) and the grid's 2**4)
 _PINNED_CELLS = {
     "exact": ("truncated_wavelet", "gaussian", "exact", 200, 4,
-              "fe2d38cbf76f82ecf8cccd5c79d3ff96608804ab2ae3b9c280694b2d2c3bd210"),
+              "30fcf9a8353b86770305db40aa5e536aef029269dbba989951ecba440a79ba1b"),
     "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000, 8,
-                           "9897c04d764a00d19d791cbb03f34c17b5dcf62ba81896dee197c68aee655904"),
+                           "7e5735b6a45d0e6f02f0bdef3b0d74cfac10e5bd608d8215f6be389ab1778eec"),
     "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000, 8,
-                          "4a3156634227487e500efac094b7fbba0fedce1e4f1d8acdd2cdf3dc1e46ee41"),
+                          "678cd3e0f599a09f941d75e60441a819730acb0414fb1bf3a2834388cd521e74"),
     "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000, 8,
-                       "069a21aebecc54432bedc671067b636f6781957b725515ce853cc50b8b36dd9f"),
+                       "00339ad200fc1fc1d6820b724dc026881ee33e6b786846c18bbf7905dc8a1c26"),
     "brownian": ("brownian_start", None, "mcmc", 2000, 16,
-                 "49f8ff1a9475dacb81f836144b4e6b1582087d5a4b48d4beb0f31e40d2dda181"),
+                 "310c78e58bea7834e483f76122ee7a02635e64bdb14fc4c6cca785a0c3990de7"),
 }
 
 
