@@ -15,7 +15,10 @@ arbitrarily deep in the tail.
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
-states, which ``_run_chain`` runs for the scheduled sweeps and stores.
+states, which ``_run_chain`` runs for the scheduled sweeps and stores.  Both
+move along the dyadic tree, coarse to fine, with one fold of the slack per
+sweep (``passes.dyadic_minima``): a wavelet sweep draws each level's
+coefficients, a Brownian sweep shifts the bins of each dyadic interval.
 ``sample_cells``, the one dispatch on the sampler name and prior type, runs
 the Gibbs chains of cells at any intensities as blocks on a leading chain axis,
 one Brownian block or one per level in a wavelet prior's ``levels()``, and
@@ -435,69 +438,60 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
         yield v
 
 
-def _suffix_sweep(v: np.ndarray, mins: np.ndarray, n, q: np.ndarray) -> None:
-    """One scan k = 0..m-1 of exact Gibbs moves v -> v + t 1{b >= k} on each chain (row) of v, in place, in O(m).
-
-    Move k changes only the start value (k = 0) or one increment of the
-    Brownian prior, so its conditional is a gaussian tilted by
-    e^{n t (m - k) / m}, n a scalar or a ``(c, 1)`` column of the chains'
-    intensities, and truncated at the slack of the suffix.  Before move k the
-    suffix is shifted by sum(t[:k]), so that slack is the reverse running
-    minimum of ``mins - v``, taken once, less the running shift; the shifts are
-    added once at the end.  Move k inverts the uniform ``q[:, k]``, as
-    ``_std_normal_tail`` does, inlined, and steps every chain at once: m
-    vector steps, whatever the chain count, one chain included.
-    """
-    m = v.shape[1]
-    var = np.full(m, 1.0 / m)
-    var[0] += 1.0  # the start value's prior variance
-    mu = var * n * (m - np.arange(m)) / m - np.diff(v, prepend=0.0)
-    sd = np.sqrt(var)
-    slack = np.minimum.accumulate((mins - v)[:, ::-1], axis=1)[:, ::-1] - mu
-    log_q = np.log1p(-q)
-    shifts, shift = np.empty_like(v), np.zeros(len(v))
-    for k, (mu_k, sd_k, slack_k, lq) in enumerate(zip(mu.T, sd.tolist(), slack.T, log_q.T)):
-        a = (slack_k - shift) / sd_k
-        shift = shifts[:, k] = shift + (mu_k + sd_k * np.minimum(ndtri_exp(lq + log_ndtr(a)), a))
-    v += shifts
-
-
 def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
-    """Red-black Gibbs sweeps for the Brownian-start prior; yields the chains' ``(c, m)`` bin values after each sweep.
+    """Exact Gibbs sweeps over dyadic-interval shifts for the Brownian-start prior; yields the chains' ``(c, m)`` bin
+    values after each sweep.
 
-    The prior is Markov across bins, so the full conditional of one bin given
-    its neighbours is a gaussian tilted by e^{(n_i/m) v}, n_i the intensity of
-    chain i in the ``(c, 1)`` column n, and truncated at the bin minimum; those
-    draws are exact, no step-size tuning is involved.  Local updates alone
-    relax long-wavelength modes diffusively, so each sweep also runs one O(m)
-    scan of directional Gibbs moves along suffix shifts v -> v + t 1{b >= k}
-    (``_suffix_sweep``), whose conditionals are again exact truncated
-    gaussians.  Each draw inverts one uniform: a sweep costs 2m site updates,
-    drawn by chain i from ``rngs[i]`` in one array per sweep.
+    A move shifts the bins of a dyadic interval I = [a, b) by t, v -> v + t 1_I.  It changes only the increment at a
+    (the start value if a = 0) and the one at b, of prior precisions p_a = 1/(1 + 1/m) at a = 0, else m, and p_b = m
+    for b < m, else 0.  So its full conditional is a gaussian of precision p_a + p_b, tilted by e^{n_i t (b - a)/m},
+    n_i the intensity of chain i in the ``(c, 1)`` column n, and truncated at the slack of I, the minimum over I of
+    ``mins - v``; it is drawn exactly, with no step-size tuning.  The intervals of one level and colour (even or odd)
+    share no edge, so a sweep draws each level and colour in one vector draw, coarse to fine: the whole-function
+    shift first, the red-black bin update last.  A sweep costs 2m - 1 site updates, drawn by chain i from
+    ``rngs[i]`` in one array per sweep.  It holds the m + 1 edge increments ``diff([0, v, 0])``, read at a level
+    through a strided view, and folds the slack up the dyadic tree once (``passes.dyadic_minima``); a move shifts
+    each finer interval by a constant, so the moves are carried down as one shift per interval, each level's slack
+    is its fold less that shift, and ``v`` takes the shift once, at the end of the sweep.
     """
     c, m = mins.shape
-    padded = np.zeros((c, m + 2))  # the bins, between two zero neighbours that end bins do not have
-    v = padded[:, 1:-1]
     finite = np.isfinite(mins)
-    v[:] = np.min(mins, axis=1, initial=0.0, where=finite, keepdims=True) - 0.1
+    v = np.repeat(np.min(mins, axis=1, initial=0.0, where=finite, keepdims=True) - 0.1, m, axis=1)
     for i in np.flatnonzero(~finite.any(axis=1)):  # no point at all: start from a prior draw
         v[i] = prior.draw(rngs[i], 1)[0]
-    evens, odds = np.arange(0, m, 2), np.arange(1, m, 2)
-    lam = np.full(m, 2.0 * m)  # precision of each bin given its neighbours
-    lam[0], lam[-1] = 1.0 / (1.0 + 1.0 / m) + m, float(m)
-    sd = 1.0 / np.sqrt(lam)
-
-    def half_sweep(idx, q):
-        mu = (m * (padded[:, idx] + padded[:, idx + 2]) + n / m) / lam[idx]
-        v[:, idx] = mu + sd[idx] * _std_normal_tail(q, (mins[:, idx] - mu) / sd[idx])
-
-    u = np.empty((c, 2 * m))
+    p = np.full(m + 1, float(m))  # the prior precision of each edge increment: the start value, bins 1..m-1, none
+    p[0], p[m] = 1.0 / (1.0 + 1.0 / m), 0.0
+    # per level of k intervals of w bins, coarse to fine: w, and per colour the slices of its intervals (and left
+    # edges), right edges and uniforms, and the coefficients of their conditional moments
+    levels, used = [], 0
+    for k in (1 << j for j in range(prior.grid_level + 1)):
+        w, colours = m // k, []
+        for first in range(min(k, 2)):  # evens, then odds: interval i spans edges i and i + 1
+            left, right = slice(first, k, 2), slice(first + 1, k + 1, 2)
+            p_a, p_b = p[::w][left], p[::w][right]
+            var = 1.0 / (p_a + p_b)
+            q, used = slice(used, used + var.size), used + var.size
+            colours.append((left, right, q, var * p_a, var * p_b, n * (var * w / m), np.sqrt(var)))
+        levels.append((w, colours))
+    u = np.empty((c, 2 * m - 1))
     while True:
         for rng, row in zip(rngs, u):
             rng.random(out=row)
-        half_sweep(evens, u[:, : evens.size])
-        half_sweep(odds, u[:, evens.size : m])
-        _suffix_sweep(v, mins, n, u[:, m:])
+        g, shift = np.zeros((c, m + 1)), np.zeros((c, 1))
+        g[:, :-1] = v  # g = diff([0, v, 0]), without diff's padding copies
+        g[:, 1:] -= v
+        for fold, (w, colours) in zip(dyadic_minima(mins - v)[::-1], levels):
+            edges = g[:, ::w]  # a view: moving a level's edges moves g
+            for left, right, q, c_a, c_b, tilt, sd in colours:
+                g_a, g_b, s = edges[:, left], edges[:, right], shift[:, left]  # views, moved in place
+                mu = c_b * g_b - c_a * g_a + tilt
+                alpha = (fold[:, left] - s - mu) / sd
+                t = mu + sd * _std_normal_tail(u[:, q], alpha)
+                g_a += t
+                g_b -= t
+                s += t
+            shift = np.repeat(shift, 2, axis=1) if w > 1 else shift
+        v += shift
         yield v
 
 
@@ -561,9 +555,10 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
                 yield exc
         return
     if isinstance(prior, BrownianStartPrior):
-        keep = _kept(budget, 2 << prior.grid_level, budget)
+        cost = (2 << prior.grid_level) - 1
+        keep = _kept(budget, cost, budget)
         rows = [[(v, 0.0)] for v in _run_chain(_gibbs_brownian(prior, mins, n[:, None], rngs), keep)]
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * (2 << prior.grid_level)} for _ in rngs]
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
         causes = [None] * len(rngs)
     else:
         levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
