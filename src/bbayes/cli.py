@@ -252,6 +252,12 @@ def _get(kv: dict, key: str, convert, default=None):
         raise click.UsageError(f"config key {key!r}: cannot read {raw!r}") from None
 
 
+def _named(kv: dict, **converts) -> dict:
+    """``{key: convert(kv.pop(key))}`` for each key of ``converts`` that ``kv`` holds: a study's own defaults,
+    set by the library alone, fill the rest."""
+    return {key: _get(kv, key, convert) for key, convert in converts.items() if key in kv}
+
+
 def _test_function(config_path: str, kv: dict, prefix: str, grid_level: int, beta: float = 1.0) -> GridFunction:
     """The test function of the keys ``<prefix>.beta``, ``.R`` and ``.kind``; a value it rejects is a usage error."""
     beta, R = _get(kv, f"{prefix}.beta", float, beta), _get(kv, f"{prefix}.R", float, 1.0)
@@ -293,11 +299,7 @@ def rate_study(config_path, seed, out, threads):
         f0_kind=_get(kv, "f0.kind", str, "smooth"),
         n_grid=_get(kv, "n_grid", _floats, (200.0, 500.0, 1000.0, 2000.0, 5000.0)),
         replicates=_get(kv, "replicates", int, 20),
-        sampler=_get(kv, "sampler", str, "mcmc"),
-        budget=_get(kv, "budget", int, 4000),
-        error_metric=_get(kv, "error_metric", str, "l1"),
-        seed=_get(kv, "seed", int, 0),
-        slope_tol=_get(kv, "slope_tol", float, 0.15),
+        **_named(kv, sampler=str, budget=int, error_metric=str, seed=int, slope_tol=float),
     )
     _run_study(config_path, kv, lambda: run_rate_study(cfg(), threads=threads), out, lambda report: (
         f"slope={report.slope:.4f} theory={report.theory} margin={report.margin} passed={report.passed}"))
@@ -317,7 +319,7 @@ def small_ball(config_path, out):
         run_small_ball_study, spec, h,
         _get(kv, "eps_grid", _floats, (1.0, 0.8, 0.6, 0.5, 0.4, 0.3)),
         beta=beta,
-        tol=_get(kv, "tol", float, 0.3),
+        **_named(kv, tol=float),
     ), out, lambda report: f"slope={report.slope:.4f} theory={report.theory} passed={report.passed}")
 
 
@@ -335,9 +337,7 @@ def decay_study(config_path, seed, out, threads):
         _get(kv, "r", float, 0.2),
         _get(kv, "n_grid", _floats, (100.0, 200.0, 500.0, 1000.0)),
         _get(kv, "replicates", int, 20),
-        seed=_get(kv, "seed", int, 0),
-        sampler=_get(kv, "sampler", str, "mcmc"),
-        budget=_get(kv, "budget", int, 3000),
+        **_named(kv, seed=int, sampler=str, budget=int),
         threads=threads,
     ), out, lambda report: f"median masses: {report.median_mass} passed={report.passed}")
 

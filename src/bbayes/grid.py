@@ -112,7 +112,11 @@ class GridFunction:
         return bool(np.array_equal(a, b))
 
     def __hash__(self) -> int:
-        return hash((self.grid_level, self.values.tobytes()))
+        # as __eq__ compares on the finer grid: the values at the coarsest level that holds them, -0.0 folded to 0.0
+        v, k = self.values + 0.0, 1
+        while np.any(v.reshape(k, -1) != v[:: len(v) // k, None]):  # k blocks, each not yet one constant
+            k *= 2
+        return hash(v[:: len(v) // k].tobytes())
 
     def to_csv(self) -> str:
         lines = [f"# grid_level={self.grid_level}"]

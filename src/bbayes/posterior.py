@@ -8,9 +8,9 @@ piecewise-constant candidate the constraint is equivalent to lying below the
 per-bin minima of the point ordinates, so each sampler reduces the pattern to
 them once and its kernels read nothing else.  Every sampler enforces the
 constraint exactly; infeasible states are never stored.  Under gaussian
-priors every exact move is a one-sided truncated normal, drawn by inversion
-in log space with one uniform per value: no rejection loop, accurate
-arbitrarily deep in the tail.
+priors every exact move is a normal truncated above, drawn by one inversion
+in log space (``_std_normal_tail``) with one uniform per value: no rejection
+loop, accurate arbitrarily deep in the tail.
 
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
@@ -167,31 +167,30 @@ def log_posterior_weight(f: GridFunction, pattern: PointPattern) -> float:
 
 
 def _std_normal_tail(q, alpha):
-    """Z ~ N(0, 1) conditioned on Z <= alpha by inversion of uniforms q in [0, 1), in log space.
+    """Z ~ N(0, 1) conditioned on Z <= alpha by inversion of uniforms q in [0, 1), in log space: the one inversion
+    of every gaussian move.
 
-    ``log_ndtr`` and ``ndtri_exp`` stay accurate arbitrarily far into the
-    tail; q = 0 gives alpha (to ``ndtri_exp``'s rounding), never -inf, and
-    alpha = +inf gives a plain N(0, 1) draw.  Scalars or arrays.
+    ``log_ndtr`` and ``ndtri_exp`` stay accurate arbitrarily far into the tail; q = 0 gives alpha (to
+    ``ndtri_exp``'s rounding) and alpha = +inf a plain N(0, 1) draw, never an infinite one: the log-CDF is clamped
+    at -2**-54, which binds at q = 0 alone, as every nonzero uniform is at least 2**-53.  Scalars or arrays.
     """
-    return np.minimum(ndtri_exp(np.log1p(-q) + log_ndtr(alpha)), alpha)
+    return np.minimum(ndtri_exp(np.minimum(np.log1p(-q) + log_ndtr(alpha), -(2.0**-54))), alpha)
 
 
 def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Z ~ N(0, 1) conditioned on a <= Z <= b by inversion of uniforms q, in log space.
-
-    Each interval is mirrored into the lower half line, where ``log_ndtr`` and
-    ``ndtri_exp`` stay accurate arbitrarily far into the tail.
+    """Z ~ N(0, 1) conditioned on a <= Z <= b: ``_std_normal_tail`` below b of the uniforms q scaled by the
+    share of [a, b] in the mass below b, so a = -inf is the one-sided draw bit for bit.  Each interval is first
+    mirrored into the lower half line, where ``log_ndtr`` stays accurate arbitrarily far into the tail.
     """
     flip = a + b > 0.0
     a, b = np.where(flip, -b, a), np.where(flip, -a, b)
-    la, lb = log_ndtr(a), log_ndtr(b)
-    z = ndtri_exp(lb + np.log(q + (1.0 - q) * np.exp(la - lb)))
+    z = _std_normal_tail(q * -np.expm1(log_ndtr(a) - log_ndtr(b)), b)
     return np.where(flip, -z, z)
 
 
 def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
     """x with density proportional to e^{r x} on [u, w] by inversion of uniforms q; r is a scalar or an array."""
-    if np.ndim(r) == 0:  # one rate, one branch: the caller's errstate covers it
+    if np.ndim(r) == 0:  # one rate, one branch, in the caller's errstate: contraction-laplace 10% faster (CHANGES.md)
         return u + q * (w - u) if r == 0.0 else (w if r > 0.0 else u) + np.log1p(q * np.expm1(-abs(r) * (w - u))) / r
     with np.errstate(divide="ignore", invalid="ignore"):  # each branch is computed on every row
         x = np.where(r > 0.0, w, u) + np.log1p(q * np.expm1(-np.abs(r) * (w - u))) / r
@@ -201,7 +200,7 @@ def _exp_segment(q: np.ndarray, u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
 def _exp_segment_log_mass(u: np.ndarray, w: np.ndarray, r) -> np.ndarray:
     """Log of the integral of e^{r x} over [u, w], r a scalar or an array; -inf where the segment is empty."""
     d = np.maximum(w - u, 0.0)
-    if np.ndim(r) == 0:  # one rate, one branch: the caller's errstate covers it
+    if np.ndim(r) == 0:  # one rate, one branch, in the caller's errstate, for contraction-laplace as in _exp_segment
         return np.log(d) if r == 0.0 else np.log(-np.expm1(-abs(r) * d)) + (r * (w if r > 0.0 else u) - np.log(abs(r)))
     with np.errstate(divide="ignore", invalid="ignore"):  # each branch is computed on every row
         tilted = np.log(-np.expm1(-np.abs(r) * d)) + (r * np.where(r > 0.0, w, u) - np.log(np.abs(r)))
@@ -224,7 +223,8 @@ def _sample_coefficients_interval(dist, q: np.ndarray, lo, hi, tilt) -> np.ndarr
         elif dist.kind == "uniform":
             lo, hi = np.maximum(lo, -dist.scale), np.minimum(hi, dist.scale)
             x = np.where(hi < lo, np.nan, _exp_segment(q, lo, hi, tilt))
-        else:  # laplace: piecewise exponential on either side of zero
+        else:  # laplace: piecewise exponential on either side of zero; both sides drawn, one kept, which runs
+            # contraction-laplace 4% faster than a one-side draw at its few coefficients per call (CHANGES.md)
             r_neg = tilt + 1.0 / dist.scale
             r_pos = tilt - 1.0 / dist.scale
             neg_hi, pos_lo = np.minimum(hi, 0.0), np.maximum(lo, 0.0)
@@ -276,30 +276,22 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
     Level weights come from the closed-form evidences (``_level_log_weights``);
     given the level, the block values are independent truncated gaussians tilted
     by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
-    draw count.  After the level choice, one call draws one uniform per block value.
-    The ensemble stores every draw on the 2^{J+1} blocks of the finest level J drawn:
-    the draws themselves when every draw sits on J, else each level's draws repeated over its blocks.
+    draw count.  The drawn levels are sorted (the rows are i.i.d., and no functional
+    reads their order), so each level's rows are one slice of the ensemble and invert
+    the next 2^{j+1} uniforms per row in one call; the ensemble stores every draw on the
+    2^{J+1} blocks of the finest level J drawn, each level's draws repeated over its blocks.
     """
     s = prior.dist.scale
     level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
-    levels = rng.choice(prior.j_cap + 1, size=draws, p=probs)
+    levels = np.sort(rng.choice(prior.j_cap + 1, size=draws, p=probs))
     mu = n * s * s
-    # the 2^{j+1} block uniforms of every draw, in draw order, then one fill per level drawn
-    blocks = 2 << levels
-    q = rng.random(int(blocks.sum()))
-    width = 2 << levels.max()
-    if blocks.min() == width:  # one level drawn (2 cells in 3 of a rate study): the uniforms are the rows, no gather
-        sd = s * math.sqrt(width)
-        values = mu + sd * _std_normal_tail(q.reshape(draws, width), (block_minima(mins, int(levels[0])) - mu) / sd)
-    else:
-        first = np.cumsum(blocks) - blocks
-        values = np.empty((draws, width))
-        for j in np.unique(levels).tolist():
-            sd, rows = s * math.sqrt(2 << j), levels == j
-            v = mu + sd * _std_normal_tail(q[first[rows, None] + np.arange(2 << j)], (block_minima(mins, j) - mu) / sd)
-            values.reshape(draws, 2 << j, -1)[rows] = v[..., None]
+    values = np.empty((draws, 2 << int(levels[-1])))
+    for j, first, k in zip(*(a.tolist() for a in np.unique(levels, return_index=True, return_counts=True))):
+        sd = s * math.sqrt(2 << j)
+        v = mu + sd * _std_normal_tail(rng.random((k, 2 << j)), (block_minima(mins, j) - mu) / sd)
+        values[first : first + k].reshape(k, 2 << j, -1)[:] = v[..., None]  # the k rows of level j
     meta = {
         "sampler": "exact",
         "draws": draws,
@@ -539,6 +531,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
     block stores its states on the level's finest blocks, which a cell's ensemble keeps at its widest level's width.
+    A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels.
     A cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
     an improper laplace posterior (``passes.improper_laplace``), no feasible state in the uniform support
     (``passes.highest_feasible``) or no level weight > 0.  Every other sampler runs cell by cell, yielding each
@@ -568,7 +561,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
             refused, reason = improper_laplace(prior, mins, n), "an improper laplace posterior, which no chain samples"
         causes = [reason if r else None for r in refused]
         log_w = _level_log_weights(levels, mins, n.tolist(), rngs) if truncated else np.zeros((len(rngs), 1))
-        rows, skipped = [[] for _ in rngs], np.zeros(len(rngs), dtype=int)
+        rows, (steps, skipped) = [[] for _ in rngs], np.zeros((2, len(rngs)), dtype=int)  # updates run and skipped
         for (_, level), lw in zip(levels, log_w.T):
             cells = np.flatnonzero((lw > -math.inf) & ~refused)
             if cells.size:
@@ -578,10 +571,12 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
                 start = _wavelet_start(level, block_mins, block_rngs)
                 chains = _gibbs_wavelet(level, block_mins, n[cells, None], block_rngs, start, block_skipped)
                 values = _run_chain(chains, keep)
+                steps[cells] += keep.stop * level.latent_dim
                 skipped[cells] += block_skipped
                 for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
                     rows[i].append((v, lw[i] - math.log(len(v)) if truncated else 0.0))
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": budget, "skipped_updates": k} for k in skipped.tolist()]
+        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": t, "skipped_updates": k}
+                 for t, k in zip(steps.tolist(), skipped.tolist())]
         if truncated:
             for meta, lw in zip(metas, log_w):
                 meta["level_log_weights"] = lw.tolist()

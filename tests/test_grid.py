@@ -70,6 +70,18 @@ def test_pointwise_lattice_ops_and_equality():
     assert f != g
 
 
+def test_equal_grid_functions_hash_alike():
+    # __eq__ compares on the finer grid and -0.0 == 0.0, so a set holds one of each equal pair
+    pairs = [
+        (GridFunction(0, [1.0]), GridFunction(1, [1.0, 1.0])),
+        (GridFunction(0, [0.0]), GridFunction(0, [-0.0])),
+        (GridFunction(1, [-0.0, 2.0]), GridFunction(3, [0.0, 0.0, -0.0, 0.0, 2.0, 2.0, 2.0, 2.0])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len({GridFunction(1, [1.0, 2.0]), GridFunction(1, [2.0, 1.0]), GridFunction(0, [1.0])}) == 3
+
+
 def test_grid_function_csv_round_trip():
     rng = np.random.default_rng(0)
     f = GridFunction(3, rng.standard_normal(8))

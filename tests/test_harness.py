@@ -205,7 +205,7 @@ def test_rate_studies_never_build_an_ensemble_grid_view(monkeypatch):
     monkeypatch.setattr(PosteriorEnsemble, "values", property(grid_view))
     for cfg, digest in [
         (_tiny_rate_cfg(prior=_spec("truncated_wavelet", j=3), sampler="exact", budget=300),
-         "833637b62e63ef6ff2f534f3be823760a20842bf576bb4624dac53c90033f543"),
+         "e1f614c594328bb33b32022857a53670532e8fa55c4ceef2d08e49ed6f8997e4"),
         (_tiny_rate_cfg(prior=_spec("wavelet_series", "laplace", alpha=2.0), f0_R=2.0, budget=400),
          "f1bed343139cf88641918f71811b752c2fa1e03615a4505ab1d9ec1588233517"),
     ]:

@@ -44,6 +44,7 @@ from bbayes.posterior import (
     _kept,
     _sample_coefficients_interval,
     _std_normal_tail,
+    _trunc_std_normal,
     bin_minima,
     posterior_median_metric,
     sample_cells,
@@ -195,6 +196,26 @@ def test_std_normal_tail_inversion_deep_tail_and_endpoints():
     for alpha in (-300.0, -40.0, -5.0, -1.0, 0.0, 1.2, 5.0):
         z = float(_std_normal_tail(0.0, alpha))
         assert alpha - 1e-12 * max(1.0, abs(alpha)) <= z <= alpha, alpha
+
+
+def test_a_zero_uniform_gives_a_finite_draw_inside_its_interval():
+    # rng.random returns 0.0 with probability 2**-53: an untruncated tail draw (a Brownian interval or an exact
+    # block with no point) and a gaussian draw with no lower bound (every z0 move) must stay finite and in [a, b]
+    assert math.isfinite(float(_std_normal_tail(0.0, np.inf)))
+    gaussian = CoefficientDistribution("gaussian")
+    for hi, tilt in [(0.3, 2.0), (np.inf, 2.0), (np.inf, 0.0), (-5.0, 0.0), (2.0, -40.0)]:
+        x = float(_sample_coefficients_interval(gaussian, np.zeros(1), -np.inf, np.array([hi]), tilt)[0])
+        assert math.isfinite(x) and x <= hi, (hi, tilt)
+
+
+def test_the_two_sided_draw_is_the_one_sided_draw_below_its_upper_end():
+    # one inversion: with no lower end the two-sided draw is the one-sided draw bit for bit, and a lower end
+    # keeps every draw inside [a, b]
+    q = np.random.default_rng(8).random(4000)
+    b = np.linspace(-40.0, 8.0, 4000)
+    assert np.array_equal(_trunc_std_normal(q, np.full(4000, -np.inf), b), _std_normal_tail(q, b))
+    z = _trunc_std_normal(np.append(q, 0.0), np.full(4001, -1.0), np.full(4001, 0.5))
+    assert np.all(np.isfinite(z)) and z.min() >= -1.0 - 1e-12 and z.max() <= 0.5
 
 
 @pytest.mark.parametrize("u,w,r", [(0.0, 1.0, 2.0), (-2.0, 0.5, -3.0), (1.0, 4.0, 0.0), (-np.inf, 0.0, 1.5)])
@@ -391,7 +412,7 @@ def _exact_reference(pattern, seed):
     lw = np.array(ens.meta["level_log_weights"])
     probs = np.exp(lw - lw.max())
     probs /= probs.sum()
-    levels = rng.choice(4, size=400, p=probs)
+    levels = np.sort(rng.choice(4, size=400, p=probs))  # level-sorted rows: each level's uniforms are contiguous
     ref = []
     for j in levels:
         m = 1 << (j + 1)
@@ -428,13 +449,13 @@ def test_exact_sampler_stores_the_blocks_of_the_finest_level_drawn(f0, n, seed, 
 # width the ensemble keeps (2**(J+1) at the finest level J drawn, the widest level's, 2**(j_max+1) and the grid's 2**4)
 _PINNED_CELLS = {
     "exact": ("truncated_wavelet", "gaussian", "exact", 200, 4,
-              "30fcf9a8353b86770305db40aa5e536aef029269dbba989951ecba440a79ba1b"),
+              "c3be6373241ddfb27e0b280fbf97528c5b5540791af1186d62d775db5822931f"),
     "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000, 8,
-                           "7e5735b6a45d0e6f02f0bdef3b0d74cfac10e5bd608d8215f6be389ab1778eec"),
+                           "de9027c1c5b683e6f26001c7eb2bfa3c906c453ad2fca5e0d3f5941999cfd13e"),
     "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000, 8,
                           "678cd3e0f599a09f941d75e60441a819730acb0414fb1bf3a2834388cd521e74"),
     "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000, 8,
-                       "00339ad200fc1fc1d6820b724dc026881ee33e6b786846c18bbf7905dc8a1c26"),
+                       "68fb83cdff63c2669b409e5c7e53eb258cd980c546d44e697022c9eee1370e4a"),
     "brownian": ("brownian_start", None, "mcmc", 2000, 16,
                  "7e96b10a41be4bb331f1554fa4577cbeb36d7c38667e796d73dffc51a3002b64"),
 }
@@ -692,18 +713,25 @@ def test_mcmc_stores_the_scheduled_states(monkeypatch):
         "truncated": (6, 1_167, 9_332),
         "finite": (1, 4_000, 8_000),
     }
+    # site updates run at those budgets: at least 2 sweeps of 2m - 1 = 31 for a Brownian chain, of latent_dim 8
+    # for the wavelet chain at j_max 2, and on each truncated level of 2, 4 and 8 at a third of the budget; the
+    # finite prior's one-atom steps are its budget
+    steps = {
+        "brownian": (62, 4_991, 99_975),
+        "wavelet": (16, 5_000, 100_000),
+        "truncated": (28, 4_994, 99_992),
+        "finite": (1, 5_000, 100_000),
+    }
     widths = {"brownian": [16], "wavelet": [8], "truncated": [2, 4, 8], "finite": []}
     for name, prior in priors.items():
-        for budget, rows in zip((1, 5_000, 100_000), expected[name]):
+        for budget, rows, updates in zip((1, 5_000, 100_000), expected[name], steps[name]):
             stored.clear()
             ens = mcmc_posterior(prior, pattern, steps=budget, rng=np.random.default_rng(budget))
             assert len(ens) == rows, (name, budget)
             assert [width for _, _, width in stored] == widths[name], (name, budget)
             assert sum(kept for _, kept, _ in stored) == (rows if stored else 0), (name, budget)
             assert ens.validate_against(pattern)
-            # a Brownian sweep costs 2m - 1 = 31 site updates, and at least 2 sweeps run
-            steps = {1: 62, 5_000: 4_991, 100_000: 99_975}[budget] if name == "brownian" else budget
-            assert ens.meta["steps"] == steps, (name, budget)
+            assert ens.meta["steps"] == updates, (name, budget)
 
 
 def test_sample_cells_equals_each_cell_alone():
