@@ -7,7 +7,10 @@ multiplicative constants are absorbed by the log-log fit intercept.  Each
 ``numpy.random.SeedSequence([seed, n_index, replicate])``.  Every cell's bin
 minima (``grid.simulate_minima``) go to the posterior layer's one dispatch
 (``sample_cells``) as one block at their own n's (a block per process with
-``threads > 1``), each bit for bit as alone, so neither changes a result.
+``threads > 1``), each bit for bit as alone, so neither changes a result.  The
+study hands the samplers its per-row error (``posterior.row_errors``) and keeps
+only the weighted reduction of each cell's errors: a block holds cells x kept
+floats at any grid, and no study builds an ensemble.
 Small-ball probabilities are quadratures that draw no random numbers: a
 transfer operator over the bins for the Brownian-start prior, and an upward
 pass over the Haar tree for the wavelet priors, the truncated prior as the
@@ -31,12 +34,14 @@ from .grid import GridFunction, simulate_minima
 from .passes import brownian_log_p, mixture_log_p, richardson
 from .posterior import (
     ERROR_METRICS,
-    PosteriorEnsemble,
+    DegeneratePosteriorError,
     check_sampler,
-    mass_lower_excess,
-    posterior_median_metric,
+    mass_at_least,
+    normalize_log_weights,
     reduce_draws,
+    row_errors,
     sample_cells,
+    weighted_median,
 )
 from .priors import PriorSpec, build_prior, holder_test_function
 from .reporting import csv_table, fit_loglog_slope, svg_loglog_plot, write_text
@@ -231,36 +236,47 @@ def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> floa
     return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - _CEILING_EXCEED_PROB))) + 0.05
 
 
-def _study_cells(spec, f0, ceiling, sampler, budget, functional, seed, cells):
-    """``functional(ensemble, f0)`` of each ``(i_n, n, rep)`` cell of ``cells``, or the cause (a str) of its refusal.
+def _study_cells(spec, f0, ceiling, sampler, budget, metric, reduction, seed, cells):
+    """``reduction(errors, weights)`` of each ``(i_n, n, rep)`` cell of ``cells``, its rows' ``metric`` errors
+    against f0 and their normalized weights, or the cause (a str) of its refusal.
 
     Each cell draws its bin minima with no points, m exponentials and one integer at any n (``simulate_minima``),
     and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  The minima go to
-    ``sample_cells`` as one block, each cell at its own n; each ensemble is reduced as it is yielded, so a sampler
-    that runs cell by cell holds one at a time.
+    ``sample_cells`` as one block, each cell at its own n, with the per-row error (``row_errors``) as its
+    ``reduce``: a Gibbs block stores one error per chain and kept sweep, cells x kept floats at any grid, every
+    other sampler reduces a cell's rows as it draws them, and no ensemble is built.  Each error is the one that
+    the ensemble's functional (``posterior_median_metric``, ``mass_lower_excess``) reads, bit for bit.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for i_n, _, rep in cells]
     ns = [n for _, n, _ in cells]
     mins = np.stack([simulate_minima(f0, n, ceiling, spec.grid_level, rng) for n, rng in zip(ns, rngs)])
-    ensembles = sample_cells(build_prior(spec), mins, ns, sampler, budget, rngs)
-    return [functional(ens, f0) if isinstance(ens, PosteriorEnsemble) else str(ens) for ens in ensembles]
+    errors = row_errors(f0, metric, spec.grid_level)
+    reduced = sample_cells(build_prior(spec), mins, ns, sampler, budget, rngs, errors)
+    return [str(cell) if isinstance(cell, DegeneratePosteriorError) else
+            reduction(cell[0], normalize_log_weights(cell[1])) for cell in reduced]
 
 
-def _run_cells(spec, f0, sampler, budget, functional, seed, n_grid, replicates: int, threads: int):
-    """(grid, ceiling): ``functional(ensemble, f0)`` of every (i_n, n, rep) cell, as an (n, replicate) float array
-    with NaN at an excluded cell, and the ceiling that ``calibrate_ceiling`` sets on the study's own generator.
+def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, replicates: int, threads: int):
+    """(grid, ceiling): ``reduction(errors, weights)`` of every (i_n, n, rep) cell, its rows' ``metric`` errors and
+    their normalized weights, as an (n, replicate) float array with NaN at an excluded cell, and the ceiling that
+    ``calibrate_ceiling`` sets on the study's own generator.
 
     Each cell runs on its own ``SeedSequence`` generator, so neither ``threads`` nor the block changes a result.
-    With ``threads > 1`` the cell list is cut into ``threads`` contiguous blocks, one process task each.  More than
-    ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names each cause and count.
+    ``threads``, an integer >= 1 (else a StudyConfigError before any work), cuts the cell list into
+    ``min(threads, cells)`` contiguous blocks, one process task each, on as many workers when there are two or
+    more.  More than ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names
+    each cause and count.
     """
+    if not (isinstance(threads, numbers.Integral) and threads >= 1):
+        raise StudyConfigError(f"threads must be an integer >= 1, got {threads!r}")
     ceiling = calibrate_ceiling(build_prior(spec), f0, np.random.default_rng(np.random.SeedSequence((seed, 0xCE11))))
-    block = partial(_study_cells, spec, f0, ceiling, sampler, budget, functional, seed)
+    block = partial(_study_cells, spec, f0, ceiling, sampler, budget, metric, reduction, seed)
     cells = [(i_n, n, rep) for i_n, n in enumerate(n_grid) for rep in range(replicates)]
-    if threads > 1:
-        blocks = [cells[len(cells) * i // threads : len(cells) * (i + 1) // threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:  # more threads than cells leave blocks empty
-            values = [v for part in pool.map(block, filter(None, blocks)) for v in part]
+    workers = min(threads, len(cells))
+    if workers > 1:
+        blocks = [cells[len(cells) * i // workers : len(cells) * (i + 1) // workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = [v for part in pool.map(block, blocks) for v in part]
     else:
         values = block(cells)
     causes = Counter(v for v in values if isinstance(v, str))
@@ -280,10 +296,10 @@ def _run_cells(spec, f0, sampler, budget, functional, seed, n_grid, replicates: 
 
 
 def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
-    """Posterior-error slope study over the intensity grid."""
-    metric = partial(posterior_median_metric, metric=cfg.error_metric)
-    grid, ceiling = _run_cells(cfg.prior, cfg.f0(), cfg.sampler, cfg.budget, metric, cfg.seed, cfg.n_grid,
-                               cfg.replicates, threads)
+    """Posterior-error slope study over the intensity grid: each cell's weighted median of its rows' errors, as
+    ``posterior_median_metric`` of its ensemble.  ``threads`` is an integer >= 1 (see ``_run_cells``)."""
+    grid, ceiling = _run_cells(cfg.prior, cfg.f0(), cfg.sampler, cfg.budget, cfg.error_metric, weighted_median,
+                               cfg.seed, cfg.n_grid, cfg.replicates, threads)
     rows = [row[~np.isnan(row)] for row in grid]
     medians = [float(np.median(vals)) for vals in rows]
     q25, q75 = ([float(np.quantile(vals, q)) for vals in rows] for q in (0.25, 0.75))
@@ -451,15 +467,16 @@ def run_posterior_decay_study(
 ) -> DecayStudyReport:
     """Expected posterior mass of {integral((f0 - f)_+) >= r} across the intensity grid.
 
-    Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.
+    Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.  Each cell's mass is the
+    weight of its rows whose lower-part error is at least r, as ``mass_lower_excess`` of its ensemble.
     The medians are compared in grid order, so the grid must increase.
     """
     _check_cells(replicates, 1, sampler, budget, prior_spec, seed)
     n_grid = _check_grid("n_grid", n_grid, 2, False)
     if not 0.0 < r < math.inf:
         raise StudyConfigError(f"r must be positive and finite, got {r!r}")
-    mass = partial(mass_lower_excess, r=r)
-    grid, ceiling = _run_cells(prior_spec, f0, sampler, budget, mass, seed, n_grid, replicates, threads)
+    mass = partial(mass_at_least, r=r)
+    grid, ceiling = _run_cells(prior_spec, f0, sampler, budget, "lower_part", mass, seed, n_grid, replicates, threads)
     med = tuple(float(np.nanmedian(row)) for row in grid)
     mean = tuple(float(np.nanmean(row)) for row in grid)
     passed = all(b <= a + 1e-12 for a, b in zip(med, med[1:]))

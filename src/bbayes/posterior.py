@@ -15,7 +15,8 @@ loop, accurate arbitrarily deep in the tail.
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
-states, which ``_run_chain`` runs for the scheduled sweeps and stores.  Both
+states, which ``_run_chain`` runs for the scheduled sweeps; it is the one place
+that stores kept states, each as its ``reduce``, the state itself by default.  Both
 move along the dyadic tree, coarse to fine, with one fold of the slack per
 sweep (``passes.dyadic_minima``): a wavelet sweep draws each level's
 coefficients, a Brownian sweep shifts the bins of each dyadic interval.
@@ -23,12 +24,17 @@ coefficients, a Brownian sweep shifts the bins of each dyadic interval.
 the Gibbs chains of cells at any intensities as blocks on a leading chain axis,
 one Brownian block or one per level in a wavelet prior's ``levels()``, and
 every other sampler cell by cell, each cell bit for bit as alone;
-``sample_posterior`` and the named samplers are its block of one cell.
+``sample_posterior`` and the named samplers are its block of one cell.  Given
+a per-row ``reduce``, such as a study's per-row error (``row_errors``), each
+sampler reduces its rows as it draws them, and a cell is its reduced rows, log
+weights and ``meta``: a Gibbs block then holds cells x kept floats at any grid.
 
 An ensemble is ``blocks`` (k x w, read-only, row i = sample i on the w equal
 blocks its sampler drew), ``log_weights`` and ``meta``; the error functionals
 read ``blocks``, and the grid view ``values`` (k x 2**grid_level) is built on
-first read.  ``samples`` is a ``GridFunction`` view of its rows.
+first read.  ``samples`` is a ``GridFunction`` view of its rows.  The weighted
+functionals are a per-row error (``_errors``) and a weighted reduction of it,
+``weighted_median`` or ``mass_at_least``, under ``normalize_log_weights``.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri_exp
@@ -67,8 +73,11 @@ __all__ = [
     "mass_outside_l1_ball",
     "mass_lower_excess",
     "mass_upper_excess",
+    "mass_at_least",
+    "normalize_log_weights",
     "posterior_mean",
     "posterior_median_metric",
+    "row_errors",
     "weighted_median",
 ]
 
@@ -130,14 +139,11 @@ class PosteriorEnsemble:
 
     @property
     def normalized_weights(self) -> np.ndarray:
-        lw = self.log_weights - self.log_weights.max()
-        w = np.exp(lw)
-        return w / w.sum()
+        return normalize_log_weights(self.log_weights)
 
     @property
     def ess(self) -> float:
-        w = self.normalized_weights
-        return float(1.0 / np.sum(w**2))
+        return _ess(self.log_weights)
 
     def validate_against(self, pattern: PointPattern) -> bool:
         return bool(np.all(self.blocks <= bin_minima(pattern, self.blocks.shape[1].bit_length() - 1)))
@@ -145,7 +151,7 @@ class PosteriorEnsemble:
     def summary_csv(self, f0: GridFunction | None = None) -> str:
         cols = "integral,weight" if f0 is None else "integral,l1_to_f0,weight"
         lines = [f"# ensemble sampler={self.meta.get('sampler', '?')} size={len(self)}", cols]
-        l1 = [] if f0 is None else [_errors(self, f0, "l1")]
+        l1 = [] if f0 is None else [_errors(self.blocks, self.grid_level, f0, "l1")]
         columns = [self.values.mean(axis=1), *l1, self.normalized_weights]
         lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
         return "\n".join(lines) + "\n"
@@ -157,6 +163,22 @@ class PosteriorEnsemble:
             blocks.append(f"# sample={i} log_weight={lw!r} grid_level={self.grid_level}")
             blocks.extend(map(repr, row))
         return "\n".join(blocks) + "\n"
+
+
+def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
+    """The weights ``exp(log_weights)`` scaled to sum to one, as ``PosteriorEnsemble.normalized_weights``."""
+    w = np.exp(log_weights - log_weights.max())
+    return w / w.sum()
+
+
+def _ess(log_weights: np.ndarray) -> float:
+    """The effective sample size ``1 / sum(w**2)`` of the normalized weights."""
+    return float(1.0 / np.sum(normalize_log_weights(log_weights) ** 2))
+
+
+def _rows(v: np.ndarray) -> np.ndarray:
+    """The identity ``reduce``: a sampler that keeps its rows."""
+    return v
 
 
 def log_posterior_weight(f: GridFunction, pattern: PointPattern) -> float:
@@ -264,45 +286,46 @@ def _level_log_weights(levels: list, mins: np.ndarray, ns, rngs) -> np.ndarray:
         log_z = [[truncated_level_log_evidence(j, row, n, dist.scale) for j, _ in enumerate(levels)]
                  for row, n in zip(mins, ns)]
     else:
-        lls = [[_feasible_draws(level, row, n, _EVIDENCE_DRAWS, rng)[1] for _, level in levels]
+        lls = [[_feasible_draws(level, row, n, _EVIDENCE_DRAWS, rng, _rows)[1] for _, level in levels]
                for row, n, rng in zip(mins, ns, rngs)]
         log_z = [[logsumexp(ll) - math.log(_EVIDENCE_DRAWS) if ll.size else -math.inf for ll in row] for row in lls]
     return np.array(log_z) + [math.log(p) for p, _ in levels]
 
 
-def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng):
-    """Exact posterior draws for the truncated wavelet prior with gaussian coefficients.
+def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng, reduce):
+    """Exact posterior draws for the truncated wavelet prior with gaussian coefficients, as ``(rows, log_weights)``
+    parts and ``meta``: ``reduce`` of each drawn level's rows on its 2^{j+1} blocks, levels in increasing order.
 
     Level weights come from the closed-form evidences (``_level_log_weights``);
     given the level, the block values are independent truncated gaussians tilted
     by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
     draw count.  The drawn levels are sorted (the rows are i.i.d., and no functional
-    reads their order), so each level's rows are one slice of the ensemble and invert
-    the next 2^{j+1} uniforms per row in one call; the ensemble stores every draw on the
-    2^{J+1} blocks of the finest level J drawn, each level's draws repeated over its blocks.
+    reads their order), so each level's rows are one part and invert the next 2^{j+1}
+    uniforms per row in one call; the cell's ensemble (``_cell``) stores every draw on
+    the 2^{J+1} blocks of the finest level J drawn, each level's draws repeated over its blocks.
     """
     s = prior.dist.scale
     level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     levels = np.sort(rng.choice(prior.j_cap + 1, size=draws, p=probs))
-    mu = n * s * s
-    values = np.empty((draws, 2 << int(levels[-1])))
-    for j, first, k in zip(*(a.tolist() for a in np.unique(levels, return_index=True, return_counts=True))):
+    mu, parts = n * s * s, []
+    for j, k in zip(*(a.tolist() for a in np.unique(levels, return_counts=True))):
         sd = s * math.sqrt(2 << j)
         v = mu + sd * _std_normal_tail(rng.random((k, 2 << j)), (block_minima(mins, j) - mu) / sd)
-        values[first : first + k].reshape(k, 2 << j, -1)[:] = v[..., None]  # the k rows of level j
+        parts.append((reduce(v), np.zeros(k)))  # the k rows of level j
     meta = {
         "sampler": "exact",
         "draws": draws,
         "level_log_weights": level_log_w.tolist(),
         "level_probabilities": probs.tolist(),
     }
-    return PosteriorEnsemble(prior.grid_level, values, np.zeros(draws), meta=meta)
+    return parts, meta
 
 
-def _importance(prior, mins, n, draws, rng):
-    """Self-normalized importance sampling with the prior as proposal.
+def _importance(prior, mins, n, draws, rng, reduce):
+    """Self-normalized importance sampling with the prior as proposal: ``reduce`` of the feasible draws, with
+    their log-likelihoods, as one ``(rows, log_weights)`` part, and ``meta``.
 
     Infeasible draws carry weight zero and are dropped from storage but counted
     in the reported feasibility rate.  A laplace prior whose posterior is
@@ -310,15 +333,13 @@ def _importance(prior, mins, n, draws, rng):
     """
     if improper_laplace(prior, mins[None], n)[0]:
         raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
-    values, log_lik = _feasible_draws(prior, mins, n, draws, rng)
-    if not len(values):
+    rows, log_lik = _feasible_draws(prior, mins, n, draws, rng, reduce)
+    if not len(rows):
         raise DegeneratePosteriorError(
             "no feasible prior draw; the importance estimate is degenerate, use mcmc_posterior"
         )
-    meta = {"sampler": "importance", "draws": draws, "feasibility_rate": len(values) / draws}
-    ens = PosteriorEnsemble(prior.grid_level, values, log_lik, meta=meta)
-    ens.meta["ess"] = ens.ess
-    return ens
+    meta = {"sampler": "importance", "draws": draws, "feasibility_rate": len(rows) / draws, "ess": _ess(log_lik)}
+    return [(rows, log_lik)], meta
 
 
 def reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndarray:
@@ -338,10 +359,17 @@ def reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndar
     return out
 
 
-def _feasible_draws(prior, mins, n, draws, rng):
-    """The feasible rows of ``draws`` prior draws, filtered in batches, and their log-likelihoods ``n * integral``."""
-    values = reduce_draws(prior, draws, rng, lambda v: v[np.all(v <= mins, axis=1)])
-    return values, n * values.mean(axis=1)
+def _feasible_draws(prior, mins, n, draws, rng, reduce):
+    """``reduce`` of the feasible rows of ``draws`` prior draws, filtered and reduced in batches, and their
+    log-likelihoods ``n * integral``."""
+    log_lik = []
+
+    def feasible(v):
+        v = v[np.all(v <= mins, axis=1)]
+        log_lik.append(n * v.mean(axis=1))
+        return reduce(v)
+
+    return reduce_draws(prior, draws, rng, feasible), np.concatenate(log_lik)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +387,17 @@ def _kept(steps: int, cost: int, budget: int) -> range:
     return range(int(_BURN_IN * sweeps) + t - 1, sweeps, t)
 
 
-def _run_chain(states, keep: range) -> np.ndarray:
-    """The kept states among the first ``keep.stop`` of the iterator ``states`` of ``(c, w)`` chain states, at any
-    width w (bins or blocks), copied into one ``(c, kept, w)`` array."""
+def _run_chain(states, keep: range, reduce) -> np.ndarray:
+    """``reduce`` of each kept state among the first ``keep.stop`` of the iterator ``states`` of ``(c, w)`` chain
+    states, at any width w (bins or blocks), copied into one array: ``(c, kept, w)`` for the identity ``_rows``,
+    ``(c, kept)`` for a per-row error.  The one place that stores a chain's states; a reduced state is dropped as
+    soon as it is reduced, so a block holds chains x kept reduced values at any w."""
     for t, v in zip(range(keep.stop), states):
-        if t == keep.start:
-            out = np.empty((len(v), len(keep), v.shape[1]))
         if t in keep:
-            out[:, keep.index(t)] = v
+            r = reduce(v)
+            if t == keep.start:
+                out = np.empty((len(r), len(keep), *r.shape[1:]))
+            out[:, keep.index(t)] = r
     return out
 
 
@@ -487,9 +518,10 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
         yield v
 
 
-def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng):
+def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng, reduce):
     """I.i.d. draws of the finite prior's exact posterior, weights pi_i e^{n integral f_i} on the feasible atoms,
-    in one ``rng.choice``: as many as a chain of ``steps`` one-atom steps on the ``_kept`` schedule stores."""
+    in one ``rng.choice``: as many as a chain of ``steps`` one-atom steps on the ``_kept`` schedule stores, as one
+    ``(rows, log_weights)`` part of ``reduce`` of the atoms, indexed by the draws, and ``meta``."""
     feasible = np.all(prior.values <= mins, axis=1) & (prior.weights > 0)
     if not feasible.any():
         raise DegeneratePosteriorError("no feasible atom in the finite prior support")
@@ -498,7 +530,22 @@ def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng):
     draws = min(steps, len(_kept(steps, 1, steps)))  # a chain runs at least 2 sweeps, but one step is one sweep
     atoms = rng.choice(len(w), size=draws, p=w / w.sum())
     meta = {"sampler": "mcmc", "kind": "exact", "steps": steps}
-    return PosteriorEnsemble(prior.grid_level, prior.values[atoms], np.zeros(draws), meta=meta)
+    return [(reduce(prior.values)[atoms], np.zeros(draws))], meta
+
+
+def _cell(grid_level: int, parts: list, meta: dict, reduce):
+    """The cell of the ``(rows, log_weights)`` parts its sampler drew, in order: the ``PosteriorEnsemble``, each
+    part's rows repeated over the widest part's blocks into one array, or with a ``reduce`` the reduced rows, log
+    weights and ``meta``.  An ensemble of one part keeps its rows uncopied."""
+    log_weights = np.concatenate([lw for _, lw in parts])
+    if reduce is not None:
+        return np.concatenate([r for r, _ in parts]), log_weights, meta
+    if len(parts) == 1:
+        return PosteriorEnsemble(grid_level, parts[0][0], log_weights, meta)
+    blocks = np.empty((len(log_weights), max(v.shape[1] for v, _ in parts)))
+    for (v, _), end in zip(parts, np.cumsum([len(v) for v, _ in parts]).tolist()):
+        blocks[end - len(v) : end].reshape(len(v), v.shape[1], -1)[:] = v[..., None]
+    return PosteriorEnsemble(grid_level, blocks, log_weights, meta)
 
 
 _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which messages name
@@ -523,10 +570,15 @@ def check_sampler(prior, sampler: str, budget: int) -> None:
         raise ValueError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
 
 
-def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
+def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, reduce=None):
     """Yields, row by row, the ``PosteriorEnsemble`` (or DegeneratePosteriorError) of each cell whose bin minima
     are a row of ``mins``, at intensity ``n``, one for all rows or one per row (a whole study may be one block),
     after ``check_sampler``; ``budget`` counts draws or site updates.
+
+    Given ``reduce``, a map of ``(k, w)`` rows at any block width w of the prior's grid to ``(k,)`` floats, such as
+    ``row_errors``, a cell yields ``(reduced rows, log_weights, meta)`` in place of its ensemble, the rows in the order
+    the ensemble would hold them: every sampler reduces its rows as it draws them, and a Gibbs block stores one
+    value per chain and kept sweep (``_run_chain``), so no state is held past its sweep.  Every draw is the same.
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
@@ -539,18 +591,20 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
     """
     check_sampler(prior, sampler, budget)
     n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
+    per_row = _rows if reduce is None else reduce
     if sampler != "mcmc" or isinstance(prior, FinitePrior):
         kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
         for row, n_i, rng in zip(mins, n.tolist(), rngs):
             try:
-                yield kernel(prior, row, n_i, budget, rng)
+                yield _cell(prior.grid_level, *kernel(prior, row, n_i, budget, rng, per_row), reduce)
             except DegeneratePosteriorError as exc:
                 yield exc
         return
     if isinstance(prior, BrownianStartPrior):
         cost = (2 << prior.grid_level) - 1
         keep = _kept(budget, cost, budget)
-        rows = [[(v, 0.0)] for v in _run_chain(_gibbs_brownian(prior, mins, n[:, None], rngs), keep)]
+        chains = _gibbs_brownian(prior, mins, n[:, None], rngs)
+        rows = [[(v, np.zeros(len(keep)))] for v in _run_chain(chains, keep, per_row)]
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
         causes = [None] * len(rngs)
     else:
@@ -570,11 +624,11 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
                 block_mins = block_minima(mins[cells], level.j_max)
                 start = _wavelet_start(level, block_mins, block_rngs)
                 chains = _gibbs_wavelet(level, block_mins, n[cells, None], block_rngs, start, block_skipped)
-                values = _run_chain(chains, keep)
+                values = _run_chain(chains, keep, per_row)
                 steps[cells] += keep.stop * level.latent_dim
                 skipped[cells] += block_skipped
                 for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
-                    rows[i].append((v, lw[i] - math.log(len(v)) if truncated else 0.0))
+                    rows[i].append((v, np.full(len(v), lw[i] - math.log(len(v)) if truncated else 0.0)))
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": t, "skipped_updates": k}
                  for t, k in zip(steps.tolist(), skipped.tolist())]
         if truncated:
@@ -584,10 +638,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs):
         if cause or not cell:
             yield DegeneratePosteriorError(cause or "no level produced feasible states")
         else:
-            log_weights = np.concatenate([np.full(len(v), w) for v, w in cell])
-            width = max(v.shape[1] for v, _ in cell)
-            blocks = np.concatenate([np.repeat(v, width // v.shape[1], axis=1) for v, _ in cell])
-            yield PosteriorEnsemble(prior.grid_level, blocks, log_weights, meta)
+            yield _cell(prior.grid_level, cell, meta, reduce)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
@@ -646,13 +697,15 @@ def posterior_mass(ens: PosteriorEnsemble, hits) -> float:
     return float(ens.normalized_weights[hits].sum())
 
 
-def _errors(ens: PosteriorEnsemble, f0: GridFunction, metric: str) -> np.ndarray:
-    """Per-sample integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids, from ``ens.blocks``."""
+def _errors(blocks: np.ndarray, grid_level: int, f0: GridFunction, metric: str) -> np.ndarray:
+    """Per-row integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids, from ``(k, w)`` rows
+    on w equal blocks of a 2**grid_level grid: an ensemble's ``blocks``, or a sampler's rows at any width.  Each
+    row's error is the same mean over the same refined bins at any w and any k."""
     if metric not in ERROR_METRICS:
         raise ValueError(f"unknown error metric {metric!r}")
-    lvl = max(ens.grid_level, f0.grid_level)
+    lvl = max(grid_level, f0.grid_level)
     ref = f0.refine(lvl).values
-    vals, out = ens.blocks, None
+    vals, out = blocks, None
     if vals.shape[1] < 1 << lvl:  # refine into a copy and reuse it: at most one (k, 2**lvl) temporary
         vals = out = np.repeat(vals, (1 << lvl) // vals.shape[1], axis=1)
     d = np.subtract(ref, vals, out=out) if metric == "lower_part" else np.subtract(vals, ref, out=out)
@@ -663,18 +716,29 @@ def _errors(ens: PosteriorEnsemble, f0: GridFunction, metric: str) -> np.ndarray
     return d.mean(axis=1)
 
 
+def row_errors(f0: GridFunction, metric: str, grid_level: int):
+    """The per-row ``reduce`` of ``sample_cells`` that a study hands its samplers: ``_errors`` of rows on a
+    2**grid_level grid against ``f0`` in ``metric``, one of ``ERROR_METRICS``."""
+    return partial(_errors, grid_level=grid_level, f0=f0, metric=metric)
+
+
+def mass_at_least(errors: np.ndarray, weights: np.ndarray, r: float) -> float:
+    """The weight of the rows whose error is at least r."""
+    return float(weights[errors >= r].sum())
+
+
 def mass_outside_l1_ball(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
-    return float(ens.normalized_weights[_errors(ens, f0, "l1") >= r].sum())
+    return mass_at_least(_errors(ens.blocks, ens.grid_level, f0, "l1"), ens.normalized_weights, r)
 
 
 def mass_lower_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
     """Posterior mass of functions with integral of (f0 - f)_+ at least r."""
-    return float(ens.normalized_weights[_errors(ens, f0, "lower_part") >= r].sum())
+    return mass_at_least(_errors(ens.blocks, ens.grid_level, f0, "lower_part"), ens.normalized_weights, r)
 
 
 def mass_upper_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
     """Posterior mass of functions with integral of (f - f0)_+ at least r."""
-    return float(ens.normalized_weights[_errors(ens, f0, "upper_part") >= r].sum())
+    return mass_at_least(_errors(ens.blocks, ens.grid_level, f0, "upper_part"), ens.normalized_weights, r)
 
 
 def posterior_mean(ens: PosteriorEnsemble) -> GridFunction:
@@ -691,4 +755,4 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 
 def posterior_median_metric(ens: PosteriorEnsemble, f0: GridFunction, metric: str = "l1") -> float:
     """Weighted posterior median of an error metric against a reference function."""
-    return weighted_median(_errors(ens, f0, metric), ens.normalized_weights)
+    return weighted_median(_errors(ens.blocks, ens.grid_level, f0, metric), ens.normalized_weights)

@@ -3,6 +3,9 @@ rare-event estimators against plain Monte Carlo, and report emission."""
 
 import hashlib
 import math
+import re
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -196,6 +199,70 @@ def test_rate_study_deterministic_across_threads():
     assert decay[0] == decay[1] == decay[2]
 
 
+def test_threads_is_an_integer_of_at_least_one_and_starts_no_more_workers_than_cells(monkeypatch):
+    # a study cuts its cells into min(threads, cells) blocks, one worker each; the pool is replaced by one that
+    # records the workers asked for and maps in this process, so no process starts at any thread count
+    workers = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    decay = partial(run_posterior_decay_study, _spec(), f0, 0.3, (5.0, 20.0), 1, seed=4, budget=600)
+    cfg = _tiny_rate_cfg(budget=200)  # 40 cells
+    alone = decay(threads=1), run_rate_study(cfg)
+    assert workers == []
+    assert (decay(threads=64), run_rate_study(cfg, threads=64)) == alone
+    assert (decay(threads=2), run_rate_study(cfg, threads=3)) == alone
+    assert workers == [2, 40, 2, 3]
+    # a thread count that is not an integer >= 1 is refused before any work: the ceiling is never calibrated
+    monkeypatch.setattr(harness, "calibrate_ceiling", None)
+    for threads in (0, -3, 2.5, "2", None):
+        message = re.escape(f"threads must be an integer >= 1, got {threads!r}")
+        with pytest.raises(StudyConfigError, match=message):
+            decay(threads=threads)
+        with pytest.raises(StudyConfigError, match=message):
+            run_rate_study(cfg, threads=threads)
+    assert workers == [2, 40, 2, 3]
+
+
+def test_a_grid_10_rate_study_holds_one_error_per_kept_state():
+    # criterion 7b's Brownian prior at grid 10 on 40 cells of 63 sweeps, 51 kept: the chains keep one error per
+    # kept sweep, 40 x 51 floats, where the states would be 40 x 51 x 1,024 floats (16 MiB); numpy's buffers
+    # are traced.  The slope and the median at n = 5000 are pinned from a study that reduced whole ensembles.
+    cfg = RateStudyConfig(
+        prior=PriorSpec(variant="brownian_start", grid_level=10),
+        f0_beta=1.0,
+        f0_R=1.0,
+        f0_kind="hat",
+        n_grid=(200.0, 1000.0, 2000.0, 5000.0),
+        replicates=10,
+        sampler="mcmc",
+        budget=128_961,
+        seed=102,
+    )
+    tracemalloc.start()
+    try:
+        report = run_rate_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert report.slope == -0.3173928000091984
+    assert report.medians[-1] == 0.03359632349599447
+
+
 def test_rate_studies_never_build_an_ensemble_grid_view(monkeypatch):
     # every cell reduces its draws to one L1 error read from the rows at the sampler's width; the reports are
     # pinned by the sha256 of their csv, from cells that draw each bin's lowest point first
@@ -247,10 +314,11 @@ def test_an_intensity_whose_every_cell_is_degenerate_refuses_the_study(monkeypat
     # the study must refuse and name it, not fail in np.quantile (rate) or report a nan median (decay)
     real = harness.sample_cells
 
-    def degenerate_at_20(prior, mins, n, sampler, budget, rngs):
+    def degenerate_at_20(prior, mins, n, sampler, budget, rngs, reduce):
         # the study's cells come as one block, one n per row: the rows at n = 20 are degenerate, the others real
         ok = np.asarray(n) != 20.0
-        cells = iter(real(prior, mins[ok], np.asarray(n)[ok], sampler, budget, [r for r, k in zip(rngs, ok) if k]))
+        rngs = [r for r, k in zip(rngs, ok) if k]
+        cells = iter(real(prior, mins[ok], np.asarray(n)[ok], sampler, budget, rngs, reduce))
         return [next(cells) if k else DegeneratePosteriorError("stub") for k in ok]
 
     monkeypatch.setattr(harness, "sample_cells", degenerate_at_20)

@@ -46,7 +46,10 @@ from bbayes.posterior import (
     _std_normal_tail,
     _trunc_std_normal,
     bin_minima,
+    mass_at_least,
+    normalize_log_weights,
     posterior_median_metric,
+    row_errors,
     sample_cells,
     sample_posterior,
     truncated_level_log_evidence,
@@ -486,8 +489,9 @@ def test_errors_on_narrow_rows_equal_the_grid_width_rows_bit_for_bit(metric):
     masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
     for f0_level in (1, 3, 4, 6):
         f0 = GridFunction(f0_level, rng.normal(size=1 << f0_level))
-        errors = posterior_module._errors(narrow, f0, metric)
-        assert errors.tobytes() == posterior_module._errors(wide, f0, metric).tobytes(), f0_level
+        errors = posterior_module._errors(narrow.blocks, narrow.grid_level, f0, metric)
+        wide_errors = posterior_module._errors(wide.blocks, wide.grid_level, f0, metric)
+        assert errors.tobytes() == wide_errors.tobytes(), f0_level
         assert posterior_median_metric(narrow, f0, metric) == posterior_median_metric(wide, f0, metric)
         r = float(np.median(errors))
         assert masses[metric](narrow, f0, r) == masses[metric](wide, f0, r)
@@ -694,8 +698,8 @@ def test_mcmc_stores_the_scheduled_states(monkeypatch):
     f0, pattern = _pattern(n=2.0, grid_level=4)
     stored, run_chain = [], posterior_module._run_chain  # the (chains, kept, width) shape of each block stored
 
-    def spy(states, keep):
-        values = run_chain(states, keep)
+    def spy(states, keep, reduce):
+        values = run_chain(states, keep, reduce)
         stored.append(values.shape)
         return values
 
@@ -850,6 +854,60 @@ def test_a_mixed_intensity_block_equals_each_cell_alone():
                 assert ens.log_weights.tobytes() == single.log_weights.tobytes(), where
                 assert ens.meta == single.meta, where
             assert rngs[i].bit_generator.state == rng.bit_generator.state, where
+
+
+def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
+    # one block sampled twice on identically seeded generators, once with a study's per-row error as reduce: each
+    # reduced cell holds _errors of its ensemble's rows, in their order, and its log weights bit for bit, with its
+    # meta; a refused cell is the same error; each generator ends in the same state; and a study's weighted
+    # reductions equal the public functionals of the ensemble, against f0 on, finer than and coarser than the grid
+    n = 8.0
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    patterns = [simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)) for seed in range(3)]
+    refs = [(holder_test_function(1.0, 1.0, "hat", level), metric)
+            for level, metric in [(4, "l1"), (6, "lower_part"), (2, "upper_part")]]
+    masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
+    spec = lambda variant, kind, **kw: PriorSpec(variant=variant, dist=CoefficientDistribution(kind), grid_level=4, **kw)
+    truncated_gaussian = build_prior(spec("truncated_wavelet", "gaussian", j_cap=2))
+    laplace = build_prior(spec("wavelet_series", "laplace", alpha=1.0, j_max=2))
+    improper = PointPattern(n, 2.0)  # every bin empty: the scaling conditional of a laplace prior is improper
+    runs = [  # (sampler, prior, budget, cells)
+        ("mcmc", build_prior(PriorSpec(variant="brownian_start", grid_level=4)), 3000, patterns),
+        ("mcmc", laplace, 3000, patterns[:1] + [improper] + patterns[1:]),
+        ("mcmc", truncated_gaussian, 3000, patterns),
+        ("exact", truncated_gaussian, 300, patterns),
+        ("importance", laplace, 2000, patterns[:1] + [improper] + patterns[1:]),
+        ("mcmc", FinitePrior([f0.shift(-0.5), f0.shift(-0.2), f0.shift(3.0)]), 3000, patterns),
+    ]
+    for sampler, prior, budget, cells in runs:
+        mins = np.stack([bin_minima(p, 4) for p in cells])
+
+        def block(reduce=None):
+            rngs = [np.random.default_rng(60 + i) for i in range(len(cells))]
+            return list(sample_cells(prior, mins, n, sampler, budget, rngs, reduce)), rngs
+
+        ensembles, rngs = block()
+        assert sum(isinstance(ens, DegeneratePosteriorError) for ens in ensembles) == any(p is improper for p in cells)
+        for ref, metric in refs:
+            reduced, reduced_rngs = block(row_errors(ref, metric, 4))
+            for i, (ens, cell) in enumerate(zip(ensembles, reduced)):
+                where = (sampler, type(prior).__name__, metric, i)
+                assert rngs[i].bit_generator.state == reduced_rngs[i].bit_generator.state, where
+                if isinstance(ens, DegeneratePosteriorError):
+                    assert isinstance(cell, DegeneratePosteriorError) and str(cell) == str(ens), where
+                    continue
+                errors, log_weights, meta = cell
+                assert errors.tobytes() == posterior_module._errors(ens.blocks, 4, ref, metric).tobytes(), where
+                assert log_weights.tobytes() == ens.log_weights.tobytes(), where
+                assert meta == ens.meta, where
+                weights = normalize_log_weights(log_weights)
+                assert weights.tobytes() == ens.normalized_weights.tobytes(), where
+                assert weighted_median(errors, weights) == posterior_median_metric(ens, ref, metric), where
+                r = float(np.median(errors))
+                assert mass_at_least(errors, weights, r) == masses[metric](ens, ref, r), where
+        if prior is truncated_gaussian and sampler == "mcmc":  # rows of every level, each with its level weight
+            assert all(len(np.unique(ens.log_weights)) == 3 for ens in ensembles)
+        assert all("values" not in vars(ens) for ens in ensembles if isinstance(ens, PosteriorEnsemble))
 
 
 def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_draw(monkeypatch):
