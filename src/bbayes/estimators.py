@@ -66,7 +66,7 @@ def check_posterior_below_mle(ens: PosteriorEnsemble, mle: GridFunction):
     triples at the comparison grid level.
     """
     lvl = max(ens.grid_level, mle.grid_level)
-    a = np.repeat(ens.blocks, (1 << lvl) // ens.blocks.shape[1], axis=1)
+    a = np.repeat(ens.values, 1 << (lvl - ens.grid_level), axis=1)
     b = mle.refine(lvl).values
     violations = [(int(i), int(k), float(a[i, k] - b[k])) for i, k in np.argwhere(a > b)]
     return (not violations), violations

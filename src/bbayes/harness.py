@@ -380,7 +380,7 @@ def run_small_ball_study(
     tol: float = 0.3,
 ) -> SmallBallReport:
     """P(sup|X - h| <= eps) for each eps of ``eps_grid`` (two or more, positive, finite, strictly decreasing), with
-    a log(-log) slope fit.
+    a log(-log) slope fit, checked against the target at smoothness ``beta`` in (0, 1] when it is given.
 
     Every prior is a Markov model, across bins or down the Haar tree, so P is a quadrature of ``passes`` that draws
     no random numbers: ``brownian_log_p`` over the bins for the Brownian prior (one cell per increment sd and up),
@@ -396,6 +396,8 @@ def run_small_ball_study(
     eps_grid = _check_grid("eps_grid", eps_grid, 2, True)
     if not 0.0 <= tol < math.inf:
         raise StudyConfigError(f"tol must be nonnegative and finite, got {tol!r}")
+    if beta is not None and not 0.0 < beta <= 1.0:  # the range of holder_test_function's beta
+        raise StudyConfigError(f"beta must lie in (0, 1], got {beta!r}")
     target = h.refine(spec.grid_level).values
     if spec.variant == "brownian_start":
         root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m

@@ -14,8 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
-__all__ = ["haar_fold", "block_minima", "dyadic_minima", "haar_log_p", "brownian_log_p", "richardson", "mixture_log_p",
-           "improper_laplace", "highest_feasible"]
+__all__ = ["haar_fold", "level_step", "block_minima", "dyadic_minima", "haar_log_p", "brownian_log_p", "richardson",
+           "mixture_log_p", "improper_laplace", "highest_feasible"]
 
 
 def haar_fold(prior, leaves: np.ndarray, node, top: int | None = None) -> list:
@@ -23,11 +23,11 @@ def haar_fold(prior, leaves: np.ndarray, node, top: int | None = None) -> list:
     default): level j's are ``node(left, right, A_j)`` of its children's ``[:, 0::2]``, ``[:, 1::2]``, j = top..0."""
     levels = [leaves]
     for j in range(prior.j_max if top is None else top, -1, -1):
-        levels.append(node(levels[-1][:, 0::2], levels[-1][:, 1::2], _level_step(prior, j)))
+        levels.append(node(levels[-1][:, 0::2], levels[-1][:, 1::2], level_step(prior, j)))
     return levels
 
 
-def _level_step(prior, j: int) -> np.ndarray:
+def level_step(prior, j: int) -> np.ndarray:
     """A_j = 2^{j/2} a_j, one per level-j node of ``prior``."""
     return 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j]
 
@@ -95,7 +95,7 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
             msg += pairs
         return normalised(msg)
 
-    a = _level_step(prior, prior.j_max)
+    a = level_step(prior, prior.j_max)
     s = d * (spans[0] + np.arange(max(1, int((spans[1] - spans[0]).max()) + 1))[:, None])
     z_lo = np.maximum(lo[0::2] - s, s - hi[1::2]) / a
     z_hi = np.minimum(hi[0::2] - s, s - lo[1::2]) / a
@@ -239,6 +239,6 @@ def highest_feasible(prior, mins: np.ndarray):
     z[:, 0] = c[:, 0] / a0
     for j, children in enumerate(u[1:]):
         d = np.clip(0.0, c - children[:, 1::2], children[:, 0::2] - c)
-        z[:, 1 << j : 2 << j] = np.clip(d / (s * _level_step(prior, j)), -1.0, 1.0) * s
+        z[:, 1 << j : 2 << j] = np.clip(d / (s * level_step(prior, j)), -1.0, 1.0) * s
         c = np.stack([c + d, c - d], axis=2).reshape(len(mins), -1)
     return z, u[0][:, 0] >= -s * a0

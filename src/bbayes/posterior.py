@@ -16,25 +16,25 @@ Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
 states, which ``_run_chain`` runs for the scheduled sweeps; it is the one place
-that stores kept states, each as its ``reduce``, the state itself by default.  Both
-move along the dyadic tree, coarse to fine, with one fold of the slack per
-sweep (``passes.dyadic_minima``): a wavelet sweep draws each level's
-coefficients, a Brownian sweep shifts the bins of each dyadic interval.
+that stores kept states, each as its ``reduce``.  Both move along the dyadic
+tree, coarse to fine, with one fold of the slack per sweep
+(``passes.dyadic_minima``): a wavelet sweep draws each level's coefficients, a
+Brownian sweep shifts the bins of each dyadic interval.
 ``sample_cells``, the one dispatch on the sampler name and prior type, runs
 the Gibbs chains of cells at any intensities as blocks on a leading chain axis,
 one Brownian block or one per level in a wavelet prior's ``levels()``, and
-every other sampler cell by cell, each cell bit for bit as alone;
-``sample_posterior`` and the named samplers are its block of one cell.  Given
-a per-row ``reduce``, such as a study's per-row error (``row_errors``), each
-sampler reduces its rows as it draws them, and a cell is its reduced rows, log
-weights and ``meta``: a Gibbs block then holds cells x kept floats at any grid.
+every other sampler cell by cell, each cell bit for bit as alone.  Every
+sampler reduces its rows as it draws them by the caller's per-row ``reduce``,
+and a cell is its reduced rows, log weights and ``meta``: under a study's
+per-row error (``row_errors``) a Gibbs block holds cells x kept floats at any
+grid.  ``sample_posterior`` and the named samplers are its block of one cell.
 
-An ensemble is ``blocks`` (k x w, read-only, row i = sample i on the w equal
-blocks its sampler drew), ``log_weights`` and ``meta``; the error functionals
-read ``blocks``, and the grid view ``values`` (k x 2**grid_level) is built on
-first read.  ``samples`` is a ``GridFunction`` view of its rows.  The weighted
-functionals are a per-row error (``_errors``) and a weighted reduction of it,
-``weighted_median`` or ``mass_at_least``, under ``normalize_log_weights``.
+An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i on the
+grid's bins), ``log_weights`` and ``meta``: ``sample_posterior``'s one cell, its
+rows repeated onto the bins as they are drawn.  ``samples`` is a ``GridFunction``
+view of its rows.  The weighted functionals are a per-row error (``_errors``) and
+a weighted reduction of it, ``weighted_median`` or ``mass_at_least``, under
+``normalize_log_weights``.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri_exp
 
 from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
-from .passes import block_minima, dyadic_minima, highest_feasible, improper_laplace
+from .passes import block_minima, dyadic_minima, highest_feasible, improper_laplace, level_step
 from .priors import (
     BrownianStartPrior,
     FinitePrior,
@@ -94,43 +94,34 @@ class DegeneratePosteriorError(RuntimeError):
 
 @dataclass(frozen=True)
 class PosteriorEnsemble:
-    """Weighted feasible boundary functions: row i of ``blocks`` is sample i on w equal blocks (not copied if
-    float64), w a power of two that divides 2**grid_level; ``values`` holds the rows on the grid's bins."""
+    """Weighted feasible boundary functions: row i of ``values`` is sample i on the 2**grid_level bins (not copied
+    if float64)."""
 
     grid_level: int
-    blocks: np.ndarray
+    values: np.ndarray
     log_weights: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.ndim != 2 or not len(blocks):
-            raise ValueError(f"blocks must be a nonempty (k, w) matrix, got shape {blocks.shape}")
-        if (w := blocks.shape[1]) & (w - 1) or not 0 < w <= 1 << self.grid_level:
-            raise ValueError(f"row width {w} is not a power of two <= 2**grid_level, grid_level {self.grid_level}")
-        if not np.all(np.isfinite(blocks)):
-            raise ValueError("blocks must be finite")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or not len(values) or values.shape[1] != 1 << self.grid_level:
+            raise ValueError(f"values must be a nonempty (k, 2**grid_level) matrix, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         lw = np.array(self.log_weights, dtype=float)
-        if lw.shape != (len(blocks),):
-            raise ValueError("blocks and log_weights must have equal length")
+        if lw.shape != (len(values),):
+            raise ValueError("values and log_weights must have equal length")
         if np.any(np.isnan(lw)) or np.any(lw == np.inf):
             raise ValueError("log_weights must be finite or -inf")
         if np.all(lw == -np.inf):
             raise ValueError("all log_weights are -inf")
-        blocks.flags.writeable = False
+        values.flags.writeable = False
         lw.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "log_weights", lw)
 
     def __len__(self) -> int:
-        return len(self.blocks)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The read-only ``(k, 2**grid_level)`` rows on the grid's bins: ``blocks`` repeated, on first read."""
-        values = np.repeat(self.blocks, (1 << self.grid_level) // self.blocks.shape[1], axis=1)
-        values.flags.writeable = False
-        return values
+        return len(self.values)
 
     @property
     def samples(self):
@@ -146,12 +137,12 @@ class PosteriorEnsemble:
         return _ess(self.log_weights)
 
     def validate_against(self, pattern: PointPattern) -> bool:
-        return bool(np.all(self.blocks <= bin_minima(pattern, self.blocks.shape[1].bit_length() - 1)))
+        return bool(np.all(self.values <= bin_minima(pattern, self.grid_level)))
 
     def summary_csv(self, f0: GridFunction | None = None) -> str:
         cols = "integral,weight" if f0 is None else "integral,l1_to_f0,weight"
         lines = [f"# ensemble sampler={self.meta.get('sampler', '?')} size={len(self)}", cols]
-        l1 = [] if f0 is None else [_errors(self.blocks, self.grid_level, f0, "l1")]
+        l1 = [] if f0 is None else [_errors(self.values, self.grid_level, f0, "l1")]
         columns = [self.values.mean(axis=1), *l1, self.normalized_weights]
         lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
         return "\n".join(lines) + "\n"
@@ -174,11 +165,6 @@ def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
 def _ess(log_weights: np.ndarray) -> float:
     """The effective sample size ``1 / sum(w**2)`` of the normalized weights."""
     return float(1.0 / np.sum(normalize_log_weights(log_weights) ** 2))
-
-
-def _rows(v: np.ndarray) -> np.ndarray:
-    """The identity ``reduce``: a sampler that keeps its rows."""
-    return v
 
 
 def log_posterior_weight(f: GridFunction, pattern: PointPattern) -> float:
@@ -286,8 +272,8 @@ def _level_log_weights(levels: list, mins: np.ndarray, ns, rngs) -> np.ndarray:
         log_z = [[truncated_level_log_evidence(j, row, n, dist.scale) for j, _ in enumerate(levels)]
                  for row, n in zip(mins, ns)]
     else:
-        lls = [[_feasible_draws(level, row, n, _EVIDENCE_DRAWS, rng, _rows)[1] for _, level in levels]
-               for row, n, rng in zip(mins, ns, rngs)]
+        lls = [[reduce_draws(level, _EVIDENCE_DRAWS, rng, lambda v: n * v[np.all(v <= row, axis=1)].mean(axis=1))
+                for _, level in levels] for row, n, rng in zip(mins, ns, rngs)]
         log_z = [[logsumexp(ll) - math.log(_EVIDENCE_DRAWS) if ll.size else -math.inf for ll in row] for row in lls]
     return np.array(log_z) + [math.log(p) for p, _ in levels]
 
@@ -301,8 +287,7 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng, reduce):
     by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
     draw count.  The drawn levels are sorted (the rows are i.i.d., and no functional
     reads their order), so each level's rows are one part and invert the next 2^{j+1}
-    uniforms per row in one call; the cell's ensemble (``_cell``) stores every draw on
-    the 2^{J+1} blocks of the finest level J drawn, each level's draws repeated over its blocks.
+    uniforms per row in one call.
     """
     s = prior.dist.scale
     level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
@@ -328,15 +313,24 @@ def _importance(prior, mins, n, draws, rng, reduce):
     their log-likelihoods, as one ``(rows, log_weights)`` part, and ``meta``.
 
     Infeasible draws carry weight zero and are dropped from storage but counted
-    in the reported feasibility rate.  A laplace prior whose posterior is
-    improper at any level (``passes.improper_laplace``) raises, as ``sample_cells`` does.
+    in the reported feasibility rate; the draws are filtered and reduced in
+    batches (``reduce_draws``).  A laplace prior whose posterior is improper at
+    any level (``passes.improper_laplace``) raises, as ``sample_cells`` does.
     """
     if improper_laplace(prior, mins[None], n)[0]:
         raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
-    rows, log_lik = _feasible_draws(prior, mins, n, draws, rng, reduce)
+    log_lik = []
+
+    def feasible(v):
+        v = v[np.all(v <= mins, axis=1)]
+        log_lik.append(n * v.mean(axis=1))
+        return reduce(v)
+
+    rows = reduce_draws(prior, draws, rng, feasible)
+    log_lik = np.concatenate(log_lik)
     if not len(rows):
         raise DegeneratePosteriorError(
-            "no feasible prior draw; the importance estimate is degenerate, use mcmc_posterior"
+            "no feasible prior draw; the importance estimate is degenerate, use the 'mcmc' sampler"
         )
     meta = {"sampler": "importance", "draws": draws, "feasibility_rate": len(rows) / draws, "ess": _ess(log_lik)}
     return [(rows, log_lik)], meta
@@ -359,19 +353,6 @@ def reduce_draws(prior, draws: int, rng: np.random.Generator, reduce) -> np.ndar
     return out
 
 
-def _feasible_draws(prior, mins, n, draws, rng, reduce):
-    """``reduce`` of the feasible rows of ``draws`` prior draws, filtered and reduced in batches, and their
-    log-likelihoods ``n * integral``."""
-    log_lik = []
-
-    def feasible(v):
-        v = v[np.all(v <= mins, axis=1)]
-        log_lik.append(n * v.mean(axis=1))
-        return reduce(v)
-
-    return reduce_draws(prior, draws, rng, feasible), np.concatenate(log_lik)
-
-
 # ---------------------------------------------------------------------------
 # Markov chain samplers: exact Gibbs kernels, and the finite prior's exact draws
 
@@ -389,9 +370,9 @@ def _kept(steps: int, cost: int, budget: int) -> range:
 
 def _run_chain(states, keep: range, reduce) -> np.ndarray:
     """``reduce`` of each kept state among the first ``keep.stop`` of the iterator ``states`` of ``(c, w)`` chain
-    states, at any width w (bins or blocks), copied into one array: ``(c, kept, w)`` for the identity ``_rows``,
-    ``(c, kept)`` for a per-row error.  The one place that stores a chain's states; a reduced state is dropped as
-    soon as it is reduced, so a block holds chains x kept reduced values at any w."""
+    states, at any width w (bins or blocks), copied into one array: ``(c, kept)`` for a per-row error, ``(c, kept,
+    2**grid_level)`` for ``sample_posterior``'s rows on the bins.  The one place that stores a chain's states; a
+    state is dropped as soon as it is reduced, so a study's block holds chains x kept errors at any w."""
     for t, v in zip(range(keep.stop), states):
         if t in keep:
             r = reduce(v)
@@ -432,8 +413,7 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
     z, v = start
     c, a0 = len(rngs), float(prior.amplitudes[0])
     w = 2 if prior.dist.kind == "laplace" else 1  # uniforms per coefficient draw
-    levels = [(slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
-              for j in range(prior.j_max + 1)]  # per level: coefficient slice and amplitudes, as in synthesize_flat
+    levels = [(slice(1 << j, 2 << j), level_step(prior, j)) for j in range(prior.j_max + 1)]  # slice, step
     sweep, u = 0, np.empty((c, w * prior.latent_dim))
     while True:
         for rng, row in zip(rngs, u):
@@ -533,19 +513,11 @@ def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng, reduce):
     return [(reduce(prior.values)[atoms], np.zeros(draws))], meta
 
 
-def _cell(grid_level: int, parts: list, meta: dict, reduce):
-    """The cell of the ``(rows, log_weights)`` parts its sampler drew, in order: the ``PosteriorEnsemble``, each
-    part's rows repeated over the widest part's blocks into one array, or with a ``reduce`` the reduced rows, log
-    weights and ``meta``.  An ensemble of one part keeps its rows uncopied."""
-    log_weights = np.concatenate([lw for _, lw in parts])
-    if reduce is not None:
-        return np.concatenate([r for r, _ in parts]), log_weights, meta
-    if len(parts) == 1:
-        return PosteriorEnsemble(grid_level, parts[0][0], log_weights, meta)
-    blocks = np.empty((len(log_weights), max(v.shape[1] for v, _ in parts)))
-    for (v, _), end in zip(parts, np.cumsum([len(v) for v, _ in parts]).tolist()):
-        blocks[end - len(v) : end].reshape(len(v), v.shape[1], -1)[:] = v[..., None]
-    return PosteriorEnsemble(grid_level, blocks, log_weights, meta)
+def _cell(parts: list, meta: dict):
+    """The cell of the ``(rows, log_weights)`` parts its sampler drew, in order: its reduced rows, log weights and
+    ``meta``.  The rows of one part stay uncopied."""
+    rows, log_weights = (a[0] if len(parts) == 1 else np.concatenate(a) for a in zip(*parts))
+    return rows, log_weights, meta
 
 
 _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which messages name
@@ -570,33 +542,32 @@ def check_sampler(prior, sampler: str, budget: int) -> None:
         raise ValueError(f"sampler 'exact' needs truncated_wavelet with gaussian coefficients, got {got}")
 
 
-def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, reduce=None):
-    """Yields, row by row, the ``PosteriorEnsemble`` (or DegeneratePosteriorError) of each cell whose bin minima
-    are a row of ``mins``, at intensity ``n``, one for all rows or one per row (a whole study may be one block),
-    after ``check_sampler``; ``budget`` counts draws or site updates.
+def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, reduce):
+    """Yields, row by row, ``(reduce of the rows, log_weights, meta)`` (or DegeneratePosteriorError) of each cell
+    whose bin minima are a row of ``mins``, at intensity ``n``, one for all rows or one per row (a whole study may
+    be one block), after ``check_sampler``; ``budget`` counts draws or site updates.
 
-    Given ``reduce``, a map of ``(k, w)`` rows at any block width w of the prior's grid to ``(k,)`` floats, such as
-    ``row_errors``, a cell yields ``(reduced rows, log_weights, meta)`` in place of its ensemble, the rows in the order
-    the ensemble would hold them: every sampler reduces its rows as it draws them, and a Gibbs block stores one
-    value per chain and kept sweep (``_run_chain``), so no state is held past its sweep.  Every draw is the same.
+    ``reduce`` maps ``(k, w)`` rows on w equal blocks of the prior's grid, at any w, to k results: a study's
+    per-row error (``row_errors``), or ``sample_posterior``'s rows repeated onto the grid's bins.  Every sampler reduces its
+    rows as it draws them, and a Gibbs block stores ``reduce`` of each chain's kept sweeps (``_run_chain``), so no
+    state is held past its sweep.  The draws do not depend on ``reduce``.
 
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
-    block stores its states on the level's finest blocks, which a cell's ensemble keeps at its widest level's width.
+    block's states are its level's finest blocks, and a cell's rows are its levels' in increasing order.
     A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels.
     A cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
     an improper laplace posterior (``passes.improper_laplace``), no feasible state in the uniform support
     (``passes.highest_feasible``) or no level weight > 0.  Every other sampler runs cell by cell, yielding each
-    ensemble before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
+    cell before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
     n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
-    per_row = _rows if reduce is None else reduce
     if sampler != "mcmc" or isinstance(prior, FinitePrior):
         kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
         for row, n_i, rng in zip(mins, n.tolist(), rngs):
             try:
-                yield _cell(prior.grid_level, *kernel(prior, row, n_i, budget, rng, per_row), reduce)
+                yield _cell(*kernel(prior, row, n_i, budget, rng, reduce))
             except DegeneratePosteriorError as exc:
                 yield exc
         return
@@ -604,7 +575,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
         cost = (2 << prior.grid_level) - 1
         keep = _kept(budget, cost, budget)
         chains = _gibbs_brownian(prior, mins, n[:, None], rngs)
-        rows = [[(v, np.zeros(len(keep)))] for v in _run_chain(chains, keep, per_row)]
+        rows = [[(v, np.zeros(len(keep)))] for v in _run_chain(chains, keep, reduce)]
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
         causes = [None] * len(rngs)
     else:
@@ -624,7 +595,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
                 block_mins = block_minima(mins[cells], level.j_max)
                 start = _wavelet_start(level, block_mins, block_rngs)
                 chains = _gibbs_wavelet(level, block_mins, n[cells, None], block_rngs, start, block_skipped)
-                values = _run_chain(chains, keep, per_row)
+                values = _run_chain(chains, keep, reduce)
                 steps[cells] += keep.stop * level.latent_dim
                 skipped[cells] += block_skipped
                 for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
@@ -638,16 +609,19 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
         if cause or not cell:
             yield DegeneratePosteriorError(cause or "no level produced feasible states")
         else:
-            yield _cell(prior.grid_level, cell, meta, reduce)
+            yield _cell(cell, meta)
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):
     """The ensemble of the named sampler, 'importance', 'mcmc' or 'exact', on one cell: ``sample_cells`` of one
-    row, raising a degenerate cell's DegeneratePosteriorError.  ``budget`` counts draws, or steps for 'mcmc'."""
-    (ens,) = sample_cells(prior, bin_minima(pattern, prior.grid_level)[None], pattern.intensity, sampler, budget, [rng])
-    if isinstance(ens, DegeneratePosteriorError):
-        raise ens
-    return ens
+    row, its rows repeated onto the grid's bins as they are drawn, raising a degenerate cell's
+    DegeneratePosteriorError.  ``budget`` counts draws, or steps for 'mcmc'."""
+    bins = 1 << prior.grid_level
+    (cell,) = sample_cells(prior, bin_minima(pattern, prior.grid_level)[None], pattern.intensity, sampler, budget,
+                           [rng], lambda v: np.repeat(v, bins // v.shape[1], axis=1))
+    if isinstance(cell, DegeneratePosteriorError):
+        raise cell
+    return PosteriorEnsemble(prior.grid_level, *cell)
 
 
 def importance_posterior(prior, pattern: PointPattern, draws: int, rng: np.random.Generator) -> PosteriorEnsemble:
@@ -697,15 +671,15 @@ def posterior_mass(ens: PosteriorEnsemble, hits) -> float:
     return float(ens.normalized_weights[hits].sum())
 
 
-def _errors(blocks: np.ndarray, grid_level: int, f0: GridFunction, metric: str) -> np.ndarray:
+def _errors(rows: np.ndarray, grid_level: int, f0: GridFunction, metric: str) -> np.ndarray:
     """Per-row integral of |f - f0|, (f0 - f)_+ or (f - f0)_+ on the finer of the two grids, from ``(k, w)`` rows
-    on w equal blocks of a 2**grid_level grid: an ensemble's ``blocks``, or a sampler's rows at any width.  Each
-    row's error is the same mean over the same refined bins at any w and any k."""
+    on w equal blocks of a 2**grid_level grid: an ensemble's ``values``, or a study sampler's rows at any width.
+    Each row's error is the same mean over the same refined bins at any w and any k."""
     if metric not in ERROR_METRICS:
         raise ValueError(f"unknown error metric {metric!r}")
     lvl = max(grid_level, f0.grid_level)
     ref = f0.refine(lvl).values
-    vals, out = blocks, None
+    vals, out = rows, None
     if vals.shape[1] < 1 << lvl:  # refine into a copy and reuse it: at most one (k, 2**lvl) temporary
         vals = out = np.repeat(vals, (1 << lvl) // vals.shape[1], axis=1)
     d = np.subtract(ref, vals, out=out) if metric == "lower_part" else np.subtract(vals, ref, out=out)
@@ -728,17 +702,17 @@ def mass_at_least(errors: np.ndarray, weights: np.ndarray, r: float) -> float:
 
 
 def mass_outside_l1_ball(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
-    return mass_at_least(_errors(ens.blocks, ens.grid_level, f0, "l1"), ens.normalized_weights, r)
+    return mass_at_least(_errors(ens.values, ens.grid_level, f0, "l1"), ens.normalized_weights, r)
 
 
 def mass_lower_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
     """Posterior mass of functions with integral of (f0 - f)_+ at least r."""
-    return mass_at_least(_errors(ens.blocks, ens.grid_level, f0, "lower_part"), ens.normalized_weights, r)
+    return mass_at_least(_errors(ens.values, ens.grid_level, f0, "lower_part"), ens.normalized_weights, r)
 
 
 def mass_upper_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
     """Posterior mass of functions with integral of (f - f0)_+ at least r."""
-    return mass_at_least(_errors(ens.blocks, ens.grid_level, f0, "upper_part"), ens.normalized_weights, r)
+    return mass_at_least(_errors(ens.values, ens.grid_level, f0, "upper_part"), ens.normalized_weights, r)
 
 
 def posterior_mean(ens: PosteriorEnsemble) -> GridFunction:
@@ -755,4 +729,4 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 
 def posterior_median_metric(ens: PosteriorEnsemble, f0: GridFunction, metric: str = "l1") -> float:
     """Weighted posterior median of an error metric against a reference function."""
-    return weighted_median(_errors(ens.blocks, ens.grid_level, f0, metric), ens.normalized_weights)
+    return weighted_median(_errors(ens.values, ens.grid_level, f0, metric), ens.normalized_weights)

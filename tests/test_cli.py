@@ -410,6 +410,11 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nr = 0\n", "r must be positive and finite"),
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nslope_tol = nan\n", "slope_tol must be nonnegative and"),
         ("small-ball", "eps_grid = 1.0,0.5\ntol = nan\n", "tol must be nonnegative and finite, got nan"),
+        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\nbeta = 0\n", "beta must lie in (0, 1], got 0.0"),
+        ("small-ball", "prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
+         "eps_grid = 2.0,1.0\nbeta = -1\n", "beta must lie in (0, 1], got -1.0"),
+        ("small-ball", "eps_grid = 1.0,0.5\nbeta = nan\n", "beta must lie in (0, 1], got nan"),
+        ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\nbeta = 2\n", "beta must lie in (0, 1], got 2.0"),
     ],
     ids=[
         "rate-replicates-5",
@@ -449,6 +454,10 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         "decay-r-zero",
         "rate-slope-tol-nan",
         "small-ball-tol-nan",
+        "small-ball-wavelet-beta-zero",
+        "small-ball-truncated-beta-negative",
+        "small-ball-brownian-beta-nan",
+        "small-ball-wavelet-beta-2",
     ],
 )
 def test_study_config_rejected_values_are_usage_errors(runner, tmp_path, command, lines, named):

@@ -264,12 +264,12 @@ def test_a_grid_10_rate_study_holds_one_error_per_kept_state():
 
 
 def test_rate_studies_never_build_an_ensemble_grid_view(monkeypatch):
-    # every cell reduces its draws to one L1 error read from the rows at the sampler's width; the reports are
-    # pinned by the sha256 of their csv, from cells that draw each bin's lowest point first
-    def grid_view(ens):
-        raise AssertionError("the study read PosteriorEnsemble.values")
+    # every cell reduces its draws to one L1 error read from the rows at the sampler's width, and builds no
+    # ensemble; the reports are pinned by the sha256 of their csv, from cells that draw each bin's lowest point first
+    def build(ens):
+        raise AssertionError("the study built a PosteriorEnsemble")
 
-    monkeypatch.setattr(PosteriorEnsemble, "values", property(grid_view))
+    monkeypatch.setattr(PosteriorEnsemble, "__post_init__", build)
     for cfg, digest in [
         (_tiny_rate_cfg(prior=_spec("truncated_wavelet", j=3), sampler="exact", budget=300),
          "e1f614c594328bb33b32022857a53670532e8fa55c4ceef2d08e49ed6f8997e4"),
@@ -288,7 +288,8 @@ def test_rate_study_exclusion_limit():
     with pytest.raises(StudyError) as err:
         run_rate_study(cfg)
     assert err.value.exclusions > 0.2 * err.value.total
-    assert f"{err.value.exclusions} x 'no feasible prior draw;" in str(err.value)
+    cause = "no feasible prior draw; the importance estimate is degenerate, use the 'mcmc' sampler"
+    assert f"{err.value.exclusions} x {cause!r}" in str(err.value)
 
 
 @pytest.mark.parametrize(

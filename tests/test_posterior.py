@@ -130,14 +130,14 @@ def test_ensemble_validate_against():
 
 
 def test_ensemble_row_width_is_validated_and_the_grid_view_repeats_the_rows():
-    for width in (0, 3, 6, 32):  # zero, not a power of two, wider than the 16 bins of grid level 4
-        with pytest.raises(ValueError, match=rf"row width {width} .*grid_level 4"):
+    for width in (0, 3, 4, 6, 32):  # every row width but the 16 bins of grid level 4
+        with pytest.raises(ValueError, match=rf"\(k, 2\*\*grid_level\) matrix, got shape \(2, {width}\)"):
             PosteriorEnsemble(4, np.zeros((2, width)), np.zeros(2))
     rows = np.array([[0.5, -1.0, 2.0, 0.25], [1.0, 1.5, -0.5, 3.0]])
-    ens = PosteriorEnsemble(4, rows, np.zeros(2))
-    assert ens.blocks.shape == (2, 4) and len(ens) == 2
+    ens = PosteriorEnsemble(4, np.repeat(rows, 4, axis=1), np.zeros(2))
+    assert len(ens) == 2
     assert np.array_equal(ens.values, np.repeat(rows, 4, axis=1))
-    assert ens.values is ens.values and not ens.values.flags.writeable  # built once, read-only
+    assert ens.values is ens.values and not ens.values.flags.writeable  # held once, read-only
     assert [f.grid_level for f in ens.samples] == [4, 4]
 
 
@@ -444,63 +444,60 @@ def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
 def test_exact_sampler_stores_the_blocks_of_the_finest_level_drawn(f0, n, seed, drawn):
     ens, levels, ref = _exact_reference(simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)), 26)
     assert set(levels.tolist()) == drawn
-    assert ens.blocks.shape == (400, 2 << max(drawn))
     assert np.array_equal(ens.values, ref)
 
 
-# per sampler cell: the sha256 of ``ens.values.tobytes()`` on the pattern drawn lowest point first, and the row
-# width the ensemble keeps (2**(J+1) at the finest level J drawn, the widest level's, 2**(j_max+1) and the grid's 2**4)
+# per sampler cell: the sha256 of ``ens.values.tobytes()`` on the pattern drawn lowest point first; the exact and
+# wavelet samplers draw rows on 2**(J+1) blocks at level J, which the ensemble holds repeated onto the 2**4 bins
 _PINNED_CELLS = {
-    "exact": ("truncated_wavelet", "gaussian", "exact", 200, 4,
+    "exact": ("truncated_wavelet", "gaussian", "exact", 200,
               "c3be6373241ddfb27e0b280fbf97528c5b5540791af1186d62d775db5822931f"),
-    "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000, 8,
+    "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000,
                            "de9027c1c5b683e6f26001c7eb2bfa3c906c453ad2fca5e0d3f5941999cfd13e"),
-    "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000, 8,
+    "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000,
                           "678cd3e0f599a09f941d75e60441a819730acb0414fb1bf3a2834388cd521e74"),
-    "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000, 8,
+    "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000,
                        "68fb83cdff63c2669b409e5c7e53eb258cd980c546d44e697022c9eee1370e4a"),
-    "brownian": ("brownian_start", None, "mcmc", 2000, 16,
+    "brownian": ("brownian_start", None, "mcmc", 2000,
                  "7e96b10a41be4bb331f1554fa4577cbeb36d7c38667e796d73dffc51a3002b64"),
 }
 
 
 @pytest.mark.parametrize("name", list(_PINNED_CELLS))
 def test_ensembles_keep_the_sampler_width_and_the_pinned_grid_values(name):
-    variant, kind, sampler, budget, width, digest = _PINNED_CELLS[name]
+    variant, kind, sampler, budget, digest = _PINNED_CELLS[name]
     levels = {"truncated_wavelet": {"j_cap": 2}, "wavelet_series": {"alpha": 1.0, "j_max": 2}}.get(variant, {})
     dist = {"dist": CoefficientDistribution(kind)} if kind else {}
     prior = build_prior(PriorSpec(variant=variant, grid_level=4, **levels, **dist))
     _, pattern = _pattern(n=20.0, seed=5)
     ens = sample_posterior(prior, pattern, sampler, budget, np.random.default_rng(41))
-    assert ens.blocks.shape[1] == width
-    assert "values" not in vars(ens)  # sampling builds no grid view
     assert hashlib.sha256(ens.values.tobytes()).hexdigest() == digest
     assert ens.validate_against(pattern)
 
 
 @pytest.mark.parametrize("metric", ["l1", "lower_part", "upper_part"])
 def test_errors_on_narrow_rows_equal_the_grid_width_rows_bit_for_bit(metric):
-    # rows on 4 blocks of a level-4 grid, against f0 coarser than the blocks, between them and the grid, on the
-    # grid and finer than it; the grid-width twin holds the same rows repeated to the 16 bins
+    # rows on 4 blocks of a level-4 grid, as a study's reduce reads them, against f0 coarser than the blocks, between
+    # them and the grid, on the grid and finer than it; the ensemble holds the same rows repeated to the 16 bins, and
+    # its functionals equal the study's weighted reductions of the narrow rows' errors
     rng = np.random.default_rng(43)
     rows = rng.normal(size=(300, 4)) * np.array([1.0, 1e-3, 10.0, 0.1])
-    narrow = PosteriorEnsemble(4, rows, rng.normal(size=300))
-    wide = PosteriorEnsemble(4, np.repeat(rows, 4, axis=1), narrow.log_weights)
+    ens = PosteriorEnsemble(4, np.repeat(rows, 4, axis=1), rng.normal(size=300))
+    weights = normalize_log_weights(ens.log_weights)
     masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
     for f0_level in (1, 3, 4, 6):
         f0 = GridFunction(f0_level, rng.normal(size=1 << f0_level))
-        errors = posterior_module._errors(narrow.blocks, narrow.grid_level, f0, metric)
-        wide_errors = posterior_module._errors(wide.blocks, wide.grid_level, f0, metric)
+        errors = posterior_module._errors(rows, 4, f0, metric)
+        wide_errors = posterior_module._errors(ens.values, ens.grid_level, f0, metric)
         assert errors.tobytes() == wide_errors.tobytes(), f0_level
-        assert posterior_median_metric(narrow, f0, metric) == posterior_median_metric(wide, f0, metric)
+        assert weighted_median(errors, weights) == posterior_median_metric(ens, f0, metric)
         r = float(np.median(errors))
-        assert masses[metric](narrow, f0, r) == masses[metric](wide, f0, r)
-    assert "values" not in vars(narrow)  # no functional of the errors built the grid view
+        assert mass_at_least(errors, weights, r) == masses[metric](ens, f0, r)
     _, pattern = _pattern(n=40.0)
     low = np.minimum(rows, block_minima(bin_minima(pattern, 4), 1))  # feasible rows, then one row above its block
-    verdicts = [[PosteriorEnsemble(4, np.repeat(c, r, axis=1), np.zeros(len(c))).validate_against(pattern)
-                 for r in (1, 4)] for c in (low, np.vstack([low, low[:1] + 10.0]))]
-    assert verdicts == [[True, True], [False, False]]
+    verdicts = [PosteriorEnsemble(4, np.repeat(c, 4, axis=1), np.zeros(len(c))).validate_against(pattern)
+                for c in (low, np.vstack([low, low[:1] + 10.0]))]
+    assert verdicts == [True, False]
 
 
 def test_importance_truncated_sampler_matches_analytic_moments():
@@ -693,14 +690,15 @@ def test_finite_prior_mcmc_draws_the_exact_posterior_under_unequal_weights():
 
 def test_mcmc_stores_the_scheduled_states(monkeypatch):
     # a fifth of the sweeps is burn-in and stored sweeps are max(1, budget // 10_000) site updates apart,
-    # from the total budget also for the truncated prior's per-level chains; a Brownian block stores its states
-    # on the 16 bins, a wavelet block on its level's 2**(j_max+1) finest blocks, never on the bins
+    # from the total budget also for the truncated prior's per-level chains; a Brownian kernel yields its states
+    # on the 16 bins, a wavelet kernel on its level's 2**(j_max+1) finest blocks, never on the bins
     f0, pattern = _pattern(n=2.0, grid_level=4)
-    stored, run_chain = [], posterior_module._run_chain  # the (chains, kept, width) shape of each block stored
+    stored, run_chain = [], posterior_module._run_chain  # per block: chains, kept states and the states' widths
 
     def spy(states, keep, reduce):
-        values = run_chain(states, keep, reduce)
-        stored.append(values.shape)
+        widths = set()
+        values = run_chain(states, keep, lambda v: widths.add(v.shape[1]) or reduce(v))
+        stored.append((*values.shape[:2], *widths))
         return values
 
     monkeypatch.setattr(posterior_module, "_run_chain", spy)
@@ -736,6 +734,17 @@ def test_mcmc_stores_the_scheduled_states(monkeypatch):
             assert sum(kept for _, kept, _ in stored) == (rows if stored else 0), (name, budget)
             assert ens.validate_against(pattern)
             assert ens.meta["steps"] == updates, (name, budget)
+
+
+def _grid_rows(v):
+    """The reduce of ``sample_posterior`` on a level-4 grid: rows on w equal blocks repeated onto the 16 bins."""
+    return np.repeat(v, 16 // v.shape[1], axis=1)
+
+
+def _ensembles(cells) -> list:
+    """Each cell that ``sample_cells`` yields under ``_grid_rows`` as the ensemble that ``sample_posterior`` builds
+    of it, and a refused cell as its error."""
+    return [c if isinstance(c, DegeneratePosteriorError) else PosteriorEnsemble(4, *c) for c in cells]
 
 
 def test_sample_cells_equals_each_cell_alone():
@@ -790,7 +799,8 @@ def test_sample_cells_equals_each_cell_alone():
         prior, where = priors[name], (sampler, name)
         cells = patterns if degenerate is None else patterns[:1] + [degenerate] + patterns[1:]
         rngs = [np.random.default_rng(20 + i) for i in range(len(cells))]
-        block = list(sample_cells(prior, np.stack([bin_minima(p, 4) for p in cells]), n, sampler, budget, rngs))
+        mins = np.stack([bin_minima(p, 4) for p in cells])
+        block = _ensembles(sample_cells(prior, mins, n, sampler, budget, rngs, _grid_rows))
         assert len(block) == len(cells), where
         for i, (pattern, ens) in enumerate(zip(cells, block)):
             rng = np.random.default_rng(20 + i)
@@ -808,7 +818,7 @@ def test_sample_cells_equals_each_cell_alone():
     # a sampler that runs cell by cell draws a cell only when it is asked for it
     rngs = [np.random.default_rng(20 + i) for i in range(2)]
     mins = np.stack([bin_minima(p, 4) for p in patterns[:2]])
-    next(sample_cells(priors["truncated gaussian"], mins, n, "exact", 300, rngs))
+    next(sample_cells(priors["truncated gaussian"], mins, n, "exact", 300, rngs, _grid_rows))
     assert rngs[1].random() == np.random.default_rng(21).random()
 
 
@@ -840,7 +850,7 @@ def test_a_mixed_intensity_block_equals_each_cell_alone():
     ]
     for sampler, prior, budget in runs:
         rngs = [np.random.default_rng(40 + i) for i in range(len(ns))]
-        block = list(sample_cells(prior, mins, ns, sampler, budget, rngs))
+        block = _ensembles(sample_cells(prior, mins, ns, sampler, budget, rngs, _grid_rows))
         assert any(isinstance(ens, PosteriorEnsemble) for ens in block), (sampler, prior)
         for i, (pattern, ens) in enumerate(zip(patterns, block)):
             where, rng = (sampler, prior, ns[i]), np.random.default_rng(40 + i)
@@ -882,11 +892,12 @@ def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
     for sampler, prior, budget, cells in runs:
         mins = np.stack([bin_minima(p, 4) for p in cells])
 
-        def block(reduce=None):
+        def block(reduce):
             rngs = [np.random.default_rng(60 + i) for i in range(len(cells))]
             return list(sample_cells(prior, mins, n, sampler, budget, rngs, reduce)), rngs
 
-        ensembles, rngs = block()
+        grid_cells, rngs = block(_grid_rows)
+        ensembles = _ensembles(grid_cells)
         assert sum(isinstance(ens, DegeneratePosteriorError) for ens in ensembles) == any(p is improper for p in cells)
         for ref, metric in refs:
             reduced, reduced_rngs = block(row_errors(ref, metric, 4))
@@ -897,7 +908,7 @@ def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
                     assert isinstance(cell, DegeneratePosteriorError) and str(cell) == str(ens), where
                     continue
                 errors, log_weights, meta = cell
-                assert errors.tobytes() == posterior_module._errors(ens.blocks, 4, ref, metric).tobytes(), where
+                assert errors.tobytes() == posterior_module._errors(ens.values, 4, ref, metric).tobytes(), where
                 assert log_weights.tobytes() == ens.log_weights.tobytes(), where
                 assert meta == ens.meta, where
                 weights = normalize_log_weights(log_weights)
@@ -907,7 +918,6 @@ def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
                 assert mass_at_least(errors, weights, r) == masses[metric](ens, ref, r), where
         if prior is truncated_gaussian and sampler == "mcmc":  # rows of every level, each with its level weight
             assert all(len(np.unique(ens.log_weights)) == 3 for ens in ensembles)
-        assert all("values" not in vars(ens) for ens in ensembles if isinstance(ens, PosteriorEnsemble))
 
 
 def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_draw(monkeypatch):
@@ -925,7 +935,8 @@ def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_dra
 
     monkeypatch.setattr(posterior_module, "_gibbs_wavelet", spy)
     rngs = [np.random.default_rng(seed) for seed in (0, 1, 2)]
-    every, skip, none = sample_cells(prior, np.stack([bin_minima(p, 4) for p in patterns]), 0.5, "mcmc", 3000, rngs)
+    mins = np.stack([bin_minima(p, 4) for p in patterns])
+    every, skip, none = _ensembles(sample_cells(prior, mins, 0.5, "mcmc", 3000, rngs, _grid_rows))
     assert blocks == [(0, 1), (1, 2), (2, 2)]
     assert np.isfinite(every.meta["level_log_weights"]).all()
     lw = skip.meta["level_log_weights"]
@@ -959,7 +970,8 @@ def test_a_refused_cell_names_its_cause_and_runs_no_chain(monkeypatch, kind):
 
     monkeypatch.setattr(posterior_module, "_gibbs_wavelet", spy)
     rngs = [np.random.default_rng(30 + i) for i in range(3)]
-    block = list(sample_cells(prior, np.stack([bin_minima(p, 4) for p in cells]), n, "mcmc", 3000, rngs))
+    mins = np.stack([bin_minima(p, 4) for p in cells])
+    block = _ensembles(sample_cells(prior, mins, n, "mcmc", 3000, rngs, _grid_rows))
     assert chains == [2]
     cause, other = {"laplace": ("an improper laplace posterior", "uniform"),
                     "uniform": ("no feasible start in the uniform support", "laplace")}[kind]
