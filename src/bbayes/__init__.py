@@ -30,11 +30,9 @@ from .posterior import (
     exact_truncated_posterior,
     importance_posterior,
     log_posterior_weight,
-    mass_lower_excess,
-    mass_outside_l1_ball,
-    mass_upper_excess,
     mcmc_posterior,
     posterior_mass,
+    posterior_mass_at_least,
     posterior_mean,
 )
 from .estimators import (

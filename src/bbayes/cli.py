@@ -28,10 +28,10 @@ import numpy as np
 from .complexity import (
     FunctionDictionary,
     UncoverableMemberError,
-    covering_number_detailed,
+    covering_number,
     default_bracket_pool,
-    one_sided_bracketing_number_detailed,
-    separation_quantity_detailed,
+    one_sided_bracketing_number,
+    separation_quantity,
 )
 from .estimators import mle_lipschitz, mle_piecewise_constant
 from .grid import GridFunction, PointPattern, simulate_ppp
@@ -198,11 +198,11 @@ def complexity(dict_file, quantity, eps, delta, n, f0_file, pool_file, out):
         pool = _load(pool_file, _dictionary) if pool_file else default_bracket_pool(dict_)
     try:
         if quantity == "covering":
-            res = covering_number_detailed(dict_, eps)
+            res = covering_number(dict_, eps)
         elif quantity == "bracketing":
-            res = one_sided_bracketing_number_detailed(dict_, delta, pool)
+            res = one_sided_bracketing_number(dict_, delta, pool)
         else:
-            res = separation_quantity_detailed(dict_, f0, n, pool)
+            res = separation_quantity(dict_, f0, n, pool)
     except UncoverableMemberError as exc:
         raise click.ClickException(str(exc))
     report = {"quantity": quantity, "value": res.value}

@@ -6,8 +6,10 @@ matrix, ``covers[c, k]`` true when candidate c covers member k, by testing each
 candidate row against the stacked member values, and ``_cover`` solves it as
 one binary integer program with ``scipy.optimize.milp`` (HiGHS) at relative
 gap 0: minimise ``weights @ x`` over x in {0, 1} subject to ``covers.T @ x >= 1``.
-Every value is an optimum, whatever the size.  Counts are covers with unit
-weights, so they come out as exact integers.
+Every value is an optimum, whatever the size.  Each functional returns its
+cover, a ``CoverResult``: the optimum ``value`` and the ``selection``, the
+indices of the chosen candidates (members or pool rows).  Counts are covers
+with unit weights, so their values are exact integers, held as floats.
 
 The separation weights exp(-n * excess) span many orders of magnitude.  They
 are divided by a lower bound on the optimum: the largest, over members, of the
@@ -33,9 +35,6 @@ __all__ = [
     "covering_number",
     "one_sided_bracketing_number",
     "separation_quantity",
-    "covering_number_detailed",
-    "one_sided_bracketing_number_detailed",
-    "separation_quantity_detailed",
     "default_bracket_pool",
 ]
 
@@ -72,6 +71,8 @@ class FunctionDictionary:
 
 @dataclass(frozen=True)
 class CoverResult:
+    """An optimal cover: its total weight ``value`` and the sorted indices ``selection`` of its candidates."""
+
     value: float
     selection: tuple
 
@@ -111,21 +112,18 @@ def _cover(covers: np.ndarray, weights: np.ndarray) -> CoverResult:
     return CoverResult(float(weights[sel].sum()), tuple(sel.tolist()))
 
 
-def covering_number_detailed(dict_: FunctionDictionary, eps: float) -> CoverResult:
+def covering_number(dict_: FunctionDictionary, eps: float) -> CoverResult:
+    """Minimal number of closed sup-norm eps-balls centered at members covering the dictionary, and their centres."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     covers = _coverage(dict_, dict_, lambda c, members: np.abs(c - members).max(axis=1) <= eps)
     return _cover(covers, np.ones(len(dict_)))
 
 
-def covering_number(dict_: FunctionDictionary, eps: float) -> int:
-    """Minimal number of closed sup-norm eps-balls centered at members covering the dictionary."""
-    return int(covering_number_detailed(dict_, eps).value)
-
-
-def one_sided_bracketing_number_detailed(
+def one_sided_bracketing_number(
     dict_: FunctionDictionary, delta: float, bracket_pool: FunctionDictionary
 ) -> CoverResult:
+    """Smallest number of pool functions lower-bracketing every member within delta, and which they are."""
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     covers = _coverage(
@@ -136,29 +134,16 @@ def one_sided_bracketing_number_detailed(
     return _cover(covers, np.ones(len(bracket_pool)))
 
 
-def one_sided_bracketing_number(
-    dict_: FunctionDictionary, delta: float, bracket_pool: FunctionDictionary
-) -> int:
-    """Smallest number of pool functions lower-bracketing every member within delta."""
-    return int(one_sided_bracketing_number_detailed(dict_, delta, bracket_pool).value)
-
-
-def separation_quantity_detailed(
+def separation_quantity(
     dict_: FunctionDictionary, f0: GridFunction, n: float, bracket_pool: FunctionDictionary
 ) -> CoverResult:
+    """Minimized sum of exp(-n * integral((l - f0)_+)) over lower-bracket families from the pool, and the family."""
     if not 0 < n < math.inf:
         raise ValueError("n must be positive and finite")
     covers = _coverage(bracket_pool, dict_, lambda ell, members: np.all(ell <= members, axis=1))
     lvl = max(bracket_pool.grid_level, f0.grid_level)
     excess = np.maximum(bracket_pool.matrix(lvl) - f0.refine(lvl).values, 0.0).mean(axis=1)
     return _cover(covers, np.exp(-n * excess))
-
-
-def separation_quantity(
-    dict_: FunctionDictionary, f0: GridFunction, n: float, bracket_pool: FunctionDictionary
-) -> float:
-    """Minimized sum of exp(-n * integral((l - f0)_+)) over lower-bracket families from the pool."""
-    return separation_quantity_detailed(dict_, f0, n, bracket_pool).value
 
 
 def default_bracket_pool(dict_: FunctionDictionary) -> FunctionDictionary:

@@ -160,7 +160,7 @@ class RateStudyConfig:
     budget: int = 4000
     error_metric: str = "l1"
     seed: int = 0
-    step_scale: float = 0.5  # read by no sampler; perfbench/studies.py passes it to mcmc_posterior
+    step_scale: float = 0.5  # read by no sampler; only the benchmark replay (perfbench/studies.py) passes it on
     slope_tol: float = 0.15
 
     def __post_init__(self) -> None:
@@ -245,7 +245,7 @@ def _study_cells(spec, f0, ceiling, sampler, budget, metric, reduction, seed, ce
     ``sample_cells`` as one block, each cell at its own n, with the per-row error (``row_errors``) as its
     ``reduce``: a Gibbs block stores one error per chain and kept sweep, cells x kept floats at any grid, every
     other sampler reduces a cell's rows as it draws them, and no ensemble is built.  Each error is the one that
-    the ensemble's functional (``posterior_median_metric``, ``mass_lower_excess``) reads, bit for bit.
+    the ensemble's functional (``posterior_median_metric``, ``posterior_mass_at_least``) reads, bit for bit.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for i_n, _, rep in cells]
     ns = [n for _, n, _ in cells]
@@ -265,7 +265,7 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
     ``threads``, an integer >= 1 (else a StudyConfigError before any work), cuts the cell list into
     ``min(threads, cells)`` contiguous blocks, one process task each, on as many workers when there are two or
     more.  More than ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names
-    each cause and count.
+    each cause, in single quotes, with its count.
     """
     if not (isinstance(threads, numbers.Integral) and threads >= 1):
         raise StudyConfigError(f"threads must be an integer >= 1, got {threads!r}")
@@ -280,7 +280,7 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
     else:
         values = block(cells)
     causes = Counter(v for v in values if isinstance(v, str))
-    why = ", ".join(f"{count} x {cause!r}" for cause, count in causes.items())
+    why = ", ".join(f"{count} x '{cause}'" for cause, count in causes.items())
     grid = np.array([math.nan if isinstance(v, str) else v for v in values]).reshape(len(n_grid), -1)
     exclusions = causes.total()
     empty = [n for n, row in zip(n_grid, grid) if np.isnan(row).all()]
@@ -470,7 +470,8 @@ def run_posterior_decay_study(
     """Expected posterior mass of {integral((f0 - f)_+) >= r} across the intensity grid.
 
     Cells are seeded as in :func:`run_rate_study`, so ``threads`` changes no result.  Each cell's mass is the
-    weight of its rows whose lower-part error is at least r, as ``mass_lower_excess`` of its ensemble.
+    weight of its rows whose lower-part error is at least r, as ``posterior_mass_at_least(ens, f0, r,
+    "lower_part")`` of its ensemble.
     The medians are compared in grid order, so the grid must increase.
     """
     _check_cells(replicates, 1, sampler, budget, prior_spec, seed)

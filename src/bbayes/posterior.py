@@ -27,14 +27,16 @@ every other sampler cell by cell, each cell bit for bit as alone.  Every
 sampler reduces its rows as it draws them by the caller's per-row ``reduce``,
 and a cell is its reduced rows, log weights and ``meta``: under a study's
 per-row error (``row_errors``) a Gibbs block holds cells x kept floats at any
-grid.  ``sample_posterior`` and the named samplers are its block of one cell.
+grid.  ``sample_posterior`` is its block of one cell; the three named samplers
+are aliases of it, kept because the benchmark replay calls them.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i on the
 grid's bins), ``log_weights`` and ``meta``: ``sample_posterior``'s one cell, its
 rows repeated onto the bins as they are drawn.  ``samples`` is a ``GridFunction``
-view of its rows.  The weighted functionals are a per-row error (``_errors``) and
-a weighted reduction of it, ``weighted_median`` or ``mass_at_least``, under
-``normalize_log_weights``.
+view of its rows.  The weighted functionals are a per-row error (``_errors``) in
+one of ``ERROR_METRICS`` and a weighted reduction of it under
+``normalize_log_weights``: ``weighted_median`` (``posterior_median_metric``) or
+``mass_at_least`` (``posterior_mass_at_least``).
 """
 
 from __future__ import annotations
@@ -70,9 +72,7 @@ __all__ = [
     "sample_cells",
     "sample_posterior",
     "posterior_mass",
-    "mass_outside_l1_ball",
-    "mass_lower_excess",
-    "mass_upper_excess",
+    "posterior_mass_at_least",
     "mass_at_least",
     "normalize_log_weights",
     "posterior_mean",
@@ -85,7 +85,7 @@ _BURN_IN = 0.2  # fraction of MCMC sweeps discarded before storing
 _EVIDENCE_DRAWS = 400  # prior draws per level for a non-gaussian truncated prior's evidence
 _BATCH_VALUES = 1 << 16  # grid values per batch of prior draws, which bounds the peak memory
 SAMPLERS = ("importance", "mcmc", "exact")  # the names of ``sample_cells``' samplers
-ERROR_METRICS = ("l1", "lower_part", "upper_part")  # the error metrics of ``posterior_median_metric``
+ERROR_METRICS = ("l1", "lower_part", "upper_part")  # of ``posterior_median_metric`` and ``posterior_mass_at_least``
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -314,11 +314,8 @@ def _importance(prior, mins, n, draws, rng, reduce):
 
     Infeasible draws carry weight zero and are dropped from storage but counted
     in the reported feasibility rate; the draws are filtered and reduced in
-    batches (``reduce_draws``).  A laplace prior whose posterior is improper at
-    any level (``passes.improper_laplace``) raises, as ``sample_cells`` does.
+    batches (``reduce_draws``).
     """
-    if improper_laplace(prior, mins[None], n)[0]:
-        raise DegeneratePosteriorError("an improper laplace posterior, whose importance estimate has no limit")
     log_lik = []
 
     def feasible(v):
@@ -502,9 +499,7 @@ def _mcmc_finite(prior: FinitePrior, mins, n, steps, rng, reduce):
     """I.i.d. draws of the finite prior's exact posterior, weights pi_i e^{n integral f_i} on the feasible atoms,
     in one ``rng.choice``: as many as a chain of ``steps`` one-atom steps on the ``_kept`` schedule stores, as one
     ``(rows, log_weights)`` part of ``reduce`` of the atoms, indexed by the draws, and ``meta``."""
-    feasible = np.all(prior.values <= mins, axis=1) & (prior.weights > 0)
-    if not feasible.any():
-        raise DegeneratePosteriorError("no feasible atom in the finite prior support")
+    feasible = np.all(prior.values <= mins, axis=1) & (prior.weights > 0)  # not empty (``_refused``)
     log_w = np.where(feasible, n * prior.values.mean(axis=1), -math.inf)
     w = prior.weights * np.exp(log_w - log_w.max())
     draws = min(steps, len(_kept(steps, 1, steps)))  # a chain runs at least 2 sweeps, but one step is one sweep
@@ -518,6 +513,19 @@ def _cell(parts: list, meta: dict):
     ``meta``.  The rows of one part stay uncopied."""
     rows, log_weights = (a[0] if len(parts) == 1 else np.concatenate(a) for a in zip(*parts))
     return rows, log_weights, meta
+
+
+def _refused(prior, mins: np.ndarray, n: np.ndarray):
+    """``(refused, cause)``: which rows of bin minima ``mins``, at their intensities n, no sampler can sample, and
+    why, decided from the minima alone: no feasible atom of a finite prior, no feasible state in a uniform wavelet
+    prior's support (``passes.highest_feasible``; the last of its ``levels()`` holds every other level's states),
+    or an improper laplace posterior at some level (``passes.improper_laplace``, no row of any other prior)."""
+    if isinstance(prior, FinitePrior):
+        feasible = np.all(prior.values <= mins[:, None], axis=2) & (prior.weights > 0)
+        return ~feasible.any(axis=1), "no feasible atom in the finite prior support"
+    if getattr(prior, "dist", None) is not None and prior.dist.kind == "uniform":
+        return ~highest_feasible(prior.levels()[-1][1], mins)[1], "no feasible state in the uniform support"
+    return improper_laplace(prior, mins, n), "an improper laplace posterior, which no sampler draws from"
 
 
 _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which messages name
@@ -555,19 +563,20 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
     block's states are its level's finest blocks, and a cell's rows are its levels' in increasing order.
-    A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels.
-    A cell is refused before any chain runs, by an error that names its cause, from one Haar-tree pass of ``passes``:
-    an improper laplace posterior (``passes.improper_laplace``), no feasible state in the uniform support
-    (``passes.highest_feasible``) or no level weight > 0.  Every other sampler runs cell by cell, yielding each
-    cell before it draws the next.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
+    A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels, and a wavelet
+    cell with no level weight > 0 is degenerate.  Every other sampler runs cell by cell, yielding each cell before
+    it draws the next.  Before any draw, whatever the sampler, one pass over the minima (``_refused``) refuses
+    each cell that no sampler can sample, by an error that names its cause, and no draw is made for it.  Cell i
+    draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
     n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
+    refused, cause = _refused(prior, mins, n)
     if sampler != "mcmc" or isinstance(prior, FinitePrior):
         kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
-        for row, n_i, rng in zip(mins, n.tolist(), rngs):
+        for row, n_i, rng, r in zip(mins, n.tolist(), rngs, refused.tolist()):
             try:
-                yield _cell(*kernel(prior, row, n_i, budget, rng, reduce))
+                yield DegeneratePosteriorError(cause) if r else _cell(*kernel(prior, row, n_i, budget, rng, reduce))
             except DegeneratePosteriorError as exc:
                 yield exc
         return
@@ -577,14 +586,8 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
         chains = _gibbs_brownian(prior, mins, n[:, None], rngs)
         rows = [[(v, np.zeros(len(keep)))] for v in _run_chain(chains, keep, reduce)]
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
-        causes = [None] * len(rngs)
     else:
         levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
-        if prior.dist.kind == "uniform":  # the last level holds every other level's states
-            refused, reason = ~highest_feasible(levels[-1][1], mins)[1], "no feasible start in the uniform support"
-        else:
-            refused, reason = improper_laplace(prior, mins, n), "an improper laplace posterior, which no chain samples"
-        causes = [reason if r else None for r in refused]
         log_w = _level_log_weights(levels, mins, n.tolist(), rngs) if truncated else np.zeros((len(rngs), 1))
         rows, (steps, skipped) = [[] for _ in rngs], np.zeros((2, len(rngs)), dtype=int)  # updates run and skipped
         for (_, level), lw in zip(levels, log_w.T):
@@ -605,9 +608,9 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
         if truncated:
             for meta, lw in zip(metas, log_w):
                 meta["level_log_weights"] = lw.tolist()
-    for cell, cause, meta in zip(rows, causes, metas):
-        if cause or not cell:
-            yield DegeneratePosteriorError(cause or "no level produced feasible states")
+    for cell, r, meta in zip(rows, refused.tolist(), metas):
+        if r or not cell:
+            yield DegeneratePosteriorError(cause if r else "no level produced feasible states")
         else:
             yield _cell(cell, meta)
 
@@ -625,38 +628,23 @@ def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rn
 
 
 def importance_posterior(prior, pattern: PointPattern, draws: int, rng: np.random.Generator) -> PosteriorEnsemble:
-    """Self-normalized importance sampling with the prior as proposal (``_importance``), one cell."""
+    """``sample_posterior(prior, pattern, "importance", draws, rng)``, kept for the benchmark replay."""
     return sample_posterior(prior, pattern, "importance", draws, rng)
 
 
 def exact_truncated_posterior(
     prior: TruncatedWaveletPrior, pattern: PointPattern, draws: int, rng: np.random.Generator
 ) -> PosteriorEnsemble:
-    """Exact posterior draws for the truncated wavelet prior with gaussian coefficients (``_exact``), one cell."""
+    """``sample_posterior(prior, pattern, "exact", draws, rng)``, kept for the benchmark replay."""
     return sample_posterior(prior, pattern, "exact", draws, rng)
 
 
-def mcmc_posterior(
-    prior,
-    pattern: PointPattern,
-    steps: int,
-    step_scale: float = 0.5,  # read by no kernel; perfbench/studies.py passes it positionally
-    rng: np.random.Generator | None = None,
-) -> PosteriorEnsemble:
-    """Markov chain Monte Carlo targeting the constrained posterior: ``sample_posterior`` of 'mcmc'.
-
-    Latent priors use exact Gibbs kernels: every conditional is drawn exactly
-    from a truncated, tilted law, so there is no step size and no rejection.
-    A truncated wavelet prior runs the one wavelet kernel at each of its levels,
-    whose rows it weights by the level's share ``_level_log_weights``.  Every
-    chain runs the one ``_kept`` schedule, from the total ``steps``; a finite
-    prior is drawn exactly, as many rows as that schedule stores.
-    ``step_scale`` is validated but read by no kernel; it stays only for the
-    benchmark replay's positional call.
-    """
+def mcmc_posterior(prior, pattern: PointPattern, steps: int, step_scale: float, rng: np.random.Generator):
+    """``sample_posterior(prior, pattern, "mcmc", steps, rng)``, kept for the benchmark replay, which passes all
+    five arguments positionally.  ``step_scale`` is validated but read by no kernel."""
     if not step_scale > 0:
         raise ValueError("step_scale must be positive")
-    return sample_posterior(prior, pattern, "mcmc", steps, np.random.default_rng() if rng is None else rng)
+    return sample_posterior(prior, pattern, "mcmc", steps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -701,18 +689,10 @@ def mass_at_least(errors: np.ndarray, weights: np.ndarray, r: float) -> float:
     return float(weights[errors >= r].sum())
 
 
-def mass_outside_l1_ball(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
-    return mass_at_least(_errors(ens.values, ens.grid_level, f0, "l1"), ens.normalized_weights, r)
-
-
-def mass_lower_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
-    """Posterior mass of functions with integral of (f0 - f)_+ at least r."""
-    return mass_at_least(_errors(ens.values, ens.grid_level, f0, "lower_part"), ens.normalized_weights, r)
-
-
-def mass_upper_excess(ens: PosteriorEnsemble, f0: GridFunction, r: float) -> float:
-    """Posterior mass of functions with integral of (f - f0)_+ at least r."""
-    return mass_at_least(_errors(ens.values, ens.grid_level, f0, "upper_part"), ens.normalized_weights, r)
+def posterior_mass_at_least(ens: PosteriorEnsemble, f0: GridFunction, r: float, metric: str = "l1") -> float:
+    """Posterior mass of functions whose error against f0 in ``metric``, one of ``ERROR_METRICS``, is at least r:
+    the integral of |f - f0|, (f0 - f)_+ or (f - f0)_+."""
+    return mass_at_least(_errors(ens.values, ens.grid_level, f0, metric), ens.normalized_weights, r)
 
 
 def posterior_mean(ens: PosteriorEnsemble) -> GridFunction:

@@ -139,14 +139,13 @@ def wavelet_amplitudes(alpha: float, j_max: int) -> np.ndarray:
 
 
 class WaveletSeriesPrior:
-    """Random wavelet series: coefficient (j,k) is d_{j,k} * xi with i.i.d. xi."""
+    """Random wavelet series: coefficient (j,k) is d_{j,k} * xi with i.i.d. xi, d the flat ``amplitudes`` vector."""
 
-    def __init__(self, alpha: float, dist: CoefficientDistribution, j_max: int, grid_level: int):
-        self.alpha = alpha
+    def __init__(self, amplitudes: np.ndarray, dist: CoefficientDistribution, j_max: int, grid_level: int):
+        self.amplitudes = amplitudes
         self.dist = dist
         self.j_max = j_max
         self.grid_level = grid_level
-        self.amplitudes = wavelet_amplitudes(alpha, j_max)
 
     @property
     def latent_dim(self) -> int:
@@ -203,9 +202,7 @@ class TruncatedWaveletPrior:
 
     def level_prior(self, j: int) -> "WaveletSeriesPrior":
         """The conditional prior given J = j: unit amplitudes up to level j."""
-        prior = WaveletSeriesPrior(0.0, self.dist, j, self.grid_level)
-        prior.amplitudes = np.ones(coefficient_count(j))
-        return prior
+        return WaveletSeriesPrior(np.ones(coefficient_count(j)), self.dist, j, self.grid_level)
 
     def levels(self) -> list:
         """The prior as a weighted mixture of wavelet series: ``(P(J = j), level_prior(j))`` for j = 0..j_cap, as a
@@ -258,7 +255,7 @@ def build_prior(spec: PriorSpec):
     if spec.variant == "brownian_start":
         return BrownianStartPrior(spec.grid_level)
     if spec.variant == "wavelet_series":
-        return WaveletSeriesPrior(spec.alpha, spec.dist, spec.j_max, spec.grid_level)
+        return WaveletSeriesPrior(wavelet_amplitudes(spec.alpha, spec.j_max), spec.dist, spec.j_max, spec.grid_level)
     return TruncatedWaveletPrior(spec.dist, spec.j_cap, spec.grid_level)
 
 

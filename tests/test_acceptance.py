@@ -27,9 +27,7 @@ from bbayes import (
     h_statistic,
     haar_synthesis,
     holder_test_function,
-    importance_posterior,
     integral,
-    mcmc_posterior,
     mle_piecewise_constant,
     np_test,
     positive_part_integral,
@@ -40,11 +38,11 @@ from bbayes import (
 )
 from bbayes.cli import main as cli_main
 from bbayes.complexity import (
-    covering_number_detailed,
-    one_sided_bracketing_number_detailed,
-    separation_quantity_detailed,
+    covering_number,
+    one_sided_bracketing_number,
+    separation_quantity,
 )
-from bbayes.posterior import log_posterior_weight
+from bbayes.posterior import log_posterior_weight, sample_posterior
 
 REPS = 10_000
 
@@ -128,10 +126,7 @@ def test_criterion_3_two_atom_posterior():
             for rep in range(reps):
                 rng = np.random.default_rng(np.random.SeedSequence((1003, int(n), rep)))
                 pattern = simulate_ppp(f0, n, f0.max() + 1.0, rng)
-                if sampler == "importance":
-                    ens = importance_posterior(prior, pattern, 4000, rng)
-                else:
-                    ens = mcmc_posterior(prior, pattern, 4000, rng=rng)
+                ens = sample_posterior(prior, pattern, sampler, 4000, rng)
                 estimates[rep] = posterior_mass(ens, np.all(ens.values == members[0].values, axis=1))
             se = float(estimates.std(ddof=1) / math.sqrt(reps))
             dev = abs(float(estimates.mean()) - target)
@@ -160,7 +155,7 @@ def test_criterion_4_feasibility_and_mle_domination():
     for rep in range(100):
         rng = np.random.default_rng(np.random.SeedSequence((1004, rep)))
         pattern = simulate_ppp(f0, n, ceiling, rng)
-        ens = mcmc_posterior(prior, pattern, 2000, rng=rng)
+        ens = sample_posterior(prior, pattern, "mcmc", 2000, rng)
         assert ens.validate_against(pattern), f"replicate {rep}: infeasible posterior sample"
         mle = mle_piecewise_constant(pattern, 16, cap=ceiling)
         ok, violations = check_posterior_below_mle(ens, mle)
@@ -229,9 +224,9 @@ def test_criterion_6_complexity_oracles_and_separation_bound():
         n = float(rng.uniform(0.5, 5.0))
         f0 = GridFunction(2, rng.choice([-0.5, 0.0, 0.5], size=4))
         got = {
-            "covering": covering_number_detailed(d, eps).value,
-            "bracketing": one_sided_bracketing_number_detailed(d, delta, pool).value,
-            "separation": separation_quantity_detailed(d, f0, n, pool).value,
+            "covering": covering_number(d, eps).value,
+            "bracketing": one_sided_bracketing_number(d, delta, pool).value,
+            "separation": separation_quantity(d, f0, n, pool).value,
         }
         want = {
             "covering": cover_oracle.covering(d, eps),
@@ -259,7 +254,7 @@ def test_criterion_6_complexity_oracles_and_separation_bound():
             picks[0] = True
         subset = [m for m, take in zip(members, picks) if take]
         sub_dict = FunctionDictionary(tuple(subset))
-        s_value = separation_quantity_detailed(
+        s_value = separation_quantity(
             sub_dict, f0, n, default_bracket_pool(sub_dict)
         ).value
         ceiling = max(f.max() for f in members + [f0]) + 0.3

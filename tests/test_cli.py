@@ -14,9 +14,9 @@ from bbayes import (
     PointPattern,
     build_prior,
     covering_number,
-    exact_truncated_posterior,
 )
 from bbayes.cli import main
+from bbayes.posterior import sample_posterior
 from bbayes.priors import parse_prior_config
 
 
@@ -103,9 +103,9 @@ def test_posterior_exact_sampler(runner, tmp_path):
     # the level weights are echoed as plain floats under any numpy, never as np.float64(...) reprs
     assert "np.float64" not in res.output
     meta = ast.literal_eval(res.output.split("(meta: ", 1)[1].rstrip().removesuffix(")"))
-    ens = exact_truncated_posterior(build_prior(parse_prior_config(truncated.read_text())),
-                                    PointPattern.from_csv((tmp_path / "pattern.csv").read_text()), 300,
-                                    np.random.default_rng(0))
+    ens = sample_posterior(build_prior(parse_prior_config(truncated.read_text())),
+                           PointPattern.from_csv((tmp_path / "pattern.csv").read_text()), "exact", 300,
+                           np.random.default_rng(0))
     assert ens.meta == meta and len(meta["level_probabilities"]) == 3
     floats = [x for key in ("level_log_weights", "level_probabilities") for x in ens.meta[key]]
     assert all(type(x) is float for x in floats)
@@ -136,7 +136,7 @@ def test_complexity_json_matches_library(runner, tmp_path):
                         "--eps", "0.6", "--out", str(out)])
     assert res.exit_code == 0
     report = json.loads((out / "complexity.json").read_text())
-    assert report["value"] == covering_number(FunctionDictionary(members), 0.6)
+    assert report["value"] == covering_number(FunctionDictionary(members), 0.6).value
     assert report == {"quantity": "covering", "value": 2.0}
     f0_file = tmp_path / "f0.csv"
     f0_file.write_text(GridFunction.constant(0.0, 2).to_csv())

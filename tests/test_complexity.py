@@ -19,12 +19,7 @@ from bbayes import (
     positive_part_integral,
     separation_quantity,
 )
-from bbayes.complexity import (
-    UncoverableMemberError,
-    covering_number_detailed,
-    one_sided_bracketing_number_detailed,
-    separation_quantity_detailed,
-)
+from bbayes.complexity import UncoverableMemberError
 
 
 def _const(c):
@@ -84,16 +79,16 @@ def _brute_separation(dict_, f0, n, pool):
 
 def test_covering_number_hand_case():
     d = FunctionDictionary((_const(0.0), _const(0.5), _const(2.0)))
-    assert covering_number(d, 0.6) == 2
-    assert covering_number(d, 2.0) == 1
-    assert covering_number(d, 0.1) == 3
+    assert covering_number(d, 0.6).value == 2
+    assert covering_number(d, 2.0).value == 1
+    assert covering_number(d, 0.1).value == 3
 
 
 def test_bracketing_number_hand_case():
     d = FunctionDictionary((_const(0.0), _const(1.0)))
     pool = d
-    assert one_sided_bracketing_number(d, 0.0, pool) == 2
-    assert one_sided_bracketing_number(d, 1.0, pool) == 1
+    assert one_sided_bracketing_number(d, 0.0, pool).value == 2
+    assert one_sided_bracketing_number(d, 1.0, pool).value == 1
 
 
 def test_separation_quantity_hand_case():
@@ -101,9 +96,9 @@ def test_separation_quantity_hand_case():
     pool = default_bracket_pool(d)
     n = 3.0
     # below f0 = 0 both candidate brackets carry weight one; a single bracket suffices
-    assert separation_quantity(d, _const(0.0), n, pool) == pytest.approx(1.0)
+    assert separation_quantity(d, _const(0.0), n, pool).value == pytest.approx(1.0)
     # f0 = -2: the cheapest cover is the single bracket at -1
-    assert separation_quantity(d, _const(-2.0), n, pool) == pytest.approx(math.exp(-n * 1.0))
+    assert separation_quantity(d, _const(-2.0), n, pool).value == pytest.approx(math.exp(-n * 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,7 @@ def test_exact_covering_matches_brute_force():
     for _ in range(25):
         d = _random_dict(rng, int(rng.integers(2, 8)))
         eps = float(rng.uniform(0.2, 1.5))
-        res = covering_number_detailed(d, eps)
+        res = covering_number(d, eps)
         assert int(res.value) == _brute_covering(d, eps)
         # the reported selection really is a cover of the stated size
         centers = [d.members[i] for i in res.selection]
@@ -134,7 +129,7 @@ def test_exact_bracketing_matches_brute_force():
             with pytest.raises(UncoverableMemberError):
                 one_sided_bracketing_number(d, delta, pool)
         else:
-            res = one_sided_bracketing_number_detailed(d, delta, pool)
+            res = one_sided_bracketing_number(d, delta, pool)
             assert int(res.value) == expected
 
 
@@ -145,13 +140,13 @@ def test_exact_separation_matches_brute_force():
         pool = default_bracket_pool(d)
         f0 = GridFunction(2, rng.choice([-0.5, 0.0, 0.5], size=4))
         n = float(rng.uniform(0.5, 4.0))
-        res = separation_quantity_detailed(d, f0, n, pool)
+        res = separation_quantity(d, f0, n, pool)
         assert res.value == pytest.approx(_brute_separation(d, f0, n, pool))
 
 
 def test_unit_spaced_constants_need_a_ball_each():
     members = tuple(_const(float(c)) for c in range(21))
-    res = covering_number_detailed(FunctionDictionary(members), 0.5)
+    res = covering_number(FunctionDictionary(members), 0.5)
     assert res.value == 21.0 and res.selection == tuple(range(21))
 
 
@@ -159,7 +154,7 @@ def test_twenty_member_covering_matches_the_oracle():
     rng = np.random.default_rng(20)
     d = FunctionDictionary(tuple(GridFunction(2, v) for v in rng.uniform(-1.0, 1.0, size=(20, 4))))
     eps = 0.4
-    res = covering_number_detailed(d, eps)
+    res = covering_number(d, eps)
     assert res.value == cover_oracle.covering(d, eps)
     centers = [d.members[i] for i in res.selection]
     assert len(centers) == int(res.value)
@@ -173,13 +168,13 @@ def test_sixty_members_are_covered_optimally_and_fast():
     )
     pool = default_bracket_pool(d)
     start = time.perf_counter()
-    res = one_sided_bracketing_number_detailed(d, 0.3, pool)
+    res = one_sided_bracketing_number(d, 0.3, pool)
     assert time.perf_counter() - start < 1.0
     assert res.value == 29.0 and len(res.selection) == 29
     brackets = [pool.members[i] for i in res.selection]
     assert all(any(_admissible(ell, f, 0.3) for ell in brackets) for f in d.members)
     f0 = GridFunction.constant(0.0, 3)
-    sep = separation_quantity_detailed(d, f0, 3.0, pool)
+    sep = separation_quantity(d, f0, 3.0, pool)
     brackets = [pool.members[i] for i in sep.selection]
     assert all(any(bool(np.all(ell.values <= f.values)) for ell in brackets) for f in d.members)
     assert sep.value == pytest.approx(sum(math.exp(-3.0 * positive_part_integral(ell, f0)) for ell in brackets))
@@ -195,7 +190,7 @@ def test_separation_at_large_n_matches_the_oracle():
         pool = default_bracket_pool(d)
         f0 = GridFunction(2, rng.choice([-0.5, 0.0, 0.5], size=4))
         n = float(rng.uniform(25.0, 100.0))
-        assert separation_quantity(d, f0, n, pool) == pytest.approx(cover_oracle.separation(d, f0, n, pool))
+        assert separation_quantity(d, f0, n, pool).value == pytest.approx(cover_oracle.separation(d, f0, n, pool))
 
 
 # ---------------------------------------------------------------------------

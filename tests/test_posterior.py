@@ -26,11 +26,9 @@ from bbayes import (
     importance_posterior,
     l1_distance,
     log_posterior_weight,
-    mass_lower_excess,
-    mass_outside_l1_ball,
-    mass_upper_excess,
     mcmc_posterior,
     posterior_mass,
+    posterior_mass_at_least,
     posterior_mean,
     positive_part_integral,
     run_rate_study,
@@ -129,7 +127,7 @@ def test_ensemble_validate_against():
     assert not bad.validate_against(pattern)
 
 
-def test_ensemble_row_width_is_validated_and_the_grid_view_repeats_the_rows():
+def test_ensemble_values_must_span_the_grid():
     for width in (0, 3, 4, 6, 32):  # every row width but the 16 bins of grid level 4
         with pytest.raises(ValueError, match=rf"\(k, 2\*\*grid_level\) matrix, got shape \(2, {width}\)"):
             PosteriorEnsemble(4, np.zeros((2, width)), np.zeros(2))
@@ -143,9 +141,10 @@ def test_ensemble_row_width_is_validated_and_the_grid_view_repeats_the_rows():
 
 def test_ensemble_serialization_round_trip_is_byte_stable():
     f0, pattern = _pattern()
-    ens = importance_posterior(
+    ens = sample_posterior(
         build_prior(PriorSpec(variant="brownian_start", grid_level=4)),
         pattern,
+        "importance",
         200,
         np.random.default_rng(3),
     )
@@ -397,7 +396,7 @@ def test_exact_truncated_sampler_matches_analytic_moments():
         variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=2, grid_level=4
     )
     prior = build_prior(spec)
-    exact = exact_truncated_posterior(prior, pattern, 20_000, np.random.default_rng(11))
+    exact = sample_posterior(prior, pattern, "exact", 20_000, np.random.default_rng(11))
     assert exact.validate_against(pattern)
     oracle = _analytic_truncated_mean(prior, pattern)
     assert l1_distance(posterior_mean(exact), oracle) <= 0.05
@@ -409,7 +408,7 @@ def _exact_reference(pattern, seed):
     prior = build_prior(
         PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=5)
     )
-    ens = exact_truncated_posterior(prior, pattern, 400, np.random.default_rng(seed))
+    ens = sample_posterior(prior, pattern, "exact", 400, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     n, s, mins = pattern.intensity, prior.dist.scale, bin_minima(pattern, 5)
     lw = np.array(ens.meta["level_log_weights"])
@@ -441,7 +440,7 @@ def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
     ],
     ids=["one level", "mixed below the cap", "mixed up to the cap"],
 )
-def test_exact_sampler_stores_the_blocks_of_the_finest_level_drawn(f0, n, seed, drawn):
+def test_exact_sampler_equals_the_per_level_reference(f0, n, seed, drawn):
     ens, levels, ref = _exact_reference(simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)), 26)
     assert set(levels.tolist()) == drawn
     assert np.array_equal(ens.values, ref)
@@ -464,7 +463,7 @@ _PINNED_CELLS = {
 
 
 @pytest.mark.parametrize("name", list(_PINNED_CELLS))
-def test_ensembles_keep_the_sampler_width_and_the_pinned_grid_values(name):
+def test_sampler_cells_match_their_pinned_digests(name):
     variant, kind, sampler, budget, digest = _PINNED_CELLS[name]
     levels = {"truncated_wavelet": {"j_cap": 2}, "wavelet_series": {"alpha": 1.0, "j_max": 2}}.get(variant, {})
     dist = {"dist": CoefficientDistribution(kind)} if kind else {}
@@ -484,7 +483,6 @@ def test_errors_on_narrow_rows_equal_the_grid_width_rows_bit_for_bit(metric):
     rows = rng.normal(size=(300, 4)) * np.array([1.0, 1e-3, 10.0, 0.1])
     ens = PosteriorEnsemble(4, np.repeat(rows, 4, axis=1), rng.normal(size=300))
     weights = normalize_log_weights(ens.log_weights)
-    masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
     for f0_level in (1, 3, 4, 6):
         f0 = GridFunction(f0_level, rng.normal(size=1 << f0_level))
         errors = posterior_module._errors(rows, 4, f0, metric)
@@ -492,7 +490,7 @@ def test_errors_on_narrow_rows_equal_the_grid_width_rows_bit_for_bit(metric):
         assert errors.tobytes() == wide_errors.tobytes(), f0_level
         assert weighted_median(errors, weights) == posterior_median_metric(ens, f0, metric)
         r = float(np.median(errors))
-        assert mass_at_least(errors, weights, r) == masses[metric](ens, f0, r)
+        assert mass_at_least(errors, weights, r) == posterior_mass_at_least(ens, f0, r, metric)
     _, pattern = _pattern(n=40.0)
     low = np.minimum(rows, block_minima(bin_minima(pattern, 4), 1))  # feasible rows, then one row above its block
     verdicts = [PosteriorEnsemble(4, np.repeat(c, 4, axis=1), np.zeros(len(c))).validate_against(pattern)
@@ -506,7 +504,7 @@ def test_importance_truncated_sampler_matches_analytic_moments():
         variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=2, grid_level=4
     )
     prior = build_prior(spec)
-    approx = importance_posterior(prior, pattern, 60_000, np.random.default_rng(12))
+    approx = sample_posterior(prior, pattern, "importance", 60_000, np.random.default_rng(12))
     assert approx.validate_against(pattern)
     from bbayes.grid import integral
 
@@ -523,8 +521,8 @@ def test_gibbs_wavelet_agrees_with_importance(kind):
         variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4
     )
     prior = build_prior(spec)
-    approx = importance_posterior(prior, pattern, 60_000, np.random.default_rng(13))
-    chain = mcmc_posterior(prior, pattern, steps=100_000, rng=np.random.default_rng(14))
+    approx = sample_posterior(prior, pattern, "importance", 60_000, np.random.default_rng(13))
+    chain = sample_posterior(prior, pattern, "mcmc", 100_000, np.random.default_rng(14))
     assert chain.validate_against(pattern)
     assert chain.meta["skipped_updates"] == 0
     m_is, se_is = _mean_integral_and_se(approx)
@@ -612,8 +610,8 @@ def test_block_kernel_tracks_the_per_bin_level_loop(kind, j_max, grid_level):
 def test_gibbs_brownian_agrees_with_importance():
     f0, pattern = _pattern(n=2.0, grid_level=4)
     prior = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
-    approx = importance_posterior(prior, pattern, 60_000, np.random.default_rng(15))
-    chain = mcmc_posterior(prior, pattern, steps=150_000, rng=np.random.default_rng(16))
+    approx = sample_posterior(prior, pattern, "importance", 60_000, np.random.default_rng(15))
+    chain = sample_posterior(prior, pattern, "mcmc", 150_000, np.random.default_rng(16))
     assert chain.validate_against(pattern)
     m_is, se_is = _mean_integral_and_se(approx)
     m_ch, se_ch = _mean_integral_and_se(chain)
@@ -651,7 +649,7 @@ def test_mcmc_truncated_agrees_with_analytic_moments():
         variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=2, grid_level=4
     )
     prior = build_prior(spec)
-    chain = mcmc_posterior(prior, pattern, steps=100_000, rng=np.random.default_rng(17))
+    chain = sample_posterior(prior, pattern, "mcmc", 100_000, np.random.default_rng(17))
     assert chain.validate_against(pattern)
     from bbayes.grid import integral
 
@@ -667,7 +665,7 @@ def test_finite_prior_posterior_matches_enumeration():
     w = np.exp(log_w - log_w[np.isfinite(log_w)].max())
     w[~np.isfinite(log_w)] = 0.0
     w /= w.sum()
-    ens = mcmc_posterior(prior, pattern, steps=40_000, rng=np.random.default_rng(18))
+    ens = sample_posterior(prior, pattern, "mcmc", 40_000, np.random.default_rng(18))
     hit = posterior_mass(ens, np.all(ens.values == members[1].values, axis=1))
     assert hit == pytest.approx(w[1], abs=0.02)
     assert posterior_mass(ens, np.all(ens.values == members[2].values, axis=1)) == 0.0
@@ -682,7 +680,7 @@ def test_finite_prior_mcmc_draws_the_exact_posterior_under_unequal_weights():
     members = [f0.shift(-0.5), f0.shift(-0.2)]
     log_w = np.log([1.0, 3.0]) + [log_posterior_weight(f, pattern) for f in members]
     p = math.exp(log_w[1] - logsumexp(log_w))
-    ens = mcmc_posterior(FinitePrior(members, [1.0, 3.0]), pattern, steps=40_000, rng=np.random.default_rng(27))
+    ens = sample_posterior(FinitePrior(members, [1.0, 3.0]), pattern, "mcmc", 40_000, np.random.default_rng(27))
     assert "acceptance_rate" not in ens.meta and "warning" not in ens.meta
     freq = np.all(ens.values == members[1].values, axis=1).mean()
     assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(ens)), (freq, p)
@@ -728,7 +726,7 @@ def test_mcmc_stores_the_scheduled_states(monkeypatch):
     for name, prior in priors.items():
         for budget, rows, updates in zip((1, 5_000, 100_000), expected[name], steps[name]):
             stored.clear()
-            ens = mcmc_posterior(prior, pattern, steps=budget, rng=np.random.default_rng(budget))
+            ens = sample_posterior(prior, pattern, "mcmc", budget, np.random.default_rng(budget))
             assert len(ens) == rows, (name, budget)
             assert [width for _, _, width in stored] == widths[name], (name, budget)
             assert sum(kept for _, kept, _ in stored) == (rows if stored else 0), (name, budget)
@@ -778,12 +776,12 @@ def test_sample_cells_equals_each_cell_alone():
         ("importance", "brownian"): (2000, None),
         ("importance", "gaussian"): (2000, None),
         ("importance", "truncated"): (2000, None),
-        ("importance", "finite"): (200, below_all),  # no feasible prior draw
+        ("importance", "finite"): (200, below_all),  # no feasible atom
         ("exact", "truncated gaussian"): (300, None),
         ("mcmc", "brownian"): (3000, None),
         ("mcmc", "gaussian"): (3000, None),
         ("mcmc", "laplace"): (3000, PointPattern(n, 2.0)),  # every bin empty: the scaling conditional is improper
-        ("mcmc", "uniform"): (3000, below_all),  # no feasible start inside the uniform support
+        ("mcmc", "uniform"): (3000, below_all),  # no feasible state in the uniform support
         ("mcmc", "truncated"): (3000, None),
         ("mcmc", "truncated gaussian"): (3000, None),
         ("mcmc", "truncated uniform"): (3000, below_all),  # no feasible state in the uniform support
@@ -876,7 +874,6 @@ def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
     patterns = [simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)) for seed in range(3)]
     refs = [(holder_test_function(1.0, 1.0, "hat", level), metric)
             for level, metric in [(4, "l1"), (6, "lower_part"), (2, "upper_part")]]
-    masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
     spec = lambda variant, kind, **kw: PriorSpec(variant=variant, dist=CoefficientDistribution(kind), grid_level=4, **kw)
     truncated_gaussian = build_prior(spec("truncated_wavelet", "gaussian", j_cap=2))
     laplace = build_prior(spec("wavelet_series", "laplace", alpha=1.0, j_max=2))
@@ -915,7 +912,7 @@ def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
                 assert weights.tobytes() == ens.normalized_weights.tobytes(), where
                 assert weighted_median(errors, weights) == posterior_median_metric(ens, ref, metric), where
                 r = float(np.median(errors))
-                assert mass_at_least(errors, weights, r) == masses[metric](ens, ref, r), where
+                assert mass_at_least(errors, weights, r) == posterior_mass_at_least(ens, ref, r, metric), where
         if prior is truncated_gaussian and sampler == "mcmc":  # rows of every level, each with its level weight
             assert all(len(np.unique(ens.log_weights)) == 3 for ens in ensembles)
 
@@ -974,7 +971,7 @@ def test_a_refused_cell_names_its_cause_and_runs_no_chain(monkeypatch, kind):
     block = _ensembles(sample_cells(prior, mins, n, "mcmc", 3000, rngs, _grid_rows))
     assert chains == [2]
     cause, other = {"laplace": ("an improper laplace posterior", "uniform"),
-                    "uniform": ("no feasible start in the uniform support", "laplace")}[kind]
+                    "uniform": ("no feasible state in the uniform support", "laplace")}[kind]
     assert isinstance(block[1], DegeneratePosteriorError)
     assert cause in str(block[1]) and other not in str(block[1])
     for i in (0, 2):
@@ -985,11 +982,11 @@ def test_a_refused_cell_names_its_cause_and_runs_no_chain(monkeypatch, kind):
 def test_sampler_determinism():
     f0, pattern = _pattern(n=6.0, grid_level=4)
     prior = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
-    a = mcmc_posterior(prior, pattern, steps=5000, rng=np.random.default_rng(19))
-    b = mcmc_posterior(prior, pattern, steps=5000, rng=np.random.default_rng(19))
+    a = sample_posterior(prior, pattern, "mcmc", 5000, np.random.default_rng(19))
+    b = sample_posterior(prior, pattern, "mcmc", 5000, np.random.default_rng(19))
     assert all(x == y for x, y in zip(a.samples, b.samples))
-    c = importance_posterior(prior, pattern, 2000, np.random.default_rng(20))
-    d = importance_posterior(prior, pattern, 2000, np.random.default_rng(20))
+    c = sample_posterior(prior, pattern, "importance", 2000, np.random.default_rng(20))
+    d = sample_posterior(prior, pattern, "importance", 2000, np.random.default_rng(20))
     assert np.array_equal(c.log_weights, d.log_weights)
 
 
@@ -1000,7 +997,7 @@ def test_importance_draws_are_filtered_in_bounded_batches():
     prior = build_prior(PriorSpec(variant="brownian_start", grid_level=8))
     tracemalloc.start()
     try:
-        ens = importance_posterior(prior, pattern, 40_000, np.random.default_rng(24))
+        ens = sample_posterior(prior, pattern, "importance", 40_000, np.random.default_rng(24))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1016,23 +1013,64 @@ def test_degenerate_and_invalid_inputs():
     f0, pattern = _pattern(n=20.0)
     prior = FinitePrior([f0.shift(5.0)])
     with pytest.raises(DegeneratePosteriorError):
-        importance_posterior(prior, pattern, 100, np.random.default_rng(21))
+        sample_posterior(prior, pattern, "importance", 100, np.random.default_rng(21))
     with pytest.raises(DegeneratePosteriorError):
-        mcmc_posterior(prior, pattern, steps=100, rng=np.random.default_rng(22))
+        sample_posterior(prior, pattern, "mcmc", 100, np.random.default_rng(22))
     good = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
     with pytest.raises(ValueError):
-        importance_posterior(good, pattern, 0, np.random.default_rng(23))
+        sample_posterior(good, pattern, "importance", 0, np.random.default_rng(23))
     with pytest.raises(ValueError):
-        mcmc_posterior(good, pattern, steps=0)
+        sample_posterior(good, pattern, "mcmc", 0, np.random.default_rng(22))
     with pytest.raises(ValueError, match="budget must be an integer, got 100.5"):
-        mcmc_posterior(good, pattern, steps=100.5)
+        sample_posterior(good, pattern, "mcmc", 100.5, np.random.default_rng(22))
     with pytest.raises(ValueError):
-        mcmc_posterior(good, pattern, steps=10, step_scale=0.0)
+        mcmc_posterior(good, pattern, 10, 0.0, np.random.default_rng(22))
     spec = PriorSpec(
         variant="truncated_wavelet", dist=CoefficientDistribution("laplace"), j_cap=2, grid_level=4
     )
     with pytest.raises(ValueError):
-        exact_truncated_posterior(build_prior(spec), pattern, 10, np.random.default_rng(24))
+        sample_posterior(build_prior(spec), pattern, "exact", 10, np.random.default_rng(24))
+
+
+@pytest.mark.parametrize("case", ["uniform", "finite"])
+def test_a_cell_that_no_sampler_can_sample_is_refused_alike_before_any_draw(case):
+    # a point below every state of a uniform series, or below every finite atom: importance and mcmc name the
+    # same cause, and neither draws (importance once drew its whole budget and then pointed at mcmc)
+    if case == "uniform":
+        spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("uniform", 0.25), j_max=2,
+                         grid_level=4)
+        prior, pattern = build_prior(spec), PointPattern(5.0, 3.0, [0.3], [-5.0])
+        cause = "no feasible state in the uniform support"
+    else:
+        prior = FinitePrior([GridFunction.constant(1.0, 2), GridFunction.constant(2.0, 2)])
+        pattern, cause = PointPattern(5.0, 3.0, [0.3], [0.0]), "no feasible atom in the finite prior support"
+    for sampler in ("importance", "mcmc"):
+        rng = np.random.default_rng(34)
+        with pytest.raises(DegeneratePosteriorError) as err:
+            sample_posterior(prior, pattern, sampler, 1000, rng)
+        assert str(err.value) == cause, sampler
+        assert rng.random() == np.random.default_rng(34).random(), sampler
+
+
+@pytest.mark.parametrize("sampler", ["importance", "mcmc", "exact"])
+def test_the_named_samplers_equal_sample_posterior_bit_for_bit(sampler):
+    # the benchmark replay calls the three aliases, so each must be sample_posterior of its sampler: the same
+    # rows, log weights and meta, and the generator left in the same state
+    _, pattern = _pattern(n=40.0, seed=12)
+    prior = build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=3, grid_level=4)
+    )
+    alias = {
+        "importance": lambda rng: importance_posterior(prior, pattern, 2000, rng),
+        "mcmc": lambda rng: mcmc_posterior(prior, pattern, 2000, 0.5, rng),
+        "exact": lambda rng: exact_truncated_posterior(prior, pattern, 2000, rng),
+    }[sampler]
+    rng, ref_rng = np.random.default_rng(35), np.random.default_rng(35)
+    ens, ref = alias(rng), sample_posterior(prior, pattern, sampler, 2000, ref_rng)
+    assert ens.values.tobytes() == ref.values.tobytes()
+    assert ens.log_weights.tobytes() == ref.log_weights.tobytes()
+    assert ens.meta == ref.meta
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_gibbs_wavelet_uniform_start_outside_support_raises():
@@ -1042,8 +1080,8 @@ def test_gibbs_wavelet_uniform_start_outside_support_raises():
     spec = PriorSpec(
         variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("uniform"), j_max=2, grid_level=4
     )
-    with pytest.raises(DegeneratePosteriorError, match="no feasible start"):
-        mcmc_posterior(build_prior(spec), pattern, steps=1000, rng=np.random.default_rng(25))
+    with pytest.raises(DegeneratePosteriorError, match="no feasible state"):
+        sample_posterior(build_prior(spec), pattern, "mcmc", 1000, np.random.default_rng(25))
 
 
 @pytest.mark.parametrize(
@@ -1078,10 +1116,10 @@ def test_posterior_functionals_hand_case():
     half = GridFunction(2, np.array([1.0, 1.0, 0.0, 0.0]))
     ens = PosteriorEnsemble(2, [flat.values, high.values, half.values], np.log([0.5, 0.25, 0.25]))
     f0 = flat
-    assert mass_outside_l1_ball(ens, f0, 0.4) == pytest.approx(0.5)  # high (1.0) + half (0.5)
-    assert mass_outside_l1_ball(ens, f0, 0.75) == pytest.approx(0.25)
-    assert mass_upper_excess(ens, f0, 0.5) == pytest.approx(0.5)
-    assert mass_lower_excess(ens, high, 0.4) == pytest.approx(0.75)  # flat and half
+    assert posterior_mass_at_least(ens, f0, 0.4) == pytest.approx(0.5)  # high (1.0) + half (0.5)
+    assert posterior_mass_at_least(ens, f0, 0.75, "l1") == pytest.approx(0.25)
+    assert posterior_mass_at_least(ens, f0, 0.5, "upper_part") == pytest.approx(0.5)
+    assert posterior_mass_at_least(ens, high, 0.4, "lower_part") == pytest.approx(0.75)  # flat and half
     mean = posterior_mean(ens)
     assert np.allclose(mean.values, [0.5, 0.5, 0.25, 0.25])
     # the flat sample holds exactly half the mass, so 0 is a valid median of l1
@@ -1100,9 +1138,9 @@ def test_functionals_equal_per_sample_references_bit_for_bit(sampler, f0_level):
     )
     prior = build_prior(spec)
     if sampler == "exact":
-        ens = exact_truncated_posterior(prior, pattern, 300, np.random.default_rng(31))
+        ens = sample_posterior(prior, pattern, "exact", 300, np.random.default_rng(31))
     else:  # one Gibbs chain per level, so the log weights differ across rows
-        ens = mcmc_posterior(prior, pattern, 4000, rng=np.random.default_rng(32))
+        ens = sample_posterior(prior, pattern, "mcmc", 4000, np.random.default_rng(32))
     f0 = holder_test_function(1.0, 1.0, "hat", f0_level)
     samples = list(ens.samples)
     w = ens.normalized_weights
@@ -1111,11 +1149,10 @@ def test_functionals_equal_per_sample_references_bit_for_bit(sampler, f0_level):
         "lower_part": np.array([positive_part_integral(f0, f) for f in samples]),
         "upper_part": np.array([positive_part_integral(f, f0) for f in samples]),
     }
-    masses = {"l1": mass_outside_l1_ball, "lower_part": mass_lower_excess, "upper_part": mass_upper_excess}
     for metric, ref in refs.items():
         assert posterior_median_metric(ens, f0, metric) == weighted_median(ref, w)
         r = float(np.sort(ref)[len(ref) // 2])  # a radius that rows sit exactly on
-        assert masses[metric](ens, f0, r) == float(w[ref >= r].sum())
+        assert posterior_mass_at_least(ens, f0, r, metric) == float(w[ref >= r].sum())
     lines = [f"# ensemble sampler={ens.meta['sampler']} size={len(ens)}", "integral,l1_to_f0,weight"]
     lines += [f"{integral(f)!r},{l1_distance(f, f0)!r},{float(wi)!r}" for f, wi in zip(samples, w)]
     assert ens.summary_csv(f0) == "\n".join(lines) + "\n"
