@@ -34,6 +34,7 @@ from .posterior import (
     posterior_mass,
     posterior_mass_at_least,
     posterior_mean,
+    sample_posterior,
 )
 from .estimators import (
     check_posterior_below_mle,

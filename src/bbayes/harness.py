@@ -19,6 +19,7 @@ mixture of its level priors.
 
 from __future__ import annotations
 
+import importlib
 import math
 import numbers
 import warnings
@@ -275,6 +276,7 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
     workers = min(threads, len(cells))
     if workers > 1:
         blocks = [cells[len(cells) * i // workers : len(cells) * (i + 1) // workers] for i in range(workers)]
+        importlib.import_module("scipy.special")  # once, before the fork, not once per worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for part in pool.map(block, blocks) for v in part]
     else:

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtr
 
 __all__ = ["haar_fold", "level_step", "block_minima", "dyadic_minima", "haar_log_p", "brownian_log_p", "richardson",
            "mixture_log_p", "improper_laplace", "highest_feasible"]
@@ -131,6 +130,7 @@ def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
     zero increments at an even cell count, up to 512, has a centrosymmetric matrix: its even and odd halves are
     squared apart, as two stacked half-size matrices (Cantoni & Butler 1976), and the even half holds the mass.
     """
+    from scipy.special import ndtr
     m = target.size
     sd, d = 1.0 / math.sqrt(m), 2.0 * eps / cells
     w = np.diff(ndtr((float(target[0]) - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))

@@ -10,7 +10,8 @@ them once and its kernels read nothing else.  Every sampler enforces the
 constraint exactly; infeasible states are never stored.  Under gaussian
 priors every exact move is a normal truncated above, drawn by one inversion
 in log space (``_std_normal_tail``) with one uniform per value: no rejection
-loop, accurate arbitrarily deep in the tail.
+loop, accurate arbitrarily deep in the tail.  ``scipy.special`` is imported by
+the functions that read it: a laplace or uniform wavelet series never loads it.
 
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtri_exp
 
 from .grid import GridFunction, PointPattern, bin_minima, constraint_satisfied, integral
 from .passes import block_minima, dyadic_minima, highest_feasible, improper_laplace, level_step
@@ -182,6 +182,7 @@ def _std_normal_tail(q, alpha):
     ``ndtri_exp``'s rounding) and alpha = +inf a plain N(0, 1) draw, never an infinite one: the log-CDF is clamped
     at -2**-54, which binds at q = 0 alone, as every nonzero uniform is at least 2**-53.  Scalars or arrays.
     """
+    from scipy.special import log_ndtr, ndtri_exp
     return np.minimum(ndtri_exp(np.minimum(np.log1p(-q) + log_ndtr(alpha), -(2.0**-54))), alpha)
 
 
@@ -190,6 +191,7 @@ def _trunc_std_normal(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     share of [a, b] in the mass below b, so a = -inf is the one-sided draw bit for bit.  Each interval is first
     mirrored into the lower half line, where ``log_ndtr`` stays accurate arbitrarily far into the tail.
     """
+    from scipy.special import log_ndtr
     flip = a + b > 0.0
     a, b = np.where(flip, -b, a), np.where(flip, -a, b)
     z = _std_normal_tail(q * -np.expm1(log_ndtr(a) - log_ndtr(b)), b)
@@ -254,6 +256,7 @@ def truncated_level_log_evidence(
     over blocks, so the evidence is a product of one-dimensional tilted
     truncated-gaussian integrals.
     """
+    from scipy.special import log_ndtr
     m = 1 << (level + 1)
     blocks = block_minima(mins, level)  # a ValueError unless the m blocks divide the grid
     s2 = scale * scale
@@ -272,6 +275,7 @@ def _level_log_weights(levels: list, mins: np.ndarray, ns, rngs) -> np.ndarray:
         log_z = [[truncated_level_log_evidence(j, row, n, dist.scale) for j, _ in enumerate(levels)]
                  for row, n in zip(mins, ns)]
     else:
+        from scipy.special import logsumexp
         lls = [[reduce_draws(level, _EVIDENCE_DRAWS, rng, lambda v: n * v[np.all(v <= row, axis=1)].mean(axis=1))
                 for _, level in levels] for row, n, rng in zip(mins, ns, rngs)]
         log_z = [[logsumexp(ll) - math.log(_EVIDENCE_DRAWS) if ll.size else -math.inf for ll in row] for row in lls]
@@ -588,7 +592,10 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
     else:
         levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
-        log_w = _level_log_weights(levels, mins, n.tolist(), rngs) if truncated else np.zeros((len(rngs), 1))
+        log_w = np.full((len(rngs), len(levels)), -math.inf) if truncated else np.zeros((len(rngs), 1))
+        live = np.flatnonzero(~refused)  # a refused row draws no level evidence
+        if truncated and live.size:
+            log_w[live] = _level_log_weights(levels, mins[live], n[live].tolist(), [rngs[i] for i in live])
         rows, (steps, skipped) = [[] for _ in rngs], np.zeros((2, len(rngs)), dtype=int)  # updates run and skipped
         for (_, level), lw in zip(levels, log_w.T):
             cells = np.flatnonzero((lw > -math.inf) & ~refused)

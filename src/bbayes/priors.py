@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .grid import GridFunction
 from .wavelets import coefficient_count, synthesize_flat
@@ -68,6 +67,7 @@ class CoefficientDistribution:
     def cdf(self, x):
         x = np.asarray(x, dtype=float) / self.scale
         if self.kind == "gaussian":
+            from scipy.special import ndtr
             out = ndtr(x)
         elif self.kind == "laplace":
             tail = 0.5 * np.exp(-np.abs(x))

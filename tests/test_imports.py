@@ -6,10 +6,11 @@ name in a module's ``__all__`` must exist, every ``_``-prefixed helper must have
 a caller in the package, every function parameter must be read, no private
 posterior kernel may take the point pattern, only ``posterior.py`` may compare
 a sampler name, only ``passes.py`` and ``wavelets.py`` may slice a Haar tree's
-even and odd children, ``import bbayes`` must not load ``scipy.stats`` or
-``scipy.optimize``, and
-every name the benchmark under ``perfbench/`` imports from ``bbayes`` must
-exist.
+even and odd children, ``import bbayes`` and ``import bbayes.cli`` must load no
+scipy module that they do not need (``scipy.stats``, ``scipy.optimize`` and
+``scipy.special``), a laplace wavelet posterior must never load
+``scipy.special``, and every name the benchmark under ``perfbench/`` imports
+from ``bbayes`` must exist.
 """
 
 import ast
@@ -19,6 +20,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import bbayes
 
@@ -145,22 +148,45 @@ def test_haar_tree_slicing_lives_in_passes_and_wavelets():
     assert found <= {"passes.py", "wavelets.py"}, found
 
 
-def _loaded_by_import(module):
+def _loaded_by_import(module, code="import bbayes"):
     # a fresh interpreter, so that no other test's import can load the module first
-    code = f"import sys, bbayes; print({module!r} in sys.modules)"
+    script = f"{code}\nimport sys; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(bbayes.__file__).parent.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
     return out.strip() == "True"
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about 0.7 s of start-up; the package needs only scipy.special
+    # scipy.stats costs about 0.7 s of start-up, and no module of the package reads it
     assert not _loaded_by_import("scipy.stats")
 
 
 def test_import_does_not_load_scipy_optimize():
     # scipy.optimize, which only the complexity functionals' set-cover solve reads, costs about 0.2 s and 20 MB
     assert not _loaded_by_import("scipy.optimize")
+
+
+@pytest.mark.parametrize("code", ["import bbayes", "import bbayes.cli"])
+def test_import_does_not_load_scipy_special(code):
+    # scipy.special, which only gaussian and Brownian draws, passes and evidences read, costs about 0.23 s of
+    # start-up under scipy 1.17, most of it its array-API layer
+    assert not _loaded_by_import("scipy.special", code)
+
+
+def test_a_laplace_wavelet_posterior_does_not_load_scipy_special():
+    # a laplace chain draws by exponentials alone, so a laplace study never pays for scipy.special
+    code = """import numpy as np
+from bbayes import CoefficientDistribution, PriorSpec, build_prior, holder_test_function, sample_posterior, simulate_ppp
+spec = PriorSpec(variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution("laplace"), j_max=1, grid_level=4)
+pattern = simulate_ppp(holder_test_function(1.0, 1.0, "hat", 4), 100.0, 2.0, np.random.default_rng(0))
+ens = sample_posterior(build_prior(spec), pattern, "mcmc", 800, np.random.default_rng(1))
+assert len(ens.values) > 0 and np.isfinite(ens.values).all()"""
+    assert not _loaded_by_import("scipy.special", code)
+
+
+def test_the_one_sampler_entry_point_is_exported():
+    # the sampler aliases are kept only for the benchmark replay; the package's own entry point is sample_posterior
+    assert bbayes.sample_posterior is bbayes.posterior.sample_posterior
 
 
 def test_benchmark_imports_resolve():

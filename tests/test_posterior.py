@@ -1052,6 +1052,19 @@ def test_a_cell_that_no_sampler_can_sample_is_refused_alike_before_any_draw(case
         assert rng.random() == np.random.default_rng(34).random(), sampler
 
 
+def test_a_refused_truncated_cell_draws_no_level_evidence():
+    # a truncated laplace cell with no point has an improper posterior: sample_cells refuses it before the level
+    # evidence, whose 400 prior draws per level would otherwise advance its generator
+    prior = build_prior(
+        PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("laplace"), j_cap=2, grid_level=4)
+    )
+    rng = np.random.default_rng(35)
+    (cell,) = sample_cells(prior, bin_minima(PointPattern(8.0, 2.0), 4)[None], 8.0, "mcmc", 3000, [rng], _grid_rows)
+    assert isinstance(cell, DegeneratePosteriorError)
+    assert "improper laplace" in str(cell)
+    assert rng.bit_generator.state == np.random.default_rng(35).bit_generator.state
+
+
 @pytest.mark.parametrize("sampler", ["importance", "mcmc", "exact"])
 def test_the_named_samplers_equal_sample_posterior_bit_for_bit(sampler):
     # the benchmark replay calls the three aliases, so each must be sample_posterior of its sampler: the same
