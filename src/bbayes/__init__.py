@@ -1,17 +1,12 @@
 """Bayesian support-boundary recovery for Poisson point processes."""
 
 from .grid import (
-    DominationError,
     GridFunction,
     PointPattern,
     constraint_satisfied,
     h_statistic,
-    hellinger_affinity,
-    hellinger_distance_sq,
     integral,
-    kl_divergence,
     l1_distance,
-    log_likelihood_ratio,
     positive_part_integral,
     simulate_minima,
     simulate_ppp,

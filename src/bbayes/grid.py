@@ -18,24 +18,15 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "PointPattern",
-    "DominationError",
     "integral",
     "l1_distance",
     "positive_part_integral",
-    "hellinger_affinity",
-    "hellinger_distance_sq",
-    "kl_divergence",
     "simulate_ppp",
     "simulate_minima",
     "bin_minima",
     "constraint_satisfied",
-    "log_likelihood_ratio",
     "h_statistic",
 ]
-
-
-class DominationError(ValueError):
-    """Likelihood ratio requested for a pair where the reference law does not dominate."""
 
 
 @dataclass(frozen=True)
@@ -219,27 +210,6 @@ def positive_part_integral(f: GridFunction, g: GridFunction) -> float:
     return float(np.maximum(a - b, 0.0).mean())
 
 
-def hellinger_affinity(f: GridFunction, g: GridFunction, n: float) -> float:
-    """exp(-(n/2) * ||f - g||_1), the affinity of the two point-process laws."""
-    if not n > 0:
-        raise ValueError("n must be positive")
-    return math.exp(-0.5 * n * l1_distance(f, g))
-
-
-def hellinger_distance_sq(f: GridFunction, g: GridFunction, n: float) -> float:
-    return 2.0 - 2.0 * hellinger_affinity(f, g, n)
-
-
-def kl_divergence(f0: GridFunction, f: GridFunction, n: float) -> float:
-    """n * ||f0 - f||_1 when f <= f0 bin-wise, +inf otherwise (strict)."""
-    if not n > 0:
-        raise ValueError("n must be positive")
-    a, b, _ = common_values(f0, f)
-    if np.any(b > a):
-        return math.inf
-    return n * float(np.abs(a - b).mean())
-
-
 # ---------------------------------------------------------------------------
 # observation model
 
@@ -307,18 +277,6 @@ def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:
 def constraint_satisfied(f: GridFunction, pattern: PointPattern) -> bool:
     """True iff every point lies on or above f, that is f lies below the bin minima at its level."""
     return bool(np.all(f.values <= bin_minima(pattern, f.grid_level)))
-
-
-def log_likelihood_ratio(f: GridFunction, g: GridFunction, pattern: PointPattern, n: float) -> float:
-    """log dP_f/dP_g evaluated at the pattern; defined only for g <= f bin-wise."""
-    if not n > 0:
-        raise ValueError("n must be positive")
-    a, b, _ = common_values(f, g)
-    if np.any(b > a):
-        raise DominationError("dP_f/dP_g requires g <= f bin-wise")
-    if not constraint_satisfied(f, pattern):
-        return -math.inf
-    return n * (integral(f) - integral(g))
 
 
 def h_statistic(f: GridFunction, f0: GridFunction, pattern: PointPattern, n: float) -> float:

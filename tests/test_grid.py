@@ -7,18 +7,13 @@ import pytest
 from scipy import stats
 
 from bbayes import (
-    DominationError,
     GridFunction,
     PointPattern,
     constraint_satisfied,
     h_statistic,
-    hellinger_affinity,
-    hellinger_distance_sq,
     holder_test_function,
     integral,
-    kl_divergence,
     l1_distance,
-    log_likelihood_ratio,
     positive_part_integral,
     simulate_minima,
     simulate_ppp,
@@ -120,17 +115,6 @@ def test_integral_and_distances_exact():
     assert l1_distance(f, g) == 1.5
     assert positive_part_integral(f, g) == 1.0
     assert positive_part_integral(g, f) == 0.5
-    n = 4.0
-    assert hellinger_affinity(f, g, n) == pytest.approx(math.exp(-0.5 * n * 1.5))
-    assert hellinger_distance_sq(f, g, n) == pytest.approx(2.0 - 2.0 * math.exp(-3.0))
-
-
-def test_kl_divergence_strict_domination():
-    f0 = GridFunction(1, np.array([1.0, 1.0]))
-    below = GridFunction(1, np.array([0.5, 1.0]))
-    crossing = GridFunction(1, np.array([0.5, 1.5]))
-    assert kl_divergence(f0, below, 10.0) == pytest.approx(10.0 * 0.25)
-    assert kl_divergence(f0, crossing, 10.0) == math.inf
 
 
 def test_simulate_ppp_points_above_boundary_exactly():
@@ -340,17 +324,6 @@ def test_void_probability_identity_single_config():
     p_hat = hits / reps
     se = math.sqrt(target * (1.0 - target) / reps)
     assert abs(p_hat - target) <= 3.0 * se
-
-
-def test_log_likelihood_ratio_value_and_errors():
-    f = GridFunction(1, np.array([0.5, 0.5]))
-    g = GridFunction(1, np.array([0.0, 0.0]))
-    pattern = PointPattern(10.0, 2.0, np.array([0.2]), np.array([1.0]))
-    assert log_likelihood_ratio(f, g, pattern, 10.0) == pytest.approx(10.0 * 0.5)
-    with pytest.raises(DominationError):
-        log_likelihood_ratio(g, f, pattern, 10.0)
-    low = PointPattern(10.0, 2.0, np.array([0.2]), np.array([0.1]))
-    assert log_likelihood_ratio(f, g, low, 10.0) == -math.inf
 
 
 def test_h_statistic_zero_when_infeasible():

@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from bbayes import (
@@ -22,7 +23,7 @@ from bbayes import (
     simulate_ppp,
 )
 from bbayes.grid import bin_minima
-from bbayes.passes import brownian_log_p, haar_fold, haar_log_p, highest_feasible, richardson
+from bbayes.passes import _matrix_power, brownian_log_p, haar_fold, haar_log_p, highest_feasible, richardson
 
 
 @pytest.mark.parametrize("variant", ["wavelet_series", "truncated_level"])
@@ -145,6 +146,32 @@ def test_brownian_log_p_keeps_its_values(eps):
     cells = math.ceil(2.0 * eps * 64)
     log_p = [brownian_log_p(np.zeros(4096), eps, c) for c in (cells, 2 * cells, 4 * cells)]
     assert log_p == pytest.approx(_BROWNIAN_PINNED[eps], rel=1e-12, abs=0.0)
+
+
+def _folded_halves(eps, cells):
+    # the stacked even and odd halves of w_0, from a window centred at 0.4, and of a zero-increment run's transfer
+    # matrix at grid 12, built as brownian_log_p builds them
+    m = 4096
+    sd, d, h = 1.0 / math.sqrt(m), 2.0 * eps / cells, cells // 2
+    w = np.diff(ndtr((0.4 - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
+    lo, hi = max(1 - cells, math.ceil(-8.0 * sd / d)), min(cells - 1, math.floor(8.0 * sd / d))
+    kernel = np.diff(ndtr((np.arange(lo, hi + 2) - 0.5) * d / sd))
+    matrix = sliding_window_view(np.pad(kernel, (cells - 1 + lo, cells - 1 - hi)), cells)[::-1]
+    a, bj, t, bj_w = matrix[:h, :h], matrix[:h, : h - 1 : -1], w[:h], w[: h - 1 : -1]
+    return np.stack([t + bj_w, t - bj_w]), np.stack([a + bj, a - bj])
+
+
+@pytest.mark.parametrize("r", [1, 2, 255, 4095])
+@pytest.mark.parametrize("eps,cells", [(0.25, 32), (0.25, 64), (0.25, 128), (1.0, 256), (0.7, 360), (1.0, 512)])
+def test_matrix_power_scales_a_fold_by_its_even_half(eps, cells, r):
+    # |(A - BJ)^k| <= (A + BJ)^k entrywise, so the stack's shared max is the even half's: powered alone, the even
+    # half gives row 0 and log P bit for bit, as the last folded run of brownian_log_p does
+    w, matrix = _folded_halves(eps, cells)
+    stacked, log_p = _matrix_power(w, matrix, r, -1.5)
+    even, even_log_p = _matrix_power(w[:1], matrix[:1], r, -1.5)
+    assert even_log_p == log_p > -math.inf
+    assert np.array_equal(even[0], stacked[0])
+    assert np.any(w[1] != 0.0) and np.any(stacked[1] != 0.0)  # an odd half that the stack does power
 
 
 def _weierstrass(j_max, grid_level):
