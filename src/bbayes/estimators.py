@@ -1,6 +1,9 @@
 """Frequentist companions: boundary MLEs over max-closed classes, the
 one-sided test, and the posterior-below-MLE domination check.
 
+The one-sided test reads the bin minima on its function's grid, the MLEs a
+point pattern.
+
 The likelihood is increasing in the integral of f on the feasible set, so the
 MLE over a max-closed class is the largest class member lying below every
 data point.
@@ -54,9 +57,9 @@ def mle_piecewise_constant(pattern: PointPattern, bins: int, cap: float) -> Grid
     return GridFunction(level, np.minimum(bin_minima(pattern, level), cap))
 
 
-def np_test(g: GridFunction, pattern: PointPattern) -> int:
-    """One-sided test: 1 iff no data point lies strictly below g."""
-    return 1 if constraint_satisfied(g, pattern) else 0
+def np_test(g: GridFunction, mins: np.ndarray) -> int:
+    """One-sided test: 1 iff no data point lies strictly below g, read from the bin minima on g's grid."""
+    return 1 if constraint_satisfied(g, mins) else 0
 
 
 def check_posterior_below_mle(ens: PosteriorEnsemble, mle: GridFunction):

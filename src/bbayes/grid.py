@@ -5,7 +5,9 @@ bins of [0, 1].  All integrals, distances and feasibility checks below are
 exact for this representation.  The observed data are Poisson point patterns
 with intensity ``n * 1(f(x) <= y)`` on the window ``{f(x) <= y <= ceiling}``,
 drawn as points (``simulate_ppp``) or as ``bin_minima`` (``simulate_minima``),
-each bin's lowest point first, so the minima cost O(m) at any n.
+each bin's lowest point first, so the minima cost O(m) at any n.  The
+feasibility check and the H statistic read the minima on the function's grid,
+the one observation type; a pattern is reduced to them by ``bin_minima``.
 """
 
 from __future__ import annotations
@@ -274,15 +276,20 @@ def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:
     return mins
 
 
-def constraint_satisfied(f: GridFunction, pattern: PointPattern) -> bool:
-    """True iff every point lies on or above f, that is f lies below the bin minima at its level."""
-    return bool(np.all(f.values <= bin_minima(pattern, f.grid_level)))
+def constraint_satisfied(f: GridFunction, mins: np.ndarray) -> bool:
+    """True iff f lies on or below ``mins``, a pattern's bin minima on f's grid (``bin_minima(pattern,
+    f.grid_level)`` or ``simulate_minima``), that is iff every point lies on or above f.  Minima on another grid are
+    a ValueError that names both shapes, so a one-element array cannot broadcast and pass every f below it."""
+    if np.shape(mins) != f.values.shape:
+        raise ValueError(f"minima of shape {np.shape(mins)} are not on f's grid, shape {f.values.shape}")
+    return bool((f.values <= mins).all())
 
 
-def h_statistic(f: GridFunction, f0: GridFunction, pattern: PointPattern, n: float) -> float:
-    """Reweighted likelihood e^{n * integral(f - f0)} * 1(f v f0 feasible against the data)."""
-    if not n > 0:
-        raise ValueError("n must be positive")
-    if not constraint_satisfied(f.pointwise_max(f0), pattern):
+def h_statistic(f: GridFunction, f0: GridFunction, mins: np.ndarray, n: float) -> float:
+    """Reweighted likelihood e^{n * integral(f - f0)} * 1(f v f0 feasible), from the bin minima of a pattern at
+    intensity n on the finer grid of f and f0.  A non-finite or nonpositive n is a ValueError."""
+    if not 0.0 < n < math.inf:  # a NaN fails both comparisons
+        raise ValueError(f"n must be positive and finite, got {n!r}")
+    if not constraint_satisfied(f.pointwise_max(f0), mins):
         return 0.0
     return math.exp(n * (integral(f) - integral(f0)))

@@ -169,7 +169,7 @@ def _ess(log_weights: np.ndarray) -> float:
 
 def log_posterior_weight(f: GridFunction, pattern: PointPattern) -> float:
     """Unnormalized log posterior density of f with respect to the prior."""
-    if not constraint_satisfied(f, pattern):
+    if not constraint_satisfied(f, bin_minima(pattern, f.grid_level)):
         return -math.inf
     return pattern.intensity * integral(f)
 

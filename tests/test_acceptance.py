@@ -34,6 +34,7 @@ from bbayes import (
     posterior_mass,
     run_rate_study,
     run_small_ball_study,
+    simulate_minima,
     simulate_ppp,
 )
 from bbayes.cli import main as cli_main
@@ -69,7 +70,7 @@ def test_criterion_1_void_probability_identity():
         g = GridFunction(level, f.values + gap)
         target = math.exp(-n * (integral(g) - integral(f)))
         ceiling = g.max() + 0.3
-        hits = sum(np_test(g, simulate_ppp(f, n, ceiling, rng)) for _ in range(REPS))
+        hits = sum(np_test(g, simulate_minima(f, n, ceiling, f.grid_level, rng)) for _ in range(REPS))
         freq = hits / REPS
         se = math.sqrt(target * (1.0 - target) / REPS)
         worst = max(worst, abs(freq - target) / se)
@@ -100,7 +101,7 @@ def test_criterion_2_martingale_identity():
         target = math.exp(-n * positive_part_integral(f0, f))
         ceiling = max(f.max(), f0.max()) + 0.3
         vals = np.array(
-            [h_statistic(f, f0, simulate_ppp(f0, n, ceiling, rng), n) for _ in range(REPS)]
+            [h_statistic(f, f0, simulate_minima(f0, n, ceiling, f0.grid_level, rng), n) for _ in range(REPS)]
         )
         # f strictly below f0 makes H deterministic: allow float noise there
         se = max(float(vals.std(ddof=1) / math.sqrt(REPS)), 1e-13)
@@ -186,11 +187,11 @@ def test_criterion_5_np_test_errors():
         ceiling = h.max() + 0.3
         # type I: truth f <= g, acceptance frequency must match the void probability
         target = math.exp(-n * (integral(g) - integral(f)))
-        accept = sum(np_test(g, simulate_ppp(f, n, ceiling, rng)) for _ in range(REPS))
+        accept = sum(np_test(g, simulate_minima(f, n, ceiling, f.grid_level, rng)) for _ in range(REPS))
         se = math.sqrt(target * (1.0 - target) / REPS)
         assert abs(accept / REPS - target) <= 3.0 * se
         # type II against h >= g is exactly zero
-        missed = sum(1 - np_test(g, simulate_ppp(h, n, ceiling, rng)) for _ in range(REPS))
+        missed = sum(1 - np_test(g, simulate_minima(h, n, ceiling, h.grid_level, rng)) for _ in range(REPS))
         assert missed == 0
         lines.append(f"typeI dev {abs(accept / REPS - target) / se:.2f} SE, typeII 0/{REPS}")
     _report("criterion 5 (one-sided test errors)", "; ".join(lines))

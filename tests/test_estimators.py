@@ -78,7 +78,7 @@ def test_mle_piecewise_constant_is_bin_minima_with_cap():
         mle = mle_piecewise_constant(pattern, 8, cap=5.0)
         mins = bin_minima(pattern, 3)
         assert np.array_equal(mle.values, np.minimum(mins, 5.0))
-        assert constraint_satisfied(mle, pattern)
+        assert constraint_satisfied(mle, mins)
 
 
 def test_mle_piecewise_constant_maximality():
@@ -87,9 +87,10 @@ def test_mle_piecewise_constant_maximality():
     f0 = GridFunction(3, rng.uniform(0, 1, size=8))
     pattern = simulate_ppp(f0, 50.0, 2.0, rng)
     mle = mle_piecewise_constant(pattern, 8, cap=10.0)
+    mins = bin_minima(pattern, 3)
     for _ in range(50):
         g = GridFunction(3, rng.uniform(-1, 3, size=8))
-        if constraint_satisfied(g, pattern):
+        if constraint_satisfied(g, mins):
             assert np.all(g.values <= mle.values)
 
 
@@ -108,9 +109,9 @@ def test_np_test_indicator():
     g = GridFunction.constant(1.0, 2)
     below = PointPattern(5.0, 3.0, np.array([0.1, 0.6]), np.array([1.2, 2.0]))
     crossing = PointPattern(5.0, 3.0, np.array([0.1, 0.6]), np.array([0.8, 2.0]))
-    assert np_test(g, below) == 1
-    assert np_test(g, crossing) == 0
-    assert np_test(g, PointPattern(5.0, 3.0)) == 1  # empty pattern rejects nothing
+    assert np_test(g, bin_minima(below, 2)) == 1
+    assert np_test(g, bin_minima(crossing, 2)) == 0
+    assert np_test(g, np.full(4, np.inf)) == 1  # an empty pattern, all-inf minima, rejects nothing
 
 
 def test_check_posterior_below_mle():

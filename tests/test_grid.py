@@ -14,6 +14,7 @@ from bbayes import (
     holder_test_function,
     integral,
     l1_distance,
+    np_test,
     positive_part_integral,
     simulate_minima,
     simulate_ppp,
@@ -122,7 +123,7 @@ def test_simulate_ppp_points_above_boundary_exactly():
     rng = np.random.default_rng(1)
     for _ in range(50):
         pattern = simulate_ppp(f, 30.0, 2.0, rng)
-        assert constraint_satisfied(f, pattern)
+        assert constraint_satisfied(f, bin_minima(pattern, 3))
         assert len(pattern) == 0 or pattern.ys.max() <= 2.0
 
 
@@ -245,7 +246,7 @@ def test_simulate_ppp_keeps_each_point_in_the_bin_it_was_drawn_in():
     draws = ([3.0, 0.0, 3.0, 0.0, 3.0, 3.0, 3.0, 3.0], [1, 0], [u, u, 0.5], [0.5])
     pattern = simulate_ppp(f, 1.0, 2.0, _StubRng(*draws))
     assert np.floor(pattern.xs * 8).tolist() == [1, 3, 1] and pattern.ys.tolist() == [0.0, 0.0, 1.0]
-    assert np.all(pattern.ys >= f(pattern.xs)) and constraint_satisfied(f, pattern)
+    assert np.all(pattern.ys >= f(pattern.xs)) and constraint_satisfied(f, bin_minima(pattern, 3))
     for grid_level in (1, 3):
         expected = bin_minima(simulate_ppp(f, 1.0, 2.0, _StubRng(*draws)), grid_level)
         assert np.array_equal(simulate_minima(f, 1.0, 2.0, grid_level, _StubRng(*draws)), expected)
@@ -320,7 +321,7 @@ def test_void_probability_identity_single_config():
     target = math.exp(-n * positive_part_integral(g, f))
     rng = np.random.default_rng(4)
     reps = 3000
-    hits = sum(constraint_satisfied(g, simulate_ppp(f, n, ceiling, rng)) for _ in range(reps))
+    hits = sum(constraint_satisfied(g, simulate_minima(f, n, ceiling, f.grid_level, rng)) for _ in range(reps))
     p_hat = hits / reps
     se = math.sqrt(target * (1.0 - target) / reps)
     assert abs(p_hat - target) <= 3.0 * se
@@ -331,8 +332,8 @@ def test_h_statistic_zero_when_infeasible():
     f = GridFunction(0, np.array([0.4]))
     feasible = PointPattern(5.0, 2.0, np.array([0.5]), np.array([1.0]))
     blocked = PointPattern(5.0, 2.0, np.array([0.5]), np.array([0.2]))
-    assert h_statistic(f, f0, feasible, 5.0) == pytest.approx(math.exp(5.0 * 0.4))
-    assert h_statistic(f, f0, blocked, 5.0) == 0.0
+    assert h_statistic(f, f0, bin_minima(feasible, 0), 5.0) == pytest.approx(math.exp(5.0 * 0.4))
+    assert h_statistic(f, f0, bin_minima(blocked, 0), 5.0) == 0.0
 
 
 def test_h_statistic_martingale_identity_single_config():
@@ -343,6 +344,28 @@ def test_h_statistic_martingale_identity_single_config():
     target = math.exp(-n * positive_part_integral(f0, f))
     rng = np.random.default_rng(5)
     reps = 3000
-    vals = np.array([h_statistic(f, f0, simulate_ppp(f0, n, ceiling, rng), n) for _ in range(reps)])
+    vals = np.array([h_statistic(f, f0, simulate_minima(f0, n, ceiling, f0.grid_level, rng), n) for _ in range(reps)])
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - target) <= 3.0 * se
+
+
+@pytest.mark.parametrize("n", [math.inf, math.nan, 0.0, -1.0])
+def test_h_statistic_rejects_a_non_finite_or_nonpositive_n(n):
+    f = GridFunction(1, np.array([0.2, 0.7]))
+    with pytest.raises(ValueError, match=f"n must be positive and finite, got {n!r}"):
+        h_statistic(f, f, np.full(2, np.inf), n)
+
+
+def test_minima_off_the_function_grid_are_refused():
+    # a one-element array would broadcast and pass every f below it; a coarser or finer one is on another grid
+    f = GridFunction(2, np.array([0.0, 0.5, 0.25, 0.75]))
+    for mins in (np.array([9.0]), np.full(2, 9.0), np.full(8, 9.0)):
+        message = rf"minima of shape \({mins.size},\) are not on f's grid, shape \(4,\)"
+        for check in (constraint_satisfied, np_test, lambda g, mins: h_statistic(g, g, mins, 5.0)):
+            with pytest.raises(ValueError, match=message):
+                check(f, mins)
+    # f v f0 lies on the finer of the two grids, so H reads the minima there
+    coarse, fine = GridFunction(1, np.array([0.2, 0.7])), GridFunction(3, np.zeros(8))
+    assert h_statistic(coarse, fine, np.full(8, 1.0), 5.0) == pytest.approx(math.exp(5.0 * 0.45))
+    with pytest.raises(ValueError, match=r"minima of shape \(2,\) are not on f's grid, shape \(8,\)"):
+        h_statistic(coarse, fine, np.full(2, 1.0), 5.0)
