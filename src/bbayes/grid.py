@@ -254,12 +254,11 @@ def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Gener
 
 
 def simulate_minima(f: GridFunction, n: float, ceiling: float, grid_level: int, rng: np.random.Generator) -> np.ndarray:
-    """``bin_minima(simulate_ppp(f, n, ceiling, rng), grid_level)`` bit for bit from the same draws, with no points:
-    it reads the lowest points alone, m exponentials and one integer, so a call costs O(m) at any n.  A grid finer
-    than f's reads the x positions, so it simulates the pattern."""
-    if grid_level > f.grid_level:
-        return bin_minima(simulate_ppp(f, n, ceiling, rng), grid_level)
-    lowest, _ = _lowest(f, n, ceiling, rng)
+    """``bin_minima(simulate_ppp(g, n, ceiling, rng), grid_level)`` for ``g = f.refine(max(grid_level,
+    f.grid_level))``, a pattern of f, bit for bit from the same draws with equal generator states after, and no
+    points: the first arrivals of g (``_lowest``), one exponential per bin and one integer, folded to
+    ``grid_level``, so a call costs O(m) at any n on any grid."""
+    lowest, _ = _lowest(f.refine(max(grid_level, f.grid_level)), n, ceiling, rng)
     return lowest.reshape(1 << grid_level, -1).min(axis=1)
 
 
@@ -276,20 +275,27 @@ def bin_minima(pattern: PointPattern, grid_level: int) -> np.ndarray:
     return mins
 
 
+def _below(values: np.ndarray, mins: np.ndarray) -> bool:
+    """True iff ``values`` lie on or below ``mins`` bin-wise; minima of another shape are a ValueError that names
+    both shapes, so a one-element array cannot broadcast and pass every function below it."""
+    if np.shape(mins) != values.shape:
+        raise ValueError(f"minima of shape {np.shape(mins)} are not on f's grid, shape {values.shape}")
+    return bool((values <= mins).all())
+
+
 def constraint_satisfied(f: GridFunction, mins: np.ndarray) -> bool:
     """True iff f lies on or below ``mins``, a pattern's bin minima on f's grid (``bin_minima(pattern,
-    f.grid_level)`` or ``simulate_minima``), that is iff every point lies on or above f.  Minima on another grid are
-    a ValueError that names both shapes, so a one-element array cannot broadcast and pass every f below it."""
-    if np.shape(mins) != f.values.shape:
-        raise ValueError(f"minima of shape {np.shape(mins)} are not on f's grid, shape {f.values.shape}")
-    return bool((f.values <= mins).all())
+    f.grid_level)`` or ``simulate_minima``), that is iff every point lies on or above f (``_below``)."""
+    return _below(f.values, mins)
 
 
 def h_statistic(f: GridFunction, f0: GridFunction, mins: np.ndarray, n: float) -> float:
     """Reweighted likelihood e^{n * integral(f - f0)} * 1(f v f0 feasible), from the bin minima of a pattern at
-    intensity n on the finer grid of f and f0.  A non-finite or nonpositive n is a ValueError."""
+    intensity n on the finer grid of f and f0, checked against ``np.maximum`` of their values there (``_below``),
+    with no ``GridFunction`` built.  A non-finite or nonpositive n is a ValueError."""
     if not 0.0 < n < math.inf:  # a NaN fails both comparisons
         raise ValueError(f"n must be positive and finite, got {n!r}")
-    if not constraint_satisfied(f.pointwise_max(f0), mins):
+    a, b, _ = common_values(f, f0)
+    if not _below(np.maximum(a, b), mins):
         return 0.0
     return math.exp(n * (integral(f) - integral(f0)))

@@ -456,13 +456,12 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
     ``rngs[i]`` in one array per sweep.  It holds the m + 1 edge increments ``diff([0, v, 0])``, read at a level
     through a strided view, and folds the slack up the dyadic tree once (``passes.dyadic_minima``); a move shifts
     each finer interval by a constant, so the moves are carried down as one shift per interval, each level's slack
-    is its fold less that shift, and ``v`` takes the shift once, at the end of the sweep.
+    is its fold less that shift, and ``v`` takes the shift once, at the end of the sweep.  Every chain starts flat,
+    0.1 below the lower of 0 and its lowest finite bin minimum (-0.1 with no point), with no draw before its first
+    sweep.
     """
     c, m = mins.shape
-    finite = np.isfinite(mins)
-    v = np.repeat(np.min(mins, axis=1, initial=0.0, where=finite, keepdims=True) - 0.1, m, axis=1)
-    for i in np.flatnonzero(~finite.any(axis=1)):  # no point at all: start from a prior draw
-        v[i] = prior.draw(rngs[i], 1)[0]
+    v = np.repeat(np.min(mins, axis=1, initial=0.0, where=np.isfinite(mins), keepdims=True) - 0.1, m, axis=1)
     p = np.full(m + 1, float(m))  # the prior precision of each edge increment: the start value, bins 1..m-1, none
     p[0], p[m] = 1.0 / (1.0 + 1.0 / m), 0.0
     # per level of k intervals of w bins, coarse to fine: w, and per colour the slices of its intervals (and left
@@ -569,12 +568,20 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     block's states are its level's finest blocks, and a cell's rows are its levels' in increasing order.
     A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels, and a wavelet
     cell with no level weight > 0 is degenerate.  Every other sampler runs cell by cell, yielding each cell before
-    it draws the next.  Before any draw, whatever the sampler, one pass over the minima (``_refused``) refuses
-    each cell that no sampler can sample, by an error that names its cause, and no draw is made for it.  Cell i
-    draws only from ``rngs[i]``, as in its own ``sample_posterior``.
+    it draws the next.  Before any draw, ``mins`` of any shape but one row per generator on the prior's grid, or an
+    n that is not positive and finite, is a ValueError; then, whatever the sampler, one pass over the minima
+    (``_refused``) refuses each cell that no sampler can sample, by an error that names its cause, and no draw is
+    made for it.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
+    block = (len(rngs), 1 << prior.grid_level)  # one row per generator, on the prior's grid
+    if np.shape(mins) != block:
+        raise ValueError(f"minima of shape {np.shape(mins)} are not one row per generator on the prior's grid, "
+                         f"shape {block}")
     n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
+    bad = ~(np.isfinite(n) & (n > 0.0))
+    if bad.any():
+        raise ValueError(f"n must be positive and finite, got {n[bad][0].item()!r}")
     refused, cause = _refused(prior, mins, n)
     if sampler != "mcmc" or isinstance(prior, FinitePrior):
         kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]

@@ -191,8 +191,8 @@ def _same_state(a, b):
 @pytest.mark.parametrize("kind", ["hat", "smooth", "cusp"])
 def test_simulate_minima_is_bin_minima_of_simulate_ppp(kind, level):
     # the same draws, reduced with no points: equal minima and equal generator states after, at n with empty
-    # bins and with dense ones, on grids coarser than f, at f's level and finer (which simulates the pattern),
-    # on every bit generator
+    # bins and with dense ones, on grids coarser than f, at f's level and finer (a pattern of f refined to that
+    # grid, the same law), on every bit generator
     f = holder_test_function(1.0, 1.0, kind, level)
     ceiling = f.max() + 0.5
     for make in _GENERATORS:
@@ -200,7 +200,7 @@ def test_simulate_minima_is_bin_minima_of_simulate_ppp(kind, level):
             for grid_level in (level - 2, level, level + 1):
                 for seed in range(5):
                     a, b = make(seed), make(seed)
-                    expected = bin_minima(simulate_ppp(f, n, ceiling, a), grid_level)
+                    expected = bin_minima(simulate_ppp(f.refine(max(grid_level, level)), n, ceiling, a), grid_level)
                     assert np.array_equal(simulate_minima(f, n, ceiling, grid_level, b), expected)
                     assert _same_state(a.bit_generator.state, b.bit_generator.state)
     flat = GridFunction.constant(0.5, 3)  # a ceiling at max f leaves an empty window and no points
@@ -259,7 +259,7 @@ def test_simulators_name_a_non_finite_n_or_ceiling(n, ceiling, bad):
     message = f"{bad} must be (positive and )?finite, got {(n if bad == 'n' else ceiling)!r}"
     with pytest.raises(ValueError, match=message):
         simulate_ppp(f, n, ceiling, np.random.default_rng(0))
-    for grid_level in (1, 2, 3):  # coarser than f, f's level, and finer (which simulates the pattern)
+    for grid_level in (1, 2, 3):  # coarser than f, f's level, and finer
         with pytest.raises(ValueError, match=message):
             simulate_minima(f, n, ceiling, grid_level, np.random.default_rng(0))
 
@@ -284,15 +284,17 @@ class _RecordingRng:
 
 def test_simulate_minima_draws_m_exponentials_and_one_integer_at_any_n():
     # the minima read the lowest points alone: no Poisson count and no uniform, so a cell costs O(m) even at an n
-    # whose pattern would hold about 1e15 points
+    # whose pattern would hold about 1e15 points; on a grid finer than f's, one exponential per bin of that grid
     f = holder_test_function(1.0, 1.0, "cusp", 8)
     for n in (0.5, 5000.0, 1e15):
-        for grid_level in (4, 8):
+        for grid_level, bins in ((4, 256), (8, 256), (9, 512)):
             rng = _RecordingRng(0)
             mins = simulate_minima(f, n, f.max() + 0.5, grid_level, rng)
-            assert rng.calls == [("exponential", 256), ("integers", 1)]
-    # the last call, at n = 1e15 on f's grid: every bin's lowest point is finite, within about m / n of f_k
-    assert np.all((f.values <= mins) & (mins <= f.values + 1e-9))
+            assert rng.calls == [("exponential", bins), ("integers", 1)], (n, grid_level)
+    # the last call, at n = 1e15 on the grid finer than f's: every bin's lowest point is finite, within about m / n
+    # of f there
+    fine = f.refine(9).values
+    assert np.all((fine <= mins) & (mins <= fine + 1e-9))
 
 
 def test_lowest_point_is_a_truncated_exponential_above_f():

@@ -22,7 +22,7 @@ from bbayes import (
     run_rate_study,
     run_small_ball_study,
 )
-from bbayes import harness
+from bbayes import grid, harness
 from bbayes.harness import (
     StudyConfigError,
     StudyError,
@@ -172,6 +172,24 @@ def test_rate_study_report_structure_and_decrease():
     csv = report.to_csv()
     assert csv.startswith("# rate study:")
     assert report.to_svg().startswith("<svg")
+
+
+def test_only_a_wavelet_series_with_alpha_at_most_1_is_flagged():
+    # both studies flag a configuration outside the known contraction regime, a wavelet series with alpha <= 1,
+    # and no other: not a larger alpha, nor a prior with no alpha
+    flag = "configuration outside the known contraction regime (alpha <= 1)"
+    h = GridFunction.constant(0.0, 4)
+    for spec, flagged in [
+        (_spec("wavelet_series", alpha=1.0), True),
+        (_spec("wavelet_series", alpha=0.5), True),
+        (_spec("wavelet_series", alpha=2.0), False),
+        (_spec("truncated_wavelet"), False),
+        (_spec("brownian_start"), False),
+    ]:
+        rate = run_rate_study(_tiny_rate_cfg(prior=spec, budget=200)).meta
+        small_ball = run_small_ball_study(spec, h, (1.2, 0.9)).meta
+        for meta in (rate, small_ball):
+            assert meta.get("flag") == (flag if flagged else None), spec
 
 
 def test_rate_study_deterministic_across_threads():
@@ -562,18 +580,33 @@ def test_decay_study_mass_decreases_with_n():
 @pytest.mark.parametrize(
     "f0_level,median,mean",
     [
-        (2, (0.6875, 0.15625), (0.609375, 0.1875)),
+        (2, (0.59375, 0.21875), (0.625, 0.265625)),
         (6, (0.4375, 0.15625), (0.453125, 0.171875)),
     ],
 )
 def test_decay_study_keeps_its_values_for_an_f0_off_the_prior_grid(f0_level, median, mean):
-    # an f0 coarser than the prior's grid 4 makes the cells simulate their patterns, as the bin minima then read
-    # the x positions; a finer one folds its own bins' minima to the grid.  Values pinned from the draw order that
-    # takes each bin's lowest point first, and the Brownian sweep over dyadic-interval shifts.
+    # the cells of an f0 coarser than the prior's grid 4 draw the first arrivals of f0 refined to the grid; a finer
+    # one folds its own bins' minima to the grid.  Values pinned from the draw order that takes each bin's lowest
+    # point first, and the Brownian sweep over dyadic-interval shifts.
     f0 = holder_test_function(1.0, 1.0, "cusp", f0_level)
     report = run_posterior_decay_study(_spec(), f0, r=0.1, n_grid=(5.0, 40.0), replicates=4, seed=3, budget=600)
     assert (report.median_mass, report.mean_mass, report.exclusions) == (median, mean, 0)
     assert report.meta == {"r": 0.1, "ceiling": 4.450495339631054}
+
+
+def test_a_study_reports_the_same_whatever_grid_carries_f0(monkeypatch):
+    # f0 on grid 2 and the same f0 refined to the prior's grid 4 are one function, so their studies draw the same
+    # first arrivals and report the same; and no rate or decay study builds a point pattern
+    def no_pattern(*args):
+        raise AssertionError("the study simulated a point pattern")
+
+    monkeypatch.setattr(grid, "simulate_ppp", no_pattern)
+    f0 = holder_test_function(1.0, 1.0, "cusp", 2)
+    coarse, refined = (run_posterior_decay_study(_spec(), g, r=0.1, n_grid=(5.0, 40.0), replicates=4, seed=3,
+                                                 budget=600) for g in (f0, f0.refine(4)))
+    assert coarse == refined
+    assert coarse.exclusions == 0
+    run_rate_study(_tiny_rate_cfg(budget=200))
 
 
 # ---------------------------------------------------------------------------

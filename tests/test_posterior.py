@@ -4,6 +4,7 @@ between independent samplers."""
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -862,6 +863,76 @@ def test_a_mixed_intensity_block_equals_each_cell_alone():
                 assert ens.log_weights.tobytes() == single.log_weights.tobytes(), where
                 assert ens.meta == single.meta, where
             assert rngs[i].bit_generator.state == rng.bit_generator.state, where
+
+
+@pytest.mark.parametrize("grid_level, n", [(4, 2.0), (6, 8.0)])
+def test_brownian_chains_with_no_point_draw_the_tilted_prior(grid_level, n):
+    # with no point nothing truncates the prior tilted by e^{n integral(f)}, a gaussian under which integral(f) has
+    # mean n Var(integral(f)), Var under the prior; 32 chains, each started flat at -0.1, are checked against it
+    prior = build_prior(PriorSpec(variant="brownian_start", grid_level=grid_level))
+    a = prior.synthesize(np.eye(prior.latent_dim)).mean(axis=1)  # integral(f) = a . z of the standard normal z
+    m, chains = 1 << grid_level, 32
+    rngs = [np.random.default_rng(np.random.SeedSequence((60, grid_level, i))) for i in range(chains)]
+    cells = sample_cells(prior, np.full((chains, m), np.inf), n, "mcmc", 400 * (2 * m - 1), rngs,
+                         lambda v: v.mean(axis=1))
+    means = np.array([rows.mean() for rows, _, _ in cells])
+    z = (means.mean() - n * (a @ a)) / (means.std(ddof=1) / math.sqrt(chains))
+    assert abs(z) <= 3.0, z
+
+
+def test_a_brownian_row_with_no_point_starts_flat_and_equals_its_cell_alone():
+    # a row with no point starts flat at -0.1 like every other row, and draws nothing before its first sweep, whose
+    # 2m - 1 uniforms are its first draws; in a block beside rows that hold points, each cell equals its own
+    # sample_posterior bit for bit
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    patterns = [simulate_ppp(f0, 8.0, 2.0, np.random.default_rng(seed)) for seed in range(2)]
+    patterns.insert(1, PointPattern(8.0, 2.0))
+    prior = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
+    mins = np.stack([bin_minima(p, 4) for p in patterns])
+    rngs = [np.random.default_rng(70 + i) for i in range(len(patterns))]
+    chains = posterior_module._gibbs_brownian(prior, mins, np.full((len(mins), 1), 8.0), rngs)
+    assert np.all(next(chains) <= mins)
+    for i, rng in enumerate(rngs):
+        fresh = np.random.default_rng(70 + i)
+        fresh.random(31)
+        assert rng.bit_generator.state == fresh.bit_generator.state, i
+    rngs = [np.random.default_rng(70 + i) for i in range(len(patterns))]
+    block = _ensembles(sample_cells(prior, mins, 8.0, "mcmc", 3000, rngs, _grid_rows))
+    for i, (pattern, ens) in enumerate(zip(patterns, block)):
+        rng = np.random.default_rng(70 + i)
+        single = sample_posterior(prior, pattern, "mcmc", 3000, rng)
+        assert ens.values.tobytes() == single.values.tobytes(), i
+        assert ens.meta == single.meta, i
+        assert rngs[i].bit_generator.state == rng.bit_generator.state, i
+
+
+def test_a_block_that_does_not_match_its_generators_or_its_grid_is_refused_before_any_draw():
+    # a block with more rows than generators, minima on a coarser grid than the prior's, or an intensity that is not
+    # positive and finite, is a ValueError before any draw, whatever the sampler
+    f0 = holder_test_function(1.0, 1.0, "cusp", 3)
+    mins = np.stack([bin_minima(simulate_ppp(f0, 8.0, 2.0, np.random.default_rng(seed)), 3) for seed in range(3)])
+    brownian = lambda level: build_prior(PriorSpec(variant="brownian_start", grid_level=level))
+    wavelet = build_prior(
+        PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("gaussian"), j_max=2, grid_level=4)
+    )
+    cases = [  # (prior, generators, sampler, the block's shape it needs) for the (3, 8) minima
+        *((brownian(3), 1, sampler, "(1, 8)") for sampler in ("mcmc", "importance")),
+        (brownian(4), 3, "mcmc", "(3, 16)"),
+        *((wavelet, 3, sampler, "(3, 16)") for sampler in ("mcmc", "importance")),
+    ]
+    for prior, k, sampler, want in cases:
+        rngs = [np.random.default_rng(80 + i) for i in range(k)]
+        message = re.escape(f"minima of shape (3, 8) are not one row per generator on the prior's grid, shape {want}")
+        with pytest.raises(ValueError, match=message):
+            next(sample_cells(prior, mins, 8.0, sampler, 2000, rngs, lambda v: v))
+        assert [r.bit_generator.state for r in rngs] == [np.random.default_rng(80 + i).bit_generator.state
+                                                          for i in range(k)]
+    for n, bad in [(x, x) for x in (math.nan, math.inf, -5.0, 0.0)] + [([8.0, math.inf, 2.0], math.inf)]:
+        for sampler in ("mcmc", "importance"):
+            rngs = [np.random.default_rng(80 + i) for i in range(3)]
+            with pytest.raises(ValueError, match=re.escape(f"n must be positive and finite, got {bad!r}")):
+                next(sample_cells(brownian(3), mins, n, sampler, 2000, rngs, lambda v: v))
+            assert rngs[0].bit_generator.state == np.random.default_rng(80).bit_generator.state
 
 
 def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
