@@ -24,7 +24,6 @@ import math
 import numbers
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -39,6 +38,7 @@ from .posterior import (
     check_sampler,
     mass_at_least,
     normalize_log_weights,
+    reads_scipy_special,
     reduce_draws,
     row_errors,
     sample_cells,
@@ -80,12 +80,17 @@ class StudyConfigError(ValueError):
     """A study config value that the study rejects; raised before any work starts."""
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool, which would pass as the count 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_cells(replicates: int, least: int, sampler: str, budget: int, spec: PriorSpec, seed: int) -> None:
     """StudyConfigError unless ``replicates`` is an integer >= ``least`` and ``seed`` an integer >= 0, or if
     ``check_sampler`` on the prior of ``spec`` raises a ValueError."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_integer(seed) and seed >= 0):
         raise StudyConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(replicates, numbers.Integral):
+    if not _integer(replicates):
         raise StudyConfigError(f"replicates must be an integer, got {replicates!r}")
     if replicates < least:
         raise StudyConfigError(f"replicates must be >= {least}, got {replicates}")
@@ -265,18 +270,26 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
     Each cell runs on its own ``SeedSequence`` generator, so neither ``threads`` nor the block changes a result.
     ``threads``, an integer >= 1 (else a StudyConfigError before any work), cuts the cell list into
     ``min(threads, cells)`` contiguous blocks, one process task each, on as many workers when there are two or
-    more.  More than ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names
+    more.  Only then does it load ``concurrent.futures`` (so ``import bbayes`` loads no process pool), and
+    ``scipy.special`` before the fork when ``posterior.reads_scipy_special`` says the prior's kernels read it.
+    More than ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names
     each cause, in single quotes, with its count.
     """
-    if not (isinstance(threads, numbers.Integral) and threads >= 1):
+    if not (_integer(threads) and threads >= 1):
         raise StudyConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    ceiling = calibrate_ceiling(build_prior(spec), f0, np.random.default_rng(np.random.SeedSequence((seed, 0xCE11))))
+    prior = build_prior(spec)
+    ceiling = calibrate_ceiling(prior, f0, np.random.default_rng(np.random.SeedSequence((seed, 0xCE11))))
     block = partial(_study_cells, spec, f0, ceiling, sampler, budget, metric, reduction, seed)
     cells = [(i_n, n, rep) for i_n, n in enumerate(n_grid) for rep in range(replicates)]
     workers = min(threads, len(cells))
     if workers > 1:
+        # function-local: concurrent.futures loads 32 modules (multiprocessing, socket, subprocess, ...) that only a
+        # forking study reads; at module top they cost every `import bbayes` 0.5-1.5 MB and a tenth of its start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         blocks = [cells[len(cells) * i // workers : len(cells) * (i + 1) // workers] for i in range(workers)]
-        importlib.import_module("scipy.special")  # once, before the fork, not once per worker
+        if reads_scipy_special(prior):  # once, before the fork, not once per worker
+            importlib.import_module("scipy.special")
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for part in pool.map(block, blocks) for v in part]
     else:

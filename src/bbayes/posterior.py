@@ -282,6 +282,14 @@ def _level_log_weights(levels: list, mins: np.ndarray, ns, rngs) -> np.ndarray:
     return np.array(log_z) + [math.log(p) for p, _ in levels]
 
 
+def reads_scipy_special(prior) -> bool:
+    """Whether a sampler of ``prior`` may load ``scipy.special``: every gaussian move (``_std_normal_tail``), so
+    the Brownian prior and gaussian coefficients, and a truncated prior's level evidence (``_level_log_weights``).
+    A laplace or uniform wavelet series and a finite prior never load it."""
+    gaussian = getattr(getattr(prior, "dist", None), "kind", None) == "gaussian"
+    return gaussian or isinstance(prior, (BrownianStartPrior, TruncatedWaveletPrior))
+
+
 def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng, reduce):
     """Exact posterior draws for the truncated wavelet prior with gaussian coefficients, as ``(rows, log_weights)``
     parts and ``meta``: ``reduce`` of each drawn level's rows on its 2^{j+1} blocks, levels in increasing order.
@@ -541,7 +549,7 @@ _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which me
 def check_sampler(prior, sampler: str, budget: int) -> None:
     """ValueError unless ``budget`` is an integer >= 1 and the named sampler, one of ``SAMPLERS``, applies to
     ``prior``; 'exact' needs the truncated wavelet prior with gaussian coefficients."""
-    if not isinstance(budget, numbers.Integral):
+    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")

@@ -1,6 +1,7 @@
 """Study harness: reference exponents, slope fitting, deterministic studies,
 rare-event estimators against plain Monte Carlo, and report emission."""
 
+import concurrent.futures
 import hashlib
 import math
 import re
@@ -131,11 +132,12 @@ def test_rate_study_config_validation():
         _tiny_rate_cfg(f0_kind="spike")  # checked before any work, not when the study builds f0
     with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
         _tiny_rate_cfg(budget=0)  # rejected before the ceiling is calibrated
-    with pytest.raises(ValueError, match="budget must be an integer, got 800.5"):
-        _tiny_rate_cfg(budget=800.5)  # not a TypeError once the ceiling is calibrated
+    for budget in (800.5, True):  # not a TypeError once the ceiling is calibrated, nor a budget of 1
+        with pytest.raises(ValueError, match=f"budget must be an integer, got {budget}"):
+            _tiny_rate_cfg(budget=budget)
     with pytest.raises(ValueError, match="replicates must be an integer, got 10.5"):
         _tiny_rate_cfg(replicates=10.5)
-    for seed in (1.5, -1):  # not a TypeError or ValueError from SeedSequence once the ceiling is calibrated
+    for seed in (1.5, -1, True):  # not a TypeError or ValueError from SeedSequence once the ceiling is calibrated
         with pytest.raises(StudyConfigError, match=f"seed must be a nonnegative integer, got {seed}"):
             _tiny_rate_cfg(seed=seed)
 
@@ -146,12 +148,15 @@ def test_decay_study_config_validation(monkeypatch):
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     for kw, message in [
         ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+        ({"replicates": True}, "replicates must be an integer, got True"),
         ({"replicates": 0}, "replicates must be >= 1, got 0"),
         ({"budget": 600.5}, "budget must be an integer, got 600.5"),
         ({"sampler": "rejection"}, "sampler must be one of"),
         ({"r": 0.0}, "r must be positive and finite"),
         ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
         ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+        ({"budget": True}, "budget must be an integer, got True"),
     ]:
         args = {"prior_spec": _spec(), "f0": f0, "r": 0.3, "n_grid": (5.0, 20.0), "replicates": 4, "budget": 600} | kw
         with pytest.raises(StudyConfigError, match=message):
@@ -218,8 +223,9 @@ def test_rate_study_deterministic_across_threads():
 
 
 def test_threads_is_an_integer_of_at_least_one_and_starts_no_more_workers_than_cells(monkeypatch):
-    # a study cuts its cells into min(threads, cells) blocks, one worker each; the pool is replaced by one that
-    # records the workers asked for and maps in this process, so no process starts at any thread count
+    # a study cuts its cells into min(threads, cells) blocks, one worker each; the pool that it looks up in
+    # concurrent.futures when it forks is replaced by one that records the workers asked for and maps in this
+    # process, so no process starts at any thread count
     workers = []
 
     class InProcess:
@@ -235,7 +241,7 @@ def test_threads_is_an_integer_of_at_least_one_and_starts_no_more_workers_than_c
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     decay = partial(run_posterior_decay_study, _spec(), f0, 0.3, (5.0, 20.0), 1, seed=4, budget=600)
     cfg = _tiny_rate_cfg(budget=200)  # 40 cells
@@ -246,7 +252,7 @@ def test_threads_is_an_integer_of_at_least_one_and_starts_no_more_workers_than_c
     assert workers == [2, 40, 2, 3]
     # a thread count that is not an integer >= 1 is refused before any work: the ceiling is never calibrated
     monkeypatch.setattr(harness, "calibrate_ceiling", None)
-    for threads in (0, -3, 2.5, "2", None):
+    for threads in (0, -3, 2.5, "2", None, True):
         message = re.escape(f"threads must be an integer >= 1, got {threads!r}")
         with pytest.raises(StudyConfigError, match=message):
             decay(threads=threads)

@@ -8,9 +8,11 @@ posterior kernel may take the point pattern, only ``posterior.py`` may compare
 a sampler name, only ``passes.py`` and ``wavelets.py`` may slice a Haar tree's
 even and odd children, ``import bbayes`` and ``import bbayes.cli`` must load no
 scipy module that they do not need (``scipy.stats``, ``scipy.optimize`` and
-``scipy.special``), a laplace wavelet posterior must never load
-``scipy.special``, and every name the benchmark under ``perfbench/`` imports
-from ``bbayes`` must exist.
+``scipy.special``), neither may load ``concurrent.futures`` or
+``multiprocessing``, which a study with ``threads >= 2`` loads, a laplace
+wavelet posterior or study, threaded or not, must never load ``scipy.special``,
+and every name the benchmark under ``perfbench/`` imports from ``bbayes`` must
+exist.
 """
 
 import ast
@@ -173,15 +175,36 @@ def test_import_does_not_load_scipy_special(code):
     assert not _loaded_by_import("scipy.special", code)
 
 
-def test_a_laplace_wavelet_posterior_does_not_load_scipy_special():
-    # a laplace chain draws by exponentials alone, so a laplace study never pays for scipy.special
-    code = """import numpy as np
-from bbayes import CoefficientDistribution, PriorSpec, build_prior, holder_test_function, sample_posterior, simulate_ppp
+_LAPLACE_SPEC = """from bbayes import CoefficientDistribution, PriorSpec
 spec = PriorSpec(variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution("laplace"), j_max=1, grid_level=4)
+"""
+
+_LAPLACE_POSTERIOR = _LAPLACE_SPEC + """import numpy as np
+from bbayes import build_prior, holder_test_function, sample_posterior, simulate_ppp
 pattern = simulate_ppp(holder_test_function(1.0, 1.0, "hat", 4), 100.0, 2.0, np.random.default_rng(0))
 ens = sample_posterior(build_prior(spec), pattern, "mcmc", 800, np.random.default_rng(1))
 assert len(ens.values) > 0 and np.isfinite(ens.values).all()"""
-    assert not _loaded_by_import("scipy.special", code)
+
+# 40 cells in 2 blocks, one process task each: the study forks
+_THREADED_LAPLACE_STUDY = _LAPLACE_SPEC + """from bbayes import RateStudyConfig, run_rate_study
+cfg = RateStudyConfig(spec, 1.0, 1.0, "hat", (20.0, 40.0, 80.0, 160.0), 10, budget=400, seed=4)
+assert run_rate_study(cfg, threads=2).exclusions == 0"""
+
+
+def test_a_laplace_wavelet_posterior_does_not_load_scipy_special():
+    # a laplace chain draws by exponentials alone, so a laplace study never pays for scipy.special, and a study
+    # that forks loads it first only for a prior whose kernels read it
+    assert not _loaded_by_import("scipy.special", _LAPLACE_POSTERIOR)
+    assert not _loaded_by_import("scipy.special", _THREADED_LAPLACE_STUDY)
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
+def test_only_a_study_that_forks_loads_a_process_pool(module):
+    # the process pool's modules (multiprocessing, socket, subprocess, logging, ...) cost about a tenth of the
+    # start-up of ``import bbayes`` and are read only by a rate or decay study with threads >= 2
+    assert not _loaded_by_import(module)
+    assert not _loaded_by_import(module, "import bbayes.cli")
+    assert _loaded_by_import(module, _THREADED_LAPLACE_STUDY)
 
 
 def test_the_one_sampler_entry_point_is_exported():

@@ -1092,8 +1092,9 @@ def test_degenerate_and_invalid_inputs():
         sample_posterior(good, pattern, "importance", 0, np.random.default_rng(23))
     with pytest.raises(ValueError):
         sample_posterior(good, pattern, "mcmc", 0, np.random.default_rng(22))
-    with pytest.raises(ValueError, match="budget must be an integer, got 100.5"):
-        sample_posterior(good, pattern, "mcmc", 100.5, np.random.default_rng(22))
+    for budget in (100.5, True):  # a bool is not a budget of 1
+        with pytest.raises(ValueError, match=f"budget must be an integer, got {budget}"):
+            sample_posterior(good, pattern, "mcmc", budget, np.random.default_rng(22))
     with pytest.raises(ValueError):
         mcmc_posterior(good, pattern, 10, 0.0, np.random.default_rng(22))
     spec = PriorSpec(
