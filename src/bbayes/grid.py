@@ -87,10 +87,6 @@ class GridFunction:
     def min(self) -> float:
         return float(self.values.min())
 
-    def pointwise_max(self, other: "GridFunction") -> "GridFunction":
-        a, b, lvl = common_values(self, other)
-        return GridFunction(lvl, np.maximum(a, b))
-
     def pointwise_min(self, other: "GridFunction") -> "GridFunction":
         a, b, lvl = common_values(self, other)
         return GridFunction(lvl, np.minimum(a, b))

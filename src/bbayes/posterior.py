@@ -16,9 +16,11 @@ the functions that read it: a laplace or uniform wavelet series never loads it.
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
 apart, set from the total budget.  The Gibbs kernels are generators of
-states, which ``_run_chain`` runs for the scheduled sweeps; it is the one place
-that stores kept states, each as its ``reduce``.  Both move along the dyadic
-tree, coarse to fine, with one fold of the slack per sweep
+states from the ``start`` they take, which ``sample_cells`` sets by one rule:
+each row flat, 0.1 below the lower of 0 and its lowest finite minimum, with no
+draw (``_flat_start``).  ``_run_chain`` runs them for the scheduled sweeps; it
+is the one place that stores kept states, each as its ``reduce``.  Both move
+along the dyadic tree, coarse to fine, with one fold of the slack per sweep
 (``passes.dyadic_minima``): a wavelet sweep draws each level's coefficients, a
 Brownian sweep shifts the bins of each dyadic interval.
 ``sample_cells``, the one dispatch on the sampler name and prior type, runs
@@ -391,21 +393,27 @@ def _run_chain(states, keep: range, reduce) -> np.ndarray:
     return out
 
 
-def _wavelet_start(prior: WaveletSeriesPrior, mins, rngs):
-    """Feasible starts ``(z, v)``, latent rows and block values below the block minima ``mins``: each chain's prior draw
-    on its generator, z0 lowered until feasible, or the highest feasible state if that leaves the uniform support."""
-    z = np.stack([prior.dist.sample(rng, size=prior.latent_dim) for rng in rngs])
-    deficit = np.max(synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1) - mins, axis=1)
-    z[:, 0] -= np.where(deficit > 0, deficit + 1e-9, 0.0) / prior.amplitudes[0]
+def _flat_start(mins) -> np.ndarray:
+    """The level of every chain's flat start, as a ``(c, 1)`` column: 0.1 below the lower of 0 and the lowest finite
+    bin minimum of each row of ``mins`` (-0.1 with no point), so the start lies below every minimum."""
+    return np.min(mins, axis=1, initial=0.0, where=np.isfinite(mins), keepdims=True) - 0.1
+
+
+def _wavelet_start(prior: WaveletSeriesPrior, mins) -> np.ndarray:
+    """The flat start (``_flat_start``) as latent rows below the block minima ``mins``: all of its level in z0, every
+    detail 0, or the highest feasible state where that z0 leaves the uniform support.  It draws nothing."""
+    z = np.zeros((len(mins), prior.latent_dim))
+    z[:, :1] = _flat_start(mins) / prior.amplitudes[0]
     out = z[:, 0] < -prior.dist.scale
     if prior.dist.kind == "uniform" and out.any():
         z[out] = highest_feasible(prior, mins[out])[0]
-    return z, synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
+    return z
 
 
 def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
-    """Exact Gibbs over wavelet coefficients from the feasible ``start`` ``(z, v)``, below the ``(c, 2**(j_max+1))``
-    block minima ``mins``; yields the chains' ``(c, 2**(j_max+1))`` values on the finest blocks after each sweep.
+    """Exact Gibbs over wavelet coefficients from the feasible latent rows ``start`` (``_wavelet_start`` in
+    ``sample_cells``), which it moves in place, below the ``(c, 2**(j_max+1))`` block minima ``mins``; yields the
+    chains' ``(c, 2**(j_max+1))`` values on the finest blocks after each sweep.
 
     Every full conditional is the coefficient prior restricted to an interval (from the feasibility constraint) and,
     for the scaling coefficient only, tilted by the likelihood factor e^{n_i a0 z0}, n_i the intensity of chain i in
@@ -419,7 +427,8 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
     ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in one array per sweep.  Updates skipped
     (coefficient left unchanged) because float drift left an empty interval are added to ``skipped[i]``.
     """
-    z, v = start
+    z = start
+    v = synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
     c, a0 = len(rngs), float(prior.amplitudes[0])
     w = 2 if prior.dist.kind == "laplace" else 1  # uniforms per coefficient draw
     levels = [(slice(1 << j, 2 << j), level_step(prior, j)) for j in range(prior.j_max + 1)]  # slice, step
@@ -450,9 +459,10 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
         yield v
 
 
-def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
-    """Exact Gibbs sweeps over dyadic-interval shifts for the Brownian-start prior; yields the chains' ``(c, m)`` bin
-    values after each sweep.
+def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs, start):
+    """Exact Gibbs sweeps over dyadic-interval shifts for the Brownian-start prior from the feasible ``(c, m)`` bin
+    values ``start`` (flat at ``_flat_start`` in ``sample_cells``), which it moves in place; yields the chains'
+    ``(c, m)`` bin values after each sweep.
 
     A move shifts the bins of a dyadic interval I = [a, b) by t, v -> v + t 1_I.  It changes only the increment at a
     (the start value if a = 0) and the one at b, of prior precisions p_a = 1/(1 + 1/m) at a = 0, else m, and p_b = m
@@ -464,12 +474,9 @@ def _gibbs_brownian(prior: BrownianStartPrior, mins, n, rngs):
     ``rngs[i]`` in one array per sweep.  It holds the m + 1 edge increments ``diff([0, v, 0])``, read at a level
     through a strided view, and folds the slack up the dyadic tree once (``passes.dyadic_minima``); a move shifts
     each finer interval by a constant, so the moves are carried down as one shift per interval, each level's slack
-    is its fold less that shift, and ``v`` takes the shift once, at the end of the sweep.  Every chain starts flat,
-    0.1 below the lower of 0 and its lowest finite bin minimum (-0.1 with no point), with no draw before its first
-    sweep.
+    is its fold less that shift, and ``v`` takes the shift once, at the end of the sweep.
     """
-    c, m = mins.shape
-    v = np.repeat(np.min(mins, axis=1, initial=0.0, where=np.isfinite(mins), keepdims=True) - 0.1, m, axis=1)
+    (c, m), v = mins.shape, start
     p = np.full(m + 1, float(m))  # the prior precision of each edge increment: the start value, bins 1..m-1, none
     p[0], p[m] = 1.0 / (1.0 + 1.0 / m), 0.0
     # per level of k intervals of w bins, coarse to fine: w, and per colour the slices of its intervals (and left
@@ -574,6 +581,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
     ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
     block's states are its level's finest blocks, and a cell's rows are its levels' in increasing order.
+    Every chain starts flat at ``_flat_start`` of its block's minima, drawing nothing before its first sweep.
     A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels, and a wavelet
     cell with no level weight > 0 is degenerate.  Every other sampler runs cell by cell, yielding each cell before
     it draws the next.  Before any draw, ``mins`` of any shape but one row per generator on the prior's grid, or an
@@ -602,7 +610,8 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     if isinstance(prior, BrownianStartPrior):
         cost = (2 << prior.grid_level) - 1
         keep = _kept(budget, cost, budget)
-        chains = _gibbs_brownian(prior, mins, n[:, None], rngs)
+        start = np.repeat(_flat_start(mins), 1 << prior.grid_level, axis=1)
+        chains = _gibbs_brownian(prior, mins, n[:, None], rngs, start)
         rows = [[(v, np.zeros(len(keep)))] for v in _run_chain(chains, keep, reduce)]
         metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
     else:
@@ -618,7 +627,7 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
                 keep = _kept(max(1, budget // len(levels)), level.latent_dim, budget)
                 block_skipped, block_rngs = np.zeros(cells.size, dtype=int), [rngs[i] for i in cells]
                 block_mins = block_minima(mins[cells], level.j_max)
-                start = _wavelet_start(level, block_mins, block_rngs)
+                start = _wavelet_start(level, block_mins)
                 chains = _gibbs_wavelet(level, block_mins, n[cells, None], block_rngs, start, block_skipped)
                 values = _run_chain(chains, keep, reduce)
                 steps[cells] += keep.stop * level.latent_dim

@@ -48,18 +48,6 @@ class WaveletCoefficients:
         parts.extend(self.detail)
         return np.concatenate(parts)
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, max_level: int) -> "WaveletCoefficients":
-        flat = np.asarray(flat, dtype=float)
-        detail = []
-        pos = 1
-        for j in range(max_level + 1):
-            detail.append(flat[pos : pos + (1 << j)])
-            pos += 1 << j
-        if pos != flat.size:
-            raise ValueError("flat coefficient vector has wrong length")
-        return cls(float(flat[0]), tuple(detail))
-
 
 def coefficient_count(max_level: int) -> int:
     """Length of the flat coefficient vector for detail levels 0..max_level."""

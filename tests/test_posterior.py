@@ -291,11 +291,11 @@ def test_gibbs_brownian_matches_the_interval_by_interval_reference(grid_level):
     mins[0], mins[-1] = 0.3, np.inf  # a row with a point and an empty bin at every grid
     prior = build_prior(PriorSpec(variant="brownian_start", grid_level=grid_level))
     rng_alone, rng_ref, rng_pair = np.random.default_rng(41), np.random.default_rng(41), np.random.default_rng(41)
-    alone = posterior_module._gibbs_brownian(prior, mins[None], np.array([[n]]), [rng_alone])
+    ref = np.full(m, np.min(mins[np.isfinite(mins)]) - 0.1)  # the dispatch's flat start
+    alone = posterior_module._gibbs_brownian(prior, mins[None], np.array([[n]]), [rng_alone], ref[None].copy())
     # two chains step at once, the first on the uniforms of the single chain
     pair = posterior_module._gibbs_brownian(prior, np.stack([mins, mins]), np.array([[n], [n]]),
-                                            [rng_pair, np.random.default_rng(42)])
-    ref = np.full(m, np.min(mins[np.isfinite(mins)]) - 0.1)  # the kernel's flat start
+                                            [rng_pair, np.random.default_rng(42)], np.stack([ref, ref]))
     for sweep, state, pair_state in zip(range(40), alone, pair):
         _dyadic_shift_sweep(ref, mins, n, rng_ref.random(2 * m - 1))
         assert np.all(state <= mins) and np.all(pair_state <= mins), sweep
@@ -453,11 +453,11 @@ _PINNED_CELLS = {
     "exact": ("truncated_wavelet", "gaussian", "exact", 200,
               "c3be6373241ddfb27e0b280fbf97528c5b5540791af1186d62d775db5822931f"),
     "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000,
-                           "de9027c1c5b683e6f26001c7eb2bfa3c906c453ad2fca5e0d3f5941999cfd13e"),
+                           "ccda39c4e04deff62e79f031ebcc7b2816ac5d79b46948f2481117946e15302a"),
     "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000,
-                          "678cd3e0f599a09f941d75e60441a819730acb0414fb1bf3a2834388cd521e74"),
+                          "35f18a3c332f0108ea645814438951ab7c3c706f0c926cb76a73231e7ce16be6"),
     "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000,
-                       "68fb83cdff63c2669b409e5c7e53eb258cd980c546d44e697022c9eee1370e4a"),
+                       "7cf4b809deaa78b85dc173768711e12e7d93682ea33f96fda35431be401ed265"),
     "brownian": ("brownian_start", None, "mcmc", 2000,
                  "7e96b10a41be4bb331f1554fa4577cbeb36d7c38667e796d73dffc51a3002b64"),
 }
@@ -593,19 +593,57 @@ def test_block_kernel_tracks_the_per_bin_level_loop(kind, j_max, grid_level):
     assert not improper_laplace(prior, mins, ns[:, 0]).any()
     block_mins, width = block_minima(mins, j_max), 1 << (grid_level - j_max - 1)  # width: bins per block
     rngs = [np.random.default_rng(60 + i) for i in range(len(mins))]
-    z, v = posterior_module._wavelet_start(prior, block_mins, rngs)
+    z = posterior_module._wavelet_start(prior, block_mins)
     ref_rngs = [np.random.default_rng() for _ in rngs]
     for ref, rng in zip(ref_rngs, rngs):
         ref.bit_generator.state = rng.bit_generator.state
     skipped, ref_skipped = np.zeros(len(mins), dtype=int), np.zeros(len(mins), dtype=int)
-    blocks = posterior_module._gibbs_wavelet(prior, block_mins, ns, rngs, (z.copy(), v.copy()), skipped)
-    bins = _per_bin_gibbs_wavelet(prior, mins, ns, ref_rngs, (z.copy(), np.repeat(v, width, axis=1)), ref_skipped)
+    blocks = posterior_module._gibbs_wavelet(prior, block_mins, ns, rngs, z.copy(), skipped)
+    bins = _per_bin_gibbs_wavelet(prior, mins, ns, ref_rngs, (z.copy(), prior.synthesize(z)), ref_skipped)
     for sweep, state, ref in zip(range(130), blocks, bins):
         assert state.shape == (len(mins), 2 << j_max)
         assert np.all(state <= block_mins), sweep
         assert np.max(np.abs(np.repeat(state, width, axis=1) - ref)) <= 1e-10, sweep
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
     assert skipped.tolist() == ref_skipped.tolist()
+
+
+_INVARIANCE_PRIORS = {
+    "brownian": PriorSpec(variant="brownian_start", grid_level=3),
+    **{kind: PriorSpec(variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=3)
+       for kind in ("gaussian", "laplace", "uniform")},
+}
+
+
+@pytest.mark.parametrize("n", [20.0, 200.0])
+@pytest.mark.parametrize("name", list(_INVARIANCE_PRIORS))
+def test_a_gibbs_sweep_leaves_its_posterior_invariant(name, n):
+    # Geweke's (2004) successive-conditional test, with no oracle: 4,000 chains start at exact prior draws f, then
+    # 60 times draw the m bin minima given f, f + Exp(n / m) each (the law of a bin's lowest point), and run one
+    # kernel sweep from f given them.  That is a Gibbs chain on the joint law of (f, minima), so if each sweep leaves
+    # its posterior invariant f stays prior-distributed, however slowly the kernel mixes; its integral, bin 0 and
+    # the contrast of bin 0 with bin m/2 are compared with fresh prior draws.  A wavelet state (grid j_max + 1, a
+    # value per block) starts from its coefficients, read back through the invertible synthesis
+    prior, chains = build_prior(_INVARIANCE_PRIORS[name]), 4000
+    m, rng = 1 << prior.grid_level, np.random.default_rng(80)
+    rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(81).spawn(chains)]
+    if name == "brownian":
+        kernel, latent, extra = posterior_module._gibbs_brownian, np.eye(m), {}
+    else:
+        kernel, latent = posterior_module._gibbs_wavelet, np.linalg.inv(prior.synthesize(np.eye(m)))
+        extra = {"skipped": np.zeros(chains, dtype=int)}
+    f = prior.draw(rng, chains)
+    for _ in range(60):
+        mins = f + rng.exponential(m / n, size=f.shape)
+        f = next(kernel(prior, mins, np.full((chains, 1), n), rngs, start=f @ latent, **extra))
+        assert np.all(f <= mins)
+    fresh = prior.draw(np.random.default_rng(82), chains)
+    for stat in ("integral", "bin 0", "contrast"):
+        a, b = ({"integral": v.mean(axis=1), "bin 0": v[:, 0], "contrast": v[:, 0] - v[:, m // 2]}[stat]
+                for v in (f, fresh))
+        z = (a.mean() - b.mean()) / math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / chains)
+        assert abs(z) < 4.0, (stat, z)
+        assert 0.9 <= a.std(ddof=1) / b.std(ddof=1) <= 1.1, (stat, a.std(ddof=1) / b.std(ddof=1))
 
 
 def test_gibbs_brownian_agrees_with_importance():
@@ -880,24 +918,42 @@ def test_brownian_chains_with_no_point_draw_the_tilted_prior(grid_level, n):
     assert abs(z) <= 3.0, z
 
 
-def test_a_brownian_row_with_no_point_starts_flat_and_equals_its_cell_alone():
-    # a row with no point starts flat at -0.1 like every other row, and draws nothing before its first sweep, whose
-    # 2m - 1 uniforms are its first draws; in a block beside rows that hold points, each cell equals its own
-    # sample_posterior bit for bit
+@pytest.mark.parametrize("kind", ["brownian", "laplace"])
+def test_a_brownian_row_with_no_point_starts_flat_and_equals_its_cell_alone(monkeypatch, kind):
+    # the dispatch hands the kernel its start: a row with no point starts flat at -0.1, every other row flat 0.1 below
+    # its lowest minimum, and draws nothing before its first sweep, whose uniforms (2m - 1 per Brownian sweep, two
+    # per laplace coefficient) are its first draws; in a block beside rows that hold points, each cell equals its
+    # own sample_posterior bit for bit (laplace scale 0.1 keeps the row with no point proper at n = 8)
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     patterns = [simulate_ppp(f0, 8.0, 2.0, np.random.default_rng(seed)) for seed in range(2)]
     patterns.insert(1, PointPattern(8.0, 2.0))
-    prior = build_prior(PriorSpec(variant="brownian_start", grid_level=4))
+    spec = {"brownian": PriorSpec(variant="brownian_start", grid_level=4),
+            "laplace": PriorSpec(variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution("laplace", 0.1),
+                                 j_max=2, grid_level=4)}[kind]
+    prior = build_prior(spec)
+    name, uniforms, skipped = (("_gibbs_brownian", 31, ()) if kind == "brownian"
+                               else ("_gibbs_wavelet", 2 * prior.latent_dim, (np.zeros(3, dtype=int),)))
+    starts, kernel = [], getattr(posterior_module, name)
+
+    def spy(level, mins, n, rngs, start, *rest):
+        starts.append((mins, start.copy()))
+        return kernel(level, mins, n, rngs, start, *rest)
+
+    monkeypatch.setattr(posterior_module, name, spy)
     mins = np.stack([bin_minima(p, 4) for p in patterns])
     rngs = [np.random.default_rng(70 + i) for i in range(len(patterns))]
-    chains = posterior_module._gibbs_brownian(prior, mins, np.full((len(mins), 1), 8.0), rngs)
-    assert np.all(next(chains) <= mins)
-    for i, rng in enumerate(rngs):
-        fresh = np.random.default_rng(70 + i)
-        fresh.random(31)
-        assert rng.bit_generator.state == fresh.bit_generator.state, i
-    rngs = [np.random.default_rng(70 + i) for i in range(len(patterns))]
     block = _ensembles(sample_cells(prior, mins, 8.0, "mcmc", 3000, rngs, _grid_rows))
+    ((block_mins, start),) = starts
+    flat = start if kind == "brownian" else prior.synthesize(start)
+    assert flat[1].tolist() == [-0.1] * 16
+    assert np.array_equal(flat, np.repeat(np.min(mins, axis=1, initial=0.0, keepdims=True) - 0.1, 16, axis=1))
+    first = [np.random.default_rng(70 + i) for i in range(len(patterns))]
+    chains = kernel(prior, block_mins, np.full((len(mins), 1), 8.0), first, start, *skipped)
+    assert np.all(next(chains) <= block_mins)
+    for i, rng in enumerate(first):
+        fresh = np.random.default_rng(70 + i)
+        fresh.random(uniforms)
+        assert rng.bit_generator.state == fresh.bit_generator.state, i
     for i, (pattern, ens) in enumerate(zip(patterns, block)):
         rng = np.random.default_rng(70 + i)
         single = sample_posterior(prior, pattern, "mcmc", 3000, rng)

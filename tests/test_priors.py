@@ -167,7 +167,11 @@ def test_synthesize_matches_per_draw_synthesis():
             (
                 prior,
                 lambda z, p=prior: haar_synthesis(
-                    WaveletCoefficients.from_flat(p.amplitudes * z, p.j_max), p.grid_level
+                    WaveletCoefficients(
+                        float(p.amplitudes[0] * z[0]),
+                        tuple(p.amplitudes[1 << j : 2 << j] * z[1 << j : 2 << j] for j in range(p.j_max + 1)),
+                    ),
+                    p.grid_level,
                 ).values,
             )
         )
