@@ -6,7 +6,6 @@ from .grid import (
     constraint_satisfied,
     h_statistic,
     integral,
-    l1_distance,
     positive_part_integral,
     simulate_minima,
     simulate_ppp,
@@ -28,7 +27,6 @@ from .posterior import (
     mcmc_posterior,
     posterior_mass,
     posterior_mass_at_least,
-    posterior_mean,
     sample_posterior,
 )
 from .estimators import (

@@ -21,7 +21,6 @@ __all__ = [
     "GridFunction",
     "PointPattern",
     "integral",
-    "l1_distance",
     "positive_part_integral",
     "simulate_ppp",
     "simulate_minima",
@@ -195,11 +194,6 @@ class PointPattern:
 def integral(f: GridFunction) -> float:
     """Exact integral of f over [0, 1] (mean of bin values)."""
     return float(f.values.mean())
-
-
-def l1_distance(f: GridFunction, g: GridFunction) -> float:
-    a, b, _ = common_values(f, g)
-    return float(np.abs(a - b).mean())
 
 
 def positive_part_integral(f: GridFunction, g: GridFunction) -> float:

@@ -61,10 +61,17 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
     + a_R) / 2), b = floor((b_L + b_R) / 2)).  A level's messages are an (S, nodes) array, row r of a node at
     s_{a+r} and 0 past b, each renormalised by its max, whose log is added to log P; a node is one contraction of
     the taps w_|t| with windows of its children's zero-padded frames, the left one read forwards, the right reversed.
+
+    When every finest block has one window, as for a constant target (every centred ball, and each level of a
+    truncated prior's centred mixture), every node of a level has the same range, children and step A_j, so the same
+    message: the pass folds the tree on one column, which stands for ``copies`` nodes (2^j at level j) and is its own
+    sibling, and adds its log max once per node, summed as the unfolded pass sums it, so log P is the same bits.
     """
     lo, hi = -block_minima(-target, prior.j_max) - eps, block_minima(target, prior.j_max) + eps
     if np.any(lo >= hi):
         return -math.inf
+    copies = lo.size // 2 if lo.min() == lo.max() and hi.min() == hi.max() else 1  # nodes per column, at j_max
+    lo, hi = lo[: lo.size // copies], hi[: hi.size // copies]
     dist, d = prior.dist, 2.0 * eps / cells
     spans = np.stack([np.floor((lo[0::2] + lo[1::2]) / 2.0 / d), np.ceil((hi[0::2] + hi[1::2]) / 2.0 / d)])
     spans, ceil, log_p = spans.astype(np.int64), np.array([[1], [0]]), 0.0  # [a, b] of each node, from j_max up
@@ -72,11 +79,13 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
     def normalised(msg):
         nonlocal log_p
         peak = msg.max(axis=0)
-        log_p += float(np.log(peak).sum())
+        log_p += float(np.log(peak).repeat(copies).sum())  # once per node, in the order of the unfolded sum
         return msg / peak
 
     def node(left, right, a):
-        nonlocal spans
+        nonlocal spans, copies
+        if copies > 1:  # the one column is its own sibling
+            right, spans, copies = left, spans.repeat(2, axis=1), copies // 2
         child, spans = spans, (spans[:, 0::2] + spans[:, 1::2] + ceil) // 2  # a = ceil((a_L + a_R) / 2), b = floor
         size = max(1, int((spans[1] - spans[0]).max()) + 1)  # S, the rows of the level
         ends = child.reshape(2, -1, 2) - spans[0][:, None]  # [a or b, node, left or right child], less the node's a
@@ -90,7 +99,7 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
         taps = np.concatenate([w[reach:0:-1], w[: reach + 1]])  # w_|t|, t = -reach..reach
         return normalised(np.einsum("int,int,t->in", left, right[..., ::-1], taps))
 
-    a = level_step(prior, prior.j_max)
+    a = level_step(prior, prior.j_max)[: spans.shape[1]]
     s = d * (spans[0] + np.arange(max(1, int((spans[1] - spans[0]).max()) + 1))[:, None])
     z_lo = np.maximum(lo[0::2] - s, s - hi[1::2]) / a
     z_hi = np.minimum(hi[0::2] - s, s - lo[1::2]) / a

@@ -77,7 +77,6 @@ __all__ = [
     "posterior_mass_at_least",
     "mass_at_least",
     "normalize_log_weights",
-    "posterior_mean",
     "posterior_median_metric",
     "row_errors",
     "weighted_median",
@@ -137,9 +136,6 @@ class PosteriorEnsemble:
     @property
     def ess(self) -> float:
         return _ess(self.log_weights)
-
-    def validate_against(self, pattern: PointPattern) -> bool:
-        return bool(np.all(self.values <= bin_minima(pattern, self.grid_level)))
 
     def summary_csv(self, f0: GridFunction | None = None) -> str:
         cols = "integral,weight" if f0 is None else "integral,l1_to_f0,weight"
@@ -724,10 +720,6 @@ def posterior_mass_at_least(ens: PosteriorEnsemble, f0: GridFunction, r: float, 
     """Posterior mass of functions whose error against f0 in ``metric``, one of ``ERROR_METRICS``, is at least r:
     the integral of |f - f0|, (f0 - f)_+ or (f - f0)_+."""
     return mass_at_least(_errors(ens.values, ens.grid_level, f0, metric), ens.normalized_weights, r)
-
-
-def posterior_mean(ens: PosteriorEnsemble) -> GridFunction:
-    return GridFunction(ens.grid_level, ens.normalized_weights @ ens.values)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:

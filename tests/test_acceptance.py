@@ -1,5 +1,6 @@
 """Acceptance gate: nine end-to-end criteria, one test (and one pass/fail
-line under ``pytest -v``) per criterion.
+line under ``pytest -v``) per criterion, and the bin-minima MLE's rate on
+criterion 7's own cells.
 
 Identity checks are exact Monte Carlo comparisons at 3 standard errors;
 exponent checks compare fitted log-log slopes to their references at the
@@ -43,6 +44,9 @@ from bbayes.complexity import (
     one_sided_bracketing_number,
     separation_quantity,
 )
+from bbayes.grid import bin_minima
+from bbayes.harness import calibrate_ceiling
+from bbayes.reporting import fit_loglog_slope
 from bbayes.posterior import log_posterior_weight, sample_posterior
 
 REPS = 10_000
@@ -157,7 +161,7 @@ def test_criterion_4_feasibility_and_mle_domination():
         rng = np.random.default_rng(np.random.SeedSequence((1004, rep)))
         pattern = simulate_ppp(f0, n, ceiling, rng)
         ens = sample_posterior(prior, pattern, "mcmc", 2000, rng)
-        assert ens.validate_against(pattern), f"replicate {rep}: infeasible posterior sample"
+        assert np.all(ens.values <= bin_minima(pattern, 4)), f"replicate {rep}: infeasible posterior sample"
         mle = mle_piecewise_constant(pattern, 16, cap=ceiling)
         ok, violations = check_posterior_below_mle(ens, mle)
         assert ok, f"replicate {rep}: {violations[:3]}"
@@ -285,64 +289,64 @@ def test_criterion_6_complexity_oracles_and_separation_bound():
 N_GRID = (200.0, 500.0, 1000.0, 2000.0, 5000.0)
 
 
-@pytest.mark.parametrize(
-    "label,cfg",
-    [
-        (
-            "truncated beta=1",
-            RateStudyConfig(
-                prior=PriorSpec(
-                    variant="truncated_wavelet",
-                    dist=CoefficientDistribution("gaussian"),
-                    j_cap=5,
-                    grid_level=8,
-                ),
-                f0_beta=1.0,
-                f0_R=1.0,
-                f0_kind="smooth",
-                n_grid=N_GRID,
-                replicates=20,
-                sampler="exact",
-                budget=1000,
-                seed=101,
+_CRITERION_7 = [
+    (
+        "truncated beta=1",
+        RateStudyConfig(
+            prior=PriorSpec(
+                variant="truncated_wavelet",
+                dist=CoefficientDistribution("gaussian"),
+                j_cap=5,
+                grid_level=8,
             ),
+            f0_beta=1.0,
+            f0_R=1.0,
+            f0_kind="smooth",
+            n_grid=N_GRID,
+            replicates=20,
+            sampler="exact",
+            budget=1000,
+            seed=101,
         ),
-        (
-            "brownian beta=1",
-            RateStudyConfig(
-                prior=PriorSpec(variant="brownian_start", grid_level=8),
-                f0_beta=1.0,
-                f0_R=1.0,
-                f0_kind="hat",
-                n_grid=N_GRID,
-                replicates=20,
-                sampler="mcmc",
-                budget=60_000,
-                seed=102,
+    ),
+    (
+        "brownian beta=1",
+        RateStudyConfig(
+            prior=PriorSpec(variant="brownian_start", grid_level=8),
+            f0_beta=1.0,
+            f0_R=1.0,
+            f0_kind="hat",
+            n_grid=N_GRID,
+            replicates=20,
+            sampler="mcmc",
+            budget=60_000,
+            seed=102,
+        ),
+    ),
+    (
+        "laplace wavelet alpha=2 beta=1",
+        RateStudyConfig(
+            prior=PriorSpec(
+                variant="wavelet_series",
+                alpha=2.0,
+                dist=CoefficientDistribution("laplace"),
+                j_max=6,
+                grid_level=8,
             ),
+            f0_beta=1.0,
+            f0_R=2.0,
+            f0_kind="hat",
+            n_grid=N_GRID,
+            replicates=20,
+            sampler="mcmc",
+            budget=40_000,
+            seed=103,
         ),
-        (
-            "laplace wavelet alpha=2 beta=1",
-            RateStudyConfig(
-                prior=PriorSpec(
-                    variant="wavelet_series",
-                    alpha=2.0,
-                    dist=CoefficientDistribution("laplace"),
-                    j_max=6,
-                    grid_level=8,
-                ),
-                f0_beta=1.0,
-                f0_R=2.0,
-                f0_kind="hat",
-                n_grid=N_GRID,
-                replicates=20,
-                sampler="mcmc",
-                budget=40_000,
-                seed=103,
-            ),
-        ),
-    ],
-)
+    ),
+]
+
+
+@pytest.mark.parametrize("label,cfg", _CRITERION_7)
 def test_criterion_7_contraction_exponents(label, cfg):
     report = run_rate_study(cfg, threads=4)
     assert report.passed, (label, report.slope, report.theory)
@@ -350,6 +354,31 @@ def test_criterion_7_contraction_exponents(label, cfg):
         f"criterion 7 ({label})",
         f"slope {report.slope:.3f} vs theory {report.theory:.3f} (tol {report.tol})",
     )
+
+
+def _best_mle_errors(cfg):
+    # criterion 7's own cells with no sampler: each cell's minima drawn as its rate study draws them, folded to every
+    # level l <= grid and capped at the ceiling (mle_piecewise_constant's MLE_l); per n, the best level's median
+    # over the replicates of the integral of |MLE_l - f0|
+    f0, grid, seed = cfg.f0(), cfg.prior.grid_level, cfg.seed
+    ceiling_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))  # the study's own, as _run_cells
+    ceiling = calibrate_ceiling(build_prior(cfg.prior), f0, ceiling_rng)
+    best = []
+    for i_n, n in enumerate(cfg.n_grid):
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for rep in range(cfg.replicates)]
+        mins = np.stack([simulate_minima(f0, n, ceiling, grid, rng) for rng in rngs])
+        mle = [np.minimum(mins.reshape(len(mins), 1 << l, -1).min(axis=2), ceiling) for l in range(grid + 1)]
+        best.append(min(np.median(np.abs(np.repeat(v, 1 << (grid - l), axis=1) - f0.values).mean(axis=1))
+                        for l, v in enumerate(mle)))
+    return best
+
+
+@pytest.mark.parametrize("label,cfg", _CRITERION_7)
+def test_criterion_7_cells_give_the_best_mle_the_minimax_rate(label, cfg):
+    # the frequentist reference on the slope gate's own cells: the bin-minima MLE at its best level reaches
+    # n^{-1/2}, so the simulator and the f0 kinds carry the rate that the posteriors are gated against
+    slope, _ = fit_loglog_slope(cfg.n_grid, _best_mle_errors(cfg))
+    assert abs(slope + 0.5) <= 0.1, (label, slope)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from bbayes import (
     h_statistic,
     holder_test_function,
     integral,
-    l1_distance,
     np_test,
     positive_part_integral,
     simulate_minima,
@@ -111,7 +110,6 @@ def test_integral_and_distances_exact():
     f = GridFunction(1, np.array([1.0, 3.0]))
     g = GridFunction(1, np.array([2.0, 1.0]))
     assert integral(f) == 2.0
-    assert l1_distance(f, g) == 1.5
     assert positive_part_integral(f, g) == 1.0
     assert positive_part_integral(g, f) == 0.5
 

@@ -22,6 +22,7 @@ from bbayes import (
     run_small_ball_study,
     simulate_ppp,
 )
+from bbayes import passes
 from bbayes.grid import bin_minima
 from bbayes.passes import _matrix_power, brownian_log_p, haar_fold, haar_log_p, highest_feasible, richardson
 
@@ -191,6 +192,12 @@ _PINNED = {  # haar_log_p with one lattice over the whole range of h at every no
     ("uniform", "cusp"): [-10.988776276475322, -4.830513805045698],
     ("gaussian", "zero"): [-6.5315034350800385, -6.449865202224102, -6.429182438904066,
                            -17.37010178689124, -17.290710976969223, -17.269384518965836],
+    ("laplace", "zero"): [-7.274566850553933, -7.198688279501242, -7.175078864108658,
+                          -18.781763609951565, -18.69057721889991, -18.665888155191933],
+    ("uniform", "zero"): [-3.965249902443427, -3.8663076160733065, -3.8587277379148412,
+                          -11.61879709362902, -11.604644678008231, -11.58205136465376],
+    ("gaussian", "constant"): [-6.562135070638293, -6.507583809951254, -6.501306260498293,
+                               -17.35867063838316, -17.346789976373245, -17.343296297609676],
     ("gaussian", "hat"): [-148.11906433656364, -148.11834146713605, -148.11522657811634,
                           -237.7965152158084, -237.82104522042272, -237.82513594861717],
 }
@@ -204,9 +211,10 @@ def test_haar_log_p_keeps_its_values(kind, target):
     if target == "weierstrass":
         prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=4, grid_level=8))
         h, runs = _weierstrass(4, 8), [(e, c) for e in (1.7, 1.0) for c in (32, 64, 128)]
-    elif target == "zero":  # the benchmark's gauss_centred part
+    elif target in ("zero", "constant"):  # the benchmark's gauss_centred part, and a ball about h = 0.4
         prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=6, grid_level=8))
-        h, runs = np.zeros(256), [(e, c) for e in (0.7, 0.3) for c in (32, 64, 128)]
+        h = np.full(256, 0.4 if target == "constant" else 0.0)
+        runs = [(e, c) for e in (0.7, 0.3) for c in (32, 64, 128)]
     elif target == "hat":  # one level of a truncated prior: unit amplitudes to level 5
         prior = build_prior(PriorSpec(variant="truncated_wavelet", dist=dist, j_cap=5, grid_level=8)).level_prior(5)
         h, runs = holder_test_function(1.0, 1.0, "hat", 8).values, [(e, c) for e in (1.0, 0.25) for c in (32, 64, 128)]
@@ -215,6 +223,32 @@ def test_haar_log_p_keeps_its_values(kind, target):
         h, runs = holder_test_function(0.5, 1.0, "cusp", 6).values, [(0.3, 64), (0.6, 64)]
     log_p = [haar_log_p(prior, h, eps, cells) for eps, cells in runs]
     assert log_p == pytest.approx(_PINNED[kind, target], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("target", ["constant", "one block off"])
+def test_a_constant_target_contracts_one_node_per_level(target, monkeypatch):
+    # every finest block of a constant target has one window, so every node of a level one message: the pass
+    # folds the tree on one column, from the leaves (one node's step) up; one block off unfolds every level
+    prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("gaussian"),
+                                  j_max=6, grid_level=8))
+    h = np.full(256, 0.4)
+    if target == "one block off":
+        h[:2] = 0.5
+    columns, leaves, einsum, mass = [], [], np.einsum, passes._mass
+
+    def spy_einsum(subscripts, left, *rest):
+        columns.append(left.shape[1])
+        return einsum(subscripts, left, *rest)
+
+    def spy_mass(dist, lo, hi):
+        if np.ndim(lo) == 2 and not leaves:  # the j_max level's z bounds, one column per node
+            leaves.append(lo.shape[1])
+        return mass(dist, lo, hi)
+
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    monkeypatch.setattr(passes, "_mass", spy_mass)
+    assert math.isfinite(haar_log_p(prior, h, 0.7, 64))
+    assert (leaves, columns) == (([1], [1] * 6) if target == "constant" else ([64], [32, 16, 8, 4, 2, 1]))
 
 
 def test_highest_feasible_uniform_state():
