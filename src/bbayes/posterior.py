@@ -15,23 +15,24 @@ the functions that read it: a laplace or uniform wavelet series never loads it.
 
 Every Markov chain follows one schedule (``_kept``): a fifth of its sweeps is
 burn-in, and the stored sweeps are ``max(1, steps // 10_000)`` site updates
-apart, set from the total budget.  The Gibbs kernels are generators of
-states from the ``start`` they take, which ``sample_cells`` sets by one rule:
-each row flat, 0.1 below the lower of 0 and its lowest finite minimum, with no
-draw (``_flat_start``).  ``_run_chain`` runs them for the scheduled sweeps; it
-is the one place that stores kept states, each as its ``reduce``.  Both move
-along the dyadic tree, coarse to fine, with one fold of the slack per sweep
-(``passes.dyadic_minima``): a wavelet sweep draws each level's coefficients, a
-Brownian sweep shifts the bins of each dyadic interval.
-``sample_cells``, the one dispatch on the sampler name and prior type, runs
-the Gibbs chains of cells at any intensities as blocks on a leading chain axis,
-one Brownian block or one per level in a wavelet prior's ``levels()``, and
-every other sampler cell by cell, each cell bit for bit as alone.  Every
-sampler reduces its rows as it draws them by the caller's per-row ``reduce``,
-and a cell is its reduced rows, log weights and ``meta``: under a study's
-per-row error (``row_errors``) a Gibbs block holds cells x kept floats at any
-grid.  ``sample_posterior`` is its block of one cell; the three named samplers
-are aliases of it, kept because the benchmark replay calls them.
+apart, set from the total budget.  Both Gibbs kernels take ``(prior, mins, n,
+rngs, start)`` and yield states from ``start``, which they move in place and
+``sample_cells`` sets flat, 0.1 below the lower of 0 and each row's lowest
+finite minimum, with no draw (``_flat_start``).  ``_run_chain`` runs them for
+the scheduled sweeps and is the one place that stores kept states, each as its
+``reduce``.  A sweep moves along the dyadic tree, coarse to fine, folds the
+slack once (``passes.dyadic_minima``) and adds its moves to the state once,
+with no re-synthesis: a wavelet sweep draws each level's coefficients, a
+Brownian sweep shifts the bins of each dyadic interval.  ``sample_cells``, the
+one dispatch on the sampler name and prior type, runs the Gibbs chains of cells
+at any intensities in one block loop, a block per level of the prior (the
+Brownian prior is one level), and every other sampler cell by cell, each cell
+bit for bit as alone.  Every sampler reduces its rows as it draws them by the
+caller's per-row ``reduce``, and a cell is its reduced rows, log weights and
+``meta``: under a study's per-row error (``row_errors``) a Gibbs block holds
+cells x kept floats at any grid.  ``sample_posterior`` is its block of one
+cell; the three named samplers are aliases of it, kept because the benchmark
+replay calls them.
 
 An ensemble is ``values`` (k x 2**grid_level, read-only, row i = sample i on the
 grid's bins), ``log_weights`` and ``meta``: ``sample_posterior``'s one cell, its
@@ -406,7 +407,7 @@ def _wavelet_start(prior: WaveletSeriesPrior, mins) -> np.ndarray:
     return z
 
 
-def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
+def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start):
     """Exact Gibbs over wavelet coefficients from the feasible latent rows ``start`` (``_wavelet_start`` in
     ``sample_cells``), which it moves in place, below the ``(c, 2**(j_max+1))`` block minima ``mins``; yields the
     chains' ``(c, 2**(j_max+1))`` values on the finest blocks after each sweep.
@@ -416,19 +417,19 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
     the ``(c, 1)`` column n; both are sampled exactly, so there is no step-size tuning and no rejection of stored
     states.  The detail coefficients of one level have disjoint supports and no tilt, so given the other levels they
     are independent: each sweep draws the scaling coefficient, then every level j in one vector draw of its 2^j
-    coefficients, which is the coordinate scan's kernel.  A level-j interval is bounded by the slack ``mins - v`` on
-    the two halves of each support.  A sweep folds that slack up the Haar tree once (``passes.dyadic_minima``); a
-    move shifts each finer node by a constant, so the summed moves ``dv`` are carried down as one shift per node,
-    level j's slack is its fold less ``dv``, and ``v`` takes ``dv`` once, at the end of the sweep.  A sweep costs
-    ``latent_dim`` site updates, and chain i draws them from ``rngs[i]`` in one array per sweep.  Updates skipped
-    (coefficient left unchanged) because float drift left an empty interval are added to ``skipped[i]``.
+    coefficients, which is the coordinate scan's kernel.  A level-j interval is bounded by the slack ``mins - v``,
+    floored at 0, on the two halves of each support, so it holds the current value.  A sweep folds that slack up the
+    Haar tree once (``passes.dyadic_minima``); a move shifts each finer node by a constant, so the summed moves ``dv``
+    are carried down as one shift per node, level j's slack is its fold less ``dv``, and ``v`` takes ``dv`` once, at
+    the end of the sweep, never re-synthesized.  A sweep costs ``latent_dim`` site updates, drawn by chain i from
+    ``rngs[i]`` in one array per sweep.
     """
     z = start
     v = synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
     c, a0 = len(rngs), float(prior.amplitudes[0])
     w = 2 if prior.dist.kind == "laplace" else 1  # uniforms per coefficient draw
     levels = [(slice(1 << j, 2 << j), level_step(prior, j)) for j in range(prior.j_max + 1)]  # slice, step
-    sweep, u = 0, np.empty((c, w * prior.latent_dim))
+    u = np.empty((c, w * prior.latent_dim))
     while True:
         for rng, row in zip(rngs, u):
             rng.random(out=row)
@@ -437,21 +438,14 @@ def _gibbs_wavelet(prior: WaveletSeriesPrior, mins, n, rngs, start, skipped):
         dv = (z0 - z[:, :1]) * a0  # the sweep's shift so far, one per node of the level to draw
         z[:, :1] = z0
         for (sl, a), fold in zip(levels, folds):
-            # slack on the left (sign +) and right (sign -) half of each support
-            slack = fold.reshape(c, -1, 2) - dv[:, :, None]
-            hi, lo = z[:, sl] + slack[:, :, 0] / a, z[:, sl] - slack[:, :, 1] / a
-            empty = hi < lo  # guard against accumulated rounding
-            if empty.any():
-                skipped[:] += empty.sum(axis=1)
-                lo, hi = np.where(empty, z[:, sl], lo), np.where(empty, z[:, sl], hi)
-            z_new = _sample_coefficients_interval(prior.dist, u[:, w * sl.start : w * sl.stop], lo, hi, 0.0)
+            # slack on the left (sign +) and right (sign -) half of each support, never below 0
+            slack = np.maximum(fold.reshape(c, -1, 2) - dv[:, :, None], 0.0)
+            z_new = _sample_coefficients_interval(prior.dist, u[:, w * sl.start : w * sl.stop],
+                                                  z[:, sl] - slack[:, :, 1] / a, z[:, sl] + slack[:, :, 0] / a, 0.0)
             d = (z_new - z[:, sl]) * a
             dv = np.stack([dv + d, dv - d], axis=2).reshape(c, -1)
             z[:, sl] = z_new
         v += dv
-        sweep += 1
-        if sweep % 64 == 0:  # refresh against float drift of incremental updates
-            v = synthesize_flat(prior.amplitudes * z, prior.j_max, prior.j_max + 1)
         yield v
 
 
@@ -574,22 +568,23 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     rows as it draws them, and a Gibbs block stores ``reduce`` of each chain's kept sweeps (``_run_chain``), so no
     state is held past its sweep.  The draws do not depend on ``reduce``.
 
-    'mcmc' on a latent prior runs one Brownian block of chains, or one ``_gibbs_wavelet`` block per level of
-    ``prior.levels()`` on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0; a wavelet
-    block's states are its level's finest blocks, and a cell's rows are its levels' in increasing order.
-    Every chain starts flat at ``_flat_start`` of its block's minima, drawing nothing before its first sweep.
-    A Gibbs cell's ``meta["steps"]`` counts the site updates its chains ran, summed over its levels, and a wavelet
-    cell with no level weight > 0 is degenerate.  Every other sampler runs cell by cell, yielding each cell before
-    it draws the next.  Before any draw, ``mins`` of any shape but one row per generator on the prior's grid, or an
-    n that is not positive and finite, is a ValueError; then, whatever the sampler, one pass over the minima
-    (``_refused``) refuses each cell that no sampler can sample, by an error that names its cause, and no draw is
-    made for it.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
+    'mcmc' on a latent prior runs one Gibbs block loop over its levels, ``[(1.0, prior)]`` for the Brownian prior or
+    ``prior.levels()``: per level, one block of chains (``_gibbs_brownian`` on the bins, or ``_gibbs_wavelet`` on
+    the level's finest blocks) on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0, each
+    chain flat at ``_flat_start`` of its block's minima before its first sweep.  A cell's rows are its levels' in
+    increasing order, and its ``meta`` is its sampler, kind and ``steps``, the site updates its chains ran summed
+    over its levels, with a truncated prior's ``level_log_weights``; a cell with no level weight > 0 is degenerate.
+    Every other sampler runs cell by cell, yielding each cell before it draws the next.  Before any draw, ``mins``
+    of any shape but one row per generator on the prior's grid, or an n that is not positive and finite, is a
+    ValueError; then, whatever the sampler, one pass over the minima (``_refused``) refuses each cell that no
+    sampler can sample, by an error that names its cause, and no draw is made for it.  Cell i draws only from
+    ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
-    block = (len(rngs), 1 << prior.grid_level)  # one row per generator, on the prior's grid
-    if np.shape(mins) != block:
+    shape = (len(rngs), 1 << prior.grid_level)  # one row per generator, on the prior's grid
+    if np.shape(mins) != shape:
         raise ValueError(f"minima of shape {np.shape(mins)} are not one row per generator on the prior's grid, "
-                         f"shape {block}")
+                         f"shape {shape}")
     n = np.broadcast_to(np.asarray(n, dtype=float), (len(mins),))  # one intensity per row
     bad = ~(np.isfinite(n) & (n > 0.0))
     if bad.any():
@@ -603,43 +598,33 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
             except DegeneratePosteriorError as exc:
                 yield exc
         return
-    if isinstance(prior, BrownianStartPrior):
-        cost = (2 << prior.grid_level) - 1
-        keep = _kept(budget, cost, budget)
-        start = np.repeat(_flat_start(mins), 1 << prior.grid_level, axis=1)
-        chains = _gibbs_brownian(prior, mins, n[:, None], rngs, start)
-        rows = [[(v, np.zeros(len(keep)))] for v in _run_chain(chains, keep, reduce)]
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": keep.stop * cost} for _ in rngs]
-    else:
-        levels, truncated = prior.levels(), isinstance(prior, TruncatedWaveletPrior)
-        log_w = np.full((len(rngs), len(levels)), -math.inf) if truncated else np.zeros((len(rngs), 1))
-        live = np.flatnonzero(~refused)  # a refused row draws no level evidence
-        if truncated and live.size:
-            log_w[live] = _level_log_weights(levels, mins[live], n[live].tolist(), [rngs[i] for i in live])
-        rows, (steps, skipped) = [[] for _ in rngs], np.zeros((2, len(rngs)), dtype=int)  # updates run and skipped
-        for (_, level), lw in zip(levels, log_w.T):
-            cells = np.flatnonzero((lw > -math.inf) & ~refused)
-            if cells.size:
-                keep = _kept(max(1, budget // len(levels)), level.latent_dim, budget)
-                block_skipped, block_rngs = np.zeros(cells.size, dtype=int), [rngs[i] for i in cells]
-                block_mins = block_minima(mins[cells], level.j_max)
-                start = _wavelet_start(level, block_mins)
-                chains = _gibbs_wavelet(level, block_mins, n[cells, None], block_rngs, start, block_skipped)
-                values = _run_chain(chains, keep, reduce)
-                steps[cells] += keep.stop * level.latent_dim
-                skipped[cells] += block_skipped
-                for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
-                    rows[i].append((v, np.full(len(v), lw[i] - math.log(len(v)) if truncated else 0.0)))
-        metas = [{"sampler": "mcmc", "kind": "gibbs", "steps": t, "skipped_updates": k}
-                 for t, k in zip(steps.tolist(), skipped.tolist())]
-        if truncated:
-            for meta, lw in zip(metas, log_w):
-                meta["level_log_weights"] = lw.tolist()
-    for cell, r, meta in zip(rows, refused.tolist(), metas):
-        if r or not cell:
-            yield DegeneratePosteriorError(cause if r else "no level produced feasible states")
+    brownian, truncated = isinstance(prior, BrownianStartPrior), isinstance(prior, TruncatedWaveletPrior)
+    levels = [(1.0, prior)] if brownian else prior.levels()
+    log_w = np.full((len(rngs), len(levels)), -math.inf) if truncated else np.zeros((len(rngs), 1))
+    live = np.flatnonzero(~refused)  # a refused row draws no level evidence
+    if truncated and live.size:
+        log_w[live] = _level_log_weights(levels, mins[live], n[live].tolist(), [rngs[i] for i in live])
+    rows, steps = [[] for _ in rngs], np.zeros(len(rngs), dtype=int)  # site updates run
+    for (_, level), lw in zip(levels, log_w.T):
+        cells = np.flatnonzero((lw > -math.inf) & ~refused)
+        if not cells.size:
+            continue
+        block = mins if cells.size == len(mins) else mins[cells]  # no copy when every row runs
+        if brownian:
+            kernel, cost = _gibbs_brownian, 2 * block.shape[1] - 1
+            start = np.repeat(_flat_start(block), block.shape[1], axis=1)
         else:
-            yield _cell(cell, meta)
+            kernel, cost, block = _gibbs_wavelet, level.latent_dim, block_minima(block, level.j_max)
+            start = _wavelet_start(level, block)
+        keep = _kept(max(1, budget // len(levels)), cost, budget)
+        values = _run_chain(kernel(level, block, n[cells, None], [rngs[i] for i in cells], start), keep, reduce)
+        steps[cells] += keep.stop * cost
+        for i, v in zip(cells.tolist(), values):  # a truncated row weighs its level's weight over the rows
+            rows[i].append((v, np.full(len(v), lw[i] - math.log(len(v)) if truncated else 0.0)))
+    for cell, r, t, lw in zip(rows, refused.tolist(), steps.tolist(), log_w.tolist()):  # a refused row has no rows
+        meta = {"sampler": "mcmc", "kind": "gibbs", "steps": t} | ({"level_log_weights": lw} if truncated else {})
+        error = DegeneratePosteriorError(cause if r else "no level produced feasible states")
+        yield _cell(cell, meta) if cell else error
 
 
 def sample_posterior(prior, pattern: PointPattern, sampler: str, budget: int, rng: np.random.Generator):

@@ -50,8 +50,8 @@ class CoefficientDistribution:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -117,8 +117,8 @@ class PriorSpec:
         if unread:
             raise ValueError(f"{self.variant} does not read {', '.join(unread)}")
         if self.variant == "wavelet_series":
-            if self.alpha is None or not self.alpha > 0:
-                raise ValueError("wavelet_series needs alpha > 0")
+            if self.alpha is None or not 0.0 < self.alpha < math.inf:
+                raise ValueError(f"wavelet_series needs a finite alpha > 0, got {self.alpha!r}")
             if self.dist is None:
                 raise ValueError("wavelet_series needs a coefficient distribution")
             if self.j_max is None or not (0 <= self.j_max < self.grid_level):
@@ -326,7 +326,11 @@ def prior_spec_from_mapping(kv: dict[str, str]) -> PriorSpec:
 
     dist = None
     if "dist.kind" in kv:
-        dist = CoefficientDistribution(kv.pop("dist.kind"), take("dist.scale", float, 1.0))
+        kind, scale = kv.pop("dist.kind"), take("dist.scale", float, 1.0)
+        try:
+            dist = CoefficientDistribution(kind, scale)
+        except ValueError as exc:  # "kind ..." or "scale ...", named as its key
+            raise ValueError(f"dist.{exc}") from None
     spec = PriorSpec(
         variant=kv.pop("variant", None),
         grid_level=take("grid_level", int, 8),

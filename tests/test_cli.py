@@ -349,6 +349,9 @@ def test_study_config_unknown_keys_rejected(runner, tmp_path):
         ("prior.variant = brownian_start\nprior.grid_level = five\n", "'grid_level'"),
         ("prior.variant = truncated_wavelet\nprior.j_cap = 2\nprior.dist.kind = gaussian\n"
          "prior.dist.tail_rate = 1.0\n", "dist.tail_rate"),
+        ("prior.variant = wavelet_series\nprior.alpha = inf\nprior.j_max = 2\nprior.dist.kind = gaussian\n", "alpha"),
+        ("prior.variant = wavelet_series\nprior.alpha = 1.0\nprior.j_max = 2\nprior.dist.kind = gaussian\n"
+         "prior.dist.scale = inf\n", "dist.scale"),
     ],
 )
 def test_study_config_bad_prior_keys_rejected(runner, tmp_path, prior_lines, key):

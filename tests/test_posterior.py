@@ -35,7 +35,7 @@ from bbayes import (
 )
 import bbayes.posterior as posterior_module
 from bbayes.grid import integral
-from bbayes.passes import block_minima, improper_laplace
+from bbayes.passes import block_minima, highest_feasible, improper_laplace
 from bbayes.posterior import (
     _exp_segment_log_mass,
     _kept,
@@ -52,6 +52,7 @@ from bbayes.posterior import (
     truncated_level_log_evidence,
     weighted_median,
 )
+from bbayes.wavelets import synthesize_flat
 
 
 def _pattern(n=10.0, ceiling=2.0, seed=0, grid_level=4, beta=1.0):
@@ -448,11 +449,11 @@ _PINNED_CELLS = {
     "exact": ("truncated_wavelet", "gaussian", "exact", 200,
               "c3be6373241ddfb27e0b280fbf97528c5b5540791af1186d62d775db5822931f"),
     "truncated gaussian": ("truncated_wavelet", "gaussian", "mcmc", 3000,
-                           "ccda39c4e04deff62e79f031ebcc7b2816ac5d79b46948f2481117946e15302a"),
+                           "7c02a56b49527abc7bcac5de39ea8e3d58d1e782c90aeb2179ba0304618860e7"),
     "truncated laplace": ("truncated_wavelet", "laplace", "mcmc", 3000,
-                          "35f18a3c332f0108ea645814438951ab7c3c706f0c926cb76a73231e7ce16be6"),
+                          "b3eab24f66e6e704edc159ef4f6f6c6cead140cf8550558c63f3cc76cd738576"),
     "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000,
-                       "7cf4b809deaa78b85dc173768711e12e7d93682ea33f96fda35431be401ed265"),
+                       "61a8fb217ac11943329c409516594a3471057de230b4b0e17601ccb00cc2f9f6"),
     "brownian": ("brownian_start", None, "mcmc", 2000,
                  "7e96b10a41be4bb331f1554fa4577cbeb36d7c38667e796d73dffc51a3002b64"),
 }
@@ -520,7 +521,6 @@ def test_gibbs_wavelet_agrees_with_importance(kind):
     approx = sample_posterior(prior, pattern, "importance", 60_000, np.random.default_rng(13))
     chain = sample_posterior(prior, pattern, "mcmc", 100_000, np.random.default_rng(14))
     assert _below_minima(chain, pattern)
-    assert chain.meta["skipped_updates"] == 0
     m_is, se_is = _mean_integral_and_se(approx)
     m_ch, se_ch = _mean_integral_and_se(chain)
     assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch)
@@ -534,13 +534,14 @@ def test_gibbs_wavelet_agrees_with_importance(kind):
         assert abs(m_is - m_ch) <= 4.0 * math.hypot(se_is, se_ch), (left, right)
 
 
-def _per_bin_gibbs_wavelet(prior, mins, n, rngs, start, skipped):
-    """Reference: the wavelet Gibbs sweep on every bin of the grid, each level's slack re-read from ``mins - v``."""
+def _per_bin_gibbs_wavelet(prior, mins, n, rngs, start):
+    """Reference: the wavelet Gibbs sweep on every bin of the grid, each level's slack re-read from ``mins - v`` and
+    floored at 0."""
     z, v = start
     c, a0, w = len(rngs), float(prior.amplitudes[0]), 2 if prior.dist.kind == "laplace" else 1
     levels = [(j, slice(1 << j, 2 << j), 2.0 ** (j / 2.0) * prior.amplitudes[1 << j : 2 << j])
               for j in range(prior.j_max + 1)]
-    sweep, u = 0, np.empty((c, w * prior.latent_dim))
+    u = np.empty((c, w * prior.latent_dim))
     while True:
         for rng, row in zip(rngs, u):
             rng.random(out=row)
@@ -549,19 +550,13 @@ def _per_bin_gibbs_wavelet(prior, mins, n, rngs, start, skipped):
         v += (z0 - z[:, :1]) * a0
         z[:, :1] = z0
         for j, sl, a in levels:
-            slack = (mins - v).reshape(c, 1 << j, 2, -1).min(axis=3)
+            slack = np.maximum((mins - v).reshape(c, 1 << j, 2, -1).min(axis=3), 0.0)
             hi, lo = z[:, sl] + slack[:, :, 0] / a, z[:, sl] - slack[:, :, 1] / a
-            empty = hi < lo
-            skipped[:] += empty.sum(axis=1)
-            lo, hi = np.where(empty, z[:, sl], lo), np.where(empty, z[:, sl], hi)
             z_new = _sample_coefficients_interval(prior.dist, u[:, w * sl.start : w * sl.stop], lo, hi, 0.0)
             halves = v.reshape(c, 1 << j, 2, -1)
             halves[:, :, 0] += ((z_new - z[:, sl]) * a)[:, :, None]
             halves[:, :, 1] -= ((z_new - z[:, sl]) * a)[:, :, None]
             z[:, sl] = z_new
-        sweep += 1
-        if sweep % 64 == 0:
-            v = prior.synthesize(z)
         yield v
 
 
@@ -572,8 +567,9 @@ def _per_bin_gibbs_wavelet(prior, mins, n, rngs, start, skipped):
 )
 def test_block_kernel_tracks_the_per_bin_level_loop(kind, j_max, grid_level):
     # the kernel on the finest blocks, with one slack fold per sweep and each level's moves carried down as a
-    # shift, against the per-bin loop from one start and one set of generators: 130 sweeps cross two refreshes,
-    # both draw the same uniforms in the same order, and the states differ only by rounding
+    # shift, against the per-bin loop from one start and one set of generators: over 130 sweeps both draw the same
+    # uniforms in the same order, and the states differ only by rounding; neither re-synthesizes its state, yet
+    # the kernel's carried state still equals the synthesis of the coefficients it moved in place
     if kind == "truncated":
         spec = PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("laplace"), j_cap=3,
                          grid_level=grid_level)
@@ -592,19 +588,20 @@ def test_block_kernel_tracks_the_per_bin_level_loop(kind, j_max, grid_level):
     ref_rngs = [np.random.default_rng() for _ in rngs]
     for ref, rng in zip(ref_rngs, rngs):
         ref.bit_generator.state = rng.bit_generator.state
-    skipped, ref_skipped = np.zeros(len(mins), dtype=int), np.zeros(len(mins), dtype=int)
-    blocks = posterior_module._gibbs_wavelet(prior, block_mins, ns, rngs, z.copy(), skipped)
-    bins = _per_bin_gibbs_wavelet(prior, mins, ns, ref_rngs, (z.copy(), prior.synthesize(z)), ref_skipped)
+    moved = z.copy()
+    blocks = posterior_module._gibbs_wavelet(prior, block_mins, ns, rngs, moved)
+    bins = _per_bin_gibbs_wavelet(prior, mins, ns, ref_rngs, (z.copy(), prior.synthesize(z)))
     for sweep, state, ref in zip(range(130), blocks, bins):
         assert state.shape == (len(mins), 2 << j_max)
         assert np.all(state <= block_mins), sweep
         assert np.max(np.abs(np.repeat(state, width, axis=1) - ref)) <= 1e-10, sweep
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
-    assert skipped.tolist() == ref_skipped.tolist()
+    assert np.max(np.abs(state - synthesize_flat(prior.amplitudes * moved, j_max, j_max + 1))) <= 1e-12
 
 
 _INVARIANCE_PRIORS = {
     "brownian": PriorSpec(variant="brownian_start", grid_level=3),
+    "brownian at grid 6": PriorSpec(variant="brownian_start", grid_level=6),
     **{kind: PriorSpec(variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=3)
        for kind in ("gaussian", "laplace", "uniform")},
 }
@@ -618,19 +615,19 @@ def test_a_gibbs_sweep_leaves_its_posterior_invariant(name, n):
     # kernel sweep from f given them.  That is a Gibbs chain on the joint law of (f, minima), so if each sweep leaves
     # its posterior invariant f stays prior-distributed, however slowly the kernel mixes; its integral, bin 0 and
     # the contrast of bin 0 with bin m/2 are compared with fresh prior draws.  A wavelet state (grid j_max + 1, a
-    # value per block) starts from its coefficients, read back through the invertible synthesis
+    # value per block) starts from its coefficients, read back through the invertible synthesis; both kernels take
+    # the same arguments
     prior, chains = build_prior(_INVARIANCE_PRIORS[name]), 4000
     m, rng = 1 << prior.grid_level, np.random.default_rng(80)
     rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(81).spawn(chains)]
-    if name == "brownian":
-        kernel, latent, extra = posterior_module._gibbs_brownian, np.eye(m), {}
+    if _INVARIANCE_PRIORS[name].variant == "brownian_start":
+        kernel, latent = posterior_module._gibbs_brownian, np.eye(m)
     else:
         kernel, latent = posterior_module._gibbs_wavelet, np.linalg.inv(prior.synthesize(np.eye(m)))
-        extra = {"skipped": np.zeros(chains, dtype=int)}
     f = prior.draw(rng, chains)
     for _ in range(60):
         mins = f + rng.exponential(m / n, size=f.shape)
-        f = next(kernel(prior, mins, np.full((chains, 1), n), rngs, start=f @ latent, **extra))
+        f = next(kernel(prior, mins, np.full((chains, 1), n), rngs, f @ latent))
         assert np.all(f <= mins)
     fresh = prior.draw(np.random.default_rng(82), chains)
     for stat in ("integral", "bin 0", "contrast"):
@@ -926,13 +923,12 @@ def test_a_brownian_row_with_no_point_starts_flat_and_equals_its_cell_alone(monk
             "laplace": PriorSpec(variant="wavelet_series", alpha=2.0, dist=CoefficientDistribution("laplace", 0.1),
                                  j_max=2, grid_level=4)}[kind]
     prior = build_prior(spec)
-    name, uniforms, skipped = (("_gibbs_brownian", 31, ()) if kind == "brownian"
-                               else ("_gibbs_wavelet", 2 * prior.latent_dim, (np.zeros(3, dtype=int),)))
+    name, uniforms = ("_gibbs_brownian", 31) if kind == "brownian" else ("_gibbs_wavelet", 2 * prior.latent_dim)
     starts, kernel = [], getattr(posterior_module, name)
 
-    def spy(level, mins, n, rngs, start, *rest):
+    def spy(level, mins, n, rngs, start):
         starts.append((mins, start.copy()))
-        return kernel(level, mins, n, rngs, start, *rest)
+        return kernel(level, mins, n, rngs, start)
 
     monkeypatch.setattr(posterior_module, name, spy)
     mins = np.stack([bin_minima(p, 4) for p in patterns])
@@ -943,7 +939,7 @@ def test_a_brownian_row_with_no_point_starts_flat_and_equals_its_cell_alone(monk
     assert flat[1].tolist() == [-0.1] * 16
     assert np.array_equal(flat, np.repeat(np.min(mins, axis=1, initial=0.0, keepdims=True) - 0.1, 16, axis=1))
     first = [np.random.default_rng(70 + i) for i in range(len(patterns))]
-    chains = kernel(prior, block_mins, np.full((len(mins), 1), 8.0), first, start, *skipped)
+    chains = kernel(prior, block_mins, np.full((len(mins), 1), 8.0), first, start)
     assert np.all(next(chains) <= block_mins)
     for i, rng in enumerate(first):
         fresh = np.random.default_rng(70 + i)
@@ -1218,6 +1214,28 @@ def test_gibbs_wavelet_uniform_start_outside_support_raises():
     )
     with pytest.raises(DegeneratePosteriorError, match="no feasible state"):
         sample_posterior(build_prior(spec), pattern, "mcmc", 1000, np.random.default_rng(25))
+
+
+def test_a_uniform_chain_whose_flat_start_leaves_the_support_starts_at_the_highest_feasible_state(monkeypatch):
+    # a point at y = -1.3 in bin 0: the flat start's z0 = -1.4 leaves [-1, 1], yet a state below it exists (the
+    # level-0 detail lowers the left half by up to 1), so the chain starts at the highest feasible state, drawing
+    # nothing, and every kept state lies below the minima; that start touches them, to rounding
+    spec = PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution("uniform"), j_max=2, grid_level=4)
+    prior = build_prior(spec)
+    pattern = PointPattern(5.0, 3.0, [0.03, 0.6], [-1.3, 0.5])
+    starts, gibbs = [], posterior_module._gibbs_wavelet
+
+    def spy(level, mins, n, rngs, start):
+        starts.append(start.copy())
+        return gibbs(level, mins, n, rngs, start)
+
+    monkeypatch.setattr(posterior_module, "_gibbs_wavelet", spy)
+    ens = sample_posterior(prior, pattern, "mcmc", 1000, np.random.default_rng(25))
+    mins = bin_minima(pattern, 4)
+    ((start,),) = starts
+    assert start.tolist() == highest_feasible(prior, mins[None])[0][0].tolist()
+    assert np.all(np.abs(start) <= 1.0) and np.all(prior.synthesize(start) <= mins + 1e-12)
+    assert _below_minima(ens, pattern)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,9 @@ def test_coefficient_law_validation():
         CoefficientDistribution("cauchy")
     with pytest.raises(ValueError):
         CoefficientDistribution("gaussian", scale=0.0)
+    for scale in (math.inf, math.nan):  # an infinite or undefined scale is no law
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            CoefficientDistribution("laplace", scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +78,9 @@ def test_prior_spec_validation():
         PriorSpec(variant="wavelet_series", dist=gauss, j_max=3)  # no alpha
     with pytest.raises(ValueError):
         PriorSpec(variant="wavelet_series", alpha=1.0, j_max=3)  # no dist
+    for alpha in (math.inf, math.nan):  # an infinite or undefined alpha gives NaN amplitudes
+        with pytest.raises(ValueError, match="wavelet_series needs a finite alpha > 0"):
+            PriorSpec(variant="wavelet_series", alpha=alpha, dist=gauss, j_max=3)
     with pytest.raises(ValueError):
         # j_max must stay below grid_level for exact synthesis
         PriorSpec(variant="wavelet_series", alpha=1.0, dist=gauss, j_max=8, grid_level=8)
