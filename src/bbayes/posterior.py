@@ -25,10 +25,11 @@ along the dyadic tree, coarse to fine, folds the slack once
 (``passes.dyadic_minima``) and adds its moves to the state once, with no
 re-synthesis: a wavelet sweep draws each level's coefficients, a Brownian sweep
 shifts the bins of each dyadic interval.  ``sample_cells``, the one dispatch on
-the sampler name and prior type, runs the Gibbs chains of cells at any
-intensities in one block loop, a block per level of the prior (the Brownian
-prior is one level), and every other sampler cell by cell, each cell bit for
-bit as alone.  Every sampler reduces its rows as it draws them by the
+the sampler name and prior type, computes a truncated prior's level weights
+once for the whole block, runs the Gibbs chains of cells at any intensities in
+one block loop, a block per level of the prior (the Brownian prior is one
+level), and every other sampler's draws cell by cell, each cell bit for bit as
+alone.  Every sampler reduces its rows as it draws them by the
 caller's per-row ``reduce``, and a cell is its reduced rows, log weights and
 ``meta``: under a study's per-row error (``row_errors``) a Gibbs block holds
 cells x kept floats at any grid.  ``sample_posterior`` is its block of one
@@ -265,9 +266,8 @@ def truncated_level_log_evidence(level: int, mins: np.ndarray, intensity, scale:
 def _level_log_weights(levels: list, mins: np.ndarray, ns, rngs) -> np.ndarray:
     """The ``(cells, levels)`` posterior log weights log pi_j + log Z_j of a truncated prior's ``levels()`` at each
     row of bin minima ``mins`` at its intensity in ``ns``.  The evidence Z_j is closed-form for gaussian
-    coefficients, one vector call per level, else the mean likelihood of ``_EVIDENCE_DRAWS`` prior draws of level j
-    on the cell's generator: -inf if none is feasible, and rough at large intensity, where feasible draws become
-    rare."""
+    coefficients, one vector call per level for the whole block, else the mean likelihood of ``_EVIDENCE_DRAWS``
+    prior draws of level j on the cell's generator: -inf if none is feasible, and rough at large intensity."""
     dist = levels[0][1].dist
     if dist.kind == "gaussian":
         log_z = np.stack([truncated_level_log_evidence(j, mins, ns, dist.scale) for j, _ in enumerate(levels)], 1)
@@ -286,18 +286,16 @@ def reads_scipy_special(prior) -> bool:
     return gaussian or isinstance(prior, BrownianStartPrior)
 
 
-def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng, reduce):
+def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng, reduce, level_log_w):
     """Exact posterior draws for the truncated wavelet prior with gaussian coefficients, as ``(rows, log_weights)``
     parts and ``meta``: ``reduce`` of each drawn level's rows on its 2^{j+1} blocks, levels in increasing order.
 
-    Level weights come from the closed-form evidences (``_level_log_weights``);
-    given the level, the block values are independent truncated gaussians tilted
-    by the likelihood, sampled exactly.  No Monte Carlo error beyond the finite
-    draw count.  Each drawn level's rows are one part: its count of the draws
-    (``np.bincount``), each inverting the next 2^{j+1} uniforms, in one call.
+    The level is drawn from the row's closed-form level log weights ``level_log_w`` (``sample_cells`` computes the
+    block's); given the level, the block values are independent truncated gaussians tilted by the likelihood,
+    sampled exactly.  No Monte Carlo error beyond the finite draw count.  Each drawn level's rows are one part: its
+    count of the draws (``np.bincount``), each inverting the next 2^{j+1} uniforms, in one call.
     """
     s = prior.dist.scale
-    level_log_w = _level_log_weights(prior.levels(), mins[None], [n], [rng])[0]
     probs = np.exp(level_log_w - level_log_w.max())
     probs /= probs.sum()
     counts = np.bincount(rng.choice(prior.j_cap + 1, size=draws, p=probs), minlength=prior.j_cap + 1)
@@ -306,12 +304,8 @@ def _exact(prior: TruncatedWaveletPrior, mins, n, draws, rng, reduce):
         k, sd = int(counts[j]), s * math.sqrt(2 << j)
         v = mu + sd * _std_normal_tail(rng.random((k, 2 << j)), (block_minima(mins, j) - mu) / sd)
         parts.append((reduce(v), np.zeros(k)))  # the k rows of level j
-    meta = {
-        "sampler": "exact",
-        "draws": draws,
-        "level_log_weights": level_log_w.tolist(),
-        "level_probabilities": probs.tolist(),
-    }
+    meta = {"sampler": "exact", "draws": draws, "level_log_weights": level_log_w.tolist(),
+            "level_probabilities": probs.tolist()}
     return parts, meta
 
 
@@ -562,21 +556,23 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     be one block), after ``check_sampler``; ``budget`` counts draws or site updates.
 
     ``reduce`` maps ``(k, w)`` rows on w equal blocks of the prior's grid, at any w, to k results: a study's
-    per-row error (``row_errors``), or ``sample_posterior``'s rows repeated onto the grid's bins.  Every sampler reduces its
-    rows as it draws them, and a Gibbs block stores ``reduce`` of each chain's kept sweeps (``_run_chain``), so no
-    state is held past its sweep.  The draws do not depend on ``reduce``.
+    per-row error (``row_errors``), or ``sample_posterior``'s rows repeated onto the grid's bins.  Every sampler
+    reduces its rows as it draws them, and a Gibbs block stores ``reduce`` of each chain's kept sweeps
+    (``_run_chain``), so no state is held past its sweep.  The draws do not depend on ``reduce``.
 
-    'mcmc' on a latent prior runs one Gibbs block loop over its levels, ``[(1.0, prior)]`` for the Brownian prior or
+    Under 'exact' or 'mcmc' a truncated prior's ``(cells, levels)`` level log weights are computed once for the
+    block's live rows (``_level_log_weights``), before any other draw; 'importance' computes none.  'mcmc' on a
+    latent prior runs one Gibbs block loop over its levels, ``[(1.0, prior)]`` for the Brownian prior or
     ``prior.levels()``: per level, one block of chains (``_gibbs_brownian`` on the bins, or ``_gibbs_wavelet`` on
     the level's finest blocks) on a ``budget // len(levels)`` budget, over the cells whose level weight is > 0, each
     chain flat at ``_flat_start`` of its block's minima before its first sweep.  A cell's rows are its levels' in
     increasing order, and its ``meta`` is its sampler, kind and ``steps``, the site updates its chains ran summed
     over its levels, with a truncated prior's ``level_log_weights``; a cell with no level weight > 0 is degenerate.
-    Every other sampler runs cell by cell, yielding each cell before it draws the next.  Before any draw, ``mins``
-    of any shape but one row per generator on the prior's grid, or an n that is not positive and finite, is a
-    ValueError; then, whatever the sampler, one pass over the minima (``_refused``) refuses each cell that no
-    sampler can sample, by an error that names its cause, and no draw is made for it.  Cell i draws only from
-    ``rngs[i]``, as in its own ``sample_posterior``.
+    Every other sampler draws cell by cell, 'exact' from its row of the level weights, yielding each cell before it
+    draws the next.  Before any draw, ``mins`` of any shape but one row per generator on the prior's grid, or an n
+    that is not positive and finite, is a ValueError; then, whatever the sampler, one pass over the minima
+    (``_refused``) refuses each cell that no sampler can sample, by an error that names its cause, and no draw is
+    made for it.  Cell i draws only from ``rngs[i]``, as in its own ``sample_posterior``.
     """
     check_sampler(prior, sampler, budget)
     shape = (len(rngs), 1 << prior.grid_level)  # one row per generator, on the prior's grid
@@ -588,20 +584,22 @@ def sample_cells(prior, mins: np.ndarray, n, sampler: str, budget: int, rngs, re
     if bad.any():
         raise ValueError(f"n must be positive and finite, got {n[bad][0].item()!r}")
     refused, cause = _refused(prior, mins, n)
-    if sampler != "mcmc" or isinstance(prior, FinitePrior):
-        kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
-        for row, n_i, rng, r in zip(mins, n.tolist(), rngs, refused.tolist()):
-            try:
-                yield DegeneratePosteriorError(cause) if r else _cell(*kernel(prior, row, n_i, budget, rng, reduce))
-            except DegeneratePosteriorError as exc:
-                yield exc
-        return
-    brownian, truncated = isinstance(prior, BrownianStartPrior), isinstance(prior, TruncatedWaveletPrior)
-    levels = [(1.0, prior)] if brownian else prior.levels()
-    log_w = np.full((len(rngs), len(levels)), -math.inf) if truncated else np.zeros((len(rngs), 1))
+    truncated = isinstance(prior, TruncatedWaveletPrior) and sampler != "importance"  # its sampler reads level weights
+    levels = prior.levels() if truncated else [(1.0, prior)]
+    log_w = np.full((len(rngs), len(levels)), -math.inf if truncated else 0.0)
     live = np.flatnonzero(~refused)  # a refused row draws no level evidence
     if truncated and live.size:
         log_w[live] = _level_log_weights(levels, mins[live], n[live].tolist(), [rngs[i] for i in live])
+    if sampler != "mcmc" or isinstance(prior, FinitePrior):
+        kernel = {"importance": _importance, "exact": _exact, "mcmc": _mcmc_finite}[sampler]
+        for row, n_i, rng, r, lw in zip(mins, n.tolist(), rngs, refused.tolist(), log_w):
+            try:
+                args = (prior, row, n_i, budget, rng, reduce) + ((lw,) if sampler == "exact" else ())
+                yield DegeneratePosteriorError(cause) if r else _cell(*kernel(*args))
+            except DegeneratePosteriorError as exc:
+                yield exc
+        return
+    brownian = isinstance(prior, BrownianStartPrior)  # a wavelet series' levels() is [(1.0, prior)] too
     rows, steps = [[] for _ in rngs], np.zeros(len(rngs), dtype=int)  # site updates run
     for (_, level), lw in zip(levels, log_w.T):
         cells = np.flatnonzero((lw > -math.inf) & ~refused)
@@ -706,6 +704,8 @@ def posterior_mass_at_least(ens: PosteriorEnsemble, f0: GridFunction, r: float, 
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """The first of ``values``, in argsort order, whose normalised cumulative weight reaches 0.5: a study's per-cell
+    reduction of its rows' errors, and ``posterior_median_metric``'s."""
     order = np.argsort(values)
     v = np.asarray(values, dtype=float)[order]
     w = np.asarray(weights, dtype=float)[order]

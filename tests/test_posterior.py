@@ -337,6 +337,19 @@ def test_truncated_level_log_evidence_against_monte_carlo():
         assert abs(vals.mean() - target) <= 4.0 * se
 
 
+def test_the_level_evidence_of_a_block_equals_each_row_alone():
+    # sample_cells computes a whole block's level evidence in one call, so each row's must equal its own one-row
+    # call bit for bit, or a study's bytes would depend on how its cells are cut into blocks (--threads); a bin
+    # with no point has minimum +inf
+    mins = np.random.default_rng(11).uniform(-1.0, 2.0, size=(5, 16))
+    mins[2, 5] = math.inf
+    ns = [4.0, 8.0, 16.0, 32.0, 32.0]
+    for j in (0, 1, 2):
+        block = truncated_level_log_evidence(j, mins, ns)
+        for i, n in enumerate(ns):
+            assert block[i : i + 1].tobytes() == truncated_level_log_evidence(j, mins[i : i + 1], [n]).tobytes(), (j, i)
+
+
 # ---------------------------------------------------------------------------
 # samplers agree with each other and respect the constraint
 
@@ -1083,6 +1096,38 @@ def test_a_reduced_block_equals_the_ensemble_block_cell_by_cell():
                 assert mass_at_least(errors, weights, r) == posterior_mass_at_least(ens, ref, r, metric), where
         if prior is truncated_gaussian and sampler == "mcmc":  # rows of every level, each with its level weight
             assert all(len(np.unique(ens.log_weights)) == 3 for ens in ensembles)
+
+
+def test_a_truncated_block_computes_its_level_weights_once(monkeypatch):
+    # a 5-row block on a truncated gaussian prior: 'exact' and 'mcmc' compute the (cells, levels) level weights in
+    # one call on all 5 rows, outside every cell's _exact; 'importance' reads no level weights and computes none
+    spec = PriorSpec(variant="truncated_wavelet", dist=CoefficientDistribution("gaussian"), j_cap=2, grid_level=4)
+    prior = build_prior(spec)
+    f0 = holder_test_function(1.0, 1.0, "cusp", 4)
+    mins = np.stack([bin_minima(simulate_ppp(f0, 8.0, 2.0, np.random.default_rng(seed)), 4) for seed in range(5)])
+    calls, exact_calls, inside = [], [], []  # (rows, inside an _exact call) per weights call; rows per _exact call
+    weights, exact = posterior_module._level_log_weights, posterior_module._exact
+
+    def spy_weights(levels, mins, *args):
+        calls.append((len(mins), bool(inside)))
+        return weights(levels, mins, *args)
+
+    def spy_exact(prior, mins, *args):
+        exact_calls.append(mins.ndim)
+        inside.append(True)
+        try:
+            return exact(prior, mins, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(posterior_module, "_level_log_weights", spy_weights)
+    monkeypatch.setattr(posterior_module, "_exact", spy_exact)
+    for sampler, expected in (("exact", [(5, False)]), ("mcmc", [(5, False)]), ("importance", [])):
+        calls.clear()
+        rngs = [np.random.default_rng(50 + i) for i in range(5)]
+        list(sample_cells(prior, mins, 8.0, sampler, 300, rngs, _grid_rows))
+        assert calls == expected, sampler
+    assert exact_calls == [1] * 5
 
 
 def test_truncated_mcmc_runs_no_chain_at_a_level_without_a_feasible_evidence_draw(monkeypatch):
