@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["haar_fold", "level_step", "block_minima", "dyadic_minima", "haar_log_p", "brownian_log_p", "richardson",
            "mixture_log_p", "improper_laplace", "highest_feasible"]
@@ -60,7 +59,8 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
     index range [a, b] (at j_max, i d strictly between the means of its children's window ends; above, a = ceil((a_L
     + a_R) / 2), b = floor((b_L + b_R) / 2)).  A level's messages are an (S, nodes) array, row r of a node at
     s_{a+r} and 0 past b, each renormalised by its max, whose log is added to log P; a node is one contraction of
-    the taps w_|t| with windows of its children's zero-padded frames, the left one read forwards, the right reversed.
+    the taps w_|t| with windows of its children's zero-padded frames, the left one read forwards, the right reversed,
+    each child's windows one read-only strided view of its frame (``_windows``), not a copy.
 
     When every finest block has one window, as for a constant target (every centred ball, and each level of a
     truncated prior's centred mixture), every node of a level has the same range, children and step A_j, so the same
@@ -93,8 +93,8 @@ def haar_log_p(prior, target: np.ndarray, eps: float, cells: int) -> float:
         t = np.arange(max(0, (b_hi - min(lows)) // 2) + 1)  # every t that can pair the two ranges
         w = _mass(dist, (t - 0.5) * (d / a[0]), (t + 0.5) * (d / a[0]))
         reach = int(np.flatnonzero(w)[-1])  # up to where the law's mass underflows or ends
-        left, right = (sliding_window_view(_framed(msg, -reach - (low if low == high else first), size + 2 * reach),
-                                           2 * reach + 1, axis=0)  # [row, node, reach + t]: row + t of the frame
+        left, right = (_windows(_framed(msg, -reach - (low if low == high else first), size + 2 * reach),
+                                2 * reach + 1)  # [row, node, reach + t]: row + t of the frame
                        for msg, first, low, high in zip((left, right), ends[0].T, lows, highs))
         taps = np.concatenate([w[reach:0:-1], w[: reach + 1]])  # w_|t|, t = -reach..reach
         return normalised(np.einsum("int,int,t->in", left, right[..., ::-1], taps))
@@ -122,6 +122,17 @@ def _framed(msg: np.ndarray, first, size: int) -> np.ndarray:
     padded = np.zeros((below + max(len(msg), int(first.max()) + size), msg.shape[1]))
     padded[below : below + len(msg)] = msg
     return padded.ravel().take((first + below + np.arange(size)[:, None]) * msg.shape[1] + np.arange(msg.shape[1]))
+
+
+def _windows(frame: np.ndarray, width: int) -> np.ndarray:
+    """The read-only view [i, ..., t] = frame[i + t, ...] of a C-contiguous ``frame``'s windows of ``width`` rows,
+    no copy: numpy's sliding-window view on axis 0, the same shape, strides and values, without the checks that cost
+    a small-ball node as much as its contraction; the ndarray constructor still keeps the view inside ``frame``."""
+    step = frame.strides[0]
+    view = np.ndarray((len(frame) - width + 1, *frame.shape[1:], width), frame.dtype, buffer=frame, offset=0,
+                      strides=(step, *frame.strides[1:], step))
+    view.flags.writeable = False
+    return view
 
 
 def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
@@ -152,7 +163,7 @@ def brownian_log_p(target: np.ndarray, eps: float, cells: int) -> float:
             fold = shift == 0.0 and cells % 2 == 0  # a symmetric Toeplitz matrix: even and odd halves apart
             if r >= cells and cells <= (512 if fold else 256):  # no matrix above 256 x 256, 0.5 MB
                 band = np.pad(kernel, (cells - 1 + lo, cells - 1 - hi))  # band[cells - 1 + u]: the mass of offset u
-                matrix = sliding_window_view(band, cells)[::-1]  # matrix[i, j]: the mass of offset j - i
+                matrix = _windows(band, cells)[::-1]  # matrix[i, j]: the mass of offset j - i
                 if fold:  # matrix [[A, B], [JBJ, JAJ]], w = [t, b]: t + bJ runs under A + BJ, t - bJ under A - BJ
                     h = cells // 2
                     a, bj, t, bj_w = matrix[:h, :h], matrix[:h, : h - 1 : -1], w[:h], w[: h - 1 : -1]

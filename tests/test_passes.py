@@ -142,17 +142,20 @@ _BROWNIAN_PINNED = {  # brownian_log_p on criterion 8's centred ball at grid 12,
 }
 
 
+def _brownian_pinned_log_p(eps):
+    cells = math.ceil(2.0 * eps * 64)
+    return [brownian_log_p(np.zeros(4096), eps, c) for c in (cells, 2 * cells, 4 * cells)]
+
+
 @pytest.mark.parametrize("eps", list(_BROWNIAN_PINNED))
 def test_brownian_log_p_keeps_its_values(eps):
     # the squared and the folded runs move the quadrature of criterion 8's Brownian part by rounding only
-    cells = math.ceil(2.0 * eps * 64)
-    log_p = [brownian_log_p(np.zeros(4096), eps, c) for c in (cells, 2 * cells, 4 * cells)]
-    assert log_p == pytest.approx(_BROWNIAN_PINNED[eps], rel=1e-12, abs=0.0)
+    assert _brownian_pinned_log_p(eps) == pytest.approx(_BROWNIAN_PINNED[eps], rel=1e-12, abs=0.0)
 
 
 def _folded_halves(eps, cells):
     # the stacked even and odd halves of w_0, from a window centred at 0.4, and of a zero-increment run's transfer
-    # matrix at grid 12, built as brownian_log_p builds them
+    # matrix at grid 12, built with numpy's sliding_window_view, independently of brownian_log_p's window view
     m = 4096
     sd, d, h = 1.0 / math.sqrt(m), 2.0 * eps / cells, cells // 2
     w = np.diff(ndtr((0.4 - eps + d * np.arange(cells + 1)) / math.sqrt(1.0 + 1.0 / m)))
@@ -204,10 +207,7 @@ _PINNED = {  # haar_log_p with one lattice over the whole range of h at every no
 }
 
 
-@pytest.mark.parametrize("kind,target", list(_PINNED))
-def test_haar_log_p_keeps_its_values(kind, target):
-    # each node holds its message on its own lattice range, 0 in its zero-padded frame off it: the same log P to
-    # rounding; the zero target shifts every node of a level alike (_framed's slice), the others mostly by node
+def _pinned_log_p(kind, target):
     dist = CoefficientDistribution(kind)
     if target == "weierstrass":
         prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=4, grid_level=8))
@@ -222,8 +222,36 @@ def test_haar_log_p_keeps_its_values(kind, target):
     else:
         prior = build_prior(PriorSpec(variant="wavelet_series", alpha=1.0, dist=dist, j_max=3, grid_level=6))
         h, runs = holder_test_function(0.5, 1.0, "cusp", 6).values, [(0.3, 64), (0.6, 64)]
-    log_p = [haar_log_p(prior, h, eps, cells) for eps, cells in runs]
-    assert log_p == pytest.approx(_PINNED[kind, target], rel=1e-12, abs=0.0)
+    return [haar_log_p(prior, h, eps, cells) for eps, cells in runs]
+
+
+@pytest.mark.parametrize("kind,target", list(_PINNED))
+def test_haar_log_p_keeps_its_values(kind, target):
+    # each node holds its message on its own lattice range, 0 in its zero-padded frame off it: the same log P to
+    # rounding; the zero target shifts every node of a level alike (_framed's slice), the others mostly by node
+    assert _pinned_log_p(kind, target) == pytest.approx(_PINNED[kind, target], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("frame,width", [
+    (np.arange(40.0).reshape(10, 4), 3),  # a node's frame, rows x nodes, cut into 8 windows of 3 rows
+    (np.pad(np.arange(1.0, 6.0), (3, 3)), 6),  # brownian_log_p's band of 2 cells - 1 taps: 6 windows of 6 cells
+], ids=["frame", "band"])
+def test_windows_are_numpys_sliding_windows_read_only(frame, width):
+    windows, expected = passes._windows(frame, width), sliding_window_view(frame, width, axis=0)
+    assert (windows.shape, windows.strides) == (expected.shape, expected.strides) and np.array_equal(windows, expected)
+    with pytest.raises(ValueError):
+        windows[0, ..., 0] = 1.0
+
+
+def test_the_window_view_keeps_every_small_ball_bit(monkeypatch):
+    # the quadratures read their windows through passes._windows; through numpy's sliding_window_view they give the
+    # same floats, ==, where the pinned values above hold only to 1e-12
+    def log_p():
+        return [_pinned_log_p(*case) for case in _PINNED], [_brownian_pinned_log_p(eps) for eps in _BROWNIAN_PINNED]
+
+    viewed = log_p()
+    monkeypatch.setattr(passes, "_windows", lambda frame, width: sliding_window_view(frame, width, axis=0))
+    assert log_p() == viewed
 
 
 @pytest.mark.parametrize("target", ["constant", "one block off"])
