@@ -88,7 +88,8 @@ def _finite(ctx, param, value):
               help="Hoelder radius of f0")
 @click.option("--kind", type=click.Choice(["cusp", "hat", "smooth"]), default="smooth", show_default=True)
 @click.option("--grid-level", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--ceiling", type=float, default=None, callback=_finite, help="defaults to max(f0) + 1")
+@click.option("--ceiling", type=float, default=None, callback=_finite,
+              help="height of the points, raised to the highest bin's lowest point; defaults to max(f0) + 1")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output directory")
 def simulate(n, beta, r_const, kind, grid_level, ceiling, seed, out):

@@ -2,10 +2,11 @@
 
 A boundary function is stored piecewise-constant on ``2**grid_level`` equal
 bins of [0, 1].  All integrals, distances and feasibility checks below are
-exact for this representation.  The observed data are Poisson point patterns
-with intensity ``n * 1(f(x) <= y)`` on the window ``{f(x) <= y <= ceiling}``,
-drawn as points (``simulate_ppp``) or as ``bin_minima`` (``simulate_minima``),
-each bin's lowest point first, so the minima cost O(m) at any n.  The
+exact for this representation.  The observed data are the Poisson process
+with intensity ``n * 1(f(x) <= y)`` on the whole strip, drawn as ``bin_minima``
+(``simulate_minima``), each bin's first arrival, which costs O(m) at any n and
+is never +inf, or as points (``simulate_ppp``) up to a ceiling raised to the
+highest of those arrivals, so every bin keeps its lowest point.  The
 feasibility check and the H statistic read the minima on the function's grid,
 the one observation type; a pattern is reduced to them by ``bin_minima``.
 """
@@ -82,9 +83,6 @@ class GridFunction:
 
     def max(self) -> float:
         return float(self.values.max())
-
-    def min(self) -> float:
-        return float(self.values.min())
 
     def pointwise_min(self, other: "GridFunction") -> "GridFunction":
         a, b, lvl = common_values(self, other)
@@ -206,49 +204,46 @@ def positive_part_integral(f: GridFunction, g: GridFunction) -> float:
 # observation model
 
 
-def _lowest(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator):
-    """(lowest, seed), drawn in that order: each bin's lowest point, +inf on a bin with none below the ceiling, and
-    the seed of the child generator that draws the points above them; the one draw record of both simulators.  On
-    bin k's strip the first arrival is f_k + Exp(n / m), and a Poisson process continues above it (Devroye 1986,
-    *Non-Uniform Random Variate Generation*, ch. VI)."""
+def _lowest(f: GridFunction, n: float, rng: np.random.Generator):
+    """(lowest, seed), drawn in that order: each bin's lowest point, its first arrival f_k + Exp(n / m), and the seed
+    of the child generator that draws the points above them; the one draw record of both simulators.  Above the
+    first arrival a Poisson process continues, independent of it (Devroye 1986, *Non-Uniform Random Variate
+    Generation*, ch. VI)."""
     if not 0.0 < n < math.inf:  # a NaN fails both comparisons
         raise ValueError(f"n must be positive and finite, got {n!r}")
+    return f.values + rng.exponential(f.num_bins / n, f.num_bins), rng.integers(2**63)
+
+
+def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator) -> PointPattern:
+    """The point process with intensity n*1(f(x) <= y) up to top = max(ceiling, highest lowest point), the pattern's
+    ``ceiling``: every bin holds its lowest point (``_lowest``), so its bin minima are the untruncated model's.
+
+    A child generator draws the points above each lowest point, by Poisson splitting Poisson(n * (top - lowest_k) /
+    m) of them, uniform between lowest_k and top.  Every x is uniform in its bin.  The lowest points come out first,
+    then the rest grouped by bin; nothing reads their order.  A ceiling below max f, or a non-finite n or ceiling,
+    is a ValueError."""
     if not -math.inf < ceiling < math.inf:
         raise ValueError(f"ceiling must be finite, got {ceiling!r}")
     if ceiling < f.max():
         raise ValueError(f"ceiling {ceiling!r} is below max f = {f.max()!r}")
-    lowest = f.values + rng.exponential(f.num_bins / n, f.num_bins)
-    lowest[lowest > ceiling] = math.inf
-    return lowest, rng.integers(2**63)
-
-
-def simulate_ppp(f: GridFunction, n: float, ceiling: float, rng: np.random.Generator) -> PointPattern:
-    """Simulate the point process with intensity n*1(f(x) <= y), truncated at the ceiling.
-
-    Bin k's lowest point comes first (``_lowest``); a child generator then draws the points above each one, by
-    Poisson splitting Poisson(n * (ceiling - lowest_k) / m) of them independently of the other bins, uniform on the
-    rectangle between lowest_k and the ceiling.  Every x is uniform in its bin.  The lowest points come out first,
-    then the rest grouped by bin; nothing reads their order.  A ceiling below max f would empty the bins above it, a
-    law other than the model's, so it is a ValueError, as is a non-finite n or ceiling.
-    """
-    lowest, seed = _lowest(f, n, ceiling, rng)
+    lowest, seed = _lowest(f, n, rng)
+    top = max(ceiling, float(lowest.max()))
     child = np.random.default_rng(seed)
-    hit = np.flatnonzero(np.isfinite(lowest))
-    above = np.repeat(hit, child.poisson(n * (ceiling - lowest[hit]) / f.num_bins))
-    bins = np.concatenate([hit, above])
+    above = np.repeat(np.arange(f.num_bins), child.poisson(n * (top - lowest) / f.num_bins))
+    bins = np.concatenate([np.arange(f.num_bins), above])
     ux = child.random(bins.size)
-    ys = np.concatenate([lowest[hit], lowest[above] + child.random(above.size) * (ceiling - lowest[above])])
+    ys = np.concatenate([lowest, lowest[above] + child.random(above.size) * (top - lowest[above])])
     # b + u rounds up to b + 1 if 1 - u <= half an ulp of b, <= b * 2**-53: u <= 1 - m * 2**-53 keeps x in bin b
     xs = (bins + np.minimum(ux, 1.0 - f.num_bins * 2.0**-53)) / f.num_bins
-    return PointPattern(n, ceiling, xs, ys)
+    return PointPattern(n, top, xs, ys)
 
 
-def simulate_minima(f: GridFunction, n: float, ceiling: float, grid_level: int, rng: np.random.Generator) -> np.ndarray:
-    """``bin_minima(simulate_ppp(g, n, ceiling, rng), grid_level)`` for ``g = f.refine(max(grid_level,
-    f.grid_level))``, a pattern of f, bit for bit from the same draws with equal generator states after, and no
-    points: the first arrivals of g (``_lowest``), one exponential per bin and one integer, folded to
-    ``grid_level``, so a call costs O(m) at any n on any grid."""
-    lowest, _ = _lowest(f.refine(max(grid_level, f.grid_level)), n, ceiling, rng)
+def simulate_minima(f: GridFunction, n: float, grid_level: int, rng: np.random.Generator) -> np.ndarray:
+    """``bin_minima(simulate_ppp(g, n, c, rng), grid_level)`` for ``g = f.refine(max(grid_level, f.grid_level))``
+    and any ceiling c >= max f, a pattern of f, bit for bit from the same draws with equal generator states after,
+    and no points: the first arrivals of g (``_lowest``), one exponential per bin and one integer, folded to
+    ``grid_level``, so a call costs O(m) at any n on any grid, and no bin is +inf."""
+    lowest, _ = _lowest(f.refine(max(grid_level, f.grid_level)), n, rng)
     return lowest.reshape(1 << grid_level, -1).min(axis=1)
 
 

@@ -5,7 +5,8 @@ Theoretical reference exponents are slope targets only; all unspecified
 multiplicative constants are absorbed by the log-log fit intercept.  Each
 (n, replicate) cell runs on its own generator, seeded from the master seed by
 ``numpy.random.SeedSequence([seed, n_index, replicate])``.  Every cell's bin
-minima (``grid.simulate_minima``) go to the posterior layer's one dispatch
+minima (``grid.simulate_minima``), the first arrivals of the untruncated model
+with no ceiling, go to the posterior layer's one dispatch
 (``sample_cells``) as one block at their own n's (a block per process with
 ``threads > 1``), each bit for bit as alone, so neither changes a result.  The
 study hands the samplers its per-row error (``posterior.row_errors``) and keeps
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,7 +44,7 @@ from .posterior import (
     sample_cells,
     weighted_median,
 )
-from .priors import PriorSpec, build_prior, holder_test_function
+from .priors import PriorSpec, build_prior, holder_test_function, is_integer
 from .reporting import csv_table, fit_loglog_slope, svg_loglog_plot, write_text
 
 __all__ = [
@@ -80,17 +80,12 @@ class StudyConfigError(ValueError):
     """A study config value that the study rejects; raised before any work starts."""
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer and not a bool, which would pass as the count 0 or 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_cells(replicates: int, least: int, sampler: str, budget: int, spec: PriorSpec, seed: int) -> None:
     """StudyConfigError unless ``replicates`` is an integer >= ``least`` and ``seed`` an integer >= 0, or if
     ``check_sampler`` on the prior of ``spec`` raises a ValueError."""
-    if not (_integer(seed) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise StudyConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not _integer(replicates):
+    if not is_integer(replicates):
         raise StudyConfigError(f"replicates must be an integer, got {replicates!r}")
     if replicates < least:
         raise StudyConfigError(f"replicates must be >= {least}, got {replicates}")
@@ -232,30 +227,30 @@ _CEILING_EXCEED_PROB = 1e-3
 
 
 def calibrate_ceiling(prior, f0: GridFunction, rng: np.random.Generator) -> float:
-    """Ceiling = max(f0) + margin such that prior draws rarely exceed it anywhere.
+    """Ceiling = max(f0) + margin such that prior draws rarely exceed it anywhere; kept for the benchmark replay, no
+    study calls it.
 
-    The margin is the empirical 0.999 quantile of the prior sup over 2000
-    draws; candidates above the ceiling escape some killing points, which is
-    the documented truncation bias.
+    The margin is the empirical 0.999 quantile of the prior sup over 2000 draws.
     """
     sups = reduce_draws(prior, _CEILING_DRAWS, rng, lambda v: v.max(axis=1))
     return float(max(f0.max() + 0.05, np.quantile(sups, 1.0 - _CEILING_EXCEED_PROB))) + 0.05
 
 
-def _study_cells(spec, f0, ceiling, sampler, budget, metric, reduction, seed, cells):
+def _study_cells(spec, f0, sampler, budget, metric, reduction, seed, cells):
     """``reduction(errors, weights)`` of each ``(i_n, n, rep)`` cell of ``cells``, its rows' ``metric`` errors
     against f0 and their normalized weights, or the cause (a str) of its refusal.
 
     Each cell draws its bin minima with no points, m exponentials and one integer at any n (``simulate_minima``),
-    and samples on its own generator, ``default_rng(SeedSequence((seed, i_n, rep)))``.  The minima go to
-    ``sample_cells`` as one block, each cell at its own n, with the per-row error (``row_errors``) as its
-    ``reduce``: a Gibbs block stores one error per chain and kept sweep, cells x kept floats at any grid, every
-    other sampler reduces a cell's rows as it draws them, and no ensemble is built.  Each error is the one that
-    the ensemble's functional (``posterior_median_metric``, ``posterior_mass_at_least``) reads, bit for bit.
+    the untruncated model's first arrivals, so no bin is empty, on its own generator, ``default_rng(SeedSequence((
+    seed, i_n, rep)))``.  The minima go to ``sample_cells`` as one block, each cell at its own n, with the per-row
+    error (``row_errors``) as its ``reduce``: a Gibbs block stores one error per chain and kept sweep, cells x kept
+    floats at any grid, every other sampler reduces a cell's rows as it draws them, and no ensemble is built.  Each
+    error is the one that the ensemble's functional (``posterior_median_metric``, ``posterior_mass_at_least``)
+    reads, bit for bit.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for i_n, _, rep in cells]
     ns = [n for _, n, _ in cells]
-    mins = np.stack([simulate_minima(f0, n, ceiling, spec.grid_level, rng) for n, rng in zip(ns, rngs)])
+    mins = np.stack([simulate_minima(f0, n, spec.grid_level, rng) for n, rng in zip(ns, rngs)])
     errors = row_errors(f0, metric, spec.grid_level)
     reduced = sample_cells(build_prior(spec), mins, ns, sampler, budget, rngs, errors)
     return [str(cell) if isinstance(cell, DegeneratePosteriorError) else
@@ -263,9 +258,8 @@ def _study_cells(spec, f0, ceiling, sampler, budget, metric, reduction, seed, ce
 
 
 def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, replicates: int, threads: int):
-    """(grid, ceiling): ``reduction(errors, weights)`` of every (i_n, n, rep) cell, its rows' ``metric`` errors and
-    their normalized weights, as an (n, replicate) float array with NaN at an excluded cell, and the ceiling that
-    ``calibrate_ceiling`` sets on the study's own generator.
+    """``reduction(errors, weights)`` of every (i_n, n, rep) cell, its rows' ``metric`` errors and their normalized
+    weights, as an (n, replicate) float array with NaN at an excluded cell.
 
     Each cell runs on its own ``SeedSequence`` generator, so neither ``threads`` nor the block changes a result.
     ``threads``, an integer >= 1 (else a StudyConfigError before any work), cuts the cell list into
@@ -275,11 +269,9 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
     More than ``MAX_EXCLUSION_FRAC`` excluded cells, or every cell of one n, is a StudyError that names
     each cause, in single quotes, with its count.
     """
-    if not (_integer(threads) and threads >= 1):
+    if not (is_integer(threads) and threads >= 1):
         raise StudyConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    prior = build_prior(spec)
-    ceiling = calibrate_ceiling(prior, f0, np.random.default_rng(np.random.SeedSequence((seed, 0xCE11))))
-    block = partial(_study_cells, spec, f0, ceiling, sampler, budget, metric, reduction, seed)
+    block = partial(_study_cells, spec, f0, sampler, budget, metric, reduction, seed)
     cells = [(i_n, n, rep) for i_n, n in enumerate(n_grid) for rep in range(replicates)]
     workers = min(threads, len(cells))
     if workers > 1:
@@ -288,7 +280,7 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
         from concurrent.futures import ProcessPoolExecutor
 
         blocks = [cells[len(cells) * i // workers : len(cells) * (i + 1) // workers] for i in range(workers)]
-        if reads_scipy_special(prior):  # once, before the fork, not once per worker
+        if reads_scipy_special(build_prior(spec)):  # once, before the fork, not once per worker
             importlib.import_module("scipy.special")
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for part in pool.map(block, blocks) for v in part]
@@ -307,14 +299,14 @@ def _run_cells(spec, f0, sampler, budget, metric, reduction, seed, n_grid, repli
             exclusions=exclusions,
             total=grid.size,
         )
-    return grid, ceiling
+    return grid
 
 
 def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     """Posterior-error slope study over the intensity grid: each cell's weighted median of its rows' errors, as
     ``posterior_median_metric`` of its ensemble.  ``threads`` is an integer >= 1 (see ``_run_cells``)."""
-    grid, ceiling = _run_cells(cfg.prior, cfg.f0(), cfg.sampler, cfg.budget, cfg.error_metric, weighted_median,
-                               cfg.seed, cfg.n_grid, cfg.replicates, threads)
+    grid = _run_cells(cfg.prior, cfg.f0(), cfg.sampler, cfg.budget, cfg.error_metric, weighted_median, cfg.seed,
+                      cfg.n_grid, cfg.replicates, threads)
     rows = [row[~np.isnan(row)] for row in grid]
     medians = [float(np.median(vals)) for vals in rows]
     q25, q75 = ([float(np.quantile(vals, q)) for vals in rows] for q in (0.25, 0.75))
@@ -322,7 +314,7 @@ def run_rate_study(cfg: RateStudyConfig, threads: int = 1) -> RateStudyReport:
     theory = theoretical_rate_exponent(cfg.prior, cfg.f0_beta)
     margin = None if theory is None else abs(slope - theory)
     passed = margin is not None and margin <= cfg.slope_tol
-    meta = {"ceiling": ceiling, "sampler": cfg.sampler, "budget": cfg.budget, "seed": cfg.seed}
+    meta = {"sampler": cfg.sampler, "budget": cfg.budget, "seed": cfg.seed}
     if out_of_hypothesis(cfg.prior):
         meta["flag"] = "configuration outside the known contraction regime (alpha <= 1)"
     return RateStudyReport(
@@ -413,6 +405,8 @@ def run_small_ball_study(
         raise StudyConfigError(f"tol must be nonnegative and finite, got {tol!r}")
     if beta is not None and not 0.0 < beta <= 1.0:  # the range of holder_test_function's beta
         raise StudyConfigError(f"beta must lie in (0, 1], got {beta!r}")
+    if h.grid_level > spec.grid_level:
+        raise StudyConfigError(f"h is on grid level {h.grid_level}, finer than the prior's {spec.grid_level}")
     target = h.refine(spec.grid_level).values
     if spec.variant == "brownian_start":
         root_m = math.sqrt(target.size)  # from cells of about one increment sd, 1 / root_m
@@ -494,11 +488,11 @@ def run_posterior_decay_study(
     if not 0.0 < r < math.inf:
         raise StudyConfigError(f"r must be positive and finite, got {r!r}")
     mass = partial(mass_at_least, r=r)
-    grid, ceiling = _run_cells(prior_spec, f0, sampler, budget, "lower_part", mass, seed, n_grid, replicates, threads)
+    grid = _run_cells(prior_spec, f0, sampler, budget, "lower_part", mass, seed, n_grid, replicates, threads)
     med = tuple(float(np.nanmedian(row)) for row in grid)
     mean = tuple(float(np.nanmean(row)) for row in grid)
     passed = all(b <= a + 1e-12 for a, b in zip(med, med[1:]))
-    return DecayStudyReport(n_grid, med, mean, passed, int(np.isnan(grid).sum()), {"r": r, "ceiling": ceiling})
+    return DecayStudyReport(n_grid, med, mean, passed, int(np.isnan(grid).sum()), {"r": r})
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ one of ``ERROR_METRICS`` and a weighted reduction of it under
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -61,6 +60,7 @@ from .priors import (
     FinitePrior,
     TruncatedWaveletPrior,
     WaveletSeriesPrior,
+    is_integer,
 )
 from .wavelets import analyze_flat
 
@@ -538,7 +538,7 @@ _VARIANT_NAMES = {  # the PriorSpec variant of each latent prior class, which me
 def check_sampler(prior, sampler: str, budget: int) -> None:
     """ValueError unless ``budget`` is an integer >= 1 and the named sampler, one of ``SAMPLERS``, applies to
     ``prior``; 'exact' needs the truncated wavelet prior with gaussian coefficients."""
-    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool):
+    if not is_integer(budget):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")

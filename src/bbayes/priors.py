@@ -12,6 +12,7 @@ latent priors also expose their latent -> grid map as ``synthesize``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "laplace", "uniform")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool (which would pass as 0 or 1): the package's one integer rule."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {tuple(_VARIANTS)}")
+        for name in ("grid_level", "j_max", "j_cap"):  # only grid_level is required
+            value = getattr(self, name)
+            if not (is_integer(value) or value is None and name != "grid_level"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_level < 1:
             raise ValueError("grid_level must be >= 1")
         fields = ("alpha", "dist", "j_max", "j_cap")

@@ -45,7 +45,6 @@ from bbayes.complexity import (
     separation_quantity,
 )
 from bbayes.grid import bin_minima
-from bbayes.harness import calibrate_ceiling
 from bbayes.reporting import fit_loglog_slope
 from bbayes.posterior import log_posterior_weight, sample_posterior
 
@@ -73,8 +72,7 @@ def test_criterion_1_void_probability_identity():
         gap *= rng.uniform(0.1, 2.5) / (n * gap.mean())
         g = GridFunction(level, f.values + gap)
         target = math.exp(-n * (integral(g) - integral(f)))
-        ceiling = g.max() + 0.3
-        hits = sum(np_test(g, simulate_minima(f, n, ceiling, f.grid_level, rng)) for _ in range(REPS))
+        hits = sum(np_test(g, simulate_minima(f, n, f.grid_level, rng)) for _ in range(REPS))
         freq = hits / REPS
         se = math.sqrt(target * (1.0 - target) / REPS)
         worst = max(worst, abs(freq - target) / se)
@@ -103,10 +101,7 @@ def test_criterion_2_martingale_identity():
             delta = rng.uniform(-1.0, 1.0, size=m)
         f = GridFunction(level, f0.values + delta * shift / np.abs(delta).mean())
         target = math.exp(-n * positive_part_integral(f0, f))
-        ceiling = max(f.max(), f0.max()) + 0.3
-        vals = np.array(
-            [h_statistic(f, f0, simulate_minima(f0, n, ceiling, f0.grid_level, rng), n) for _ in range(REPS)]
-        )
+        vals = np.array([h_statistic(f, f0, simulate_minima(f0, n, f0.grid_level, rng), n) for _ in range(REPS)])
         # f strictly below f0 makes H deterministic: allow float noise there
         se = max(float(vals.std(ddof=1) / math.sqrt(REPS)), 1e-13)
         worst = max(worst, abs(vals.mean() - target) / se)
@@ -188,14 +183,13 @@ def test_criterion_5_np_test_errors():
         gap *= rng.uniform(0.3, 2.0) / (n * gap.mean())
         g = GridFunction(level, f.values + gap)
         h = GridFunction(level, g.values + rng.uniform(0.0, 0.5, size=m))
-        ceiling = h.max() + 0.3
         # type I: truth f <= g, acceptance frequency must match the void probability
         target = math.exp(-n * (integral(g) - integral(f)))
-        accept = sum(np_test(g, simulate_minima(f, n, ceiling, f.grid_level, rng)) for _ in range(REPS))
+        accept = sum(np_test(g, simulate_minima(f, n, f.grid_level, rng)) for _ in range(REPS))
         se = math.sqrt(target * (1.0 - target) / REPS)
         assert abs(accept / REPS - target) <= 3.0 * se
         # type II against h >= g is exactly zero
-        missed = sum(1 - np_test(g, simulate_minima(h, n, ceiling, h.grid_level, rng)) for _ in range(REPS))
+        missed = sum(1 - np_test(g, simulate_minima(h, n, h.grid_level, rng)) for _ in range(REPS))
         assert missed == 0
         lines.append(f"typeI dev {abs(accept / REPS - target) / se:.2f} SE, typeII 0/{REPS}")
     _report("criterion 5 (one-sided test errors)", "; ".join(lines))
@@ -358,16 +352,14 @@ def test_criterion_7_contraction_exponents(label, cfg):
 
 def _best_mle_errors(cfg):
     # criterion 7's own cells with no sampler: each cell's minima drawn as its rate study draws them, folded to every
-    # level l <= grid and capped at the ceiling (mle_piecewise_constant's MLE_l); per n, the best level's median
-    # over the replicates of the integral of |MLE_l - f0|
+    # level l <= grid (mle_piecewise_constant's MLE_l, whose cap no bin reaches: no minimum is +inf); per n, the best
+    # level's median over the replicates of the integral of |MLE_l - f0|
     f0, grid, seed = cfg.f0(), cfg.prior.grid_level, cfg.seed
-    ceiling_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCE11)))  # the study's own, as _run_cells
-    ceiling = calibrate_ceiling(build_prior(cfg.prior), f0, ceiling_rng)
     best = []
     for i_n, n in enumerate(cfg.n_grid):
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, i_n, rep))) for rep in range(cfg.replicates)]
-        mins = np.stack([simulate_minima(f0, n, ceiling, grid, rng) for rng in rngs])
-        mle = [np.minimum(mins.reshape(len(mins), 1 << l, -1).min(axis=2), ceiling) for l in range(grid + 1)]
+        mins = np.stack([simulate_minima(f0, n, grid, rng) for rng in rngs])
+        mle = [mins.reshape(len(mins), 1 << l, -1).min(axis=2) for l in range(grid + 1)]
         best.append(min(np.median(np.abs(np.repeat(v, 1 << (grid - l), axis=1) - f0.values).mean(axis=1))
                         for l, v in enumerate(mle)))
     return best

@@ -14,6 +14,7 @@ from bbayes import (
     PointPattern,
     build_prior,
     covering_number,
+    mle_lipschitz,
 )
 from bbayes.cli import main
 from bbayes.posterior import sample_posterior
@@ -71,6 +72,13 @@ def test_posterior_and_mle_chain(runner, tmp_path):
     fhat = GridFunction.from_csv((mle_out / "mle.csv").read_text())
     pattern = PointPattern.from_csv((sim / "pattern.csv").read_text())
     assert np.all(fhat(pattern.xs) <= pattern.ys)
+    # the cone-envelope MLE, capped at the pattern's ceiling, on its default grid 8 and on a given one
+    for extra, level in (([], 8), (["--grid-level", "3"], 3)):
+        lip_out = tmp_path / f"mle-lip-{level}"
+        res = _run(runner, ["mle", "--pattern", str(sim / "pattern.csv"), "--lip", "2", *extra, "--out", str(lip_out)])
+        assert res.exit_code == 0
+        fhat = GridFunction.from_csv((lip_out / "mle.csv").read_text())
+        assert fhat.grid_level == level and fhat == mle_lipschitz(pattern, 2.0, pattern.ceiling, level)
     res = runner.invoke(main, ["mle", "--pattern", str(sim / "pattern.csv"),
                                "--bins", "8", "--lip", "1.0", "--out", str(mle_out)])
     assert res.exit_code == 1  # exactly one of --lip/--bins
@@ -395,7 +403,7 @@ _SPIKE = "f0: kind must be one of ('cusp', 'hat', 'smooth'), got 'spike'"
         ("small-ball", "eps_grid = 1.0,0.5\nseed = 2\n", "s.cfg: seed"),
         ("small-ball", _WAVELET + "eps_grid = 1.0,0.5\nseed = 2\n", "s.cfg: seed"),
         ("rate-study", "f0.kind = cusp\nn_grid = 5,10,20,40\nreplicates = 10\nceiling = 0.1\n",
-         "s.cfg: ceiling"),  # an unknown config key: the ceiling is always calibrated
+         "s.cfg: ceiling"),  # an unknown config key: a study draws the untruncated model, with no ceiling
         ("rate-study", "n_grid = 5,10,20,40\nreplicates = 10\nbugdet = 800\n", "s.cfg: bugdet"),
         ("decay-study", "f0.kind = cusp\nn_grid = 5,20\nreplicates = 4\nf0.knd = hat\n", "s.cfg: f0.knd"),
         ("small-ball", "eps_grid = 1.0,0.5\nepsgrid = 1.0\n", "s.cfg: epsgrid"),

@@ -1,5 +1,6 @@
 """Grid functions, point patterns and the observation-model identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,10 @@ def test_pattern_validation_and_round_trip():
         PointPattern(1.0, 1.0, np.array([2.0]), np.array([0.5]))  # x outside [0,1]
     with pytest.raises(ValueError):
         PointPattern(1.0, 1.0, np.array([0.5]), np.array([2.0]))  # above ceiling
+    with pytest.raises(ValueError, match="xs and ys must be 1-d arrays of equal length"):
+        PointPattern(1.0, 1.0, np.array([0.5, 0.6]), np.array([0.5]))
+    with pytest.raises(ValueError, match="missing '# intensity=<n> ceiling=<y_max>' header"):
+        PointPattern.from_csv("x,y\n0.5,0.5\n")
     # a non-finite number is rejected wherever it enters: a NaN x would index no bin, and a NaN y or ceiling
     # would make every comparison with it false
     for args in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1.0, [math.nan], [0.5]),
@@ -120,12 +125,14 @@ def test_simulate_ppp_points_above_boundary_exactly():
     for _ in range(50):
         pattern = simulate_ppp(f, 30.0, 2.0, rng)
         assert constraint_satisfied(f, bin_minima(pattern, 3))
-        assert len(pattern) == 0 or pattern.ys.max() <= 2.0
+        # every bin holds its lowest point, and the ceiling rises to the highest of them
+        assert pattern.ys.max() <= pattern.ceiling == max(2.0, bin_minima(pattern, 3).max())
 
 
 def test_simulate_ppp_count_matches_poisson_moments():
     # bin k's count ~ Poisson(n * (ceiling - f_k)_+ / m), independently of the other bins, so the total is
-    # Poisson(n * integral (ceiling - f)_+): means, variances and a covariance within 3 SE
+    # Poisson(n * integral (ceiling - f)_+): means, variances and a covariance within 3 SE; a lowest point above the
+    # ceiling, which would raise it, has probability below e^{-7.5} per bin here
     f = GridFunction(2, np.array([0.0, 0.5, 0.25, 0.75]))
     n, ceiling = 40.0, 1.5
     lams = n * (ceiling - f.values) / f.num_bins
@@ -155,7 +162,9 @@ def test_simulate_ppp_points_are_uniform_in_their_bin():
 def test_simulate_ppp_empty_window_and_determinism():
     f = GridFunction(1, np.array([1.0, 1.0]))
     rng = np.random.default_rng(3)
-    assert len(simulate_ppp(f, 10.0, 1.0, rng)) == 0  # ceiling touches f
+    # a ceiling that touches f is raised to the highest lowest point, so each bin keeps its lowest point
+    touching = simulate_ppp(f, 10.0, 1.0, rng)
+    assert np.isfinite(bin_minima(touching, 1)).all() and touching.ceiling == touching.ys.max() > 1.0
     with pytest.raises(ValueError, match="ceiling 0.5 is below max f = 1.0"):
         simulate_ppp(f, 10.0, 0.5, rng)  # it would empty the bins where f is above it
     a = simulate_ppp(f, 50.0, 2.0, np.random.default_rng(7))
@@ -186,30 +195,49 @@ def _same_state(a, b):
 @pytest.mark.parametrize("level", [4, 8])
 @pytest.mark.parametrize("kind", ["hat", "smooth", "cusp"])
 def test_simulate_minima_is_bin_minima_of_simulate_ppp(kind, level):
-    # the same draws, reduced with no points: equal minima and equal generator states after, at n with empty
-    # bins and with dense ones, on grids coarser than f, at f's level and finer (a pattern of f refined to that
-    # grid, the same law), on every bit generator
+    # the same draws, reduced with no points: equal minima and equal generator states after, at n with bins whose
+    # lowest point lies above the ceiling and with dense ones, at a ceiling that touches max f and one above it, on
+    # grids coarser than f, at f's level and finer (a pattern of f refined to that grid, the same law), on every bit
+    # generator
     f = holder_test_function(1.0, 1.0, kind, level)
-    ceiling = f.max() + 0.5
     for make in _GENERATORS:
         for n in (0.5, 30.0, 5000.0):
-            for grid_level in (level - 2, level, level + 1):
-                for seed in range(5):
-                    a, b = make(seed), make(seed)
-                    expected = bin_minima(simulate_ppp(f.refine(max(grid_level, level)), n, ceiling, a), grid_level)
-                    assert np.array_equal(simulate_minima(f, n, ceiling, grid_level, b), expected)
-                    assert _same_state(a.bit_generator.state, b.bit_generator.state)
-    flat = GridFunction.constant(0.5, 3)  # a ceiling at max f leaves an empty window and no points
+            for ceiling in (f.max(), f.max() + 0.5):
+                for grid_level in (level - 2, level, level + 1):
+                    for seed in range(5):
+                        a, b = make(seed), make(seed)
+                        pattern = simulate_ppp(f.refine(max(grid_level, level)), n, ceiling, a)
+                        assert np.array_equal(simulate_minima(f, n, grid_level, b), bin_minima(pattern, grid_level))
+                        assert _same_state(a.bit_generator.state, b.bit_generator.state)
+    flat = GridFunction.constant(0.5, 3)  # a ceiling at max f: every bin's lowest point lies above it
     a, b = np.random.default_rng(0), np.random.default_rng(0)
-    mins = simulate_minima(flat, 30.0, 0.5, 2, b)
-    assert np.array_equal(mins, bin_minima(simulate_ppp(flat, 30.0, 0.5, a), 2)) and np.all(np.isinf(mins))
+    mins = simulate_minima(flat, 30.0, 2, b)
+    assert np.array_equal(mins, bin_minima(simulate_ppp(flat, 30.0, 0.5, a), 2)) and np.all(np.isfinite(mins))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+# simulate_ppp's (xs, ys) digests from the draws that truncated each bin at the ceiling, at n where every bin's
+# lowest point lies below the ceiling max f + 0.5: (kind, level, n, seed, sha256 of xs then ys)
+_PPP_PINNED = [
+    ("cusp", 4, 400.0, 0, "6a480c43a8e631c26fd8100de2da938a523fe6dae0502936b874159267dddcea"),
+    ("hat", 5, 1000.0, 1, "5741c060d685a981da36c165c689bbd552b90c68fc9fa6d8dd0960bcfb104788"),
+    ("smooth", 3, 200.0, 2, "c60c877290ed52cd7ede10700823449f7465acfe287b23d194c7f40f580fef8a"),
+]
+
+
+@pytest.mark.parametrize("kind, level, n, seed, digest", _PPP_PINNED)
+def test_simulate_ppp_keeps_its_points_where_no_lowest_point_passes_the_ceiling(kind, level, n, seed, digest):
+    # the ceiling is raised only above a lowest point; below it the draws and the points are the truncated ones
+    f = holder_test_function(1.0, 1.0, kind, level)
+    pattern = simulate_ppp(f, n, f.max() + 0.5, np.random.default_rng(seed))
+    assert pattern.ceiling == f.max() + 0.5 and np.isfinite(bin_minima(pattern, level)).all()
+    assert hashlib.sha256(pattern.xs.tobytes() + pattern.ys.tobytes()).hexdigest() == digest
 
 
 class _StubRng(np.random.Generator):
     """Returns the given exponentials, then itself as the child generator (``default_rng`` passes a Generator
-    through), then the given counts of the bins with a lowest point and the given x- and y-uniforms, in the
-    simulators' draw order."""
+    through), then the given counts of the points above each bin's lowest point and the given x- and y-uniforms, in
+    the simulators' draw order."""
 
     def __init__(self, exponentials, counts, ux, uy):
         super().__init__(np.random.PCG64(0))
@@ -238,14 +266,16 @@ def test_simulate_ppp_keeps_each_point_in_the_bin_it_was_drawn_in():
     # b + u rounds to b + 1 for u = 1 - 2**-53 (b >= 1): the point would land in bin b + 1, below f there
     f = GridFunction(3, np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
     u = 1.0 - 2.0**-53
-    # lowest points at y = 0 in bins 1 and 3 (the others above the ceiling 2), one more point in bin 1
-    draws = ([3.0, 0.0, 3.0, 0.0, 3.0, 3.0, 3.0, 3.0], [1, 0], [u, u, 0.5], [0.5])
+    # lowest points at y = 0 in bins 1 and 3 (the others above the ceiling 2, which rises to 4.5 in bin 2), one
+    # more point in bin 1
+    draws = ([3.0, 0.0, 3.0, 0.0, 3.0, 3.0, 3.0, 3.0], [0, 1, 0, 0, 0, 0, 0, 0], [0.5, u, 0.5, u] + [0.5] * 5, [0.5])
     pattern = simulate_ppp(f, 1.0, 2.0, _StubRng(*draws))
-    assert np.floor(pattern.xs * 8).tolist() == [1, 3, 1] and pattern.ys.tolist() == [0.0, 0.0, 1.0]
+    assert np.floor(pattern.xs * 8).tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 1] and pattern.ceiling == 4.5
+    assert pattern.ys.tolist() == [3.0, 0.0, 4.5, 0.0, 3.0, 3.0, 3.0, 3.0, 2.25]
     assert np.all(pattern.ys >= f(pattern.xs)) and constraint_satisfied(f, bin_minima(pattern, 3))
     for grid_level in (1, 3):
         expected = bin_minima(simulate_ppp(f, 1.0, 2.0, _StubRng(*draws)), grid_level)
-        assert np.array_equal(simulate_minima(f, 1.0, 2.0, grid_level, _StubRng(*draws)), expected)
+        assert np.array_equal(simulate_minima(f, 1.0, grid_level, _StubRng(*draws)), expected)
 
 
 @pytest.mark.parametrize("n, ceiling, bad", [(math.inf, 2.0, "n"), (math.nan, 2.0, "n"), (10.0, math.inf, "ceiling"),
@@ -255,9 +285,9 @@ def test_simulators_name_a_non_finite_n_or_ceiling(n, ceiling, bad):
     message = f"{bad} must be (positive and )?finite, got {(n if bad == 'n' else ceiling)!r}"
     with pytest.raises(ValueError, match=message):
         simulate_ppp(f, n, ceiling, np.random.default_rng(0))
-    for grid_level in (1, 2, 3):  # coarser than f, f's level, and finer
+    for grid_level in (1, 2, 3) if bad == "n" else ():  # coarser than f, f's level, and finer; no ceiling here
         with pytest.raises(ValueError, match=message):
-            simulate_minima(f, n, ceiling, grid_level, np.random.default_rng(0))
+            simulate_minima(f, n, grid_level, np.random.default_rng(0))
 
 
 class _RecordingRng:
@@ -285,7 +315,7 @@ def test_simulate_minima_draws_m_exponentials_and_one_integer_at_any_n():
     for n in (0.5, 5000.0, 1e15):
         for grid_level, bins in ((4, 256), (8, 256), (9, 512)):
             rng = _RecordingRng(0)
-            mins = simulate_minima(f, n, f.max() + 0.5, grid_level, rng)
+            mins = simulate_minima(f, n, grid_level, rng)
             assert rng.calls == [("exponential", bins), ("integers", 1)], (n, grid_level)
     # the last call, at n = 1e15 on the grid finer than f's: every bin's lowest point is finite, within about m / n
     # of f there
@@ -293,33 +323,33 @@ def test_simulate_minima_draws_m_exponentials_and_one_integer_at_any_n():
     assert np.all((fine <= mins) & (mins <= fine + 1e-9))
 
 
-def test_lowest_point_is_a_truncated_exponential_above_f():
-    # on bin k, (lowest - f_k) * n / m is Exp(1) truncated at T_k = (ceiling - f_k) * n / m, and the bin holds no
-    # point below the ceiling with probability e^{-T_k}
+def test_lowest_point_is_an_exponential_above_f():
+    # on bin k, (lowest - f_k) * n / m is Exp(1), with no truncation: the lowest point lies above a height c with
+    # probability e^{-T_k}, T_k = (c - f_k) * n / m, and is never +inf
     f = GridFunction(3, np.array([0.0, 0.5, 0.25, 0.75, 1.0, 0.1, 0.6, 0.3]))
     n, ceiling, m, reps = 20.0, 1.5, 8, 4000
     rng = np.random.default_rng(11)
-    mins = np.array([simulate_minima(f, n, ceiling, 3, rng) for _ in range(reps)])
+    mins = np.array([simulate_minima(f, n, 3, rng) for _ in range(reps)])
+    assert np.isfinite(mins).all()
     t = (mins - f.values) * n / m
     cap = (ceiling - f.values) * n / m
-    empty = np.isinf(mins)
+    above = mins > ceiling
     for k in range(m):
         p = math.exp(-cap[k])
-        assert abs(empty[:, k].mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / reps), k
-    # the truncated CDF (1 - e^{-t}) / (1 - e^{-T_k}) maps each finite lowest point to a uniform
-    u = -np.expm1(-t[~empty]) / -np.expm1(-np.broadcast_to(cap, t.shape)[~empty])
-    assert stats.kstest(u, "uniform").pvalue > 0.01
+        assert abs(above[:, k].mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / reps), k
+    # the CDF 1 - e^{-t} maps each lowest point to a uniform
+    assert stats.kstest(-np.expm1(-t.ravel()), "uniform").pvalue > 0.01
 
 
 def test_void_probability_identity_single_config():
     # P(no point below g) = exp(-n * integral(g - f)) for g >= f
     f = GridFunction(2, np.zeros(4))
     g = GridFunction(2, np.array([0.1, 0.0, 0.2, 0.1]))
-    n, ceiling = 20.0, 1.0
+    n = 20.0
     target = math.exp(-n * positive_part_integral(g, f))
     rng = np.random.default_rng(4)
     reps = 3000
-    hits = sum(constraint_satisfied(g, simulate_minima(f, n, ceiling, f.grid_level, rng)) for _ in range(reps))
+    hits = sum(constraint_satisfied(g, simulate_minima(f, n, f.grid_level, rng)) for _ in range(reps))
     p_hat = hits / reps
     se = math.sqrt(target * (1.0 - target) / reps)
     assert abs(p_hat - target) <= 3.0 * se
@@ -338,11 +368,11 @@ def test_h_statistic_martingale_identity_single_config():
     # E[H(f)] = exp(-n * integral (f0 - f)_+), crossing case
     f0 = GridFunction(1, np.array([0.5, 0.5]))
     f = GridFunction(1, np.array([0.2, 0.7]))
-    n, ceiling = 15.0, 1.5
+    n = 15.0
     target = math.exp(-n * positive_part_integral(f0, f))
     rng = np.random.default_rng(5)
     reps = 3000
-    vals = np.array([h_statistic(f, f0, simulate_minima(f0, n, ceiling, f0.grid_level, rng), n) for _ in range(reps)])
+    vals = np.array([h_statistic(f, f0, simulate_minima(f0, n, f0.grid_level, rng), n) for _ in range(reps)])
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - target) <= 3.0 * se
 

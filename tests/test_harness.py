@@ -66,6 +66,7 @@ def test_small_ball_exponent_values():
     assert theoretical_small_ball_exponent(_spec("wavelet_series", alpha=1.0), 1.0) == pytest.approx(1.0)
     assert theoretical_small_ball_exponent(_spec("wavelet_series", alpha=1.0), 0.5) == pytest.approx(4.0)
     assert theoretical_small_ball_exponent(_spec("wavelet_series", "laplace", alpha=1.0), 0.5) == pytest.approx(3.0)
+    assert theoretical_small_ball_exponent(_spec("wavelet_series", "uniform", alpha=1.0), 0.5) is None
     # the laplace exponent never exceeds the gaussian one at matching (alpha, beta)
     for a in (0.5, 1.0, 2.0):
         for b in (0.25, 0.5, 1.0, 2.0):
@@ -131,20 +132,20 @@ def test_rate_study_config_validation():
     with pytest.raises(ValueError, match="f0: kind must be one of"):
         _tiny_rate_cfg(f0_kind="spike")  # checked before any work, not when the study builds f0
     with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
-        _tiny_rate_cfg(budget=0)  # rejected before the ceiling is calibrated
-    for budget in (800.5, True):  # not a TypeError once the ceiling is calibrated, nor a budget of 1
+        _tiny_rate_cfg(budget=0)  # rejected before any cell is drawn
+    for budget in (800.5, True):  # not a TypeError once a cell is sampled, nor a budget of 1
         with pytest.raises(ValueError, match=f"budget must be an integer, got {budget}"):
             _tiny_rate_cfg(budget=budget)
     with pytest.raises(ValueError, match="replicates must be an integer, got 10.5"):
         _tiny_rate_cfg(replicates=10.5)
-    for seed in (1.5, -1, True):  # not a TypeError or ValueError from SeedSequence once the ceiling is calibrated
+    for seed in (1.5, -1, True):  # not a TypeError or ValueError from SeedSequence once a cell is drawn
         with pytest.raises(StudyConfigError, match=f"seed must be a nonnegative integer, got {seed}"):
             _tiny_rate_cfg(seed=seed)
 
 
 def test_decay_study_config_validation(monkeypatch):
-    # each bad value is refused before any work: the ceiling is never calibrated
-    monkeypatch.setattr(harness, "calibrate_ceiling", None)
+    # each bad value is refused before any work: no cell's minima are drawn
+    monkeypatch.setattr(harness, "simulate_minima", None)
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
     for kw, message in [
         ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
@@ -250,8 +251,8 @@ def test_threads_is_an_integer_of_at_least_one_and_starts_no_more_workers_than_c
     assert (decay(threads=64), run_rate_study(cfg, threads=64)) == alone
     assert (decay(threads=2), run_rate_study(cfg, threads=3)) == alone
     assert workers == [2, 40, 2, 3]
-    # a thread count that is not an integer >= 1 is refused before any work: the ceiling is never calibrated
-    monkeypatch.setattr(harness, "calibrate_ceiling", None)
+    # a thread count that is not an integer >= 1 is refused before any work: no cell's minima are drawn
+    monkeypatch.setattr(harness, "simulate_minima", None)
     for threads in (0, -3, 2.5, "2", None, True):
         message = re.escape(f"threads must be an integer >= 1, got {threads!r}")
         with pytest.raises(StudyConfigError, match=message):
@@ -319,19 +320,19 @@ def test_rate_study_exclusion_limit():
 @pytest.mark.parametrize(
     "level,n_grid,message,counts",
     [
-        (12.0, (1.0, 2.0, 3.0, 4.0), r"5/20 cells degenerate \(limit 20%\)", (5, 20)),
-        (15.5, (0.5, 8.0), r"every cell degenerate at n = \[8.0\]", (5, 10)),
+        (-2.1, (1.0, 2.0, 3.0, 4.0), r"5/20 cells degenerate \(limit 20%\)", (5, 20)),
+        (-2.0, (0.5, 8.0), r"every cell degenerate at n = \[8.0\]", (5, 10)),
     ],
 )
 def test_a_refused_study_names_the_cause_of_its_excluded_cells(level, n_grid, message, counts):
-    # a real refusal, no stub: the truncated prior's unit laplace amplitudes give a cell an improper posterior
-    # once its pattern leaves enough eighths of [0, 1] empty (one suffices at n >= 5.4), and an f0 close to the
-    # calibrated ceiling leaves eighths empty; the StudyError names the cause and how many cells it excluded
-    spec = _spec("truncated_wavelet", "laplace", j=2)
+    # a real refusal, no stub: a constant f0 below every state of the uniform wavelet prior (its coefficients are
+    # bounded), whose cells at larger n draw lowest points close enough to f0 that no state is feasible; the
+    # StudyError names the cause and how many cells it excluded
+    spec = _spec("wavelet_series", "uniform", j=2)
     with pytest.raises(StudyError, match=message) as err:
         run_posterior_decay_study(spec, GridFunction.constant(level, 4), 0.3, n_grid, 5, seed=3, budget=300)
     assert (err.value.exclusions, err.value.total) == counts
-    assert f"{counts[0]} x 'an improper laplace posterior, which no sampler draws from'" in str(err.value)
+    assert f"{counts[0]} x 'no feasible state in the uniform support'" in str(err.value)
 
 
 def test_an_intensity_whose_every_cell_is_degenerate_refuses_the_study(monkeypatch):
@@ -544,6 +545,10 @@ def test_small_ball_exclusion_and_degenerate_grid():
     assert report.excluded_eps == () and 0.0 < report.probabilities[-1] < 1e-100
     with pytest.raises(ValueError):
         run_small_ball_study(_spec("truncated_wavelet", grid_level=4), h, (0.5, 0.5))
+    # an h finer than the prior's grid, which h.refine cannot coarsen: the study names both grid levels
+    for spec in (_spec("brownian_start", grid_level=4), _spec("wavelet_series", grid_level=4)):
+        with pytest.raises(StudyConfigError, match="h is on grid level 5, finer than the prior's 4"):
+            run_small_ball_study(spec, h.refine(5), (1.0, 0.5))
 
 
 def test_small_ball_excludes_an_eps_whose_ball_holds_every_draw():
@@ -597,7 +602,7 @@ def test_decay_study_keeps_its_values_for_an_f0_off_the_prior_grid(f0_level, med
     f0 = holder_test_function(1.0, 1.0, "cusp", f0_level)
     report = run_posterior_decay_study(_spec(), f0, r=0.1, n_grid=(5.0, 40.0), replicates=4, seed=3, budget=600)
     assert (report.median_mass, report.mean_mass, report.exclusions) == (median, mean, 0)
-    assert report.meta == {"r": 0.1, "ceiling": 4.450495339631054}
+    assert report.meta == {"r": 0.1}
 
 
 def test_a_study_reports_the_same_whatever_grid_carries_f0(monkeypatch):

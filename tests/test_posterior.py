@@ -61,6 +61,13 @@ def _pattern(n=10.0, ceiling=2.0, seed=0, grid_level=4, beta=1.0):
     return f0, simulate_ppp(f0, n, ceiling, rng)
 
 
+def _truncated(pattern, ceiling):
+    """The points of ``pattern`` on or below ``ceiling``, as a pattern truncated there: a bin whose lowest point lies
+    above the ceiling is empty, which a simulated pattern never is."""
+    keep = pattern.ys <= ceiling
+    return PointPattern(pattern.intensity, ceiling, pattern.xs[keep], pattern.ys[keep])
+
+
 def _below_minima(ens, pattern) -> bool:
     # every row of the ensemble at or below the pattern's bin minima: each is a feasible state
     return bool(np.all(ens.values <= bin_minima(pattern, ens.grid_level)))
@@ -117,6 +124,10 @@ def test_ensemble_validation_and_weights():
         PosteriorEnsemble(0, [f.values], np.array([np.nan]))
     with pytest.raises(ValueError):
         PosteriorEnsemble(0, [f.values] * 2, np.array([-np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="values must be finite"):
+        PosteriorEnsemble(0, [[np.inf]], np.zeros(1))
+    with pytest.raises(ValueError, match="values and log_weights must have equal length"):
+        PosteriorEnsemble(0, [f.values] * 2, np.zeros(3))
     ens = PosteriorEnsemble(0, [f.values] * 3, np.log([1.0, 2.0, 1.0]))
     assert np.allclose(ens.normalized_weights, [0.25, 0.5, 0.25])
     assert ens.ess == pytest.approx(1.0 / (0.25**2 + 0.5**2 + 0.25**2))
@@ -436,7 +447,7 @@ def _exact_reference(pattern, seed):
 
 def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
     _, pattern = _pattern(n=5.0, seed=3, grid_level=5)
-    ens, levels, ref = _exact_reference(pattern, 26)
+    ens, levels, ref = _exact_reference(_truncated(pattern, 2.0), 26)  # empty bins reach the cap
     assert len(set(levels.tolist())) == 4  # the draws switch between levels
     assert np.array_equal(ens.values, ref)
 
@@ -451,7 +462,8 @@ def test_exact_truncated_sampler_equals_per_draw_reference_bit_for_bit():
     ids=["one level", "mixed below the cap", "mixed up to the cap"],
 )
 def test_exact_sampler_equals_the_per_level_reference(f0, n, seed, drawn):
-    ens, levels, ref = _exact_reference(simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)), 26)
+    # truncated at 2: at n = 5 the empty bins let the draws reach the cap
+    ens, levels, ref = _exact_reference(_truncated(simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)), 2.0), 26)
     assert set(levels.tolist()) == drawn
     assert np.array_equal(ens.values, ref)
 
@@ -468,7 +480,7 @@ _PINNED_CELLS = {
     "wavelet series": ("wavelet_series", "gaussian", "mcmc", 2000,
                        "61a8fb217ac11943329c409516594a3471057de230b4b0e17601ccb00cc2f9f6"),
     "brownian": ("brownian_start", None, "mcmc", 2000,
-                 "7e96b10a41be4bb331f1554fa4577cbeb36d7c38667e796d73dffc51a3002b64"),
+                 "7a392254e5d2d2cf6ec37618cca7e9fe8eb601eb6880d8637f57d8d98661580d"),
 }
 
 
@@ -845,7 +857,8 @@ def test_sample_cells_equals_each_cell_alone():
     # error without moving the others
     n = 8.0
     f0 = holder_test_function(1.0, 1.0, "cusp", 4)
-    patterns = [simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)) for seed in range(4)]
+    # truncated at 2, so that some eighths of [0, 1] are empty (see improper below)
+    patterns = [_truncated(simulate_ppp(f0, n, 2.0, np.random.default_rng(seed)), 2.0) for seed in range(4)]
     wavelet = lambda kind: build_prior(
         PriorSpec(variant="wavelet_series", alpha=1.0, dist=CoefficientDistribution(kind), j_max=2, grid_level=4)
     )
@@ -1385,6 +1398,8 @@ def test_posterior_functionals_hand_case():
     assert posterior_mass_at_least(ens, f0, 0.75, "l1") == pytest.approx(0.25)
     assert posterior_mass_at_least(ens, f0, 0.5, "upper_part") == pytest.approx(0.5)
     assert posterior_mass_at_least(ens, high, 0.4, "lower_part") == pytest.approx(0.75)  # flat and half
+    with pytest.raises(ValueError, match="unknown error metric 'bad'"):
+        posterior_mass_at_least(ens, f0, 0.4, metric="bad")
     # the flat sample holds exactly half the mass, so 0 is a valid median of l1
     assert posterior_median_metric(ens, f0, "l1") in (0.0, 0.5)
     assert posterior_median_metric(ens, high, "upper_part") == 0.0

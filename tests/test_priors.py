@@ -19,6 +19,7 @@ from bbayes import (
     holder_test_function,
 )
 from bbayes.priors import (
+    BrownianStartPrior,
     parse_prior_config,
     wavelet_amplitudes,
 )
@@ -93,7 +94,23 @@ def test_prior_spec_validation():
         PriorSpec(variant="wavelet_series", alpha=1.0, dist=gauss, j_max=3, j_cap=3)
     with pytest.raises(ValueError, match="truncated_wavelet does not read alpha, j_max"):
         PriorSpec(variant="truncated_wavelet", alpha=1.0, dist=gauss, j_max=3, j_cap=3)
+    # a level is an integer, not a float or a bool, named by its field before any prior is built
+    for kw, message in [
+        ({"variant": "brownian_start", "grid_level": 4.0}, "grid_level must be an integer, got 4.0"),
+        ({"variant": "brownian_start", "grid_level": True}, "grid_level must be an integer, got True"),
+        ({"variant": "brownian_start", "grid_level": None}, "grid_level must be an integer, got None"),
+        ({"variant": "wavelet_series", "alpha": 1.0, "dist": gauss, "j_max": 1.5},
+         "j_max must be an integer, got 1.5"),
+        ({"variant": "truncated_wavelet", "dist": gauss, "j_cap": 1.0}, "j_cap must be an integer, got 1.0"),
+        ({"variant": "truncated_wavelet", "dist": gauss, "j_cap": False}, "j_cap must be an integer, got False"),
+        ({"variant": "brownian_start", "grid_level": 0}, "grid_level must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PriorSpec(grid_level=kw.pop("grid_level", 4), **kw)
+    with pytest.raises(ValueError, match="grid_level must be >= 1"):
+        BrownianStartPrior(0)
     PriorSpec(variant="brownian_start", grid_level=4)  # valid
+    PriorSpec(variant="truncated_wavelet", dist=gauss, j_cap=np.int64(2), grid_level=np.int64(4))  # numpy integers
 
 
 def test_prior_config_round_trip():
